@@ -7,21 +7,17 @@ from .analytic import (BoundKind, LinkFactors, RateBound, Scenario, Verdict,
                        jensen_rate_t, large_snr_limit, link_factors,
                        multiuser_bounds, oma_rates, quantization_gain,
                        quantization_gain_limit, sum_rate_verdict)
-from .channel import (ChannelDraw, ConfigError, Perfect, PhaseErrorModel,
-                      Quantized, SystemParams, UniformFull, VonMises,
-                      composite_gain, correlation_factor, db_to_linear,
-                      dbm_to_watts, epsilon, pathloss,
-                      phase_error_from_string, sample_correlated_magnitudes,
-                      sample_phase_errors)
-from .experiments import (ResultRow, ScenarioSpec, SweepSpec,
-                          bundled_spec_names, load_spec, run_sweep, write_csv)
+from .channel import (ConfigError, Perfect, PhaseErrorModel, Quantized,
+                      SystemParams, UniformFull, VonMises, correlation_factor,
+                      db_to_linear, dbm_to_watts, pathloss,
+                      phase_error_from_string)
+from .experiments import (Point, ResultRow, ScenarioSpec, SweepSpec,
+                          build_point, bundled_spec_names, load_spec,
+                          run_sweep, write_csv)
 from .geometry import (ArrayGeometry, correlation_matrix, cross_moment,
-                       element_coordinate, magnitude_moment_matrix,
-                       trace_rbar_sq)
+                       magnitude_moment_matrix, trace_rbar_sq)
 from .mc import (McConfig, McEstimate, four_user_trial_rates, mc_estimates,
-                 noma_trial_rates, oma_trial_rates, simulate_four_user,
-                 simulate_noma_pair, simulate_oma_pair)
-from .specfun import (Tolerance, bessel_i0, bessel_i1, bessel_ratio_i1_i0,
-                      elliptic_e, elliptic_k)
+                 noma_trial_rates, oma_trial_rates)
+from .specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
 __version__ = "0.1.0"

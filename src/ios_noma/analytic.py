@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .channel import (ConfigError, SystemParams, pathloss,
+from .channel import (ConfigError, Quantized, SystemParams, pathloss,
                       validate_decoding_order)
 
 __all__ = [
@@ -232,21 +232,15 @@ def sum_rate_verdict(params: SystemParams, eps_t: float, eps_r: float) -> Verdic
 
 def quantization_gain(b: int, params: SystemParams, n: int) -> float:
     """T-rate improvement from adding one phase-quantization bit at b bits."""
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    eps_b, eps_b1 = Quantized(b).epsilon(), Quantized(b + 1).epsilon()
     scale = _QUARTER_PI_SQ * n * n * params.gamma0 * params.q_t**2 \
         * pathloss(params, "t") * params.alpha**2
-    eps_b = 2**b * math.sin(math.pi / 2**b) / math.pi
-    eps_b1 = 2 ** (b + 1) * math.sin(math.pi / 2 ** (b + 1)) / math.pi
     return math.log2((1.0 + scale * eps_b1**2) / (1.0 + scale * eps_b**2))
 
 
 def quantization_gain_limit(b: int) -> float:
     """Large-array limit of the per-bit gain, positive and decreasing in b."""
-    if b < 1:
-        raise ValueError("b must be a positive integer")
-    return math.log2(4.0 * math.sin(math.pi / 2 ** (b + 1)) ** 2
-                     / math.sin(math.pi / 2**b) ** 2)
+    return 2.0 * math.log2(Quantized(b + 1).epsilon() / Quantized(b).epsilon())
 
 
 def multiuser_bounds(params: SystemParams, n: int,

@@ -27,16 +27,12 @@ __all__ = [
     "Quantized",
     "UniformFull",
     "phase_error_from_string",
-    "ChannelDraw",
     "db_to_linear",
     "dbm_to_watts",
     "pathloss",
     "validate_decoding_order",
-    "epsilon",
-    "sample_phase_errors",
     "correlation_factor",
-    "sample_correlated_magnitudes",
-    "composite_gain",
+    "standard_complex_gaussian",
 ]
 
 _LINKS = ("t", "r", "tp", "rp")
@@ -246,16 +242,6 @@ def phase_error_from_string(text: str) -> PhaseErrorModel:
     raise ConfigError(f"unknown phase error model {text!r}")
 
 
-def epsilon(model: PhaseErrorModel) -> float:
-    """Mean cosine of the residual phase error, E[cos(phi)]."""
-    return model.epsilon()
-
-
-def sample_phase_errors(model: PhaseErrorModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One vector of n independent residual phase errors."""
-    return model.sample(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # correlated channel sampling
 
@@ -288,52 +274,3 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
 def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex normals with unit total variance."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
-
-
-def sample_correlated_magnitudes(corr: np.ndarray, rng: np.random.Generator,
-                                 factor: np.ndarray | None = None) -> np.ndarray:
-    """One draw of |L z| with z i.i.d. CN(0,1); marginals are Rayleigh
-    with unit mean square.  Pass a precomputed factor to skip the
-    factorization."""
-    if factor is None:
-        factor = correlation_factor(corr)
-    z = standard_complex_gaussian(factor.shape[0], rng)
-    return np.abs(factor @ z)
-
-
-# ---------------------------------------------------------------------------
-# composite gains
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the magnitude and phase-error vectors."""
-
-    mag_h: np.ndarray
-    mag_g: np.ndarray
-    mag_r: np.ndarray
-    phase_err_t: np.ndarray
-    phase_err_r: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.mag_h)
-        for name in ("mag_g", "mag_r", "phase_err_t", "phase_err_r"):
-            if len(getattr(self, name)) != n:
-                raise ConfigError(f"{name} length differs from mag_h")
-        if np.any(self.mag_h < 0) or np.any(self.mag_g < 0) or np.any(self.mag_r < 0):
-            raise ConfigError("channel magnitudes must be non-negative")
-
-
-def composite_gain(draw: ChannelDraw, side: str) -> float:
-    """|sum_n m_n exp(j phi_n)|^2 with m the magnitude product of the side.
-
-    side "t" pairs |g| with |h| under the transmit-side phase errors,
-    side "r" pairs |r| with |h| under the reflect-side ones.
-    """
-    if side == "t":
-        mags, phases = draw.mag_g * draw.mag_h, draw.phase_err_t
-    elif side == "r":
-        mags, phases = draw.mag_r * draw.mag_h, draw.phase_err_r
-    else:
-        raise ConfigError(f"unknown side {side!r}, expected 't' or 'r'")
-    return float(np.abs(np.sum(mags * np.exp(1j * phases))) ** 2)

@@ -14,12 +14,11 @@ import sys
 
 import numpy as np
 
-from . import experiments
 from .analytic import Scenario
-from .channel import ConfigError, epsilon, phase_error_from_string
-from .experiments import (DEFAULTS, bundled_spec_names, load_spec, run_sweep,
+from .channel import ConfigError
+from .experiments import (DEFAULTS, analytic_bound, build_point,
+                          bundled_spec_names, load_spec, run_sweep,
                           spec_with_overrides, write_csv)
-from .geometry import correlation_matrix, magnitude_moment_matrix, trace_rbar_sq
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     spec = load_spec(args.spec)
     spec = spec_with_overrides(spec, trials=args.trials, master_seed=args.seed)
     rows = run_sweep(spec, workers=args.workers)
@@ -95,14 +96,7 @@ def _cmd_list_specs() -> int:
 
 def _cmd_validate(args) -> int:
     spec = load_spec(args.spec)
-    # dry-build the first axis point of every scenario to surface bad keys
-    for scen in spec.scenarios:
-        cfg = {**DEFAULTS, **spec.defaults, **scen.overrides}
-        cfg = experiments._apply_axis(cfg, spec.axis, spec.values[0])
-        experiments._build_geometry(cfg)
-        experiments._build_params(cfg)
-        phase_error_from_string(str(cfg["phase_error_t"]))
-        phase_error_from_string(str(cfg["phase_error_r"]))
+    spec.points()  # builds every (axis value, scenario) point
     print(f"ok: axis={spec.axis} values={len(spec.values)} "
           f"scenarios={len(spec.scenarios)}")
     return EXIT_OK
@@ -118,23 +112,20 @@ def _cmd_bound(args) -> int:
         cfg["phase_error_t"] = args.phase_error_t
     if args.phase_error_r is not None:
         cfg["phase_error_r"] = args.phase_error_r
+    cfg["correlated"] = not args.uncorrelated
     scenario = Scenario(args.scenario)
-    geom = experiments._build_geometry(cfg)
-    params = experiments._build_params(cfg)
-    err_t = phase_error_from_string(str(cfg["phase_error_t"]))
-    err_r = phase_error_from_string(str(cfg["phase_error_r"]))
-    corr = np.eye(geom.n_elements) if args.uncorrelated else correlation_matrix(geom)
-    tr = trace_rbar_sq(magnitude_moment_matrix(corr))
+    point = build_point(cfg)
+    tr = point.tr_rbar_sq()
+    geom, params = point.geom, point.params
 
     estimators = ("limit",) if args.inf_snr else ("jensen", "hardening", "limit")
     bounds = {}
     notes = {}
     for est in estimators:
         try:
-            bounds[est] = experiments._analytic_rows(
-                scenario, est, params, geom, tr, epsilon(err_t), epsilon(err_r))
+            bounds[est] = analytic_bound(scenario, est, point, tr)
         except (ConfigError, ValueError) as exc:
-            if args.inf_snr or (est == "jensen" and not args.inf_snr):
+            if args.inf_snr or est == "jensen":
                 raise  # limit explicitly requested, or the core bound failed
             notes[est] = str(exc)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -25,8 +26,8 @@ from .analytic import (BoundKind, RateBound, Scenario, hardening_rate_r,
                        hardening_rate_t, jensen_rate_r, jensen_rate_t,
                        large_snr_limit, link_factors, multiuser_bounds,
                        oma_rates)
-from .channel import (ConfigError, SystemParams, epsilon,
-                      phase_error_from_string)
+from .channel import (ConfigError, PhaseErrorModel, SystemParams,
+                      phase_error_from_string, validate_decoding_order)
 from .geometry import (ArrayGeometry, correlation_matrix,
                        magnitude_moment_matrix, trace_rbar_sq)
 from .mc import McConfig, mc_estimates
@@ -35,9 +36,13 @@ __all__ = [
     "DEFAULTS",
     "AXES",
     "ESTIMATORS",
+    "ANALYTIC_BOUNDS",
+    "Point",
     "ScenarioSpec",
     "SweepSpec",
     "ResultRow",
+    "build_point",
+    "analytic_bound",
     "load_spec",
     "bundled_spec_names",
     "bundled_spec_path",
@@ -114,6 +119,12 @@ class SweepSpec:
         if not self.values:
             raise ConfigError("sweep values must be non-empty")
 
+    def points(self) -> list[tuple[float, ScenarioSpec, Point]]:
+        """Build and check every (axis value, scenario) point, in sweep order."""
+        return [(value, scen, build_point(_apply_axis(
+                    {**DEFAULTS, **self.defaults, **scen.overrides}, self.axis, value)))
+                for value in self.values for scen in self.scenarios]
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -158,12 +169,8 @@ def _parse_axis_values(raw: str) -> tuple[float, ...]:
             raise ConfigError(f"bad range {raw!r}, expected start:stop[:step]")
         if step <= 0 or stop < start:
             raise ConfigError(f"bad range {raw!r}")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 12))
-            v += step
-        return tuple(values)
+        count = math.floor((stop - start + 1e-9) / step) + 1
+        return tuple(round(start + k * step, 12) for k in range(count))
     return tuple(float(p) for p in raw.split(","))
 
 
@@ -259,98 +266,113 @@ def _apply_axis(cfg: dict[str, object], axis: str, value: float) -> dict[str, ob
     return cfg
 
 
-def _build_geometry(cfg: dict[str, object]) -> ArrayGeometry:
-    return ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
-                         elem_len_l=float(cfg["element_len_m"]),
-                         elem_len_w=float(cfg["element_width_m"]),
-                         base_height_l0=float(cfg["base_height_m"]),
-                         wavelength=float(cfg["wavelength_m"]))
+@dataclass(frozen=True)
+class Point:
+    """Everything one evaluation needs: layout, link budget, phase-error
+    models (model_t, model_r), channel correlation, and MC settings."""
+
+    geom: ArrayGeometry
+    params: SystemParams
+    err_models: tuple[PhaseErrorModel, PhaseErrorModel]
+    correlated: bool
+    mc: McConfig
+
+    def tr_rbar_sq(self) -> float:
+        """tr(Rbar Rbar) of the layout, or of i.i.d. elements if uncorrelated."""
+        n = self.geom.n_elements
+        corr = correlation_matrix(self.geom) if self.correlated else np.eye(n)
+        return trace_rbar_sq(magnitude_moment_matrix(corr))
 
 
-def _build_params(cfg: dict[str, object]) -> SystemParams:
-    extra = {}
-    for src, dst in (("d_tp_m", "d_tp"), ("d_rp_m", "d_rp"),
-                     ("q_tp", "q_tp"), ("q_rp", "q_rp")):
-        if cfg.get(src) is not None:
-            extra[dst] = float(cfg[src])
-    db = {}
-    for src, dst in (("lambda_tp_db", "lambda_tp_db"), ("lambda_rp_db", "lambda_rp_db")):
-        if cfg.get(src) is not None:
-            db[dst] = float(cfg[src])
-    return SystemParams.from_db(
+def build_point(cfg: dict[str, object]) -> Point:
+    """Build and check the setup of a merged key dict (DEFAULTS plus
+    overrides).  Computes no correlation matrix, so checking every point
+    of a sweep stays cheap."""
+    optional = {dst: float(cfg[src]) for src, dst in (
+        ("d_tp_m", "d_tp"), ("d_rp_m", "d_rp"), ("q_tp", "q_tp"), ("q_rp", "q_rp"),
+        ("lambda_tp_db", "lambda_tp_db"), ("lambda_rp_db", "lambda_rp_db"))
+        if cfg.get(src) is not None}
+    params = SystemParams.from_db(
         lambda_t_db=float(cfg["lambda_t_db"]), lambda_r_db=float(cfg["lambda_r_db"]),
-        p_dbm=float(cfg["p_dbm"]), noise_dbm=float(cfg["noise_dbm"]), **db,
+        p_dbm=float(cfg["p_dbm"]), noise_dbm=float(cfg["noise_dbm"]),
         d_b=float(cfg["d_b_m"]), d_t=float(cfg["d_t_m"]), d_r=float(cfg["d_r_m"]),
         chi=float(cfg["chi"]), alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-        q_t=float(cfg["q_t"]), q_r=float(cfg["q_r"]), **extra)
+        q_t=float(cfg["q_t"]), q_r=float(cfg["q_r"]), **optional)
+    if params.four_user:
+        validate_decoding_order(params)
+    return Point(
+        geom=ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
+                           elem_len_l=float(cfg["element_len_m"]),
+                           elem_len_w=float(cfg["element_width_m"]),
+                           base_height_l0=float(cfg["base_height_m"]),
+                           wavelength=float(cfg["wavelength_m"])),
+        params=params,
+        err_models=(phase_error_from_string(str(cfg["phase_error_t"])),
+                    phase_error_from_string(str(cfg["phase_error_r"]))),
+        correlated=bool(cfg["correlated"]),
+        mc=McConfig(trials=int(cfg["trials"]), master_seed=int(cfg["master_seed"]),
+                    confidence=float(cfg["confidence"])))
 
 
-def _analytic_rows(target: Scenario, estimator: str, params: SystemParams,
-                   geom: ArrayGeometry, tr: float, eps_t: float,
-                   eps_r: float) -> RateBound:
-    n = geom.n_elements
-    if estimator == "jensen":
-        if target is Scenario.NOMA_T:
-            return jensen_rate_t(params, n, tr, eps_t)
-        if target is Scenario.NOMA_R:
-            return jensen_rate_r(params, link_factors(params, n, tr, eps_t, eps_r))
-        if target in (Scenario.NOMA_TP, Scenario.NOMA_RP):
-            tp, rp = multiuser_bounds(params, n, link_factors(params, n, tr, eps_t, eps_r))
-            return tp if target is Scenario.NOMA_TP else rp
-        pair = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.JENSEN_UPPER)
-        return pair[0] if target is Scenario.OMA_T else pair[1]
-    if estimator == "hardening":
-        if target is Scenario.NOMA_T:
-            return hardening_rate_t(params, n, eps_t)
-        if target is Scenario.NOMA_R:
-            return hardening_rate_r(params, n, eps_t, eps_r)
-        if target in (Scenario.OMA_T, Scenario.OMA_R):
-            pair = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.HARDENING_APPROX)
-            return pair[0] if target is Scenario.OMA_T else pair[1]
-        raise ConfigError(f"estimator 'hardening' is undefined for {target.value}")
-    if estimator == "limit":
-        return large_snr_limit(target, params)
-    raise ConfigError(f"unknown estimator {estimator!r}")
+# (target, estimator) -> bound of (params, n, tr(Rbar Rbar), eps_t, eps_r).
+# The formulas are looked up by name at call time, so wrappers installed
+# on this module's functions see every call.
+ANALYTIC_BOUNDS = {
+    (Scenario.NOMA_T, "jensen"): lambda p, n, tr, et, er: jensen_rate_t(p, n, tr, et),
+    (Scenario.NOMA_R, "jensen"):
+        lambda p, n, tr, et, er: jensen_rate_r(p, link_factors(p, n, tr, et, er)),
+    (Scenario.NOMA_TP, "jensen"):
+        lambda p, n, tr, et, er: multiuser_bounds(p, n, link_factors(p, n, tr, et, er))[0],
+    (Scenario.NOMA_RP, "jensen"):
+        lambda p, n, tr, et, er: multiuser_bounds(p, n, link_factors(p, n, tr, et, er))[1],
+    (Scenario.OMA_T, "jensen"):
+        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.JENSEN_UPPER)[0],
+    (Scenario.OMA_R, "jensen"):
+        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.JENSEN_UPPER)[1],
+    (Scenario.NOMA_T, "hardening"): lambda p, n, tr, et, er: hardening_rate_t(p, n, et),
+    (Scenario.NOMA_R, "hardening"): lambda p, n, tr, et, er: hardening_rate_r(p, n, et, er),
+    (Scenario.OMA_T, "hardening"):
+        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.HARDENING_APPROX)[0],
+    (Scenario.OMA_R, "hardening"):
+        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.HARDENING_APPROX)[1],
+    # large_snr_limit itself says which scenarios have a finite ceiling
+    **{(scen, "limit"): (lambda p, n, tr, et, er, scen=scen: large_snr_limit(scen, p))
+       for scen in Scenario},
+}
+
+
+def analytic_bound(target: Scenario, estimator: str, point: Point, tr: float) -> RateBound:
+    """Evaluate one analytic estimator at a point, given its tr(Rbar Rbar)."""
+    formula = ANALYTIC_BOUNDS.get((target, estimator))
+    if formula is None:
+        raise ConfigError(f"estimator {estimator!r} is undefined for {target.value}")
+    eps_t, eps_r = (model.epsilon() for model in point.err_models)
+    return formula(point.params, point.geom.n_elements, tr, eps_t, eps_r)
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
+    Every point is built and checked before the first one is evaluated.
     Rows come back sorted by (axis_value, scenario, estimator).
     """
     rows: list[ResultRow] = []
-    for value in spec.values:
-        for scen in spec.scenarios:
-            cfg = {**DEFAULTS, **spec.defaults, **scen.overrides}
-            cfg = _apply_axis(cfg, spec.axis, value)
-            geom = _build_geometry(cfg)
-            params = _build_params(cfg)
-            err_t = phase_error_from_string(str(cfg["phase_error_t"]))
-            err_r = phase_error_from_string(str(cfg["phase_error_r"]))
-            correlated = bool(cfg["correlated"])
-            analytic_wanted = [e for e in scen.estimators if e != "mc"]
-            if analytic_wanted:
-                if correlated:
-                    rbar = magnitude_moment_matrix(correlation_matrix(geom))
-                else:
-                    rbar = magnitude_moment_matrix(np.eye(geom.n_elements))
-                tr = trace_rbar_sq(rbar)
-                for est in analytic_wanted:
-                    bound = _analytic_rows(scen.target, est, params, geom, tr,
-                                           epsilon(err_t), epsilon(err_r))
-                    rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                          estimator=est, value=bound.value,
-                                          branch=bound.branch))
-            if "mc" in scen.estimators:
-                mc_cfg = McConfig(trials=int(cfg["trials"]),
-                                  master_seed=int(cfg["master_seed"]),
-                                  confidence=float(cfg["confidence"]))
-                est = mc_estimates(geom, params, (err_t, err_r), mc_cfg,
-                                   [scen.target], correlated=correlated,
-                                   workers=workers)[scen.target]
+    for value, scen, point in spec.points():
+        analytic_wanted = [e for e in scen.estimators if e != "mc"]
+        if analytic_wanted:
+            tr = point.tr_rbar_sq()
+            for est in analytic_wanted:
+                bound = analytic_bound(scen.target, est, point, tr)
                 rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                      estimator="mc", value=est.mean,
-                                      half_width=est.half_width))
+                                      estimator=est, value=bound.value,
+                                      branch=bound.branch))
+        if "mc" in scen.estimators:
+            est = mc_estimates(point.geom, point.params, point.err_models, point.mc,
+                               [scen.target], correlated=point.correlated,
+                               workers=workers)[scen.target]
+            rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                  estimator="mc", value=est.mean,
+                                  half_width=est.half_width))
     rows.sort(key=lambda r: (r.axis_value, r.scenario, r.estimator))
     return rows
 

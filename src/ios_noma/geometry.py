@@ -17,7 +17,6 @@ from .specfun import elliptic_e, elliptic_k
 
 __all__ = [
     "ArrayGeometry",
-    "element_coordinate",
     "correlation_matrix",
     "cross_moment",
     "magnitude_moment_matrix",
@@ -62,16 +61,8 @@ class ArrayGeometry:
         return self.n_h * self.n_v
 
 
-def element_coordinate(geom: ArrayGeometry, n: int) -> np.ndarray:
-    """Coordinate [0, y*l, z*w + l0] of element n (1-based, row-major)."""
-    if not 1 <= n <= geom.n_elements:
-        raise IndexError(f"element index {n} out of range 1..{geom.n_elements}")
-    y = (n - 1) % geom.n_h
-    z = (n - 1) // geom.n_h
-    return np.array([0.0, y * geom.elem_len_l, z * geom.elem_len_w + geom.base_height_l0])
-
-
 def _all_coordinates(geom: ArrayGeometry) -> np.ndarray:
+    """Rows [0, y*l, z*w + l0] of the elements in row-major order."""
     idx = np.arange(geom.n_elements)
     y = (idx % geom.n_h) * geom.elem_len_l
     z = (idx // geom.n_h) * geom.elem_len_w + geom.base_height_l0

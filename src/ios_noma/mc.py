@@ -38,9 +38,7 @@ __all__ = [
     "noma_trial_rates",
     "oma_trial_rates",
     "four_user_trial_rates",
-    "simulate_noma_pair",
-    "simulate_oma_pair",
-    "simulate_four_user",
+    "mc_estimates",
 ]
 
 # Fixed trial block; part of the reproducibility contract, do not derive
@@ -164,51 +162,42 @@ def four_user_trial_rates(params: SystemParams, h_t, h_r, h_tp, h_rp):
 # block evaluation
 
 
-def _pair_block_rates(factor, n, params, err_t, err_r, master_seed, block,
-                      count, scheme):
-    mag_h = np.abs(_colored_block(factor, n, master_seed, _STREAM_H, block, count))
-    mag_g = np.abs(_colored_block(factor, n, master_seed, _STREAM_G, block, count))
-    mag_r = np.abs(_colored_block(factor, n, master_seed, _STREAM_R, block, count))
+def _block_rates(scheme, factor, n, params, err_t, err_r, master_seed, block,
+                 count):
+    """Per-trial rates of one block for scheme "noma", "oma" or "four".
+
+    H_t and H_r come from the boost set (h, g, r and the two phase
+    errors).  The primed users' composites reuse it: the leftover phase
+    at element n is arg(g'_n) - arg(g_n) + phi_n_t (resp. with r),
+    uniform per element but tied to the actual draws.  Only the
+    four-user scheme keeps g and r complex, because it needs their
+    angles.
+    """
+    def colored(stream):
+        return _colored_block(factor, n, master_seed, stream, block, count)
+
+    four = scheme == "four"
+    mag_h = np.abs(colored(_STREAM_H))
+    if four:
+        vec_g, vec_r = colored(_STREAM_G), colored(_STREAM_R)
+        vec_gp, vec_rp = colored(_STREAM_GP), colored(_STREAM_RP)
+        mag_g, mag_r = np.abs(vec_g), np.abs(vec_r)
+    else:
+        mag_g, mag_r = np.abs(colored(_STREAM_G)), np.abs(colored(_STREAM_R))
     phi_t = _phase_block(err_t, n, master_seed, _STREAM_PHI_T, block, count)
     phi_r = _phase_block(err_r, n, master_seed, _STREAM_PHI_R, block, count)
     h_t = _boosted_gain(mag_g, mag_h, phi_t)
     h_r = _boosted_gain(mag_r, mag_h, phi_r)
-    rates = noma_trial_rates if scheme == "noma" else oma_trial_rates
-    return rates(params, h_t, h_r)
-
-
-def _four_user_block_rates(factor, n, params, err_t, err_r, master_seed,
-                           block, count):
-    # The primed users' composites reuse the boost set for T and R: the
-    # leftover phase at element n is arg(g'_n) - arg(g_n) + phi_n_t
-    # (resp. with r), uniform per element but tied to the actual draws.
-    mag_h = np.abs(_colored_block(factor, n, master_seed, _STREAM_H, block, count))
-    vec_g = _colored_block(factor, n, master_seed, _STREAM_G, block, count)
-    vec_r = _colored_block(factor, n, master_seed, _STREAM_R, block, count)
-    vec_gp = _colored_block(factor, n, master_seed, _STREAM_GP, block, count)
-    vec_rp = _colored_block(factor, n, master_seed, _STREAM_RP, block, count)
-    phi_t = _phase_block(err_t, n, master_seed, _STREAM_PHI_T, block, count)
-    phi_r = _phase_block(err_r, n, master_seed, _STREAM_PHI_R, block, count)
-    h_t = _boosted_gain(np.abs(vec_g), mag_h, phi_t)
-    h_r = _boosted_gain(np.abs(vec_r), mag_h, phi_r)
-    h_tp = np.abs(np.sum(mag_h * np.abs(vec_gp)
-                         * np.exp(1j * (np.angle(vec_gp) - np.angle(vec_g) + phi_t)),
-                         axis=0)) ** 2
-    h_rp = np.abs(np.sum(mag_h * np.abs(vec_rp)
-                         * np.exp(1j * (np.angle(vec_rp) - np.angle(vec_r) + phi_r)),
-                         axis=0)) ** 2
+    if not four:
+        rates = noma_trial_rates if scheme == "noma" else oma_trial_rates
+        return rates(params, h_t, h_r)
+    h_tp = _boosted_gain(np.abs(vec_gp), mag_h, np.angle(vec_gp) - np.angle(vec_g) + phi_t)
+    h_rp = _boosted_gain(np.abs(vec_rp), mag_h, np.angle(vec_rp) - np.angle(vec_r) + phi_r)
     return four_user_trial_rates(params, h_t, h_r, h_tp, h_rp)
 
 
 def _block_task(args):
-    (scheme, factor, n, params, err_t, err_r, master_seed, block, count) = args
-    if scheme == "four":
-        rates = _four_user_block_rates(factor, n, params, err_t, err_r,
-                                       master_seed, block, count)
-    else:
-        rates = _pair_block_rates(factor, n, params, err_t, err_r,
-                                  master_seed, block, count, scheme)
-    return tuple((float(r.sum()), float(np.sum(r * r))) for r in rates)
+    return tuple((float(r.sum()), float(np.sum(r * r))) for r in _block_rates(*args))
 
 
 def _blocks(trials: int):
@@ -223,7 +212,7 @@ def _run(scheme: str, geom: ArrayGeometry, params: SystemParams,
          err_models, cfg: McConfig, correlated: bool, workers: int):
     if scheme == "four":
         if not params.four_user:
-            raise ValueError("simulate_four_user requires four-user parameters")
+            raise ValueError("primed scenarios need four-user parameters")
         validate_decoding_order(params)
     err_t, err_r = err_models
     n = geom.n_elements
@@ -250,54 +239,34 @@ def _run(scheme: str, geom: ArrayGeometry, params: SystemParams,
     return tuple(estimates)
 
 
-def simulate_noma_pair(geom: ArrayGeometry, params: SystemParams, err_models,
-                       cfg: McConfig, *, correlated: bool = True,
-                       workers: int = 1) -> tuple[McEstimate, McEstimate]:
-    """Estimate the two NOMA rates (T, R); err_models is (model_t, model_r)."""
-    return _run("noma", geom, params, err_models, cfg, correlated, workers)
-
-
-def simulate_oma_pair(geom: ArrayGeometry, params: SystemParams, err_models,
-                      cfg: McConfig, *, correlated: bool = True,
-                      workers: int = 1) -> tuple[McEstimate, McEstimate]:
-    """Estimate the two OMA rates (T, R) on the same draw streams."""
-    return _run("oma", geom, params, err_models, cfg, correlated, workers)
-
-
-def simulate_four_user(geom: ArrayGeometry, params: SystemParams, err_models,
-                       cfg: McConfig, *, correlated: bool = True,
-                       workers: int = 1
-                       ) -> tuple[McEstimate, McEstimate, McEstimate, McEstimate]:
-    """Estimate the four NOMA rates (T, R, T', R')."""
-    return _run("four", geom, params, err_models, cfg, correlated, workers)
+# Scenario -> (engine, index of its rate in the engine's output).  With
+# four-user parameters the "four" engine stands in for "noma".
+_ENGINES = {
+    Scenario.NOMA_T: ("noma", 0),
+    Scenario.NOMA_R: ("noma", 1),
+    Scenario.NOMA_TP: ("four", 2),
+    Scenario.NOMA_RP: ("four", 3),
+    Scenario.OMA_T: ("oma", 0),
+    Scenario.OMA_R: ("oma", 1),
+}
 
 
 def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
                  cfg: McConfig, scenarios, *, correlated: bool = True,
                  workers: int = 1) -> dict[Scenario, McEstimate]:
-    """Estimates for a set of scenarios, running each engine at most once."""
-    scenarios = set(scenarios)
+    """Estimates for a set of scenarios, running each engine at most once.
+
+    err_models is (model_t, model_r).  NOMA and OMA run on the same draw
+    streams, so their estimates share the channel realizations.
+    """
+    by_engine: dict[str, list[Scenario]] = {}
+    for scen in scenarios:
+        engine = _ENGINES[scen][0]
+        if engine == "noma" and params.four_user:
+            engine = "four"
+        by_engine.setdefault(engine, []).append(scen)
     out: dict[Scenario, McEstimate] = {}
-    noma_wanted = scenarios & {Scenario.NOMA_T, Scenario.NOMA_R,
-                               Scenario.NOMA_TP, Scenario.NOMA_RP}
-    if noma_wanted:
-        if params.four_user:
-            est_t, est_r, est_tp, est_rp = simulate_four_user(
-                geom, params, err_models, cfg, correlated=correlated, workers=workers)
-            full = {Scenario.NOMA_T: est_t, Scenario.NOMA_R: est_r,
-                    Scenario.NOMA_TP: est_tp, Scenario.NOMA_RP: est_rp}
-        else:
-            if noma_wanted - {Scenario.NOMA_T, Scenario.NOMA_R}:
-                raise ValueError("primed scenarios need four-user parameters")
-            est_t, est_r = simulate_noma_pair(
-                geom, params, err_models, cfg, correlated=correlated, workers=workers)
-            full = {Scenario.NOMA_T: est_t, Scenario.NOMA_R: est_r}
-        out.update({s: full[s] for s in noma_wanted})
-    if scenarios & {Scenario.OMA_T, Scenario.OMA_R}:
-        est_t, est_r = simulate_oma_pair(
-            geom, params, err_models, cfg, correlated=correlated, workers=workers)
-        if Scenario.OMA_T in scenarios:
-            out[Scenario.OMA_T] = est_t
-        if Scenario.OMA_R in scenarios:
-            out[Scenario.OMA_R] = est_r
+    for engine, scens in by_engine.items():
+        estimates = _run(engine, geom, params, err_models, cfg, correlated, workers)
+        out.update({s: estimates[_ENGINES[s][1]] for s in scens})
     return out

@@ -4,49 +4,27 @@ Complete elliptic integrals use the parameter-m convention throughout,
 K(m) = integral over [0, pi/2] of (1 - m sin^2 t)^(-1/2) dt, never the
 modulus k.  Both are evaluated with the arithmetic-geometric-mean
 iteration, which converges quadratically (8 iterations cover the whole
-domain at double precision).  The modified Bessel functions I0 and I1
-use the ascending power series up to x = 15 and the large-x asymptotic
-expansion beyond, so no external special-function library is required.
+domain at double precision).  The ratio I1/I0 of modified Bessel
+functions uses the ascending power series up to x = 15 and the large-x
+asymptotic expansion beyond, so no external special-function library is
+required.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "elliptic_k",
     "elliptic_e",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_ratio_i1_i0",
 ]
 
 _SERIES_CUTOFF = 15.0  # I0/I1 switch from power series to asymptotic expansion
+_AGM_MAX_ITERATIONS = 64  # safety cap; the loop stops on |c| <= 4 eps a
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for the iterative evaluations."""
-
-    abs_tol: float = 1e-15
-    max_iterations: int = 64
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-DEFAULT_TOLERANCE = Tolerance()
-
-
-def _agm_k_e(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _agm_k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """AGM pass returning (K(m), E(m)) elementwise for m in [0, 1)."""
     a = np.ones_like(m)
     b = np.sqrt(1.0 - m)
@@ -54,7 +32,7 @@ def _agm_k_e(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # E(m) = K(m) * (1 - sum_n 2^(n-1) c_n^2) with c_0 = sqrt(m)
     c_sum = 0.5 * c * c
     power = 0.5
-    for _ in range(tol.max_iterations):
+    for _ in range(_AGM_MAX_ITERATIONS):
         if np.all(np.abs(c) <= 4.0 * np.finfo(float).eps * a):
             break
         a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
@@ -64,7 +42,7 @@ def _agm_k_e(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return k, k * (1.0 - c_sum)
 
 
-def elliptic_k(m, tol: Tolerance = DEFAULT_TOLERANCE):
+def elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter-m convention.
 
     Accepts a scalar or ndarray with 0 <= m < 1; K diverges as m -> 1 and
@@ -73,11 +51,11 @@ def elliptic_k(m, tol: Tolerance = DEFAULT_TOLERANCE):
     arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("elliptic_k requires 0 <= m < 1")
-    k, _ = _agm_k_e(np.atleast_1d(arr), tol)
+    k, _ = _agm_k_e(np.atleast_1d(arr))
     return float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape)
 
 
-def elliptic_e(m, tol: Tolerance = DEFAULT_TOLERANCE):
+def elliptic_e(m):
     """Complete elliptic integral of the second kind, parameter-m convention.
 
     Accepts a scalar or ndarray with 0 <= m <= 1; E(1) = 1 exactly.
@@ -88,7 +66,7 @@ def elliptic_e(m, tol: Tolerance = DEFAULT_TOLERANCE):
     flat = np.atleast_1d(arr).copy()
     one = flat == 1.0
     flat[one] = 0.0  # placeholder, overwritten below
-    _, e = _agm_k_e(flat, tol)
+    _, e = _agm_k_e(flat)
     e[one] = 1.0
     return float(e[0]) if arr.ndim == 0 else e.reshape(arr.shape)
 
@@ -130,24 +108,6 @@ def _i_asymptotic_scaled(x: float, order: int) -> float:
         if abs(term) < 1e-18 * abs(total):
             break
     return total
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero, x >= 0."""
-    if x < 0:
-        raise ValueError("bessel_i0 requires x >= 0")
-    if x <= _SERIES_CUTOFF:
-        return _i0_series(x)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _i_asymptotic_scaled(x, 0)
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order one, x >= 0."""
-    if x < 0:
-        raise ValueError("bessel_i1 requires x >= 0")
-    if x <= _SERIES_CUTOFF:
-        return _i1_series(x)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _i_asymptotic_scaled(x, 1)
 
 
 def bessel_ratio_i1_i0(x: float) -> float:

@@ -9,18 +9,17 @@ import time
 import numpy as np
 import pytest
 
-from ios_noma.analytic import (hardening_rate_t, jensen_rate_t, link_factors,
-                               multiuser_bounds, quantization_gain_limit,
-                               sum_rate_verdict)
+from ios_noma.analytic import (Scenario, hardening_rate_t, jensen_rate_t,
+                               link_factors, multiuser_bounds,
+                               quantization_gain_limit, sum_rate_verdict)
 from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
-                              VonMises, correlation_factor, epsilon,
-                              sample_phase_errors, standard_complex_gaussian)
+                              VonMises, correlation_factor,
+                              standard_complex_gaussian)
 from ios_noma.experiments import (load_spec, rows_to_csv_text, run_sweep,
                                   spec_with_overrides)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
                                magnitude_moment_matrix, trace_rbar_sq)
-from ios_noma.mc import (McConfig, simulate_four_user, simulate_noma_pair,
-                         simulate_oma_pair)
+from ios_noma.mc import McConfig, mc_estimates
 from ios_noma.specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
 SEED = 424242
@@ -41,6 +40,17 @@ def tboost_params(**kw):
     return SystemParams.from_db(q_t=1.0, q_r=0.0, alpha=1.0, beta=0.0, **kw)
 
 
+def simulate(geom, params, models, cfg, scenarios, **kwargs):
+    """MC estimates as a tuple in the order of scenarios."""
+    out = mc_estimates(geom, params, models, cfg, scenarios, **kwargs)
+    return tuple(out[s] for s in scenarios)
+
+
+NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
+OMA = (Scenario.OMA_T, Scenario.OMA_R)
+FOUR = NOMA + (Scenario.NOMA_TP, Scenario.NOMA_RP)
+
+
 def trace_for(geom):
     return trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
 
@@ -55,7 +65,7 @@ def test_criterion_1_rate_vs_elements_reference_points():
     start = time.monotonic()
     results = {}
     for tag, (model, _) in targets.items():
-        est_t, _ = simulate_noma_pair(geom, params, (model, Perfect()), cfg)
+        est_t, = simulate(geom, params, (model, Perfect()), cfg, [Scenario.NOMA_T])
         results[tag] = est_t.mean
     elapsed = time.monotonic() - start
     detail = ", ".join(f"{tag} {results[tag]:.2f}/{ref}"
@@ -75,8 +85,8 @@ def test_criterion_2_jensen_tightness_and_uniform_gap():
         tr = trace_for(geom)
         cfg = McConfig(trials=30_000, master_seed=SEED)
         for model in (Quantized(1), Quantized(2), Perfect()):
-            est_t, _ = simulate_noma_pair(geom, params, (model, Perfect()), cfg)
-            bound = jensen_rate_t(params, geom.n_elements, tr, epsilon(model))
+            est_t, = simulate(geom, params, (model, Perfect()), cfg, [Scenario.NOMA_T])
+            bound = jensen_rate_t(params, geom.n_elements, tr, model.epsilon())
             worst = max(worst, abs(bound.value - est_t.mean))
     ok_tight = worst <= 0.3
     report("criterion 2 (Jensen tightness, non-uniform)", ok_tight,
@@ -84,7 +94,7 @@ def test_criterion_2_jensen_tightness_and_uniform_gap():
 
     geom = half_wave_geom(64)  # N = 256
     cfg = McConfig(trials=20_000, master_seed=SEED)
-    est_t, _ = simulate_noma_pair(geom, params, (UniformFull(), Perfect()), cfg)
+    est_t, = simulate(geom, params, (UniformFull(), Perfect()), cfg, [Scenario.NOMA_T])
     bound = jensen_rate_t(params, 256, trace_for(geom), 0.0)
     gap = bound.value - est_t.mean
     report("criterion 2 (uniform-error gap at N=256)", gap > 0.5,
@@ -101,7 +111,7 @@ def test_criterion_3_reflect_user_ceiling():
     for p_dbm in (10.0, 25.0, 40.0):  # transmit SNR 60, 75, 90 dB
         params = SystemParams.from_db(p_dbm=p_dbm)
         cfg = McConfig(trials=100_000, master_seed=SEED)
-        _, est_r = simulate_noma_pair(geom, params, models, cfg)
+        est_r, = simulate(geom, params, models, cfg, [Scenario.NOMA_R])
         means.append(est_r.mean)
     monotone = means[0] < means[1] < means[2]
     final_gap = ceiling - means[-1]
@@ -122,8 +132,8 @@ def test_criterion_4_correlation_gap():
                              wavelength=0.2)
         cfg = McConfig(trials=100_000, master_seed=SEED)
         # identical master seed: both runs share the Gaussian draw streams
-        corr_t, _ = simulate_noma_pair(geom, params, models, cfg, correlated=True)
-        unc_t, _ = simulate_noma_pair(geom, params, models, cfg, correlated=False)
+        corr_t, = simulate(geom, params, models, cfg, [Scenario.NOMA_T], correlated=True)
+        unc_t, = simulate(geom, params, models, cfg, [Scenario.NOMA_T], correlated=False)
         gaps[5 * n_h] = abs(corr_t.mean - unc_t.mean)
     ok = (abs(gaps[15] - 0.09) <= 0.03 and abs(gaps[90] - 0.02) <= 0.02
           and gaps[15] > gaps[45] > gaps[90])
@@ -136,13 +146,12 @@ def test_criterion_5_sum_rate_crossover():
     the near one at 80 dB transmit SNR; the analytic verdict agrees."""
     geom = half_wave_geom(10)
     models = (VonMises(2.0), VonMises(2.0))
-    eps = epsilon(VonMises(2.0))
+    eps = VonMises(2.0).epsilon()
     outcomes = {}
     for d_r, expected in ((15.0, "noma"), (6.0, "oma")):
         params = SystemParams.from_db(p_dbm=30.0, d_r=d_r)  # 80 dB
         cfg = McConfig(trials=30_000, master_seed=SEED)
-        noma_t, noma_r = simulate_noma_pair(geom, params, models, cfg)
-        oma_t, oma_r = simulate_oma_pair(geom, params, models, cfg)
+        noma_t, noma_r, oma_t, oma_r = simulate(geom, params, models, cfg, NOMA + OMA)
         s_noma = noma_t.mean + noma_r.mean
         s_oma = oma_t.mean + oma_r.mean
         mc_winner = "noma" if s_noma > s_oma else "oma"
@@ -163,7 +172,7 @@ def test_criterion_6_four_user_limits_and_bounds():
         q_rp=math.sqrt(0.4), d_tp=12.0, d_rp=15.0,
         lambda_tp_db=-30.0, lambda_rp_db=-30.0)
     models = (Quantized(1), Quantized(1))
-    eps = epsilon(Quantized(1))
+    eps = Quantized(1).epsilon()
     tr = trace_for(geom)
 
     dominated = True
@@ -171,7 +180,7 @@ def test_criterion_6_four_user_limits_and_bounds():
         params = params_for(p_dbm)
         trials = 400_000 if p_dbm == 40.0 else 100_000
         cfg = McConfig(trials=trials, master_seed=SEED)
-        est_t, est_r, est_tp, est_rp = simulate_four_user(geom, params, models, cfg)
+        est_t, est_r, est_tp, est_rp = simulate(geom, params, models, cfg, FOUR)
         factors = link_factors(params, geom.n_elements, tr, eps, eps)
         bound_tp, bound_rp = multiuser_bounds(params, geom.n_elements, factors)
         dominated &= bound_tp.value >= est_tp.mean and bound_rp.value >= est_rp.mean
@@ -214,7 +223,7 @@ def test_criterion_7b_channel_hardening():
     """Var[H/N^2] falls monotonically over N in {16, 64, 256} and the
     mean approaches pi^2 eps^2 / 16 within 2 percent."""
     model = Quantized(1)
-    eps = epsilon(model)
+    eps = model.epsilon()
     rng = np.random.default_rng(SEED)
     trials = 20_000
     variances, means = [], []
@@ -224,7 +233,7 @@ def test_criterion_7b_channel_hardening():
         factor = correlation_factor(correlation_matrix(geom))
         mag_h = np.abs(factor @ standard_complex_gaussian((n, trials), rng))
         mag_g = np.abs(factor @ standard_complex_gaussian((n, trials), rng))
-        phi = sample_phase_errors(model, (n, trials), rng)
+        phi = model.sample((n, trials), rng)
         h_norm = np.abs(np.sum(mag_g * mag_h * np.exp(1j * phi), axis=0)) ** 2 / n**2
         variances.append(h_norm.var())
         means.append(h_norm.mean())
@@ -241,7 +250,7 @@ def test_criterion_7c_bound_approximation_equivalence():
     relative at N = 1024 under 1-bit errors."""
     geom = half_wave_geom(256)  # 4 x 256 = 1024 elements
     params = SystemParams.from_db()
-    eps = epsilon(Quantized(1))
+    eps = Quantized(1).epsilon()
     tr = trace_for(geom)
     jensen = jensen_rate_t(params, geom.n_elements, tr, eps).value
     hardening = hardening_rate_t(params, geom.n_elements, eps).value

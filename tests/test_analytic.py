@@ -9,8 +9,7 @@ from ios_noma.analytic import (BoundKind, LinkFactors, Scenario, Verdict,
                                link_factors, multiuser_bounds, oma_rates,
                                quantization_gain, quantization_gain_limit,
                                sum_rate_verdict)
-from ios_noma.channel import (ConfigError, Quantized, SystemParams, epsilon,
-                              pathloss)
+from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 
 PI_SQ_16 = math.pi**2 / 16.0
 
@@ -80,7 +79,7 @@ class TestJensenR:
 class TestHardening:
     def test_quadratic_element_scaling(self, noma_params):
         params = noma_params()
-        eps = epsilon(Quantized(1))
+        eps = Quantized(1).epsilon()
         arg_n = 2 ** hardening_rate_t(params, 50, eps).value - 1
         arg_2n = 2 ** hardening_rate_t(params, 100, eps).value - 1
         assert arg_2n / arg_n == pytest.approx(4.0, rel=1e-12)
@@ -110,7 +109,7 @@ class TestOma:
     def test_pre_log_and_amplitude_relation(self, noma_params):
         params = noma_params()
         n, tr = 40, uncorrelated_trace(40)
-        eps = epsilon(Quantized(2))
+        eps = Quantized(2).epsilon()
         noma = jensen_rate_t(params, n, tr, eps)
         oma_t, _ = oma_rates(params, n, tr, eps, eps, BoundKind.JENSEN_UPPER)
         arg_noma = 2**noma.value - 1
@@ -120,7 +119,7 @@ class TestOma:
 
     def test_snr_threshold_for_noma_advantage(self, noma_params):
         n = 40
-        eps = epsilon(Quantized(2))
+        eps = Quantized(2).epsilon()
         base = noma_params()
         eta_t = pathloss(base, "t")
         q_sq, a_sq = base.q_t**2, base.alpha**2
@@ -169,11 +168,11 @@ class TestLimitsAndVerdict:
             large_snr_limit(Scenario.NOMA_T, noma_params())
 
     def test_verdict_far_reflect_user_prefers_noma(self):
-        eps = epsilon(Quantized(2))
+        eps = Quantized(2).epsilon()
         assert sum_rate_verdict(SystemParams.from_db(d_r=15.0), eps, eps) == Verdict.NOMA
 
     def test_verdict_near_reflect_user_prefers_oma(self):
-        eps = epsilon(Quantized(2))
+        eps = Quantized(2).epsilon()
         assert sum_rate_verdict(SystemParams.from_db(d_r=6.0), eps, eps) == Verdict.OMA
 
     def test_verdict_tie(self):
@@ -219,7 +218,7 @@ class TestAsymptoticEquivalence:
         from ios_noma.geometry import (correlation_matrix,
                                        magnitude_moment_matrix, trace_rbar_sq)
         params = noma_params()
-        eps = epsilon(Quantized(1))
+        eps = Quantized(1).epsilon()
         rel_gaps = []
         for n_h in (4, 16, 64, 256):
             geom = half_wave_geometry(n_h=n_h, n_v=4)

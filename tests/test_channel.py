@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ios_noma.channel import (ChannelDraw, ConfigError, Perfect, Quantized,
-                              SystemParams, UniformFull, VonMises,
-                              composite_gain, correlation_factor, db_to_linear,
-                              dbm_to_watts, epsilon, pathloss,
+from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
+                              UniformFull, VonMises, correlation_factor,
+                              db_to_linear, dbm_to_watts, pathloss,
                               phase_error_from_string,
-                              sample_correlated_magnitudes,
-                              sample_phase_errors, standard_complex_gaussian)
+                              standard_complex_gaussian)
 from ios_noma.geometry import cross_moment
+from ios_noma.mc import _boosted_gain
 from ios_noma.specfun import bessel_ratio_i1_i0
 
 
@@ -78,25 +77,25 @@ class TestPathloss:
 
 class TestPhaseErrorModels:
     def test_epsilon_values(self):
-        assert epsilon(Perfect()) == 1.0
-        assert epsilon(UniformFull()) == 0.0
-        assert epsilon(Quantized(1)) == pytest.approx(2.0 / math.pi, abs=1e-15)
-        assert epsilon(Quantized(2)) == pytest.approx(0.9003163161571061, abs=1e-14)
-        assert epsilon(VonMises(2.0)) == pytest.approx(
+        assert Perfect().epsilon() == 1.0
+        assert UniformFull().epsilon() == 0.0
+        assert Quantized(1).epsilon() == pytest.approx(2.0 / math.pi, abs=1e-15)
+        assert Quantized(2).epsilon() == pytest.approx(0.9003163161571061, abs=1e-14)
+        assert VonMises(2.0).epsilon() == pytest.approx(
             bessel_ratio_i1_i0(2.0), abs=1e-15)
 
     def test_perfect_samples_are_zero(self, rng):
-        assert np.array_equal(sample_phase_errors(Perfect(), 64, rng), np.zeros(64))
+        assert np.array_equal(Perfect().sample(64, rng), np.zeros(64))
 
     @pytest.mark.parametrize("model", [Quantized(1), Quantized(3), VonMises(0.5),
                                        VonMises(2.0), UniformFull()])
     def test_sampled_cosine_matches_epsilon(self, model, rng):
-        draws = sample_phase_errors(model, 400_000, rng)
+        draws = model.sample(400_000, rng)
         mc = np.cos(draws)
-        assert abs(mc.mean() - epsilon(model)) < 3.0 * mc.std() / math.sqrt(len(draws))
+        assert abs(mc.mean() - model.epsilon()) < 3.0 * mc.std() / math.sqrt(len(draws))
 
     def test_quantized_support(self, rng):
-        draws = sample_phase_errors(Quantized(2), 10_000, rng)
+        draws = Quantized(2).sample(10_000, rng)
         assert np.all(np.abs(draws) <= math.pi / 4)
 
     def test_parsing(self):
@@ -133,8 +132,8 @@ class TestCorrelatedSampling:
         assert np.allclose(rebuilt, vecs @ np.diag([1.5, 1.0, 0.0]) @ vecs.T, atol=1e-9)
 
     def test_unit_power_rayleigh_marginals(self, rng):
-        corr = np.eye(4)
-        draws = np.array([sample_correlated_magnitudes(corr, rng) for _ in range(20_000)])
+        corr = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.5], [0.1, 0.5, 1.0]])
+        draws = np.abs(correlation_factor(corr) @ standard_complex_gaussian((3, 20_000), rng))
         power = draws**2
         assert abs(power.mean() - 1.0) < 3.0 * power.std() / math.sqrt(power.size)
         assert abs(draws.mean() - math.sqrt(math.pi) / 2) < \
@@ -164,44 +163,30 @@ class TestCorrelatedSampling:
 
 
 class TestCompositeGain:
+    """The engine's composite gain |sum_n a_n h_n exp(j phi_n)|^2, one
+    column per trial."""
+
     @staticmethod
-    def make_draw(mags, phases):
-        n = len(mags)
-        return ChannelDraw(mag_h=np.ones(n), mag_g=np.asarray(mags, dtype=float),
-                           mag_r=np.asarray(mags, dtype=float),
-                           phase_err_t=np.asarray(phases, dtype=float),
-                           phase_err_r=np.zeros(n))
+    def gain(mags, phases):
+        mags, phases = (np.asarray(x, dtype=float)[:, None] for x in (mags, phases))
+        return float(_boosted_gain(mags, np.ones_like(mags), phases)[0])
 
     def test_coherent_sum(self):
-        assert composite_gain(self.make_draw([1.0, 1.0], [0.0, 0.0]), "t") == \
-            pytest.approx(4.0, abs=1e-12)
+        assert self.gain([1.0, 1.0], [0.0, 0.0]) == pytest.approx(4.0, abs=1e-12)
 
     def test_cancellation(self):
-        assert composite_gain(self.make_draw([1.0, 1.0], [0.0, math.pi]), "t") == \
-            pytest.approx(0.0, abs=1e-12)
+        assert self.gain([1.0, 1.0], [0.0, math.pi]) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_accumulation(self, rng):
-        n = 16
-        draw = ChannelDraw(mag_h=rng.rayleigh(size=n), mag_g=rng.rayleigh(size=n),
-                           mag_r=rng.rayleigh(size=n),
-                           phase_err_t=rng.uniform(-math.pi, math.pi, n),
-                           phase_err_r=rng.uniform(-math.pi, math.pi, n))
-        acc = 0.0 + 0.0j
-        for k in range(n):
-            acc += draw.mag_g[k] * draw.mag_h[k] * np.exp(1j * draw.phase_err_t[k])
-        assert composite_gain(draw, "t") == pytest.approx(abs(acc) ** 2, rel=1e-12)
-
-    def test_side_validation(self):
-        with pytest.raises(ConfigError):
-            composite_gain(self.make_draw([1.0], [0.0]), "x")
-
-    def test_draw_validation(self):
-        with pytest.raises(ConfigError):
-            ChannelDraw(mag_h=np.ones(3), mag_g=np.ones(2), mag_r=np.ones(3),
-                        phase_err_t=np.zeros(3), phase_err_r=np.zeros(3))
-        with pytest.raises(ConfigError):
-            ChannelDraw(mag_h=-np.ones(3), mag_g=np.ones(3), mag_r=np.ones(3),
-                        phase_err_t=np.zeros(3), phase_err_r=np.zeros(3))
+        n, trials = 16, 3
+        mag_g, mag_h = rng.rayleigh(size=(n, trials)), rng.rayleigh(size=(n, trials))
+        phases = rng.uniform(-math.pi, math.pi, (n, trials))
+        gains = _boosted_gain(mag_g, mag_h, phases)
+        for t in range(trials):
+            acc = 0.0 + 0.0j
+            for k in range(n):
+                acc += mag_g[k, t] * mag_h[k, t] * np.exp(1j * phases[k, t])
+            assert gains[t] == pytest.approx(abs(acc) ** 2, rel=1e-12)
 
 
 class TestMeanCompositeGain:
@@ -215,10 +200,10 @@ class TestMeanCompositeGain:
 
     def test_corollary_bounds_with_quantization(self, rng):
         n, trials = 6, 200_000
-        eps = epsilon(Quantized(1))
+        eps = Quantized(1).epsilon()
         mh = np.abs(standard_complex_gaussian((n, trials), rng))
         mg = np.abs(standard_complex_gaussian((n, trials), rng))
-        phi = sample_phase_errors(Quantized(1), (n, trials), rng)
+        phi = Quantized(1).sample((n, trials), rng)
         gains = np.abs(np.sum(mg * mh * np.exp(1j * phi), axis=0)) ** 2
         se = gains.std() / math.sqrt(trials)
         lower = n + math.pi**2 * n * (n - 1) * eps**2 / 16.0

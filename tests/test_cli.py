@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from ios_noma.analytic import jensen_rate_t
-from ios_noma.channel import Quantized, SystemParams, epsilon
-from ios_noma.experiments import DEFAULTS, _build_geometry
+from ios_noma.channel import Quantized, SystemParams
+from ios_noma.experiments import DEFAULTS, build_point
 from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
                                trace_rbar_sq)
 
@@ -29,10 +29,10 @@ class TestBound:
                       "--phase-error-t", "quantized:2", "--json")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
-        geom = _build_geometry(DEFAULTS)
+        geom = build_point(DEFAULTS).geom
         params = SystemParams.from_db()
         tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
-        expected = jensen_rate_t(params, geom.n_elements, tr, epsilon(Quantized(2)))
+        expected = jensen_rate_t(params, geom.n_elements, tr, Quantized(2).epsilon())
         assert payload["bounds"]["jensen"]["value"] == expected.value
         assert payload["n_elements"] == 60
         assert payload["bounds"]["jensen"]["value"] > 0
@@ -102,3 +102,48 @@ class TestSpecCommands:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "axis,scenario,estimator,value,half_width,branch"
         assert len(lines) == 5
+
+
+MINI_SPEC = ("[sweep]\naxis = elements_per_row\nvalues = {values}\n"
+             "[defaults]\nn_v = 2\ntrials = 256\n"
+             "[scenario:q1]\ntarget = noma_t\n"
+             "phase_error_t = quantized:1\nestimators = mc,jensen\n")
+
+
+class TestFailFast:
+    """Bad input exits 2 before any Monte Carlo work and writes no CSV."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        def make(values):
+            path = tmp_path / "spec.ini"
+            path.write_text(MINI_SPEC.format(values=values), encoding="utf-8")
+            return str(path)
+        return make
+
+    def test_bad_later_point(self, spec, tmp_path):
+        path = spec("4, 2.5")
+        res = run_cli("validate", "--spec", path)
+        assert res.returncode == 2
+        assert "2.5" in res.stderr
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", path, "--out", str(out))
+        assert res.returncode == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one(self, spec, tmp_path, workers):
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", spec("2"), "--out", str(out),
+                      "--workers", workers)
+        assert res.returncode == 2
+        assert "workers" in res.stderr
+        assert not out.exists()
+
+    def test_trials_below_minimum(self, spec, tmp_path):
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", spec("2"), "--out", str(out),
+                      "--trials", "50")
+        assert res.returncode == 2
+        assert "trials" in res.stderr
+        assert not out.exists()

@@ -4,11 +4,12 @@ import textwrap
 import pytest
 
 from ios_noma.analytic import Scenario
-from ios_noma.channel import ConfigError
-from ios_noma.experiments import (DEFAULTS, ResultRow, bundled_spec_names,
-                                  load_spec, parse_csv, rows_to_csv_text,
-                                  run_sweep, spec_with_overrides, write_csv,
-                                  _apply_axis, _build_geometry, _build_params)
+from ios_noma.channel import ConfigError, Quantized
+from ios_noma.experiments import (DEFAULTS, ResultRow, ScenarioSpec, SweepSpec,
+                                  analytic_bound, build_point,
+                                  bundled_spec_names, load_spec, parse_csv,
+                                  rows_to_csv_text, run_sweep,
+                                  spec_with_overrides, write_csv)
 
 MINI_SPEC = textwrap.dedent("""\
     [sweep]
@@ -30,6 +31,13 @@ MINI_SPEC = textwrap.dedent("""\
     phase_error_t = uniform
     estimators = jensen
     """)
+
+
+def points_at(axis, *values, **overrides):
+    scen = ScenarioSpec(name="s", target=Scenario.NOMA_T, estimators=("mc",),
+                        overrides=overrides)
+    return [point for _, _, point in
+            SweepSpec(axis=axis, values=values, scenarios=(scen,)).points()]
 
 
 @pytest.fixture
@@ -59,6 +67,13 @@ class TestParsing:
         path.write_text(MINI_SPEC.replace("values = 2,4", "values = 20:90:35"),
                         encoding="utf-8")
         assert load_spec(path).values == (20.0, 55.0, 90.0)
+        # start + k*step, not an accumulated sum that drifts off the grid
+        path.write_text(MINI_SPEC.replace("values = 2,4", "values = 0:90:0.1"),
+                        encoding="utf-8")
+        values = load_spec(path).values
+        assert len(values) == 901
+        assert values[542] == 54.2
+        assert values[-1] == 90.0
 
     def test_unknown_key_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -94,27 +109,46 @@ class TestParsing:
 
 class TestBuilding:
     def test_db_keys_convert_to_linear(self):
-        params = _build_params(DEFAULTS)
+        params = build_point(DEFAULTS).params
         assert params.p_tx == pytest.approx(0.1, rel=1e-12)
         assert params.lambda_t == pytest.approx(1e-3, rel=1e-12)
 
     def test_snr_axis_adjusts_power(self):
-        cfg = _apply_axis(dict(DEFAULTS), "transmit_snr_db", 90.0)
-        assert _build_params(cfg).gamma0 == pytest.approx(1e9, rel=1e-12)
+        point, = points_at("transmit_snr_db", 90.0)
+        assert point.params.gamma0 == pytest.approx(1e9, rel=1e-12)
 
     def test_bits_axis_sets_both_models(self):
-        cfg = _apply_axis(dict(DEFAULTS), "quantization_bits", 3)
-        assert cfg["phase_error_t"] == "quantized:3"
-        assert cfg["phase_error_r"] == "quantized:3"
+        point, = points_at("quantization_bits", 3)
+        assert point.err_models == (Quantized(3), Quantized(3))
 
     def test_elements_axis_must_be_integer(self):
         with pytest.raises(ConfigError):
-            _apply_axis(dict(DEFAULTS), "elements_per_row", 2.5)
+            points_at("elements_per_row", 2.5)
 
     def test_geometry_from_defaults(self):
-        geom = _build_geometry(DEFAULTS)
+        geom = build_point(DEFAULTS).geom
         assert geom.n_elements == 60
         assert geom.elem_len_l == pytest.approx(0.05)
+
+    def test_every_axis_value_is_checked(self):
+        with pytest.raises(ConfigError, match="2.5"):
+            points_at("elements_per_row", 4, 2.5)
+
+    def test_mc_settings_are_checked(self):
+        with pytest.raises(ValueError, match="trials"):
+            build_point({**DEFAULTS, "trials": 50})
+
+    def test_four_user_pathloss_order_is_checked(self):
+        with pytest.raises(ConfigError, match="ordering"):
+            build_point({**DEFAULTS, "q_t": 0.1**0.5, "q_r": 0.2**0.5,
+                         "q_tp": 0.3**0.5, "q_rp": 0.4**0.5,
+                         "d_tp_m": 15.0, "d_rp_m": 12.0})
+
+    def test_undefined_estimator_is_diagnosed(self):
+        cfg = {**DEFAULTS, "q_t": 0.1**0.5, "q_r": 0.2**0.5, "q_tp": 0.3**0.5,
+               "q_rp": 0.4**0.5, "d_tp_m": 12.0, "d_rp_m": 15.0}
+        with pytest.raises(ConfigError, match="hardening"):
+            analytic_bound(Scenario.NOMA_TP, "hardening", build_point(cfg), 60.0)
 
 
 class TestRunSweep:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
-                               element_coordinate, magnitude_moment_matrix,
-                               trace_rbar_sq)
+from ios_noma.geometry import (ArrayGeometry, _all_coordinates,
+                               correlation_matrix, cross_moment,
+                               magnitude_moment_matrix, trace_rbar_sq)
 
 QUARTER_PI = math.pi / 4
 
@@ -22,25 +22,21 @@ def bivariate_magnitude_moment(rho_sq, samples, seed):
 
 
 class TestCoordinates:
+    # rows of _all_coordinates are elements 1..N in row-major order
+
     def test_first_element_at_base(self):
         geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04,
                              base_height_l0=2.0)
-        assert np.allclose(element_coordinate(geom, 1), [0.0, 0.0, 2.0])
+        assert np.allclose(_all_coordinates(geom)[0], [0.0, 0.0, 2.0])
 
     def test_row_wrap(self):
         geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04,
                              base_height_l0=2.0)
-        assert np.allclose(element_coordinate(geom, 5), [0.0, 0.0, 2.04])
+        assert np.allclose(_all_coordinates(geom)[4], [0.0, 0.0, 2.04])
 
     def test_second_row_second_column(self):
         geom = ArrayGeometry(n_h=4, n_v=2, elem_len_l=0.05, elem_len_w=0.05)
-        assert np.allclose(element_coordinate(geom, 6), [0.0, 0.05, 0.05])
-
-    @pytest.mark.parametrize("n", [0, 13])
-    def test_index_out_of_range(self, n):
-        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.05)
-        with pytest.raises(IndexError):
-            element_coordinate(geom, n)
+        assert np.allclose(_all_coordinates(geom)[5], [0.0, 0.05, 0.05])
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from ios_noma.analytic import Scenario, jensen_rate_t, large_snr_limit
-from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
-                              VonMises, correlation_factor, epsilon, pathloss)
+from ios_noma.channel import (ConfigError, Quantized, SystemParams, VonMises,
+                              correlation_factor, pathloss)
 from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
                                trace_rbar_sq)
-from ios_noma.mc import (McConfig, McEstimate, _pair_block_rates,
+from ios_noma.mc import (McConfig, McEstimate, _block_rates,
                          four_user_trial_rates, mc_estimates, noma_trial_rates,
-                         oma_trial_rates, simulate_four_user,
-                         simulate_noma_pair, simulate_oma_pair)
+                         oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
+NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
+OMA = (Scenario.OMA_T, Scenario.OMA_R)
+FOUR = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
+
+
+def estimates(geom, params, models, cfg, scenarios, **kwargs):
+    """mc_estimates as a tuple in the order of scenarios."""
+    out = mc_estimates(geom, params, models, cfg, scenarios, **kwargs)
+    return tuple(out[s] for s in scenarios)
 
 
 def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
@@ -49,23 +57,23 @@ class TestDeterminism:
     def test_same_seed_bitwise(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=4000, master_seed=99)
-        a = simulate_noma_pair(geom, noma_params(), QUANT1, cfg)
-        b = simulate_noma_pair(geom, noma_params(), QUANT1, cfg)
+        a = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        b = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
         assert a == b
 
     def test_worker_count_invariance(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=40_000, master_seed=99)  # spans several blocks
-        serial = simulate_noma_pair(geom, noma_params(), QUANT1, cfg)
-        pooled = simulate_noma_pair(geom, noma_params(), QUANT1, cfg, workers=2)
+        serial = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        pooled = estimates(geom, noma_params(), QUANT1, cfg, NOMA, workers=2)
         assert serial == pooled
 
     def test_different_seed_differs(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=6, n_v=4)
-        a = simulate_noma_pair(geom, noma_params(), QUANT1,
-                               McConfig(trials=2000, master_seed=1))
-        b = simulate_noma_pair(geom, noma_params(), QUANT1,
-                               McConfig(trials=2000, master_seed=2))
+        a = estimates(geom, noma_params(), QUANT1,
+                      McConfig(trials=2000, master_seed=1), NOMA)
+        b = estimates(geom, noma_params(), QUANT1,
+                      McConfig(trials=2000, master_seed=2), NOMA)
         assert a[0].mean != b[0].mean
 
 
@@ -75,8 +83,8 @@ class TestSchemeRelations:
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
         args = (factor, geom.n_elements, params, Quantized(1), Quantized(1), 77, 0, 512)
-        noma_t, _ = _pair_block_rates(*args, scheme="noma")
-        oma_t, _ = _pair_block_rates(*args, scheme="oma")
+        noma_t, _ = _block_rates("noma", *args)
+        oma_t, _ = _block_rates("oma", *args)
         gamma_t = 2.0**noma_t - 1.0
         recon = 0.5 * np.log2(1.0 + gamma_t / (params.q_t**2 * params.alpha**2))
         assert np.allclose(oma_t, recon, rtol=1e-10)
@@ -87,15 +95,14 @@ class TestSchemeRelations:
         params = noma_params(p_dbm=40.0)
         cfg = McConfig(trials=10_000, master_seed=5)
         models = (VonMises(2.0), VonMises(2.0))
-        noma = simulate_noma_pair(geom, params, models, cfg)
-        oma = simulate_oma_pair(geom, params, models, cfg)
-        assert oma[1].mean > noma[1].mean
+        out = mc_estimates(geom, params, models, cfg, [Scenario.NOMA_R, Scenario.OMA_R])
+        assert out[Scenario.OMA_R].mean > out[Scenario.NOMA_R].mean
 
     def test_r_rate_respects_power_ratio_cap(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=8, n_v=4)
         params = noma_params(p_dbm=40.0)
         cfg = McConfig(trials=10_000, master_seed=6)
-        _, est_r = simulate_noma_pair(geom, params, QUANT1, cfg)
+        est_r = mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_R])[Scenario.NOMA_R]
         cap = large_snr_limit(Scenario.NOMA_R, params).value
         assert est_r.mean <= cap + 3.0 * est_r.half_width
 
@@ -106,15 +113,14 @@ class TestSchemeRelations:
         geom = half_wave_geometry(n_h=8, n_v=4)
         params = noma_params()
         cfg = McConfig(trials=20_000, master_seed=8)
-        eps = epsilon(Quantized(1))
+        eps = Quantized(1).epsilon()
         tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
         n = geom.n_elements
-        noma = simulate_noma_pair(geom, params, QUANT1, cfg)
-        oma = simulate_oma_pair(geom, params, QUANT1, cfg)
+        mc = estimates(geom, params, QUANT1, cfg, NOMA + OMA)
         bounds = [jensen_rate_t(params, n, tr, eps),
                   jensen_rate_r(params, link_factors(params, n, tr, eps, eps)),
                   *oma_rates(params, n, tr, eps, eps, BoundKind.JENSEN_UPPER)]
-        for est, bound in zip((*noma, *oma), bounds):
+        for est, bound in zip(mc, bounds):
             assert est.mean <= bound.value + 3.0 * est.half_width
 
     def test_hardening_approximation_tracks_mc(self, half_wave_geometry,
@@ -124,8 +130,8 @@ class TestSchemeRelations:
         params = noma_params()
         models = (VonMises(2.0), VonMises(2.0))
         cfg = McConfig(trials=30_000, master_seed=12)
-        est_t, _ = simulate_noma_pair(geom, params, models, cfg)
-        approx = hardening_rate_t(params, geom.n_elements, epsilon(models[0]))
+        est_t = mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T])[Scenario.NOMA_T]
+        approx = hardening_rate_t(params, geom.n_elements, models[0].epsilon())
         assert abs(approx.value - est_t.mean) <= 0.3
 
 
@@ -135,15 +141,20 @@ class TestFourUser:
         two = SystemParams.from_db(q_t=0.6, q_r=0.8)
         four = four_user_params(q_shares=(0.36, 0.64, 0.0, 0.0))
         cfg = McConfig(trials=5000, master_seed=13)
-        pair = simulate_noma_pair(geom, two, QUANT1, cfg)
-        quad = simulate_four_user(geom, four, QUANT1, cfg)
+        pair = estimates(geom, two, QUANT1, cfg, NOMA)
+        quad = estimates(geom, four, QUANT1, cfg, FOUR)
         assert quad[0].mean == pytest.approx(pair[0].mean, rel=1e-12)
         assert quad[1].mean == pytest.approx(pair[1].mean, rel=1e-12)
 
-    def test_requires_four_user_params(self, half_wave_geometry, noma_params):
-        with pytest.raises(ValueError):
-            simulate_four_user(half_wave_geometry(4, 4), noma_params(), QUANT1,
-                               McConfig(trials=200, master_seed=1))
+    def test_requires_four_user_params(self, half_wave_geometry):
+        # four-user parameters route even the T rate through the four-user
+        # engine, which needs the pathloss ordering behind its decoding order
+        params = SystemParams.from_db(
+            q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
+            q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0)
+        with pytest.raises(ConfigError, match="ordering"):
+            mc_estimates(half_wave_geometry(4, 4), params, QUANT1,
+                         McConfig(trials=200, master_seed=1), [Scenario.NOMA_T])
 
     def test_primed_scenarios_need_four_user_params(self, half_wave_geometry,
                                                     noma_params):
@@ -160,9 +171,8 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            rate_t, _ = _pair_block_rates(factor, geom.n_elements, params,
-                                          Quantized(1), Quantized(1), 21, 0, 8192,
-                                          scheme="noma")
+            rate_t, _ = _block_rates("noma", factor, geom.n_elements, params,
+                                     Quantized(1), Quantized(1), 21, 0, 8192)
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -178,10 +188,10 @@ class TestConfigAndEstimate:
 
     def test_half_width_scales_with_trials(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=4, n_v=4)
-        small = simulate_noma_pair(geom, noma_params(), QUANT1,
-                                   McConfig(trials=4000, master_seed=3))
-        large = simulate_noma_pair(geom, noma_params(), QUANT1,
-                                   McConfig(trials=16_000, master_seed=3))
+        small = estimates(geom, noma_params(), QUANT1,
+                          McConfig(trials=4000, master_seed=3), NOMA)
+        large = estimates(geom, noma_params(), QUANT1,
+                          McConfig(trials=16_000, master_seed=3), NOMA)
         assert small[0].half_width / large[0].half_width == pytest.approx(2.0, rel=0.2)
 
     def test_mc_estimates_scenario_routing(self, half_wave_geometry):
@@ -191,3 +201,6 @@ class TestConfigAndEstimate:
         out = mc_estimates(geom, params, QUANT1, cfg,
                            [Scenario.NOMA_T, Scenario.NOMA_RP, Scenario.OMA_T])
         assert set(out) == {Scenario.NOMA_T, Scenario.NOMA_RP, Scenario.OMA_T}
+        # each engine's estimate does not depend on what else was asked for
+        assert out[Scenario.OMA_T] == mc_estimates(geom, params, QUANT1, cfg,
+                                                   [Scenario.OMA_T])[Scenario.OMA_T]
