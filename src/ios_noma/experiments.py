@@ -120,10 +120,20 @@ class SweepSpec:
             raise ConfigError("sweep values must be non-empty")
 
     def points(self) -> list[tuple[float, ScenarioSpec, Point]]:
-        """Build and check every (axis value, scenario) point, in sweep order."""
-        return [(value, scen, build_point(_apply_axis(
-                    {**DEFAULTS, **self.defaults, **scen.overrides}, self.axis, value)))
-                for value in self.values for scen in self.scenarios]
+        """Build and check every (axis value, scenario) point, in sweep order.
+
+        Analytic estimators are tried at tr(Rbar Rbar) = N: whether one is
+        defined never depends on the trace, which needs a correlation matrix."""
+        points = []
+        for value in self.values:
+            for scen in self.scenarios:
+                point = build_point(_apply_axis(
+                    {**DEFAULTS, **self.defaults, **scen.overrides}, self.axis, value))
+                for est in scen.estimators:
+                    if est != "mc":
+                        analytic_bound(scen.target, est, point, point.geom.n_elements)
+                points.append((value, scen, point))
+        return points
 
 
 @dataclass(frozen=True)

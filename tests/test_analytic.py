@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ios_noma.analytic import (BoundKind, LinkFactors, Scenario, Verdict,
-                               hardening_rate_r, hardening_rate_t,
-                               jensen_rate_r, jensen_rate_t, large_snr_limit,
-                               link_factors, multiuser_bounds, oma_rates,
-                               quantization_gain, quantization_gain_limit,
-                               sum_rate_verdict)
+                               _hardening_gain, _mean_gain, hardening_rate_r,
+                               hardening_rate_t, jensen_rate_r, jensen_rate_t,
+                               large_snr_limit, link_factors, multiuser_bounds,
+                               oma_rates, quantization_gain,
+                               quantization_gain_limit, sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
+from ios_noma.mc import four_user_trial_rates, noma_trial_rates, oma_trial_rates
 
 PI_SQ_16 = math.pi**2 / 16.0
 
@@ -275,3 +278,59 @@ class TestLinkFactors:
     def test_two_user_has_no_primed_factors(self, noma_params):
         factors = link_factors(noma_params(), 40, uncorrelated_trace(40), 0.6, 0.6)
         assert factors.f_tp is None and factors.f_rp is None
+
+
+@st.composite
+def valid_params(draw):
+    """Two-user or four-user SystemParams that pass every check, with the
+    four-user distances ordered so that eta_rp < eta_tp < eta_r < eta_t."""
+    theta = draw(st.floats(0.05, 1.5))
+    d_t = draw(st.floats(1.0, 20.0))
+    d_r = d_t + draw(st.floats(0.5, 20.0))
+    common = dict(p_dbm=draw(st.floats(-20.0, 80.0)), d_b=draw(st.floats(1.0, 30.0)),
+                  chi=draw(st.floats(2.0, 4.0)), alpha=math.cos(theta),
+                  beta=math.sin(theta), d_t=d_t, d_r=d_r)
+    if not draw(st.booleans()):
+        share = draw(st.floats(0.01, 0.49))
+        return SystemParams.from_db(q_t=math.sqrt(share), q_r=math.sqrt(1.0 - share),
+                                    **common)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+    w_t, w_r = sorted(weights[:2])
+    if w_t == w_r:
+        w_r += 0.01
+    total = w_t + w_r + weights[2] + weights[3]
+    d_tp = d_r + draw(st.floats(0.5, 20.0))
+    return SystemParams.from_db(
+        q_t=math.sqrt(w_t / total), q_r=math.sqrt(w_r / total),
+        q_tp=math.sqrt(weights[2] / total), q_rp=math.sqrt(weights[3] / total),
+        d_tp=d_tp, d_rp=d_tp + draw(st.floats(0.5, 20.0)), **common)
+
+
+class TestOneRateChain:
+    """Every closed form is the Monte Carlo rate chain evaluated at a fixed
+    gain, so the two agree exactly, not just to rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=valid_params(), n=st.integers(1, 4000),
+           tr_frac=st.floats(0.0, 1.0), eps_t=st.floats(0.01, 1.0),
+           eps_r=st.floats(0.01, 1.0))
+    def test_bounds_are_the_chain_at_a_gain(self, params, n, tr_frac, eps_t, eps_r):
+        tr = n + tr_frac * (n * n - n)
+        mean_t, mean_r = _mean_gain(n, tr, eps_t), _mean_gain(n, tr, eps_r)
+        factors = link_factors(params, n, tr, eps_t, eps_r)
+        jensen = (jensen_rate_t(params, n, tr, eps_t), jensen_rate_r(params, factors))
+        assert tuple(b.value for b in jensen) == noma_trial_rates(params, mean_t, mean_r)
+        oma = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.JENSEN_UPPER)
+        assert tuple(b.value for b in oma) == oma_trial_rates(params, mean_t, mean_r)
+
+        hard_t, hard_r = _hardening_gain(n, eps_t), _hardening_gain(n, eps_r)
+        hardening = (hardening_rate_t(params, n, eps_t),
+                     hardening_rate_r(params, n, eps_t, eps_r))
+        assert tuple(b.value for b in hardening) == noma_trial_rates(params, hard_t, hard_r)
+        oma = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.HARDENING_APPROX)
+        assert tuple(b.value for b in oma) == oma_trial_rates(params, hard_t, hard_r)
+
+        if params.four_user:
+            primed = multiuser_bounds(params, n, factors)
+            assert tuple(b.value for b in primed) == \
+                four_user_trial_rates(params, mean_t, mean_r, n, n)[2:]

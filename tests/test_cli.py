@@ -147,3 +147,36 @@ class TestFailFast:
         assert res.returncode == 2
         assert "trials" in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    def test_negative_seed(self, spec, tmp_path, source):
+        path = spec("2")
+        args = ["--seed", "-1"] if source == "flag" else []
+        if source == "spec":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("master_seed = -1\n")
+            assert run_cli("validate", "--spec", path).returncode == 2
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", path, "--out", str(out), *args)
+        assert res.returncode == 2
+        assert "master_seed" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", [
+        "target = noma_t\nphase_error_t = uniform\nestimators = mc,hardening\n",
+        "target = oma_t\nestimators = mc,limit\n",
+        "target = noma_t\nestimators = mc,limit\n",
+    ])
+    def test_undefined_analytic_estimator(self, tmp_path, scenario):
+        path = tmp_path / "spec.ini"
+        path.write_text("[sweep]\naxis = elements_per_row\nvalues = 2, 3\n"
+                        "[defaults]\nn_v = 2\ntrials = 256\n"
+                        "[scenario:a]\ntarget = noma_t\nestimators = mc\n"
+                        f"[scenario:b]\n{scenario}", encoding="utf-8")
+        res = run_cli("validate", "--spec", str(path))
+        assert res.returncode == 2
+        assert "error" in res.stderr
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", str(path), "--out", str(out))
+        assert res.returncode == 2
+        assert not out.exists()

@@ -83,8 +83,8 @@ class TestSchemeRelations:
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
         args = (factor, geom.n_elements, params, Quantized(1), Quantized(1), 77, 0, 512)
-        noma_t, _ = _block_rates("noma", *args)
-        oma_t, _ = _block_rates("oma", *args)
+        rates = _block_rates((Scenario.NOMA_T, Scenario.OMA_T), *args)
+        noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
         recon = 0.5 * np.log2(1.0 + gamma_t / (params.q_t**2 * params.alpha**2))
         assert np.allclose(oma_t, recon, rtol=1e-10)
@@ -171,8 +171,8 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            rate_t, _ = _block_rates("noma", factor, geom.n_elements, params,
-                                     Quantized(1), Quantized(1), 21, 0, 8192)
+            rate_t = _block_rates((Scenario.NOMA_T,), factor, geom.n_elements, params,
+                                  Quantized(1), Quantized(1), 21, 0, 8192)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -183,6 +183,8 @@ class TestConfigAndEstimate:
             McConfig(trials=50)
         with pytest.raises(ValueError):
             McConfig(confidence=1.0)
+        with pytest.raises(ValueError, match="master_seed"):
+            McConfig(master_seed=-1)
         with pytest.raises(ValueError):
             McEstimate(mean=1.0, half_width=-0.1, trials=100)
 
