@@ -30,7 +30,7 @@ from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string, validate_decoding_order)
 from .geometry import (ArrayGeometry, correlation_matrix,
                        magnitude_moment_matrix, trace_rbar_sq)
-from .mc import McConfig, mc_estimates
+from .mc import McConfig, draw_key, mc_estimates
 
 __all__ = [
     "DEFAULTS",
@@ -364,15 +364,26 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    Rows come back sorted by (axis_value, scenario, estimator).
+    Points are visited grouped by their MC draw key, in order of first
+    appearance, so that consecutive engine calls reuse one draw set, and
+    tr(Rbar Rbar) is computed once per (geometry, correlated).  Rows come
+    back sorted by (axis_value, scenario, estimator).
     """
-    rows: list[ResultRow] = []
+    groups: dict[tuple, list] = {}
     for value, scen, point in spec.points():
+        key = draw_key(point.geom, point.params, point.err_models, point.mc,
+                       [scen.target], point.correlated)
+        groups.setdefault(key, []).append((value, scen, point))
+    traces: dict[tuple, float] = {}
+    rows: list[ResultRow] = []
+    for value, scen, point in (p for group in groups.values() for p in group):
         analytic_wanted = [e for e in scen.estimators if e != "mc"]
         if analytic_wanted:
-            tr = point.tr_rbar_sq()
+            layout = (point.geom, point.correlated)
+            if layout not in traces:
+                traces[layout] = point.tr_rbar_sq()
             for est in analytic_wanted:
-                bound = analytic_bound(scen.target, est, point, tr)
+                bound = analytic_bound(scen.target, est, point, traces[layout])
                 rows.append(ResultRow(axis_value=value, scenario=scen.name,
                                       estimator=est, value=bound.value,
                                       branch=bound.branch))

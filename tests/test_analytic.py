@@ -294,15 +294,15 @@ def valid_params(draw):
         share = draw(st.floats(0.01, 0.49))
         return SystemParams.from_db(q_t=math.sqrt(share), q_r=math.sqrt(1.0 - share),
                                     **common)
-    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
-    w_t, w_r = sorted(weights[:2])
-    if w_t == w_r:
-        w_r += 0.01
-    total = w_t + w_r + weights[2] + weights[3]
+    # a gap of at least 0.01 keeps q_t < q_r after rounding; weights one
+    # ulp apart can round to equal shares, which SystemParams rejects
+    w_t, w_tp, w_rp = (draw(st.floats(0.05, 1.0)) for _ in range(3))
+    w_r = w_t + draw(st.floats(0.01, 1.0))
+    total = w_t + w_r + w_tp + w_rp
     d_tp = d_r + draw(st.floats(0.5, 20.0))
     return SystemParams.from_db(
         q_t=math.sqrt(w_t / total), q_r=math.sqrt(w_r / total),
-        q_tp=math.sqrt(weights[2] / total), q_rp=math.sqrt(weights[3] / total),
+        q_tp=math.sqrt(w_tp / total), q_rp=math.sqrt(w_rp / total),
         d_tp=d_tp, d_rp=d_tp + draw(st.floats(0.5, 20.0)), **common)
 
 

@@ -8,9 +8,11 @@ from ios_noma.channel import (ConfigError, Quantized, SystemParams, VonMises,
                               correlation_factor, pathloss)
 from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
                                trace_rbar_sq)
-from ios_noma.mc import (McConfig, McEstimate, _block_rates,
-                         four_user_trial_rates, mc_estimates, noma_trial_rates,
-                         oma_trial_rates)
+from ios_noma import mc
+from ios_noma.experiments import load_spec, run_sweep, spec_with_overrides
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _block_rates,
+                         _boosted_gain, four_user_trial_rates, mc_estimates,
+                         noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -175,6 +177,120 @@ class TestHardeningTrend:
                                   Quantized(1), Quantized(1), 21, 0, 8192)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty draw memo for the test, restored afterwards."""
+    monkeypatch.setattr(mc, "_LAST_DRAWS", {})
+    return mc._LAST_DRAWS
+
+
+@pytest.fixture
+def sampled_blocks(monkeypatch, fresh_memo):
+    """Empty memo; lists the arguments of every block whose gains are drawn."""
+    calls = []
+    original = mc._block_gains
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mc, "_block_gains", counted)
+    return calls
+
+
+class TestDrawMemo:
+    def test_hit_equals_miss(self, half_wave_geometry, noma_params, sampled_blocks):
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        models = (VonMises(2.0), VonMises(1.0))
+        cfg = McConfig(trials=3000, master_seed=31)
+        estimates(geom, noma_params(p_dbm=20.0), models, cfg, NOMA + OMA)
+        hit = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
+        assert len(sampled_blocks) == 1
+        mc._LAST_DRAWS.clear()
+        miss = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
+        assert len(sampled_blocks) == 2
+        assert hit == miss
+
+    def test_each_key_component_redraws(self, half_wave_geometry, noma_params,
+                                        sampled_blocks):
+        base = dict(geom=half_wave_geometry(6, 4), params=noma_params(),
+                    err_models=QUANT1, cfg=McConfig(trials=500, master_seed=5),
+                    scenarios=[Scenario.NOMA_T], correlated=True)
+
+        def draws(**change):
+            before = len(sampled_blocks)
+            kw = {**base, **change}
+            mc_estimates(kw["geom"], kw["params"], kw["err_models"], kw["cfg"],
+                         kw["scenarios"], correlated=kw["correlated"])
+            return len(sampled_blocks) - before
+
+        assert draws() == 1
+        # the link budget, the confidence and the scenarios are not in the key
+        assert draws(params=noma_params(p_dbm=40.0)) == 0
+        assert draws(cfg=McConfig(trials=500, master_seed=5, confidence=0.9)) == 0
+        assert draws(scenarios=[Scenario.OMA_R, Scenario.NOMA_R]) == 0
+        assert draws(params=four_user_params(), scenarios=[Scenario.OMA_T]) == 0
+        for change in (dict(geom=half_wave_geometry(7, 4)), dict(correlated=False),
+                       dict(err_models=(VonMises(2.0), Quantized(1))),
+                       dict(err_models=(Quantized(1), VonMises(2.0))),
+                       dict(cfg=McConfig(trials=500, master_seed=6)),
+                       dict(cfg=McConfig(trials=600, master_seed=5)),
+                       dict(params=four_user_params(), scenarios=[Scenario.NOMA_T])):
+            assert draws(**change) == 1, change
+            assert draws() == 1, change
+
+    def test_stored_gains_are_read_only(self, half_wave_geometry, fresh_memo):
+        geom = half_wave_geometry(4, 4)
+        cfg = McConfig(trials=700, master_seed=2)
+        for params, rows in ((SystemParams.from_db(), 2), (four_user_params(), 4)):
+            mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T])
+            (gains,) = fresh_memo.values()
+            assert gains.shape == (rows, 700)
+            assert not gains.flags.writeable
+            with pytest.raises(ValueError):
+                gains[0, 0] = 1.0
+
+    def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry,
+                                                           fresh_memo):
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=17)
+        low, high = four_user_params(p_dbm=20.0), four_user_params(p_dbm=35.0)
+        pooled_miss = estimates(geom, low, QUANT1, cfg, FOUR, workers=2)
+        serial_hit = estimates(geom, high, QUANT1, cfg, FOUR)
+        fresh_memo.clear()
+        assert serial_hit == estimates(geom, high, QUANT1, cfg, FOUR)
+        fresh_memo.clear()
+        assert pooled_miss == estimates(geom, low, QUANT1, cfg, FOUR)
+
+    def test_no_pool_for_one_block(self, half_wave_geometry, noma_params,
+                                   fresh_memo, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one block")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        mc_estimates(half_wave_geometry(4, 4), noma_params(), QUANT1,
+                     McConfig(trials=BLOCK_SIZE, master_seed=3), NOMA, workers=4)
+
+    def test_sweep_samples_each_draw_key_once(self, sampled_blocks):
+        # fig5 interleaves two phase models over 15 SNR values
+        spec = spec_with_overrides(load_spec("fig5_rate_vs_snr"), trials=200)
+        run_sweep(spec)
+        models = {(args[2], args[3]) for args in sampled_blocks}
+        assert len(sampled_blocks) == len(models) == 2
+
+
+class TestBoostedGain:
+    def test_in_place_kernel_equals_the_plain_expression(self):
+        rng = np.random.default_rng(3)
+        mag_a = np.abs(rng.standard_normal((40, 300)))
+        mag_h = np.abs(rng.standard_normal((40, 300)))
+        mag_a[::3] = 0.0
+        mag_h[:, ::7] = 0.0
+        phases = rng.uniform(-np.pi, np.pi, (40, 300))
+        plain = np.abs(np.sum(mag_a * mag_h * np.exp(1j * phases), axis=0)) ** 2
+        assert np.array_equal(_boosted_gain(mag_a, mag_h, phases), plain)
 
 
 class TestConfigAndEstimate:
