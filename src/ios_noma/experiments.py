@@ -30,7 +30,7 @@ from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string, validate_decoding_order)
 from .geometry import (ArrayGeometry, correlation_matrix,
                        magnitude_moment_matrix, trace_rbar_sq)
-from .mc import McConfig, draw_key, mc_estimates
+from .mc import McConfig, draw_key, forget_draws, mc_estimates
 
 __all__ = [
     "DEFAULTS",
@@ -366,8 +366,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     Every point is built and checked before the first one is evaluated.
     Points are visited grouped by their MC draw key, in order of first
     appearance, so that consecutive engine calls reuse one draw set, and
-    tr(Rbar Rbar) is computed once per (geometry, correlated).  Rows come
-    back sorted by (axis_value, scenario, estimator).
+    tr(Rbar Rbar) is computed once per (geometry, correlated).  The stored
+    draw set is dropped when the sweep returns.  Rows come back sorted by
+    (axis_value, scenario, estimator).
     """
     groups: dict[tuple, list] = {}
     for value, scen, point in spec.points():
@@ -376,24 +377,27 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
         groups.setdefault(key, []).append((value, scen, point))
     traces: dict[tuple, float] = {}
     rows: list[ResultRow] = []
-    for value, scen, point in (p for group in groups.values() for p in group):
-        analytic_wanted = [e for e in scen.estimators if e != "mc"]
-        if analytic_wanted:
-            layout = (point.geom, point.correlated)
-            if layout not in traces:
-                traces[layout] = point.tr_rbar_sq()
-            for est in analytic_wanted:
-                bound = analytic_bound(scen.target, est, point, traces[layout])
+    try:
+        for value, scen, point in (p for group in groups.values() for p in group):
+            analytic_wanted = [e for e in scen.estimators if e != "mc"]
+            if analytic_wanted:
+                layout = (point.geom, point.correlated)
+                if layout not in traces:
+                    traces[layout] = point.tr_rbar_sq()
+                for est in analytic_wanted:
+                    bound = analytic_bound(scen.target, est, point, traces[layout])
+                    rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                          estimator=est, value=bound.value,
+                                          branch=bound.branch))
+            if "mc" in scen.estimators:
+                est = mc_estimates(point.geom, point.params, point.err_models, point.mc,
+                                   [scen.target], correlated=point.correlated,
+                                   workers=workers)[scen.target]
                 rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                      estimator=est, value=bound.value,
-                                      branch=bound.branch))
-        if "mc" in scen.estimators:
-            est = mc_estimates(point.geom, point.params, point.err_models, point.mc,
-                               [scen.target], correlated=point.correlated,
-                               workers=workers)[scen.target]
-            rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                  estimator="mc", value=est.mean,
-                                  half_width=est.half_width))
+                                      estimator="mc", value=est.mean,
+                                      half_width=est.half_width))
+    finally:
+        forget_draws()
     rows.sort(key=lambda r: (r.axis_value, r.scenario, r.estimator))
     return rows
 

@@ -23,9 +23,13 @@ budget, the confidence level and the scenarios enter only through the
 rates.  So the engine keeps the gains of the last draw key it sampled,
 one read-only float64 array of shape (2 or 4, trials), and a call on the
 same key draws nothing: it only runs the rate chain block by block on
-the stored gains.  The memo costs 16 bytes per trial (32 with primed
-gains), 1.6 MB at the default 100k trials, and a call on another key
-replaces it.  Hits and misses give bit-identical estimates.
+the stored gains.  Hits and misses give bit-identical estimates.  A call
+on another key replaces the memo, and forget_draws() drops it.
+
+The memo makes engine memory grow with the trial count: 16 bytes per
+trial (32 with primed gains), 1.6 MB at the default 100k trials but
+160 MB at 10 million, and it stays allocated after the call returns
+until the next miss or forget_draws().
 """
 
 from __future__ import annotations
@@ -199,14 +203,6 @@ def _primed(params: SystemParams, scenarios) -> bool:
     return params.four_user and not set(scenarios) <= set(_OMA)
 
 
-def _block_rates(scenarios, factor, n, params, err_t, err_r, master_seed, block,
-                 count):
-    """Per-trial rates of one block, {scenario: rates} in the order asked."""
-    gains = _block_gains(factor, n, err_t, err_r, master_seed, block, count,
-                         _primed(params, scenarios))
-    return _rates_at(scenarios, params, gains)
-
-
 def _blocks(trials: int):
     full, rest = divmod(trials, BLOCK_SIZE)
     for block in range(full):
@@ -218,22 +214,32 @@ def _blocks(trials: int):
 def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfig,
              scenarios, correlated: bool = True) -> tuple:
     """What the composite gains of an mc_estimates call depend on: calls
-    with equal keys evaluate their rates on the same draws."""
+    with equal keys evaluate their rates on the same draws.
+
+    Only the draws of the last key sampled are kept, so callers that
+    want reuse make their calls with equal keys one after another.
+    """
     return (geom, correlated, *err_models, cfg.master_seed, cfg.trials,
             _primed(params, scenarios))
 
 
-# The gains of the last draw key, {key: gains}; at most one entry.
-_LAST_DRAWS: dict[tuple, np.ndarray] = {}
+# (draw key, its gains) of the last sampling, or None.
+_last_draws: tuple[tuple, np.ndarray] | None = None
+
+
+def forget_draws() -> None:
+    """Drop the stored draw set and free its memory."""
+    global _last_draws
+    _last_draws = None
 
 
 def _draw_gains(key, workers):
     """The gains of every block of a draw key, from the memo or sampled
     (and then stored in place of the previous draw set)."""
-    gains = _LAST_DRAWS.get(key)
-    if gains is not None:
-        return gains
-    _LAST_DRAWS.clear()
+    global _last_draws
+    if _last_draws is not None and _last_draws[0] == key:
+        return _last_draws[1]
+    _last_draws = None
     geom, correlated, err_t, err_r, master_seed, trials, primed = key
     factor = correlation_factor(correlation_matrix(geom)) if correlated else None
     blocks = list(_blocks(trials))
@@ -252,7 +258,7 @@ def _draw_gains(key, workers):
     else:
         store(_block_gains(*a) for a in args)
     gains.flags.writeable = False
-    _LAST_DRAWS[key] = gains
+    _last_draws = (key, gains)
     return gains
 
 

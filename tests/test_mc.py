@@ -10,9 +10,9 @@ from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
                                trace_rbar_sq)
 from ios_noma import mc
 from ios_noma.experiments import load_spec, run_sweep, spec_with_overrides
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _block_rates,
-                         _boosted_gain, four_user_trial_rates, mc_estimates,
-                         noma_trial_rates, oma_trial_rates)
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _block_gains,
+                         _boosted_gain, _rates_at, four_user_trial_rates,
+                         mc_estimates, noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -55,18 +55,30 @@ class TestTrialRates:
         assert float(rate_rp) == 0.0
 
 
+@pytest.fixture
+def fresh_memo():
+    """No stored draw set before or after the test."""
+    mc.forget_draws()
+    yield
+    mc.forget_draws()
+
+
 class TestDeterminism:
-    def test_same_seed_bitwise(self, half_wave_geometry, noma_params):
+    # the memo is dropped before each compared call, so every call samples
+    def test_same_seed_bitwise(self, half_wave_geometry, noma_params, fresh_memo):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=4000, master_seed=99)
         a = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        mc.forget_draws()
         b = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
         assert a == b
 
-    def test_worker_count_invariance(self, half_wave_geometry, noma_params):
+    def test_worker_count_invariance(self, half_wave_geometry, noma_params,
+                                     fresh_memo):
         geom = half_wave_geometry(n_h=6, n_v=4)
-        cfg = McConfig(trials=40_000, master_seed=99)  # spans several blocks
+        cfg = McConfig(trials=40_000, master_seed=99)  # three blocks on two workers
         serial = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        mc.forget_draws()
         pooled = estimates(geom, noma_params(), QUANT1, cfg, NOMA, workers=2)
         assert serial == pooled
 
@@ -84,8 +96,9 @@ class TestSchemeRelations:
         geom = half_wave_geometry(n_h=5, n_v=4)
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
-        args = (factor, geom.n_elements, params, Quantized(1), Quantized(1), 77, 0, 512)
-        rates = _block_rates((Scenario.NOMA_T, Scenario.OMA_T), *args)
+        gains = _block_gains(factor, geom.n_elements, Quantized(1), Quantized(1),
+                             77, 0, 512, False)
+        rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
         recon = 0.5 * np.log2(1.0 + gamma_t / (params.q_t**2 * params.alpha**2))
@@ -173,17 +186,11 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            rate_t = _block_rates((Scenario.NOMA_T,), factor, geom.n_elements, params,
-                                  Quantized(1), Quantized(1), 21, 0, 8192)[Scenario.NOMA_T]
+            gains = _block_gains(factor, geom.n_elements, Quantized(1), Quantized(1),
+                                 21, 0, 8192, False)
+            rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty draw memo for the test, restored afterwards."""
-    monkeypatch.setattr(mc, "_LAST_DRAWS", {})
-    return mc._LAST_DRAWS
 
 
 @pytest.fixture
@@ -208,7 +215,7 @@ class TestDrawMemo:
         estimates(geom, noma_params(p_dbm=20.0), models, cfg, NOMA + OMA)
         hit = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
         assert len(sampled_blocks) == 1
-        mc._LAST_DRAWS.clear()
+        mc.forget_draws()
         miss = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
         assert len(sampled_blocks) == 2
         assert hit == miss
@@ -246,7 +253,7 @@ class TestDrawMemo:
         cfg = McConfig(trials=700, master_seed=2)
         for params, rows in ((SystemParams.from_db(), 2), (four_user_params(), 4)):
             mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T])
-            (gains,) = fresh_memo.values()
+            _, gains = mc._last_draws
             assert gains.shape == (rows, 700)
             assert not gains.flags.writeable
             with pytest.raises(ValueError):
@@ -259,9 +266,9 @@ class TestDrawMemo:
         low, high = four_user_params(p_dbm=20.0), four_user_params(p_dbm=35.0)
         pooled_miss = estimates(geom, low, QUANT1, cfg, FOUR, workers=2)
         serial_hit = estimates(geom, high, QUANT1, cfg, FOUR)
-        fresh_memo.clear()
+        mc.forget_draws()
         assert serial_hit == estimates(geom, high, QUANT1, cfg, FOUR)
-        fresh_memo.clear()
+        mc.forget_draws()
         assert pooled_miss == estimates(geom, low, QUANT1, cfg, FOUR)
 
     def test_no_pool_for_one_block(self, half_wave_geometry, noma_params,
@@ -279,6 +286,7 @@ class TestDrawMemo:
         run_sweep(spec)
         models = {(args[2], args[3]) for args in sampled_blocks}
         assert len(sampled_blocks) == len(models) == 2
+        assert mc._last_draws is None  # dropped when the sweep returns
 
 
 class TestBoostedGain:
