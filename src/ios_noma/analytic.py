@@ -19,8 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ConfigError, Quantized, SystemParams, pathloss,
-                      validate_decoding_order)
+from .channel import ConfigError, Quantized, SystemParams, pathloss
 
 __all__ = [
     "Scenario",
@@ -261,14 +260,14 @@ def quantization_gain_limit(b: int) -> float:
 def multiuser_bounds(params: SystemParams, n: int,
                      factors: LinkFactors) -> tuple[RateBound, RateBound]:
     """Upper bounds on the primed users' rates: the four-user chain at the
-    link factors.  Under the enforced ordering eta_rp < eta_tp < eta_r <
-    eta_t and E[H] >= N, f_t >= f_tp and f_r >= f_rp, so the branch names
-    the weaker of the two decoders that can bind; ties take the second."""
+    link factors.  Under the ordering eta_rp < eta_tp < eta_r < eta_t,
+    which SystemParams enforces, and E[H] >= N, f_t >= f_tp and f_r >=
+    f_rp, so the branch names the weaker of the two decoders that can
+    bind; ties take the second."""
     if not params.four_user:
         raise ConfigError("multiuser_bounds requires four-user parameters")
     if factors.f_tp is None or factors.f_rp is None:
         raise ConfigError("multiuser_bounds requires the primed link factors")
-    validate_decoding_order(params)
     f = factors
     _, _, rate_tp, rate_rp = sic_rates(params, f.f_t, f.f_r, f.f_tp, f.f_rp)
     return (RateBound(float(rate_tp), "f_tp" if f.f_tp < f.f_r else "f_r"),

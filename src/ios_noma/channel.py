@@ -30,7 +30,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "pathloss",
-    "validate_decoding_order",
     "correlation_factor",
     "standard_complex_gaussian",
 ]
@@ -58,7 +57,9 @@ class SystemParams:
     users T' and R') is active when d_tp, d_rp, q_tp, q_rp are all set.
     q_* are transmit amplitude coefficients (their squares sum to 1);
     alpha and beta the surface transmit/reflect amplitude coefficients
-    (alpha^2 + beta^2 = 1).
+    (alpha^2 + beta^2 = 1).  Four-user parameters must satisfy the
+    pathloss ordering eta_rp < eta_tp < eta_r < eta_t behind the fixed
+    (R', T', R, T) decoding sequence; construction rejects any that break it.
     """
 
     d_b: float = 10.0
@@ -102,8 +103,13 @@ class SystemParams:
         partial = [self.d_tp, self.d_rp, self.q_tp, self.q_rp]
         if any(v is not None for v in partial) and any(v is None for v in partial):
             raise ConfigError("four-user mode needs all of d_tp, d_rp, q_tp, q_rp")
-        if self.four_user and (self.d_tp <= 0 or self.d_rp <= 0):
-            raise ConfigError("d_tp and d_rp must be positive")
+        if self.four_user:
+            if self.d_tp <= 0 or self.d_rp <= 0:
+                raise ConfigError("d_tp and d_rp must be positive")
+            eta = {link: pathloss(self, link) for link in _LINKS}
+            if not eta["rp"] < eta["tp"] < eta["r"] < eta["t"]:
+                raise ConfigError("four-user mode requires the pathloss ordering "
+                                  "eta_rp < eta_tp < eta_r < eta_t")
 
     @property
     def four_user(self) -> bool:
@@ -151,17 +157,6 @@ def pathloss(params: SystemParams, link: str) -> float:
         "rp": params.lambda_rp if params.lambda_rp is not None else params.lambda_r,
     }[link]
     return intercept / (params.d_b**params.chi * dist**params.chi)
-
-
-def validate_decoding_order(params: SystemParams) -> None:
-    """Require eta_rp < eta_tp < eta_r < eta_t, the ordering behind the
-    fixed (R', T', R, T) decoding sequence."""
-    if not params.four_user:
-        raise ConfigError("decoding-order check requires four-user parameters")
-    eta = {link: pathloss(params, link) for link in _LINKS}
-    if not eta["rp"] < eta["tp"] < eta["r"] < eta["t"]:
-        raise ConfigError("four-user mode requires the pathloss ordering "
-                          "eta_rp < eta_tp < eta_r < eta_t")
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--scenario", required=True,
                          choices=[s.value for s in Scenario])
     for flag, key in _BOUND_FLAGS.items():
-        arg_type = int if key in ("n_h", "n_v") else float
+        arg_type = float if DEFAULTS[key] is None else type(DEFAULTS[key])
         p_bound.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
                              type=arg_type, default=None)
     p_bound.add_argument("--phase-error-t", default=None,

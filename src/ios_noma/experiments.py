@@ -27,7 +27,7 @@ from .analytic import (BoundKind, RateBound, Scenario, hardening_rate_r,
                        large_snr_limit, link_factors, multiuser_bounds,
                        oma_rates)
 from .channel import (ConfigError, PhaseErrorModel, SystemParams,
-                      phase_error_from_string, validate_decoding_order)
+                      phase_error_from_string)
 from .geometry import (ArrayGeometry, correlation_matrix,
                        magnitude_moment_matrix, trace_rbar_sq)
 from .mc import McConfig, draw_key, forget_draws, mc_estimates
@@ -91,10 +91,6 @@ DEFAULTS: dict[str, object] = {
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
 ESTIMATORS = ("mc", "jensen", "hardening", "limit")
 
-_BOOL_KEYS = {"correlated"}
-_INT_KEYS = {"n_h", "n_v", "trials", "master_seed"}
-_STR_KEYS = {"phase_error_t", "phase_error_r"}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -151,10 +147,12 @@ class ResultRow:
 
 
 def _parse_value(key: str, raw: str):
+    """raw as the type of DEFAULTS[key]; a None default is a float."""
     raw = raw.strip()
-    if key in _STR_KEYS:
+    kind = float if DEFAULTS[key] is None else type(DEFAULTS[key])
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "1", "on"):
             return True
@@ -162,7 +160,7 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
 
@@ -184,9 +182,10 @@ def _parse_axis_values(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in raw.split(","))
 
 
-def _section_dict(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
+def _parse_keys(items, section: str) -> dict[str, object]:
+    """The (key, raw value) pairs of a section as a dict of typed values."""
     out = {}
-    for key, raw in parser.items(section):
+    for key, raw in items:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
         out[key] = _parse_value(key, raw)
@@ -210,7 +209,8 @@ def load_spec(source: str | Path) -> SweepSpec:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [sweep]")
     if "axis" not in sweep or "values" not in sweep:
         raise ConfigError("[sweep] needs both 'axis' and 'values'")
-    defaults = _section_dict(parser, "defaults") if "defaults" in parser else {}
+    defaults = _parse_keys(parser.items("defaults") if "defaults" in parser else (),
+                           "defaults")
     scenarios = []
     for section in parser.sections():
         if section in ("sweep", "defaults"):
@@ -231,13 +231,8 @@ def load_spec(source: str | Path) -> SweepSpec:
         for est in estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"section [{section}]: unknown estimator {est!r}")
-        overrides = {}
-        for key, raw in items.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            overrides[key] = _parse_value(key, raw)
-        scenarios.append(ScenarioSpec(name=name, target=target,
-                                      estimators=estimators, overrides=overrides))
+        scenarios.append(ScenarioSpec(name=name, target=target, estimators=estimators,
+                                      overrides=_parse_keys(items.items(), section)))
     if not scenarios:
         raise ConfigError("spec defines no scenario sections")
     return SweepSpec(axis=sweep["axis"], values=_parse_axis_values(sweep["values"]),
@@ -296,8 +291,13 @@ class Point:
 
 def build_point(cfg: dict[str, object]) -> Point:
     """Build and check the setup of a merged key dict (DEFAULTS plus
-    overrides).  Computes no correlation matrix, so checking every point
-    of a sweep stays cheap."""
+    overrides).  Every float value must be finite, and SystemParams
+    rejects four-user parameters that break the pathloss ordering behind
+    the decoding order.  Computes no correlation matrix, so checking
+    every point of a sweep stays cheap."""
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     optional = {dst: float(cfg[src]) for src, dst in (
         ("d_tp_m", "d_tp"), ("d_rp_m", "d_rp"), ("q_tp", "q_tp"), ("q_rp", "q_rp"),
         ("lambda_tp_db", "lambda_tp_db"), ("lambda_rp_db", "lambda_rp_db"))
@@ -308,8 +308,6 @@ def build_point(cfg: dict[str, object]) -> Point:
         d_b=float(cfg["d_b_m"]), d_t=float(cfg["d_t_m"]), d_r=float(cfg["d_r_m"]),
         chi=float(cfg["chi"]), alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
         q_t=float(cfg["q_t"]), q_r=float(cfg["q_r"]), **optional)
-    if params.four_user:
-        validate_decoding_order(params)
     return Point(
         geom=ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
                            elem_len_l=float(cfg["element_len_m"]),
@@ -373,7 +371,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     groups: dict[tuple, list] = {}
     for value, scen, point in spec.points():
         key = draw_key(point.geom, point.params, point.err_models, point.mc,
-                       [scen.target], point.correlated)
+                       point.correlated)
         groups.setdefault(key, []).append((value, scen, point))
     traces: dict[tuple, float] = {}
     rows: list[ResultRow] = []

@@ -5,8 +5,8 @@ index) pair gets its own generator seeded from the master seed, so the
 draws do not depend on how blocks are distributed over workers and the
 estimates are bit-identical for any worker count.  The five base
 streams separate the shared fading vector h, the per-side vectors g and
-r, and the two phase-error vectors; NOMA under four-user parameters
-adds streams for the primed users' fading vectors g' and r'.
+r, and the two phase-error vectors; four-user parameters add streams
+for the primed users' fading vectors g' and r'.
 
 Per trial the composite gains are
 
@@ -17,18 +17,21 @@ sic_rates, oma_slot_rates) at those gains, the same expressions the
 closed-form bounds evaluate at a fixed gain.
 
 The gains depend only on the draw key: geometry, correlation, the two
-phase-error models, master seed, trial count, and whether primed gains
-are needed (a NOMA scenario under four-user parameters).  The link
-budget, the confidence level and the scenarios enter only through the
-rates.  So the engine keeps the gains of the last draw key it sampled,
-one read-only float64 array of shape (2 or 4, trials), and a call on the
-same key draws nothing: it only runs the rate chain block by block on
-the stored gains.  Hits and misses give bit-identical estimates.  A call
-on another key replaces the memo, and forget_draws() drops it.
+phase-error models, master seed, trial count, and params.four_user
+(four-user parameters add the primed gains, whatever scenarios are
+asked for).  The link budget, the confidence level and the scenarios
+enter only through the rates.  So the engine keeps the gains of the
+last draw key it sampled, one read-only float64 array of shape (2 or 4,
+trials), and a call on the same key draws nothing: it only runs the
+rate chain block by block on the stored gains.  Hits and misses give
+bit-identical estimates.  A call on another key replaces the memo, and
+forget_draws() drops it.  SystemParams rejects four-user parameters
+that break the pathloss ordering behind the (R', T', R, T) decoding
+order, so the engine checks none.
 
 The memo makes engine memory grow with the trial count: 16 bytes per
-trial (32 with primed gains), 1.6 MB at the default 100k trials but
-160 MB at 10 million, and it stays allocated after the call returns
+trial (32 with four-user parameters), 1.6 MB at the default 100k trials
+but 160 MB at 10 million, and it stays allocated after the call returns
 until the next miss or forget_draws().
 """
 
@@ -41,8 +44,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import Scenario, link_gain, oma_slot_rates, sic_rates
-from .channel import (PhaseErrorModel, SystemParams, correlation_factor,
-                      standard_complex_gaussian, validate_decoding_order)
+from .channel import SystemParams, correlation_factor, standard_complex_gaussian
 from .geometry import ArrayGeometry, correlation_matrix
 
 __all__ = [
@@ -98,24 +100,6 @@ class McEstimate:
             raise ValueError("half_width must be non-negative")
 
 
-def _stream_rng(master_seed: int, stream: int, block: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def _colored_block(factor: np.ndarray | None, n: int, master_seed: int,
-                   stream: int, block: int, count: int) -> np.ndarray:
-    rng = _stream_rng(master_seed, stream, block)
-    z = standard_complex_gaussian((n, count), rng)
-    return z if factor is None else factor @ z
-
-
-def _phase_block(model: PhaseErrorModel, n: int, master_seed: int,
-                 stream: int, block: int, count: int) -> np.ndarray:
-    rng = _stream_rng(master_seed, stream, block)
-    return model.sample((n, count), rng)
-
-
 def _boosted_gain(mag_a: np.ndarray, mag_h: np.ndarray, phases: np.ndarray) -> np.ndarray:
     # in place: bit-identical to mag_a * mag_h * exp(1j * phases), one
     # complex (n, count) temporary fewer
@@ -163,8 +147,13 @@ def _block_gains(factor, n, err_t, err_r, master_seed, block, count, primed):
     uniform per element but tied to the actual draws.  Only that case
     keeps g and r complex, because it needs their angles.
     """
+    def rng(stream):
+        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
+        return np.random.Generator(np.random.PCG64(seq))
+
     def colored(stream):
-        return _colored_block(factor, n, master_seed, stream, block, count)
+        z = standard_complex_gaussian((n, count), rng(stream))
+        return z if factor is None else factor @ z
 
     mag_h = np.abs(colored(_STREAM_H))
     if primed:
@@ -173,8 +162,8 @@ def _block_gains(factor, n, err_t, err_r, master_seed, block, count, primed):
         mag_g, mag_r = np.abs(vec_g), np.abs(vec_r)
     else:
         mag_g, mag_r = np.abs(colored(_STREAM_G)), np.abs(colored(_STREAM_R))
-    phi_t = _phase_block(err_t, n, master_seed, _STREAM_PHI_T, block, count)
-    phi_r = _phase_block(err_r, n, master_seed, _STREAM_PHI_R, block, count)
+    phi_t = err_t.sample((n, count), rng(_STREAM_PHI_T))
+    phi_r = err_r.sample((n, count), rng(_STREAM_PHI_R))
     gains = [_boosted_gain(mag_g, mag_h, phi_t), _boosted_gain(mag_r, mag_h, phi_r)]
     if primed:
         gains.append(_boosted_gain(np.abs(vec_gp), mag_h,
@@ -199,10 +188,6 @@ def _rates_at(scenarios, params, gains):
     return {scen: rates[scen] for scen in scenarios}
 
 
-def _primed(params: SystemParams, scenarios) -> bool:
-    return params.four_user and not set(scenarios) <= set(_OMA)
-
-
 def _blocks(trials: int):
     full, rest = divmod(trials, BLOCK_SIZE)
     for block in range(full):
@@ -212,15 +197,17 @@ def _blocks(trials: int):
 
 
 def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfig,
-             scenarios, correlated: bool = True) -> tuple:
+             correlated: bool = True) -> tuple:
     """What the composite gains of an mc_estimates call depend on: calls
-    with equal keys evaluate their rates on the same draws.
+    with equal keys evaluate their rates on the same draws, whatever
+    scenarios they ask for.  The key holds params.four_user, which adds
+    the primed gains; the rest of params enters only through the rates.
 
     Only the draws of the last key sampled are kept, so callers that
     want reuse make their calls with equal keys one after another.
     """
     return (geom, correlated, *err_models, cfg.master_seed, cfg.trials,
-            _primed(params, scenarios))
+            params.four_user)
 
 
 # (draw key, its gains) of the last sampling, or None.
@@ -275,21 +262,17 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     scenarios = tuple(dict.fromkeys(scenarios))
     if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
         raise ValueError("primed scenarios need four-user parameters")
-    if _primed(params, scenarios):
-        validate_decoding_order(params)
-    gains = _draw_gains(draw_key(geom, params, err_models, cfg, scenarios, correlated),
-                        workers)
-    partials = []
+    gains = _draw_gains(draw_key(geom, params, err_models, cfg, correlated), workers)
+    # running sums in block order, so the totals do not depend on scheduling
+    sums = {scen: [0.0, 0.0] for scen in scenarios}
     for block, count in _blocks(cfg.trials):
         start = block * BLOCK_SIZE
-        rates = _rates_at(scenarios, params, gains[:, start:start + count])
-        partials.append([(float(r.sum()), float(np.sum(r * r))) for r in rates.values()])
-    # merge in block order so the totals do not depend on scheduling
+        for scen, r in _rates_at(scenarios, params, gains[:, start:start + count]).items():
+            sums[scen][0] += float(r.sum())
+            sums[scen][1] += float(np.sum(r * r))
     z = NormalDist().inv_cdf(0.5 * (1.0 + cfg.confidence))
     out = {}
-    for i, scen in enumerate(scenarios):
-        total = sum(p[i][0] for p in partials)
-        total_sq = sum(p[i][1] for p in partials)
+    for scen, (total, total_sq) in sums.items():
         mean = total / cfg.trials
         var = max(total_sq - cfg.trials * mean * mean, 0.0) / (cfg.trials - 1)
         out[scen] = McEstimate(mean=mean, half_width=z * np.sqrt(var / cfg.trials),

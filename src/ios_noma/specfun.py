@@ -71,26 +71,16 @@ def elliptic_e(m):
     return float(e[0]) if arr.ndim == 0 else e.reshape(arr.shape)
 
 
-def _i0_series(x: float) -> float:
+def _i_series(x: float, order: int) -> float:
+    """I_order(x), order 0 or 1, from the ascending power series."""
     q = 0.25 * x * x
     term = total = 1.0
     k = 0
     while term > 1e-18 * total:
         k += 1
-        term *= q / (k * k)
+        term *= q / (k * (k + order))
         total += term
-    return total
-
-
-def _i1_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = total = 1.0
-    k = 0
-    while term > 1e-18 * total:
-        k += 1
-        term *= q / (k * (k + 1))
-        total += term
-    return 0.5 * x * total
+    return (0.5 * x) ** order * total
 
 
 def _i_asymptotic_scaled(x: float, order: int) -> float:
@@ -115,5 +105,5 @@ def bessel_ratio_i1_i0(x: float) -> float:
     if x < 0:
         raise ValueError("bessel_ratio_i1_i0 requires x >= 0")
     if x <= _SERIES_CUTOFF:
-        return _i1_series(x) / _i0_series(x)
+        return _i_series(x, 1) / _i_series(x, 0)
     return _i_asymptotic_scaled(x, 1) / _i_asymptotic_scaled(x, 0)

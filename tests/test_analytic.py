@@ -253,13 +253,12 @@ class TestMultiuserBounds:
         assert rp_below.value == pytest.approx(rp_tie.value, rel=1e-9)
 
     def test_pathloss_ordering_enforced(self):
-        params = SystemParams.from_db(
-            q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
-            q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0,
-            lambda_tp_db=-30.0, lambda_rp_db=-30.0)
-        factors = LinkFactors(f_t=500.0, f_r=400.0, f_tp=90.0, f_rp=80.0)
-        with pytest.raises(ConfigError):
-            multiuser_bounds(params, 40, factors)
+        # the ordering is checked when the parameters are built
+        with pytest.raises(ConfigError, match="ordering"):
+            SystemParams.from_db(
+                q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
+                q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0,
+                lambda_tp_db=-30.0, lambda_rp_db=-30.0)
 
     def test_requires_four_user_params(self, noma_params):
         with pytest.raises(ConfigError):

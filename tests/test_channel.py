@@ -39,6 +39,18 @@ class TestSystemParams:
         with pytest.raises(ConfigError):
             SystemParams(d_tp=12.0)
 
+    @pytest.mark.parametrize("links", [
+        dict(d_tp=15.0, d_rp=12.0),
+        dict(d_tp=8.0, d_rp=15.0),
+        dict(d_tp=12.0, d_rp=15.0, lambda_rp=1.0),
+        dict(d_tp=12.0, d_rp=15.0, lambda_tp=1.0),
+    ], ids=["primed_distances_swapped", "tp_nearer_than_r", "intercept_lifts_eta_rp",
+            "intercept_lifts_eta_tp"])
+    def test_four_user_pathloss_ordering(self, links):
+        with pytest.raises(ConfigError, match="ordering"):
+            SystemParams(q_t=math.sqrt(0.1), q_r=math.sqrt(0.2),
+                         q_tp=math.sqrt(0.3), q_rp=math.sqrt(0.4), **links)
+
     def test_four_user_power_budget(self):
         params = SystemParams(q_t=math.sqrt(0.1), q_r=math.sqrt(0.2),
                               q_tp=math.sqrt(0.3), q_rp=math.sqrt(0.4),

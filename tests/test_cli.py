@@ -180,3 +180,34 @@ class TestFailFast:
         res = run_cli("run", "--spec", str(path), "--out", str(out))
         assert res.returncode == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [("--alpha", "nan"), ("--p-dbm", "inf")])
+    def test_non_finite_bound_flag(self, flag):
+        res = run_cli("bound", "--scenario", "noma_t", *flag, "--json")
+        assert res.returncode == 2
+        assert "must be finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_non_finite_spec_key(self, spec, tmp_path):
+        path = spec("2")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("p_dbm = nan\n")
+        res = run_cli("validate", "--spec", path)
+        assert res.returncode == 2
+        assert "p_dbm must be finite" in res.stderr
+        out = tmp_path / "rows.csv"
+        assert run_cli("run", "--spec", path, "--out", str(out)).returncode == 2
+        assert not out.exists()
+
+    def test_non_finite_axis_value(self, tmp_path):
+        path = tmp_path / "spec.ini"
+        path.write_text("[sweep]\naxis = transmit_snr_db\nvalues = 10, nan\n"
+                        "[defaults]\ntrials = 256\n"
+                        "[scenario:a]\ntarget = noma_t\nestimators = mc,jensen\n",
+                        encoding="utf-8")
+        res = run_cli("validate", "--spec", str(path))
+        assert res.returncode == 2
+        assert "p_dbm" in res.stderr
+        out = tmp_path / "rows.csv"
+        assert run_cli("run", "--spec", str(path), "--out", str(out)).returncode == 2
+        assert not out.exists()

@@ -161,15 +161,25 @@ class TestFourUser:
         assert quad[0].mean == pytest.approx(pair[0].mean, rel=1e-12)
         assert quad[1].mean == pytest.approx(pair[1].mean, rel=1e-12)
 
-    def test_requires_four_user_params(self, half_wave_geometry):
+    def test_requires_four_user_params(self):
         # four-user parameters route even the T rate through the four-user
-        # engine, which needs the pathloss ordering behind its decoding order
-        params = SystemParams.from_db(
-            q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
-            q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0)
+        # engine, whose decoding order needs the pathloss ordering; the
+        # parameters that break it cannot be built
         with pytest.raises(ConfigError, match="ordering"):
-            mc_estimates(half_wave_geometry(4, 4), params, QUANT1,
-                         McConfig(trials=200, master_seed=1), [Scenario.NOMA_T])
+            SystemParams.from_db(
+                q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
+                q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0)
+
+    def test_oma_under_four_user_params_equals_two_user(self, half_wave_geometry,
+                                                         fresh_memo):
+        # H_t and H_r come from the same streams whether or not the primed
+        # gains are drawn, and OMA rates use only the t and r links
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        cfg = McConfig(trials=3000, master_seed=23)
+        four = estimates(geom, four_user_params(), QUANT1, cfg, OMA)
+        mc.forget_draws()
+        two = estimates(geom, SystemParams.from_db(), QUANT1, cfg, OMA)
+        assert four == two
 
     def test_primed_scenarios_need_four_user_params(self, half_wave_geometry,
                                                     noma_params):
@@ -238,15 +248,18 @@ class TestDrawMemo:
         assert draws(params=noma_params(p_dbm=40.0)) == 0
         assert draws(cfg=McConfig(trials=500, master_seed=5, confidence=0.9)) == 0
         assert draws(scenarios=[Scenario.OMA_R, Scenario.NOMA_R]) == 0
-        assert draws(params=four_user_params(), scenarios=[Scenario.OMA_T]) == 0
         for change in (dict(geom=half_wave_geometry(7, 4)), dict(correlated=False),
                        dict(err_models=(VonMises(2.0), Quantized(1))),
                        dict(err_models=(Quantized(1), VonMises(2.0))),
                        dict(cfg=McConfig(trials=500, master_seed=6)),
                        dict(cfg=McConfig(trials=600, master_seed=5)),
-                       dict(params=four_user_params(), scenarios=[Scenario.NOMA_T])):
+                       dict(params=four_user_params(), scenarios=[Scenario.NOMA_T]),
+                       dict(params=four_user_params(), scenarios=[Scenario.OMA_T])):
             assert draws(**change) == 1, change
             assert draws() == 1, change
+        # four-user parameters are in the key, the scenarios are not
+        assert draws(params=four_user_params(), scenarios=[Scenario.NOMA_T]) == 1
+        assert draws(params=four_user_params(), scenarios=[Scenario.OMA_T]) == 0
 
     def test_stored_gains_are_read_only(self, half_wave_geometry, fresh_memo):
         geom = half_wave_geometry(4, 4)

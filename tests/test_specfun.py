@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ios_noma.specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
@@ -103,3 +103,29 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_ratio_i1_i0(-1e-9)
 
+
+
+class TestAgainstScipy:
+    """Relative error against scipy.special over each function's whole domain."""
+
+    @staticmethod
+    def rel_err(ours, ref):
+        ours, ref = np.asarray(ours), np.asarray(ref)
+        return np.max(np.abs(ours - ref) / np.where(ref == 0.0, 1.0, np.abs(ref)))
+
+    def test_elliptic_k(self):
+        m = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1],
+                            1.0 - 10.0 ** -np.arange(1, 16)])
+        assert self.rel_err(elliptic_k(m), special.ellipk(m)) <= 4e-15
+
+    def test_elliptic_e(self):
+        m = np.concatenate([np.linspace(0.0, 1.0, 100_001),
+                            1.0 - 10.0 ** -np.arange(1, 16)])
+        assert self.rel_err(elliptic_e(m), special.ellipe(m)) <= 4e-15
+
+    def test_bessel_ratio(self):
+        # dense around the switch from power series to asymptotic expansion
+        x = np.unique(np.concatenate([np.linspace(0.0, 1000.0, 20_001),
+                                      np.linspace(14.0, 16.0, 2001)]))
+        ours = [bessel_ratio_i1_i0(float(v)) for v in x]
+        assert self.rel_err(ours, special.i1e(x) / special.i0e(x)) <= 1e-13
