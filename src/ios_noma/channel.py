@@ -85,7 +85,8 @@ class SystemParams:
         for name in ("d_b", "d_t", "d_r"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.lambda_t <= 0 or self.lambda_r <= 0:
+        if any(value is not None and value <= 0 for value in
+               (self.lambda_t, self.lambda_r, self.lambda_tp, self.lambda_rp)):
             raise ConfigError("pathloss intercepts must be positive")
         if self.p_tx < 0 or self.noise_power <= 0:
             raise ConfigError("p_tx must be >= 0 and noise_power > 0")

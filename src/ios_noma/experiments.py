@@ -30,7 +30,7 @@ from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string)
 from .geometry import (ArrayGeometry, correlation_matrix,
                        magnitude_moment_matrix, trace_rbar_sq)
-from .mc import McConfig, draw_key, forget_draws, mc_estimates
+from .mc import McConfig, draw_key, expect_draws, forget_draws, mc_estimates
 
 __all__ = [
     "DEFAULTS",
@@ -362,38 +362,45 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    Points are visited grouped by their MC draw key, in order of first
-    appearance, so that consecutive engine calls reuse one draw set, and
-    tr(Rbar Rbar) is computed once per (geometry, correlated).  The stored
-    draw set is dropped when the sweep returns.  Rows come back sorted by
-    (axis_value, scenario, estimator).
+    Points are visited grouped by their MC draw key, and draw keys
+    grouped by their Gaussian key, both in order of first appearance.
+    Before a group's first point the engine is told the group's keys
+    that have an mc estimator, so it samples them in one walk and every
+    engine call of the group reads its gains from the memo.
+    tr(Rbar Rbar) is computed once per (geometry, correlated).  The
+    stored draws are dropped when the sweep returns.  Rows come back
+    sorted by (axis_value, scenario, estimator).
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, dict[tuple, list]] = {}
     for value, scen, point in spec.points():
         key = draw_key(point.geom, point.params, point.err_models, point.mc,
                        point.correlated)
-        groups.setdefault(key, []).append((value, scen, point))
+        groups.setdefault(key[0], {}).setdefault(key, []).append((value, scen, point))
     traces: dict[tuple, float] = {}
     rows: list[ResultRow] = []
     try:
-        for value, scen, point in (p for group in groups.values() for p in group):
-            analytic_wanted = [e for e in scen.estimators if e != "mc"]
-            if analytic_wanted:
-                layout = (point.geom, point.correlated)
-                if layout not in traces:
-                    traces[layout] = point.tr_rbar_sq()
-                for est in analytic_wanted:
-                    bound = analytic_bound(scen.target, est, point, traces[layout])
+        for keyed in groups.values():
+            expect_draws(key for key, members in keyed.items()
+                         if any("mc" in scen.estimators for _, scen, _ in members))
+            for value, scen, point in (p for members in keyed.values() for p in members):
+                analytic_wanted = [e for e in scen.estimators if e != "mc"]
+                if analytic_wanted:
+                    layout = (point.geom, point.correlated)
+                    if layout not in traces:
+                        traces[layout] = point.tr_rbar_sq()
+                    for est in analytic_wanted:
+                        bound = analytic_bound(scen.target, est, point, traces[layout])
+                        rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                              estimator=est, value=bound.value,
+                                              branch=bound.branch))
+                if "mc" in scen.estimators:
+                    est = mc_estimates(point.geom, point.params, point.err_models,
+                                       point.mc, [scen.target],
+                                       correlated=point.correlated,
+                                       workers=workers)[scen.target]
                     rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                          estimator=est, value=bound.value,
-                                          branch=bound.branch))
-            if "mc" in scen.estimators:
-                est = mc_estimates(point.geom, point.params, point.err_models, point.mc,
-                                   [scen.target], correlated=point.correlated,
-                                   workers=workers)[scen.target]
-                rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                      estimator="mc", value=est.mean,
-                                      half_width=est.half_width))
+                                          estimator="mc", value=est.mean,
+                                          half_width=est.half_width))
     finally:
         forget_draws()
     rows.sort(key=lambda r: (r.axis_value, r.scenario, r.estimator))

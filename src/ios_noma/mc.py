@@ -19,20 +19,24 @@ closed-form bounds evaluate at a fixed gain.
 The gains depend only on the draw key: geometry, correlation, the two
 phase-error models, master seed, trial count, and params.four_user
 (four-user parameters add the primed gains, whatever scenarios are
-asked for).  The link budget, the confidence level and the scenarios
-enter only through the rates.  So the engine keeps the gains of the
-last draw key it sampled, one read-only float64 array of shape (2 or 4,
-trials), and a call on the same key draws nothing: it only runs the
-rate chain block by block on the stored gains.  Hits and misses give
-bit-identical estimates.  A call on another key replaces the memo, and
-forget_draws() drops it.  SystemParams rejects four-user parameters
-that break the pathloss ordering behind the (R', T', R, T) decoding
-order, so the engine checks none.
+asked for); the link budget, the confidence level and the scenarios
+enter only through the rates.  The fading streams depend only on the
+Gaussian key (geometry, seed, trials, params.four_user), so one walk
+samples every draw key that shares it: each block draws each fading
+stream once, colours it once per correlation flag, and feeds every
+phase model.  expect_draws() announces such a group, and the engine
+keeps the gains of the last group it sampled, one read-only float64
+array of shape (2 or 4, trials) per key.  A call on a stored key only
+runs the rate chain on them; a miss on any other key samples it alone,
+in place of the stored group.  Either way the estimates are
+bit-identical.  forget_draws() drops the memo.  SystemParams rejects
+four-user parameters that break the pathloss ordering behind the
+(R', T', R, T) decoding order, so the engine checks none.
 
-The memo makes engine memory grow with the trial count: 16 bytes per
-trial (32 with four-user parameters), 1.6 MB at the default 100k trials
-but 160 MB at 10 million, and it stays allocated after the call returns
-until the next miss or forget_draws().
+The memo costs 16 bytes per trial per key (32 with four-user
+parameters): 6.4 MB for the four phase models of a fig3 layout at the
+default 100k trials, 640 MB at 10 million.  It stays allocated until
+the next miss, expect_draws() or forget_draws().
 """
 
 from __future__ import annotations
@@ -100,12 +104,13 @@ class McEstimate:
             raise ValueError("half_width must be non-negative")
 
 
-def _boosted_gain(mag_a: np.ndarray, mag_h: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    # in place: bit-identical to mag_a * mag_h * exp(1j * phases), one
-    # complex (n, count) temporary fewer
+def _boosted_gain(amp: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """|sum_n amp_n exp(j phases_n)|^2 per trial, amp = |a| |h| formed by
+    the caller.  In place: bit-identical to amp * exp(1j * phases), one
+    complex (n, count) temporary fewer."""
     terms = np.multiply(1j, phases)
     np.exp(terms, out=terms)
-    terms *= mag_a * mag_h
+    terms *= amp
     return np.abs(np.sum(terms, axis=0)) ** 2
 
 
@@ -137,40 +142,70 @@ _PRIMED = (Scenario.NOMA_TP, Scenario.NOMA_RP)
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
 
 
-def _block_gains(factor, n, err_t, err_r, master_seed, block, count, primed):
-    """Composite gains of one block: rows (H_t, H_r), plus (H_t', H_r')
-    when primed.
+def _walk_block(keys, factor, block, count):
+    """Composite gains of one block for the draw keys of a group, shape
+    (len(keys), 2 or 4, count): rows (H_t, H_r), plus (H_t', H_r') under
+    four-user parameters.
 
-    H_t and H_r come from the boost set (h, g, r and the two phase
-    errors).  The primed composites reuse that set: the leftover phase
-    at element n is arg(g'_n) - arg(g_n) + phi_n_t (resp. with r),
-    uniform per element but tied to the actual draws.  Only that case
-    keeps g and r complex, because it needs their angles.
+    Each fading stream is drawn once and coloured once per correlation
+    flag (by factor, or not at all).  A colouring keeps what every phase
+    model shares: |g||h|, and for four-user keys |g'||h| and
+    arg(g') - arg(g).  The primed composites reuse the boost set, so
+    their leftover phase at element n is arg(g'_n) - arg(g_n) + phi_n_t,
+    uniform per element but tied to the actual draws.  Then each key
+    draws its phase stream and forms its gains on that side, and the
+    reflect side follows with r, r' and phi_r.  Each array is freed as
+    soon as it is used up, so the live set does not grow with the
+    number of phase models.
     """
+    geom, master_seed, _, primed = keys[0][0]
+    shape = (geom.n_elements, count)
+    flags = dict.fromkeys(key[1] for key in keys)
+
     def rng(stream):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def colored(stream):
-        z = standard_complex_gaussian((n, count), rng(stream))
-        return z if factor is None else factor @ z
+    def colourings(stream):
+        # i.i.d. first, so that z is freed once the correlated colouring
+        # is formed
+        z = standard_complex_gaussian(shape, rng(stream))
+        if False in flags:
+            yield False, z
+        if True in flags:
+            vec = factor @ z
+            del z
+            yield True, vec
 
-    mag_h = np.abs(colored(_STREAM_H))
-    if primed:
-        vec_g, vec_r = colored(_STREAM_G), colored(_STREAM_R)
-        vec_gp, vec_rp = colored(_STREAM_GP), colored(_STREAM_RP)
-        mag_g, mag_r = np.abs(vec_g), np.abs(vec_r)
-    else:
-        mag_g, mag_r = np.abs(colored(_STREAM_G)), np.abs(colored(_STREAM_R))
-    phi_t = err_t.sample((n, count), rng(_STREAM_PHI_T))
-    phi_r = err_r.sample((n, count), rng(_STREAM_PHI_R))
-    gains = [_boosted_gain(mag_g, mag_h, phi_t), _boosted_gain(mag_r, mag_h, phi_r)]
-    if primed:
-        gains.append(_boosted_gain(np.abs(vec_gp), mag_h,
-                                   np.angle(vec_gp) - np.angle(vec_g) + phi_t))
-        gains.append(_boosted_gain(np.abs(vec_rp), mag_h,
-                                   np.angle(vec_rp) - np.angle(vec_r) + phi_r))
-    return np.stack(gains)
+    def products(stream):
+        """{flag: |a||h|} of one stream a, and {flag: arg(a)} for four-user keys."""
+        amp, arg = {}, {}
+        for flag, vec in colourings(stream):
+            amp[flag] = np.abs(vec)
+            amp[flag] *= mag_h[flag]
+            if primed:
+                arg[flag] = np.angle(vec)
+        return amp, arg
+
+    mag_h = {flag: np.abs(vec) for flag, vec in colourings(_STREAM_H)}
+    gains = np.empty((len(keys), 4 if primed else 2, count))
+    for row, (stream, stream_p, stream_phi) in enumerate((
+            (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
+            (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
+        amp, arg = products(stream)
+        if primed:
+            amp_p, arg_p = products(stream_p)
+            for flag, base in arg.items():
+                arg_p[flag] -= base  # arg(a') - arg(a)
+        arg = None  # only arg(a') - arg(a) is read from here on
+        for out, (_, flag, *models) in zip(gains, keys):
+            phases = models[row].sample(shape, rng(stream_phi))
+            out[row] = _boosted_gain(amp[flag], phases)
+            if primed:
+                out[row + 2] = _boosted_gain(amp_p[flag], arg_p[flag] + phases)
+            del phases  # before the next key's phases are drawn
+        amp = amp_p = arg_p = None  # before the next side is drawn
+    return gains
 
 
 def _rates_at(scenarios, params, gains):
@@ -200,53 +235,75 @@ def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfi
              correlated: bool = True) -> tuple:
     """What the composite gains of an mc_estimates call depend on: calls
     with equal keys evaluate their rates on the same draws, whatever
-    scenarios they ask for.  The key holds params.four_user, which adds
-    the primed gains; the rest of params enters only through the rates.
+    scenarios they ask for.  params enters only through
+    params.four_user, which adds the primed gains; the rest of params
+    enters only through the rates.
 
-    Only the draws of the last key sampled are kept, so callers that
-    want reuse make their calls with equal keys one after another.
+    The key is (Gaussian key, correlated, model_t, model_r).  The
+    Gaussian key (geometry, master seed, trials, params.four_user) fixes
+    the fading streams; keys that share it differ only in the colouring
+    and the phase streams, and one walk samples them together.
     """
-    return (geom, correlated, *err_models, cfg.master_seed, cfg.trials,
-            params.four_user)
+    return ((geom, cfg.master_seed, cfg.trials, params.four_user), correlated,
+            *err_models)
 
 
-# (draw key, its gains) of the last sampling, or None.
-_last_draws: tuple[tuple, np.ndarray] | None = None
+# The stored group: {draw key: its gains, or None while not yet sampled}.
+_draws: dict[tuple, np.ndarray | None] = {}
+
+
+def expect_draws(keys) -> None:
+    """Drop the stored group and announce the draw keys of the calls to
+    come.  The first of those calls samples all of them in one walk; the
+    others then read their gains from the memo.  The keys must share
+    their Gaussian key (see draw_key)."""
+    global _draws
+    keys = dict.fromkeys(keys)
+    if len({key[0] for key in keys}) > 1:
+        raise ValueError("announced draw keys must share their Gaussian key")
+    _draws = keys
 
 
 def forget_draws() -> None:
-    """Drop the stored draw set and free its memory."""
-    global _last_draws
-    _last_draws = None
+    """Drop the stored group and free its memory."""
+    global _draws
+    _draws = {}
 
 
-def _draw_gains(key, workers):
-    """The gains of every block of a draw key, from the memo or sampled
-    (and then stored in place of the previous draw set)."""
-    global _last_draws
-    if _last_draws is not None and _last_draws[0] == key:
-        return _last_draws[1]
-    _last_draws = None
-    geom, correlated, err_t, err_r, master_seed, trials, primed = key
-    factor = correlation_factor(correlation_matrix(geom)) if correlated else None
+def _sample_group(keys, workers):
+    """{draw key: read-only (2 or 4, trials) gains} for keys that share
+    their Gaussian key, one walk over the blocks."""
+    geom, _, trials, primed = keys[0][0]
+    factor = (correlation_factor(correlation_matrix(geom))
+              if any(key[1] for key in keys) else None)
     blocks = list(_blocks(trials))
-    args = [(factor, geom.n_elements, err_t, err_r, master_seed, block, count, primed)
-            for block, count in blocks]
-    gains = np.empty((4 if primed else 2, trials))
+    gains = np.empty((len(keys), 4 if primed else 2, trials))
 
     def store(parts):
         for (block, count), part in zip(blocks, parts):
-            gains[:, block * BLOCK_SIZE:block * BLOCK_SIZE + count] = part
+            gains[:, :, block * BLOCK_SIZE:block * BLOCK_SIZE + count] = part
 
     workers = min(workers, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            store(pool.map(_block_gains, *zip(*args)))
+            store(pool.map(_walk_block, *zip(*[(keys, factor, block, count)
+                                               for block, count in blocks])))
     else:
-        store(_block_gains(*a) for a in args)
+        store(_walk_block(keys, factor, block, count) for block, count in blocks)
     gains.flags.writeable = False
-    _last_draws = (key, gains)
-    return gains
+    return dict(zip(keys, gains))
+
+
+def _draw_gains(key, workers):
+    """The gains of a draw key, from the memo or sampled.  A miss on an
+    announced key samples the whole announced group; any other miss
+    replaces the memo by a group of one."""
+    global _draws
+    if _draws.get(key) is None:
+        if key not in _draws:
+            _draws = {key: None}
+        _draws = _sample_group(list(_draws), workers)
+    return _draws[key]
 
 
 def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
@@ -256,8 +313,8 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
 
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
-    A call on the draw key of the previous sampling reuses its gains
-    (see the module docstring); no draw, factorization or pool happens.
+    A call on a key of the stored group reuses its gains (see the module
+    docstring); no draw, factorization or pool happens.
     """
     scenarios = tuple(dict.fromkeys(scenarios))
     if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):

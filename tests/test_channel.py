@@ -51,6 +51,17 @@ class TestSystemParams:
             SystemParams(q_t=math.sqrt(0.1), q_r=math.sqrt(0.2),
                          q_tp=math.sqrt(0.3), q_rp=math.sqrt(0.4), **links)
 
+    @pytest.mark.parametrize("value", [-1e-3, 0.0])
+    @pytest.mark.parametrize("field", ["lambda_tp", "lambda_rp"])
+    def test_primed_intercepts_must_be_positive(self, field, value):
+        # a negative lambda_rp keeps the pathloss ordering, so only this
+        # check stops it; NOMA_RP would otherwise estimate log2 of a
+        # negative gain
+        with pytest.raises(ConfigError, match="intercepts must be positive"):
+            SystemParams(q_t=math.sqrt(0.1), q_r=math.sqrt(0.2),
+                         q_tp=math.sqrt(0.3), q_rp=math.sqrt(0.4),
+                         d_tp=12.0, d_rp=15.0, **{field: value})
+
     def test_four_user_power_budget(self):
         params = SystemParams(q_t=math.sqrt(0.1), q_r=math.sqrt(0.2),
                               q_tp=math.sqrt(0.3), q_rp=math.sqrt(0.4),
@@ -181,7 +192,7 @@ class TestCompositeGain:
     @staticmethod
     def gain(mags, phases):
         mags, phases = (np.asarray(x, dtype=float)[:, None] for x in (mags, phases))
-        return float(_boosted_gain(mags, np.ones_like(mags), phases)[0])
+        return float(_boosted_gain(mags, phases)[0])
 
     def test_coherent_sum(self):
         assert self.gain([1.0, 1.0], [0.0, 0.0]) == pytest.approx(4.0, abs=1e-12)
@@ -193,7 +204,7 @@ class TestCompositeGain:
         n, trials = 16, 3
         mag_g, mag_h = rng.rayleigh(size=(n, trials)), rng.rayleigh(size=(n, trials))
         phases = rng.uniform(-math.pi, math.pi, (n, trials))
-        gains = _boosted_gain(mag_g, mag_h, phases)
+        gains = _boosted_gain(mag_g * mag_h, phases)
         for t in range(trials):
             acc = 0.0 + 0.0j
             for k in range(n):

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ios_noma.analytic import Scenario, jensen_rate_t, large_snr_limit
-from ios_noma.channel import (ConfigError, Quantized, SystemParams, VonMises,
-                              correlation_factor, pathloss)
-from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
-                               trace_rbar_sq)
+from ios_noma.analytic import Scenario, _mean_gain, jensen_rate_t, large_snr_limit
+from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
+                              UniformFull, VonMises, correlation_factor, pathloss)
+from ios_noma.geometry import (ArrayGeometry, correlation_matrix,
+                               magnitude_moment_matrix, trace_rbar_sq)
 from ios_noma import mc
-from ios_noma.experiments import load_spec, run_sweep, spec_with_overrides
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _block_gains,
-                         _boosted_gain, _rates_at, four_user_trial_rates,
+from ios_noma.experiments import Point, load_spec, run_sweep, spec_with_overrides
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _boosted_gain,
+                         _rates_at, _walk_block, draw_key, four_user_trial_rates,
                          mc_estimates, noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
@@ -96,8 +96,8 @@ class TestSchemeRelations:
         geom = half_wave_geometry(n_h=5, n_v=4)
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
-        gains = _block_gains(factor, geom.n_elements, Quantized(1), Quantized(1),
-                             77, 0, 512, False)
+        key = draw_key(geom, params, QUANT1, McConfig(trials=512, master_seed=77))
+        (gains,) = _walk_block([key], factor, 0, 512)
         rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
@@ -196,25 +196,31 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            gains = _block_gains(factor, geom.n_elements, Quantized(1), Quantized(1),
-                                 21, 0, 8192, False)
+            key = draw_key(geom, params, QUANT1, McConfig(trials=8192, master_seed=21))
+            (gains,) = _walk_block([key], factor, 0, 8192)
             rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
 
 
-@pytest.fixture
-def sampled_blocks(monkeypatch, fresh_memo):
-    """Empty memo; lists the arguments of every block whose gains are drawn."""
+def counting(monkeypatch, name):
+    """Replace mc.<name> by a wrapper that lists the arguments of each call."""
     calls = []
-    original = mc._block_gains
+    original = getattr(mc, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mc, "_block_gains", counted)
+    monkeypatch.setattr(mc, name, counted)
     return calls
+
+
+@pytest.fixture
+def sampled_blocks(monkeypatch, fresh_memo):
+    """Empty memo; lists the (keys, factor, block, count) of every block
+    walk, one walk per block of a sampled group."""
+    return counting(monkeypatch, "_walk_block")
 
 
 class TestDrawMemo:
@@ -260,13 +266,15 @@ class TestDrawMemo:
         # four-user parameters are in the key, the scenarios are not
         assert draws(params=four_user_params(), scenarios=[Scenario.NOMA_T]) == 1
         assert draws(params=four_user_params(), scenarios=[Scenario.OMA_T]) == 0
+        # an unannounced miss walks its own key alone
+        assert all(len(keys) == 1 for keys, *_ in sampled_blocks)
 
     def test_stored_gains_are_read_only(self, half_wave_geometry, fresh_memo):
         geom = half_wave_geometry(4, 4)
         cfg = McConfig(trials=700, master_seed=2)
         for params, rows in ((SystemParams.from_db(), 2), (four_user_params(), 4)):
             mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T])
-            _, gains = mc._last_draws
+            (gains,) = mc._draws.values()
             assert gains.shape == (rows, 700)
             assert not gains.flags.writeable
             with pytest.raises(ValueError):
@@ -294,12 +302,94 @@ class TestDrawMemo:
                      McConfig(trials=BLOCK_SIZE, master_seed=3), NOMA, workers=4)
 
     def test_sweep_samples_each_draw_key_once(self, sampled_blocks):
-        # fig5 interleaves two phase models over 15 SNR values
+        # fig5 interleaves two phase models over 15 SNR values on one layout
         spec = spec_with_overrides(load_spec("fig5_rate_vs_snr"), trials=200)
         run_sweep(spec)
-        models = {(args[2], args[3]) for args in sampled_blocks}
-        assert len(sampled_blocks) == len(models) == 2
-        assert mc._last_draws is None  # dropped when the sweep returns
+        assert len(sampled_blocks) == 1  # one walk for both phase models
+        keys = sampled_blocks[0][0]
+        assert {key[2:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
+                                             (VonMises(2.0), VonMises(2.0))}
+        assert len(keys) == 2
+        assert mc._draws == {}  # dropped when the sweep returns
+
+    @pytest.mark.parametrize("name, layouts", [("fig3_rate_vs_N", 25),
+                                               ("fig7_correlation", 20)])
+    def test_sweep_walks_and_factors_each_layout_once(self, name, layouts,
+                                                      sampled_blocks, monkeypatch):
+        # fig3: four phase models per layout; fig7: both correlation flags
+        factors = counting(monkeypatch, "correlation_factor")
+        run_sweep(spec_with_overrides(load_spec(name), trials=200))
+        assert len(sampled_blocks) == len(factors) == layouts
+        assert len({keys[0][0] for keys, *_ in sampled_blocks}) == layouts
+        assert all(len(keys) == (4 if name.startswith("fig3") else 2)
+                   for keys, *_ in sampled_blocks)
+        assert mc._draws == {}
+
+
+# (correlated, (model_t, model_r)) of the draw keys of one layout
+MIXED_GROUP = [(True, (Perfect(), Perfect())), (True, QUANT1),
+               (True, (Quantized(2), Quantized(2))), (True, (UniformFull(), UniformFull())),
+               (False, (Quantized(2), Perfect())), (False, (UniformFull(), Quantized(1)))]
+FOUR_USER_GROUP = [(True, QUANT1), (True, (VonMises(2.0), Perfect())), (False, QUANT1)]
+
+
+def quarter_wave_geometry():
+    """A 6 x 4 layout at quarter-wavelength spacing, clearly correlated."""
+    return ArrayGeometry(n_h=6, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.2)
+
+
+def sample_group(geom, params, members, cfg, workers=1):
+    """Announce the draw keys of members, let one engine call sample them,
+    and return {key: stored gains} in the order of members."""
+    keys = [draw_key(geom, params, models, cfg, correlated)
+            for correlated, models in members]
+    mc.expect_draws(keys)
+    correlated, models = members[-1]
+    mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T], correlated=correlated,
+                 workers=workers)
+    return {key: mc._draws[key] for key in keys}
+
+
+class TestGroupWalk:
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_group_gains_equal_lone_serial_misses(self, four_user, fresh_memo):
+        geom = quarter_wave_geometry()
+        params, members = ((four_user_params(), FOUR_USER_GROUP) if four_user
+                           else (SystemParams.from_db(), MIXED_GROUP))
+        cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=41)
+        group = sample_group(geom, params, members, cfg, workers=2)
+        assert len(group) == len(members)
+        for (correlated, models), (key, gains) in zip(members, group.items()):
+            assert gains.shape == (4 if four_user else 2, cfg.trials)
+            mc.forget_draws()
+            mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T],
+                         correlated=correlated)
+            assert np.array_equal(mc._draws[key], gains), key
+
+    def test_group_mean_gains_match_the_exact_mean(self, fresh_memo):
+        # E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), per side and per key
+        geom = quarter_wave_geometry()
+        params = SystemParams.from_db()
+        cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=43)
+        group = sample_group(geom, params, MIXED_GROUP, cfg, workers=2)
+        means = set()
+        for (correlated, models), gains in zip(MIXED_GROUP, group.values()):
+            tr = Point(geom, params, models, correlated, cfg).tr_rbar_sq()
+            for row, model in enumerate(models):
+                exact = _mean_gain(geom.n_elements, tr, model.epsilon())
+                stderr = gains[row].std(ddof=1) / math.sqrt(cfg.trials)
+                assert abs(gains[row].mean() - exact) <= 4.0 * stderr, (correlated, model)
+                means.add(round(exact, 6))
+        # the setups differ: correlation lifts the perfect-phase mean above N
+        assert len(means) >= 4
+
+    def test_announced_keys_share_a_gaussian_key(self, half_wave_geometry,
+                                                 noma_params, fresh_memo):
+        cfg = McConfig(trials=200, master_seed=1)
+        keys = [draw_key(half_wave_geometry(n_h, 4), noma_params(), QUANT1, cfg)
+                for n_h in (4, 5)]
+        with pytest.raises(ValueError, match="Gaussian key"):
+            mc.expect_draws(keys)
 
 
 class TestBoostedGain:
@@ -311,7 +401,8 @@ class TestBoostedGain:
         mag_h[:, ::7] = 0.0
         phases = rng.uniform(-np.pi, np.pi, (40, 300))
         plain = np.abs(np.sum(mag_a * mag_h * np.exp(1j * phases), axis=0)) ** 2
-        assert np.array_equal(_boosted_gain(mag_a, mag_h, phases), plain)
+        # the engine forms mag_a * mag_h once and shares it across phase models
+        assert np.array_equal(_boosted_gain(mag_a * mag_h, phases), plain)
 
 
 class TestConfigAndEstimate:
