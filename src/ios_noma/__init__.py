@@ -2,11 +2,9 @@
 omni-surface serving users on both of its sides over correlated
 Rayleigh channels with imperfect phase adjustment."""
 
-from .analytic import (BoundKind, LinkFactors, RateBound, Scenario, Verdict,
-                       hardening_rate_r, hardening_rate_t, jensen_rate_r,
-                       jensen_rate_t, large_snr_limit, link_factors,
-                       multiuser_bounds, oma_rates, quantization_gain,
-                       quantization_gain_limit, sum_rate_verdict)
+from .analytic import (RateBound, Scenario, Verdict, large_snr_limit,
+                       quantization_gain, quantization_gain_limit, rate_bound,
+                       sum_rate_verdict)
 from .channel import (ConfigError, Perfect, PhaseErrorModel, Quantized,
                       SystemParams, UniformFull, VonMises, correlation_factor,
                       db_to_linear, dbm_to_watts, pathloss,

@@ -1,13 +1,15 @@
 """The rate chain, and the closed-form bounds, approximations and limits.
 
 link_gain, sic_rates and oma_slot_rates write each achievable rate once.
-The Monte Carlo engine evaluates them at the sampled composite gains H;
-every closed form here evaluates them at a fixed gain: Jensen bounds at
-E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), with eps the mean cosine of
-the phase error and Rbar the magnitude moment matrix, hardening
-approximations at pi^2 N^2 eps^2 / 16, and the primed users at N.
-Branchy bounds carry a flag naming the link factor that fired, which the
-sweep CSV surfaces for diagnostics.
+The Monte Carlo engine evaluates them at the sampled composite gains H.
+rate_bound(target, estimator, ...) is the one entry to the closed forms,
+which evaluate the same chain at a fixed gain per link: "jensen" upper
+bounds at E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), with eps the mean
+cosine of the phase error and Rbar the magnitude moment matrix,
+"hardening" approximations at pi^2 N^2 eps^2 / 16, and the primed users
+at N under both.  "limit" is the large-SNR ceiling of the
+interference-limited users.  Branchy bounds carry a flag naming the link
+gain that fired, which the sweep CSV surfaces for diagnostics.
 """
 
 from __future__ import annotations
@@ -23,21 +25,14 @@ from .channel import ConfigError, Quantized, SystemParams, pathloss
 
 __all__ = [
     "Scenario",
-    "BoundKind",
     "Verdict",
     "RateBound",
-    "LinkFactors",
-    "link_factors",
-    "jensen_rate_t",
-    "jensen_rate_r",
-    "hardening_rate_t",
-    "hardening_rate_r",
-    "oma_rates",
+    "ESTIMATORS",
+    "rate_bound",
     "large_snr_limit",
     "sum_rate_verdict",
     "quantization_gain",
     "quantization_gain_limit",
-    "multiuser_bounds",
 ]
 
 _QUARTER_PI_SQ = math.pi**2 / 16.0
@@ -50,12 +45,6 @@ class Scenario(str, Enum):
     OMA_R = "oma_r"
     NOMA_TP = "noma_tp"
     NOMA_RP = "noma_rp"
-
-
-class BoundKind(str, Enum):
-    JENSEN_UPPER = "jensen"
-    HARDENING_APPROX = "hardening"
-    LARGE_SNR_LIMIT = "limit"
 
 
 class Verdict(str, Enum):
@@ -72,27 +61,6 @@ class RateBound:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("rate bounds are non-negative")
-
-
-@dataclass(frozen=True)
-class LinkFactors:
-    """Dimensionless SNR-scale factors of the four links.
-
-    f_t and f_r carry the full mean composite gain of the boosted
-    links; f_tp and f_rp use the plain factor N because the primed
-    users see uniformly distributed residual phases.
-    """
-
-    f_t: float
-    f_r: float
-    f_tp: float | None = None
-    f_rp: float | None = None
-
-    def __post_init__(self):
-        for name in ("f_t", "f_r", "f_tp", "f_rp"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +107,13 @@ def oma_slot_rates(params: SystemParams, h_t, h_r):
 # ---------------------------------------------------------------------------
 # closed forms: the chain at a fixed gain
 
+ESTIMATORS = ("jensen", "hardening", "limit")
+
+_NOMA_USERS = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
+_LINKS = ("t", "r", "tp", "rp")
+# the two links whose weaker one names a NOMA bound's branch
+_BRANCHES = {Scenario.NOMA_R: (0, 1), Scenario.NOMA_TP: (2, 1), Scenario.NOMA_RP: (2, 3)}
+
 
 def _mean_gain(n: int, tr_rbar_sq: float, eps: float) -> float:
     """E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), the gain of the Jensen bounds."""
@@ -161,58 +136,50 @@ def _hardening_gain(n: int, eps: float) -> float:
     return _QUARTER_PI_SQ * n * n * eps**2
 
 
-def _rate_r(params: SystemParams, f_t: float, f_r: float) -> RateBound:
-    """The R rate, labelled with the weaker link (ties take f_r)."""
-    return RateBound(float(sic_rates(params, f_t, f_r)[1]),
-                     "f_t" if f_t < f_r else "f_r")
+def _chain_bound(target: Scenario, params: SystemParams, gains) -> RateBound:
+    """The NOMA rate of target at link gains of the users (T, R, T', R'),
+    given up to at least the target's own.  R, T' and R' are labelled with
+    the weaker of the two links that can bind: (f_t, f_r), (f_tp, f_r)
+    and (f_tp, f_rp).  Under the ordering SystemParams enforces and
+    E[H] >= N, f_t >= f_tp and f_r >= f_rp, so the other links never do."""
+    k = _NOMA_USERS.index(target)
+    value = float(sic_rates(params, *gains)[k])
+    if target not in _BRANCHES:
+        return RateBound(value)
+    a, b = _BRANCHES[target]
+    return RateBound(value, f"f_{_LINKS[a] if gains[a] < gains[b] else _LINKS[b]}")
 
 
-def link_factors(params: SystemParams, n: int, tr_rbar_sq: float,
-                 eps_t: float, eps_r: float) -> LinkFactors:
-    """SNR-scale factors for all configured links."""
-    f_t = link_gain(params, "t", _mean_gain(n, tr_rbar_sq, eps_t))
-    f_r = link_gain(params, "r", _mean_gain(n, tr_rbar_sq, eps_r))
-    if not params.four_user:
-        return LinkFactors(f_t=f_t, f_r=f_r)
-    return LinkFactors(f_t=f_t, f_r=f_r, f_tp=link_gain(params, "tp", n),
-                       f_rp=link_gain(params, "rp", n))
+def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
+               tr_rbar_sq: float, eps_t: float, eps_r: float) -> RateBound:
+    """One closed form of the target rate: the chain at a fixed gain.
 
-
-def jensen_rate_t(params: SystemParams, n: int, tr_rbar_sq: float, eps_t: float) -> RateBound:
-    """Upper bound log2(1 + g0 q_t^2 eta_t alpha^2 E[H_t]) on the T rate."""
-    f_t = link_gain(params, "t", _mean_gain(n, tr_rbar_sq, eps_t))
-    return RateBound(float(sic_rates(params, f_t)[0]))
-
-
-def jensen_rate_r(params: SystemParams, factors: LinkFactors) -> RateBound:
-    """Upper bound on the R rate, the weaker of the two link branches."""
-    return _rate_r(params, factors.f_t, factors.f_r)
-
-
-def hardening_rate_t(params: SystemParams, n: int, eps_t: float) -> RateBound:
-    """Large-array approximation log2(1 + pi^2 N^2 g0 eps^2 q_t^2 eta_t alpha^2 / 16)."""
-    f_t = link_gain(params, "t", _hardening_gain(n, eps_t))
-    return RateBound(float(sic_rates(params, f_t)[0]))
-
-
-def hardening_rate_r(params: SystemParams, n: int, eps_t: float, eps_r: float) -> RateBound:
-    """Large-array approximation of the R rate, the weaker of the two link
-    branches."""
-    return _rate_r(params, link_gain(params, "t", _hardening_gain(n, eps_t)),
-                   link_gain(params, "r", _hardening_gain(n, eps_r)))
-
-
-def oma_rates(params: SystemParams, n: int, tr_rbar_sq: float, eps_t: float,
-              eps_r: float, kind: BoundKind) -> tuple[RateBound, RateBound]:
-    """Jensen bounds or hardening approximations of the two OMA rates."""
-    if kind is BoundKind.JENSEN_UPPER:
-        h_t, h_r = _mean_gain(n, tr_rbar_sq, eps_t), _mean_gain(n, tr_rbar_sq, eps_r)
-    elif kind is BoundKind.HARDENING_APPROX:
-        h_t, h_r = _hardening_gain(n, eps_t), _hardening_gain(n, eps_r)
+    "jensen" is the upper bound at the mean gains E[H_t], E[H_r], and
+    "hardening" the large-array approximation at pi^2 N^2 eps^2 / 16; the
+    primed links take N under both.  Only the gains of the links the
+    target reads are computed: T reads t, the others t and r, the primed
+    users tp and rp as well.  "limit" is large_snr_limit.  Raises
+    ConfigError for an undefined (target, estimator) pair and ValueError
+    for a gain out of its domain, such as hardening at eps = 0.
+    """
+    if estimator == "limit":
+        return large_snr_limit(target, params)
+    primed = target in (Scenario.NOMA_TP, Scenario.NOMA_RP)
+    if estimator not in ("jensen", "hardening") or (primed and estimator == "hardening"):
+        raise ConfigError(f"estimator {estimator!r} is undefined for {target.value}")
+    if primed and not params.four_user:
+        raise ConfigError(f"{target.value} requires four-user parameters")
+    if estimator == "jensen":
+        gain = functools.partial(_mean_gain, n, tr_rbar_sq)
     else:
-        raise ValueError("oma_rates supports Jensen and hardening kinds only")
-    rate_t, rate_r = oma_slot_rates(params, h_t, h_r)
-    return RateBound(float(rate_t)), RateBound(float(rate_r))
+        gain = functools.partial(_hardening_gain, n)
+    if target in (Scenario.OMA_T, Scenario.OMA_R):
+        rates = oma_slot_rates(params, gain(eps_t), gain(eps_r))
+        return RateBound(float(rates[target is Scenario.OMA_R]))
+    eps = {"t": eps_t, "r": eps_r}
+    links = _LINKS[:_NOMA_USERS.index(target) + 1]
+    return _chain_bound(target, params, [
+        link_gain(params, link, gain(eps[link]) if link in eps else n) for link in links])
 
 
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
@@ -248,27 +215,12 @@ def sum_rate_verdict(params: SystemParams, eps_t: float, eps_r: float) -> Verdic
 
 def quantization_gain(b: int, params: SystemParams, n: int) -> float:
     """T-rate improvement from adding one phase-quantization bit at b bits."""
-    eps_b, eps_b1 = Quantized(b).epsilon(), Quantized(b + 1).epsilon()
-    return hardening_rate_t(params, n, eps_b1).value - hardening_rate_t(params, n, eps_b).value
+    def rate(bits):
+        eps = Quantized(bits).epsilon()
+        return rate_bound(Scenario.NOMA_T, "hardening", params, n, n, eps, eps).value
+    return rate(b + 1) - rate(b)
 
 
 def quantization_gain_limit(b: int) -> float:
     """Large-array limit of the per-bit gain, positive and decreasing in b."""
     return 2.0 * math.log2(Quantized(b + 1).epsilon() / Quantized(b).epsilon())
-
-
-def multiuser_bounds(params: SystemParams, n: int,
-                     factors: LinkFactors) -> tuple[RateBound, RateBound]:
-    """Upper bounds on the primed users' rates: the four-user chain at the
-    link factors.  Under the ordering eta_rp < eta_tp < eta_r < eta_t,
-    which SystemParams enforces, and E[H] >= N, f_t >= f_tp and f_r >=
-    f_rp, so the branch names the weaker of the two decoders that can
-    bind; ties take the second."""
-    if not params.four_user:
-        raise ConfigError("multiuser_bounds requires four-user parameters")
-    if factors.f_tp is None or factors.f_rp is None:
-        raise ConfigError("multiuser_bounds requires the primed link factors")
-    f = factors
-    _, _, rate_tp, rate_rp = sic_rates(params, f.f_t, f.f_r, f.f_tp, f.f_rp)
-    return (RateBound(float(rate_tp), "f_tp" if f.f_tp < f.f_r else "f_r"),
-            RateBound(float(rate_rp), "f_tp" if f.f_tp < f.f_rp else "f_rp"))

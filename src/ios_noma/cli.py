@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analytic import Scenario
+from .analytic import ESTIMATORS, Scenario
 from .channel import ConfigError
 from .experiments import (DEFAULTS, analytic_bound, build_point,
                           bundled_spec_names, load_spec, run_sweep,
@@ -118,7 +118,7 @@ def _cmd_bound(args) -> int:
     tr = point.tr_rbar_sq()
     geom, params = point.geom, point.params
 
-    estimators = ("limit",) if args.inf_snr else ("jensen", "hardening", "limit")
+    estimators = ("limit",) if args.inf_snr else ESTIMATORS
     bounds = {}
     notes = {}
     for est in estimators:
@@ -145,7 +145,7 @@ def _cmd_bound(args) -> int:
         return EXIT_OK
     print(f"scenario {scenario.value}  (N={geom.n_elements}, "
           f"gamma0={10.0 * np.log10(params.gamma0):.1f} dB)")
-    for est in ("jensen", "hardening", "limit"):
+    for est in ESTIMATORS:
         if est in bounds:
             b = bounds[est]
             branch = f"  [branch {b.branch}]" if b.branch else ""

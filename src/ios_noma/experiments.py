@@ -22,10 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import (BoundKind, RateBound, Scenario, hardening_rate_r,
-                       hardening_rate_t, jensen_rate_r, jensen_rate_t,
-                       large_snr_limit, link_factors, multiuser_bounds,
-                       oma_rates)
+from .analytic import ESTIMATORS as BOUND_ESTIMATORS
+from .analytic import RateBound, Scenario, rate_bound
 from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string)
 from .geometry import (ArrayGeometry, correlation_matrix,
@@ -36,7 +34,6 @@ __all__ = [
     "DEFAULTS",
     "AXES",
     "ESTIMATORS",
-    "ANALYTIC_BOUNDS",
     "Point",
     "ScenarioSpec",
     "SweepSpec",
@@ -89,7 +86,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
-ESTIMATORS = ("mc", "jensen", "hardening", "limit")
+ESTIMATORS = ("mc", *BOUND_ESTIMATORS)
 
 
 @dataclass(frozen=True)
@@ -200,33 +197,35 @@ def load_spec(source: str | Path) -> SweepSpec:
     if not path.exists():
         raise ConfigError(f"spec file not found: {source}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path, encoding="utf-8")
-    if "sweep" not in parser:
+    try:
+        parser.read(path, encoding="utf-8")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed spec file {path}: {exc}") from None
+    if "sweep" not in sections:
         raise ConfigError("spec is missing the [sweep] section")
-    sweep = dict(parser.items("sweep"))
+    sweep = sections["sweep"]
     unknown = set(sweep) - {"axis", "values"}
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [sweep]")
     if "axis" not in sweep or "values" not in sweep:
         raise ConfigError("[sweep] needs both 'axis' and 'values'")
-    defaults = _parse_keys(parser.items("defaults") if "defaults" in parser else (),
-                           "defaults")
+    defaults = _parse_keys(sections.get("defaults", {}).items(), "defaults")
     scenarios = []
-    for section in parser.sections():
+    for section, items in sections.items():
         if section in ("sweep", "defaults"):
             continue
         if not section.startswith("scenario:"):
             raise ConfigError(f"unexpected section [{section}], scenario sections "
                               "are named [scenario:NAME]")
         name = section.split(":", 1)[1]
-        items = dict(parser.items(section))
+        raw_target = items.pop("target", None)
+        if raw_target is None:
+            raise ConfigError(f"section [{section}] is missing 'target'")
         try:
-            target = Scenario(items.pop("target"))
-        except KeyError:
-            raise ConfigError(f"section [{section}] is missing 'target'") from None
+            target = Scenario(raw_target)
         except ValueError:
-            raise ConfigError(f"section [{section}]: unknown target "
-                              f"{items.get('target')!r}") from None
+            raise ConfigError(f"section [{section}]: unknown target {raw_target!r}") from None
         estimators = tuple(e.strip() for e in items.pop("estimators", "mc").split(",") if e.strip())
         for est in estimators:
             if est not in ESTIMATORS:
@@ -322,40 +321,11 @@ def build_point(cfg: dict[str, object]) -> Point:
                     confidence=float(cfg["confidence"])))
 
 
-# (target, estimator) -> bound of (params, n, tr(Rbar Rbar), eps_t, eps_r).
-# The formulas are looked up by name at call time, so wrappers installed
-# on this module's functions see every call.
-ANALYTIC_BOUNDS = {
-    (Scenario.NOMA_T, "jensen"): lambda p, n, tr, et, er: jensen_rate_t(p, n, tr, et),
-    (Scenario.NOMA_R, "jensen"):
-        lambda p, n, tr, et, er: jensen_rate_r(p, link_factors(p, n, tr, et, er)),
-    (Scenario.NOMA_TP, "jensen"):
-        lambda p, n, tr, et, er: multiuser_bounds(p, n, link_factors(p, n, tr, et, er))[0],
-    (Scenario.NOMA_RP, "jensen"):
-        lambda p, n, tr, et, er: multiuser_bounds(p, n, link_factors(p, n, tr, et, er))[1],
-    (Scenario.OMA_T, "jensen"):
-        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.JENSEN_UPPER)[0],
-    (Scenario.OMA_R, "jensen"):
-        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.JENSEN_UPPER)[1],
-    (Scenario.NOMA_T, "hardening"): lambda p, n, tr, et, er: hardening_rate_t(p, n, et),
-    (Scenario.NOMA_R, "hardening"): lambda p, n, tr, et, er: hardening_rate_r(p, n, et, er),
-    (Scenario.OMA_T, "hardening"):
-        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.HARDENING_APPROX)[0],
-    (Scenario.OMA_R, "hardening"):
-        lambda p, n, tr, et, er: oma_rates(p, n, tr, et, er, BoundKind.HARDENING_APPROX)[1],
-    # large_snr_limit itself says which scenarios have a finite ceiling
-    **{(scen, "limit"): (lambda p, n, tr, et, er, scen=scen: large_snr_limit(scen, p))
-       for scen in Scenario},
-}
-
-
 def analytic_bound(target: Scenario, estimator: str, point: Point, tr: float) -> RateBound:
     """Evaluate one analytic estimator at a point, given its tr(Rbar Rbar)."""
-    formula = ANALYTIC_BOUNDS.get((target, estimator))
-    if formula is None:
-        raise ConfigError(f"estimator {estimator!r} is undefined for {target.value}")
     eps_t, eps_r = (model.epsilon() for model in point.err_models)
-    return formula(point.params, point.geom.n_elements, tr, eps_t, eps_r)
+    return rate_bound(target, estimator, point.params, point.geom.n_elements, tr,
+                      eps_t, eps_r)
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:

@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from ios_noma.analytic import (Scenario, hardening_rate_t, jensen_rate_t,
-                               link_factors, multiuser_bounds,
-                               quantization_gain_limit, sum_rate_verdict)
+from ios_noma.analytic import (Scenario, quantization_gain_limit, rate_bound,
+                               sum_rate_verdict)
 from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
                               VonMises, correlation_factor,
                               standard_complex_gaussian)
@@ -86,7 +85,9 @@ def test_criterion_2_jensen_tightness_and_uniform_gap():
         cfg = McConfig(trials=30_000, master_seed=SEED)
         for model in (Quantized(1), Quantized(2), Perfect()):
             est_t, = simulate(geom, params, (model, Perfect()), cfg, [Scenario.NOMA_T])
-            bound = jensen_rate_t(params, geom.n_elements, tr, model.epsilon())
+            eps = model.epsilon()
+            bound = rate_bound(Scenario.NOMA_T, "jensen", params, geom.n_elements, tr,
+                               eps, eps)
             worst = max(worst, abs(bound.value - est_t.mean))
     ok_tight = worst <= 0.3
     report("criterion 2 (Jensen tightness, non-uniform)", ok_tight,
@@ -95,7 +96,7 @@ def test_criterion_2_jensen_tightness_and_uniform_gap():
     geom = half_wave_geom(64)  # N = 256
     cfg = McConfig(trials=20_000, master_seed=SEED)
     est_t, = simulate(geom, params, (UniformFull(), Perfect()), cfg, [Scenario.NOMA_T])
-    bound = jensen_rate_t(params, 256, trace_for(geom), 0.0)
+    bound = rate_bound(Scenario.NOMA_T, "jensen", params, 256, trace_for(geom), 0.0, 0.0)
     gap = bound.value - est_t.mean
     report("criterion 2 (uniform-error gap at N=256)", gap > 0.5,
            f"gap = {gap:.3f} > 0.5")
@@ -181,8 +182,9 @@ def test_criterion_6_four_user_limits_and_bounds():
         trials = 400_000 if p_dbm == 40.0 else 100_000
         cfg = McConfig(trials=trials, master_seed=SEED)
         est_t, est_r, est_tp, est_rp = simulate(geom, params, models, cfg, FOUR)
-        factors = link_factors(params, geom.n_elements, tr, eps, eps)
-        bound_tp, bound_rp = multiuser_bounds(params, geom.n_elements, factors)
+        bound_tp, bound_rp = (rate_bound(target, "jensen", params, geom.n_elements, tr,
+                                         eps, eps)
+                              for target in (Scenario.NOMA_TP, Scenario.NOMA_RP))
         dominated &= bound_tp.value >= est_tp.mean and bound_rp.value >= est_rp.mean
     report("criterion 6 (bounds dominate MC)", dominated,
            "Prop-style upper bounds >= MC means at 60/75/90 dB")
@@ -252,8 +254,8 @@ def test_criterion_7c_bound_approximation_equivalence():
     params = SystemParams.from_db()
     eps = Quantized(1).epsilon()
     tr = trace_for(geom)
-    jensen = jensen_rate_t(params, geom.n_elements, tr, eps).value
-    hardening = hardening_rate_t(params, geom.n_elements, eps).value
+    jensen, hardening = (rate_bound(Scenario.NOMA_T, est, params, geom.n_elements, tr,
+                                    eps, eps).value for est in ("jensen", "hardening"))
     rel = abs(jensen - hardening) / hardening
     report("criterion 7c (asymptotic equivalence)", rel < 1e-2,
            f"|jensen - hardening| / hardening = {rel:.2e} at N=1024")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,20 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ios_noma.analytic import (BoundKind, LinkFactors, Scenario, Verdict,
-                               _hardening_gain, _mean_gain, hardening_rate_r,
-                               hardening_rate_t, jensen_rate_r, jensen_rate_t,
-                               large_snr_limit, link_factors, multiuser_bounds,
-                               oma_rates, quantization_gain,
-                               quantization_gain_limit, sum_rate_verdict)
+from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
+                               _hardening_gain, _mean_gain, large_snr_limit,
+                               link_gain, quantization_gain,
+                               quantization_gain_limit, rate_bound,
+                               sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 from ios_noma.mc import four_user_trial_rates, noma_trial_rates, oma_trial_rates
 
 PI_SQ_16 = math.pi**2 / 16.0
+NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
+OMA = (Scenario.OMA_T, Scenario.OMA_R)
+PRIMED = (Scenario.NOMA_TP, Scenario.NOMA_RP)
 
 
 def uncorrelated_trace(n):
     return n + n * (n - 1) * PI_SQ_16
+
+
+def jensen_t(params, n, tr, eps):
+    return rate_bound(Scenario.NOMA_T, "jensen", params, n, tr, eps, eps)
+
+
+def hardening(target, params, n, eps_t, eps_r):
+    """The hardening approximation, which reads no trace."""
+    return rate_bound(target, "hardening", params, n, n, eps_t, eps_r)
 
 
 def four_user_params(p_dbm=20.0):
@@ -32,7 +44,7 @@ class TestJensenT:
     def test_uniform_error_reduction(self, noma_params):
         params = noma_params()
         n = 32
-        bound = jensen_rate_t(params, n, uncorrelated_trace(n), eps_t=0.0)
+        bound = jensen_t(params, n, uncorrelated_trace(n), 0.0)
         snr = params.gamma0 * params.q_t**2 * pathloss(params, "t") * params.alpha**2
         assert bound.value == pytest.approx(math.log2(1 + snr * n), rel=1e-12)
 
@@ -40,72 +52,72 @@ class TestJensenT:
         params = noma_params()
         n = 32
         tr = uncorrelated_trace(n)
-        bound = jensen_rate_t(params, n, tr, eps_t=1.0)
+        bound = jensen_t(params, n, tr, 1.0)
         snr = params.gamma0 * params.q_t**2 * pathloss(params, "t") * params.alpha**2
         assert bound.value == pytest.approx(math.log2(1 + snr * tr), rel=1e-12)
 
     def test_preconditions(self, noma_params):
         params = noma_params()
         with pytest.raises(ValueError):
-            jensen_rate_t(params, 0, 1.0, 0.5)
+            jensen_t(params, 0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            jensen_rate_t(params, 10, uncorrelated_trace(10), 1.2)
+            jensen_t(params, 10, uncorrelated_trace(10), 1.2)
         with pytest.raises(ValueError):
-            jensen_rate_t(params, 10, 5.0, 0.5)
+            jensen_t(params, 10, 5.0, 0.5)
         with pytest.raises(ValueError):
-            jensen_rate_t(params, 10, 101.0, 0.5)
+            jensen_t(params, 10, 101.0, 0.5)
 
 
 class TestJensenR:
     def test_reference_arithmetic(self):
         params = SystemParams.from_db(q_t=0.6, q_r=0.8)
-        bound = jensen_rate_r(params, LinkFactors(f_t=10.0, f_r=20.0))
+        bound = _chain_bound(Scenario.NOMA_R, params, (10.0, 20.0))
         assert bound.value == pytest.approx(1.2577977574676467, rel=1e-12)
         assert bound.branch == "f_t"
 
     def test_branch_selection_and_tie(self):
         params = SystemParams.from_db()
-        assert jensen_rate_r(params, LinkFactors(f_t=30.0, f_r=20.0)).branch == "f_r"
-        assert jensen_rate_r(params, LinkFactors(f_t=20.0, f_r=20.0)).branch == "f_r"
+        assert _chain_bound(Scenario.NOMA_R, params, (30.0, 20.0)).branch == "f_r"
+        assert _chain_bound(Scenario.NOMA_R, params, (20.0, 20.0)).branch == "f_r"
 
     def test_vanishing_link(self):
         params = SystemParams.from_db()
-        assert jensen_rate_r(params, LinkFactors(f_t=0.0, f_r=5.0)).value == 0.0
+        assert _chain_bound(Scenario.NOMA_R, params, (0.0, 5.0)).value == 0.0
 
     def test_capped_by_power_ratio(self):
         params = SystemParams.from_db()
         cap = math.log2(1 + params.q_r**2 / params.q_t**2)
         for f in (1.0, 100.0, 1e9, 1e15):
-            assert jensen_rate_r(params, LinkFactors(f_t=f, f_r=f)).value < cap
+            assert _chain_bound(Scenario.NOMA_R, params, (f, f)).value < cap
 
 
 class TestHardening:
     def test_quadratic_element_scaling(self, noma_params):
         params = noma_params()
         eps = Quantized(1).epsilon()
-        arg_n = 2 ** hardening_rate_t(params, 50, eps).value - 1
-        arg_2n = 2 ** hardening_rate_t(params, 100, eps).value - 1
+        arg_n = 2 ** hardening(Scenario.NOMA_T, params, 50, eps, eps).value - 1
+        arg_2n = 2 ** hardening(Scenario.NOMA_T, params, 100, eps, eps).value - 1
         assert arg_2n / arg_n == pytest.approx(4.0, rel=1e-12)
 
     def test_uniform_model_rejected(self, noma_params):
         params = noma_params()
         with pytest.raises(ValueError):
-            hardening_rate_t(params, 50, 0.0)
+            hardening(Scenario.NOMA_T, params, 50, 0.0, 0.0)
         with pytest.raises(ValueError):
-            hardening_rate_r(params, 50, 0.5, 0.0)
+            hardening(Scenario.NOMA_R, params, 50, 0.5, 0.0)
 
     def test_r_branch_condition(self):
         # reflect side much weaker: branch must pick the reflect factor
         params = SystemParams.from_db(d_r=30.0)
-        assert hardening_rate_r(params, 50, 0.9, 0.9).branch == "f_r"
+        assert hardening(Scenario.NOMA_R, params, 50, 0.9, 0.9).branch == "f_r"
         # transmit side weaker when its pathloss is worse
         params = SystemParams.from_db(d_t=9.0, d_r=5.0)
-        assert hardening_rate_r(params, 50, 0.9, 0.9).branch == "f_t"
+        assert hardening(Scenario.NOMA_R, params, 50, 0.9, 0.9).branch == "f_t"
 
     def test_r_capped_by_power_ratio(self, noma_params):
         params = noma_params(p_dbm=60.0)
         cap = math.log2(1 + params.q_r**2 / params.q_t**2)
-        assert hardening_rate_r(params, 400, 0.9, 0.9).value < cap
+        assert hardening(Scenario.NOMA_R, params, 400, 0.9, 0.9).value < cap
 
 
 class TestOma:
@@ -113,8 +125,8 @@ class TestOma:
         params = noma_params()
         n, tr = 40, uncorrelated_trace(40)
         eps = Quantized(2).epsilon()
-        noma = jensen_rate_t(params, n, tr, eps)
-        oma_t, _ = oma_rates(params, n, tr, eps, eps, BoundKind.JENSEN_UPPER)
+        noma = jensen_t(params, n, tr, eps)
+        oma_t = rate_bound(Scenario.OMA_T, "jensen", params, n, tr, eps, eps)
         arg_noma = 2**noma.value - 1
         arg_oma = 2 ** (2 * oma_t.value) - 1
         assert arg_oma == pytest.approx(arg_noma / (params.q_t**2 * params.alpha**2),
@@ -132,9 +144,8 @@ class TestOma:
             params = noma_params(p_dbm=30.0)
             params = SystemParams(**{**params.__dict__,
                                      "p_tx": threshold * params.noise_power * factor})
-            rate_noma = hardening_rate_t(params, n, eps).value
-            rate_oma = oma_rates(params, n, uncorrelated_trace(n), eps, eps,
-                                 BoundKind.HARDENING_APPROX)[0].value
+            rate_noma = hardening(Scenario.NOMA_T, params, n, eps, eps).value
+            rate_oma = hardening(Scenario.OMA_T, params, n, eps, eps).value
             assert (rate_noma > rate_oma) == expect_noma_wins
 
     def test_large_n_offset(self, noma_params):
@@ -142,15 +153,14 @@ class TestOma:
         eps = 0.9
         offset = math.log2(params.q_t**2 * params.alpha**2)
         for n in (10_000, 100_000):
-            noma = hardening_rate_t(params, n, eps).value
-            oma_t = oma_rates(params, n, uncorrelated_trace(n), eps, eps,
-                              BoundKind.HARDENING_APPROX)[0].value
+            noma = hardening(Scenario.NOMA_T, params, n, eps, eps).value
+            oma_t = hardening(Scenario.OMA_T, params, n, eps, eps).value
             assert noma - 2 * oma_t == pytest.approx(offset, abs=1e-6)
 
     def test_kind_validation(self, noma_params):
-        with pytest.raises(ValueError):
-            oma_rates(noma_params(), 10, uncorrelated_trace(10), 0.5, 0.5,
-                      BoundKind.LARGE_SNR_LIMIT)
+        with pytest.raises(ConfigError):
+            rate_bound(Scenario.OMA_T, "limit", noma_params(), 10, uncorrelated_trace(10),
+                       0.5, 0.5)
 
 
 class TestLimitsAndVerdict:
@@ -226,8 +236,8 @@ class TestAsymptoticEquivalence:
         for n_h in (4, 16, 64, 256):
             geom = half_wave_geometry(n_h=n_h, n_v=4)
             tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
-            jensen = jensen_rate_t(params, geom.n_elements, tr, eps).value
-            approx = hardening_rate_t(params, geom.n_elements, eps).value
+            jensen = jensen_t(params, geom.n_elements, tr, eps).value
+            approx = hardening(Scenario.NOMA_T, params, geom.n_elements, eps, eps).value
             rel_gaps.append(abs(jensen - approx) / approx)
         assert rel_gaps[0] > rel_gaps[1] > rel_gaps[2] > rel_gaps[3]
         assert rel_gaps[-1] < 1e-2
@@ -237,18 +247,16 @@ class TestMultiuserBounds:
     def test_large_snr_approaches_limits(self):
         params = four_user_params(p_dbm=150.0)
         n = 40
-        factors = link_factors(params, n, uncorrelated_trace(n), 0.6, 0.6)
-        tp, rp = multiuser_bounds(params, n, factors)
+        tp, rp = (rate_bound(target, "jensen", params, n, uncorrelated_trace(n), 0.6, 0.6)
+                  for target in (Scenario.NOMA_TP, Scenario.NOMA_RP))
         assert tp.value == pytest.approx(1.0, abs=1e-6)
         assert rp.value == pytest.approx(math.log2(5.0 / 3.0), abs=1e-6)
 
     def test_branch_continuity_at_tie(self):
         params = four_user_params()
-        lf_tie = LinkFactors(f_t=500.0, f_r=400.0, f_tp=90.0, f_rp=90.0)
-        _, rp_tie = multiuser_bounds(params, 40, lf_tie)
+        rp_tie = _chain_bound(Scenario.NOMA_RP, params, (500.0, 400.0, 90.0, 90.0))
         assert rp_tie.branch == "f_rp"
-        lf_below = LinkFactors(f_t=500.0, f_r=400.0, f_tp=90.0 - 1e-9, f_rp=90.0)
-        _, rp_below = multiuser_bounds(params, 40, lf_below)
+        rp_below = _chain_bound(Scenario.NOMA_RP, params, (500.0, 400.0, 90.0 - 1e-9, 90.0))
         assert rp_below.branch == "f_tp"
         assert rp_below.value == pytest.approx(rp_tie.value, rel=1e-9)
 
@@ -261,22 +269,27 @@ class TestMultiuserBounds:
                 lambda_tp_db=-30.0, lambda_rp_db=-30.0)
 
     def test_requires_four_user_params(self, noma_params):
-        with pytest.raises(ConfigError):
-            multiuser_bounds(noma_params(), 40,
-                             LinkFactors(f_t=1.0, f_r=1.0, f_tp=1.0, f_rp=1.0))
+        for target in (Scenario.NOMA_TP, Scenario.NOMA_RP):
+            with pytest.raises(ConfigError):
+                rate_bound(target, "jensen", noma_params(), 40, uncorrelated_trace(40),
+                           0.6, 0.6)
 
 
 class TestLinkFactors:
     def test_primed_factors_use_plain_element_count(self):
         params = four_user_params()
-        n = 40
-        factors = link_factors(params, n, uncorrelated_trace(n), 0.6, 0.6)
+        n, tr = 40, uncorrelated_trace(40)
+        f_t, f_r = (link_gain(params, link, _mean_gain(n, tr, 0.6)) for link in ("t", "r"))
         expected_tp = params.gamma0 * pathloss(params, "tp") * params.alpha**2 * n
-        assert factors.f_tp == pytest.approx(expected_tp, rel=1e-12)
+        bound = rate_bound(Scenario.NOMA_TP, "jensen", params, n, tr, 0.6, 0.6)
+        assert bound.value == pytest.approx(
+            _chain_bound(Scenario.NOMA_TP, params, (f_t, f_r, expected_tp)).value, rel=1e-12)
 
     def test_two_user_has_no_primed_factors(self, noma_params):
-        factors = link_factors(noma_params(), 40, uncorrelated_trace(40), 0.6, 0.6)
-        assert factors.f_tp is None and factors.f_rp is None
+        for target in (Scenario.NOMA_TP, Scenario.NOMA_RP):
+            with pytest.raises(ConfigError, match="four-user"):
+                rate_bound(target, "jensen", noma_params(), 40, uncorrelated_trace(40),
+                           0.6, 0.6)
 
 
 @st.composite
@@ -315,21 +328,117 @@ class TestOneRateChain:
            eps_r=st.floats(0.01, 1.0))
     def test_bounds_are_the_chain_at_a_gain(self, params, n, tr_frac, eps_t, eps_r):
         tr = n + tr_frac * (n * n - n)
+
+        def values(estimator, targets):
+            return tuple(rate_bound(target, estimator, params, n, tr, eps_t, eps_r).value
+                         for target in targets)
+
         mean_t, mean_r = _mean_gain(n, tr, eps_t), _mean_gain(n, tr, eps_r)
-        factors = link_factors(params, n, tr, eps_t, eps_r)
-        jensen = (jensen_rate_t(params, n, tr, eps_t), jensen_rate_r(params, factors))
-        assert tuple(b.value for b in jensen) == noma_trial_rates(params, mean_t, mean_r)
-        oma = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.JENSEN_UPPER)
-        assert tuple(b.value for b in oma) == oma_trial_rates(params, mean_t, mean_r)
+        assert values("jensen", NOMA) == noma_trial_rates(params, mean_t, mean_r)
+        assert values("jensen", OMA) == oma_trial_rates(params, mean_t, mean_r)
 
         hard_t, hard_r = _hardening_gain(n, eps_t), _hardening_gain(n, eps_r)
-        hardening = (hardening_rate_t(params, n, eps_t),
-                     hardening_rate_r(params, n, eps_t, eps_r))
-        assert tuple(b.value for b in hardening) == noma_trial_rates(params, hard_t, hard_r)
-        oma = oma_rates(params, n, tr, eps_t, eps_r, BoundKind.HARDENING_APPROX)
-        assert tuple(b.value for b in oma) == oma_trial_rates(params, hard_t, hard_r)
+        assert values("hardening", NOMA) == noma_trial_rates(params, hard_t, hard_r)
+        assert values("hardening", OMA) == oma_trial_rates(params, hard_t, hard_r)
 
         if params.four_user:
-            primed = multiuser_bounds(params, n, factors)
-            assert tuple(b.value for b in primed) == \
+            assert values("jensen", PRIMED) == \
                 four_user_trial_rates(params, mean_t, mean_r, n, n)[2:]
+
+
+# (target, estimator) -> (needs four-user parameters, the sides whose eps
+# must be non-zero).  Every pair not listed is undefined everywhere.
+DEFINED = {
+    (Scenario.NOMA_T, "jensen"): (False, ""),
+    (Scenario.NOMA_R, "jensen"): (False, ""),
+    (Scenario.OMA_T, "jensen"): (False, ""),
+    (Scenario.OMA_R, "jensen"): (False, ""),
+    (Scenario.NOMA_TP, "jensen"): (True, ""),
+    (Scenario.NOMA_RP, "jensen"): (True, ""),
+    (Scenario.NOMA_T, "hardening"): (False, "t"),
+    (Scenario.NOMA_R, "hardening"): (False, "tr"),
+    (Scenario.OMA_T, "hardening"): (False, "tr"),
+    (Scenario.OMA_R, "hardening"): (False, "tr"),
+    (Scenario.NOMA_R, "limit"): (False, ""),
+    (Scenario.NOMA_TP, "limit"): (True, ""),
+    (Scenario.NOMA_RP, "limit"): (True, ""),
+}
+
+
+@pytest.mark.parametrize("estimator", ["jensen", "hardening", "limit"])
+@pytest.mark.parametrize("target", list(Scenario))
+def test_definedness_table(target, estimator):
+    n = 40
+    for params in (SystemParams.from_db(), four_user_params()):
+        for eps_t in (0.0, 0.5, 1.0):
+            for eps_r in (0.0, 0.5, 1.0):
+                rule = DEFINED.get((target, estimator))
+                eps = {"t": eps_t, "r": eps_r}
+                defined = (rule is not None and (params.four_user or not rule[0])
+                           and all(eps[side] > 0 for side in rule[1]))
+                call = lambda: rate_bound(target, estimator, params, n,
+                                          uncorrelated_trace(n), eps_t, eps_r)
+                if defined:
+                    assert call().value >= 0
+                else:
+                    with pytest.raises((ConfigError, ValueError)):
+                        call()
+
+
+def defined_or_none(*args):
+    try:
+        return rate_bound(*args).value
+    except ValueError:  # ConfigError included
+        return None
+
+
+@st.composite
+def bound_setups(draw):
+    """A Jensen or hardening pair, valid parameters, N, tr in [N, N^2] and eps."""
+    n = draw(st.integers(1, 4000))
+    return dict(target=draw(st.sampled_from(list(Scenario))),
+                estimator=draw(st.sampled_from(["jensen", "hardening"])),
+                params=draw(valid_params()), n=n,
+                tr=n + draw(st.floats(0.0, 1.0)) * (n * n - n))
+
+
+def slack_le(lo, hi):
+    """lo <= hi up to 1e-12 relative rounding."""
+    return lo <= hi + 1e-12 * abs(hi)
+
+
+class TestBoundProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(setup=bound_setups(), eps_t=st.floats(0.0, 1.0), eps_r=st.floats(0.0, 1.0),
+           step_db=st.floats(0.01, 40.0))
+    def test_non_decreasing_in_transmit_power(self, setup, eps_t, eps_r, step_db):
+        params = setup["params"]
+        louder = dataclasses.replace(params, p_tx=params.p_tx * 10.0 ** (step_db / 10.0))
+        values = [defined_or_none(setup["target"], setup["estimator"], p, setup["n"],
+                                  setup["tr"], eps_t, eps_r) for p in (params, louder)]
+        assert (values[0] is None) == (values[1] is None)
+        if values[0] is not None:
+            assert slack_le(*values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(setup=bound_setups(), bits=st.integers(1, 8))
+    def test_non_decreasing_in_quantization_bits(self, setup, bits):
+        values = []
+        for b in (bits, bits + 1):
+            eps = Quantized(b).epsilon()
+            values.append(defined_or_none(setup["target"], setup["estimator"],
+                                          setup["params"], setup["n"], setup["tr"], eps, eps))
+        assert (values[0] is None) == (values[1] is None)
+        if values[0] is not None:
+            assert slack_le(*values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(setup=bound_setups(), eps_t=st.floats(0.0, 1.0), eps_r=st.floats(0.0, 1.0))
+    def test_jensen_below_large_snr_limit(self, setup, eps_t, eps_r):
+        params = setup["params"]
+        for target in (Scenario.NOMA_R, *PRIMED):
+            if target in PRIMED and not params.four_user:
+                continue
+            jensen = rate_bound(target, "jensen", params, setup["n"], setup["tr"],
+                                eps_t, eps_r).value
+            assert slack_le(jensen, large_snr_limit(target, params).value)

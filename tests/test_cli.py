@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ios_noma.analytic import jensen_rate_t
+from ios_noma.analytic import Scenario, rate_bound
 from ios_noma.channel import Quantized, SystemParams
 from ios_noma.experiments import DEFAULTS, build_point
 from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
@@ -32,7 +32,9 @@ class TestBound:
         geom = build_point(DEFAULTS).geom
         params = SystemParams.from_db()
         tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
-        expected = jensen_rate_t(params, geom.n_elements, tr, Quantized(2).epsilon())
+        eps = Quantized(2).epsilon()
+        expected = rate_bound(Scenario.NOMA_T, "jensen", params, geom.n_elements, tr,
+                              eps, eps)
         assert payload["bounds"]["jensen"]["value"] == expected.value
         assert payload["n_elements"] == 60
         assert payload["bounds"]["jensen"]["value"] > 0
@@ -211,3 +213,29 @@ class TestFailFast:
         out = tmp_path / "rows.csv"
         assert run_cli("run", "--spec", str(path), "--out", str(out)).returncode == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        MINI_SPEC.format(values="2") + "[scenario:q1]\ntarget = noma_r\n",
+        MINI_SPEC.format(values="2") + "target = noma_r\n",
+        "stray text\n" + MINI_SPEC.format(values="2"),
+    ], ids=["duplicate_section", "duplicate_key", "no_section_header"])
+    def test_malformed_spec_file(self, tmp_path, text):
+        path = tmp_path / "spec.ini"
+        path.write_text(text, encoding="utf-8")
+        res = run_cli("validate", "--spec", str(path))
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+        assert "spec.ini" in res.stderr
+        assert "Traceback" not in res.stderr
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", str(path), "--out", str(out))
+        assert res.returncode == 2
+        assert not out.exists()
+
+    def test_unknown_target_is_named(self, tmp_path):
+        path = tmp_path / "spec.ini"
+        path.write_text(MINI_SPEC.format(values="2").replace("noma_t", "broadcast"),
+                        encoding="utf-8")
+        res = run_cli("validate", "--spec", str(path))
+        assert res.returncode == 2
+        assert "unknown target 'broadcast'" in res.stderr

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ios_noma.analytic import Scenario, _mean_gain, jensen_rate_t, large_snr_limit
+from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix,
@@ -123,8 +123,6 @@ class TestSchemeRelations:
 
     def test_jensen_bound_dominates_all_scenarios(self, half_wave_geometry,
                                                   noma_params):
-        from ios_noma.analytic import (BoundKind, jensen_rate_r, link_factors,
-                                       oma_rates)
         geom = half_wave_geometry(n_h=8, n_v=4)
         params = noma_params()
         cfg = McConfig(trials=20_000, master_seed=8)
@@ -132,21 +130,21 @@ class TestSchemeRelations:
         tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
         n = geom.n_elements
         mc = estimates(geom, params, QUANT1, cfg, NOMA + OMA)
-        bounds = [jensen_rate_t(params, n, tr, eps),
-                  jensen_rate_r(params, link_factors(params, n, tr, eps, eps)),
-                  *oma_rates(params, n, tr, eps, eps, BoundKind.JENSEN_UPPER)]
+        bounds = [rate_bound(target, "jensen", params, n, tr, eps, eps)
+                  for target in NOMA + OMA]
         for est, bound in zip(mc, bounds):
             assert est.mean <= bound.value + 3.0 * est.half_width
 
     def test_hardening_approximation_tracks_mc(self, half_wave_geometry,
                                                noma_params):
-        from ios_noma.analytic import hardening_rate_t
         geom = half_wave_geometry(n_h=10, n_v=4)
         params = noma_params()
         models = (VonMises(2.0), VonMises(2.0))
         cfg = McConfig(trials=30_000, master_seed=12)
         est_t = mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T])[Scenario.NOMA_T]
-        approx = hardening_rate_t(params, geom.n_elements, models[0].epsilon())
+        eps = models[0].epsilon()
+        approx = rate_bound(Scenario.NOMA_T, "hardening", params, geom.n_elements,
+                            geom.n_elements, eps, eps)
         assert abs(approx.value - est_t.mean) <= 0.3
 
 
