@@ -13,7 +13,7 @@ from .experiments import (Point, ResultRow, ScenarioSpec, SweepSpec,
                           build_point, bundled_spec_names, load_spec,
                           run_sweep, write_csv)
 from .geometry import (ArrayGeometry, correlation_matrix, cross_moment,
-                       magnitude_moment_matrix, trace_rbar_sq)
+                       trace_rbar_sq)
 from .mc import (McConfig, McEstimate, four_user_trial_rates, mc_estimates,
                  noma_trial_rates, oma_trial_rates)
 from .specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k

@@ -19,6 +19,7 @@ from .channel import ConfigError
 from .experiments import (DEFAULTS, analytic_bound, build_point,
                           bundled_spec_names, load_spec, run_sweep,
                           spec_with_overrides, write_csv)
+from .geometry import trace_rbar_sq
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,7 +116,7 @@ def _cmd_bound(args) -> int:
     cfg["correlated"] = not args.uncorrelated
     scenario = Scenario(args.scenario)
     point = build_point(cfg)
-    tr = point.tr_rbar_sq()
+    tr = trace_rbar_sq(point.geom, point.correlated)
     geom, params = point.geom, point.params
 
     estimators = ("limit",) if args.inf_snr else ESTIMATORS

@@ -20,14 +20,11 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .analytic import ESTIMATORS as BOUND_ESTIMATORS
 from .analytic import RateBound, Scenario, rate_bound
 from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string)
-from .geometry import (ArrayGeometry, correlation_matrix,
-                       magnitude_moment_matrix, trace_rbar_sq)
+from .geometry import ArrayGeometry, trace_rbar_sq
 from .mc import McConfig, draw_key, expect_draws, forget_draws, mc_estimates
 
 __all__ = [
@@ -281,12 +278,6 @@ class Point:
     correlated: bool
     mc: McConfig
 
-    def tr_rbar_sq(self) -> float:
-        """tr(Rbar Rbar) of the layout, or of i.i.d. elements if uncorrelated."""
-        n = self.geom.n_elements
-        corr = correlation_matrix(self.geom) if self.correlated else np.eye(n)
-        return trace_rbar_sq(magnitude_moment_matrix(corr))
-
 
 def build_point(cfg: dict[str, object]) -> Point:
     """Build and check the setup of a merged key dict (DEFAULTS plus
@@ -357,7 +348,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
                 if analytic_wanted:
                     layout = (point.geom, point.correlated)
                     if layout not in traces:
-                        traces[layout] = point.tr_rbar_sq()
+                        traces[layout] = trace_rbar_sq(*layout)
                     for est in analytic_wanted:
                         bound = analytic_bound(scen.target, est, point, traces[layout])
                         rows.append(ResultRow(axis_value=value, scenario=scen.name,

@@ -1,10 +1,16 @@
-"""Surface layout, spatial correlation, and magnitude-moment matrices.
+"""Surface layout, spatial correlation, and the trace tr(Rbar Rbar).
 
 The surface is a planar rectangular array in the yz plane with n_h
 elements per row and n_v per column.  Elements are indexed 1..N row by
 row.  Correlation between fading coefficients of two elements follows
 the isotropic-scattering sinc kernel sin(2 pi d / lambda) / (2 pi d /
-lambda) of their separation d.
+lambda) of their separation d.  On the regular grid, d depends only on
+the index offsets (a, b) of the two elements, and so do the entries of
+the correlation matrix R and of the magnitude-moment matrix
+Rbar = E[|w||w|^T]: Rbar has at most n_h * n_v distinct entries.  The
+analytic bounds read Rbar only through tr(Rbar Rbar), which is summed
+over that table of offsets in O(N).  The dense N x N matrix R is built
+only to colour the Monte Carlo draws.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ __all__ = [
     "ArrayGeometry",
     "correlation_matrix",
     "cross_moment",
-    "magnitude_moment_matrix",
     "trace_rbar_sq",
 ]
 
@@ -108,16 +113,37 @@ def cross_moment(rho_sq):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def magnitude_moment_matrix(corr: np.ndarray) -> np.ndarray:
-    """Entrywise moment matrix E[|w||w|^T] from a correlation matrix."""
-    corr = np.asarray(corr, dtype=float)
-    rbar = cross_moment(np.abs(corr) ** 2)
-    rbar = np.atleast_2d(rbar)
-    np.fill_diagonal(rbar, 1.0)
-    return rbar
+def _moment_table(geom: ArrayGeometry, correlated: bool) -> np.ndarray:
+    """(n_h, n_v) table of Rbar entries: m[a, b] = E[|w_i||w_j|] for two
+    elements a columns and b rows apart.  m[0, 0] = 1; off the origin it
+    is cross_moment of the squared sinc kernel, or pi/4 for i.i.d.
+    elements."""
+    if correlated:
+        dist = np.hypot(np.arange(geom.n_h)[:, None] * geom.elem_len_l,
+                        np.arange(geom.n_v)[None, :] * geom.elem_len_w)
+        rho = _sinc(2.0 * np.pi * dist / geom.wavelength)
+        table = cross_moment(rho * rho)
+    else:
+        table = np.full((geom.n_h, geom.n_v), np.pi / 4.0)
+    table[0, 0] = 1.0
+    return table
 
 
-def trace_rbar_sq(rbar: np.ndarray) -> float:
-    """tr(Rbar Rbar) = sum of squared entries of the symmetric Rbar."""
-    rbar = np.asarray(rbar, dtype=float)
-    return float(np.sum(rbar * rbar))
+def _offset_counts(n: int) -> np.ndarray:
+    """Ordered index pairs of 0..n-1 at each offset: n at 0, 2 (n - a) at a."""
+    counts = 2.0 * (n - np.arange(n))
+    counts[0] = n
+    return counts
+
+
+def trace_rbar_sq(geom: ArrayGeometry, correlated: bool) -> float:
+    """tr(Rbar Rbar) of the layout, or of i.i.d. elements if not correlated.
+
+    Rbar is symmetric, so the trace is the sum of its squared entries:
+    sum over offsets (a, b) of c_a d_b m[a, b]^2, where c and d count the
+    ordered element pairs at each column and row offset.  For i.i.d.
+    elements E[|w_i||w_j|] = pi/4 off the diagonal, which gives
+    N + N (N - 1) pi^2 / 16, not N.  The result lies in [that value, N^2].
+    """
+    table = _moment_table(geom, correlated)
+    return float(_offset_counts(geom.n_h) @ (table * table) @ _offset_counts(geom.n_v))

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from ios_noma import ArrayGeometry, SystemParams
+from ios_noma import ArrayGeometry, SystemParams, cross_moment
+
+
+def dense_moment(corr):
+    """Reference Rbar = cross_moment(|R|^2) with unit diagonal, entry by
+    entry from an N x N correlation matrix."""
+    rbar = np.atleast_2d(cross_moment(np.abs(np.asarray(corr, dtype=float)) ** 2))
+    np.fill_diagonal(rbar, 1.0)
+    return rbar
+
+
+def dense_trace(corr):
+    """Reference tr(Rbar Rbar): the sum of the squared entries of the
+    symmetric dense Rbar, O(N^2) elliptic evaluations."""
+    rbar = dense_moment(corr)
+    return float(np.sum(rbar * rbar))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
 from ios_noma.experiments import (load_spec, rows_to_csv_text, run_sweep,
                                   spec_with_overrides)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
-                               magnitude_moment_matrix, trace_rbar_sq)
+                               trace_rbar_sq)
 from ios_noma.mc import McConfig, mc_estimates
 from ios_noma.specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
@@ -51,7 +51,7 @@ FOUR = NOMA + (Scenario.NOMA_TP, Scenario.NOMA_RP)
 
 
 def trace_for(geom):
-    return trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
+    return trace_rbar_sq(geom, True)
 
 
 def test_criterion_1_rate_vs_elements_reference_points():

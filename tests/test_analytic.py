@@ -12,6 +12,7 @@ from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
                                quantization_gain_limit, rate_bound,
                                sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
+from ios_noma.geometry import ArrayGeometry, trace_rbar_sq
 from ios_noma.mc import four_user_trial_rates, noma_trial_rates, oma_trial_rates
 
 PI_SQ_16 = math.pi**2 / 16.0
@@ -228,19 +229,32 @@ class TestQuantizationGain:
 class TestAsymptoticEquivalence:
     def test_bound_and_approximation_converge_in_elements(self, noma_params,
                                                           half_wave_geometry):
-        from ios_noma.geometry import (correlation_matrix,
-                                       magnitude_moment_matrix, trace_rbar_sq)
         params = noma_params()
         eps = Quantized(1).epsilon()
         rel_gaps = []
-        for n_h in (4, 16, 64, 256):
+        for n_h in (4, 16, 64, 256, 2560):  # N up to 10 240
             geom = half_wave_geometry(n_h=n_h, n_v=4)
-            tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
+            tr = trace_rbar_sq(geom, True)
             jensen = jensen_t(params, geom.n_elements, tr, eps).value
             approx = hardening(Scenario.NOMA_T, params, geom.n_elements, eps, eps).value
             rel_gaps.append(abs(jensen - approx) / approx)
-        assert rel_gaps[0] > rel_gaps[1] > rel_gaps[2] > rel_gaps[3]
+        assert all(a > b for a, b in zip(rel_gaps, rel_gaps[1:]))
         assert rel_gaps[-1] < 1e-2
+
+    def test_correlated_and_iid_rates_converge_in_elements(self, noma_params):
+        # lambda/8 spacing, 10 rows, N up to 25 600: a dense R would take 5.2 GB
+        params = noma_params()
+        eps = Quantized(1).epsilon()
+        gaps = []
+        for n_h in (10, 40, 160, 640, 2560):
+            geom = ArrayGeometry(n_h=n_h, n_v=10, elem_len_l=0.0125,
+                                 elem_len_w=0.0125, wavelength=0.1)
+            n = geom.n_elements
+            correlated, iid = (jensen_t(params, n, trace_rbar_sq(geom, flag), eps).value
+                               for flag in (True, False))
+            gaps.append(abs(correlated - iid))
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3
 
 
 class TestMultiuserBounds:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor,
                               db_to_linear, dbm_to_watts, pathloss,
                               phase_error_from_string,
                               standard_complex_gaussian)
-from ios_noma.geometry import cross_moment
+from ios_noma.geometry import ArrayGeometry, correlation_matrix, cross_moment
 from ios_noma.mc import _boosted_gain
 from ios_noma.specfun import bessel_ratio_i1_i0
 
@@ -183,6 +185,67 @@ class TestCorrelatedSampling:
         emp = (h @ h.conj().T).real / h.shape[1]
         # entry variance is O(1/sqrt(samples)); 3 sigma with margin
         assert np.max(np.abs(emp - base)) < 3.5 / math.sqrt(h.shape[1])
+
+
+def residual(factor, corr):
+    """Largest entry of |L L^T - R|."""
+    return float(np.max(np.abs(factor @ factor.T - corr)))
+
+
+def factor_with_branch(monkeypatch, corr):
+    """correlation_factor(corr) and the branch that returned it, read off
+    the sequence of numpy.linalg calls it made."""
+    calls = []
+    for name in ("cholesky", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, name=name, original=original):
+            calls.append(name)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    factor = correlation_factor(corr)
+    branches = {("cholesky",): "cholesky", ("cholesky", "cholesky"): "jitter",
+                ("cholesky", "cholesky", "eigh"): "eigh"}
+    return factor, branches[tuple(calls)]
+
+
+def grid(n_h, n_v, spacing, wavelength=0.1):
+    """Square elements of wavelength / spacing."""
+    return ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=wavelength / spacing,
+                         elem_len_w=wavelength / spacing, wavelength=wavelength)
+
+
+class TestCorrelationFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(n_h=st.integers(1, 16), n_v=st.integers(1, 16),
+           spacing=st.sampled_from([2, 3, 4, 8]), aspect=st.floats(0.5, 2.0))
+    def test_reconstructs_layout_correlation(self, n_h, n_v, spacing, aspect):
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
+                             elem_len_w=aspect * 0.1 / spacing, wavelength=0.1)
+        corr = correlation_matrix(geom)
+        assert residual(correlation_factor(corr), corr) <= 1e-8
+
+    def test_half_wavelength_takes_cholesky(self, monkeypatch):
+        corr = correlation_matrix(grid(15, 4, spacing=2))
+        factor, branch = factor_with_branch(monkeypatch, corr)
+        assert branch == "cholesky"
+        assert residual(factor, corr) <= 1e-8
+
+    def test_dense_grid_takes_jitter(self, monkeypatch):
+        # a 16 x 16 grid at lambda/8 is numerically rank deficient
+        corr = correlation_matrix(grid(16, 16, spacing=8))
+        factor, branch = factor_with_branch(monkeypatch, corr)
+        assert branch == "jitter"
+        assert residual(factor, corr) <= 1e-8
+
+    def test_negative_eigenvalue_takes_eigh(self, monkeypatch):
+        vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
+        corr = vecs @ np.diag([2.0, 1.5, 1.0, 0.5, -1e-8]) @ vecs.T
+        corr = (corr + corr.T) / 2.0
+        factor, branch = factor_with_branch(monkeypatch, corr)
+        assert branch == "eigh"
+        assert residual(factor, corr) <= 1e-8
 
 
 class TestCompositeGain:

@@ -8,8 +8,7 @@ import pytest
 from ios_noma.analytic import Scenario, rate_bound
 from ios_noma.channel import Quantized, SystemParams
 from ios_noma.experiments import DEFAULTS, build_point
-from ios_noma.geometry import (correlation_matrix, magnitude_moment_matrix,
-                               trace_rbar_sq)
+from ios_noma.geometry import trace_rbar_sq
 
 
 def run_cli(*args):
@@ -31,7 +30,7 @@ class TestBound:
         payload = json.loads(res.stdout)
         geom = build_point(DEFAULTS).geom
         params = SystemParams.from_db()
-        tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
+        tr = trace_rbar_sq(geom, True)
         eps = Quantized(2).epsilon()
         expected = rate_bound(Scenario.NOMA_T, "jensen", params, geom.n_elements, tr,
                               eps, eps)

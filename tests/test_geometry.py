@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_moment, dense_trace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ios_noma.geometry import (ArrayGeometry, _all_coordinates,
-                               correlation_matrix, cross_moment,
-                               magnitude_moment_matrix, trace_rbar_sq)
+from ios_noma.geometry import (ArrayGeometry, _all_coordinates, _moment_table,
+                               correlation_matrix, cross_moment, trace_rbar_sq)
 
 QUARTER_PI = math.pi / 4
 
@@ -95,48 +97,85 @@ class TestCrossMoment:
 
 
 class TestMomentMatrix:
+    # _moment_table holds the distinct entries of Rbar, one per index offset
+
     def test_identity_correlation(self):
-        rbar = magnitude_moment_matrix(np.eye(4))
-        assert np.allclose(np.diag(rbar), 1.0)
-        off = rbar[~np.eye(4, dtype=bool)]
+        geom = ArrayGeometry(n_h=2, n_v=2, elem_len_l=0.05, elem_len_w=0.05)
+        table = _moment_table(geom, correlated=False)
+        assert table[0, 0] == pytest.approx(1.0)
+        off = table.ravel()[1:]
         assert np.allclose(off, QUARTER_PI, atol=1e-12)
 
     def test_single_element(self):
-        assert np.array_equal(magnitude_moment_matrix(np.eye(1)), [[1.0]])
+        geom = ArrayGeometry(n_h=1, n_v=1, elem_len_l=0.05, elem_len_w=0.05)
+        for correlated in (True, False):
+            assert np.array_equal(_moment_table(geom, correlated), [[1.0]])
 
     def test_two_element_entry(self):
-        rho = 0.6366
-        rbar = magnitude_moment_matrix(np.array([[1.0, rho], [rho, 1.0]]))
-        assert rbar[0, 1] == pytest.approx(cross_moment(rho**2), abs=1e-14)
+        # quarter-wavelength neighbours: rho = sinc(pi / 2) = 2 / pi
+        geom = ArrayGeometry(n_h=2, n_v=1, elem_len_l=0.05, elem_len_w=0.05,
+                             wavelength=0.2)
+        rho = 2.0 / math.pi
+        assert _moment_table(geom, True)[1, 0] == pytest.approx(cross_moment(rho**2),
+                                                                abs=1e-14)
 
     def test_moment_approaches_quarter_pi_with_separation(self):
         geom = ArrayGeometry(n_h=2, n_v=1, elem_len_l=5.0, elem_len_w=5.0,
                              wavelength=0.1)
-        rbar = magnitude_moment_matrix(correlation_matrix(geom))
-        assert rbar[0, 1] == pytest.approx(QUARTER_PI, abs=1e-6)
+        assert _moment_table(geom, True)[1, 0] == pytest.approx(QUARTER_PI, abs=1e-6)
+
+
+def iid_trace(n):
+    return n + n * (n - 1) * math.pi**2 / 16.0
 
 
 class TestTrace:
     def test_uncorrelated_closed_form(self):
-        n = 12
-        rbar = magnitude_moment_matrix(np.eye(n))
-        expected = n + n * (n - 1) * math.pi**2 / 16.0
-        assert trace_rbar_sq(rbar) == pytest.approx(expected, rel=1e-12)
+        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.05)
+        assert trace_rbar_sq(geom, False) == pytest.approx(iid_trace(12), rel=1e-12)
+
+    def test_uncorrelated_value_is_not_n(self):
+        # i.i.d. magnitudes have E[|w_i||w_j|] = pi/4, so the trace exceeds N
+        geom = ArrayGeometry(n_h=15, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
+        assert trace_rbar_sq(geom, False) == pytest.approx(iid_trace(60), rel=1e-12)
+        assert trace_rbar_sq(geom, False) == pytest.approx(2243.64997, abs=1e-5)
+        assert dense_trace(np.eye(60)) == pytest.approx(2243.64997, abs=1e-5)
 
     def test_single_element(self):
-        assert trace_rbar_sq(magnitude_moment_matrix(np.eye(1))) == 1.0
+        geom = ArrayGeometry(n_h=1, n_v=1, elem_len_l=0.05, elem_len_w=0.05)
+        assert trace_rbar_sq(geom, False) == 1.0
+        assert trace_rbar_sq(geom, True) == 1.0
 
     def test_matches_naive_double_loop(self):
         geom = ArrayGeometry(n_h=4, n_v=4, elem_len_l=0.05, elem_len_w=0.05,
                              wavelength=0.2)
-        rbar = magnitude_moment_matrix(correlation_matrix(geom))
+        rbar = dense_moment(correlation_matrix(geom))
         naive = sum(rbar[i, j] * rbar[j, i]
                     for i in range(16) for j in range(16))
-        assert trace_rbar_sq(rbar) == pytest.approx(naive, rel=1e-12)
+        assert trace_rbar_sq(geom, True) == pytest.approx(naive, rel=1e-12)
 
     def test_bounds(self):
         geom = ArrayGeometry(n_h=4, n_v=4, elem_len_l=0.05, elem_len_w=0.05,
                              wavelength=0.2)
         n = geom.n_elements
-        tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
+        tr = trace_rbar_sq(geom, True)
         assert n + math.pi**2 * n * (n - 1) / 16.0 <= tr <= n * n
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_h=st.integers(1, 14), n_v=st.integers(1, 14),
+           spacing=st.sampled_from([2, 4, 8]),
+           aspect=st.floats(0.3, 3.0), base=st.floats(0.0, 2.0),
+           correlated=st.booleans())
+    @example(n_h=1, n_v=9, spacing=8, aspect=0.7, base=0.0, correlated=True)
+    @example(n_h=11, n_v=1, spacing=8, aspect=1.9, base=0.0, correlated=True)
+    @example(n_h=1, n_v=1, spacing=8, aspect=1.0, base=0.0, correlated=True)
+    def test_table_matches_dense_trace(self, n_h, n_v, spacing, aspect, base,
+                                       correlated):
+        # element length lambda/spacing, width that times aspect (non-square)
+        wavelength = 0.1
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=wavelength / spacing,
+                             elem_len_w=aspect * wavelength / spacing,
+                             base_height_l0=base, wavelength=wavelength)
+        corr = correlation_matrix(geom) if correlated else np.eye(geom.n_elements)
+        assert trace_rbar_sq(geom, correlated) == pytest.approx(dense_trace(corr),
+                                                                rel=1e-12)

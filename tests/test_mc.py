@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +8,9 @@ import pytest
 from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss)
-from ios_noma.geometry import (ArrayGeometry, correlation_matrix,
-                               magnitude_moment_matrix, trace_rbar_sq)
-from ios_noma import mc
-from ios_noma.experiments import Point, load_spec, run_sweep, spec_with_overrides
+from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
+from ios_noma import cli, mc
+from ios_noma.experiments import load_spec, run_sweep, spec_with_overrides
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _boosted_gain,
                          _rates_at, _walk_block, draw_key, four_user_trial_rates,
                          mc_estimates, noma_trial_rates, oma_trial_rates)
@@ -127,7 +128,7 @@ class TestSchemeRelations:
         params = noma_params()
         cfg = McConfig(trials=20_000, master_seed=8)
         eps = Quantized(1).epsilon()
-        tr = trace_rbar_sq(magnitude_moment_matrix(correlation_matrix(geom)))
+        tr = trace_rbar_sq(geom, True)
         n = geom.n_elements
         mc = estimates(geom, params, QUANT1, cfg, NOMA + OMA)
         bounds = [rate_bound(target, "jensen", params, n, tr, eps, eps)
@@ -202,7 +203,8 @@ class TestHardeningTrend:
 
 
 def counting(monkeypatch, name):
-    """Replace mc.<name> by a wrapper that lists the arguments of each call."""
+    """Replace mc.<name>, in every ios_noma module that binds it, by a
+    wrapper that lists the arguments of each call."""
     calls = []
     original = getattr(mc, name)
 
@@ -210,7 +212,9 @@ def counting(monkeypatch, name):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mc, name, counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ios_noma" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -316,12 +320,36 @@ class TestDrawMemo:
                                                       sampled_blocks, monkeypatch):
         # fig3: four phase models per layout; fig7: both correlation flags
         factors = counting(monkeypatch, "correlation_factor")
+        builds = counting(monkeypatch, "correlation_matrix")
         run_sweep(spec_with_overrides(load_spec(name), trials=200))
         assert len(sampled_blocks) == len(factors) == layouts
+        assert len(builds) == layouts  # one per factor, none for the bounds
         assert len({keys[0][0] for keys, *_ in sampled_blocks}) == layouts
         assert all(len(keys) == (4 if name.startswith("fig3") else 2)
                    for keys, *_ in sampled_blocks)
         assert mc._draws == {}
+
+
+class TestBoundsBuildNoMatrix:
+    # the bounds read tr(Rbar Rbar) from the offset table, never from R
+
+    def test_analytic_sweep(self, monkeypatch, fresh_memo):
+        builds = counting(monkeypatch, "correlation_matrix")
+        spec = load_spec("fig7_correlation")  # both correlation flags
+        spec = replace(spec, scenarios=tuple(replace(scen, estimators=("jensen",))
+                                             for scen in spec.scenarios))
+        rows = run_sweep(spec)
+        assert len(rows) == 40
+        assert builds == []
+
+    @pytest.mark.parametrize("extra", [[], ["--inf-snr"], ["--uncorrelated"]],
+                             ids=["all", "inf_snr", "uncorrelated"])
+    def test_bound_command(self, extra, monkeypatch, capsys):
+        builds = counting(monkeypatch, "correlation_matrix")
+        assert cli.main(["bound", "--scenario", "noma_r", "--n-h", "100",
+                         "--n-v", "10", *extra]) == 0
+        assert "bits/s/Hz" in capsys.readouterr().out
+        assert builds == []
 
 
 # (correlated, (model_t, model_r)) of the draw keys of one layout
@@ -372,7 +400,7 @@ class TestGroupWalk:
         group = sample_group(geom, params, MIXED_GROUP, cfg, workers=2)
         means = set()
         for (correlated, models), gains in zip(MIXED_GROUP, group.values()):
-            tr = Point(geom, params, models, correlated, cfg).tr_rbar_sq()
+            tr = trace_rbar_sq(geom, correlated)
             for row, model in enumerate(models):
                 exact = _mean_gain(geom.n_elements, tr, model.epsilon())
                 stderr = gains[row].std(ddof=1) / math.sqrt(cfg.trials)
