@@ -7,9 +7,12 @@ which evaluate the same chain at a fixed gain per link: "jensen" upper
 bounds at E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), with eps the mean
 cosine of the phase error and Rbar the magnitude moment matrix,
 "hardening" approximations at pi^2 N^2 eps^2 / 16, and the primed users
-at N under both.  "limit" is the large-SNR ceiling of the
-interference-limited users.  Branchy bounds carry a flag naming the link
-gain that fired, which the sweep CSV surfaces for diagnostics.
+at N under both.  N is the mean primed gain E[H'] only for i.i.d.
+elements: on a correlated layout E[H'] exceeds N, so the primed "jensen"
+values are not guaranteed upper bounds there.  "limit" is the large-SNR
+ceiling of the interference-limited users.  Branchy bounds carry a flag
+naming the link gain that fired, which the sweep CSV surfaces for
+diagnostics.
 """
 
 from __future__ import annotations

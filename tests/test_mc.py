@@ -1,19 +1,24 @@
+import functools
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss)
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
-from ios_noma import cli, mc
-from ios_noma.experiments import load_spec, run_sweep, spec_with_overrides
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _boosted_gain,
-                         _rates_at, _walk_block, draw_key, four_user_trial_rates,
-                         mc_estimates, noma_trial_rates, oma_trial_rates)
+from ios_noma import cli, experiments, mc
+from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
+                                  spec_with_overrides)
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _boosted_gain, _merge,
+                         _moments, _rates_at, _walk_block, draw_key,
+                         four_user_trial_rates, mc_estimates, noma_trial_rates,
+                         oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -276,8 +281,9 @@ class TestDrawMemo:
         cfg = McConfig(trials=700, master_seed=2)
         for params, rows in ((SystemParams.from_db(), 2), (four_user_params(), 4)):
             mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T])
-            (gains,) = mc._draws.values()
+            ((gains, control_means),) = mc._draws.values()
             assert gains.shape == (rows, 700)
+            assert control_means.shape == (2,)
             assert not gains.flags.writeable
             with pytest.raises(ValueError):
                 gains[0, 0] = 1.0
@@ -373,7 +379,7 @@ def sample_group(geom, params, members, cfg, workers=1):
     correlated, models = members[-1]
     mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T], correlated=correlated,
                  workers=workers)
-    return {key: mc._draws[key] for key in keys}
+    return {key: mc._draws[key][0] for key in keys}
 
 
 class TestGroupWalk:
@@ -390,7 +396,7 @@ class TestGroupWalk:
             mc.forget_draws()
             mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T],
                          correlated=correlated)
-            assert np.array_equal(mc._draws[key], gains), key
+            assert np.array_equal(mc._draws[key][0], gains), key
 
     def test_group_mean_gains_match_the_exact_mean(self, fresh_memo):
         # E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), per side and per key
@@ -408,6 +414,15 @@ class TestGroupWalk:
                 means.add(round(exact, 6))
         # the setups differ: correlation lifts the perfect-phase mean above N
         assert len(means) >= 4
+
+    def test_stored_control_means_are_the_jensen_gains(self, fresh_memo):
+        geom = quarter_wave_geometry()
+        cfg = McConfig(trials=500, master_seed=47)
+        group = sample_group(geom, SystemParams.from_db(), MIXED_GROUP, cfg)
+        for (correlated, models), key in zip(MIXED_GROUP, group):
+            tr = trace_rbar_sq(geom, correlated)
+            exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
+            assert mc._draws[key][1].tolist() == exact, key
 
     def test_announced_keys_share_a_gaussian_key(self, half_wave_geometry,
                                                  noma_params, fresh_memo):
@@ -460,3 +475,164 @@ class TestConfigAndEstimate:
         # each engine's estimate does not depend on what else was asked for
         assert out[Scenario.OMA_T] == mc_estimates(geom, params, QUANT1, cfg,
                                                    [Scenario.OMA_T])[Scenario.OMA_T]
+
+
+class TestPrimedGainMean:
+    # The primed composites reuse the boost set: the leftover phase at
+    # element n is arg(g'_n) - arg(g_n) + phi_n.  It is uniform per
+    # element, but on a correlated layout the elements' leftovers are
+    # correlated too, so E[H'] = N holds only for i.i.d. elements.
+
+    @staticmethod
+    def primed_z_scores(correlated):
+        """(sample mean of H' - N) / stderr, for H_t' and H_r'."""
+        geom = quarter_wave_geometry()
+        params, cfg = four_user_params(), McConfig(trials=4000, master_seed=3)
+        mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T], correlated=correlated)
+        gains, _ = mc._draws[draw_key(geom, params, QUANT1, cfg, correlated)]
+        return [(h.mean() - geom.n_elements) / (h.std(ddof=1) / math.sqrt(h.size))
+                for h in gains[2:]]
+
+    def test_iid_elements_have_mean_n(self, fresh_memo):
+        assert all(abs(z) <= 4.0 for z in self.primed_z_scores(False))
+
+    def test_correlated_elements_exceed_n(self, fresh_memo):
+        # about 19 standard errors at this layout (H' near 37 against N = 24)
+        assert all(z > 10.0 for z in self.primed_z_scores(True))
+
+
+def plain_moments(stack):
+    """Two-pass mean and co-moment of the whole array."""
+    mean = stack.mean(axis=1)
+    dev = stack - mean[:, None]
+    return mean, dev @ dev.T
+
+
+def merged(stack, sizes):
+    """The block merge over consecutive blocks of the given sizes."""
+    edges = np.cumsum([0, *sizes])
+    return functools.reduce(_merge, (_moments(stack[:, a:b])
+                                     for a, b in zip(edges[:-1], edges[1:])))
+
+
+@st.composite
+def two_user_setups(draw):
+    """A valid two-user SystemParams, a layout, a correlation flag and two
+    phase-error models."""
+    theta = draw(st.floats(0.05, 1.5))
+    share = draw(st.floats(0.01, 0.49))
+    params = SystemParams.from_db(
+        p_dbm=draw(st.floats(-20.0, 60.0)), d_b=draw(st.floats(1.0, 30.0)),
+        d_t=draw(st.floats(1.0, 30.0)), d_r=draw(st.floats(1.0, 30.0)),
+        chi=draw(st.floats(2.0, 4.0)), alpha=math.cos(theta), beta=math.sin(theta),
+        q_t=math.sqrt(share), q_r=math.sqrt(1.0 - share))
+    wavelength = 0.1
+    spacing = wavelength / draw(st.sampled_from([2, 4, 8]))
+    geom = ArrayGeometry(n_h=draw(st.integers(1, 8)), n_v=draw(st.integers(1, 4)),
+                         elem_len_l=spacing, elem_len_w=spacing, wavelength=wavelength)
+    model = st.one_of(st.just(Perfect()), st.just(UniformFull()),
+                      st.builds(Quantized, st.integers(1, 3)),
+                      st.builds(VonMises, st.floats(0.5, 4.0)))
+    return params, geom, draw(st.booleans()), (draw(model), draw(model))
+
+
+class TestControlVariate:
+    @pytest.mark.parametrize("sizes", [[5000], [3000, 2000], [1, 1700, 2, 3000, 297]],
+                             ids=["one", "two", "five"])
+    def test_block_merge_equals_two_pass(self, sizes):
+        rng = np.random.default_rng(11)
+        scale, offset = [[1.0], [50.0], [3.0]], [[7.0], [400.0], [-2.0]]
+        stack = rng.standard_normal((3, sum(sizes))) * scale + offset
+        stack[1] += 20.0 * stack[0]  # correlated rows
+        n, mean, com = merged(stack, sizes)
+        ref_mean, ref_com = plain_moments(stack)
+        assert n == stack.shape[1]
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(com, ref_com, rtol=1e-12, atol=0)
+
+    def test_merge_survives_a_large_offset(self):
+        # variance 1 on a mean of 1e8: the sum of squares is 1e16 per trial,
+        # so subtracting n mean^2 from it loses every digit of the variance
+        rng = np.random.default_rng(5)
+        sizes = [BLOCK_SIZE, BLOCK_SIZE, 1000]
+        y = 1e8 + rng.standard_normal(sum(sizes))
+        exact = np.var(y - 1e8, ddof=1)  # the subtraction is exact
+        total, total_sq = 0.0, 0.0
+        for block in np.split(y, np.cumsum(sizes)[:-1]):
+            total += float(block.sum())
+            total_sq += float(np.sum(block * block))
+        n = y.size
+        old = max(total_sq - n * (total / n) ** 2, 0.0) / (n - 1)
+        _, _, com = merged(y[None, :], sizes)
+        assert abs(old - exact) > 0.1 * exact
+        assert com[0, 0] / (n - 1) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_zero_power_gives_zero(self, four_user, half_wave_geometry):
+        params = (four_user_params(p_dbm=-math.inf) if four_user
+                  else SystemParams.from_db(p_dbm=-math.inf))
+        scenarios = (FOUR if four_user else NOMA) + OMA
+        out = mc_estimates(half_wave_geometry(4, 4), params, QUANT1,
+                           McConfig(trials=3000, master_seed=9), scenarios)
+        for est in out.values():
+            assert (est.mean, est.half_width) == (0.0, 0.0)
+
+    def test_interval_covers_the_reference_mean(self, fresh_memo):
+        # guards the half-width: an understated residual variance would
+        # show as too few of the 95 % intervals covering the mean
+        # the N = 8 uniform-phase reference setup at half-wavelength spacing
+        geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
+        params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
+        scenarios = NOMA + OMA
+        ref = mc_estimates(geom, params, models,
+                           McConfig(trials=1 << 18, master_seed=10**6), scenarios)
+        seeds = range(400)
+        covered = dict.fromkeys(scenarios, 0)
+        for seed in seeds:
+            out = mc_estimates(geom, params, models,
+                               McConfig(trials=1000, master_seed=seed), scenarios)
+            for scen, est in out.items():
+                covered[scen] += abs(est.mean - ref[scen].mean) <= est.half_width
+        assert min(covered.values()) >= 0.9 * len(seeds), covered
+
+    @pytest.mark.parametrize("name", bundled_spec_names())
+    def test_consistent_with_plain_estimate(self, name, monkeypatch, fresh_memo):
+        # the plain sample mean and half-width, from the stored gains of
+        # every engine call of the sweep
+        rows = []
+
+        def with_plain(geom, params, models, cfg, scenarios, *, correlated, workers):
+            out = mc_estimates(geom, params, models, cfg, scenarios,
+                               correlated=correlated, workers=workers)
+            gains, _ = mc._draws[draw_key(geom, params, models, cfg, correlated)]
+            z = 1.959963984540054
+            for scen, r in _rates_at(scenarios, params, gains).items():
+                plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
+                rows.append((scen, r.mean(), plain_hw, out[scen]))
+            return out
+
+        monkeypatch.setattr(experiments, "mc_estimates", with_plain)
+        run_sweep(spec_with_overrides(load_spec(name), trials=2000))
+        assert rows
+        for scen, plain_mean, plain_hw, est in rows:
+            # CV minus plain is -beta (H-bar - E[H]), whose 95 % half-width
+            # is at most the plain one; two of them are about 4 standard errors
+            assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
+            assert est.half_width <= plain_hw, (scen, plain_hw, est)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
+    def test_mc_mean_respects_jensen_and_limit(self, setup, seed):
+        params, geom, correlated, models = setup
+        out = mc_estimates(geom, params, models, McConfig(trials=2000, master_seed=seed),
+                           NOMA + OMA, correlated=correlated)
+        tr = trace_rbar_sq(geom, correlated)
+        eps_t, eps_r = (model.epsilon() for model in models)
+        # the chain rounds 1 + x inside log2(1 + x), up to 1.6e-16 bits at
+        # any rate; at -20 dBm that is above the Jensen gap and the half-width
+        ulps = 1e-15
+        for scen, est in out.items():
+            bound = rate_bound(scen, "jensen", params, geom.n_elements, tr, eps_t, eps_r)
+            assert est.mean - 4.0 * est.half_width <= bound.value + ulps, (scen, est, bound)
+        cap = large_snr_limit(Scenario.NOMA_R, params).value
+        assert out[Scenario.NOMA_R].mean - 4.0 * out[Scenario.NOMA_R].half_width <= cap + ulps
