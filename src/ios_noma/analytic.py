@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _QUARTER_PI_SQ = math.pi**2 / 16.0
+# rates are log1p(x) / ln 2: log2(1 + x) would round 1 + x and lose
+# every bit of a rate below 1e-16
+_LN2 = math.log(2.0)
 
 
 class Scenario(str, Enum):
@@ -93,7 +96,7 @@ def sic_rates(params: SystemParams, *gains):
     for k, q_k in enumerate(q_sq):
         interference = sum(reversed(q_sq[:k]))
         rates.append(functools.reduce(np.minimum, [
-            np.log2(1.0 + f * q_k / (f * interference + 1.0)) for f in gains[:k + 1]]))
+            np.log1p(f * q_k / (f * interference + 1.0)) / _LN2 for f in gains[:k + 1]]))
     return tuple(rates)
 
 
@@ -103,7 +106,7 @@ def oma_slot_rates(params: SystemParams, h_t, h_r):
     Each user gets a dedicated slot with the full surface amplitude and
     full transmit power, at the cost of the 1/2 pre-log factor.
     """
-    return tuple(0.5 * np.log2(1.0 + params.gamma0 * pathloss(params, link) * h)
+    return tuple(0.5 * np.log1p(params.gamma0 * pathloss(params, link) * h) / _LN2
                  for link, h in (("t", h_t), ("r", h_r)))
 
 

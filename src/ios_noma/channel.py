@@ -245,19 +245,14 @@ def phase_error_from_string(text: str) -> PhaseErrorModel:
 def correlation_factor(corr: np.ndarray) -> np.ndarray:
     """Factor L with L L^H = corr for coloring i.i.d. complex Gaussians.
 
-    Tries a Cholesky factorization, retries once with 1e-10 diagonal
-    jitter (sinc kernels on dense grids are numerically rank deficient),
-    then falls back to a symmetric eigendecomposition with negative
-    eigenvalues clipped to zero.
+    A Cholesky factorization, or, if corr is not numerically positive
+    definite (sinc kernels on dense grids are numerically rank
+    deficient), a symmetric eigendecomposition with negative eigenvalues
+    clipped to zero.  Every bundled layout takes the Cholesky branch.
     """
     corr = np.asarray(corr, dtype=float)
-    n = corr.shape[0]
     try:
         return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(corr + 1e-10 * np.eye(n))
     except np.linalg.LinAlgError:
         pass
     try:

@@ -52,7 +52,6 @@ DEFAULTS: dict[str, object] = {
     "wavelength_m": 0.1,
     "element_len_m": 0.05,
     "element_width_m": 0.05,
-    "base_height_m": 0.0,
     # link budget
     "d_b_m": 10.0,
     "d_t_m": 5.0,
@@ -113,7 +112,7 @@ class SweepSpec:
         """Build and check every (axis value, scenario) point, in sweep order.
 
         Analytic estimators are tried at tr(Rbar Rbar) = N: whether one is
-        defined never depends on the trace, which needs a correlation matrix."""
+        defined never depends on the trace, so checking computes none."""
         points = []
         for value in self.values:
             for scen in self.scenarios:
@@ -302,7 +301,6 @@ def build_point(cfg: dict[str, object]) -> Point:
         geom=ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
                            elem_len_l=float(cfg["element_len_m"]),
                            elem_len_w=float(cfg["element_width_m"]),
-                           base_height_l0=float(cfg["base_height_m"]),
                            wavelength=float(cfg["wavelength_m"])),
         params=params,
         err_models=(phase_error_from_string(str(cfg["phase_error_t"])),
@@ -327,8 +325,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     grouped by their Gaussian key, both in order of first appearance.
     Before a group's first point the engine is told the group's keys
     that have an mc estimator, so it samples them in one walk and every
-    engine call of the group reads its gains from the memo.
-    tr(Rbar Rbar) is computed once per (geometry, correlated).  The
+    engine call of the group reads its gains from the memo.  The bounds
+    and the engine read tr(Rbar Rbar) from the cache of trace_rbar_sq.  The
     stored draws are dropped when the sweep returns.  Rows come back
     sorted by (axis_value, scenario, estimator).
     """
@@ -337,23 +335,18 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
         key = draw_key(point.geom, point.params, point.err_models, point.mc,
                        point.correlated)
         groups.setdefault(key[0], {}).setdefault(key, []).append((value, scen, point))
-    traces: dict[tuple, float] = {}
     rows: list[ResultRow] = []
     try:
         for keyed in groups.values():
             expect_draws(key for key, members in keyed.items()
                          if any("mc" in scen.estimators for _, scen, _ in members))
             for value, scen, point in (p for members in keyed.values() for p in members):
-                analytic_wanted = [e for e in scen.estimators if e != "mc"]
-                if analytic_wanted:
-                    layout = (point.geom, point.correlated)
-                    if layout not in traces:
-                        traces[layout] = trace_rbar_sq(*layout)
-                    for est in analytic_wanted:
-                        bound = analytic_bound(scen.target, est, point, traces[layout])
-                        rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                              estimator=est, value=bound.value,
-                                              branch=bound.branch))
+                for est in (e for e in scen.estimators if e != "mc"):
+                    bound = analytic_bound(scen.target, est, point,
+                                           trace_rbar_sq(point.geom, point.correlated))
+                    rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                          estimator=est, value=bound.value,
+                                          branch=bound.branch))
                 if "mc" in scen.estimators:
                     est = mc_estimates(point.geom, point.params, point.err_models,
                                        point.mc, [scen.target],
@@ -393,20 +386,6 @@ def write_csv(rows: list[ResultRow], path: str | Path) -> None:
         path.write_text(rows_to_csv_text(rows), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
-
-
-def parse_csv(path: str | Path) -> list[ResultRow]:
-    """Read back a CSV produced by write_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(ResultRow(
-                axis_value=float(rec["axis"]), scenario=rec["scenario"],
-                estimator=rec["estimator"], value=float(rec["value"]),
-                half_width=float(rec["half_width"]) if rec["half_width"] else None,
-                branch=rec["branch"] or None))
-    return rows
 
 
 def spec_with_overrides(spec: SweepSpec, *, trials: int | None = None,

@@ -5,16 +5,19 @@ elements per row and n_v per column.  Elements are indexed 1..N row by
 row.  Correlation between fading coefficients of two elements follows
 the isotropic-scattering sinc kernel sin(2 pi d / lambda) / (2 pi d /
 lambda) of their separation d.  On the regular grid, d depends only on
-the index offsets (a, b) of the two elements, and so do the entries of
-the correlation matrix R and of the magnitude-moment matrix
-Rbar = E[|w||w|^T]: Rbar has at most n_h * n_v distinct entries.  The
-analytic bounds read Rbar only through tr(Rbar Rbar), which is summed
-over that table of offsets in O(N).  The dense N x N matrix R is built
-only to colour the Monte Carlo draws.
+the index offsets (a, b) of the two elements, so the kernel is one
+n_h x n_v table of offsets, and every per-layout quantity derives from
+it: the correlation matrix R gathers its entries from the table, and the
+magnitude-moment matrix Rbar = E[|w||w|^T] has one entry per offset, the
+cross moment of the table entry.  The analytic bounds read Rbar only
+through tr(Rbar Rbar), which is summed over the offsets in O(N) and
+cached per layout.  The dense N x N matrix R is built only to colour
+the Monte Carlo draws.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +42,14 @@ class ArrayGeometry:
 
     n_h, n_v are the element counts per row and per column; elem_len_l
     and elem_len_w the horizontal and vertical element sizes in meters
-    (element centers are spaced by exactly these sizes); base_height_l0
-    the mounting height of the first row; wavelength the carrier
-    wavelength in meters.
+    (element centers are spaced by exactly these sizes); wavelength the
+    carrier wavelength in meters.
     """
 
     n_h: int
     n_v: int
     elem_len_l: float
     elem_len_w: float
-    base_height_l0: float = 0.0
     wavelength: float = 0.1
 
     def __post_init__(self):
@@ -56,22 +57,12 @@ class ArrayGeometry:
             raise ValueError("n_h and n_v must be positive integers")
         if self.elem_len_l <= 0 or self.elem_len_w <= 0:
             raise ValueError("element sizes must be positive")
-        if self.base_height_l0 < 0:
-            raise ValueError("base_height_l0 must be non-negative")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
 
     @property
     def n_elements(self) -> int:
         return self.n_h * self.n_v
-
-
-def _all_coordinates(geom: ArrayGeometry) -> np.ndarray:
-    """Rows [0, y*l, z*w + l0] of the elements in row-major order."""
-    idx = np.arange(geom.n_elements)
-    y = (idx % geom.n_h) * geom.elem_len_l
-    z = (idx // geom.n_h) * geom.elem_len_w + geom.base_height_l0
-    return np.stack([np.zeros_like(y), y, z], axis=1)
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -85,12 +76,24 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def correlation_matrix(geom: ArrayGeometry) -> np.ndarray:
-    """N x N fading correlation matrix, sinc kernel of pairwise distances."""
-    coords = _all_coordinates(geom)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+def _kernel_table(geom: ArrayGeometry) -> np.ndarray:
+    """(n_h, n_v) table of the sinc kernel: rho[a, b] is the correlation
+    of two elements a columns and b rows apart, rho[0, 0] = 1."""
+    dist = np.hypot(np.arange(geom.n_h)[:, None] * geom.elem_len_l,
+                    np.arange(geom.n_v)[None, :] * geom.elem_len_w)
     return _sinc(2.0 * np.pi * dist / geom.wavelength)
+
+
+def correlation_matrix(geom: ArrayGeometry) -> np.ndarray:
+    """N x N fading correlation matrix, elements in row-major order.
+
+    R[i, j] is gathered from the kernel table at the column and row
+    offsets of elements i and j, so R is exactly symmetric with a unit
+    diagonal."""
+    idx = np.arange(geom.n_elements)
+    col, row = idx % geom.n_h, idx // geom.n_h
+    return _kernel_table(geom)[np.abs(col[:, None] - col[None, :]),
+                               np.abs(row[:, None] - row[None, :])]
 
 
 def cross_moment(rho_sq):
@@ -119,9 +122,7 @@ def _moment_table(geom: ArrayGeometry, correlated: bool) -> np.ndarray:
     is cross_moment of the squared sinc kernel, or pi/4 for i.i.d.
     elements."""
     if correlated:
-        dist = np.hypot(np.arange(geom.n_h)[:, None] * geom.elem_len_l,
-                        np.arange(geom.n_v)[None, :] * geom.elem_len_w)
-        rho = _sinc(2.0 * np.pi * dist / geom.wavelength)
+        rho = _kernel_table(geom)
         table = cross_moment(rho * rho)
     else:
         table = np.full((geom.n_h, geom.n_v), np.pi / 4.0)
@@ -136,6 +137,7 @@ def _offset_counts(n: int) -> np.ndarray:
     return counts
 
 
+@functools.cache
 def trace_rbar_sq(geom: ArrayGeometry, correlated: bool) -> float:
     """tr(Rbar Rbar) of the layout, or of i.i.d. elements if not correlated.
 
@@ -144,6 +146,8 @@ def trace_rbar_sq(geom: ArrayGeometry, correlated: bool) -> float:
     ordered element pairs at each column and row offset.  For i.i.d.
     elements E[|w_i||w_j|] = pi/4 off the diagonal, which gives
     N + N (N - 1) pi^2 / 16, not N.  The result lies in [that value, N^2].
+    Cached per (geom, correlated): the sweep's bounds and the engine's
+    control means read the same value.
     """
     table = _moment_table(geom, correlated)
     return float(_offset_counts(geom.n_h) @ (table * table) @ _offset_counts(geom.n_v))

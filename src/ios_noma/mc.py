@@ -36,9 +36,10 @@ samples every draw key that shares it: each block draws each fading
 stream once, colours it once per correlation flag, and feeds every
 phase model.  expect_draws() announces such a group, and the engine
 keeps the gains of the last group it sampled, one read-only float64
-array of shape (2 or 4, trials) per key, with the exact means of H_t
-and H_r.  A call on a stored key only runs the rate chain on them; a
-miss on any other key samples it alone, in place of the stored group.
+array of shape (2 or 4, trials) per key and nothing else: the exact
+means of H_t and H_r come from the cached trace_rbar_sq at call time.
+A call on a stored key only runs the rate chain on them; a miss on any
+other key samples it alone, in place of the stored group.
 Either way the estimates are bit-identical.  forget_draws() drops the
 memo.  SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
@@ -269,9 +270,9 @@ def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfi
             *err_models)
 
 
-# The stored group: {draw key: (gains, control means), or None while not
-# yet sampled}.
-_draws: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
+# The stored group: {draw key: read-only gains, or None while not yet
+# sampled}.
+_draws: dict[tuple, np.ndarray | None] = {}
 
 
 def expect_draws(keys) -> None:
@@ -293,10 +294,8 @@ def forget_draws() -> None:
 
 
 def _sample_group(keys, workers):
-    """{draw key: (read-only (2 or 4, trials) gains, (E[H_t], E[H_r]))} for
-    keys that share their Gaussian key, one walk over the blocks.  The
-    exact means are the Jensen gains N (1 - eps^2) + eps^2 tr(Rbar Rbar)
-    of the key's layout, correlation flag and phase models."""
+    """{draw key: read-only (2 or 4, trials) gains} for keys that share
+    their Gaussian key, one walk over the blocks."""
     geom, _, trials, primed = keys[0][0]
     factor = (correlation_factor(correlation_matrix(geom))
               if any(key[1] for key in keys) else None)
@@ -315,16 +314,13 @@ def _sample_group(keys, workers):
     else:
         store(_walk_block(keys, factor, block, count) for block, count in blocks)
     gains.flags.writeable = False
-    traces = {flag: trace_rbar_sq(geom, flag) for flag in {key[1] for key in keys}}
-    means = [np.array([_mean_gain(geom.n_elements, traces[flag], model.epsilon())
-                       for model in models]) for _, flag, *models in keys]
-    return dict(zip(keys, zip(gains, means)))
+    return dict(zip(keys, gains))
 
 
 def _draw_gains(key, workers):
-    """The gains of a draw key and the exact means of (H_t, H_r), from the
-    memo or sampled.  A miss on an announced key samples the whole
-    announced group; any other miss replaces the memo by a group of one."""
+    """The gains of a draw key, from the memo or sampled.  A miss on an
+    announced key samples the whole announced group; any other miss
+    replaces the memo by a group of one."""
     global _draws
     if _draws.get(key) is None:
         if key not in _draws:
@@ -381,15 +377,18 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
     Each rate is regressed on the trial's (H_t, H_r), whose exact means
-    are known (see McEstimate).  A call on a key of the stored group
-    reuses its gains (see the module docstring); no draw, factorization
-    or pool happens.
+    are the Jensen gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the
+    layout, correlation flag and phase models (see McEstimate).  A call
+    on a key of the stored group reuses its gains (see the module
+    docstring); no draw, factorization or pool happens.
     """
     scenarios = tuple(dict.fromkeys(scenarios))
     if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
         raise ValueError("primed scenarios need four-user parameters")
-    gains, control_means = _draw_gains(
-        draw_key(geom, params, err_models, cfg, correlated), workers)
+    gains = _draw_gains(draw_key(geom, params, err_models, cfg, correlated), workers)
+    tr = trace_rbar_sq(geom, correlated)
+    control_means = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
+                              for model in err_models])
     # moments of (y, H_t, H_r) merged in block order, so they do not
     # depend on scheduling
     moments = dict.fromkeys(scenarios)

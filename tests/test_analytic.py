@@ -10,7 +10,7 @@ from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
                                _hardening_gain, _mean_gain, large_snr_limit,
                                link_gain, quantization_gain,
                                quantization_gain_limit, rate_bound,
-                               sum_rate_verdict)
+                               sic_rates, sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 from ios_noma.geometry import ArrayGeometry, trace_rbar_sq
 from ios_noma.mc import four_user_trial_rates, noma_trial_rates, oma_trial_rates
@@ -358,6 +358,12 @@ class TestOneRateChain:
         if params.four_user:
             assert values("jensen", PRIMED) == \
                 four_user_trial_rates(params, mean_t, mean_r, n, n)[2:]
+
+    def test_tiny_gain_keeps_its_rate(self):
+        # log2(1 + x) rounds 1 + x to 1 below x = 1.1e-16 and returns 0
+        params = SystemParams.from_db()
+        (rate_t,) = sic_rates(params, 1e-20)
+        assert rate_t == pytest.approx(params.q_t**2 * 1e-20 / math.log(2.0), rel=1e-15)
 
 
 # (target, estimator) -> (needs four-user parameters, the sides whose eps

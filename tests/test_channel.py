@@ -10,6 +10,7 @@ from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               db_to_linear, dbm_to_watts, pathloss,
                               phase_error_from_string,
                               standard_complex_gaussian)
+from ios_noma.experiments import load_spec
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, cross_moment
 from ios_noma.mc import _boosted_gain
 from ios_noma.specfun import bessel_ratio_i1_i0
@@ -205,8 +206,7 @@ def factor_with_branch(monkeypatch, corr):
 
         monkeypatch.setattr(np.linalg, name, counted)
     factor = correlation_factor(corr)
-    branches = {("cholesky",): "cholesky", ("cholesky", "cholesky"): "jitter",
-                ("cholesky", "cholesky", "eigh"): "eigh"}
+    branches = {("cholesky",): "cholesky", ("cholesky", "eigh"): "eigh"}
     return factor, branches[tuple(calls)]
 
 
@@ -232,11 +232,21 @@ class TestCorrelationFactor:
         assert branch == "cholesky"
         assert residual(factor, corr) <= 1e-8
 
-    def test_dense_grid_takes_jitter(self, monkeypatch):
+    @pytest.mark.parametrize("n_h", [18, 19, 20])
+    def test_largest_fig7_layouts_take_cholesky(self, n_h, monkeypatch):
+        # 5 rows at quarter-wavelength spacing, the densest bundled layouts
+        (geom,) = {point.geom for _, _, point in load_spec("fig7_correlation").points()
+                   if point.geom.n_h == n_h}
+        corr = correlation_matrix(geom)
+        factor, branch = factor_with_branch(monkeypatch, corr)
+        assert branch == "cholesky"
+        assert residual(factor, corr) <= 1e-8
+
+    def test_dense_grid_takes_eigh(self, monkeypatch):
         # a 16 x 16 grid at lambda/8 is numerically rank deficient
         corr = correlation_matrix(grid(16, 16, spacing=8))
         factor, branch = factor_with_branch(monkeypatch, corr)
-        assert branch == "jitter"
+        assert branch == "eigh"
         assert residual(factor, corr) <= 1e-8
 
     def test_negative_eigenvalue_takes_eigh(self, monkeypatch):

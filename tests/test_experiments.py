@@ -1,3 +1,4 @@
+import csv
 import math
 import textwrap
 
@@ -7,7 +8,7 @@ from ios_noma.analytic import Scenario
 from ios_noma.channel import ConfigError, Quantized
 from ios_noma.experiments import (DEFAULTS, ResultRow, ScenarioSpec, SweepSpec,
                                   analytic_bound, build_point,
-                                  bundled_spec_names, load_spec, parse_csv,
+                                  bundled_spec_names, load_spec,
                                   rows_to_csv_text, run_sweep,
                                   spec_with_overrides, write_csv)
 
@@ -176,6 +177,16 @@ class TestRunSweep:
         assert fast.defaults["trials"] == 256
         rows = run_sweep(fast)
         assert len(rows) == 6
+
+
+def parse_csv(path):
+    """Read back a CSV produced by write_csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [ResultRow(axis_value=float(rec["axis"]), scenario=rec["scenario"],
+                          estimator=rec["estimator"], value=float(rec["value"]),
+                          half_width=float(rec["half_width"]) if rec["half_width"] else None,
+                          branch=rec["branch"] or None)
+                for rec in csv.DictReader(fh)]
 
 
 class TestCsv:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_moment, dense_trace
+from conftest import dense_correlation, dense_moment, dense_trace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ios_noma.geometry import (ArrayGeometry, _all_coordinates, _moment_table,
-                               correlation_matrix, cross_moment, trace_rbar_sq)
+from ios_noma.geometry import (ArrayGeometry, _moment_table, correlation_matrix,
+                               cross_moment, trace_rbar_sq)
 
 QUARTER_PI = math.pi / 4
 
@@ -24,21 +24,35 @@ def bivariate_magnitude_moment(rho_sq, samples, seed):
 
 
 class TestCoordinates:
-    # rows of _all_coordinates are elements 1..N in row-major order
-
-    def test_first_element_at_base(self):
-        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04,
-                             base_height_l0=2.0)
-        assert np.allclose(_all_coordinates(geom)[0], [0.0, 0.0, 2.0])
+    # rows of correlation_matrix are elements 1..N in row-major order, and
+    # each entry is the kernel of the two element centres' distance
 
     def test_row_wrap(self):
-        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04,
-                             base_height_l0=2.0)
-        assert np.allclose(_all_coordinates(geom)[4], [0.0, 0.0, 2.04])
+        # element 4 of a 4-wide grid starts the second row
+        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04)
+        assert correlation_matrix(geom)[0, 4] == pytest.approx(
+            math.sin(2 * math.pi * 0.4) / (2 * math.pi * 0.4), abs=1e-15)
 
     def test_second_row_second_column(self):
         geom = ArrayGeometry(n_h=4, n_v=2, elem_len_l=0.05, elem_len_w=0.05)
-        assert np.allclose(_all_coordinates(geom)[5], [0.0, 0.05, 0.05])
+        x = 2 * math.pi * math.hypot(0.05, 0.05) / geom.wavelength
+        assert correlation_matrix(geom)[0, 5] == pytest.approx(math.sin(x) / x, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_h=st.integers(1, 12), n_v=st.integers(1, 12),
+           spacing=st.sampled_from([2, 3, 4, 8]), aspect=st.floats(0.3, 3.0))
+    @example(n_h=1, n_v=7, spacing=8, aspect=1.0)
+    @example(n_h=9, n_v=1, spacing=8, aspect=1.0)
+    @example(n_h=1, n_v=1, spacing=4, aspect=1.0)
+    @example(n_h=6, n_v=5, spacing=8, aspect=0.45)
+    def test_gathered_matrix_matches_coordinates(self, n_h, n_v, spacing, aspect):
+        # element length lambda/spacing, width that times aspect (non-square)
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
+                             elem_len_w=aspect * 0.1 / spacing, wavelength=0.1)
+        corr = correlation_matrix(geom)
+        assert np.max(np.abs(corr - dense_correlation(geom))) <= 1e-13
+        assert np.array_equal(corr, corr.T)
+        assert np.array_equal(np.diag(corr), np.ones(geom.n_elements))
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -164,18 +178,16 @@ class TestTrace:
     @settings(max_examples=80, deadline=None)
     @given(n_h=st.integers(1, 14), n_v=st.integers(1, 14),
            spacing=st.sampled_from([2, 4, 8]),
-           aspect=st.floats(0.3, 3.0), base=st.floats(0.0, 2.0),
-           correlated=st.booleans())
-    @example(n_h=1, n_v=9, spacing=8, aspect=0.7, base=0.0, correlated=True)
-    @example(n_h=11, n_v=1, spacing=8, aspect=1.9, base=0.0, correlated=True)
-    @example(n_h=1, n_v=1, spacing=8, aspect=1.0, base=0.0, correlated=True)
-    def test_table_matches_dense_trace(self, n_h, n_v, spacing, aspect, base,
-                                       correlated):
+           aspect=st.floats(0.3, 3.0), correlated=st.booleans())
+    @example(n_h=1, n_v=9, spacing=8, aspect=0.7, correlated=True)
+    @example(n_h=11, n_v=1, spacing=8, aspect=1.9, correlated=True)
+    @example(n_h=1, n_v=1, spacing=8, aspect=1.0, correlated=True)
+    def test_table_matches_dense_trace(self, n_h, n_v, spacing, aspect, correlated):
         # element length lambda/spacing, width that times aspect (non-square)
         wavelength = 0.1
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=wavelength / spacing,
                              elem_len_w=aspect * wavelength / spacing,
-                             base_height_l0=base, wavelength=wavelength)
-        corr = correlation_matrix(geom) if correlated else np.eye(geom.n_elements)
+                             wavelength=wavelength)
+        corr = dense_correlation(geom) if correlated else np.eye(geom.n_elements)
         assert trace_rbar_sq(geom, correlated) == pytest.approx(dense_trace(corr),
                                                                 rel=1e-12)
