@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +84,8 @@ def _cmd_run(args) -> int:
         raise ConfigError("--workers must be at least 1")
     spec = load_spec(args.spec)
     spec = spec_with_overrides(spec, trials=args.trials, master_seed=args.seed)
+    if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out {args.out}: not a file in an existing directory")
     rows = run_sweep(spec, workers=args.workers)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

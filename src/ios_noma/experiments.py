@@ -321,26 +321,25 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    Points are visited grouped by their MC draw key, and draw keys
-    grouped by their Gaussian key, both in order of first appearance.
-    Before a group's first point the engine is told the group's keys
-    that have an mc estimator, so it samples them in one walk and every
-    engine call of the group reads its gains from the memo.  The bounds
-    and the engine read tr(Rbar Rbar) from the cache of trace_rbar_sq.  The
-    stored draws are dropped when the sweep returns.  Rows come back
+    Points are visited grouped by the Gaussian key of their draw key.
+    Before a group's first point the engine is told the (draw key,
+    params, target) of every mc point of the group, so it walks them in
+    one pass and every engine call finalizes from the stored moments,
+    which are dropped when the sweep returns.  The bounds and the engine
+    read tr(Rbar Rbar) from the cache of trace_rbar_sq.  Rows come back
     sorted by (axis_value, scenario, estimator).
     """
-    groups: dict[tuple, dict[tuple, list]] = {}
+    groups: dict[tuple, list] = {}
     for value, scen, point in spec.points():
         key = draw_key(point.geom, point.params, point.err_models, point.mc,
                        point.correlated)
-        groups.setdefault(key[0], {}).setdefault(key, []).append((value, scen, point))
+        groups.setdefault(key[0], []).append((key, value, scen, point))
     rows: list[ResultRow] = []
     try:
-        for keyed in groups.values():
-            expect_draws(key for key, members in keyed.items()
-                         if any("mc" in scen.estimators for _, scen, _ in members))
-            for value, scen, point in (p for members in keyed.values() for p in members):
+        for group in groups.values():
+            expect_draws((key, point.params, (scen.target,))
+                         for key, _, scen, point in group if "mc" in scen.estimators)
+            for _, value, scen, point in group:
                 for est in (e for e in scen.estimators if e != "mc"):
                     bound = analytic_bound(scen.target, est, point,
                                            trace_rbar_sq(point.geom, point.correlated))

@@ -34,25 +34,23 @@ enter only through the rates.  The fading streams depend only on the
 Gaussian key (geometry, seed, trials, params.four_user), so one walk
 samples every draw key that shares it: each block draws each fading
 stream once, colours it once per correlation flag, and feeds every
-phase model.  expect_draws() announces such a group, and the engine
-keeps the gains of the last group it sampled, one read-only float64
-array of shape (2 or 4, trials) per key and nothing else: the exact
-means of H_t and H_r come from the cached trace_rbar_sq at call time.
-A call on a stored key only runs the rate chain on them; a miss on any
-other key samples it alone, in place of the stored group.
-Either way the estimates are bit-identical.  forget_draws() drops the
-memo.  SystemParams rejects four-user parameters that break the pathloss
+phase model.  A member of such a group is the (draw key, params,
+scenarios) of one engine call.  expect_draws() announces a group's
+members; the group's first call walks the blocks once, runs every
+member's rate chain on each block's gains, and stores only the merged
+moments per member and scenario.  A later call on a stored member
+finalizes from them with its own confidence level; a call on any other
+member walks it alone, in place of the stored group.  Either way the
+estimates are bit-identical, and a walk holds one block of gains at a
+time, whatever the trial count.  forget_draws() drops the memo.
+SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
 none.
-
-The memo costs 16 bytes per trial per key (32 with four-user
-parameters): 6.4 MB for the four phase models of a fig3 layout at the
-default 100k trials, 640 MB at 10 million.  It stays allocated until
-the next miss, expect_draws() or forget_draws().
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -270,65 +268,6 @@ def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfi
             *err_models)
 
 
-# The stored group: {draw key: read-only gains, or None while not yet
-# sampled}.
-_draws: dict[tuple, np.ndarray | None] = {}
-
-
-def expect_draws(keys) -> None:
-    """Drop the stored group and announce the draw keys of the calls to
-    come.  The first of those calls samples all of them in one walk; the
-    others then read their gains from the memo.  The keys must share
-    their Gaussian key (see draw_key)."""
-    global _draws
-    keys = dict.fromkeys(keys)
-    if len({key[0] for key in keys}) > 1:
-        raise ValueError("announced draw keys must share their Gaussian key")
-    _draws = keys
-
-
-def forget_draws() -> None:
-    """Drop the stored group and free its memory."""
-    global _draws
-    _draws = {}
-
-
-def _sample_group(keys, workers):
-    """{draw key: read-only (2 or 4, trials) gains} for keys that share
-    their Gaussian key, one walk over the blocks."""
-    geom, _, trials, primed = keys[0][0]
-    factor = (correlation_factor(correlation_matrix(geom))
-              if any(key[1] for key in keys) else None)
-    blocks = list(_blocks(trials))
-    gains = np.empty((len(keys), 4 if primed else 2, trials))
-
-    def store(parts):
-        for (block, count), part in zip(blocks, parts):
-            gains[:, :, block * BLOCK_SIZE:block * BLOCK_SIZE + count] = part
-
-    workers = min(workers, len(blocks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            store(pool.map(_walk_block, *zip(*[(keys, factor, block, count)
-                                               for block, count in blocks])))
-    else:
-        store(_walk_block(keys, factor, block, count) for block, count in blocks)
-    gains.flags.writeable = False
-    return dict(zip(keys, gains))
-
-
-def _draw_gains(key, workers):
-    """The gains of a draw key, from the memo or sampled.  A miss on an
-    announced key samples the whole announced group; any other miss
-    replaces the memo by a group of one."""
-    global _draws
-    if _draws.get(key) is None:
-        if key not in _draws:
-            _draws = {key: None}
-        _draws = _sample_group(list(_draws), workers)
-    return _draws[key]
-
-
 # ---------------------------------------------------------------------------
 # the control-variate estimator
 
@@ -368,35 +307,87 @@ def _cv_estimate(moments, control_means, z) -> McEstimate:
                       half_width=float(z * np.sqrt(var / n)), trials=n)
 
 
+# ---------------------------------------------------------------------------
+# the group walk
+
+# The stored group: {member: {scenario: moments}, or None until walked}
+_stored: dict[tuple, dict | None] = {}
+
+
+def expect_draws(members) -> None:
+    """Drop the stored group and announce the (draw key, params,
+    scenarios) members of the calls to come.  The first of those calls
+    walks all of them at once; the others then finalize from the stored
+    moments.  The members must share their Gaussian key (see draw_key)."""
+    global _stored
+    members = dict.fromkeys(members)
+    if len({member[0][0] for member in members}) > 1:
+        raise ValueError("announced members must share their Gaussian key")
+    _stored = members
+
+
+def forget_draws() -> None:
+    """Drop the stored group."""
+    global _stored
+    _stored = {}
+
+
+def _block_moments(keys, members, factor, block, count):
+    """The moments of (y, H_t, H_r) of one block, per member and scenario
+    in order: the gains of the block's keys, then each member's rate
+    chain on them."""
+    gains = dict(zip(keys, _walk_block(keys, factor, block, count)))
+    return [_moments(np.vstack((r, gains[key][:2])))
+            for key, params, scenarios in members
+            for r in _rates_at(scenarios, params, gains[key]).values()]
+
+
+def _walk_group(members, workers):
+    """{member: {scenario: moments}} for members that share their
+    Gaussian key, one walk over the blocks, merged in block order so the
+    result does not depend on scheduling."""
+    keys = list(dict.fromkeys(key for key, _, _ in members))
+    geom, _, trials, _ = keys[0][0]
+    factor = (correlation_factor(correlation_matrix(geom))
+              if any(key[1] for key in keys) else None)
+    jobs = [(keys, members, factor, block, count) for block, count in _blocks(trials)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_block_moments, *zip(*jobs)))
+    else:
+        parts = (_block_moments(*job) for job in jobs)
+    merged = iter(functools.reduce(lambda a, b: list(map(_merge, a, b)), parts))
+    return {member: {scen: next(merged) for scen in member[2]} for member in members}
+
+
 def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
                  cfg: McConfig, scenarios, *, correlated: bool = True,
                  workers: int = 1) -> dict[Scenario, McEstimate]:
-    """Control-variate estimates for a set of scenarios from one walk over
-    the blocks.
+    """Control-variate estimates for a set of scenarios.
 
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
     Each rate is regressed on the trial's (H_t, H_r), whose exact means
     are the Jensen gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the
     layout, correlation flag and phase models (see McEstimate).  A call
-    on a key of the stored group reuses its gains (see the module
-    docstring); no draw, factorization or pool happens.
+    on an announced member finalizes from the moments its group's walk
+    stored (see the module docstring); no draw, rate chain or pool
+    happens after the group's first call.
     """
+    global _stored
     scenarios = tuple(dict.fromkeys(scenarios))
     if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
         raise ValueError("primed scenarios need four-user parameters")
-    gains = _draw_gains(draw_key(geom, params, err_models, cfg, correlated), workers)
+    member = (draw_key(geom, params, err_models, cfg, correlated), params, scenarios)
+    if _stored.get(member) is None:
+        # an announced member walks its group; any other walks alone
+        if member not in _stored:
+            _stored = {member: None}
+        _stored = _walk_group(list(_stored), workers)
     tr = trace_rbar_sq(geom, correlated)
     control_means = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                               for model in err_models])
-    # moments of (y, H_t, H_r) merged in block order, so they do not
-    # depend on scheduling
-    moments = dict.fromkeys(scenarios)
-    for block, count in _blocks(cfg.trials):
-        start = block * BLOCK_SIZE
-        part = gains[:, start:start + count]
-        for scen, r in _rates_at(scenarios, params, part).items():
-            m = _moments(np.vstack((r, part[:2])))
-            moments[scen] = m if moments[scen] is None else _merge(moments[scen], m)
     z = NormalDist().inv_cdf(0.5 * (1.0 + cfg.confidence))
-    return {scen: _cv_estimate(m, control_means, z) for scen, m in moments.items()}
+    return {scen: _cv_estimate(m, control_means, z)
+            for scen, m in _stored[member].items()}

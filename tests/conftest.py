@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from ios_noma import ArrayGeometry, SystemParams, cross_moment
+from ios_noma import ArrayGeometry, SystemParams, cross_moment, mc
 
 
 def dense_correlation(geom):
@@ -59,3 +61,23 @@ def tboost_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """count(name) replaces mc.<name>, in every ios_noma module that binds
+    it, by a wrapper that lists the positional arguments of each call, and
+    returns that list."""
+    def count(name):
+        calls = []
+        original = getattr(mc, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ios_noma" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+    return count

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ios_noma import cli
 from ios_noma.analytic import Scenario, rate_bound
 from ios_noma.channel import Quantized, SystemParams
 from ios_noma.experiments import DEFAULTS, build_point
@@ -131,6 +132,16 @@ class TestFailFast:
         res = run_cli("run", "--spec", path, "--out", str(out))
         assert res.returncode == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_bad_out_path(self, spec, tmp_path, where, counting, capsys):
+        calls = counting("mc_estimates")
+        out = {"missing_parent": tmp_path / "missing" / "rows.csv",
+               "directory": tmp_path}[where]
+        assert cli.main(["run", "--spec", spec("2"), "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_workers_below_one(self, spec, tmp_path, workers):

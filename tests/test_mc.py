@@ -1,6 +1,5 @@
 import functools
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +14,8 @@ from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 from ios_noma import cli, experiments, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _boosted_gain, _merge,
-                         _moments, _rates_at, _walk_block, draw_key,
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gain,
+                         _merge, _moments, _rates_at, _walk_block, draw_key,
                          four_user_trial_rates, mc_estimates, noma_trial_rates,
                          oma_trial_rates)
 
@@ -37,6 +36,17 @@ def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
     return SystemParams.from_db(p_dbm=p_dbm, q_t=qt, q_r=qr, q_tp=qtp, q_rp=qrp,
                                 d_tp=12.0, d_rp=15.0,
                                 lambda_tp_db=-30.0, lambda_rp_db=-30.0)
+
+
+def walked_gains(keys):
+    """The composite gains of draw keys that share their Gaussian key,
+    shape (len(keys), 2 or 4, trials): _walk_block over the blocks,
+    concatenated."""
+    geom, _, trials, _ = keys[0][0]
+    factor = (correlation_factor(correlation_matrix(geom))
+              if any(key[1] for key in keys) else None)
+    return np.concatenate([_walk_block(keys, factor, block, count)
+                           for block, count in _blocks(trials)], axis=2)
 
 
 class TestTrialRates:
@@ -207,39 +217,46 @@ class TestHardeningTrend:
         assert ratios[0] > ratios[1] > ratios[2]
 
 
-def counting(monkeypatch, name):
-    """Replace mc.<name>, in every ios_noma module that binds it, by a
-    wrapper that lists the arguments of each call."""
-    calls = []
-    original = getattr(mc, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "ios_noma" and vars(module).get(name) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.fixture
-def sampled_blocks(monkeypatch, fresh_memo):
-    """Empty memo; lists the (keys, factor, block, count) of every block
-    walk, one walk per block of a sampled group."""
-    return counting(monkeypatch, "_walk_block")
+def sampled_blocks(counting, fresh_memo):
+    """Empty memo; lists the (keys, factor, block, count) of every serial
+    block walk, one walk per block of a walked group."""
+    return counting("_walk_block")
+
+
+def announce(geom, cfg, scenarios, setups):
+    """Announce one member per (params, correlated, models) setup."""
+    mc.expect_draws((draw_key(geom, params, models, cfg, correlated), params,
+                     tuple(scenarios)) for params, correlated, models in setups)
+
+
+def arrays_in(obj):
+    """Every numpy array in nested dicts, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from arrays_in(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from arrays_in(value)
 
 
 class TestDrawMemo:
     def test_hit_equals_miss(self, half_wave_geometry, noma_params, sampled_blocks):
+        # two link budgets on one draw key: one walk serves both members,
+        # and the stored estimate equals the lone walk of its member
         geom = half_wave_geometry(n_h=6, n_v=4)
         models = (VonMises(2.0), VonMises(1.0))
         cfg = McConfig(trials=3000, master_seed=31)
-        estimates(geom, noma_params(p_dbm=20.0), models, cfg, NOMA + OMA)
-        hit = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
+        low, high = noma_params(p_dbm=20.0), noma_params(p_dbm=45.0)
+        announce(geom, cfg, NOMA + OMA, [(low, True, models), (high, True, models)])
+        estimates(geom, low, models, cfg, NOMA + OMA)
+        hit = estimates(geom, high, models, cfg, NOMA + OMA)
         assert len(sampled_blocks) == 1
+        assert len(sampled_blocks[0][0]) == 1  # one draw key for both members
         mc.forget_draws()
-        miss = estimates(geom, noma_params(p_dbm=45.0), models, cfg, NOMA + OMA)
+        miss = estimates(geom, high, models, cfg, NOMA + OMA)
         assert len(sampled_blocks) == 2
         assert hit == miss
 
@@ -257,41 +274,44 @@ class TestDrawMemo:
             return len(sampled_blocks) - before
 
         assert draws() == 1
-        # the link budget, the confidence and the scenarios are not in the key
-        assert draws(params=noma_params(p_dbm=40.0)) == 0
+        # the confidence is applied when the stored moments are finalized
         assert draws(cfg=McConfig(trials=500, master_seed=5, confidence=0.9)) == 0
-        assert draws(scenarios=[Scenario.OMA_R, Scenario.NOMA_R]) == 0
+        # the link budget and the scenarios are not in the draw key, but the
+        # stored moments depend on them
         for change in (dict(geom=half_wave_geometry(7, 4)), dict(correlated=False),
                        dict(err_models=(VonMises(2.0), Quantized(1))),
                        dict(err_models=(Quantized(1), VonMises(2.0))),
                        dict(cfg=McConfig(trials=500, master_seed=6)),
                        dict(cfg=McConfig(trials=600, master_seed=5)),
+                       dict(params=noma_params(p_dbm=40.0)),
+                       dict(scenarios=[Scenario.OMA_R, Scenario.NOMA_R]),
                        dict(params=four_user_params(), scenarios=[Scenario.NOMA_T]),
                        dict(params=four_user_params(), scenarios=[Scenario.OMA_T])):
             assert draws(**change) == 1, change
             assert draws() == 1, change
-        # four-user parameters are in the key, the scenarios are not
-        assert draws(params=four_user_params(), scenarios=[Scenario.NOMA_T]) == 1
-        assert draws(params=four_user_params(), scenarios=[Scenario.OMA_T]) == 0
         # an unannounced miss walks its own key alone
         assert all(len(keys) == 1 for keys, *_ in sampled_blocks)
 
-    def test_stored_gains_are_read_only(self, half_wave_geometry, fresh_memo):
+    def test_stored_group_holds_no_per_trial_data(self, half_wave_geometry, fresh_memo):
         geom = half_wave_geometry(4, 4)
-        cfg = McConfig(trials=700, master_seed=2)
-        for params, rows in ((SystemParams.from_db(), 2), (four_user_params(), 4)):
-            mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T])
-            (gains,) = mc._draws.values()
-            assert gains.shape == (rows, 700)
-            assert not gains.flags.writeable
-            with pytest.raises(ValueError):
-                gains[0, 0] = 1.0
+        cfg = McConfig(trials=3 * BLOCK_SIZE + 5, master_seed=2)
+        params = four_user_params()
+        announce(geom, cfg, FOUR + OMA, [(params, True, QUANT1),
+                                         (params, True, (Perfect(), Perfect()))])
+        mc_estimates(geom, params, QUANT1, cfg, FOUR + OMA)
+        assert all(n == cfg.trials for moments in mc._stored.values()
+                   for n, _, _ in moments.values())
+        arrays = list(arrays_in(mc._stored))
+        assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per scenario
+        # moments of (y, H_t, H_r), whatever the trial count
+        assert all(dim <= 3 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry,
                                                            fresh_memo):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=17)
         low, high = four_user_params(p_dbm=20.0), four_user_params(p_dbm=35.0)
+        announce(geom, cfg, FOUR, [(low, True, QUANT1), (high, True, QUANT1)])
         pooled_miss = estimates(geom, low, QUANT1, cfg, FOUR, workers=2)
         serial_hit = estimates(geom, high, QUANT1, cfg, FOUR)
         mc.forget_draws()
@@ -308,8 +328,11 @@ class TestDrawMemo:
         mc_estimates(half_wave_geometry(4, 4), noma_params(), QUANT1,
                      McConfig(trials=BLOCK_SIZE, master_seed=3), NOMA, workers=4)
 
-    def test_sweep_samples_each_draw_key_once(self, sampled_blocks):
+    def test_sweep_samples_each_draw_key_once(self, sampled_blocks, counting):
         # fig5 interleaves two phase models over 15 SNR values on one layout
+        calls = counting("mc_estimates")
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
+                                              "four_user_trial_rates")]
         spec = spec_with_overrides(load_spec("fig5_rate_vs_snr"), trials=200)
         run_sweep(spec)
         assert len(sampled_blocks) == 1  # one walk for both phase models
@@ -317,29 +340,35 @@ class TestDrawMemo:
         assert {key[2:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
                                              (VonMises(2.0), VonMises(2.0))}
         assert len(keys) == 2
-        assert mc._draws == {}  # dropped when the sweep returns
+        assert mc._stored == {}  # dropped when the sweep returns
+        # the counts a traced run reads: one engine call per MC point, and
+        # one rate chain per point per block
+        points = sum("mc" in scen.estimators for _, scen, _ in spec.points())
+        assert points == 90
+        assert len(calls) == points
+        assert sum(map(len, chains)) == points * len(list(_blocks(200)))
 
     @pytest.mark.parametrize("name, layouts", [("fig3_rate_vs_N", 25),
                                                ("fig7_correlation", 20)])
     def test_sweep_walks_and_factors_each_layout_once(self, name, layouts,
-                                                      sampled_blocks, monkeypatch):
+                                                      sampled_blocks, counting):
         # fig3: four phase models per layout; fig7: both correlation flags
-        factors = counting(monkeypatch, "correlation_factor")
-        builds = counting(monkeypatch, "correlation_matrix")
+        factors = counting("correlation_factor")
+        builds = counting("correlation_matrix")
         run_sweep(spec_with_overrides(load_spec(name), trials=200))
         assert len(sampled_blocks) == len(factors) == layouts
         assert len(builds) == layouts  # one per factor, none for the bounds
         assert len({keys[0][0] for keys, *_ in sampled_blocks}) == layouts
         assert all(len(keys) == (4 if name.startswith("fig3") else 2)
                    for keys, *_ in sampled_blocks)
-        assert mc._draws == {}
+        assert mc._stored == {}
 
 
 class TestBoundsBuildNoMatrix:
     # the bounds read tr(Rbar Rbar) from the offset table, never from R
 
-    def test_analytic_sweep(self, monkeypatch, fresh_memo):
-        builds = counting(monkeypatch, "correlation_matrix")
+    def test_analytic_sweep(self, counting, fresh_memo):
+        builds = counting("correlation_matrix")
         spec = load_spec("fig7_correlation")  # both correlation flags
         spec = replace(spec, scenarios=tuple(replace(scen, estimators=("jensen",))
                                              for scen in spec.scenarios))
@@ -349,8 +378,8 @@ class TestBoundsBuildNoMatrix:
 
     @pytest.mark.parametrize("extra", [[], ["--inf-snr"], ["--uncorrelated"]],
                              ids=["all", "inf_snr", "uncorrelated"])
-    def test_bound_command(self, extra, monkeypatch, capsys):
-        builds = counting(monkeypatch, "correlation_matrix")
+    def test_bound_command(self, extra, counting, capsys):
+        builds = counting("correlation_matrix")
         assert cli.main(["bound", "--scenario", "noma_r", "--n-h", "100",
                          "--n-v", "10", *extra]) == 0
         assert "bits/s/Hz" in capsys.readouterr().out
@@ -369,42 +398,40 @@ def quarter_wave_geometry():
     return ArrayGeometry(n_h=6, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.2)
 
 
-def sample_group(geom, params, members, cfg, workers=1):
-    """Announce the draw keys of members, let one engine call sample them,
-    and return {key: stored gains} in the order of members."""
-    keys = [draw_key(geom, params, models, cfg, correlated)
-            for correlated, models in members]
-    mc.expect_draws(keys)
-    correlated, models = members[-1]
-    mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T], correlated=correlated,
-                 workers=workers)
-    return {key: mc._draws[key] for key in keys}
+def group_estimates(geom, params, members, cfg, scenarios, workers=1):
+    """Announce members and return their estimates in order; the first
+    call walks the whole group on the given workers."""
+    announce(geom, cfg, scenarios, [(params, *member) for member in members])
+    return [estimates(geom, params, models, cfg, scenarios, correlated=correlated,
+                      workers=workers) for correlated, models in members]
 
 
 class TestGroupWalk:
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
-    def test_group_gains_equal_lone_serial_misses(self, four_user, fresh_memo):
+    def test_group_estimates_equal_lone_serial_calls(self, four_user, counting,
+                                                     fresh_memo):
         geom = quarter_wave_geometry()
-        params, members = ((four_user_params(), FOUR_USER_GROUP) if four_user
-                           else (SystemParams.from_db(), MIXED_GROUP))
+        params, members, scenarios = (
+            (four_user_params(), FOUR_USER_GROUP, FOUR + OMA) if four_user
+            else (SystemParams.from_db(), MIXED_GROUP, NOMA + OMA))
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=41)
-        group = sample_group(geom, params, members, cfg, workers=2)
-        assert len(group) == len(members)
-        for (correlated, models), (key, gains) in zip(members, group.items()):
-            assert gains.shape == (4 if four_user else 2, cfg.trials)
+        walks = counting("_walk_group")
+        group = group_estimates(geom, params, members, cfg, scenarios, workers=2)
+        assert len(walks) == 1
+        for (correlated, models), est in zip(members, group):
             mc.forget_draws()
-            mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T],
-                         correlated=correlated)
-            assert np.array_equal(mc._draws[key], gains), key
+            assert est == estimates(geom, params, models, cfg, scenarios,
+                                    correlated=correlated), (correlated, models)
 
-    def test_group_mean_gains_match_the_exact_mean(self, fresh_memo):
+    def test_group_mean_gains_match_the_exact_mean(self):
         # E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), per side and per key
         geom = quarter_wave_geometry()
         params = SystemParams.from_db()
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=43)
-        group = sample_group(geom, params, MIXED_GROUP, cfg, workers=2)
+        keys = [draw_key(geom, params, models, cfg, correlated)
+                for correlated, models in MIXED_GROUP]
         means = set()
-        for (correlated, models), gains in zip(MIXED_GROUP, group.values()):
+        for (correlated, models), gains in zip(MIXED_GROUP, walked_gains(keys)):
             tr = trace_rbar_sq(geom, correlated)
             for row, model in enumerate(models):
                 exact = _mean_gain(geom.n_elements, tr, model.epsilon())
@@ -426,7 +453,7 @@ class TestGroupWalk:
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         geom, params = quarter_wave_geometry(), SystemParams.from_db()
         cfg = McConfig(trials=500, master_seed=47)
-        sample_group(geom, params, MIXED_GROUP, cfg)
+        group_estimates(geom, params, MIXED_GROUP, cfg, [Scenario.NOMA_T])
         for correlated, models in MIXED_GROUP:
             passed.clear()
             mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T],
@@ -438,10 +465,10 @@ class TestGroupWalk:
     def test_announced_keys_share_a_gaussian_key(self, half_wave_geometry,
                                                  noma_params, fresh_memo):
         cfg = McConfig(trials=200, master_seed=1)
-        keys = [draw_key(half_wave_geometry(n_h, 4), noma_params(), QUANT1, cfg)
-                for n_h in (4, 5)]
+        members = [(draw_key(half_wave_geometry(n_h, 4), noma_params(), QUANT1, cfg),
+                    noma_params(), NOMA) for n_h in (4, 5)]
         with pytest.raises(ValueError, match="Gaussian key"):
-            mc.expect_draws(keys)
+            mc.expect_draws(members)
 
 
 class TestBoostedGain:
@@ -499,15 +526,14 @@ class TestPrimedGainMean:
         """(sample mean of H' - N) / stderr, for H_t' and H_r'."""
         geom = quarter_wave_geometry()
         params, cfg = four_user_params(), McConfig(trials=4000, master_seed=3)
-        mc_estimates(geom, params, QUANT1, cfg, [Scenario.NOMA_T], correlated=correlated)
-        gains = mc._draws[draw_key(geom, params, QUANT1, cfg, correlated)]
+        (gains,) = walked_gains([draw_key(geom, params, QUANT1, cfg, correlated)])
         return [(h.mean() - geom.n_elements) / (h.std(ddof=1) / math.sqrt(h.size))
                 for h in gains[2:]]
 
-    def test_iid_elements_have_mean_n(self, fresh_memo):
+    def test_iid_elements_have_mean_n(self):
         assert all(abs(z) <= 4.0 for z in self.primed_z_scores(False))
 
-    def test_correlated_elements_exceed_n(self, fresh_memo):
+    def test_correlated_elements_exceed_n(self):
         # about 19 standard errors at this layout (H' near 37 against N = 24)
         assert all(z > 10.0 for z in self.primed_z_scores(True))
 
@@ -555,9 +581,7 @@ class TestExactMeanGain:
         # correlation flags and all four phase-model kinds
         _, geom, correlated, models = setup
         params, cfg = SystemParams.from_db(), McConfig(trials=2000, master_seed=seed)
-        mc.forget_draws()
-        mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T], correlated=correlated)
-        gains = mc._draws[draw_key(geom, params, models, cfg, correlated)]
+        (gains,) = walked_gains([draw_key(geom, params, models, cfg, correlated)])
         tr = trace_rbar_sq(geom, correlated)
         for h, model in zip(gains, models):
             exact = _mean_gain(geom.n_elements, tr, model.epsilon())
@@ -626,23 +650,29 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("name", bundled_spec_names())
     def test_consistent_with_plain_estimate(self, name, monkeypatch, fresh_memo):
-        # the plain sample mean and half-width, from the stored gains of
-        # every engine call of the sweep
-        rows = []
+        # the plain sample mean and half-width of every engine call of the
+        # sweep, from one walk per Gaussian key
+        calls = {}
 
-        def with_plain(geom, params, models, cfg, scenarios, *, correlated, workers):
+        def recording(geom, params, models, cfg, scenarios, *, correlated, workers):
             out = mc_estimates(geom, params, models, cfg, scenarios,
                                correlated=correlated, workers=workers)
-            gains = mc._draws[draw_key(geom, params, models, cfg, correlated)]
-            z = 1.959963984540054
-            for scen, r in _rates_at(scenarios, params, gains).items():
-                plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
-                rows.append((scen, r.mean(), plain_hw, out[scen]))
+            key = draw_key(geom, params, models, cfg, correlated)
+            calls.setdefault(key[0], []).append((key, params, scenarios, out))
             return out
 
-        monkeypatch.setattr(experiments, "mc_estimates", with_plain)
+        monkeypatch.setattr(experiments, "mc_estimates", recording)
         run_sweep(spec_with_overrides(load_spec(name), trials=2000))
-        assert rows
+        assert calls
+        z = 1.959963984540054
+        rows = []
+        for group in calls.values():
+            keys = list(dict.fromkeys(key for key, *_ in group))
+            gains = dict(zip(keys, walked_gains(keys)))
+            for key, params, scenarios, out in group:
+                for scen, r in _rates_at(scenarios, params, gains[key]).items():
+                    plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
+                    rows.append((scen, r.mean(), plain_hw, out[scen]))
         for scen, plain_mean, plain_hw, est in rows:
             # CV minus plain is -beta (H-bar - E[H]), whose 95 % half-width
             # is at most the plain one; two of them are about 4 standard errors
