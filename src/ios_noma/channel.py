@@ -249,6 +249,8 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
     definite (sinc kernels on dense grids are numerically rank
     deficient), a symmetric eigendecomposition with negative eigenvalues
     clipped to zero.  Every bundled layout takes the Cholesky branch.
+    Only the Cholesky factor is lower triangular, so only its leading
+    block factors the leading principal submatrix of corr.
     """
     corr = np.asarray(corr, dtype=float)
     try:
@@ -263,5 +265,11 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
 
 
 def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex normals with unit total variance."""
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    """Circularly-symmetric complex normals with unit total variance.
+
+    Each entry takes its real and imaginary parts together, in C order,
+    so the first k rows of a draw of shape (n, c) equal a draw of shape
+    (k, c) from the same generator, bit for bit."""
+    pairs = rng.standard_normal((*np.atleast_1d(size), 2))
+    pairs /= np.sqrt(2.0)
+    return pairs.view(complex)[..., 0]

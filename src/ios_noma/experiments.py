@@ -321,10 +321,13 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    Points are visited grouped by the Gaussian key of their draw key.
-    Before a group's first point the engine is told the (draw key,
-    params, target) of every mc point of the group, so it walks them in
-    one pass and every engine call finalizes from the stored moments,
+    Points are visited grouped by the Gaussian key of their draw key,
+    which holds the layout family, not the column count, so an
+    element-count sweep is one group per family.  Before a group's first
+    point the engine is told the (draw key, params, target) of every mc
+    point of the group, so it walks them in one pass, every layout of a
+    family on the widest one's draws, and every engine call finalizes
+    from the stored moments,
     which are dropped when the sweep returns.  The bounds and the engine
     read tr(Rbar Rbar) from the cache of trace_rbar_sq.  Rows come back
     sorted by (axis_value, scenario, estimator).

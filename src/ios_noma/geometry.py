@@ -1,13 +1,15 @@
 """Surface layout, spatial correlation, and the trace tr(Rbar Rbar).
 
 The surface is a planar rectangular array in the yz plane with n_h
-elements per row and n_v per column.  Elements are indexed 1..N row by
-row.  Correlation between fading coefficients of two elements follows
-the isotropic-scattering sinc kernel sin(2 pi d / lambda) / (2 pi d /
-lambda) of their separation d.  On the regular grid, d depends only on
-the index offsets (a, b) of the two elements, so the kernel is one
-n_h x n_v table of offsets, and every per-layout quantity derives from
-it: the correlation matrix R gathers its entries from the table, and the
+elements per row and n_v per column.  Elements are indexed 1..N column
+by column (index row + n_v col), so the leading n_h columns of a wider
+layout with the same n_v, element sizes and wavelength (one family) are
+its leading n_v n_h elements.  Correlation between fading coefficients
+of two elements follows the isotropic-scattering sinc kernel
+sin(2 pi d / lambda) / (2 pi d / lambda) of their separation d.  On
+the regular grid, d depends only on the index offsets (a, b) of the two
+elements, so the kernel is one n_h x n_v table of offsets, and every
+per-layout quantity derives from it: the correlation matrix R gathers its entries from the table, and the
 magnitude-moment matrix Rbar = E[|w||w|^T] has one entry per offset, the
 cross moment of the table entry.  The analytic bounds read Rbar only
 through tr(Rbar Rbar), which is summed over the offsets in O(N) and
@@ -85,13 +87,15 @@ def _kernel_table(geom: ArrayGeometry) -> np.ndarray:
 
 
 def correlation_matrix(geom: ArrayGeometry) -> np.ndarray:
-    """N x N fading correlation matrix, elements in row-major order.
+    """N x N fading correlation matrix, elements in column-major order.
 
     R[i, j] is gathered from the kernel table at the column and row
     offsets of elements i and j, so R is exactly symmetric with a unit
-    diagonal."""
+    diagonal, and the R of n_h columns is exactly the leading
+    n_v n_h x n_v n_h block of the R of every wider layout of its
+    family."""
     idx = np.arange(geom.n_elements)
-    col, row = idx % geom.n_h, idx // geom.n_h
+    col, row = idx // geom.n_v, idx % geom.n_v
     return _kernel_table(geom)[np.abs(col[:, None] - col[None, :]),
                                np.abs(row[:, None] - row[None, :])]
 

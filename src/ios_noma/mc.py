@@ -31,18 +31,26 @@ phase-error models, master seed, trial count, and params.four_user
 (four-user parameters add the primed gains, whatever scenarios are
 asked for); the link budget, the confidence level and the scenarios
 enter only through the rates.  The fading streams depend only on the
-Gaussian key (geometry, seed, trials, params.four_user), so one walk
-samples every draw key that shares it: each block draws each fading
-stream once, colours it once per correlation flag, and feeds every
-phase model.  A member of such a group is the (draw key, params,
-scenarios) of one engine call.  expect_draws() announces a group's
-members; the group's first call walks the blocks once, runs every
-member's rate chain on each block's gains, and stores only the merged
-moments per member and scenario.  A later call on a stored member
-finalizes from them with its own confidence level; a call on any other
-member walks it alone, in place of the stored group.  Either way the
-estimates are bit-identical, and a walk holds one block of gains at a
-time, whatever the trial count.  forget_draws() drops the memo.
+Gaussian key: the layout family (n_v, element sizes and wavelength),
+seed, trials and params.four_user.  Elements are ordered column by
+column and every stream is drawn element by element, so a layout of
+n_h columns reads the leading n_v n_h rows of its family's draws, and
+its Cholesky factor is the leading block of a wider layout's.  One walk
+thus samples every draw key of a family: each block draws each stream
+once, at the widest layout asked for, colours each fading stream once
+per correlation flag, draws each phase model once per side, and reads
+the composite gain of every column count from prefix sums over the
+columns.  A layout's draws do not depend on the other layouts of its
+walk: its i.i.d. gains are bit-identical to a lone walk's, and its
+correlated ones differ only by the rounding of the wider factor.  A
+member of such a group is the (draw key, params, scenarios) of one
+engine call.  expect_draws() announces a group's members; the group's
+first call walks the blocks once, runs every member's rate chain on
+each block's gains, and stores only the merged moments per member and
+scenario.  A later call on a stored member finalizes from them with its
+own confidence level; a call on any other member walks it alone, in
+place of the stored group.  A walk holds one block of gains at a time,
+whatever the trial count.  forget_draws() drops the memo.
 SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
 none.
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -121,14 +129,18 @@ class McEstimate:
             raise ValueError("half_width must be non-negative")
 
 
-def _boosted_gain(amp: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """|sum_n amp_n exp(j phases_n)|^2 per trial, amp = |a| |h| formed by
-    the caller.  In place: bit-identical to amp * exp(1j * phases), one
-    complex (n, count) temporary fewer."""
+def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dict:
+    """{n_h: |sum_{n < n_v n_h} amp_n exp(j phases_n)|^2 per trial} for the
+    column counts n_h in widths, amp = |a| |h| formed by the caller, both
+    (n_v max(widths), count) with elements column by column.  The terms
+    are summed per column and accumulated over the columns, so each
+    column count reads its own prefix sum.  exp in place: bit-identical
+    to amp * exp(1j * phases), one complex temporary fewer."""
     terms = np.multiply(1j, phases)
     np.exp(terms, out=terms)
     terms *= amp
-    return np.abs(np.sum(terms, axis=0)) ** 2
+    prefix = np.cumsum(terms.reshape(-1, n_v, terms.shape[1]).sum(axis=1), axis=0)
+    return {n_h: np.abs(prefix[n_h - 1]) ** 2 for n_h in widths}
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +176,32 @@ def _walk_block(keys, factor, block, count):
     (len(keys), 2 or 4, count): rows (H_t, H_r), plus (H_t', H_r') under
     four-user parameters.
 
-    Each fading stream is drawn once and coloured once per correlation
-    flag (by factor, or not at all).  A colouring keeps what every phase
-    model shares: |g||h|, and for four-user keys |g'||h| and
+    Every stream is drawn once, at the group's widest layout and element
+    by element, so a layout's n_v n_h elements read the leading rows of
+    each draw, whatever the widest layout is.  Each fading stream is
+    coloured once per correlation flag: by factor, the lower-triangular
+    factor of the widest correlated layout, whose leading block colours
+    every narrower one, or not at all.  A colouring keeps what every
+    phase model shares: |g||h|, and for four-user keys |g'||h| and
     arg(g') - arg(g).  The primed composites reuse the boost set, so
     their leftover phase at element n is arg(g'_n) - arg(g_n) + phi_n_t,
     uniform per element but tied to the actual draws.  On a correlated
-    layout the leftovers are correlated across elements too, so
-    E[H'] exceeds N (about 37 against N = 24 on a 6 x 4 array at
-    quarter-wavelength spacing under 1-bit errors).  Then each key
-    draws its phase stream and forms its gains on that side, and the
-    reflect side follows with r, r' and phi_r.  Each array is freed as
-    soon as it is used up, so the live set does not grow with the
-    number of phase models.
+    layout the leftovers are correlated across elements too, so E[H']
+    exceeds N (about 37 against N = 24 on a 6 x 4 array at
+    quarter-wavelength spacing under 1-bit errors).  Then on each side
+    every distinct phase model draws its stream once, at the widest
+    layout it is asked at, and each (correlation flag, phase model) of
+    the side forms the gains of all its column counts from one set of
+    element terms (see _boosted_gains).  The transmit side comes first,
+    then the reflect side with r, r' and phi_r.  Each array is freed as
+    soon as it is used up, so the live set does not grow with the number
+    of phase models.
     """
-    geom, master_seed, _, primed = keys[0][0]
-    shape = (geom.n_elements, count)
-    flags = dict.fromkeys(key[1] for key in keys)
+    (family, master_seed, _, primed), *_ = keys[0]
+    n_v = family.n_v
+    shape = (n_v * max(key[1] for key in keys), count)
+    flags = dict.fromkeys(key[2] for key in keys)
+    index = {key: i for i, key in enumerate(keys)}
 
     def rng(stream):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
@@ -193,7 +214,7 @@ def _walk_block(keys, factor, block, count):
         if False in flags:
             yield False, z
         if True in flags:
-            vec = factor @ z
+            vec = factor @ z[:len(factor)]
             del z
             yield True, vec
 
@@ -218,12 +239,23 @@ def _walk_block(keys, factor, block, count):
             for flag, base in arg.items():
                 arg_p[flag] -= base  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
-        for out, (_, flag, *models) in zip(gains, keys):
-            phases = models[row].sample(shape, rng(stream_phi))
-            out[row] = _boosted_gain(amp[flag], phases)
-            if primed:
-                out[row + 2] = _boosted_gain(amp_p[flag], arg_p[flag] + phases)
-            del phases  # before the next key's phases are drawn
+        asked = {}  # {phase model of this side: {flag: [keys]}}
+        for key in keys:
+            asked.setdefault(key[3 + row], {}).setdefault(key[2], []).append(key)
+        for model, by_flag in asked.items():
+            phases = model.sample((n_v * max(key[1] for group in by_flag.values()
+                                             for key in group), count), rng(stream_phi))
+            for flag, group in by_flag.items():
+                widths = {key[1] for key in group}
+                n = n_v * max(widths)
+                out = _boosted_gains(amp[flag][:n], phases[:n], n_v, widths)
+                out_p = (_boosted_gains(amp_p[flag][:n], arg_p[flag][:n] + phases[:n],
+                                        n_v, widths) if primed else None)
+                for key in group:
+                    gains[index[key], row] = out[key[1]]
+                    if primed:
+                        gains[index[key], row + 2] = out_p[key[1]]
+            del phases  # before the next model's phases are drawn
         amp = amp_p = arg_p = None  # before the next side is drawn
     return gains
 
@@ -259,13 +291,16 @@ def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfi
     params.four_user, which adds the primed gains; the rest of params
     enters only through the rates.
 
-    The key is (Gaussian key, correlated, model_t, model_r).  The
-    Gaussian key (geometry, master seed, trials, params.four_user) fixes
-    the fading streams; keys that share it differ only in the colouring
-    and the phase streams, and one walk samples them together.
+    The key is (Gaussian key, n_h, correlated, model_t, model_r).  The
+    Gaussian key (family, master seed, trials, params.four_user) fixes
+    the fading streams; the family is the layout's one-column geometry
+    (n_v, element sizes and wavelength), and its layouts of n_h columns
+    read the leading rows of every stream.  Keys that share a Gaussian
+    key differ only in the column count, the colouring and the phase
+    streams, and one walk samples them together.
     """
-    return ((geom, cfg.master_seed, cfg.trials, params.four_user), correlated,
-            *err_models)
+    return ((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user),
+            geom.n_h, correlated, *err_models)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +377,31 @@ def _block_moments(keys, members, factor, block, count):
             for r in _rates_at(scenarios, params, gains[key]).values()]
 
 
+def _group_factor(keys):
+    """The colouring factor of a group's draw keys: that of the widest
+    correlated layout, or None if no key is correlated."""
+    n_h = max((key[1] for key in keys if key[2]), default=0)
+    return (correlation_factor(correlation_matrix(replace(keys[0][0][0], n_h=n_h)))
+            if n_h else None)
+
+
 def _walk_group(members, workers):
     """{member: {scenario: moments}} for members that share their
     Gaussian key, one walk over the blocks, merged in block order so the
-    result does not depend on scheduling."""
+    result does not depend on scheduling.  If the widest correlated
+    layout's factor is not triangular (the clipped eigh), its leading
+    block does not colour the narrower layouts, so each column count is
+    walked as a group of its own."""
     keys = list(dict.fromkeys(key for key, _, _ in members))
-    geom, _, trials, _ = keys[0][0]
-    factor = (correlation_factor(correlation_matrix(geom))
-              if any(key[1] for key in keys) else None)
-    jobs = [(keys, members, factor, block, count) for block, count in _blocks(trials)]
+    factor = _group_factor(keys)
+    widths = sorted({key[1] for key in keys})
+    if factor is not None and len(widths) > 1 and np.triu(factor, 1).any():
+        walked = {}
+        for n_h in widths:
+            walked.update(_walk_group([m for m in members if m[0][1] == n_h], workers))
+        return walked
+    jobs = [(keys, members, factor, block, count)
+            for block, count in _blocks(keys[0][0][2])]
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,11 +8,11 @@ from ios_noma import ArrayGeometry, SystemParams, cross_moment, mc
 
 def dense_correlation(geom):
     """Reference R: the sinc kernel of the pairwise distances of the
-    element centres, elements in row-major order, from an N x N x 2
-    array of coordinate differences."""
+    element centres, elements in column-major order (index row + n_v col),
+    from an N x N x 2 array of coordinate differences."""
     idx = np.arange(geom.n_elements)
-    coords = np.stack([(idx % geom.n_h) * geom.elem_len_l,
-                       (idx // geom.n_h) * geom.elem_len_w], axis=1)
+    coords = np.stack([(idx // geom.n_v) * geom.elem_len_l,
+                       (idx % geom.n_v) * geom.elem_len_w], axis=1)
     diff = coords[:, None, :] - coords[None, :, :]
     # np.sinc(t) = sin(pi t) / (pi t)
     return np.sinc(2.0 * np.sqrt(np.sum(diff * diff, axis=-1)) / geom.wavelength)

@@ -14,8 +14,8 @@ from ios_noma.analytic import (Scenario, quantization_gain_limit, rate_bound,
 from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
                               VonMises, correlation_factor,
                               standard_complex_gaussian)
-from ios_noma.experiments import (load_spec, rows_to_csv_text, run_sweep,
-                                  spec_with_overrides)
+from ios_noma.experiments import (ScenarioSpec, SweepSpec, load_spec,
+                                  rows_to_csv_text, run_sweep, spec_with_overrides)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
                                trace_rbar_sq)
 from ios_noma.mc import McConfig, mc_estimates
@@ -105,15 +105,16 @@ def test_criterion_2_jensen_tightness_and_uniform_gap():
 def test_criterion_3_reflect_user_ceiling():
     """R rate converges upward to log2(1 + q_r^2/q_t^2) and sits within
     0.02 of it at 90 dB transmit SNR."""
-    geom = half_wave_geom(10)
-    models = (VonMises(2.0), VonMises(2.0))
     ceiling = math.log2(1.0 + 0.64 / 0.36)
-    means = []
-    for p_dbm in (10.0, 25.0, 40.0):  # transmit SNR 60, 75, 90 dB
-        params = SystemParams.from_db(p_dbm=p_dbm)
-        cfg = McConfig(trials=100_000, master_seed=SEED)
-        est_r, = simulate(geom, params, models, cfg, [Scenario.NOMA_R])
-        means.append(est_r.mean)
+    # one sweep, so the three SNRs share one walk over the draws: p_dbm
+    # 10, 25 and 40 at the default -50 dBm noise, a 10 x 4 half-wavelength
+    # array and von Mises (kappa = 2) errors on both sides
+    spec = SweepSpec(
+        axis="transmit_snr_db", values=(60.0, 75.0, 90.0),
+        defaults={"n_h": 10, "n_v": 4, "phase_error_t": "vonmises:2",
+                  "phase_error_r": "vonmises:2", "trials": 100_000, "master_seed": SEED},
+        scenarios=(ScenarioSpec(name="r", target=Scenario.NOMA_R, estimators=("mc",)),))
+    means = [row.value for row in run_sweep(spec)]
     monotone = means[0] < means[1] < means[2]
     final_gap = ceiling - means[-1]
     ok = monotone and means[-1] <= ceiling and final_gap <= 0.02

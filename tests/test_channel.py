@@ -12,7 +12,7 @@ from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               standard_complex_gaussian)
 from ios_noma.experiments import load_spec
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, cross_moment
-from ios_noma.mc import _boosted_gain
+from ios_noma.mc import _boosted_gains
 from ios_noma.specfun import bessel_ratio_i1_i0
 
 
@@ -120,6 +120,13 @@ class TestPhaseErrorModels:
         mc = np.cos(draws)
         assert abs(mc.mean() - model.epsilon()) < 3.0 * mc.std() / math.sqrt(len(draws))
 
+    @pytest.mark.parametrize("model", [Perfect(), Quantized(1), VonMises(0.5),
+                                       VonMises(2.0), UniformFull()])
+    def test_narrow_draw_is_the_leading_rows(self, model):
+        # the engine draws each phase stream once, at the widest layout
+        wide = model.sample((100, 1024), np.random.default_rng(8))
+        assert np.array_equal(model.sample((20, 1024), np.random.default_rng(8)), wide[:20])
+
     def test_quantized_support(self, rng):
         draws = Quantized(2).sample(10_000, rng)
         assert np.all(np.abs(draws) <= math.pi / 4)
@@ -186,6 +193,15 @@ class TestCorrelatedSampling:
         emp = (h @ h.conj().T).real / h.shape[1]
         # entry variance is O(1/sqrt(samples)); 3 sigma with margin
         assert np.max(np.abs(emp - base)) < 3.5 / math.sqrt(h.shape[1])
+
+    @pytest.mark.parametrize("rows, wide, cols", [(20, 100, 1024), (1, 7, 3), (5, 5, 2)])
+    def test_narrow_draw_is_the_leading_rows(self, rows, wide, cols):
+        # element-major order: a layout's draws do not depend on how many
+        # elements the widest layout of its walk has
+        narrow = standard_complex_gaussian((rows, cols), np.random.default_rng(9))
+        full = standard_complex_gaussian((wide, cols), np.random.default_rng(9))
+        assert narrow.shape == (rows, cols)
+        assert np.array_equal(narrow, full[:rows])
 
 
 def residual(factor, corr):
@@ -264,8 +280,9 @@ class TestCompositeGain:
 
     @staticmethod
     def gain(mags, phases):
+        """The gain of one trial, the elements as one column."""
         mags, phases = (np.asarray(x, dtype=float)[:, None] for x in (mags, phases))
-        return float(_boosted_gain(mags, phases)[0])
+        return float(_boosted_gains(mags, phases, len(mags), [1])[1][0])
 
     def test_coherent_sum(self):
         assert self.gain([1.0, 1.0], [0.0, 0.0]) == pytest.approx(4.0, abs=1e-12)
@@ -274,15 +291,18 @@ class TestCompositeGain:
         assert self.gain([1.0, 1.0], [0.0, math.pi]) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_accumulation(self, rng):
+        # four columns of four elements: the gain of the leading k columns
+        # sums the first 4 k elements
         n, trials = 16, 3
         mag_g, mag_h = rng.rayleigh(size=(n, trials)), rng.rayleigh(size=(n, trials))
         phases = rng.uniform(-math.pi, math.pi, (n, trials))
-        gains = _boosted_gain(mag_g * mag_h, phases)
-        for t in range(trials):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += mag_g[k, t] * mag_h[k, t] * np.exp(1j * phases[k, t])
-            assert gains[t] == pytest.approx(abs(acc) ** 2, rel=1e-12)
+        gains = _boosted_gains(mag_g * mag_h, phases, 4, [1, 2, 3, 4])
+        for cols, row in gains.items():
+            for t in range(trials):
+                acc = 0.0 + 0.0j
+                for k in range(4 * cols):
+                    acc += mag_g[k, t] * mag_h[k, t] * np.exp(1j * phases[k, t])
+                assert row[t] == pytest.approx(abs(acc) ** 2, rel=1e-12)
 
 
 class TestMeanCompositeGain:

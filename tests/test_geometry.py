@@ -24,19 +24,35 @@ def bivariate_magnitude_moment(rho_sq, samples, seed):
 
 
 class TestCoordinates:
-    # rows of correlation_matrix are elements 1..N in row-major order, and
-    # each entry is the kernel of the two element centres' distance
+    # rows of correlation_matrix are elements 1..N in column-major order
+    # (index row + n_v col), and each entry is the kernel of the two
+    # element centres' distance
 
     def test_row_wrap(self):
-        # element 4 of a 4-wide grid starts the second row
-        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.04)
-        assert correlation_matrix(geom)[0, 4] == pytest.approx(
+        # element 3 of a 3-tall grid wraps back to the first row, in the
+        # second column
+        geom = ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.04, elem_len_w=0.05)
+        assert correlation_matrix(geom)[0, 3] == pytest.approx(
             math.sin(2 * math.pi * 0.4) / (2 * math.pi * 0.4), abs=1e-15)
 
     def test_second_row_second_column(self):
         geom = ArrayGeometry(n_h=4, n_v=2, elem_len_l=0.05, elem_len_w=0.05)
         x = 2 * math.pi * math.hypot(0.05, 0.05) / geom.wavelength
-        assert correlation_matrix(geom)[0, 5] == pytest.approx(math.sin(x) / x, abs=1e-15)
+        assert correlation_matrix(geom)[0, 3] == pytest.approx(math.sin(x) / x, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_h=st.integers(1, 10), extra=st.integers(1, 8), n_v=st.integers(1, 8),
+           spacing=st.sampled_from([2, 3, 4, 8]), aspect=st.floats(0.3, 3.0))
+    def test_narrow_layout_is_the_leading_block(self, n_h, extra, n_v, spacing, aspect):
+        # the layouts of one family nest: n_h columns are the leading
+        # n_v n_h elements of every wider layout
+        narrow = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
+                               elem_len_w=aspect * 0.1 / spacing, wavelength=0.1)
+        wide = correlation_matrix(ArrayGeometry(
+            n_h=n_h + extra, n_v=n_v, elem_len_l=narrow.elem_len_l,
+            elem_len_w=narrow.elem_len_w, wavelength=0.1))
+        n = narrow.n_elements
+        assert np.array_equal(correlation_matrix(narrow), wide[:n, :n])
 
     @settings(max_examples=60, deadline=None)
     @given(n_h=st.integers(1, 12), n_v=st.integers(1, 12),

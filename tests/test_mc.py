@@ -14,10 +14,10 @@ from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 from ios_noma import cli, experiments, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gain,
-                         _merge, _moments, _rates_at, _walk_block, draw_key,
-                         four_user_trial_rates, mc_estimates, noma_trial_rates,
-                         oma_trial_rates)
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
+                         _group_factor, _merge, _moments, _rates_at, _walk_block,
+                         draw_key, four_user_trial_rates, mc_estimates,
+                         noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -40,12 +40,10 @@ def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
 
 def walked_gains(keys):
     """The composite gains of draw keys that share their Gaussian key,
-    shape (len(keys), 2 or 4, trials): _walk_block over the blocks,
-    concatenated."""
-    geom, _, trials, _ = keys[0][0]
-    factor = (correlation_factor(correlation_matrix(geom))
-              if any(key[1] for key in keys) else None)
-    return np.concatenate([_walk_block(keys, factor, block, count)
+    shape (len(keys), 2 or 4, trials): _walk_block over the blocks with
+    the group's factor, concatenated."""
+    _, _, trials, _ = keys[0][0]
+    return np.concatenate([_walk_block(keys, _group_factor(keys), block, count)
                            for block, count in _blocks(trials)], axis=2)
 
 
@@ -337,7 +335,7 @@ class TestDrawMemo:
         run_sweep(spec)
         assert len(sampled_blocks) == 1  # one walk for both phase models
         keys = sampled_blocks[0][0]
-        assert {key[2:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
+        assert {key[3:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
                                              (VonMises(2.0), VonMises(2.0))}
         assert len(keys) == 2
         assert mc._stored == {}  # dropped when the sweep returns
@@ -352,15 +350,22 @@ class TestDrawMemo:
                                                ("fig7_correlation", 20)])
     def test_sweep_walks_and_factors_each_layout_once(self, name, layouts,
                                                       sampled_blocks, counting):
-        # fig3: four phase models per layout; fig7: both correlation flags
+        # every layout of the sweep is one family (n_v, element sizes and
+        # wavelength), walked once per block, and the widest layout's
+        # factor colours them all.  fig3: four phase models per layout;
+        # fig7: both correlation flags
         factors = counting("correlation_factor")
         builds = counting("correlation_matrix")
-        run_sweep(spec_with_overrides(load_spec(name), trials=200))
-        assert len(sampled_blocks) == len(factors) == layouts
-        assert len(builds) == layouts  # one per factor, none for the bounds
-        assert len({keys[0][0] for keys, *_ in sampled_blocks}) == layouts
-        assert all(len(keys) == (4 if name.startswith("fig3") else 2)
-                   for keys, *_ in sampled_blocks)
+        spec = spec_with_overrides(load_spec(name), trials=200)
+        run_sweep(spec)
+        assert len(list(_blocks(200))) == 1
+        assert len(sampled_blocks) == len(factors) == 1
+        assert len(builds) == 1  # one per factor, none for the bounds
+        ((keys, factor, _, _),) = sampled_blocks
+        assert len(keys) == layouts * (4 if name.startswith("fig3") else 2)
+        assert len({key[0] for key in keys}) == 1
+        assert {key[1] for key in keys} == set(range(1, layouts + 1))
+        assert factor.shape == (2 * (spec.defaults["n_v"] * layouts,))
         assert mc._stored == {}
 
 
@@ -465,10 +470,96 @@ class TestGroupWalk:
     def test_announced_keys_share_a_gaussian_key(self, half_wave_geometry,
                                                  noma_params, fresh_memo):
         cfg = McConfig(trials=200, master_seed=1)
-        members = [(draw_key(half_wave_geometry(n_h, 4), noma_params(), QUANT1, cfg),
-                    noma_params(), NOMA) for n_h in (4, 5)]
+        # two families: the layouts differ in n_v
+        members = [(draw_key(half_wave_geometry(4, n_v), noma_params(), QUANT1, cfg),
+                    noma_params(), NOMA) for n_v in (4, 5)]
         with pytest.raises(ValueError, match="Gaussian key"):
             mc.expect_draws(members)
+
+
+def sweep_and_lone_estimates(name, trials, monkeypatch):
+    """(correlated, sweep estimates, lone estimates) of every engine call
+    of a bundled sweep: the sweep walks each family once, and each lone
+    call walks its own layout alone."""
+    calls = []
+
+    def recording(geom, params, models, cfg, scenarios, *, correlated, workers):
+        out = mc_estimates(geom, params, models, cfg, scenarios,
+                           correlated=correlated, workers=workers)
+        calls.append(((geom, params, models, cfg, scenarios), correlated, out))
+        return out
+
+    monkeypatch.setattr(experiments, "mc_estimates", recording)
+    run_sweep(spec_with_overrides(load_spec(name), trials=trials))
+    assert mc._stored == {}
+    return [(correlated, out, mc_estimates(*args, correlated=correlated))
+            for args, correlated, out in calls]
+
+
+class TestFamilyWalk:
+    # one walk draws every stream at the family's widest layout, and each
+    # narrower layout reads the leading rows
+
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_members_equal_lone_walks(self, four_user, half_wave_geometry):
+        # i.i.d. members bit for bit; correlated ones up to the rounding of
+        # the widest factor's leading block against the narrow factor
+        params = four_user_params() if four_user else SystemParams.from_db()
+        cfg = McConfig(trials=3000, master_seed=51)
+        keys = [draw_key(half_wave_geometry(n_h, 4), params, models, cfg, correlated)
+                for n_h in (1, 3, 8) for correlated in (False, True)
+                for models in (QUANT1, (UniformFull(), Perfect()),
+                               (VonMises(2.0), Quantized(2)))]
+        for key, gains in zip(keys, walked_gains(keys)):
+            lone = walked_gains([key])[0]
+            if key[2]:
+                assert np.max(np.abs(gains - lone)) <= 1e-12 * np.max(lone), key[1:]
+            else:
+                assert np.array_equal(gains, lone), key[1:]
+
+    def test_fig3_estimates_equal_lone_walks(self, monkeypatch, fresh_memo):
+        # half-wavelength spacing, correlated, 100 members in one walk
+        for _, group, lone in sweep_and_lone_estimates("fig3_rate_vs_N", 2000,
+                                                       monkeypatch):
+            for scen, est in group.items():
+                assert est.mean == pytest.approx(lone[scen].mean, rel=1e-12, abs=0)
+                assert est.half_width == pytest.approx(lone[scen].half_width,
+                                                       rel=1e-12, abs=0)
+
+    def test_fig7_estimates_match_lone_walks(self, monkeypatch, fresh_memo):
+        # quarter-wavelength spacing: R is ill-conditioned, so the
+        # factor's rounding shows, far below the half-width
+        for correlated, group, lone in sweep_and_lone_estimates("fig7_correlation", 2000,
+                                                                monkeypatch):
+            for scen, est in group.items():
+                if not correlated:
+                    assert est == lone[scen]
+                    continue
+                assert abs(est.mean - lone[scen].mean) < 1e-3 * est.half_width
+                assert abs(est.half_width - lone[scen].half_width) < 1e-3 * est.half_width
+
+    def test_family_that_takes_eigh_walks_each_layout_alone(self, counting, fresh_memo):
+        # a 16 x 16 grid at lambda/8 is numerically rank deficient: its
+        # factor is not triangular, so its leading block does not colour
+        # the narrower layouts
+        def layout(n_h):
+            return ArrayGeometry(n_h=n_h, n_v=16, elem_len_l=0.0125, elem_len_w=0.0125)
+
+        params, cfg = SystemParams.from_db(), McConfig(trials=500, master_seed=53)
+        flags = (True, False)
+        keys = [draw_key(layout(16), params, QUANT1, cfg, correlated) for correlated in flags]
+        assert np.triu(_group_factor(keys), 1).any()
+        walks = counting("_walk_block")
+        mc.expect_draws((draw_key(layout(n_h), params, QUANT1, cfg, correlated), params, NOMA)
+                        for n_h in (4, 16) for correlated in flags)
+        group = {(n_h, correlated): estimates(layout(n_h), params, QUANT1, cfg, NOMA,
+                                              correlated=correlated)
+                 for n_h in (4, 16) for correlated in flags}
+        assert sorted({key[1] for key in keys} for keys, *_ in walks) == [{4}, {16}]
+        for (n_h, correlated), est in group.items():
+            mc.forget_draws()
+            assert est == estimates(layout(n_h), params, QUANT1, cfg, NOMA,
+                                    correlated=correlated), (n_h, correlated)
 
 
 class TestBoostedGain:
@@ -479,9 +570,14 @@ class TestBoostedGain:
         mag_a[::3] = 0.0
         mag_h[:, ::7] = 0.0
         phases = rng.uniform(-np.pi, np.pi, (40, 300))
-        plain = np.abs(np.sum(mag_a * mag_h * np.exp(1j * phases), axis=0)) ** 2
+        # ten columns of four elements: per-column sums, accumulated
+        terms = (mag_a * mag_h * np.exp(1j * phases)).reshape(10, 4, 300)
+        plain = np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2
         # the engine forms mag_a * mag_h once and shares it across phase models
-        assert np.array_equal(_boosted_gain(mag_a * mag_h, phases), plain)
+        gains = _boosted_gains(mag_a * mag_h, phases, 4, range(1, 11))
+        assert sorted(gains) == list(range(1, 11))
+        for n_h, row in gains.items():
+            assert np.array_equal(row, plain[n_h - 1])
 
 
 class TestConfigAndEstimate:
