@@ -81,6 +81,15 @@ def link_gain(params: SystemParams, link: str, h):
     return params.gamma0 * pathloss(params, link) * amp**2 * h
 
 
+def _shares(params: SystemParams, users: int):
+    """(q_k^2, sum_{j<k} q_j^2) of the first users of T, R, T', R': each
+    user's power share and that of the messages not yet decoded when
+    its own is."""
+    names = ("q_t", "q_r", "q_tp", "q_rp")[:users]
+    q_sq = [getattr(params, name) ** 2 for name in names]
+    return [(q_k, sum(reversed(q_sq[:k]))) for k, q_k in enumerate(q_sq)]
+
+
 def sic_rates(params: SystemParams, *gains):
     """Rates of the users T, R, T', R' under the decoding order (R', T', R, T).
 
@@ -90,11 +99,8 @@ def sic_rates(params: SystemParams, *gains):
     messages not yet decoded as interference, so a user's rate depends
     only on the gains up to its own.
     """
-    names = ("q_t", "q_r", "q_tp", "q_rp")[:len(gains)]
-    q_sq = [getattr(params, name) ** 2 for name in names]
     rates = []
-    for k, q_k in enumerate(q_sq):
-        interference = sum(reversed(q_sq[:k]))
+    for k, (q_k, interference) in enumerate(_shares(params, len(gains))):
         rates.append(functools.reduce(np.minimum, [
             np.log1p(f * q_k / (f * interference + 1.0)) / _LN2 for f in gains[:k + 1]]))
     return tuple(rates)
@@ -189,19 +195,15 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
 
 
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
-    """Transmit-SNR-independent ceiling of the interference-limited rates."""
+    """Transmit-SNR-independent ceiling of the interference-limited rates:
+    sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2)."""
     if scenario in (Scenario.NOMA_TP, Scenario.NOMA_RP) and not params.four_user:
         raise ConfigError(f"{scenario.value} limit requires four-user parameters")
-    if scenario is Scenario.NOMA_R:
-        value = math.log2(1.0 + params.q_r**2 / params.q_t**2)
-    elif scenario is Scenario.NOMA_TP:
-        value = math.log2(1.0 + params.q_tp**2 / (params.q_t**2 + params.q_r**2))
-    elif scenario is Scenario.NOMA_RP:
-        value = math.log2(1.0 + params.q_rp**2
-                          / (params.q_t**2 + params.q_r**2 + params.q_tp**2))
-    else:
+    if scenario not in _NOMA_USERS[1:]:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}")
-    return RateBound(value)
+    k = _NOMA_USERS.index(scenario)
+    q_k, interference = _shares(params, k + 1)[k]
+    return RateBound(math.log1p(q_k / interference) / _LN2)
 
 
 def sum_rate_verdict(params: SystemParams, eps_t: float, eps_r: float) -> Verdict:

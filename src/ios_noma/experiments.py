@@ -25,7 +25,7 @@ from .analytic import RateBound, Scenario, rate_bound
 from .channel import (ConfigError, PhaseErrorModel, SystemParams,
                       phase_error_from_string)
 from .geometry import ArrayGeometry, trace_rbar_sq
-from .mc import McConfig, draw_key, expect_draws, forget_draws, mc_estimates
+from .mc import McConfig, expect_draws, forget_draws, mc_estimates
 
 __all__ = [
     "DEFAULTS",
@@ -78,7 +78,6 @@ DEFAULTS: dict[str, object] = {
     "correlated": True,
     "trials": 100_000,
     "master_seed": 20157,
-    "confidence": 0.95,
 }
 
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
@@ -306,8 +305,7 @@ def build_point(cfg: dict[str, object]) -> Point:
         err_models=(phase_error_from_string(str(cfg["phase_error_t"])),
                     phase_error_from_string(str(cfg["phase_error_r"]))),
         correlated=bool(cfg["correlated"]),
-        mc=McConfig(trials=int(cfg["trials"]), master_seed=int(cfg["master_seed"]),
-                    confidence=float(cfg["confidence"])))
+        mc=McConfig(trials=int(cfg["trials"]), master_seed=int(cfg["master_seed"])))
 
 
 def analytic_bound(target: Scenario, estimator: str, point: Point, tr: float) -> RateBound:
@@ -321,42 +319,35 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    Points are visited grouped by the Gaussian key of their draw key,
-    which holds the layout family, not the column count, so an
-    element-count sweep is one group per family.  Before a group's first
-    point the engine is told the (draw key, params, target) of every mc
-    point of the group, so it walks them in one pass, every layout of a
-    family on the widest one's draws, and every engine call finalizes
-    from the stored moments,
-    which are dropped when the sweep returns.  The bounds and the engine
-    read tr(Rbar Rbar) from the cache of trace_rbar_sq.  Rows come back
-    sorted by (axis_value, scenario, estimator).
+    The engine is told the arguments of every mc call of the sweep at
+    once (see mc.expect_draws), and the points are visited in sweep
+    order: the first call on each Gaussian key walks all of that key's
+    calls, so an element-count sweep is one walk per layout family, and
+    the other calls finalize from the stored moments, which are dropped
+    when the sweep returns.  The bounds and the engine read tr(Rbar Rbar)
+    from the cache of trace_rbar_sq.  Rows come back sorted by
+    (axis_value, scenario, estimator).
     """
-    groups: dict[tuple, list] = {}
-    for value, scen, point in spec.points():
-        key = draw_key(point.geom, point.params, point.err_models, point.mc,
-                       point.correlated)
-        groups.setdefault(key[0], []).append((key, value, scen, point))
+    points = spec.points()
     rows: list[ResultRow] = []
     try:
-        for group in groups.values():
-            expect_draws((key, point.params, (scen.target,))
-                         for key, _, scen, point in group if "mc" in scen.estimators)
-            for _, value, scen, point in group:
-                for est in (e for e in scen.estimators if e != "mc"):
-                    bound = analytic_bound(scen.target, est, point,
-                                           trace_rbar_sq(point.geom, point.correlated))
-                    rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                          estimator=est, value=bound.value,
-                                          branch=bound.branch))
-                if "mc" in scen.estimators:
-                    est = mc_estimates(point.geom, point.params, point.err_models,
-                                       point.mc, [scen.target],
-                                       correlated=point.correlated,
-                                       workers=workers)[scen.target]
-                    rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                          estimator="mc", value=est.mean,
-                                          half_width=est.half_width))
+        expect_draws((point.geom, point.params, point.err_models, point.mc,
+                      (scen.target,), point.correlated)
+                     for _, scen, point in points if "mc" in scen.estimators)
+        for value, scen, point in points:
+            for est in (e for e in scen.estimators if e != "mc"):
+                bound = analytic_bound(scen.target, est, point,
+                                       trace_rbar_sq(point.geom, point.correlated))
+                rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                      estimator=est, value=bound.value,
+                                      branch=bound.branch))
+            if "mc" in scen.estimators:
+                est = mc_estimates(point.geom, point.params, point.err_models,
+                                   point.mc, [scen.target], correlated=point.correlated,
+                                   workers=workers)[scen.target]
+                rows.append(ResultRow(axis_value=value, scenario=scen.name,
+                                      estimator="mc", value=est.mean,
+                                      half_width=est.half_width))
     finally:
         forget_draws()
     rows.sort(key=lambda r: (r.axis_value, r.scenario, r.estimator))

@@ -29,27 +29,27 @@ estimates do not depend on how blocks were scheduled.
 The gains depend only on the draw key: geometry, correlation, the two
 phase-error models, master seed, trial count, and params.four_user
 (four-user parameters add the primed gains, whatever scenarios are
-asked for); the link budget, the confidence level and the scenarios
-enter only through the rates.  The fading streams depend only on the
-Gaussian key: the layout family (n_v, element sizes and wavelength),
-seed, trials and params.four_user.  Elements are ordered column by
-column and every stream is drawn element by element, so a layout of
-n_h columns reads the leading n_v n_h rows of its family's draws, and
-its Cholesky factor is the leading block of a wider layout's.  One walk
-thus samples every draw key of a family: each block draws each stream
-once, at the widest layout asked for, colours each fading stream once
-per correlation flag, draws each phase model once per side, and reads
-the composite gain of every column count from prefix sums over the
-columns.  A layout's draws do not depend on the other layouts of its
-walk: its i.i.d. gains are bit-identical to a lone walk's, and its
-correlated ones differ only by the rounding of the wider factor.  A
-member of such a group is the (draw key, params, scenarios) of one
-engine call.  expect_draws() announces a group's members; the group's
-first call walks the blocks once, runs every member's rate chain on
-each block's gains, and stores only the merged moments per member and
-scenario.  A later call on a stored member finalizes from them with its
-own confidence level; a call on any other member walks it alone, in
-place of the stored group.  A walk holds one block of gains at a time,
+asked for); the link budget and the scenarios enter only through the
+rates.  The fading streams depend only on the Gaussian key: the layout
+family (n_v, element sizes and wavelength), seed, trials and
+params.four_user.  Elements are ordered column by column and every
+stream is drawn element by element, so a layout of n_h columns reads
+the leading n_v n_h rows of its family's draws, and its Cholesky factor
+is the leading block of a wider layout's.  One walk thus samples every
+draw key of a family: each block draws each stream once, at the widest
+layout asked for, colours each fading stream once per correlation flag,
+draws each phase model once per side, and reads the composite gain of
+every column count from prefix sums over the columns.  A layout's draws
+do not depend on the other layouts of its walk: its i.i.d. gains are
+bit-identical to a lone walk's, and its correlated ones differ only by
+the rounding of the wider factor.  A member is the (draw key, params,
+scenarios) of one engine call.  expect_draws() takes the arguments of
+the calls to come, of any number of Gaussian keys; the first call on a
+Gaussian key walks the blocks once, runs the rate chain of every
+announced member that shares the key on each block's gains, and stores
+only the merged moments per member and scenario.  A later call on a
+stored member finalizes from them; a call that was not announced drops
+the store and walks alone.  A walk holds one block of gains at a time,
 whatever the trial count.  forget_draws() drops the memo.
 SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
@@ -90,23 +90,21 @@ _STREAM_PHI_T = 3
 _STREAM_PHI_R = 4
 _STREAM_GP = 5
 _STREAM_RP = 6
+_Z95 = NormalDist().inv_cdf(0.975)  # the normal quantile of the 95 % half-widths
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, master seed, and confidence level of one estimation."""
+    """Trial count and master seed of one estimation."""
 
     trials: int = 100_000
     master_seed: int = 20157
-    confidence: float = 0.95
 
     def __post_init__(self):
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,9 @@ class McEstimate:
     mean is y-bar - beta (H-bar - E[H]) over the controls (H_t, H_r), with
     beta fitted by least squares on the same trials; the fit biases it by
     O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
-    uniform-phase setup.  half_width is z sqrt(s^2 / trials), with s^2 the
-    residual variance of the fit over trials - 3 degrees of freedom.
+    uniform-phase setup.  half_width is the 95 % normal half-width
+    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
+    over trials - 3 degrees of freedom.
     """
 
     mean: float
@@ -325,44 +324,52 @@ def _merge(a, b):
             com_a + com_b + np.outer(delta, delta) * (n_a * n_b / n))
 
 
-def _cv_estimate(moments, control_means, z) -> McEstimate:
+def _cv_estimate(moments, control_means) -> McEstimate:
     """The control-variate estimate from the merged moments of (y, H_t,
     H_r): y-bar - beta (H-bar - E[H]), beta the least-squares fit of y on
     the controls (C_HH beta = C_Hy; H_t and H_r come from separate
-    streams, so C_HH is not singular), and a half-width from the residual
-    variance with one degree of freedom per coefficient and one for the
-    mean.  The residual sum of squares C_yy - C_yH beta is clipped at 0:
-    it cancels to rounding when y is linear in H to double precision, as
-    for rates below about 1e-8 bits."""
+    streams, so C_HH is not singular), and a 95 % half-width from the
+    residual variance with one degree of freedom per coefficient and one
+    for the mean.  The residual sum of squares C_yy - C_yH beta is
+    clipped at 0: it cancels to rounding when y is linear in H to double
+    precision, as for rates below about 1e-8 bits."""
     n, mean, com = moments
     c_hy = com[1:, 0]
     beta = np.linalg.solve(com[1:, 1:], c_hy)
     var = max(com[0, 0] - c_hy @ beta, 0.0) / (n - 1 - len(beta))
     return McEstimate(mean=float(mean[0] - beta @ (mean[1:] - control_means)),
-                      half_width=float(z * np.sqrt(var / n)), trials=n)
+                      half_width=float(_Z95 * np.sqrt(var / n)), trials=n)
 
 
 # ---------------------------------------------------------------------------
 # the group walk
 
-# The stored group: {member: {scenario: moments}, or None until walked}
+# The stored members: {member: {scenario: moments}, or None until walked}
 _stored: dict[tuple, dict | None] = {}
 
 
-def expect_draws(members) -> None:
-    """Drop the stored group and announce the (draw key, params,
-    scenarios) members of the calls to come.  The first of those calls
-    walks all of them at once; the others then finalize from the stored
-    moments.  The members must share their Gaussian key (see draw_key)."""
+def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
+    """The member (draw key, params, scenarios) of an mc_estimates call,
+    its scenarios without repeats in the order asked."""
+    scenarios = tuple(dict.fromkeys(scenarios))
+    if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
+        raise ValueError("primed scenarios need four-user parameters")
+    return draw_key(geom, params, err_models, cfg, correlated), params, scenarios
+
+
+def expect_draws(calls) -> None:
+    """Drop the stored moments and announce the engine calls to come, as
+    (geom, params, err_models, cfg, scenarios, correlated) tuples of
+    mc_estimates arguments, in any order and of any number of Gaussian
+    keys (see draw_key).  The first call on a Gaussian key walks every
+    announced call that shares it at once; the others then finalize from
+    the stored moments."""
     global _stored
-    members = dict.fromkeys(members)
-    if len({member[0][0] for member in members}) > 1:
-        raise ValueError("announced members must share their Gaussian key")
-    _stored = members
+    _stored = dict.fromkeys(_member(*call) for call in calls)
 
 
 def forget_draws() -> None:
-    """Drop the stored group."""
+    """Drop the stored moments."""
     global _stored
     _stored = {}
 
@@ -422,23 +429,20 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     Each rate is regressed on the trial's (H_t, H_r), whose exact means
     are the Jensen gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the
     layout, correlation flag and phase models (see McEstimate).  A call
-    on an announced member finalizes from the moments its group's walk
-    stored (see the module docstring); no draw, rate chain or pool
-    happens after the group's first call.
+    announced by expect_draws finalizes from the moments the walk of its
+    Gaussian key stored (see the module docstring); no draw, rate chain
+    or pool happens after the first call on that key.
     """
     global _stored
-    scenarios = tuple(dict.fromkeys(scenarios))
-    if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
-        raise ValueError("primed scenarios need four-user parameters")
-    member = (draw_key(geom, params, err_models, cfg, correlated), params, scenarios)
+    member = _member(geom, params, err_models, cfg, scenarios, correlated)
     if _stored.get(member) is None:
-        # an announced member walks its group; any other walks alone
+        # an announced member walks every announced member of its
+        # Gaussian key; any other walks alone
         if member not in _stored:
             _stored = {member: None}
-        _stored = _walk_group(list(_stored), workers)
+        gaussian = member[0][0]
+        _stored.update(_walk_group([m for m in _stored if m[0][0] == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
     control_means = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                               for model in err_models])
-    z = NormalDist().inv_cdf(0.5 * (1.0 + cfg.confidence))
-    return {scen: _cv_estimate(m, control_means, z)
-            for scen, m in _stored[member].items()}
+    return {scen: _cv_estimate(m, control_means) for scen, m in _stored[member].items()}

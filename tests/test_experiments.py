@@ -77,11 +77,13 @@ class TestParsing:
         assert values[-1] == 90.0
 
     def test_unknown_key_is_diagnosed(self, tmp_path):
+        # confidence was a key; the half-widths are always 95 %
         path = tmp_path / "bad.ini"
-        path.write_text(MINI_SPEC.replace("n_v = 2", "n_vertical = 2"),
-                        encoding="utf-8")
-        with pytest.raises(ConfigError, match="n_vertical"):
-            load_spec(path)
+        for line, key in (("n_vertical = 2", "n_vertical"),
+                          ("n_v = 2\nconfidence = 0.9", "confidence")):
+            path.write_text(MINI_SPEC.replace("n_v = 2", line), encoding="utf-8")
+            with pytest.raises(ConfigError, match=key):
+                load_spec(path)
 
     def test_unknown_axis_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -223,9 +223,16 @@ def sampled_blocks(counting, fresh_memo):
 
 
 def announce(geom, cfg, scenarios, setups):
-    """Announce one member per (params, correlated, models) setup."""
-    mc.expect_draws((draw_key(geom, params, models, cfg, correlated), params,
-                     tuple(scenarios)) for params, correlated, models in setups)
+    """Announce one call per (params, correlated, models) setup."""
+    mc.expect_draws((geom, params, models, cfg, tuple(scenarios), correlated)
+                    for params, correlated, models in setups)
+
+
+def call_estimates(call):
+    """estimates of one (geom, params, err_models, cfg, scenarios,
+    correlated) call, the form expect_draws takes."""
+    *args, correlated = call
+    return estimates(*args, correlated=correlated)
 
 
 def arrays_in(obj):
@@ -272,8 +279,6 @@ class TestDrawMemo:
             return len(sampled_blocks) - before
 
         assert draws() == 1
-        # the confidence is applied when the stored moments are finalized
-        assert draws(cfg=McConfig(trials=500, master_seed=5, confidence=0.9)) == 0
         # the link budget and the scenarios are not in the draw key, but the
         # stored moments depend on them
         for change in (dict(geom=half_wave_geometry(7, 4)), dict(correlated=False),
@@ -316,6 +321,22 @@ class TestDrawMemo:
         assert serial_hit == estimates(geom, high, QUANT1, cfg, FOUR)
         mc.forget_draws()
         assert pooled_miss == estimates(geom, low, QUANT1, cfg, FOUR)
+
+    def test_announced_link_budgets_share_one_walk(self, half_wave_geometry,
+                                                   counting, fresh_memo):
+        # a direct caller that varies only the transmit power on one layout
+        # announces its calls, and the draws are walked once for all three
+        geom, cfg = half_wave_geometry(n_h=10, n_v=4), McConfig(trials=3000, master_seed=59)
+        models = (VonMises(2.0), VonMises(2.0))
+        calls = [(geom, SystemParams.from_db(p_dbm=p_dbm), models, cfg, NOMA, True)
+                 for p_dbm in (10.0, 25.0, 40.0)]
+        walks = counting("_walk_group")
+        mc.expect_draws(calls)
+        announced = [call_estimates(call) for call in calls]
+        assert len(walks) == 1
+        for call, est in zip(calls, announced):
+            mc.forget_draws()
+            assert est == call_estimates(call), call[1].p_tx
 
     def test_no_pool_for_one_block(self, half_wave_geometry, noma_params,
                                    fresh_memo, monkeypatch):
@@ -451,9 +472,9 @@ class TestGroupWalk:
         passed = []
         cv_estimate = mc._cv_estimate
 
-        def recording(moments, control_means, z):
+        def recording(moments, control_means):
             passed.append(control_means.tolist())
-            return cv_estimate(moments, control_means, z)
+            return cv_estimate(moments, control_means)
 
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         geom, params = quarter_wave_geometry(), SystemParams.from_db()
@@ -467,14 +488,41 @@ class TestGroupWalk:
             exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
             assert passed == [exact], (correlated, models)
 
-    def test_announced_keys_share_a_gaussian_key(self, half_wave_geometry,
-                                                 noma_params, fresh_memo):
-        cfg = McConfig(trials=200, master_seed=1)
-        # two families: the layouts differ in n_v
-        members = [(draw_key(half_wave_geometry(4, n_v), noma_params(), QUANT1, cfg),
-                    noma_params(), NOMA) for n_v in (4, 5)]
-        with pytest.raises(ValueError, match="Gaussian key"):
-            mc.expect_draws(members)
+    def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
+                                                          counting, fresh_memo):
+        # two families (n_v = 4 and 5) at both correlation flags, and a
+        # four-user member, interleaved: each Gaussian key is walked once,
+        # at its first call, and its estimates are those of an
+        # announcement of its own calls alone
+        cfg = McConfig(trials=2000, master_seed=57)
+        two, four = SystemParams.from_db(), four_user_params()
+        calls = [(half_wave_geometry(n_h, n_v), two, QUANT1, cfg, NOMA, correlated)
+                 for n_h in (2, 5) for correlated in (True, False) for n_v in (4, 5)]
+        calls.insert(3, (half_wave_geometry(3, 4), four, QUANT1, cfg, FOUR, True))
+
+        def gaussian(call):
+            *args, _, correlated = call
+            return draw_key(*args, correlated)[0]
+
+        keys = [gaussian(call) for call in calls]
+        assert len(set(keys)) == 3
+        walks = counting("_walk_group")
+        mc.expect_draws(calls)
+        together, firsts = [], []
+        for call in calls:
+            before = len(walks)
+            together.append(call_estimates(call))
+            firsts.append(len(walks) - before)
+        assert firsts == [int(key not in keys[:i]) for i, key in enumerate(keys)]
+        walked = [[key for key, _, _ in members] for members, _ in walks]
+        for key, walk in zip(dict.fromkeys(keys), walked):
+            assert {k[0] for k in walk} == {key}
+            assert len(walk) == keys.count(key)
+        for key in dict.fromkeys(keys):
+            family = [call for call in calls if gaussian(call) == key]
+            mc.expect_draws(family)
+            assert [call_estimates(call) for call in family] == [
+                est for k, est in zip(keys, together) if k == key], key
 
 
 def sweep_and_lone_estimates(name, trials, monkeypatch):
@@ -550,7 +598,7 @@ class TestFamilyWalk:
         keys = [draw_key(layout(16), params, QUANT1, cfg, correlated) for correlated in flags]
         assert np.triu(_group_factor(keys), 1).any()
         walks = counting("_walk_block")
-        mc.expect_draws((draw_key(layout(n_h), params, QUANT1, cfg, correlated), params, NOMA)
+        mc.expect_draws((layout(n_h), params, QUANT1, cfg, NOMA, correlated)
                         for n_h in (4, 16) for correlated in flags)
         group = {(n_h, correlated): estimates(layout(n_h), params, QUANT1, cfg, NOMA,
                                               correlated=correlated)
@@ -584,8 +632,6 @@ class TestConfigAndEstimate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=50)
-        with pytest.raises(ValueError):
-            McConfig(confidence=1.0)
         with pytest.raises(ValueError, match="master_seed"):
             McConfig(master_seed=-1)
         with pytest.raises(ValueError):
