@@ -133,12 +133,16 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dic
     column counts n_h in widths, amp = |a| |h| formed by the caller, both
     (n_v max(widths), count) with elements column by column.  The terms
     are summed per column and accumulated over the columns, so each
-    column count reads its own prefix sum.  exp in place: bit-identical
-    to amp * exp(1j * phases), one complex temporary fewer."""
-    terms = np.multiply(1j, phases)
-    np.exp(terms, out=terms)
-    terms *= amp
-    prefix = np.cumsum(terms.reshape(-1, n_v, terms.shape[1]).sum(axis=1), axis=0)
+    column count reads its own prefix sum.  The real and imaginary parts
+    amp cos(phases) and amp sin(phases) are summed in real arithmetic
+    into one complex prefix, and the magnitude is its complex abs:
+    bit-identical to the complex expression, without a complex exp."""
+    count = phases.shape[1]
+    prefix = np.empty((len(phases) // n_v, count), complex)
+    for part, trig in ((prefix.real, np.cos), (prefix.imag, np.sin)):
+        terms = trig(phases)
+        terms *= amp
+        np.cumsum(terms.reshape(-1, n_v, count).sum(axis=1), axis=0, out=part)
     return {n_h: np.abs(prefix[n_h - 1]) ** 2 for n_h in widths}
 
 
@@ -213,7 +217,9 @@ def _walk_block(keys, factor, block, count):
         if False in flags:
             yield False, z
         if True in flags:
-            vec = factor @ z[:len(factor)]
+            # one real product over the interleaved parts: bit-identical
+            # to the complex one against the factor cast to complex
+            vec = (factor @ z[:len(factor)].view(float)).view(complex)
             del z
             yield True, vec
 

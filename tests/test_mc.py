@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
-                              UniformFull, VonMises, correlation_factor, pathloss)
+                              UniformFull, VonMises, correlation_factor, pathloss,
+                              standard_complex_gaussian)
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 from ios_noma import cli, experiments, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
@@ -613,19 +614,36 @@ class TestFamilyWalk:
 class TestBoostedGain:
     def test_in_place_kernel_equals_the_plain_expression(self):
         rng = np.random.default_rng(3)
-        mag_a = np.abs(rng.standard_normal((40, 300)))
-        mag_h = np.abs(rng.standard_normal((40, 300)))
-        mag_a[::3] = 0.0
-        mag_h[:, ::7] = 0.0
-        phases = rng.uniform(-np.pi, np.pi, (40, 300))
-        # ten columns of four elements: per-column sums, accumulated
-        terms = (mag_a * mag_h * np.exp(1j * phases)).reshape(10, 4, 300)
-        plain = np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2
-        # the engine forms mag_a * mag_h once and shares it across phase models
-        gains = _boosted_gains(mag_a * mag_h, phases, 4, range(1, 11))
-        assert sorted(gains) == list(range(1, 11))
-        for n_h, row in gains.items():
-            assert np.array_equal(row, plain[n_h - 1])
+        count = 300
+        for model in (VonMises(2.0), Quantized(1), Quantized(3), UniformFull(), Perfect()):
+            for n_v, widths in ((4, range(1, 11)), (4, [3, 7, 10]), (1, [1, 10]),
+                                (10, [2, 5])):
+                n = n_v * max(widths)
+                mag_a = np.abs(rng.standard_normal((n, count)))
+                mag_h = np.abs(rng.standard_normal((n, count)))
+                mag_a[::3] = 0.0
+                mag_h[:, ::7] = 0.0
+                phases = model.sample((n, count), rng)
+                # columns of n_v elements: per-column sums, accumulated
+                terms = (mag_a * mag_h * np.exp(1j * phases)).reshape(-1, n_v, count)
+                plain = np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2
+                # the engine forms mag_a * mag_h once and shares it across
+                # phase models
+                gains = _boosted_gains(mag_a * mag_h, phases, n_v, widths)
+                assert sorted(gains) == sorted(widths)
+                for n_h, row in gains.items():
+                    assert np.array_equal(row, plain[n_h - 1]), (model, n_v, n_h)
+
+    @pytest.mark.parametrize("n_h, n_v, spacing", [(25, 4, 2), (20, 5, 4), (15, 4, 2)],
+                             ids=["fig3", "fig7", "precision_point"])
+    def test_real_colouring_equals_the_complex_product(self, n_h, n_v, spacing):
+        # the engine colours the interleaved real and imaginary parts with
+        # one real product
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
+                             elem_len_w=0.1 / spacing, wavelength=0.1)
+        factor = correlation_factor(correlation_matrix(geom))
+        z = standard_complex_gaussian((geom.n_elements, 1000), np.random.default_rng(4))
+        assert np.array_equal((factor @ z.view(float)).view(complex), factor @ z)
 
 
 class TestConfigAndEstimate:
