@@ -110,9 +110,11 @@ def oma_slot_rates(params: SystemParams, h_t, h_r):
     """OMA rates (T, R) at composite gains h_t, h_r.
 
     Each user gets a dedicated slot with the full surface amplitude and
-    full transmit power, at the cost of the 1/2 pre-log factor.
+    full transmit power, at the cost of the 1/2 pre-log factor.  The
+    slots do not interact: a user whose gain is None gets None.
     """
-    return tuple(0.5 * np.log1p(params.gamma0 * pathloss(params, link) * h) / _LN2
+    return tuple(None if h is None else
+                 0.5 * np.log1p(params.gamma0 * pathloss(params, link) * h) / _LN2
                  for link, h in (("t", h_t), ("r", h_r)))
 
 

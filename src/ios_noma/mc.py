@@ -17,14 +17,16 @@ sic_rates, oma_slot_rates) at those gains, the same expressions the
 closed-form bounds evaluate at a fixed gain.
 
 Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
-is regressed on the trial's (H_t, H_r), whose exact means
-E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar) are the gains of the Jensen
-bounds, and the estimate is y-bar - beta (H-bar - E[H]).  Channel
-hardening makes the rate nearly linear in H, so the residual variance is
-a small part of the variance of y.  The primed gains are not controls:
-E[H'] = N only for i.i.d. elements (see _walk_block).  Per block, the
-means and co-moments of (y, H_t, H_r) are merged in block order, so the
-estimates do not depend on how blocks were scheduled.
+is regressed on the unprimed gains it reads, H_t for the rates of T
+(NOMA and OMA), H_r for OMA R, and both for NOMA R, T' and R' (see
+_CONTROLS).  Their exact means E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar)
+are the gains of the Jensen bounds, and the estimate is
+y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
+linear in H, so the residual variance is a small part of the variance
+of y.  The primed gains are not controls: E[H'] = N only for i.i.d.
+elements (see _walk_block).  Per block, the means and co-moments of y
+and its controls are merged in block order, so the estimates do not
+depend on how blocks were scheduled.
 
 The gains depend only on the draw key: geometry, correlation, the two
 phase-error models, master seed, trial count, and params.four_user
@@ -39,10 +41,12 @@ is the leading block of a wider layout's.  One walk thus samples every
 draw key of a family: each block draws each stream once, at the widest
 layout asked for, colours each fading stream once per correlation flag,
 draws each phase model once per side, and reads the composite gain of
-every column count from prefix sums over the columns.  A layout's draws
-do not depend on the other layouts of its walk: its i.i.d. gains are
-bit-identical to a lone walk's, and its correlated ones differ only by
-the rounding of the wider factor.  A member is the (draw key, params,
+every column count from prefix sums over the columns.  A side is drawn
+only for the keys whose members' rates read it, so a walk whose members
+ask only for T's rates draws no reflect-side stream at all.  A layout's
+draws do not depend on the other layouts of its walk: its i.i.d. gains
+are bit-identical to a lone walk's, and its correlated ones differ only
+by the rounding of the wider factor.  A member is the (draw key, params,
 scenarios) of one engine call.  expect_draws() takes the arguments of
 the calls to come, of any number of Gaussian keys; the first call on a
 Gaussian key walks the blocks once, runs the rate chain of every
@@ -111,12 +115,13 @@ class McConfig:
 class McEstimate:
     """Control-variate mean with a normal-approximation half-width.
 
-    mean is y-bar - beta (H-bar - E[H]) over the controls (H_t, H_r), with
-    beta fitted by least squares on the same trials; the fit biases it by
-    O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
-    uniform-phase setup.  half_width is the 95 % normal half-width
-    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
-    over trials - 3 degrees of freedom.
+    mean is y-bar - beta (H-bar - E[H]) over the controls H, the unprimed
+    gains the rate reads (H_t, H_r or both), with beta fitted by least
+    squares on the same trials; the fit biases it by O(1/trials), about
+    0.1 standard errors at 1000 trials on an N = 8 uniform-phase setup.
+    half_width is the 95 % normal half-width 1.96 sqrt(s^2 / trials),
+    with s^2 the residual variance of the fit over trials - 1 - k degrees
+    of freedom, k the number of controls.
     """
 
     mean: float
@@ -150,13 +155,17 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dic
 # per-trial rates: the analytic rate chain at the sampled composite gains
 
 
-def noma_trial_rates(params: SystemParams, h_t, h_r):
-    """(rate_T, rate_R) from composite gains under superposition coding."""
-    return sic_rates(params, link_gain(params, "t", h_t), link_gain(params, "r", h_r))
+def noma_trial_rates(params: SystemParams, *gains):
+    """(rate_T, rate_R) from the composite gains (h_t, h_r) under
+    superposition coding, or (rate_T,) from h_t alone: T's rate reads
+    only its own gain."""
+    return sic_rates(params, *(link_gain(params, link, h)
+                               for link, h in zip(("t", "r"), gains)))
 
 
 def oma_trial_rates(params: SystemParams, h_t, h_r):
-    """(rate_T, rate_R) under per-user time slots with full amplitudes."""
+    """(rate_T, rate_R) under per-user time slots with full amplitudes; a
+    user whose gain is None gets None."""
     return oma_slot_rates(params, h_t, h_r)
 
 
@@ -169,15 +178,32 @@ def four_user_trial_rates(params: SystemParams, h_t, h_r, h_tp, h_rp):
 # ---------------------------------------------------------------------------
 # block evaluation
 
-_PAIR = (Scenario.NOMA_T, Scenario.NOMA_R)
-_PRIMED = (Scenario.NOMA_TP, Scenario.NOMA_RP)
+_NOMA = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
+_PRIMED = _NOMA[2:]
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
+# The unprimed gains each rate reads, as rows of _walk_block: 0 for H_t,
+# 1 for H_r.  They are the rate's controls and the sides a walk draws for
+# it.  A NOMA message's rate is the minimum over its own user and every
+# user decoded after it, so T reads H_t alone and R, T' and R' read both
+# (T' and R' also read their primed gains, drawn on the same sides, which
+# are not controls: see _walk_block); an OMA user reads its own gain.
+_CONTROLS = {Scenario.NOMA_T: (0,), Scenario.OMA_T: (0,), Scenario.OMA_R: (1,),
+             Scenario.NOMA_R: (0, 1), Scenario.NOMA_TP: (0, 1), Scenario.NOMA_RP: (0, 1)}
 
 
 def _walk_block(keys, factor, block, count):
     """Composite gains of one block for the draw keys of a group, shape
     (len(keys), 2 or 4, count): rows (H_t, H_r), plus (H_t', H_r') under
     four-user parameters.
+
+    keys maps each draw key to the sides its members read (see
+    _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
+    H_r').  A side colours its fading streams only for the correlation
+    flags, and draws only the phase models, of the keys that read it, so
+    a side that no key reads is not drawn at all; a key's rows of a side
+    it does not read are NaN.  Every (stream, block) pair has its own
+    generator, so skipping a side leaves every other stream's draws
+    unchanged.
 
     Every stream is drawn once, at the group's widest layout and element
     by element, so a layout's n_v n_h elements read the leading rows of
@@ -200,17 +226,16 @@ def _walk_block(keys, factor, block, count):
     soon as it is used up, so the live set does not grow with the number
     of phase models.
     """
-    (family, master_seed, _, primed), *_ = keys[0]
+    (family, master_seed, _, primed), *_ = next(iter(keys))
     n_v = family.n_v
     shape = (n_v * max(key[1] for key in keys), count)
-    flags = dict.fromkeys(key[2] for key in keys)
     index = {key: i for i, key in enumerate(keys)}
 
     def rng(stream):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def colourings(stream):
+    def colourings(stream, flags):
         # i.i.d. first, so that z is freed once the correlated colouring
         # is formed
         z = standard_complex_gaussian(shape, rng(stream))
@@ -223,30 +248,35 @@ def _walk_block(keys, factor, block, count):
             del z
             yield True, vec
 
-    def products(stream):
+    def products(stream, flags):
         """{flag: |a||h|} of one stream a, and {flag: arg(a)} for four-user keys."""
         amp, arg = {}, {}
-        for flag, vec in colourings(stream):
+        for flag, vec in colourings(stream, flags):
             amp[flag] = np.abs(vec)
             amp[flag] *= mag_h[flag]
             if primed:
                 arg[flag] = np.angle(vec)
         return amp, arg
 
-    mag_h = {flag: np.abs(vec) for flag, vec in colourings(_STREAM_H)}
-    gains = np.empty((len(keys), 4 if primed else 2, count))
+    mag_h = {flag: np.abs(vec)
+             for flag, vec in colourings(_STREAM_H, {key[2] for key in keys})}
+    gains = np.full((len(keys), 4 if primed else 2, count), np.nan)
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
             (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
-        amp, arg = products(stream)
+        asked = {}  # {phase model of this side: {flag: [keys that read it]}}
+        for key, sides in keys.items():
+            if row in sides:
+                asked.setdefault(key[3 + row], {}).setdefault(key[2], []).append(key)
+        if not asked:
+            continue
+        flags = {flag for by_flag in asked.values() for flag in by_flag}
+        amp, arg = products(stream, flags)
         if primed:
-            amp_p, arg_p = products(stream_p)
+            amp_p, arg_p = products(stream_p, flags)
             for flag, base in arg.items():
                 arg_p[flag] -= base  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
-        asked = {}  # {phase model of this side: {flag: [keys]}}
-        for key in keys:
-            asked.setdefault(key[3 + row], {}).setdefault(key[2], []).append(key)
         for model, by_flag in asked.items():
             phases = model.sample((n_v * max(key[1] for group in by_flag.values()
                                              for key in group), count), rng(stream_phi))
@@ -267,16 +297,20 @@ def _walk_block(keys, factor, block, count):
 
 def _rates_at(scenarios, params, gains):
     """Per-trial rates at one block's gains, {scenario: rates} in the order
-    asked.  A NOMA scenario under four-user parameters runs the four-user
-    chain; only the chains asked for run."""
+    asked.  Only the chains asked for run, and each reads only the gains
+    of the users asked for: the NOMA chain those of the users T, R, T',
+    R' up to the last one asked for (the two-user chain for T or R, the
+    four-user chain for a primed user), and the OMA chain those of the
+    OMA users asked for."""
     rates = {}
-    if not set(scenarios) <= set(_OMA):
-        if params.four_user:
-            rates.update(zip(_PAIR + _PRIMED, four_user_trial_rates(params, *gains)))
-        else:
-            rates.update(zip(_PAIR, noma_trial_rates(params, *gains)))
+    users = max((_NOMA.index(scen) + 1 for scen in scenarios if scen in _NOMA), default=0)
+    if users > 2:
+        rates.update(zip(_NOMA, four_user_trial_rates(params, *gains)))
+    elif users:
+        rates.update(zip(_NOMA, noma_trial_rates(params, *gains[:users])))
     if not set(scenarios).isdisjoint(_OMA):
-        rates.update(zip(_OMA, oma_trial_rates(params, gains[0], gains[1])))
+        rates.update(zip(_OMA, oma_trial_rates(params, *(
+            gains[row] if scen in scenarios else None for row, scen in enumerate(_OMA)))))
     return {scen: rates[scen] for scen in scenarios}
 
 
@@ -331,14 +365,15 @@ def _merge(a, b):
 
 
 def _cv_estimate(moments, control_means) -> McEstimate:
-    """The control-variate estimate from the merged moments of (y, H_t,
-    H_r): y-bar - beta (H-bar - E[H]), beta the least-squares fit of y on
-    the controls (C_HH beta = C_Hy; H_t and H_r come from separate
-    streams, so C_HH is not singular), and a 95 % half-width from the
-    residual variance with one degree of freedom per coefficient and one
-    for the mean.  The residual sum of squares C_yy - C_yH beta is
-    clipped at 0: it cancels to rounding when y is linear in H to double
-    precision, as for rates below about 1e-8 bits."""
+    """The control-variate estimate from the merged moments of (y, H), H
+    the gains the rate reads (H_t, H_r or both; see _CONTROLS) and
+    control_means their exact means: y-bar - beta (H-bar - E[H]), beta the
+    least-squares fit of y on the controls (C_HH beta = C_Hy; H_t and H_r
+    come from separate streams, so C_HH is not singular), and a 95 %
+    half-width from the residual variance with one degree of freedom per
+    coefficient and one for the mean.  The residual sum of squares
+    C_yy - C_yH beta is clipped at 0: it cancels to rounding when y is
+    linear in H to double precision, as for rates below about 1e-8 bits."""
     n, mean, com = moments
     c_hy = com[1:, 0]
     beta = np.linalg.solve(com[1:, 1:], c_hy)
@@ -381,20 +416,20 @@ def forget_draws() -> None:
 
 
 def _block_moments(keys, members, factor, block, count):
-    """The moments of (y, H_t, H_r) of one block, per member and scenario
-    in order: the gains of the block's keys, then each member's rate
-    chain on them."""
+    """The moments of each rate and its controls (see _CONTROLS) over one
+    block, per member and scenario in order: the gains of the block's
+    keys, then each member's rate chain on them."""
     gains = dict(zip(keys, _walk_block(keys, factor, block, count)))
-    return [_moments(np.vstack((r, gains[key][:2])))
+    return [_moments(np.vstack((r, gains[key][list(_CONTROLS[scen])])))
             for key, params, scenarios in members
-            for r in _rates_at(scenarios, params, gains[key]).values()]
+            for scen, r in _rates_at(scenarios, params, gains[key]).items()]
 
 
 def _group_factor(keys):
     """The colouring factor of a group's draw keys: that of the widest
     correlated layout, or None if no key is correlated."""
     n_h = max((key[1] for key in keys if key[2]), default=0)
-    return (correlation_factor(correlation_matrix(replace(keys[0][0][0], n_h=n_h)))
+    return (correlation_factor(correlation_matrix(replace(next(iter(keys))[0][0], n_h=n_h)))
             if n_h else None)
 
 
@@ -404,8 +439,11 @@ def _walk_group(members, workers):
     result does not depend on scheduling.  If the widest correlated
     layout's factor is not triangular (the clipped eigh), its leading
     block does not colour the narrower layouts, so each column count is
-    walked as a group of its own."""
-    keys = list(dict.fromkeys(key for key, _, _ in members))
+    walked as a group of its own.  Each draw key is walked on the sides
+    its members' rates read."""
+    keys = {}  # {draw key: sides read}
+    for key, _, scenarios in members:
+        keys.setdefault(key, set()).update(*(_CONTROLS[scen] for scen in scenarios))
     factor = _group_factor(keys)
     widths = sorted({key[1] for key in keys})
     if factor is not None and len(widths) > 1 and np.triu(factor, 1).any():
@@ -414,7 +452,7 @@ def _walk_group(members, workers):
             walked.update(_walk_group([m for m in members if m[0][1] == n_h], workers))
         return walked
     jobs = [(keys, members, factor, block, count)
-            for block, count in _blocks(keys[0][0][2])]
+            for block, count in _blocks(members[0][0][0][2])]
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -432,12 +470,13 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
 
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
-    Each rate is regressed on the trial's (H_t, H_r), whose exact means
-    are the Jensen gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the
-    layout, correlation flag and phase models (see McEstimate).  A call
-    announced by expect_draws finalizes from the moments the walk of its
-    Gaussian key stored (see the module docstring); no draw, rate chain
-    or pool happens after the first call on that key.
+    Each rate is regressed on the trial's unprimed gains that it reads
+    (H_t, H_r or both; see _CONTROLS), whose exact means are the Jensen
+    gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the layout, correlation
+    flag and phase models (see McEstimate).  A call announced by
+    expect_draws finalizes from the moments the walk of its Gaussian key
+    stored (see the module docstring); no draw, rate chain or pool
+    happens after the first call on that key.
     """
     global _stored
     member = _member(geom, params, err_models, cfg, scenarios, correlated)
@@ -449,6 +488,7 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
         gaussian = member[0][0]
         _stored.update(_walk_group([m for m in _stored if m[0][0] == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
-    control_means = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
-                              for model in err_models])
-    return {scen: _cv_estimate(m, control_means) for scen, m in _stored[member].items()}
+    mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
+                           for model in err_models])
+    return {scen: _cv_estimate(m, mean_gains[list(_CONTROLS[scen])])
+            for scen, m in _stored[member].items()}

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
@@ -42,9 +42,10 @@ def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
 def walked_gains(keys):
     """The composite gains of draw keys that share their Gaussian key,
     shape (len(keys), 2 or 4, trials): _walk_block over the blocks with
-    the group's factor, concatenated."""
+    the group's factor, both sides of every key, concatenated."""
     _, _, trials, _ = keys[0][0]
-    return np.concatenate([_walk_block(keys, _group_factor(keys), block, count)
+    both = dict.fromkeys(keys, (0, 1))
+    return np.concatenate([_walk_block(both, _group_factor(keys), block, count)
                            for block, count in _blocks(trials)], axis=2)
 
 
@@ -112,7 +113,7 @@ class TestSchemeRelations:
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
         key = draw_key(geom, params, QUANT1, McConfig(trials=512, master_seed=77))
-        (gains,) = _walk_block([key], factor, 0, 512)
+        (gains,) = _walk_block({key: (0, 1)}, factor, 0, 512)
         rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
@@ -210,7 +211,7 @@ class TestHardeningTrend:
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
             key = draw_key(geom, params, QUANT1, McConfig(trials=8192, master_seed=21))
-            (gains,) = _walk_block([key], factor, 0, 8192)
+            (gains,) = _walk_block({key: (0,)}, factor, 0, 8192)
             rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -375,7 +376,8 @@ class TestDrawMemo:
         # every layout of the sweep is one family (n_v, element sizes and
         # wavelength), walked once per block, and the widest layout's
         # factor colours them all.  fig3: four phase models per layout;
-        # fig7: both correlation flags
+        # fig7: both correlation flags.  Both ask only for T's rate, so
+        # every key is walked on the transmit side alone
         factors = counting("correlation_factor")
         builds = counting("correlation_matrix")
         spec = spec_with_overrides(load_spec(name), trials=200)
@@ -388,6 +390,7 @@ class TestDrawMemo:
         assert len({key[0] for key in keys}) == 1
         assert {key[1] for key in keys} == set(range(1, layouts + 1))
         assert factor.shape == (2 * (spec.defaults["n_v"] * layouts,))
+        assert all(sides == {0} for sides in keys.values())
         assert mc._stored == {}
 
 
@@ -469,7 +472,11 @@ class TestGroupWalk:
         assert len(means) >= 4
 
     def test_stored_control_means_are_the_jensen_gains(self, fresh_memo, monkeypatch):
-        # the means mc_estimates hands to the control-variate fit, on memo hits
+        # the means mc_estimates hands to the control-variate fit, on memo
+        # hits: those of the gains each rate reads, H_t for T's rates, H_r
+        # for OMA R's and both for NOMA R's
+        reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
+                 Scenario.NOMA_R: [0, 1]}
         passed = []
         cv_estimate = mc._cv_estimate
 
@@ -480,14 +487,14 @@ class TestGroupWalk:
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         geom, params = quarter_wave_geometry(), SystemParams.from_db()
         cfg = McConfig(trials=500, master_seed=47)
-        group_estimates(geom, params, MIXED_GROUP, cfg, [Scenario.NOMA_T])
+        group_estimates(geom, params, MIXED_GROUP, cfg, NOMA + OMA)
         for correlated, models in MIXED_GROUP:
             passed.clear()
-            mc_estimates(geom, params, models, cfg, [Scenario.NOMA_T],
-                         correlated=correlated)
+            mc_estimates(geom, params, models, cfg, NOMA + OMA, correlated=correlated)
             tr = trace_rbar_sq(geom, correlated)
             exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
-            assert passed == [exact], (correlated, models)
+            assert passed == [[exact[row] for row in reads[scen]] for scen in NOMA + OMA], (
+                correlated, models)
 
     def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
                                                           counting, fresh_memo):
@@ -609,6 +616,122 @@ class TestFamilyWalk:
             mc.forget_draws()
             assert est == estimates(layout(n_h), params, QUANT1, cfg, NOMA,
                                     correlated=correlated), (n_h, correlated)
+
+
+@pytest.fixture
+def phase_draws(monkeypatch):
+    """Lists the (phase model, stream) of every phase-error draw."""
+    draws = []
+    for cls in (Perfect, VonMises, Quantized, UniformFull):
+        def sample(self, size, rng, original=cls.sample):
+            draws.append((self, rng.bit_generator.seed_seq.spawn_key[0]))
+            return original(self, size, rng)
+        monkeypatch.setattr(cls, "sample", sample)
+    return draws
+
+
+def precision_like_calls(cfg):
+    """The six reference setups of the precision benchmark, as
+    expect_draws calls: four that ask only for T's rate, two for R's."""
+    params = SystemParams.from_db()
+    quant2 = (Quantized(2), Quantized(2))
+    setups = [(15, quant2, Scenario.NOMA_T), (15, quant2, Scenario.NOMA_R),
+              (15, QUANT1, Scenario.NOMA_T), (15, (Perfect(), Perfect()), Scenario.NOMA_R),
+              (10, (VonMises(2.0), VonMises(2.0)), Scenario.NOMA_T),
+              (2, (UniformFull(), UniformFull()), Scenario.NOMA_T)]
+    return [(ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05),
+             params, models, cfg, (scen,), True) for n_h, models, scen in setups]
+
+
+def chain_gains(chains):
+    """The gains handed to the rate chains: every array argument of the
+    recorded calls."""
+    return [gains for calls in chains for args in calls for gains in args[1:]
+            if gains is not None]
+
+
+class TestSidePruning:
+    # a walk draws a side only for the draw keys whose members' rates read
+    # it: T's rates read H_t alone, OMA R's H_r alone
+
+    def test_fig3_draws_no_reflect_side(self, counting, phase_draws, fresh_memo):
+        gauss = counting("standard_complex_gaussian")
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
+                                              "four_user_trial_rates")]
+        run_sweep(spec_with_overrides(load_spec("fig3_rate_vs_N"), trials=200))
+        assert len(list(_blocks(200))) == 1
+        # one block of one walk: the shared h and the transmit-side g
+        assert [rng.bit_generator.seed_seq.spawn_key for _, rng in gauss] == [
+            (mc._STREAM_H, 0), (mc._STREAM_G, 0)]
+        assert [stream for _, stream in phase_draws] == [mc._STREAM_PHI_T] * 4
+        # one chain per point, reading only H_t, never an undrawn row
+        assert [len(calls) for calls in chains] == [100, 0, 0]
+        assert all(len(args) == 2 for args in chains[0])
+        assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
+
+    def test_reflect_side_draws_only_the_models_that_read_it(self, counting, phase_draws,
+                                                             fresh_memo):
+        cfg = McConfig(trials=BLOCK_SIZE + 500, master_seed=61)
+        calls = precision_like_calls(cfg)
+        walks = counting("_walk_block")
+        mc.expect_draws(calls)
+        for call in calls:
+            call_estimates(call)
+        assert len(walks) == len(list(_blocks(cfg.trials))) == 2
+        (keys, *_), _ = walks
+        # the two members on 2-bit phases share a draw key
+        assert list(keys.values()) == [{0, 1}, {0}, {0, 1}, {0}, {0}]
+        first = phase_draws[:len(phase_draws) // 2]
+        assert phase_draws[len(phase_draws) // 2:] == first  # the second block
+        # each model once per side and block, on the reflect side only those
+        # of the two members that ask for R's rate
+        assert [model for model, s in first if s == mc._STREAM_PHI_T] == [
+            Quantized(2), Quantized(1), Perfect(), VonMises(2.0), UniformFull()]
+        assert [model for model, s in first if s == mc._STREAM_PHI_R] == [
+            Quantized(2), Perfect()]
+        # the rows a key does not read are never written, and the others
+        # are those of a walk of both sides
+        factor = _group_factor(keys)
+        pruned = _walk_block(keys, factor, 0, 500)
+        full = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)
+        for i, sides in enumerate(keys.values()):
+            for row in (0, 1):
+                if row in sides:
+                    assert np.array_equal(pruned[i, row], full[i, row]), (i, row)
+                else:
+                    assert np.isnan(pruned[i, row]).all(), (i, row)
+
+    def test_t_estimate_equals_its_lone_walk(self, fresh_memo):
+        cfg = McConfig(trials=3000, master_seed=67)
+        calls = precision_like_calls(cfg)
+        mc.expect_draws(calls)
+        group = [call_estimates(call) for call in calls]
+        for call, est in zip(calls, group):
+            if call[0].n_h == 15:  # the widest layout: the group's own factor
+                mc.forget_draws()
+                assert est == call_estimates(call), call[2:5]
+
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_r_estimate_ignores_a_t_only_member(self, four_user, half_wave_geometry,
+                                                counting, fresh_memo):
+        # the T-only member's phase models are drawn on the transmit side
+        # alone, and the R member's draws do not depend on them; the OMA
+        # R member's key is walked on the reflect side alone
+        geom, cfg = half_wave_geometry(n_h=6, n_v=4), McConfig(trials=3000, master_seed=71)
+        params = four_user_params() if four_user else SystemParams.from_db()
+        r_call = (geom, params, QUANT1, cfg, (Scenario.NOMA_R, Scenario.OMA_R), True)
+        t_call = (geom, params, (VonMises(2.0), UniformFull()), cfg, (Scenario.NOMA_T,),
+                  True)
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
+                                              "four_user_trial_rates")]
+        oma_call = (geom, params, (Quantized(2), Quantized(3)), cfg, (Scenario.OMA_R,), True)
+        mc.expect_draws([r_call, t_call, oma_call])
+        shared, oma = call_estimates(r_call), call_estimates(oma_call)
+        assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
+        mc.expect_draws([r_call])
+        assert shared == call_estimates(r_call)
+        mc.expect_draws([oma_call])
+        assert oma == call_estimates(oma_call)
 
 
 class TestBoostedGain:
@@ -733,6 +856,25 @@ def two_user_setups(draw):
     return params, geom, draw(st.booleans()), (draw(model), draw(model))
 
 
+@st.composite
+def four_user_setups(draw):
+    """A valid four-user SystemParams (distances ordered d_t < d_r < d_tp <
+    d_rp at equal intercepts, so the pathlosses are ordered), a layout, a
+    correlation flag and two phase-error models."""
+    _, geom, correlated, models = draw(two_user_setups())
+    theta = draw(st.floats(0.05, 1.5))
+    d_t, d_r, d_tp, d_rp = sorted(draw(st.lists(st.floats(1.0, 30.0), min_size=4,
+                                                max_size=4, unique=True)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+    assume(weights[0] < weights[1])
+    q_t, q_r, q_tp, q_rp = (math.sqrt(w / sum(weights)) for w in weights)
+    params = SystemParams.from_db(
+        p_dbm=draw(st.floats(-20.0, 60.0)), d_b=draw(st.floats(1.0, 30.0)),
+        d_t=d_t, d_r=d_r, d_tp=d_tp, d_rp=d_rp, chi=draw(st.floats(2.0, 4.0)),
+        alpha=math.cos(theta), beta=math.sin(theta), q_t=q_t, q_r=q_r, q_tp=q_tp, q_rp=q_rp)
+    return params, geom, correlated, models
+
+
 class TestExactMeanGain:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
@@ -852,3 +994,35 @@ class TestControlVariate:
             assert est.mean - 4.0 * est.half_width <= bound.value, (scen, est, bound)
         cap = large_snr_limit(Scenario.NOMA_R, params).value
         assert out[Scenario.NOMA_R].mean - 4.0 * out[Scenario.NOMA_R].half_width <= cap
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=four_user_setups(), seed=st.integers(0, 2**32 - 1))
+    def test_primed_mc_mean_respects_its_limit(self, setup, seed):
+        # every trial's primed rate is below its large-SNR limit, whatever
+        # the layout, so the estimate is too, up to its half-width
+        params, geom, correlated, models = setup
+        out = mc_estimates(geom, params, models, McConfig(trials=2000, master_seed=seed),
+                           (Scenario.NOMA_TP, Scenario.NOMA_RP), correlated=correlated)
+        for scen, est in out.items():
+            limit = large_snr_limit(scen, params).value
+            assert est.mean - 3.0 * est.half_width <= limit, (scen, est, limit)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=two_user_setups())
+    def test_hardening_approaches_jensen_as_n_grows(self, setup):
+        # both gains grow as pi^2 N^2 eps^2 / 16 and differ by O(N) on
+        # i.i.d. elements; correlation slows, but does not stop, the approach
+        params, geom, correlated, models = setup
+        eps_t, eps_r = (model.epsilon() for model in models)
+        assume(min(eps_t, eps_r) > 0.0)  # no hardening value under uniform phases
+        for target in NOMA + OMA:
+            gaps = []
+            for scale in (1, 4, 16, 64):
+                wide = replace(geom, n_h=geom.n_h * scale)
+                n = wide.n_elements
+                jensen = rate_bound(target, "jensen", params, n,
+                                    trace_rbar_sq(wide, correlated), eps_t, eps_r).value
+                hardening = rate_bound(target, "hardening", params, n, n, eps_t, eps_r).value
+                gaps.append(abs(jensen - hardening) / jensen)
+            assert all(a >= b for a, b in zip(gaps, gaps[1:])), (target, gaps)
+            assert gaps[-1] <= 0.5 * gaps[0], (target, gaps)
