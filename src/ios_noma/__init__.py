@@ -14,8 +14,7 @@ from .experiments import (Point, ResultRow, ScenarioSpec, SweepSpec,
                           run_sweep, write_csv)
 from .geometry import (ArrayGeometry, correlation_matrix, cross_moment,
                        trace_rbar_sq)
-from .mc import (McConfig, McEstimate, four_user_trial_rates, mc_estimates,
-                 noma_trial_rates, oma_trial_rates)
+from .mc import McConfig, McEstimate, mc_estimates
 from .specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
 __version__ = "0.1.0"

@@ -125,6 +125,11 @@ ESTIMATORS = ("jensen", "hardening", "limit")
 
 _NOMA_USERS = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
 _LINKS = ("t", "r", "tp", "rp")
+# The links each rate reads: a NOMA message reads its own user's link and
+# those of every user decoded after it, an OMA user only its own slot's.
+# A primed user's rate, and only that, reads "tp".
+_READS = {**{user: _LINKS[:k + 1] for k, user in enumerate(_NOMA_USERS)},
+          Scenario.OMA_T: ("t",), Scenario.OMA_R: ("r",)}
 # the two links whose weaker one names a NOMA bound's branch
 _BRANCHES = {Scenario.NOMA_R: (0, 1), Scenario.NOMA_TP: (2, 1), Scenario.NOMA_RP: (2, 3)}
 
@@ -171,14 +176,14 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
     "jensen" is the upper bound at the mean gains E[H_t], E[H_r], and
     "hardening" the large-array approximation at pi^2 N^2 eps^2 / 16; the
     primed links take N under both.  Only the gains of the links the
-    target reads are computed: T reads t, the others t and r, the primed
-    users tp and rp as well.  "limit" is large_snr_limit.  Raises
+    target reads (_READS) are computed, so the eps of a side it does not
+    read is never checked.  "limit" is large_snr_limit.  Raises
     ConfigError for an undefined (target, estimator) pair and ValueError
     for a gain out of its domain, such as hardening at eps = 0.
     """
     if estimator == "limit":
         return large_snr_limit(target, params)
-    primed = target in (Scenario.NOMA_TP, Scenario.NOMA_RP)
+    primed = "tp" in _READS[target]
     if estimator not in ("jensen", "hardening") or (primed and estimator == "hardening"):
         raise ConfigError(f"estimator {estimator!r} is undefined for {target.value}")
     if primed and not params.four_user:
@@ -187,19 +192,18 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
         gain = functools.partial(_mean_gain, n, tr_rbar_sq)
     else:
         gain = functools.partial(_hardening_gain, n)
-    if target in (Scenario.OMA_T, Scenario.OMA_R):
-        rates = oma_slot_rates(params, gain(eps_t), gain(eps_r))
-        return RateBound(float(rates[target is Scenario.OMA_R]))
     eps = {"t": eps_t, "r": eps_r}
-    links = _LINKS[:_NOMA_USERS.index(target) + 1]
-    return _chain_bound(target, params, [
-        link_gain(params, link, gain(eps[link]) if link in eps else n) for link in links])
+    h = {link: gain(eps[link]) if link in eps else n for link in _READS[target]}
+    if target in (Scenario.OMA_T, Scenario.OMA_R):
+        rates = oma_slot_rates(params, h.get("t"), h.get("r"))
+        return RateBound(float(rates[target is Scenario.OMA_R]))
+    return _chain_bound(target, params, [link_gain(params, link, g) for link, g in h.items()])
 
 
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
     """Transmit-SNR-independent ceiling of the interference-limited rates:
     sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2)."""
-    if scenario in (Scenario.NOMA_TP, Scenario.NOMA_RP) and not params.four_user:
+    if "tp" in _READS[scenario] and not params.four_user:
         raise ConfigError(f"{scenario.value} limit requires four-user parameters")
     if scenario not in _NOMA_USERS[1:]:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}")

@@ -243,14 +243,16 @@ def phase_error_from_string(text: str) -> PhaseErrorModel:
 
 
 def correlation_factor(corr: np.ndarray) -> np.ndarray:
-    """Factor L with L L^H = corr for coloring i.i.d. complex Gaussians.
+    """Lower-triangular L with L L^H = corr for coloring i.i.d. complex
+    Gaussians, so its leading blocks factor the leading principal
+    submatrices of corr.
 
     A Cholesky factorization, or, if corr is not numerically positive
     definite (sinc kernels on dense grids are numerically rank
-    deficient), a symmetric eigendecomposition with negative eigenvalues
-    clipped to zero.  Every bundled layout takes the Cholesky branch.
-    Only the Cholesky factor is lower triangular, so only its leading
-    block factors the leading principal submatrix of corr.
+    deficient), F = V sqrt(clip(Lambda)) from a symmetric
+    eigendecomposition with negative eigenvalues clipped to zero, made
+    triangular by the QR factorization F^T = Q U: U^T U = F F^T, so U^T
+    is the factor.  Every bundled layout takes the Cholesky branch.
     """
     corr = np.asarray(corr, dtype=float)
     try:
@@ -261,7 +263,7 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
         eigval, eigvec = np.linalg.eigh(corr)
     except np.linalg.LinAlgError as exc:
         raise ConfigError("correlation matrix factorization failed") from exc
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    return np.linalg.qr((eigvec * np.sqrt(np.clip(eigval, 0.0, None))).T, mode="r").T
 
 
 def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:

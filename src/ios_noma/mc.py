@@ -18,15 +18,15 @@ closed-form bounds evaluate at a fixed gain.
 
 Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
 is regressed on the unprimed gains it reads, H_t for the rates of T
-(NOMA and OMA), H_r for OMA R, and both for NOMA R, T' and R' (see
-_CONTROLS).  Their exact means E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar)
-are the gains of the Jensen bounds, and the estimate is
-y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
-linear in H, so the residual variance is a small part of the variance
-of y.  The primed gains are not controls: E[H'] = N only for i.i.d.
-elements (see _walk_block).  Per block, the means and co-moments of y
-and its controls are merged in block order, so the estimates do not
-depend on how blocks were scheduled.
+(NOMA and OMA), H_r for OMA R, and both for NOMA R, T' and R' (the t and
+r links of analytic._READS).  Their exact means E[H] = N (1 - eps^2) +
+eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds, and the estimate
+is y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
+linear in H, so the residual variance is a small part of the variance of
+y.  The primed gains are not controls: E[H'] = N only for i.i.d. elements
+(see _walk_block).  Per block, the means and co-moments of y and its
+controls are merged in block order, so the estimates do not depend on
+how blocks were scheduled.
 
 The gains depend only on the draw key: geometry, correlation, the two
 phase-error models, master seed, trial count, and params.four_user
@@ -36,7 +36,7 @@ rates.  The fading streams depend only on the Gaussian key: the layout
 family (n_v, element sizes and wavelength), seed, trials and
 params.four_user.  Elements are ordered column by column and every
 stream is drawn element by element, so a layout of n_h columns reads
-the leading n_v n_h rows of its family's draws, and its Cholesky factor
+the leading n_v n_h rows of its family's draws, and its triangular factor
 is the leading block of a wider layout's.  One walk thus samples every
 draw key of a family: each block draws each stream once, at the widest
 layout asked for, colours each fading stream once per correlation flag,
@@ -69,7 +69,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import Scenario, _mean_gain, link_gain, oma_slot_rates, sic_rates
+from .analytic import _READS, Scenario, _mean_gain, link_gain, oma_slot_rates, sic_rates
 from .channel import SystemParams, correlation_factor, standard_complex_gaussian
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
@@ -77,9 +77,6 @@ __all__ = [
     "BLOCK_SIZE",
     "McConfig",
     "McEstimate",
-    "noma_trial_rates",
-    "oma_trial_rates",
-    "four_user_trial_rates",
     "mc_estimates",
 ]
 
@@ -179,16 +176,13 @@ def four_user_trial_rates(params: SystemParams, h_t, h_r, h_tp, h_rp):
 # block evaluation
 
 _NOMA = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
-_PRIMED = _NOMA[2:]
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
-# The unprimed gains each rate reads, as rows of _walk_block: 0 for H_t,
-# 1 for H_r.  They are the rate's controls and the sides a walk draws for
-# it.  A NOMA message's rate is the minimum over its own user and every
-# user decoded after it, so T reads H_t alone and R, T' and R' read both
-# (T' and R' also read their primed gains, drawn on the same sides, which
-# are not controls: see _walk_block); an OMA user reads its own gain.
-_CONTROLS = {Scenario.NOMA_T: (0,), Scenario.OMA_T: (0,), Scenario.OMA_R: (1,),
-             Scenario.NOMA_R: (0, 1), Scenario.NOMA_TP: (0, 1), Scenario.NOMA_RP: (0, 1)}
+# The unprimed gains each rate reads (its t and r links in _READS), as
+# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the rate's
+# controls and the sides a walk draws for it.  The primed gains of T'
+# and R', drawn on the same sides, are not controls: see _walk_block.
+_CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
+             for scen, links in _READS.items()}
 
 
 def _walk_block(keys, factor, block, count):
@@ -393,7 +387,7 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
     """The member (draw key, params, scenarios) of an mc_estimates call,
     its scenarios without repeats in the order asked."""
     scenarios = tuple(dict.fromkeys(scenarios))
-    if not params.four_user and not set(scenarios).isdisjoint(_PRIMED):
+    if not params.four_user and any("tp" in _READS[scen] for scen in scenarios):
         raise ValueError("primed scenarios need four-user parameters")
     return draw_key(geom, params, err_models, cfg, correlated), params, scenarios
 
@@ -436,21 +430,12 @@ def _group_factor(keys):
 def _walk_group(members, workers):
     """{member: {scenario: moments}} for members that share their
     Gaussian key, one walk over the blocks, merged in block order so the
-    result does not depend on scheduling.  If the widest correlated
-    layout's factor is not triangular (the clipped eigh), its leading
-    block does not colour the narrower layouts, so each column count is
-    walked as a group of its own.  Each draw key is walked on the sides
-    its members' rates read."""
+    result does not depend on scheduling.  Each draw key is walked on the
+    sides its members' rates read."""
     keys = {}  # {draw key: sides read}
     for key, _, scenarios in members:
         keys.setdefault(key, set()).update(*(_CONTROLS[scen] for scen in scenarios))
     factor = _group_factor(keys)
-    widths = sorted({key[1] for key in keys})
-    if factor is not None and len(widths) > 1 and np.triu(factor, 1).any():
-        walked = {}
-        for n_h in widths:
-            walked.update(_walk_group([m for m in members if m[0][1] == n_h], workers))
-        return walked
     jobs = [(keys, members, factor, block, count)
             for block, count in _blocks(members[0][0][0][2])]
     workers = min(workers, len(jobs))

@@ -377,8 +377,8 @@ DEFINED = {
     (Scenario.NOMA_RP, "jensen"): (True, ""),
     (Scenario.NOMA_T, "hardening"): (False, "t"),
     (Scenario.NOMA_R, "hardening"): (False, "tr"),
-    (Scenario.OMA_T, "hardening"): (False, "tr"),
-    (Scenario.OMA_R, "hardening"): (False, "tr"),
+    (Scenario.OMA_T, "hardening"): (False, "t"),
+    (Scenario.OMA_R, "hardening"): (False, "r"),
     (Scenario.NOMA_R, "limit"): (False, ""),
     (Scenario.NOMA_TP, "limit"): (True, ""),
     (Scenario.NOMA_RP, "limit"): (True, ""),
@@ -403,6 +403,22 @@ def test_definedness_table(target, estimator):
                 else:
                     with pytest.raises((ConfigError, ValueError)):
                         call()
+
+
+@settings(max_examples=100, deadline=None)
+@given(estimator=st.sampled_from(["jensen", "hardening"]), n=st.integers(1, 4000),
+       tr_frac=st.floats(0.0, 1.0), eps=st.floats(0.01, 1.0),
+       unread=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_oma_bound_ignores_the_unread_side(estimator, n, tr_frac, eps, unread):
+    # an OMA user reads only its own slot, so the eps of the other side,
+    # zero included, leaves its bound unchanged
+    params, tr = SystemParams.from_db(), n + tr_frac * (n * n - n)
+    for target, side in ((Scenario.OMA_T, 0), (Scenario.OMA_R, 1)):
+        values = set()
+        for other in unread:
+            eps_pair = (eps, other) if side == 0 else (other, eps)
+            values.add(rate_bound(target, estimator, params, n, tr, *eps_pair))
+        assert len(values) == 1, target
 
 
 def defined_or_none(*args):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
@@ -236,11 +236,20 @@ class TestCorrelationFactor:
     @settings(max_examples=40, deadline=None)
     @given(n_h=st.integers(1, 16), n_v=st.integers(1, 16),
            spacing=st.sampled_from([2, 3, 4, 8]), aspect=st.floats(0.5, 2.0))
+    @example(n_h=16, n_v=16, spacing=8, aspect=1.0)  # takes eigh
+    @example(n_h=15, n_v=4, spacing=2, aspect=1.0)  # takes cholesky
     def test_reconstructs_layout_correlation(self, n_h, n_v, spacing, aspect):
+        # either branch returns a lower-triangular factor: elements run
+        # column by column, so the layout of k columns is the leading
+        # n_v k block of R and reads the leading block of the factor
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
                              elem_len_w=aspect * 0.1 / spacing, wavelength=0.1)
         corr = correlation_matrix(geom)
-        assert residual(correlation_factor(corr), corr) <= 1e-8
+        factor = correlation_factor(corr)
+        assert not np.triu(factor, 1).any()
+        for k in range(1, n_h + 1):
+            lead = slice(0, n_v * k)
+            assert residual(factor[lead, lead], corr[lead, lead]) <= 1e-8, k
 
     def test_half_wavelength_takes_cholesky(self, monkeypatch):
         corr = correlation_matrix(grid(15, 4, spacing=2))
@@ -264,6 +273,7 @@ class TestCorrelationFactor:
         factor, branch = factor_with_branch(monkeypatch, corr)
         assert branch == "eigh"
         assert residual(factor, corr) <= 1e-8
+        assert not np.triu(factor, 1).any()
 
     def test_negative_eigenvalue_takes_eigh(self, monkeypatch):
         vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
@@ -272,6 +282,7 @@ class TestCorrelationFactor:
         factor, branch = factor_with_branch(monkeypatch, corr)
         assert branch == "eigh"
         assert residual(factor, corr) <= 1e-8
+        assert not np.triu(factor, 1).any()
 
 
 class TestCompositeGain:

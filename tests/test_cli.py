@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,14 @@ from ios_noma.experiments import DEFAULTS, build_point
 from ios_noma.geometry import trace_rbar_sq
 
 
+# the child imports the package the tests import, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "ios_noma.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
 
 
 class TestBound:
@@ -47,6 +54,18 @@ class TestBound:
         payload = json.loads(res.stdout)
         assert "hardening" in payload["skipped"]
         assert "jensen" in payload["bounds"]
+
+    def test_oma_t_hardening_ignores_reflect_phases(self):
+        # OMA T reads only its own slot, so uniform reflect-side errors
+        # leave its hardening approximation defined and unchanged
+        lines = {}
+        for model in ("uniform", "perfect"):
+            res = run_cli("bound", "--scenario", "oma_t", "--phase-error-r", model)
+            assert res.returncode == 0, res.stderr
+            lines[model] = [line for line in res.stdout.splitlines()
+                            if line.startswith("hardening")]
+        assert len(lines["uniform"]) == 1 and "n/a" not in lines["uniform"][0]
+        assert lines["uniform"] == lines["perfect"]
 
     def test_human_output_contains_branch(self):
         res = run_cli("bound", "--scenario", "noma_r")
@@ -104,6 +123,21 @@ class TestSpecCommands:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "axis,scenario,estimator,value,half_width,branch"
         assert len(lines) == 5
+
+    def test_oma_t_hardening_with_uniform_reflect_phases(self, tmp_path):
+        spec = tmp_path / "oma.ini"
+        spec.write_text("[sweep]\naxis = elements_per_row\nvalues = 2,3\n"
+                        "[defaults]\nn_v = 2\ntrials = 256\n"
+                        "[scenario:o]\ntarget = oma_t\nphase_error_t = quantized:2\n"
+                        "phase_error_r = uniform\nestimators = mc,hardening\n",
+                        encoding="utf-8")
+        res = run_cli("validate", "--spec", str(spec))
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / "rows.csv"
+        res = run_cli("run", "--spec", str(spec), "--out", str(out), "--seed", "5")
+        assert res.returncode == 0, res.stderr
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(row.split(",")[2] for row in rows) == ["hardening"] * 2 + ["mc"] * 2
 
 
 MINI_SPEC = ("[sweep]\naxis = elements_per_row\nvalues = {values}\n"
