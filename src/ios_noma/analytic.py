@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ConfigError, Quantized, SystemParams, pathloss
+from .channel import _LINKS, ConfigError, Quantized, SystemParams, pathloss
 
 __all__ = [
     "Scenario",
@@ -124,7 +124,6 @@ def oma_slot_rates(params: SystemParams, h_t, h_r):
 ESTIMATORS = ("jensen", "hardening", "limit")
 
 _NOMA_USERS = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
-_LINKS = ("t", "r", "tp", "rp")
 # The links each rate reads: a NOMA message reads its own user's link and
 # those of every user decoded after it, an OMA user only its own slot's.
 # A primed user's rate, and only that, reads "tp".
@@ -132,6 +131,13 @@ _READS = {**{user: _LINKS[:k + 1] for k, user in enumerate(_NOMA_USERS)},
           Scenario.OMA_T: ("t",), Scenario.OMA_R: ("r",)}
 # the two links whose weaker one names a NOMA bound's branch
 _BRANCHES = {Scenario.NOMA_R: (0, 1), Scenario.NOMA_TP: (2, 1), Scenario.NOMA_RP: (2, 3)}
+
+
+def _check_users(target: Scenario, params: SystemParams) -> None:
+    """Raise ConfigError if target's rate reads a primed link (_READS)
+    without four-user parameters: the bounds, engine and sweep ask this."""
+    if "tp" in _READS[target] and not params.four_user:
+        raise ConfigError(f"{target.value} requires four-user parameters")
 
 
 def _mean_gain(n: int, tr_rbar_sq: float, eps: float) -> float:
@@ -186,8 +192,7 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
     primed = "tp" in _READS[target]
     if estimator not in ("jensen", "hardening") or (primed and estimator == "hardening"):
         raise ConfigError(f"estimator {estimator!r} is undefined for {target.value}")
-    if primed and not params.four_user:
-        raise ConfigError(f"{target.value} requires four-user parameters")
+    _check_users(target, params)
     if estimator == "jensen":
         gain = functools.partial(_mean_gain, n, tr_rbar_sq)
     else:
@@ -203,8 +208,7 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
     """Transmit-SNR-independent ceiling of the interference-limited rates:
     sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2)."""
-    if "tp" in _READS[scenario] and not params.four_user:
-        raise ConfigError(f"{scenario.value} limit requires four-user parameters")
+    _check_users(scenario, params)
     if scenario not in _NOMA_USERS[1:]:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}")
     k = _NOMA_USERS.index(scenario)

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _LINKS = ("t", "r", "tp", "rp")
+_PERFECT_BITS = 28  # sin(pi / 2^b) rounds to pi / 2^b from here on: eps is 1.0
 
 
 class ConfigError(ValueError):
@@ -90,12 +91,11 @@ class SystemParams:
             raise ConfigError("pathloss intercepts must be positive")
         if self.p_tx < 0 or self.noise_power <= 0:
             raise ConfigError("p_tx must be >= 0 and noise_power > 0")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
+        # x * x: a huge amplitude squares to inf, where x**2 would raise
+        if not abs(self.alpha * self.alpha + self.beta * self.beta - 1.0) <= 1e-12:
             raise ConfigError("alpha^2 + beta^2 must equal 1")
-        q_sq = self.q_t**2 + self.q_r**2
-        if self.four_user:
-            q_sq += self.q_tp**2 + self.q_rp**2
-        if abs(q_sq - 1.0) > 1e-12:
+        q = (self.q_t, self.q_r, self.q_tp, self.q_rp) if self.four_user else (self.q_t, self.q_r)
+        if not abs(sum(x * x for x in q) - 1.0) <= 1e-12:
             raise ConfigError("transmit amplitude coefficients must satisfy sum(q^2) = 1")
         # power-domain separation: the reflect-side user gets the larger
         # share whenever both two-user splits are active
@@ -127,37 +127,41 @@ class SystemParams:
                 p_dbm: float = 20.0, noise_dbm: float = -50.0,
                 lambda_tp_db: float | None = None, lambda_rp_db: float | None = None,
                 **kwargs) -> "SystemParams":
-        """Build params with intercepts in dB and powers in dBm."""
-        extra = {}
-        if lambda_tp_db is not None:
-            extra["lambda_tp"] = db_to_linear(lambda_tp_db)
-        if lambda_rp_db is not None:
-            extra["lambda_rp"] = db_to_linear(lambda_rp_db)
-        return cls(lambda_t=db_to_linear(lambda_t_db),
-                   lambda_r=db_to_linear(lambda_r_db),
-                   p_tx=dbm_to_watts(p_dbm),
-                   noise_power=dbm_to_watts(noise_dbm),
-                   **extra, **kwargs)
+        """Build params with intercepts in dB and powers in dBm.  A value
+        whose linear one overflows a float is a ConfigError naming it."""
+        linear = {}
+        for field, key, value in (
+                ("lambda_t", "lambda_t_db", lambda_t_db), ("lambda_r", "lambda_r_db", lambda_r_db),
+                ("lambda_tp", "lambda_tp_db", lambda_tp_db),
+                ("lambda_rp", "lambda_rp_db", lambda_rp_db),
+                ("p_tx", "p_dbm", p_dbm), ("noise_power", "noise_dbm", noise_dbm)):
+            if value is not None:
+                try:
+                    linear[field] = (dbm_to_watts if key.endswith("dbm") else db_to_linear)(value)
+                except OverflowError:
+                    raise ConfigError(f"{key} = {value:g} overflows in linear units") from None
+        return cls(**linear, **kwargs)
 
 
 def pathloss(params: SystemParams, link: str) -> float:
     """Cascaded pathloss Lambda / (d_b^chi * d_user^chi) for one link.
 
     link is one of "t", "r", "tp", "rp" (transmit-side and reflect-side
-    users, unprimed and primed).
+    users, unprimed and primed).  A power that overflows, or a denominator
+    that underflows to 0, is a ConfigError naming the distances and chi.
     """
     if link not in _LINKS:
         raise ConfigError(f"unknown link {link!r}, expected one of {_LINKS}")
     if link in ("tp", "rp") and not params.four_user:
         raise ConfigError(f"link {link!r} requires four-user parameters")
-    dist = {"t": params.d_t, "r": params.d_r, "tp": params.d_tp, "rp": params.d_rp}[link]
-    intercept = {
-        "t": params.lambda_t,
-        "r": params.lambda_r,
-        "tp": params.lambda_tp if params.lambda_tp is not None else params.lambda_t,
-        "rp": params.lambda_rp if params.lambda_rp is not None else params.lambda_r,
-    }[link]
-    return intercept / (params.d_b**params.chi * dist**params.chi)
+    dist = getattr(params, f"d_{link}")
+    # a primed link without an intercept of its own takes its side's
+    intercept = getattr(params, f"lambda_{link}") or getattr(params, f"lambda_{link[0]}")
+    try:
+        return intercept / (params.d_b**params.chi * dist**params.chi)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(f"pathloss of link {link!r} is out of float range: chi = "
+                          f"{params.chi:g}, d_b = {params.d_b:g}, d_{link} = {dist:g}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +186,9 @@ class VonMises:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ConfigError("kappa must be non-negative")
+        # NaN fails every comparison; an infinite kappa is perfect phases
+        if not self.kappa >= 0:
+            raise ConfigError(f"vonmises kappa must be non-negative, got {self.kappa}")
 
     def epsilon(self) -> float:
         return bessel_ratio_i1_i0(self.kappa)
@@ -201,6 +206,9 @@ class Quantized:
     def __post_init__(self):
         if self.bits < 1:
             raise ConfigError("bits must be a positive integer")
+        if self.bits >= _PERFECT_BITS:
+            raise ConfigError(f"quantized:{self.bits}: eps rounds to 1 from "
+                              f"{_PERFECT_BITS} bits on; use perfect")
 
     def epsilon(self) -> float:
         return 2**self.bits * math.sin(math.pi / 2**self.bits) / math.pi

@@ -21,8 +21,8 @@ from importlib import resources
 from pathlib import Path
 
 from .analytic import ESTIMATORS as BOUND_ESTIMATORS
-from .analytic import RateBound, Scenario, rate_bound
-from .channel import (ConfigError, PhaseErrorModel, SystemParams,
+from .analytic import _LINKS, RateBound, Scenario, _check_users, rate_bound
+from .channel import (ConfigError, PhaseErrorModel, SystemParams, pathloss,
                       phase_error_from_string)
 from .geometry import ArrayGeometry, trace_rbar_sq
 from .mc import McConfig, expect_draws, forget_draws, mc_estimates
@@ -80,6 +80,14 @@ DEFAULTS: dict[str, object] = {
     "master_seed": 20157,
 }
 
+# the keys of SystemParams.from_db, distances with an "_m"
+_PARAM_KEYS = ("d_b_m", "d_t_m", "d_r_m", "d_tp_m", "d_rp_m", "chi", "lambda_t_db",
+               "lambda_r_db", "lambda_tp_db", "lambda_rp_db", "p_dbm", "noise_dbm",
+               "alpha", "beta", "q_t", "q_r", "q_tp", "q_rp")
+# The largest SNR scale gamma0 eta N^2 of a link: a composite gain is at
+# most about N^2 times a few hundred, so every rate stays finite.
+_MAX_SNR = 1e300
+
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
 ESTIMATORS = ("mc", *BOUND_ESTIMATORS)
 
@@ -108,15 +116,16 @@ class SweepSpec:
             raise ConfigError("sweep values must be non-empty")
 
     def points(self) -> list[tuple[float, ScenarioSpec, Point]]:
-        """Build and check every (axis value, scenario) point, in sweep order.
-
-        Analytic estimators are tried at tr(Rbar Rbar) = N: whether one is
+        """Build and check every (axis value, scenario) point, in sweep order:
+        a primed target's four-user parameters whatever its estimators, and
+        analytic estimators at tr(Rbar Rbar) = N, since whether one is
         defined never depends on the trace, so checking computes none."""
         points = []
         for value in self.values:
             for scen in self.scenarios:
                 point = build_point(_apply_axis(
                     {**DEFAULTS, **self.defaults, **scen.overrides}, self.axis, value))
+                _check_users(scen.target, point.params)
                 for est in scen.estimators:
                     if est != "mc":
                         analytic_bound(scen.target, est, point, point.geom.n_elements)
@@ -279,28 +288,27 @@ class Point:
 
 def build_point(cfg: dict[str, object]) -> Point:
     """Build and check the setup of a merged key dict (DEFAULTS plus
-    overrides).  Every float value must be finite, and SystemParams
-    rejects four-user parameters that break the pathloss ordering behind
-    the decoding order.  Computes no correlation matrix, so checking
-    every point of a sweep stays cheap."""
+    overrides).  Every float value must be finite, SystemParams rejects
+    four-user parameters that break the pathloss ordering behind the
+    decoding order, and every link's SNR scale must be at most _MAX_SNR.
+    Computes no correlation matrix, so checking every point of a sweep
+    stays cheap."""
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    optional = {dst: float(cfg[src]) for src, dst in (
-        ("d_tp_m", "d_tp"), ("d_rp_m", "d_rp"), ("q_tp", "q_tp"), ("q_rp", "q_rp"),
-        ("lambda_tp_db", "lambda_tp_db"), ("lambda_rp_db", "lambda_rp_db"))
-        if cfg.get(src) is not None}
-    params = SystemParams.from_db(
-        lambda_t_db=float(cfg["lambda_t_db"]), lambda_r_db=float(cfg["lambda_r_db"]),
-        p_dbm=float(cfg["p_dbm"]), noise_dbm=float(cfg["noise_dbm"]),
-        d_b=float(cfg["d_b_m"]), d_t=float(cfg["d_t_m"]), d_r=float(cfg["d_r_m"]),
-        chi=float(cfg["chi"]), alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-        q_t=float(cfg["q_t"]), q_r=float(cfg["q_r"]), **optional)
+    params = SystemParams.from_db(**{key.removesuffix("_m"): float(cfg[key])
+                                     for key in _PARAM_KEYS if cfg.get(key) is not None})
+    geom = ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
+                         elem_len_l=float(cfg["element_len_m"]),
+                         elem_len_w=float(cfg["element_width_m"]),
+                         wavelength=float(cfg["wavelength_m"]))
+    for link in _LINKS[:4 if params.four_user else 2]:
+        snr = params.gamma0 * pathloss(params, link) * geom.n_elements**2
+        if not snr <= _MAX_SNR:
+            raise ConfigError(f"link {link}: gamma0 eta N^2 = {snr:g} exceeds {_MAX_SNR:g}; "
+                              f"see p_dbm, noise_dbm, lambda_{link}_db, chi, d_b_m, d_{link}_m")
     return Point(
-        geom=ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
-                           elem_len_l=float(cfg["element_len_m"]),
-                           elem_len_w=float(cfg["element_width_m"]),
-                           wavelength=float(cfg["wavelength_m"])),
+        geom=geom,
         params=params,
         err_models=(phase_error_from_string(str(cfg["phase_error_t"])),
                     phase_error_from_string(str(cfg["phase_error_r"]))),
@@ -310,9 +318,8 @@ def build_point(cfg: dict[str, object]) -> Point:
 
 def analytic_bound(target: Scenario, estimator: str, point: Point, tr: float) -> RateBound:
     """Evaluate one analytic estimator at a point, given its tr(Rbar Rbar)."""
-    eps_t, eps_r = (model.epsilon() for model in point.err_models)
     return rate_bound(target, estimator, point.params, point.geom.n_elements, tr,
-                      eps_t, eps_r)
+                      *(model.epsilon() for model in point.err_models))
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:

@@ -20,6 +20,7 @@ the Monte Carlo draws.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,9 @@ class ArrayGeometry:
             raise ValueError("element sizes must be positive")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
+        corner = math.hypot((self.n_h - 1) * self.elem_len_l, (self.n_v - 1) * self.elem_len_w)
+        if not math.isfinite(2.0 * math.pi * corner / self.wavelength):  # sinc's widest argument
+            raise ValueError("element separation over wavelength overflows a float")
 
     @property
     def n_elements(self) -> int:

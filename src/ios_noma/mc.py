@@ -28,33 +28,30 @@ y.  The primed gains are not controls: E[H'] = N only for i.i.d. elements
 controls are merged in block order, so the estimates do not depend on
 how blocks were scheduled.
 
-The gains depend only on the draw key: geometry, correlation, the two
-phase-error models, master seed, trial count, and params.four_user
-(four-user parameters add the primed gains, whatever scenarios are
-asked for); the link budget and the scenarios enter only through the
-rates.  The fading streams depend only on the Gaussian key: the layout
-family (n_v, element sizes and wavelength), seed, trials and
-params.four_user.  Elements are ordered column by column and every
-stream is drawn element by element, so a layout of n_h columns reads
-the leading n_v n_h rows of its family's draws, and its triangular factor
-is the leading block of a wider layout's.  One walk thus samples every
-draw key of a family: each block draws each stream once, at the widest
-layout asked for, colours each fading stream once per correlation flag,
-draws each phase model once per side, and reads the composite gain of
-every column count from prefix sums over the columns.  A side is drawn
-only for the keys whose members' rates read it, so a walk whose members
-ask only for T's rates draws no reflect-side stream at all.  A layout's
-draws do not depend on the other layouts of its walk: its i.i.d. gains
-are bit-identical to a lone walk's, and its correlated ones differ only
-by the rounding of the wider factor.  A member is the (draw key, params,
-scenarios) of one engine call.  expect_draws() takes the arguments of
-the calls to come, of any number of Gaussian keys; the first call on a
-Gaussian key walks the blocks once, runs the rate chain of every
-announced member that shares the key on each block's gains, and stores
-only the merged moments per member and scenario.  A later call on a
-stored member finalizes from them; a call that was not announced drops
-the store and walks alone.  A walk holds one block of gains at a time,
-whatever the trial count.  forget_draws() drops the memo.
+The gains depend only on the draw key of a call, and the fading streams
+only on its Gaussian key (see _member); the link budget and the
+scenarios enter only through the rates.  Elements are ordered column by
+column and every stream is drawn element by element, so a layout of n_h
+columns reads the leading n_v n_h rows of its family's draws, and its
+triangular factor is the leading block of a wider layout's.  One walk
+thus samples every draw key of a family: each block draws each stream
+once, at the widest layout asked for, colours each fading stream once
+per correlation flag, draws each phase model once per side, and reads
+the composite gain of every column count from prefix sums over the
+columns.  A side is drawn only for the keys whose members' rates read
+it, so a walk whose members ask only for T's rates draws no reflect-side
+stream at all.  A layout's draws do not depend on the other layouts of
+its walk: its i.i.d. gains are bit-identical to a lone walk's, and its
+correlated ones differ only by the rounding of the wider factor.  A
+member is the (draw key, params, scenarios) of one engine call, as
+_member forms it.  expect_draws() takes the arguments of the calls to
+come, of any number of Gaussian keys; the first call on a Gaussian key
+walks the blocks once, runs the rate chain of every announced member
+that shares the key on each block's gains, and stores only the merged
+moments per member and scenario.  A later call on a stored member
+finalizes from them; a call that was not announced drops the store and
+walks alone.  A walk holds one block of gains at a time, whatever the
+trial count.  forget_draws() drops the memo.
 SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
 none.
@@ -69,7 +66,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _READS, Scenario, _mean_gain, link_gain, oma_slot_rates, sic_rates
+from .analytic import _LINKS, _READS, Scenario, _check_users, _mean_gain, link_gain
+from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
 from .channel import SystemParams, correlation_factor, standard_complex_gaussian
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
@@ -153,11 +151,11 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dic
 
 
 def noma_trial_rates(params: SystemParams, *gains):
-    """(rate_T, rate_R) from the composite gains (h_t, h_r) under
-    superposition coding, or (rate_T,) from h_t alone: T's rate reads
-    only its own gain."""
-    return sic_rates(params, *(link_gain(params, link, h)
-                               for link, h in zip(("t", "r"), gains)))
+    """The rates of the users T, R, T', R' under superposition coding and
+    the (R', T', R, T) order, from the composite gains of a prefix of that
+    user list: a user's rate reads only the gains up to its own, so
+    (rate_T,) needs h_t alone and (rate_T, rate_R) the pair."""
+    return sic_rates(params, *(link_gain(params, link, h) for link, h in zip(_LINKS, gains)))
 
 
 def oma_trial_rates(params: SystemParams, h_t, h_r):
@@ -166,16 +164,9 @@ def oma_trial_rates(params: SystemParams, h_t, h_r):
     return oma_slot_rates(params, h_t, h_r)
 
 
-def four_user_trial_rates(params: SystemParams, h_t, h_r, h_tp, h_rp):
-    """(rate_T, rate_R, rate_Tp, rate_Rp) under the (R', T', R, T) order."""
-    return sic_rates(params, *(link_gain(params, link, h) for link, h in
-                               (("t", h_t), ("r", h_r), ("tp", h_tp), ("rp", h_rp))))
-
-
 # ---------------------------------------------------------------------------
 # block evaluation
 
-_NOMA = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
 # The unprimed gains each rate reads (its t and r links in _READS), as
 # rows of _walk_block: 0 for H_t, 1 for H_r.  They are the rate's
@@ -293,14 +284,11 @@ def _rates_at(scenarios, params, gains):
     """Per-trial rates at one block's gains, {scenario: rates} in the order
     asked.  Only the chains asked for run, and each reads only the gains
     of the users asked for: the NOMA chain those of the users T, R, T',
-    R' up to the last one asked for (the two-user chain for T or R, the
-    four-user chain for a primed user), and the OMA chain those of the
-    OMA users asked for."""
+    R' up to the last one asked for, and the OMA chain those of the OMA
+    users asked for."""
     rates = {}
     users = max((_NOMA.index(scen) + 1 for scen in scenarios if scen in _NOMA), default=0)
-    if users > 2:
-        rates.update(zip(_NOMA, four_user_trial_rates(params, *gains)))
-    elif users:
+    if users:
         rates.update(zip(_NOMA, noma_trial_rates(params, *gains[:users])))
     if not set(scenarios).isdisjoint(_OMA):
         rates.update(zip(_OMA, oma_trial_rates(params, *(
@@ -314,26 +302,6 @@ def _blocks(trials: int):
         yield block, BLOCK_SIZE
     if rest:
         yield full, rest
-
-
-def draw_key(geom: ArrayGeometry, params: SystemParams, err_models, cfg: McConfig,
-             correlated: bool = True) -> tuple:
-    """What the composite gains of an mc_estimates call depend on: calls
-    with equal keys evaluate their rates on the same draws, whatever
-    scenarios they ask for.  params enters only through
-    params.four_user, which adds the primed gains; the rest of params
-    enters only through the rates.
-
-    The key is (Gaussian key, n_h, correlated, model_t, model_r).  The
-    Gaussian key (family, master seed, trials, params.four_user) fixes
-    the fading streams; the family is the layout's one-column geometry
-    (n_v, element sizes and wavelength), and its layouts of n_h columns
-    read the leading rows of every stream.  Keys that share a Gaussian
-    key differ only in the column count, the colouring and the phase
-    streams, and one walk samples them together.
-    """
-    return ((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user),
-            geom.n_h, correlated, *err_models)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +353,29 @@ _stored: dict[tuple, dict | None] = {}
 
 def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
     """The member (draw key, params, scenarios) of an mc_estimates call,
-    its scenarios without repeats in the order asked."""
+    its scenarios without repeats in the order asked.
+
+    Calls with equal draw keys evaluate their rates on the same draws,
+    whatever scenarios they ask for; params enters the key only through
+    params.four_user, which adds the primed gains.  The key is (Gaussian
+    key, n_h, correlated, model_t, model_r).  The Gaussian key (family,
+    master seed, trials, params.four_user) fixes the fading streams: the
+    family is the layout's one-column geometry (n_v, element sizes and
+    wavelength), whose layouts of n_h columns read the leading rows of
+    every stream, so one walk samples all the keys of a Gaussian key.
+    """
     scenarios = tuple(dict.fromkeys(scenarios))
-    if not params.four_user and any("tp" in _READS[scen] for scen in scenarios):
-        raise ValueError("primed scenarios need four-user parameters")
-    return draw_key(geom, params, err_models, cfg, correlated), params, scenarios
+    for scen in scenarios:
+        _check_users(scen, params)
+    return (((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user),
+             geom.n_h, correlated, *err_models), params, scenarios)
 
 
 def expect_draws(calls) -> None:
     """Drop the stored moments and announce the engine calls to come, as
     (geom, params, err_models, cfg, scenarios, correlated) tuples of
     mc_estimates arguments, in any order and of any number of Gaussian
-    keys (see draw_key).  The first call on a Gaussian key walks every
+    keys (see _member).  The first call on a Gaussian key walks every
     announced call that shares it at once; the others then finalize from
     the stored moments."""
     global _stored

@@ -102,8 +102,8 @@ def _i_asymptotic_scaled(x: float, order: int) -> float:
 
 def bessel_ratio_i1_i0(x: float) -> float:
     """I1(x)/I0(x), overflow-safe for large x (ratio of scaled expansions)."""
-    if x < 0:
-        raise ValueError("bessel_ratio_i1_i0 requires x >= 0")
+    if not x >= 0:  # NaN too: the asymptotic loop never ends on it
+        raise ValueError(f"bessel_ratio_i1_i0 requires x >= 0, got {x}")
     if x <= _SERIES_CUTOFF:
         return _i_series(x, 1) / _i_series(x, 0)
     return _i_asymptotic_scaled(x, 1) / _i_asymptotic_scaled(x, 0)

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from ios_noma import ArrayGeometry, SystemParams, cross_moment, mc
+from ios_noma import ArrayGeometry, SystemParams, mc
+from ios_noma.geometry import cross_moment
 
 
 def dense_correlation(geom):

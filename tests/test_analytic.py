@@ -13,7 +13,7 @@ from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
                                sic_rates, sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 from ios_noma.geometry import ArrayGeometry, trace_rbar_sq
-from ios_noma.mc import four_user_trial_rates, noma_trial_rates, oma_trial_rates
+from ios_noma.mc import noma_trial_rates, oma_trial_rates
 
 PI_SQ_16 = math.pi**2 / 16.0
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -357,7 +357,7 @@ class TestOneRateChain:
 
         if params.four_user:
             assert values("jensen", PRIMED) == \
-                four_user_trial_rates(params, mean_t, mean_r, n, n)[2:]
+                noma_trial_rates(params, mean_t, mean_r, n, n)[2:]
 
     def test_tiny_gain_keeps_its_rate(self):
         # log2(1 + x) rounds 1 + x to 1 below x = 1.1e-16 and returns 0

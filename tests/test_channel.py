@@ -93,6 +93,26 @@ class TestPathloss:
         assert pathloss(far, "t") / pathloss(near, "t") == pytest.approx(
             2.0**-2.4, rel=1e-12)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"lambda_t_db": 5000.0}, "lambda_t_db"), ({"noise_dbm": 4000.0}, "noise_dbm"),
+        ({"p_dbm": 1e300}, "p_dbm"), ({"lambda_rp_db": 3090.0}, "lambda_rp_db"),
+    ])
+    def test_db_overflow_names_its_key(self, kwargs, named):
+        with pytest.raises(ConfigError, match=named):
+            SystemParams.from_db(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1e300}, {"q_r": -1e200}])
+    def test_huge_amplitude_is_a_config_error(self, kwargs):
+        # its square overflows a float
+        with pytest.raises(ConfigError, match="must"):
+            SystemParams.from_db(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, link", [
+        ({"chi": 1e6}, "t"), ({"d_r": 1e-300}, "r"), ({"chi": -1e300}, "t")])
+    def test_pathloss_out_of_range_is_a_config_error(self, kwargs, link):
+        with pytest.raises(ConfigError, match=f"link '{link}'.*chi"):
+            pathloss(SystemParams.from_db(**kwargs), link)
+
     def test_link_validation(self):
         params = SystemParams.from_db()
         with pytest.raises(ConfigError):
@@ -144,6 +164,26 @@ class TestPhaseErrorModels:
             VonMises(-0.1)
         with pytest.raises(ConfigError):
             Quantized(0)
+
+    def test_nan_kappa_is_rejected(self):
+        # epsilon() would never leave the asymptotic Bessel loop
+        with pytest.raises(ConfigError, match="vonmises"):
+            phase_error_from_string("vonmises:nan")
+
+    def test_infinite_kappa_is_perfect(self, rng):
+        model = phase_error_from_string("vonmises:inf")
+        assert model.epsilon() == 1.0
+        assert np.array_equal(model.sample(64, rng), np.zeros(64))
+
+    @pytest.mark.parametrize("bits", [28, 64, 2000])
+    def test_bits_whose_epsilon_rounds_to_one_are_rejected(self, bits):
+        # 2^bits overflows a float from 1024 bits on
+        with pytest.raises(ConfigError, match=f"quantized:{bits}"):
+            Quantized(bits)
+
+    def test_last_accepted_bit_count(self):
+        assert Quantized(27).epsilon() < 1.0
+        assert 2**28 * math.sin(math.pi / 2**28) / math.pi == 1.0
 
 
 class TestCorrelatedSampling:

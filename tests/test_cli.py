@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ios_noma import cli
 from ios_noma.analytic import Scenario, rate_bound
@@ -19,9 +21,9 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=60):
     return subprocess.run([sys.executable, "-m", "ios_noma.cli", *args],
-                          capture_output=True, text=True, env=CHILD_ENV)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=timeout)
 
 
 class TestBound:
@@ -234,6 +236,42 @@ class TestFailFast:
         assert "must be finite" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("flag, named", [
+        (("--phase-error-t", "vonmises:nan"), "vonmises"),
+        (("--phase-error-r", "quantized:2000"), "quantized:2000"),
+        (("--noise-dbm", "4000"), "noise_dbm"),
+        (("--lambda-t-db", "5000"), "lambda_t_db"),
+        (("--chi", "1e6"), "chi"),
+        (("--d-r", "1e-300"), "d_r"),
+        (("--d-t", "1e-130"), "d_t_m"),
+    ])
+    def test_out_of_range_bound_flag(self, flag, named):
+        # a NaN kappa would hang epsilon(); the others overflow a float
+        res = run_cli("bound", "--scenario", "noma_r", *flag, timeout=10)
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("lines, named", [
+        ("target = noma_tp\n", "four-user"),
+        ("target = noma_t\nphase_error_t = quantized:2000\n", "quantized:2000"),
+        ("target = noma_t\nphase_error_r = vonmises:nan\n", "vonmises"),
+        ("target = noma_t\nnoise_dbm = 4000\n", "noise_dbm"),
+    ], ids=["mc_only_primed_target", "quantized_2000", "vonmises_nan", "noise_4000"])
+    def test_mc_only_spec_that_run_rejects(self, tmp_path, lines, named):
+        # MC-only scenarios, which no analytic estimator checks: validate
+        # rejects what run would reject
+        path = tmp_path / "spec.ini"
+        path.write_text("[sweep]\naxis = elements_per_row\nvalues = 2\n"
+                        f"[defaults]\nn_v = 2\n[scenario:a]\n{lines}", encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        for args in (("validate", "--spec", str(path)),
+                     ("run", "--spec", str(path), "--out", str(out), "--trials", "200")):
+            res = run_cli(*args, timeout=10)
+            assert res.returncode == 2, (args[0], res.stderr)
+            assert named in res.stderr, args[0]
+        assert not out.exists()
+
     def test_non_finite_spec_key(self, spec, tmp_path):
         path = spec("2")
         with open(path, "a", encoding="utf-8") as fh:
@@ -283,3 +321,71 @@ class TestFailFast:
         res = run_cli("validate", "--spec", str(path))
         assert res.returncode == 2
         assert "unknown target 'broadcast'" in res.stderr
+
+
+# validates a spec, then runs it, in one process, and prints both exit
+# codes and the number of walks over the trial blocks
+CONTRACT_CHILD = """
+import json, sys
+from ios_noma import cli, mc
+walks, walk = [], mc._walk_group
+mc._walk_group = lambda *args: walks.append(args) or walk(*args)
+spec, out = sys.argv[1:]
+codes = [cli.main(["validate", "--spec", spec]),
+         cli.main(["run", "--spec", spec, "--out", out, "--trials", "200", "--seed", "3"])]
+print(json.dumps({"codes": codes, "walks": len(walks)}))
+"""
+FOUR_USER_KEYS = {"q_t": math.sqrt(0.1), "q_r": math.sqrt(0.2), "q_tp": math.sqrt(0.3),
+                  "q_rp": math.sqrt(0.4), "d_tp_m": 12.0, "d_rp_m": 15.0}
+# the float keys; the integer ones set sizes, where an extreme value asks
+# for memory or time rather than being malformed
+FLOAT_KEYS = sorted(key for key, value in DEFAULTS.items()
+                    if value is None or isinstance(value, float))
+PHASE_STRINGS = st.one_of(
+    st.sampled_from(["perfect", "uniform"]),
+    st.builds("vonmises:{!r}".format, st.floats()),
+    st.builds("quantized:{}".format, st.integers(-2, 40) | st.integers(0, 10**400)))
+EXTREMES = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1e-130, 3000.0, 1e300, -1e300, 1.7976931348623157e308])
+
+
+class TestContract:
+    """Every spec that validate accepts runs to the end with finite rows,
+    and every spec it rejects makes run exit 2 before any walk."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(target=st.sampled_from([s.value for s in Scenario]),
+           four_user=st.booleans(), phases=st.tuples(PHASE_STRINGS, PHASE_STRINGS),
+           key=st.sampled_from(FLOAT_KEYS), value=EXTREMES)
+    # cases that random draws reach rarely: inf and NaN rows, an overflow
+    @example(target="noma_t", four_user=False, phases=("perfect", "uniform"),
+             key="d_t_m", value=1e-130)
+    @example(target="noma_rp", four_user=True, phases=("quantized:1", "vonmises:inf"),
+             key="wavelength_m", value=5e-324)
+    @example(target="oma_r", four_user=False, phases=("quantized:27", "perfect"),
+             key="alpha", value=1e300)
+    def test_validate_decides_what_runs(self, tmp_path_factory, target, four_user,
+                                        phases, key, value):
+        tmp = tmp_path_factory.mktemp("contract")
+        keys = {**(FOUR_USER_KEYS if four_user else {}), key: value}
+        spec = tmp / "spec.ini"
+        spec.write_text(
+            "[sweep]\naxis = elements_per_row\nvalues = 2, 3\n[defaults]\nn_v = 2\n"
+            f"phase_error_t = {phases[0]}\nphase_error_r = {phases[1]}\n"
+            + "".join(f"{k} = {v!r}\n" for k, v in keys.items())
+            + f"[scenario:a]\ntarget = {target}\nestimators = mc\n"
+            "[scenario:b]\ntarget = noma_r\nestimators = mc,jensen\n", encoding="utf-8")
+        out = tmp / "rows.csv"
+        res = subprocess.run([sys.executable, "-c", CONTRACT_CHILD, str(spec), str(out)],
+                             capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+        report = json.loads(res.stdout.splitlines()[-1])
+        validated, ran = report["codes"]
+        if validated == 0:
+            assert ran == 0, res.stderr
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            assert len(rows) == 6
+            assert all(math.isfinite(float(cell)) for row in rows
+                       for cell in row.split(",")[3:5] if cell), rows
+        else:
+            assert (validated, ran, report["walks"]) == (2, 2, 0), res.stderr
+            assert not out.exists()

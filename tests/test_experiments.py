@@ -147,6 +147,26 @@ class TestBuilding:
                          "q_tp": 0.3**0.5, "q_rp": 0.4**0.5,
                          "d_tp_m": 15.0, "d_rp_m": 12.0})
 
+    @pytest.mark.parametrize("key, value", [("d_t_m", 1e-130), ("p_dbm", 3000.0),
+                                            ("lambda_t_db", 3000.0)])
+    def test_link_snr_scale_is_bounded(self, key, value):
+        # finite conversions and pathloss, but gamma0 eta N^2 beyond 1e300,
+        # where a drawn gain's rate can overflow to inf or NaN
+        with pytest.raises(ConfigError, match=f"link t:.*{key}"):
+            build_point({**DEFAULTS, key: value})
+
+    @pytest.mark.parametrize("key, value", [("wavelength_m", 5e-324),
+                                            ("element_len_m", 1e308)])
+    def test_kernel_argument_overflow_is_rejected(self, key, value):
+        # the sinc kernel would read inf / inf and the MC rows NaN
+        with pytest.raises(ValueError, match="wavelength"):
+            build_point({**DEFAULTS, key: value})
+
+    def test_mc_only_primed_target_needs_four_user_params(self):
+        scen = ScenarioSpec(name="tp", target=Scenario.NOMA_TP, estimators=("mc",))
+        with pytest.raises(ConfigError, match="noma_tp requires four-user"):
+            SweepSpec(axis="transmit_snr_db", values=(10.0,), scenarios=(scen,)).points()
+
     def test_undefined_estimator_is_diagnosed(self):
         cfg = {**DEFAULTS, "q_t": 0.1**0.5, "q_r": 0.2**0.5, "q_tp": 0.3**0.5,
                "q_rp": 0.4**0.5, "d_tp_m": 12.0, "d_rp_m": 15.0}

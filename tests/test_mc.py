@@ -16,9 +16,8 @@ from ios_noma import cli, experiments, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
-                         _group_factor, _merge, _moments, _rates_at, _walk_block,
-                         draw_key, four_user_trial_rates, mc_estimates,
-                         noma_trial_rates, oma_trial_rates)
+                         _group_factor, _member, _merge, _moments, _rates_at,
+                         _walk_block, mc_estimates, noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -66,7 +65,7 @@ class TestTrialRates:
 
     def test_zero_power_share_silences_user(self):
         params = four_user_params(q_shares=(0.2, 0.8, 0.0, 0.0))
-        _, _, rate_tp, rate_rp = four_user_trial_rates(params, 4.0, 3.0, 2.0, 1.0)
+        _, _, rate_tp, rate_rp = noma_trial_rates(params, 4.0, 3.0, 2.0, 1.0)
         assert float(rate_tp) == 0.0
         assert float(rate_rp) == 0.0
 
@@ -112,7 +111,7 @@ class TestSchemeRelations:
         geom = half_wave_geometry(n_h=5, n_v=4)
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
-        key = draw_key(geom, params, QUANT1, McConfig(trials=512, master_seed=77))
+        key = _member(geom, params, QUANT1, McConfig(trials=512, master_seed=77), (), True)[0]
         (gains,) = _walk_block({key: (0, 1)}, factor, 0, 512)
         rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
@@ -210,7 +209,8 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            key = draw_key(geom, params, QUANT1, McConfig(trials=8192, master_seed=21))
+            key = _member(geom, params, QUANT1, McConfig(trials=8192, master_seed=21), (),
+                          True)[0]
             (gains,) = _walk_block({key: (0,)}, factor, 0, 8192)
             rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
@@ -352,8 +352,7 @@ class TestDrawMemo:
     def test_sweep_samples_each_draw_key_once(self, sampled_blocks, counting):
         # fig5 interleaves two phase models over 15 SNR values on one layout
         calls = counting("mc_estimates")
-        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
-                                              "four_user_trial_rates")]
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         spec = spec_with_overrides(load_spec("fig5_rate_vs_snr"), trials=200)
         run_sweep(spec)
         assert len(sampled_blocks) == 1  # one walk for both phase models
@@ -458,7 +457,7 @@ class TestGroupWalk:
         geom = quarter_wave_geometry()
         params = SystemParams.from_db()
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=43)
-        keys = [draw_key(geom, params, models, cfg, correlated)
+        keys = [_member(geom, params, models, cfg, (), correlated)[0]
                 for correlated, models in MIXED_GROUP]
         means = set()
         for (correlated, models), gains in zip(MIXED_GROUP, walked_gains(keys)):
@@ -509,8 +508,7 @@ class TestGroupWalk:
         calls.insert(3, (half_wave_geometry(3, 4), four, QUANT1, cfg, FOUR, True))
 
         def gaussian(call):
-            *args, _, correlated = call
-            return draw_key(*args, correlated)[0]
+            return _member(*call)[0][0]
 
         keys = [gaussian(call) for call in calls]
         assert len(set(keys)) == 3
@@ -562,7 +560,7 @@ class TestFamilyWalk:
         # the widest factor's leading block against the narrow factor
         params = four_user_params() if four_user else SystemParams.from_db()
         cfg = McConfig(trials=3000, master_seed=51)
-        keys = [draw_key(half_wave_geometry(n_h, 4), params, models, cfg, correlated)
+        keys = [_member(half_wave_geometry(n_h, 4), params, models, cfg, (), correlated)[0]
                 for n_h in (1, 3, 8) for correlated in (False, True)
                 for models in (QUANT1, (UniformFull(), Perfect()),
                                (VonMises(2.0), Quantized(2)))]
@@ -659,8 +657,7 @@ class TestSidePruning:
 
     def test_fig3_draws_no_reflect_side(self, counting, phase_draws, fresh_memo):
         gauss = counting("standard_complex_gaussian")
-        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
-                                              "four_user_trial_rates")]
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         run_sweep(spec_with_overrides(load_spec("fig3_rate_vs_N"), trials=200))
         assert len(list(_blocks(200))) == 1
         # one block of one walk: the shared h and the transmit-side g
@@ -668,7 +665,7 @@ class TestSidePruning:
             (mc._STREAM_H, 0), (mc._STREAM_G, 0)]
         assert [stream for _, stream in phase_draws] == [mc._STREAM_PHI_T] * 4
         # one chain per point, reading only H_t, never an undrawn row
-        assert [len(calls) for calls in chains] == [100, 0, 0]
+        assert [len(calls) for calls in chains] == [100, 0]
         assert all(len(args) == 2 for args in chains[0])
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
 
@@ -725,8 +722,7 @@ class TestSidePruning:
         r_call = (geom, params, QUANT1, cfg, (Scenario.NOMA_R, Scenario.OMA_R), True)
         t_call = (geom, params, (VonMises(2.0), UniformFull()), cfg, (Scenario.NOMA_T,),
                   True)
-        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates",
-                                              "four_user_trial_rates")]
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         oma_call = (geom, params, (Quantized(2), Quantized(3)), cfg, (Scenario.OMA_R,), True)
         mc.expect_draws([r_call, t_call, oma_call])
         shared, oma = call_estimates(r_call), call_estimates(oma_call)
@@ -812,7 +808,7 @@ class TestPrimedGainMean:
         """(sample mean of H' - N) / stderr, for H_t' and H_r'."""
         geom = quarter_wave_geometry()
         params, cfg = four_user_params(), McConfig(trials=4000, master_seed=3)
-        (gains,) = walked_gains([draw_key(geom, params, QUANT1, cfg, correlated)])
+        (gains,) = walked_gains([_member(geom, params, QUANT1, cfg, (), correlated)[0]])
         return [(h.mean() - geom.n_elements) / (h.std(ddof=1) / math.sqrt(h.size))
                 for h in gains[2:]]
 
@@ -886,7 +882,7 @@ class TestExactMeanGain:
         # correlation flags and all four phase-model kinds
         _, geom, correlated, models = setup
         params, cfg = SystemParams.from_db(), McConfig(trials=2000, master_seed=seed)
-        (gains,) = walked_gains([draw_key(geom, params, models, cfg, correlated)])
+        (gains,) = walked_gains([_member(geom, params, models, cfg, (), correlated)[0]])
         tr = trace_rbar_sq(geom, correlated)
         for h, model in zip(gains, models):
             exact = _mean_gain(geom.n_elements, tr, model.epsilon())
@@ -962,7 +958,7 @@ class TestControlVariate:
         def recording(geom, params, models, cfg, scenarios, *, correlated, workers):
             out = mc_estimates(geom, params, models, cfg, scenarios,
                                correlated=correlated, workers=workers)
-            key = draw_key(geom, params, models, cfg, correlated)
+            key = _member(geom, params, models, cfg, (), correlated)[0]
             calls.setdefault(key[0], []).append((key, params, scenarios, out))
             return out
 

@@ -102,6 +102,11 @@ class TestBessel:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel_ratio_i1_i0(-1e-9)
+        with pytest.raises(ValueError):  # the asymptotic loop would never end
+            bessel_ratio_i1_i0(math.nan)
+
+    def test_infinite_argument(self):
+        assert bessel_ratio_i1_i0(math.inf) == 1.0
 
 
 
