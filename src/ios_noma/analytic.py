@@ -26,18 +26,6 @@ import numpy as np
 
 from .channel import _LINKS, ConfigError, Quantized, SystemParams, pathloss
 
-__all__ = [
-    "Scenario",
-    "Verdict",
-    "RateBound",
-    "ESTIMATORS",
-    "rate_bound",
-    "large_snr_limit",
-    "sum_rate_verdict",
-    "quantization_gain",
-    "quantization_gain_limit",
-]
-
 _QUARTER_PI_SQ = math.pi**2 / 16.0
 # rates are log1p(x) / ln 2: log2(1 + x) would round 1 + x and lose
 # every bit of a rate below 1e-16

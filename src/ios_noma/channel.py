@@ -19,21 +19,6 @@ import numpy as np
 
 from .specfun import bessel_ratio_i1_i0
 
-__all__ = [
-    "ConfigError",
-    "SystemParams",
-    "Perfect",
-    "VonMises",
-    "Quantized",
-    "UniformFull",
-    "phase_error_from_string",
-    "db_to_linear",
-    "dbm_to_watts",
-    "pathloss",
-    "correlation_factor",
-    "standard_complex_gaussian",
-]
-
 _LINKS = ("t", "r", "tp", "rp")
 _PERFECT_BITS = 28  # sin(pi / 2^b) rounds to pi / 2^b from here on: eps is 1.0
 
@@ -123,18 +108,16 @@ class SystemParams:
         return self.p_tx / self.noise_power
 
     @classmethod
-    def from_db(cls, *, lambda_t_db: float = -30.0, lambda_r_db: float = -30.0,
-                p_dbm: float = 20.0, noise_dbm: float = -50.0,
-                lambda_tp_db: float | None = None, lambda_rp_db: float | None = None,
-                **kwargs) -> "SystemParams":
-        """Build params with intercepts in dB and powers in dBm.  A value
+    def from_db(cls, **kwargs) -> "SystemParams":
+        """Build params with intercepts in dB and powers in dBm: each of
+        lambda_*_db, p_dbm and noise_dbm that is given and not None sets
+        its linear field, and the other keywords are fields.  A value
         whose linear one overflows a float is a ConfigError naming it."""
         linear = {}
-        for field, key, value in (
-                ("lambda_t", "lambda_t_db", lambda_t_db), ("lambda_r", "lambda_r_db", lambda_r_db),
-                ("lambda_tp", "lambda_tp_db", lambda_tp_db),
-                ("lambda_rp", "lambda_rp_db", lambda_rp_db),
-                ("p_tx", "p_dbm", p_dbm), ("noise_power", "noise_dbm", noise_dbm)):
+        for field, key in (("lambda_t", "lambda_t_db"), ("lambda_r", "lambda_r_db"),
+                           ("lambda_tp", "lambda_tp_db"), ("lambda_rp", "lambda_rp_db"),
+                           ("p_tx", "p_dbm"), ("noise_power", "noise_dbm")):
+            value = kwargs.pop(key, None)
             if value is not None:
                 try:
                     linear[field] = (dbm_to_watts if key.endswith("dbm") else db_to_linear)(value)

@@ -27,7 +27,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _BOUND_FLAGS = {
-    # flag -> config key
+    # flag -> spec key, the flag's dest
     "n_h": "n_h", "n_v": "n_v",
     "wavelength": "wavelength_m",
     "element_len": "element_len_m", "element_width": "element_width_m",
@@ -66,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=[s.value for s in Scenario])
     for flag, key in _BOUND_FLAGS.items():
         arg_type = float if DEFAULTS[key] is None else type(DEFAULTS[key])
-        p_bound.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
+        p_bound.add_argument(f"--{flag.replace('_', '-')}", dest=key,
                              type=arg_type, default=None)
     p_bound.add_argument("--phase-error-t", default=None,
                          help="perfect | uniform | vonmises:K | quantized:B")
     p_bound.add_argument("--phase-error-r", default=None)
-    p_bound.add_argument("--uncorrelated", action="store_true",
+    p_bound.add_argument("--uncorrelated", dest="correlated", action="store_false",
                          help="use the identity correlation matrix")
     p_bound.add_argument("--inf-snr", action="store_true",
                          help="print only the large-SNR limit")
@@ -107,18 +107,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = dict(DEFAULTS)
-    for flag, key in _BOUND_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[key] = value
-    if args.phase_error_t is not None:
-        cfg["phase_error_t"] = args.phase_error_t
-    if args.phase_error_r is not None:
-        cfg["phase_error_r"] = args.phase_error_r
-    cfg["correlated"] = not args.uncorrelated
     scenario = Scenario(args.scenario)
-    point = build_point(cfg)
+    point = build_point({**DEFAULTS, **{key: value for key, value in vars(args).items()
+                                        if key in DEFAULTS and value is not None}})
     tr = trace_rbar_sq(point.geom, point.correlated)
     geom, params = point.geom, point.params
 

@@ -4,10 +4,7 @@ A sweep spec is an INI file with a [sweep] section naming the axis and
 its values, an optional [defaults] section overriding the baseline
 setup, and one [scenario:NAME] section per curve.  Keys suffixed _db or
 _dbm are converted to linear units while building.  Unset keys fall
-back to the baseline: 10 m / 5 m / 10 m link distances, pathloss
-exponent 2.4, half-wavelength elements at 0.1 m wavelength, amplitude
-splits 0.8/0.6, power splits 0.6/0.8, -30 dB intercepts, 20 dBm
-transmit power, -50 dBm noise.
+back to the baseline setup in DEFAULTS.
 """
 
 from __future__ import annotations
@@ -27,32 +24,9 @@ from .channel import (ConfigError, PhaseErrorModel, SystemParams, pathloss,
 from .geometry import ArrayGeometry, trace_rbar_sq
 from .mc import McConfig, expect_draws, forget_draws, mc_estimates
 
-__all__ = [
-    "DEFAULTS",
-    "AXES",
-    "ESTIMATORS",
-    "Point",
-    "ScenarioSpec",
-    "SweepSpec",
-    "ResultRow",
-    "build_point",
-    "analytic_bound",
-    "load_spec",
-    "bundled_spec_names",
-    "bundled_spec_path",
-    "run_sweep",
-    "write_csv",
-    "rows_to_csv_text",
-]
-
-DEFAULTS: dict[str, object] = {
-    # geometry
-    "n_h": 15,
-    "n_v": 4,
-    "wavelength_m": 0.1,
-    "element_len_m": 0.05,
-    "element_width_m": 0.05,
-    # link budget
+# the link budget and splits: the keys of SystemParams.from_db, distances
+# with an "_m"; a None key is left out of the call
+_LINK_BUDGET: dict[str, float | None] = {
     "d_b_m": 10.0,
     "d_t_m": 5.0,
     "d_r_m": 10.0,
@@ -65,13 +39,22 @@ DEFAULTS: dict[str, object] = {
     "lambda_rp_db": None,
     "p_dbm": 20.0,
     "noise_dbm": -50.0,
-    # splits
     "alpha": 0.8,
     "beta": 0.6,
     "q_t": 0.6,
     "q_r": 0.8,
     "q_tp": None,
     "q_rp": None,
+}
+
+DEFAULTS: dict[str, object] = {
+    # geometry
+    "n_h": 15,
+    "n_v": 4,
+    "wavelength_m": 0.1,
+    "element_len_m": 0.05,
+    "element_width_m": 0.05,
+    **_LINK_BUDGET,
     # error models and sampling
     "phase_error_t": "perfect",
     "phase_error_r": "perfect",
@@ -80,10 +63,6 @@ DEFAULTS: dict[str, object] = {
     "master_seed": 20157,
 }
 
-# the keys of SystemParams.from_db, distances with an "_m"
-_PARAM_KEYS = ("d_b_m", "d_t_m", "d_r_m", "d_tp_m", "d_rp_m", "chi", "lambda_t_db",
-               "lambda_r_db", "lambda_tp_db", "lambda_rp_db", "p_dbm", "noise_dbm",
-               "alpha", "beta", "q_t", "q_r", "q_tp", "q_rp")
 # The largest SNR scale gamma0 eta N^2 of a link: a composite gain is at
 # most about N^2 times a few hundred, so every rate stays finite.
 _MAX_SNR = 1e300
@@ -154,12 +133,10 @@ def _parse_value(key: str, raw: str):
     if kind is str:
         return raw
     if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}") from None
     try:
         return kind(raw)
     except ValueError as exc:
@@ -258,15 +235,14 @@ def bundled_spec_path(name: str) -> Path:
 
 def _apply_axis(cfg: dict[str, object], axis: str, value: float) -> dict[str, object]:
     cfg = dict(cfg)
+    if axis in ("elements_per_row", "quantization_bits") and not (
+            value >= 1 and float(value).is_integer()):
+        raise ConfigError(f"{axis} must be a positive integer, got {value}")
     if axis == "elements_per_row":
-        if value != int(value) or value < 1:
-            raise ConfigError(f"elements_per_row must be a positive integer, got {value}")
         cfg["n_h"] = int(value)
     elif axis == "transmit_snr_db":
         cfg["p_dbm"] = float(cfg["noise_dbm"]) + value
     elif axis == "quantization_bits":
-        if value != int(value) or value < 1:
-            raise ConfigError(f"quantization_bits must be a positive integer, got {value}")
         cfg["phase_error_t"] = f"quantized:{int(value)}"
         cfg["phase_error_r"] = f"quantized:{int(value)}"
     elif axis == "reflect_distance":
@@ -297,7 +273,7 @@ def build_point(cfg: dict[str, object]) -> Point:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
     params = SystemParams.from_db(**{key.removesuffix("_m"): float(cfg[key])
-                                     for key in _PARAM_KEYS if cfg.get(key) is not None})
+                                     for key in _LINK_BUDGET if cfg[key] is not None})
     geom = ArrayGeometry(n_h=int(cfg["n_h"]), n_v=int(cfg["n_v"]),
                          elem_len_l=float(cfg["element_len_m"]),
                          elem_len_w=float(cfg["element_width_m"]),

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import elliptic_e, elliptic_k
-
-__all__ = [
-    "ArrayGeometry",
-    "correlation_matrix",
-    "cross_moment",
-    "trace_rbar_sq",
-]
+from .specfun import _unit_interval, elliptic_e, elliptic_k
 
 # Above this value of |rho|^2 the 0*inf limit of cross_moment is taken
 # analytically: (m-1)/2 * K(m) -> 0 while K alone diverges.
@@ -113,9 +106,7 @@ def cross_moment(rho_sq):
     rho_sq = 0 up to 1 at rho_sq = 1 (the limit value is substituted
     analytically near 1 where K blows up).
     """
-    arr = np.asarray(rho_sq, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("cross_moment requires rho_sq in [0, 1]")
+    arr = _unit_interval(rho_sq, "cross_moment requires rho_sq in [0, 1]")
     flat = np.atleast_1d(arr)
     out = np.ones_like(flat)
     reg = flat <= _UNIT_RHO_SQ

@@ -71,13 +71,6 @@ from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
 from .channel import SystemParams, correlation_factor, standard_complex_gaussian
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
-__all__ = [
-    "BLOCK_SIZE",
-    "McConfig",
-    "McEstimate",
-    "mc_estimates",
-]
-
 # Fixed trial block; part of the reproducibility contract, do not derive
 # from worker count or available memory.
 BLOCK_SIZE = 16384

@@ -14,12 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "elliptic_k",
-    "elliptic_e",
-    "bessel_ratio_i1_i0",
-]
-
 _SERIES_CUTOFF = 15.0  # I0/I1 switch from power series to asymptotic expansion
 _AGM_MAX_ITERATIONS = 64  # safety cap; the loop stops on |c| <= 4 eps a
 
@@ -42,15 +36,22 @@ def _agm_k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, k * (1.0 - c_sum)
 
 
+def _unit_interval(x, message: str, *, closed: bool = True) -> np.ndarray:
+    """x as a float array, or ValueError(message) unless every entry lies
+    in [0, 1], or in [0, 1) if not closed.  NaN lies in neither."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & ((arr <= 1.0) if closed else (arr < 1.0))):
+        raise ValueError(message)
+    return arr
+
+
 def elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter-m convention.
 
     Accepts a scalar or ndarray with 0 <= m < 1; K diverges as m -> 1 and
     m = 1 is rejected (callers handle that limit analytically).
     """
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("elliptic_k requires 0 <= m < 1")
+    arr = _unit_interval(m, "elliptic_k requires 0 <= m < 1", closed=False)
     k, _ = _agm_k_e(np.atleast_1d(arr))
     return float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape)
 
@@ -60,9 +61,7 @@ def elliptic_e(m):
 
     Accepts a scalar or ndarray with 0 <= m <= 1; E(1) = 1 exactly.
     """
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("elliptic_e requires 0 <= m <= 1")
+    arr = _unit_interval(m, "elliptic_e requires 0 <= m <= 1")
     flat = np.atleast_1d(arr).copy()
     one = flat == 1.0
     flat[one] = 0.0  # placeholder, overwritten below

@@ -18,7 +18,7 @@ from ios_noma.experiments import (ScenarioSpec, SweepSpec, load_spec,
                                   rows_to_csv_text, run_sweep, spec_with_overrides)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
                                trace_rbar_sq)
-from ios_noma.mc import McConfig, mc_estimates
+from ios_noma.mc import BLOCK_SIZE, McConfig, mc_estimates
 from ios_noma.specfun import bessel_ratio_i1_i0, elliptic_e, elliptic_k
 
 SEED = 424242
@@ -274,9 +274,10 @@ def test_criterion_7d_quantization_gain_profile():
 
 def test_criterion_7e_deterministic_csv():
     """A bundled sweep re-run with the same master seed emits a
-    byte-identical CSV, including under a worker pool."""
+    byte-identical CSV, including under a worker pool: two blocks per
+    walk, so two workers start."""
     spec = spec_with_overrides(load_spec("fig7_correlation"),
-                               trials=1024, master_seed=SEED)
+                               trials=BLOCK_SIZE + 1024, master_seed=SEED)
     first = rows_to_csv_text(run_sweep(spec))
     second = rows_to_csv_text(run_sweep(spec))
     pooled = rows_to_csv_text(run_sweep(spec, workers=2))

@@ -26,7 +26,33 @@ def run_cli(*args, timeout=60):
                           capture_output=True, text=True, env=CHILD_ENV, timeout=timeout)
 
 
+class Captured(Exception):
+    """Stops a command at the config it built."""
+
+
 class TestBound:
+    @pytest.mark.parametrize("flag, key, value", [
+        pytest.param(flag, key, value, id=flag) for flag, key, value in (
+            *((f"--{flag.replace('_', '-')}", key, 7 if type(DEFAULTS[key]) is int else 1.25)
+              for flag, key in cli._BOUND_FLAGS.items()),
+            ("--phase-error-t", "phase_error_t", "uniform"),
+            ("--phase-error-r", "phase_error_r", "vonmises:2"),
+            ("--uncorrelated", "correlated", False))])
+    def test_flag_reaches_its_key(self, monkeypatch, flag, key, value):
+        configs = []
+
+        def capture(cfg):
+            configs.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr(cli, "build_point", capture)
+        given = [flag] if value is False else [flag, str(value)]
+        with pytest.raises(Captured):
+            cli.main(["bound", "--scenario", "noma_t", *given])
+        cfg, = configs
+        assert cfg == {**DEFAULTS, key: value}
+        assert type(cfg[key]) is type(value)
+
     def test_infinite_snr_ceiling(self):
         res = run_cli("bound", "--scenario", "noma_r", "--qt", "0.6",
                       "--qr", "0.8", "--inf-snr")

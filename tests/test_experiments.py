@@ -5,12 +5,14 @@ import textwrap
 import pytest
 
 from ios_noma.analytic import Scenario
-from ios_noma.channel import ConfigError, Quantized
+from ios_noma.channel import ConfigError, Quantized, SystemParams
 from ios_noma.experiments import (DEFAULTS, ResultRow, ScenarioSpec, SweepSpec,
                                   analytic_bound, build_point,
                                   bundled_spec_names, load_spec,
                                   rows_to_csv_text, run_sweep,
                                   spec_with_overrides, write_csv)
+from ios_noma.geometry import ArrayGeometry
+from ios_noma.mc import McConfig
 
 MINI_SPEC = textwrap.dedent("""\
     [sweep]
@@ -112,9 +114,11 @@ class TestParsing:
 
 class TestBuilding:
     def test_db_keys_convert_to_linear(self):
-        params = build_point(DEFAULTS).params
-        assert params.p_tx == pytest.approx(0.1, rel=1e-12)
-        assert params.lambda_t == pytest.approx(1e-3, rel=1e-12)
+        # DEFAULTS is the baseline of the Python API's defaults too, exactly
+        point = build_point(DEFAULTS)
+        assert point.params == SystemParams() == SystemParams.from_db()
+        assert point.mc == McConfig()
+        assert point.geom == ArrayGeometry(n_h=15, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
 
     def test_snr_axis_adjusts_power(self):
         point, = points_at("transmit_snr_db", 90.0)
@@ -127,6 +131,13 @@ class TestBuilding:
     def test_elements_axis_must_be_integer(self):
         with pytest.raises(ConfigError):
             points_at("elements_per_row", 2.5)
+
+    @pytest.mark.parametrize("axis", ["elements_per_row", "quantization_bits"])
+    @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+    def test_integer_axes_reject_non_integers(self, axis, value):
+        # int() of inf or NaN would raise before the check, outside ConfigError
+        with pytest.raises(ConfigError, match=f"{axis} must be a positive integer"):
+            points_at(axis, value)
 
     def test_geometry_from_defaults(self):
         geom = build_point(DEFAULTS).geom

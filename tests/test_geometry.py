@@ -120,7 +120,7 @@ class TestCrossMoment:
         mc, se = bivariate_magnitude_moment(0.5, 1_000_000, seed=42)
         assert abs(cross_moment(0.5) - mc) < 3.0 * se
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             cross_moment(bad)

@@ -62,12 +62,12 @@ class TestElliptic:
         assert elliptic_k(m).shape == (2, 2)
         assert isinstance(elliptic_k(0.25), float)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_k_domain(self, bad):
         with pytest.raises(ValueError):
             elliptic_k(bad)
 
-    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9])
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, math.nan])
     def test_e_domain(self, bad):
         with pytest.raises(ValueError):
             elliptic_e(bad)
