@@ -22,7 +22,7 @@ from .analytic import _LINKS, RateBound, Scenario, _check_users, rate_bound
 from .channel import (ConfigError, PhaseErrorModel, SystemParams, pathloss,
                       phase_error_from_string)
 from .geometry import ArrayGeometry, trace_rbar_sq
-from .mc import McConfig, expect_draws, forget_draws, mc_estimates
+from .mc import McConfig, mc_batch
 
 # the link budget and splits: the keys of SystemParams.from_db, distances
 # with an "_m"; a None key is left out of the call
@@ -66,6 +66,9 @@ DEFAULTS: dict[str, object] = {
 # The largest SNR scale gamma0 eta N^2 of a link: a composite gain is at
 # most about N^2 times a few hundred, so every rate stays finite.
 _MAX_SNR = 1e300
+# The most values a start:stop[:step] range may expand to, far above any
+# real sweep: a larger count is a typo, not a sweep to allocate.
+_MAX_RANGE_VALUES = 100_000
 
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
 ESTIMATORS = ("mc", *BOUND_ESTIMATORS)
@@ -153,10 +156,15 @@ def _parse_axis_values(raw: str) -> tuple[float, ...]:
             start, stop, step = parts
         else:
             raise ConfigError(f"bad range {raw!r}, expected start:stop[:step]")
+        if not all(map(math.isfinite, parts)):
+            raise ConfigError(f"values: range {raw!r} must be finite")
         if step <= 0 or stop < start:
             raise ConfigError(f"bad range {raw!r}")
-        count = math.floor((stop - start + 1e-9) / step) + 1
-        return tuple(round(start + k * step, 12) for k in range(count))
+        steps = (stop - start + 1e-9) / step
+        if not steps < _MAX_RANGE_VALUES:
+            raise ConfigError(f"values: range {raw!r} expands to more than "
+                              f"{_MAX_RANGE_VALUES} values")
+        return tuple(round(start + k * step, 12) for k in range(math.floor(steps) + 1))
     return tuple(float(p) for p in raw.split(","))
 
 
@@ -302,37 +310,28 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
     Every point is built and checked before the first one is evaluated.
-    The engine is told the arguments of every mc call of the sweep at
-    once (see mc.expect_draws), and the points are visited in sweep
-    order: the first call on each Gaussian key walks all of that key's
-    calls, so an element-count sweep is one walk per layout family, and
-    the other calls finalize from the stored moments, which are dropped
-    when the sweep returns.  The bounds and the engine read tr(Rbar Rbar)
-    from the cache of trace_rbar_sq.  Rows come back sorted by
-    (axis_value, scenario, estimator).
+    The bounds come first, then every mc call of the sweep goes to the
+    engine in one mc_batch, in sweep order: the first call on each
+    Gaussian key walks all of that key's calls, so an element-count
+    sweep is one walk per layout family.  The bounds and the engine read
+    tr(Rbar Rbar) from the cache of trace_rbar_sq.  Rows come back
+    sorted by (axis_value, scenario, estimator).
     """
     points = spec.points()
     rows: list[ResultRow] = []
-    try:
-        expect_draws((point.geom, point.params, point.err_models, point.mc,
-                      (scen.target,), point.correlated)
-                     for _, scen, point in points if "mc" in scen.estimators)
-        for value, scen, point in points:
-            for est in (e for e in scen.estimators if e != "mc"):
-                bound = analytic_bound(scen.target, est, point,
-                                       trace_rbar_sq(point.geom, point.correlated))
-                rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                      estimator=est, value=bound.value,
-                                      branch=bound.branch))
-            if "mc" in scen.estimators:
-                est = mc_estimates(point.geom, point.params, point.err_models,
-                                   point.mc, [scen.target], correlated=point.correlated,
-                                   workers=workers)[scen.target]
-                rows.append(ResultRow(axis_value=value, scenario=scen.name,
-                                      estimator="mc", value=est.mean,
-                                      half_width=est.half_width))
-    finally:
-        forget_draws()
+    for value, scen, point in points:
+        for est in (e for e in scen.estimators if e != "mc"):
+            bound = analytic_bound(scen.target, est, point,
+                                   trace_rbar_sq(point.geom, point.correlated))
+            rows.append(ResultRow(axis_value=value, scenario=scen.name, estimator=est,
+                                  value=bound.value, branch=bound.branch))
+    mc_points = [(value, scen, point) for value, scen, point in points
+                 if "mc" in scen.estimators]
+    outs = mc_batch([(point.geom, point.params, point.err_models, point.mc, (scen.target,),
+                      point.correlated) for _, scen, point in mc_points], workers=workers)
+    rows += [ResultRow(axis_value=value, scenario=scen.name, estimator="mc",
+                       value=out[scen.target].mean, half_width=out[scen.target].half_width)
+             for (value, scen, _), out in zip(mc_points, outs)]
     rows.sort(key=lambda r: (r.axis_value, r.scenario, r.estimator))
     return rows
 

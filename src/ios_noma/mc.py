@@ -44,14 +44,14 @@ stream at all.  A layout's draws do not depend on the other layouts of
 its walk: its i.i.d. gains are bit-identical to a lone walk's, and its
 correlated ones differ only by the rounding of the wider factor.  A
 member is the (draw key, params, scenarios) of one engine call, as
-_member forms it.  expect_draws() takes the arguments of the calls to
-come, of any number of Gaussian keys; the first call on a Gaussian key
-walks the blocks once, runs the rate chain of every announced member
-that shares the key on each block's gains, and stores only the merged
-moments per member and scenario.  A later call on a stored member
-finalizes from them; a call that was not announced drops the store and
-walks alone.  A walk holds one block of gains at a time, whatever the
-trial count.  forget_draws() drops the memo.
+_member forms it.  mc_batch() takes the arguments of several calls, of
+any number of Gaussian keys; the first call on a Gaussian key walks the
+blocks once, runs the rate chain of every member of the batch that
+shares the key on each block's gains, and keeps only the merged moments
+per member and scenario, from which the batch's later calls on that key
+finalize.  Nothing is kept after mc_batch returns, and a lone
+mc_estimates call walks alone.  A walk holds one block of gains at a
+time, whatever the trial count.
 SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
 none.
@@ -340,8 +340,9 @@ def _cv_estimate(moments, control_means) -> McEstimate:
 # ---------------------------------------------------------------------------
 # the group walk
 
-# The stored members: {member: {scenario: moments}, or None until walked}
-_stored: dict[tuple, dict | None] = {}
+# The members of the running mc_batch: {member: {scenario: moments}, or
+# None until walked}; empty whenever no mc_batch runs
+_batch: dict[tuple, dict | None] = {}
 
 
 def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
@@ -362,23 +363,6 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
         _check_users(scen, params)
     return (((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user),
              geom.n_h, correlated, *err_models), params, scenarios)
-
-
-def expect_draws(calls) -> None:
-    """Drop the stored moments and announce the engine calls to come, as
-    (geom, params, err_models, cfg, scenarios, correlated) tuples of
-    mc_estimates arguments, in any order and of any number of Gaussian
-    keys (see _member).  The first call on a Gaussian key walks every
-    announced call that shares it at once; the others then finalize from
-    the stored moments."""
-    global _stored
-    _stored = dict.fromkeys(_member(*call) for call in calls)
-
-
-def forget_draws() -> None:
-    """Drop the stored moments."""
-    global _stored
-    _stored = {}
 
 
 def _block_moments(keys, members, factor, block, count):
@@ -430,22 +414,35 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     Each rate is regressed on the trial's unprimed gains that it reads
     (H_t, H_r or both; see _CONTROLS), whose exact means are the Jensen
     gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the layout, correlation
-    flag and phase models (see McEstimate).  A call announced by
-    expect_draws finalizes from the moments the walk of its Gaussian key
-    stored (see the module docstring); no draw, rate chain or pool
-    happens after the first call on that key.
+    flag and phase models (see McEstimate).  A call of a running mc_batch
+    finalizes from the moments the walk of its Gaussian key kept; no
+    draw, rate chain or pool happens after the batch's first call on that
+    key.  Any other call walks alone and keeps nothing.
     """
-    global _stored
     member = _member(geom, params, err_models, cfg, scenarios, correlated)
-    if _stored.get(member) is None:
-        # an announced member walks every announced member of its
-        # Gaussian key; any other walks alone
-        if member not in _stored:
-            _stored = {member: None}
+    # a member of the batch walks every batch member of its Gaussian key
+    walks = _batch if member in _batch else {member: None}
+    if walks[member] is None:
         gaussian = member[0][0]
-        _stored.update(_walk_group([m for m in _stored if m[0][0] == gaussian], workers))
+        walks.update(_walk_group([m for m in walks if m[0][0] == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
     mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                            for model in err_models])
     return {scen: _cv_estimate(m, mean_gains[list(_CONTROLS[scen])])
-            for scen, m in _stored[member].items()}
+            for scen, m in walks[member].items()}
+
+
+def mc_batch(calls, *, workers: int = 1) -> list[dict[Scenario, McEstimate]]:
+    """The mc_estimates of several calls, given as (geom, params,
+    err_models, cfg, scenarios, correlated) tuples of its arguments, in
+    order.  The calls may be of any number of Gaussian keys (see
+    _member); the first call on a Gaussian key walks every call that
+    shares it at once, on the given workers, and the others finalize from
+    the kept moments.  The moments are dropped when the batch returns."""
+    calls = list(calls)
+    try:
+        _batch.update(dict.fromkeys(_member(*call) for call in calls))
+        return [mc_estimates(*call[:5], correlated=call[5], workers=workers)
+                for call in calls]
+    finally:
+        _batch.clear()

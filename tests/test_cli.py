@@ -309,15 +309,23 @@ class TestFailFast:
         assert run_cli("run", "--spec", path, "--out", str(out)).returncode == 2
         assert not out.exists()
 
-    def test_non_finite_axis_value(self, tmp_path):
+    @pytest.mark.parametrize("values, named", [
+        ("10, nan", "p_dbm"), ("1:inf", "values"), ("1:nan", "values"),
+        ("-inf:1", "values"), ("0:1:inf", "values"), ("1:1e12", "values"),
+        ("-1e308:1e308", "values"), ("0:1:1e-300", "values"),
+    ], ids=["nan_list", "inf_stop", "nan_stop", "inf_start", "inf_step", "huge_range",
+            "overflowing_span", "overflowing_count"])
+    def test_non_finite_axis_value(self, tmp_path, values, named):
+        # a range is checked before it is expanded, so an oversized one
+        # allocates nothing
         path = tmp_path / "spec.ini"
-        path.write_text("[sweep]\naxis = transmit_snr_db\nvalues = 10, nan\n"
+        path.write_text(f"[sweep]\naxis = transmit_snr_db\nvalues = {values}\n"
                         "[defaults]\ntrials = 256\n"
                         "[scenario:a]\ntarget = noma_t\nestimators = mc,jensen\n",
                         encoding="utf-8")
         res = run_cli("validate", "--spec", str(path))
         assert res.returncode == 2
-        assert "p_dbm" in res.stderr
+        assert named in res.stderr
         out = tmp_path / "rows.csv"
         assert run_cli("run", "--spec", str(path), "--out", str(out)).returncode == 2
         assert not out.exists()

@@ -77,6 +77,21 @@ class TestParsing:
         assert len(values) == 901
         assert values[542] == 54.2
         assert values[-1] == 90.0
+        # the most values a range may expand to (0:100000 is one more)
+        path.write_text(MINI_SPEC.replace("values = 2,4", "values = 1:100000"),
+                        encoding="utf-8")
+        assert len(load_spec(path).values) == 100_000
+
+    @pytest.mark.parametrize("values", ["1:inf", "1:nan", "-inf:1", "0:1:inf", "0:1:nan",
+                                        "1:1e12", "0:100000", "-1e308:1e308", "0:1:1e-300"])
+    def test_bad_range_names_values(self, tmp_path, values):
+        # non-finite, or more than 100 000 values: rejected before the
+        # tuple is built
+        path = tmp_path / "r.ini"
+        path.write_text(MINI_SPEC.replace("values = 2,4", f"values = {values}"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="values"):
+            load_spec(path)
 
     def test_unknown_key_is_diagnosed(self, tmp_path):
         # confidence was a key; the half-widths are always 95 %

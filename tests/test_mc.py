@@ -12,12 +12,13 @@ from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
                               standard_complex_gaussian)
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
-from ios_noma import cli, experiments, mc
+from ios_noma import cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _group_factor, _member, _merge, _moments, _rates_at,
-                         _walk_block, mc_estimates, noma_trial_rates, oma_trial_rates)
+                         _walk_block, _walk_group, mc_batch, mc_estimates,
+                         noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -70,30 +71,19 @@ class TestTrialRates:
         assert float(rate_rp) == 0.0
 
 
-@pytest.fixture
-def fresh_memo():
-    """No stored draw set before or after the test."""
-    mc.forget_draws()
-    yield
-    mc.forget_draws()
-
-
 class TestDeterminism:
-    # the memo is dropped before each compared call, so every call samples
-    def test_same_seed_bitwise(self, half_wave_geometry, noma_params, fresh_memo):
+    # a lone call keeps nothing, so every call samples
+    def test_same_seed_bitwise(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=4000, master_seed=99)
         a = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
-        mc.forget_draws()
         b = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
         assert a == b
 
-    def test_worker_count_invariance(self, half_wave_geometry, noma_params,
-                                     fresh_memo):
+    def test_worker_count_invariance(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=40_000, master_seed=99)  # three blocks on two workers
         serial = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
-        mc.forget_draws()
         pooled = estimates(geom, noma_params(), QUANT1, cfg, NOMA, workers=2)
         assert serial == pooled
 
@@ -183,14 +173,12 @@ class TestFourUser:
                 q_t=math.sqrt(0.1), q_r=math.sqrt(0.2), q_tp=math.sqrt(0.3),
                 q_rp=math.sqrt(0.4), d_tp=15.0, d_rp=12.0)
 
-    def test_oma_under_four_user_params_equals_two_user(self, half_wave_geometry,
-                                                         fresh_memo):
+    def test_oma_under_four_user_params_equals_two_user(self, half_wave_geometry):
         # H_t and H_r come from the same streams whether or not the primed
         # gains are drawn, and OMA rates use only the t and r links
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=3000, master_seed=23)
         four = estimates(geom, four_user_params(), QUANT1, cfg, OMA)
-        mc.forget_draws()
         two = estimates(geom, SystemParams.from_db(), QUANT1, cfg, OMA)
         assert four == two
 
@@ -218,21 +206,29 @@ class TestHardeningTrend:
 
 
 @pytest.fixture
-def sampled_blocks(counting, fresh_memo):
-    """Empty memo; lists the (keys, factor, block, count) of every serial
-    block walk, one walk per block of a walked group."""
+def sampled_blocks(counting):
+    """Lists the (keys, factor, block, count) of every serial block walk,
+    one walk per block of a walked group."""
     return counting("_walk_block")
 
 
-def announce(geom, cfg, scenarios, setups):
-    """Announce one call per (params, correlated, models) setup."""
-    mc.expect_draws((geom, params, models, cfg, tuple(scenarios), correlated)
-                    for params, correlated, models in setups)
+def batch(calls, workers=1):
+    """mc_batch of (geom, params, err_models, cfg, scenarios, correlated)
+    calls, each call's estimates as a tuple in the order of its
+    scenarios."""
+    return [tuple(out[s] for s in call[4])
+            for call, out in zip(calls, mc_batch(calls, workers=workers))]
+
+
+def announce(geom, cfg, scenarios, setups, workers=1):
+    """batch of one call per (params, correlated, models) setup."""
+    return batch([(geom, params, models, cfg, tuple(scenarios), correlated)
+                  for params, correlated, models in setups], workers)
 
 
 def call_estimates(call):
-    """estimates of one (geom, params, err_models, cfg, scenarios,
-    correlated) call, the form expect_draws takes."""
+    """estimates of one lone (geom, params, err_models, cfg, scenarios,
+    correlated) call, the form mc_batch takes."""
     *args, correlated = call
     return estimates(*args, correlated=correlated)
 
@@ -252,17 +248,14 @@ def arrays_in(obj):
 class TestDrawMemo:
     def test_hit_equals_miss(self, half_wave_geometry, noma_params, sampled_blocks):
         # two link budgets on one draw key: one walk serves both members,
-        # and the stored estimate equals the lone walk of its member
+        # and the batch's estimate equals the lone walk of its member
         geom = half_wave_geometry(n_h=6, n_v=4)
         models = (VonMises(2.0), VonMises(1.0))
         cfg = McConfig(trials=3000, master_seed=31)
         low, high = noma_params(p_dbm=20.0), noma_params(p_dbm=45.0)
-        announce(geom, cfg, NOMA + OMA, [(low, True, models), (high, True, models)])
-        estimates(geom, low, models, cfg, NOMA + OMA)
-        hit = estimates(geom, high, models, cfg, NOMA + OMA)
+        _, hit = announce(geom, cfg, NOMA + OMA, [(low, True, models), (high, True, models)])
         assert len(sampled_blocks) == 1
         assert len(sampled_blocks[0][0]) == 1  # one draw key for both members
-        mc.forget_draws()
         miss = estimates(geom, high, models, cfg, NOMA + OMA)
         assert len(sampled_blocks) == 2
         assert hit == miss
@@ -282,7 +275,7 @@ class TestDrawMemo:
 
         assert draws() == 1
         # the link budget and the scenarios are not in the draw key, but the
-        # stored moments depend on them
+        # moments depend on them
         for change in (dict(geom=half_wave_geometry(7, 4)), dict(correlated=False),
                        dict(err_models=(VonMises(2.0), Quantized(1))),
                        dict(err_models=(Quantized(1), VonMises(2.0))),
@@ -294,54 +287,78 @@ class TestDrawMemo:
                        dict(params=four_user_params(), scenarios=[Scenario.OMA_T])):
             assert draws(**change) == 1, change
             assert draws() == 1, change
-        # an unannounced miss walks its own key alone
+        # a lone call walks its own key alone
         assert all(len(keys) == 1 for keys, *_ in sampled_blocks)
 
-    def test_stored_group_holds_no_per_trial_data(self, half_wave_geometry, fresh_memo):
+    def test_stored_group_holds_no_per_trial_data(self, half_wave_geometry):
+        # what a walk keeps per member, and a batch holds until it returns
         geom = half_wave_geometry(4, 4)
         cfg = McConfig(trials=3 * BLOCK_SIZE + 5, master_seed=2)
         params = four_user_params()
-        announce(geom, cfg, FOUR + OMA, [(params, True, QUANT1),
-                                         (params, True, (Perfect(), Perfect()))])
-        mc_estimates(geom, params, QUANT1, cfg, FOUR + OMA)
-        assert all(n == cfg.trials for moments in mc._stored.values()
+        walked = _walk_group([_member(geom, params, models, cfg, FOUR + OMA, True)
+                              for models in (QUANT1, (Perfect(), Perfect()))], 1)
+        assert all(n == cfg.trials for moments in walked.values()
                    for n, _, _ in moments.values())
-        arrays = list(arrays_in(mc._stored))
+        arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per scenario
         # moments of (y, H_t, H_r), whatever the trial count
         assert all(dim <= 3 for a in arrays for dim in a.shape)
 
-    def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry,
-                                                           fresh_memo):
+    def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
+        # the first member walks the pool, the second finalizes from its
+        # moments, and both equal serial lone walks
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=17)
         low, high = four_user_params(p_dbm=20.0), four_user_params(p_dbm=35.0)
-        announce(geom, cfg, FOUR, [(low, True, QUANT1), (high, True, QUANT1)])
-        pooled_miss = estimates(geom, low, QUANT1, cfg, FOUR, workers=2)
-        serial_hit = estimates(geom, high, QUANT1, cfg, FOUR)
-        mc.forget_draws()
-        assert serial_hit == estimates(geom, high, QUANT1, cfg, FOUR)
-        mc.forget_draws()
+        pooled_miss, pooled_hit = announce(geom, cfg, FOUR, [(low, True, QUANT1),
+                                                             (high, True, QUANT1)], workers=2)
+        assert pooled_hit == estimates(geom, high, QUANT1, cfg, FOUR)
         assert pooled_miss == estimates(geom, low, QUANT1, cfg, FOUR)
 
-    def test_announced_link_budgets_share_one_walk(self, half_wave_geometry,
-                                                   counting, fresh_memo):
+    def test_announced_link_budgets_share_one_walk(self, half_wave_geometry, counting):
         # a direct caller that varies only the transmit power on one layout
-        # announces its calls, and the draws are walked once for all three
+        # batches its calls, and the draws are walked once for all three
         geom, cfg = half_wave_geometry(n_h=10, n_v=4), McConfig(trials=3000, master_seed=59)
         models = (VonMises(2.0), VonMises(2.0))
         calls = [(geom, SystemParams.from_db(p_dbm=p_dbm), models, cfg, NOMA, True)
                  for p_dbm in (10.0, 25.0, 40.0)]
         walks = counting("_walk_group")
-        mc.expect_draws(calls)
-        announced = [call_estimates(call) for call in calls]
+        batched = batch(calls)
         assert len(walks) == 1
-        for call, est in zip(calls, announced):
-            mc.forget_draws()
+        for call, est in zip(calls, batched):
             assert est == call_estimates(call), call[1].p_tx
 
-    def test_no_pool_for_one_block(self, half_wave_geometry, noma_params,
-                                   fresh_memo, monkeypatch):
+    def test_batch_keeps_nothing(self, half_wave_geometry, noma_params, monkeypatch):
+        # the batch's members live in mc._batch while it runs, and are
+        # dropped when it returns or raises
+        geom, cfg = half_wave_geometry(n_h=4, n_v=4), McConfig(trials=500, master_seed=73)
+        calls = [(geom, noma_params(p_dbm=p_dbm), QUANT1, cfg, NOMA, True)
+                 for p_dbm in (10.0, 30.0)]
+        assert len(mc_batch(calls)) == 2
+        assert mc._batch == {}
+        seen = []
+
+        def failing(members, workers):
+            seen.append((list(members), list(mc._batch)))
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(mc, "_walk_group", failing)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            mc_batch(calls)
+        assert mc._batch == {}
+        members = [_member(*call) for call in calls]
+        assert seen == [(members, members)]
+
+    def test_lone_repeat_walks_again(self, half_wave_geometry, noma_params, counting):
+        # a lone call keeps no moments, so the same call walks twice
+        geom, cfg = half_wave_geometry(n_h=4, n_v=4), McConfig(trials=500, master_seed=79)
+        walks = counting("_walk_group")
+        first = estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        assert first == estimates(geom, noma_params(), QUANT1, cfg, NOMA)
+        assert len(walks) == 2
+        assert mc._batch == {}
+
+    def test_no_pool_for_one_block(self, half_wave_geometry, noma_params, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one block")
 
@@ -351,6 +368,7 @@ class TestDrawMemo:
 
     def test_sweep_samples_each_draw_key_once(self, sampled_blocks, counting):
         # fig5 interleaves two phase models over 15 SNR values on one layout
+        batches = counting("mc_batch")
         calls = counting("mc_estimates")
         chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         spec = spec_with_overrides(load_spec("fig5_rate_vs_snr"), trials=200)
@@ -360,12 +378,13 @@ class TestDrawMemo:
         assert {key[3:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
                                              (VonMises(2.0), VonMises(2.0))}
         assert len(keys) == 2
-        assert mc._stored == {}  # dropped when the sweep returns
-        # the counts a traced run reads: one engine call per MC point, and
-        # one rate chain per point per block
+        assert mc._batch == {}  # dropped when the sweep returns
+        # the counts a traced run reads: one batch, one engine call per MC
+        # point, and one rate chain per point per block
         points = sum("mc" in scen.estimators for _, scen, _ in spec.points())
         assert points == 90
-        assert len(calls) == points
+        assert len(batches) == 1
+        assert len(batches[0][0]) == len(calls) == points
         assert sum(map(len, chains)) == points * len(list(_blocks(200)))
 
     @pytest.mark.parametrize("name, layouts", [("fig3_rate_vs_N", 25),
@@ -390,13 +409,13 @@ class TestDrawMemo:
         assert {key[1] for key in keys} == set(range(1, layouts + 1))
         assert factor.shape == (2 * (spec.defaults["n_v"] * layouts,))
         assert all(sides == {0} for sides in keys.values())
-        assert mc._stored == {}
+        assert mc._batch == {}
 
 
 class TestBoundsBuildNoMatrix:
     # the bounds read tr(Rbar Rbar) from the offset table, never from R
 
-    def test_analytic_sweep(self, counting, fresh_memo):
+    def test_analytic_sweep(self, counting):
         builds = counting("correlation_matrix")
         spec = load_spec("fig7_correlation")  # both correlation flags
         spec = replace(spec, scenarios=tuple(replace(scen, estimators=("jensen",))
@@ -428,17 +447,15 @@ def quarter_wave_geometry():
 
 
 def group_estimates(geom, params, members, cfg, scenarios, workers=1):
-    """Announce members and return their estimates in order; the first
-    call walks the whole group on the given workers."""
-    announce(geom, cfg, scenarios, [(params, *member) for member in members])
-    return [estimates(geom, params, models, cfg, scenarios, correlated=correlated,
-                      workers=workers) for correlated, models in members]
+    """The estimates of members in order, from one batch: the first call
+    walks the whole group on the given workers."""
+    return announce(geom, cfg, scenarios, [(params, *member) for member in members],
+                    workers)
 
 
 class TestGroupWalk:
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
-    def test_group_estimates_equal_lone_serial_calls(self, four_user, counting,
-                                                     fresh_memo):
+    def test_group_estimates_equal_lone_serial_calls(self, four_user, counting):
         geom = quarter_wave_geometry()
         params, members, scenarios = (
             (four_user_params(), FOUR_USER_GROUP, FOUR + OMA) if four_user
@@ -448,7 +465,6 @@ class TestGroupWalk:
         group = group_estimates(geom, params, members, cfg, scenarios, workers=2)
         assert len(walks) == 1
         for (correlated, models), est in zip(members, group):
-            mc.forget_draws()
             assert est == estimates(geom, params, models, cfg, scenarios,
                                     correlated=correlated), (correlated, models)
 
@@ -470,10 +486,10 @@ class TestGroupWalk:
         # the setups differ: correlation lifts the perfect-phase mean above N
         assert len(means) >= 4
 
-    def test_stored_control_means_are_the_jensen_gains(self, fresh_memo, monkeypatch):
-        # the means mc_estimates hands to the control-variate fit, on memo
-        # hits: those of the gains each rate reads, H_t for T's rates, H_r
-        # for OMA R's and both for NOMA R's
+    def test_stored_control_means_are_the_jensen_gains(self, monkeypatch):
+        # the means mc_estimates hands to the control-variate fit, for every
+        # member of a batch: those of the gains each rate reads, H_t for
+        # T's rates, H_r for OMA R's and both for NOMA R's
         reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
                  Scenario.NOMA_R: [0, 1]}
         passed = []
@@ -487,20 +503,19 @@ class TestGroupWalk:
         geom, params = quarter_wave_geometry(), SystemParams.from_db()
         cfg = McConfig(trials=500, master_seed=47)
         group_estimates(geom, params, MIXED_GROUP, cfg, NOMA + OMA)
+        expected = []
         for correlated, models in MIXED_GROUP:
-            passed.clear()
-            mc_estimates(geom, params, models, cfg, NOMA + OMA, correlated=correlated)
             tr = trace_rbar_sq(geom, correlated)
             exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
-            assert passed == [[exact[row] for row in reads[scen]] for scen in NOMA + OMA], (
-                correlated, models)
+            expected += [[exact[row] for row in reads[scen]] for scen in NOMA + OMA]
+        assert passed == expected
 
     def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
-                                                          counting, fresh_memo):
+                                                          counting, monkeypatch):
         # two families (n_v = 4 and 5) at both correlation flags, and a
         # four-user member, interleaved: each Gaussian key is walked once,
-        # at its first call, and its estimates are those of an
-        # announcement of its own calls alone
+        # at its first call, and its estimates are those of a batch of its
+        # own calls alone
         cfg = McConfig(trials=2000, master_seed=57)
         two, four = SystemParams.from_db(), four_user_params()
         calls = [(half_wave_geometry(n_h, n_v), two, QUANT1, cfg, NOMA, correlated)
@@ -512,23 +527,25 @@ class TestGroupWalk:
 
         keys = [gaussian(call) for call in calls]
         assert len(set(keys)) == 3
-        walks = counting("_walk_group")
-        mc.expect_draws(calls)
-        together, firsts = [], []
-        for call in calls:
-            before = len(walks)
-            together.append(call_estimates(call))
-            firsts.append(len(walks) - before)
-        assert firsts == [int(key not in keys[:i]) for i, key in enumerate(keys)]
-        walked = [[key for key, _, _ in members] for members, _ in walks]
-        for key, walk in zip(dict.fromkeys(keys), walked):
+        entries = counting("mc_estimates")
+        walks = []  # (index of the engine call that walked, its members)
+        walk_group = mc._walk_group
+
+        def walking(members, workers):
+            walks.append((len(entries) - 1, [key for key, _, _ in members]))
+            return walk_group(members, workers)
+
+        monkeypatch.setattr(mc, "_walk_group", walking)
+        together = batch(calls)
+        assert len(entries) == len(calls)
+        assert [i for i, _ in walks] == [i for i, key in enumerate(keys)
+                                         if key not in keys[:i]]
+        for key, (_, walk) in zip(dict.fromkeys(keys), walks):
             assert {k[0] for k in walk} == {key}
             assert len(walk) == keys.count(key)
         for key in dict.fromkeys(keys):
             family = [call for call in calls if gaussian(call) == key]
-            mc.expect_draws(family)
-            assert [call_estimates(call) for call in family] == [
-                est for k, est in zip(keys, together) if k == key], key
+            assert batch(family) == [est for k, est in zip(keys, together) if k == key], key
 
 
 def sweep_and_lone_estimates(name, trials, monkeypatch):
@@ -543,9 +560,9 @@ def sweep_and_lone_estimates(name, trials, monkeypatch):
         calls.append(((geom, params, models, cfg, scenarios), correlated, out))
         return out
 
-    monkeypatch.setattr(experiments, "mc_estimates", recording)
+    monkeypatch.setattr(mc, "mc_estimates", recording)
     run_sweep(spec_with_overrides(load_spec(name), trials=trials))
-    assert mc._stored == {}
+    assert mc._batch == {}
     return [(correlated, out, mc_estimates(*args, correlated=correlated))
             for args, correlated, out in calls]
 
@@ -571,7 +588,7 @@ class TestFamilyWalk:
             else:
                 assert np.array_equal(gains, lone), key[1:]
 
-    def test_fig3_estimates_equal_lone_walks(self, monkeypatch, fresh_memo):
+    def test_fig3_estimates_equal_lone_walks(self, monkeypatch):
         # half-wavelength spacing, correlated, 100 members in one walk
         for _, group, lone in sweep_and_lone_estimates("fig3_rate_vs_N", 2000,
                                                        monkeypatch):
@@ -580,7 +597,7 @@ class TestFamilyWalk:
                 assert est.half_width == pytest.approx(lone[scen].half_width,
                                                        rel=1e-12, abs=0)
 
-    def test_fig7_estimates_match_lone_walks(self, monkeypatch, fresh_memo):
+    def test_fig7_estimates_match_lone_walks(self, monkeypatch):
         # quarter-wavelength spacing: R is ill-conditioned, so the
         # factor's rounding shows, far below the half-width
         for correlated, group, lone in sweep_and_lone_estimates("fig7_correlation", 2000,
@@ -592,7 +609,7 @@ class TestFamilyWalk:
                 assert abs(est.mean - lone[scen].mean) < 1e-3 * est.half_width
                 assert abs(est.half_width - lone[scen].half_width) < 1e-3 * est.half_width
 
-    def test_rank_deficient_family_walks_once(self, counting, fresh_memo):
+    def test_rank_deficient_family_walks_once(self, counting):
         # a 16 x 16 grid at lambda/8 is numerically rank deficient, so its
         # factor comes from the clipped eigh, made triangular: its leading
         # block colours the narrower layout, and the family takes one walk
@@ -602,15 +619,12 @@ class TestFamilyWalk:
         params, cfg = SystemParams.from_db(), McConfig(trials=500, master_seed=53)
         flags = (True, False)
         walks = counting("_walk_block")
-        mc.expect_draws((layout(n_h), params, QUANT1, cfg, NOMA, correlated)
-                        for n_h in (4, 16) for correlated in flags)
-        group = {(n_h, correlated): estimates(layout(n_h), params, QUANT1, cfg, NOMA,
-                                              correlated=correlated)
-                 for n_h in (4, 16) for correlated in flags}
+        setups = [(n_h, correlated) for n_h in (4, 16) for correlated in flags]
+        group = dict(zip(setups, batch([(layout(n_h), params, QUANT1, cfg, NOMA, correlated)
+                                        for n_h, correlated in setups])))
         assert [{key[1] for key in keys} for keys, *_ in walks] == \
             [{4, 16}] * len(list(_blocks(cfg.trials)))
         for (n_h, correlated), est in group.items():
-            mc.forget_draws()
             lone = estimates(layout(n_h), params, QUANT1, cfg, NOMA, correlated=correlated)
             if not correlated:
                 assert est == lone, n_h
@@ -632,8 +646,8 @@ def phase_draws(monkeypatch):
 
 
 def precision_like_calls(cfg):
-    """The six reference setups of the precision benchmark, as
-    expect_draws calls: four that ask only for T's rate, two for R's."""
+    """The six reference setups of the precision benchmark, as mc_batch
+    calls: four that ask only for T's rate, two for R's."""
     params = SystemParams.from_db()
     quant2 = (Quantized(2), Quantized(2))
     setups = [(15, quant2, Scenario.NOMA_T), (15, quant2, Scenario.NOMA_R),
@@ -655,7 +669,7 @@ class TestSidePruning:
     # a walk draws a side only for the draw keys whose members' rates read
     # it: T's rates read H_t alone, OMA R's H_r alone
 
-    def test_fig3_draws_no_reflect_side(self, counting, phase_draws, fresh_memo):
+    def test_fig3_draws_no_reflect_side(self, counting, phase_draws):
         gauss = counting("standard_complex_gaussian")
         chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         run_sweep(spec_with_overrides(load_spec("fig3_rate_vs_N"), trials=200))
@@ -669,14 +683,11 @@ class TestSidePruning:
         assert all(len(args) == 2 for args in chains[0])
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
 
-    def test_reflect_side_draws_only_the_models_that_read_it(self, counting, phase_draws,
-                                                             fresh_memo):
+    def test_reflect_side_draws_only_the_models_that_read_it(self, counting, phase_draws):
         cfg = McConfig(trials=BLOCK_SIZE + 500, master_seed=61)
         calls = precision_like_calls(cfg)
         walks = counting("_walk_block")
-        mc.expect_draws(calls)
-        for call in calls:
-            call_estimates(call)
+        mc_batch(calls)
         assert len(walks) == len(list(_blocks(cfg.trials))) == 2
         (keys, *_), _ = walks
         # the two members on 2-bit phases share a draw key
@@ -701,19 +712,17 @@ class TestSidePruning:
                 else:
                     assert np.isnan(pruned[i, row]).all(), (i, row)
 
-    def test_t_estimate_equals_its_lone_walk(self, fresh_memo):
+    def test_t_estimate_equals_its_lone_walk(self):
         cfg = McConfig(trials=3000, master_seed=67)
         calls = precision_like_calls(cfg)
-        mc.expect_draws(calls)
-        group = [call_estimates(call) for call in calls]
+        group = batch(calls)
         for call, est in zip(calls, group):
             if call[0].n_h == 15:  # the widest layout: the group's own factor
-                mc.forget_draws()
                 assert est == call_estimates(call), call[2:5]
 
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
     def test_r_estimate_ignores_a_t_only_member(self, four_user, half_wave_geometry,
-                                                counting, fresh_memo):
+                                                counting):
         # the T-only member's phase models are drawn on the transmit side
         # alone, and the R member's draws do not depend on them; the OMA
         # R member's key is walked on the reflect side alone
@@ -724,13 +733,10 @@ class TestSidePruning:
                   True)
         chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         oma_call = (geom, params, (Quantized(2), Quantized(3)), cfg, (Scenario.OMA_R,), True)
-        mc.expect_draws([r_call, t_call, oma_call])
-        shared, oma = call_estimates(r_call), call_estimates(oma_call)
+        shared, _, oma = batch([r_call, t_call, oma_call])
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
-        mc.expect_draws([r_call])
-        assert shared == call_estimates(r_call)
-        mc.expect_draws([oma_call])
-        assert oma == call_estimates(oma_call)
+        assert batch([r_call]) == [shared]
+        assert batch([oma_call]) == [oma]
 
 
 class TestBoostedGain:
@@ -931,7 +937,7 @@ class TestControlVariate:
         for est in out.values():
             assert (est.mean, est.half_width) == (0.0, 0.0)
 
-    def test_interval_covers_the_reference_mean(self, fresh_memo):
+    def test_interval_covers_the_reference_mean(self):
         # guards the half-width: an understated residual variance would
         # show as too few of the 95 % intervals covering the mean
         # the N = 8 uniform-phase reference setup at half-wavelength spacing
@@ -950,7 +956,7 @@ class TestControlVariate:
         assert min(covered.values()) >= 0.9 * len(seeds), covered
 
     @pytest.mark.parametrize("name", bundled_spec_names())
-    def test_consistent_with_plain_estimate(self, name, monkeypatch, fresh_memo):
+    def test_consistent_with_plain_estimate(self, name, monkeypatch):
         # the plain sample mean and half-width of every engine call of the
         # sweep, from one walk per Gaussian key
         calls = {}
@@ -962,7 +968,7 @@ class TestControlVariate:
             calls.setdefault(key[0], []).append((key, params, scenarios, out))
             return out
 
-        monkeypatch.setattr(experiments, "mc_estimates", recording)
+        monkeypatch.setattr(mc, "mc_estimates", recording)
         run_sweep(spec_with_overrides(load_spec(name), trials=2000))
         assert calls
         z = 1.959963984540054
