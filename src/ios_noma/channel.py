@@ -5,7 +5,9 @@ units internally; dB helpers on the constructor side).  Phase errors of
 the surface elements come from one of four models: perfect adjustment,
 Von Mises residuals from imperfect channel estimation, uniform
 quantization residuals of a b-bit phase shifter, or fully uniform
-phases.  Channel magnitude vectors are drawn by factoring the
+phases.  Each model gives epsilon() = E[cos phi], the mean cosine of the
+bounds, and epsilon2() = E[cos 2 phi], which with it fixes the first two
+moments of the composite gain given the fading magnitudes.  Channel magnitude vectors are drawn by factoring the
 correlation matrix once and coloring i.i.d. circularly-symmetric
 Gaussians.
 """
@@ -158,6 +160,9 @@ class Perfect:
     def epsilon(self) -> float:
         return 1.0
 
+    def epsilon2(self) -> float:
+        return 1.0
+
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(size)
 
@@ -175,6 +180,10 @@ class VonMises:
 
     def epsilon(self) -> float:
         return bessel_ratio_i1_i0(self.kappa)
+
+    def epsilon2(self) -> float:
+        # I2/I0 from the recurrence I2 = I0 - (2 / kappa) I1
+        return 1.0 - 2.0 * self.epsilon() / self.kappa if self.kappa > 0 else 0.0
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         return rng.vonmises(0.0, self.kappa, size)
@@ -196,6 +205,9 @@ class Quantized:
     def epsilon(self) -> float:
         return 2**self.bits * math.sin(math.pi / 2**self.bits) / math.pi
 
+    def epsilon2(self) -> float:
+        return 2**self.bits * math.sin(2.0 * math.pi / 2**self.bits) / (2.0 * math.pi)
+
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         half = math.pi / 2**self.bits
         return rng.uniform(-half, half, size)
@@ -206,6 +218,9 @@ class UniformFull:
     """No useful phase knowledge, residual uniform on [-pi, pi)."""
 
     def epsilon(self) -> float:
+        return 0.0
+
+    def epsilon2(self) -> float:
         return 0.0
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:

@@ -148,8 +148,12 @@ def _parse_value(key: str, raw: str):
 
 def _parse_axis_values(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
-    if ":" in raw:
-        parts = [float(p) for p in raw.split(":")]
+    is_range = ":" in raw
+    try:
+        parts = [float(p) for p in raw.split(":" if is_range else ",")]
+    except ValueError:
+        raise ConfigError(f"values: expected numbers, got {raw!r}") from None
+    if is_range:
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 1.0
         elif len(parts) == 3:
@@ -165,7 +169,7 @@ def _parse_axis_values(raw: str) -> tuple[float, ...]:
             raise ConfigError(f"values: range {raw!r} expands to more than "
                               f"{_MAX_RANGE_VALUES} values")
         return tuple(round(start + k * step, 12) for k in range(math.floor(steps) + 1))
-    return tuple(float(p) for p in raw.split(","))
+    return tuple(parts)
 
 
 def _parse_keys(items, section: str) -> dict[str, object]:

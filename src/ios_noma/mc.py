@@ -24,9 +24,15 @@ eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds, and the estimate
 is y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
 linear in H, so the residual variance is a small part of the variance of
 y.  The primed gains are not controls: E[H'] = N only for i.i.d. elements
-(see _walk_block).  Per block, the means and co-moments of y and its
-controls are merged in block order, so the estimates do not depend on
-how blocks were scheduled.
+(see _walk_block).  The rates of T, R and OMA also regress on two phase
+controls per side they read (_phase_sides), functions of H and of the
+trial's element amplitudes a = |g||h| whose means are 0 exactly: the
+phases are i.i.d. and independent of a, so E[H | a] and Var(H | a) are
+known on every layout, correlation flag and phase model (see
+_phase_rows).  They take up the variance the phases add at fixed
+magnitudes, which H alone leaves in the uniform-phase rows.  Per block,
+the means and co-moments of y and its controls are merged in block
+order, so the estimates do not depend on how blocks were scheduled.
 
 The gains depend only on the draw key of a call, and the fading streams
 only on its Gaussian key (see _member); the link budget and the
@@ -36,9 +42,9 @@ columns reads the leading n_v n_h rows of its family's draws, and its
 triangular factor is the leading block of a wider layout's.  One walk
 thus samples every draw key of a family: each block draws each stream
 once, at the widest layout asked for, colours each fading stream once
-per correlation flag, draws each phase model once per side, and reads
-the composite gain of every column count from prefix sums over the
-columns.  A side is drawn only for the keys whose members' rates read
+per correlation flag, draws each phase model but Perfect once per side,
+and reads the composite gain of every column count from prefix sums over
+the columns.  A side is drawn only for the keys whose members' rates read
 it, so a walk whose members ask only for T's rates draws no reflect-side
 stream at all.  A layout's draws do not depend on the other layouts of
 its walk: its i.i.d. gains are bit-identical to a lone walk's, and its
@@ -68,7 +74,7 @@ import numpy as np
 
 from .analytic import _LINKS, _READS, Scenario, _check_users, _mean_gain, link_gain
 from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
-from .channel import SystemParams, correlation_factor, standard_complex_gaussian
+from .channel import Perfect, SystemParams, correlation_factor, standard_complex_gaussian
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
 # Fixed trial block; part of the reproducibility contract, do not derive
@@ -103,13 +109,14 @@ class McConfig:
 class McEstimate:
     """Control-variate mean with a normal-approximation half-width.
 
-    mean is y-bar - beta (H-bar - E[H]) over the controls H, the unprimed
-    gains the rate reads (H_t, H_r or both), with beta fitted by least
-    squares on the same trials; the fit biases it by O(1/trials), about
-    0.1 standard errors at 1000 trials on an N = 8 uniform-phase setup.
-    half_width is the 95 % normal half-width 1.96 sqrt(s^2 / trials),
-    with s^2 the residual variance of the fit over trials - 1 - k degrees
-    of freedom, k the number of controls.
+    mean is y-bar - beta (x-bar - E[x]) over the controls x: the unprimed
+    gains the rate reads (H_t, H_r or both), and for the rates of T, R
+    and OMA the two zero-mean phase controls of each such side (see
+    _phase_sides), with beta fitted by least squares on the same trials.
+    The fit biases it by O(1/trials), about 0.1 standard errors at 1000
+    trials on an N = 8 setup.  half_width is the 95 % normal half-width
+    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
+    over trials - 1 - k degrees of freedom, k the number of controls.
     """
 
     mean: float
@@ -135,8 +142,40 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dic
     for part, trig in ((prefix.real, np.cos), (prefix.imag, np.sin)):
         terms = trig(phases)
         terms *= amp
-        np.cumsum(terms.reshape(-1, n_v, count).sum(axis=1), axis=0, out=part)
+        part[...] = _running_sum(terms.reshape(-1, n_v, count).sum(axis=1))
     return {n_h: np.abs(prefix[n_h - 1]) ** 2 for n_h in widths}
+
+
+def _running_sum(cols: np.ndarray) -> np.ndarray:
+    """cols with each row replaced, in place, by the sum of the rows up
+    to it, added in the order of np.cumsum along axis 0, which is several
+    times slower on rows thousands of trials wide."""
+    for i in range(1, len(cols)):
+        cols[i] += cols[i - 1]
+    return cols
+
+
+def _column_sums(amp: np.ndarray, n_v: int, widths) -> dict:
+    """{n_h: (A^2, P2, B1, B2) per trial} for the column counts n_h in
+    widths, amp (n_v max(widths), count) with elements column by column.
+    Over the leading n_v n_h elements, A = sum_n amp_n and P_k = sum_n
+    amp_n^k, and the pair sums are B1 = A^2 P2 - 2 A P3 + P4 = sum_n
+    amp_n^2 (A - amp_n)^2 and B2 = P2^2 - P4 = sum_{n != m} amp_n^2
+    amp_m^2 (see _conditional_moments).  Each power is summed per column
+    and accumulated over the columns, A as in _boosted_gains, so A^2 is
+    bit-identical to a zero-phase boosted gain.  Only the asked column
+    counts are kept, and no power of the whole of amp is formed."""
+    count = amp.shape[1]
+    cols = amp[:n_v * max(widths)].reshape(-1, n_v, count)
+    # amp^k summed over each column's rows, k = 1 to 4
+    powers = [_running_sum(cols.sum(axis=1) if k == 1 else
+                           np.einsum(",".join(["ijk"] * k) + "->ik", *[cols] * k))
+              for k in range(1, 5)]
+    sums = {}
+    for n_h in widths:
+        a, p2, p3, p4 = (power[n_h - 1] for power in powers)
+        sums[n_h] = np.array([a ** 2, p2, a * (a * p2 - 2.0 * p3) + p4, p2 * p2 - p4])
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +201,76 @@ def oma_trial_rates(params: SystemParams, h_t, h_r):
 
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
 # The unprimed gains each rate reads (its t and r links in _READS), as
-# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the rate's
+# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the rate's gain
 # controls and the sides a walk draws for it.  The primed gains of T'
 # and R', drawn on the same sides, are not controls: see _walk_block.
 _CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
              for scen, links in _READS.items()}
+# The floor of 1 - eps^2 for a side's phase controls (see _phase_sides):
+# their variance coefficients are O((1 - eps^2)^2) differences of O(1)
+# terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
+# floor the phases move H by too little for the controls to matter.
+_PHASE_VAR_MIN = 1e-4
+
+
+def _phase_sides(key, scen) -> tuple:
+    """The sides of scen's gain controls on draw key that also take the
+    phase controls Q1 and Q2 (see _phase_rows): those of N >= 2 elements
+    whose model has 1 - eps^2 >= _PHASE_VAR_MIN, which leaves out every
+    Perfect side, and none for T' and R'.  At N = 1, H = a^2 whatever
+    the phase."""
+    (family, *_), n_h, _, *models = key
+    if scen in _NOMA[2:] or family.n_v * n_h < 2:
+        return ()
+    return tuple(row for row in _CONTROLS[scen]
+                 if 1.0 - models[row].epsilon() ** 2 >= _PHASE_VAR_MIN)
+
+
+def _conditional_moments(model, sums):
+    """(E[H | a], Var(H | a)) per trial of a side's composite gain
+    H = |sum_n a_n exp(j phi_n)|^2 given its element amplitudes a, from
+    sums = (A^2, P2, B1, B2) of _column_sums.  The phases are i.i.d. and
+    independent of a, with c = E cos phi, c2 = E cos 2 phi (the model's
+    epsilon and epsilon2) and sigma^2 = 1 - c^2:
+
+        E[H | a] = c^2 A^2 + sigma^2 P2
+        Var(H | a) = w B1 + u B2
+
+    with w = 2 c^2 (1 + c2 - 2 c^2), four times c^2 Var(cos phi), and
+    u = sigma^4 + (c2 - c^2)^2.  So E[H^2 | a] = E[H | a]^2 + Var(H | a)
+    needs no new sum over the layout, and Var(H | a) is 0 at N = 1,
+    where B1 = B2 = 0."""
+    c, c2 = model.epsilon(), model.epsilon2()
+    c_sq = c * c
+    sigma_sq = 1.0 - c_sq
+    w = 2.0 * c_sq * (1.0 + c2 - 2.0 * c_sq)
+    u = sigma_sq * sigma_sq + (c2 - c_sq) ** 2
+    a_sq, p2, b1, b2 = sums
+    return c_sq * a_sq + sigma_sq * p2, w * b1 + u * b2
+
+
+def _phase_rows(model, h, sums):
+    """The phase controls (Q1, Q2) of one side's gains h: Q1 = H / D - 1
+    and Q2 = Q1^2 - Var(H | a) / D^2, D = E[H | a] (see
+    _conditional_moments).  Both have mean 0 exactly, since E[Q1 | a] = 0
+    and E[Q1^2 | a] = Var(H | a) / D^2.  (Q1, Q2) spans the same controls
+    as (Q1, (H / D)^2 - E[H^2 | a] / D^2) = (Q1, 2 Q1 + Q2), without
+    cancelling the 1s of the two ratios."""
+    mean, var = _conditional_moments(model, sums)
+    q1 = h / mean - 1.0
+    return q1, q1 * q1 - var / (mean * mean)
 
 
 def _walk_block(keys, factor, block, count):
-    """Composite gains of one block for the draw keys of a group, shape
-    (len(keys), 2 or 4, count): rows (H_t, H_r), plus (H_t', H_r') under
-    four-user parameters.
+    """Composite gains of one block for the draw keys of a group, and the
+    column sums of their element amplitudes.
+
+    The gains have shape (len(keys), 2 or 4, count): rows (H_t, H_r), plus
+    (H_t', H_r') under four-user parameters.  The sums are {(side,
+    correlation flag): {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the
+    amplitudes a = |g||h| or |r||h|, at the column counts of the keys
+    that read the side with that flag; _block_moments forms the phase
+    controls from them.
 
     keys maps each draw key to the sides its members read (see
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
@@ -193,16 +291,19 @@ def _walk_block(keys, factor, block, count):
     arg(g') - arg(g).  The primed composites reuse the boost set, so
     their leftover phase at element n is arg(g'_n) - arg(g_n) + phi_n_t,
     uniform per element but tied to the actual draws.  On a correlated
-    layout the leftovers are correlated across elements too, so E[H']
-    exceeds N (about 37 against N = 24 on a 6 x 4 array at
-    quarter-wavelength spacing under 1-bit errors).  Then on each side
-    every distinct phase model draws its stream once, at the widest
-    layout it is asked at, and each (correlation flag, phase model) of
-    the side forms the gains of all its column counts from one set of
-    element terms (see _boosted_gains).  The transmit side comes first,
-    then the reflect side with r, r' and phi_r.  Each array is freed as
-    soon as it is used up, so the live set does not grow with the number
-    of phase models.
+    layout the leftovers are correlated too, so E[H'] exceeds N (about
+    37 against N = 24 on a 6 x 4 array at quarter-wavelength spacing
+    under 1-bit errors).  Then, before any phases are drawn, each
+    correlation flag of the side forms the column sums of its
+    amplitudes.  A Perfect model's gain is their A^2, so it draws no
+    phases and skips the cosine and sine pass: bit-identical, as cos 0 =
+    1 and sin 0 = 0.  Every other distinct phase model draws its stream
+    once, at the widest layout it is asked at, and each (correlation
+    flag, phase model) of the side forms the gains of all its column
+    counts from one set of element terms (see _boosted_gains).  The
+    transmit side comes first, then the reflect side with r, r' and
+    phi_r.  Each array is freed as soon as it is used up, so the live set
+    does not grow with the number of phase models.
     """
     (family, master_seed, _, primed), *_ = next(iter(keys))
     n_v = family.n_v
@@ -239,6 +340,7 @@ def _walk_block(keys, factor, block, count):
     mag_h = {flag: np.abs(vec)
              for flag, vec in colourings(_STREAM_H, {key[2] for key in keys})}
     gains = np.full((len(keys), 4 if primed else 2, count), np.nan)
+    sums = {}
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
             (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
@@ -255,22 +357,29 @@ def _walk_block(keys, factor, block, count):
             for flag, base in arg.items():
                 arg_p[flag] -= base  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
+        for flag in flags:
+            sums[row, flag] = _column_sums(amp[flag], n_v, {
+                key[1] for by_flag in asked.values() for key in by_flag.get(flag, ())})
         for model, by_flag in asked.items():
-            phases = model.sample((n_v * max(key[1] for group in by_flag.values()
-                                             for key in group), count), rng(stream_phi))
+            perfect = isinstance(model, Perfect)
+            phases = None if perfect else model.sample(
+                (n_v * max(key[1] for group in by_flag.values() for key in group), count),
+                rng(stream_phi))
             for flag, group in by_flag.items():
                 widths = {key[1] for key in group}
                 n = n_v * max(widths)
-                out = _boosted_gains(amp[flag][:n], phases[:n], n_v, widths)
-                out_p = (_boosted_gains(amp_p[flag][:n], arg_p[flag][:n] + phases[:n],
-                                        n_v, widths) if primed else None)
+                out = ({n_h: sums[row, flag][n_h][0] for n_h in widths} if perfect
+                       else _boosted_gains(amp[flag][:n], phases[:n], n_v, widths))
+                out_p = (_boosted_gains(amp_p[flag][:n], arg_p[flag][:n] if perfect
+                                        else arg_p[flag][:n] + phases[:n], n_v, widths)
+                         if primed else None)
                 for key in group:
                     gains[index[key], row] = out[key[1]]
                     if primed:
                         gains[index[key], row + 2] = out_p[key[1]]
             del phases  # before the next model's phases are drawn
         amp = amp_p = arg_p = None  # before the next side is drawn
-    return gains
+    return gains, sums
 
 
 def _rates_at(scenarios, params, gains):
@@ -320,20 +429,24 @@ def _merge(a, b):
 
 
 def _cv_estimate(moments, control_means) -> McEstimate:
-    """The control-variate estimate from the merged moments of (y, H), H
-    the gains the rate reads (H_t, H_r or both; see _CONTROLS) and
-    control_means their exact means: y-bar - beta (H-bar - E[H]), beta the
-    least-squares fit of y on the controls (C_HH beta = C_Hy; H_t and H_r
-    come from separate streams, so C_HH is not singular), and a 95 %
-    half-width from the residual variance with one degree of freedom per
-    coefficient and one for the mean.  The residual sum of squares
-    C_yy - C_yH beta is clipped at 0: it cancels to rounding when y is
-    linear in H to double precision, as for rates below about 1e-8 bits."""
+    """The control-variate estimate from the merged moments of (y, H, Q),
+    H the gains the rate reads (H_t, H_r or both; see _CONTROLS) with
+    exact means control_means, and Q its phase controls, of mean 0:
+    y-bar - beta (x-bar - E[x]) over the controls x = (H, Q), beta the
+    least-squares fit of y on them (C_xx beta = C_xy; H_t and H_r come
+    from separate streams, and each Q row varies with the phases at fixed
+    magnitudes, so C_xx is not singular), and a 95 % half-width from the
+    residual variance with one degree of freedom per coefficient and one
+    for the mean.  The residual sum of squares C_yy - C_yx beta is
+    clipped at 0: it cancels to rounding when y is linear in H to double
+    precision, as for rates below about 1e-8 bits."""
     n, mean, com = moments
-    c_hy = com[1:, 0]
-    beta = np.linalg.solve(com[1:, 1:], c_hy)
-    var = max(com[0, 0] - c_hy @ beta, 0.0) / (n - 1 - len(beta))
-    return McEstimate(mean=float(mean[0] - beta @ (mean[1:] - control_means)),
+    c_xy = com[1:, 0]
+    beta = np.linalg.solve(com[1:, 1:], c_xy)
+    var = max(com[0, 0] - c_xy @ beta, 0.0) / (n - 1 - len(beta))
+    offset = mean[1:].copy()
+    offset[:len(control_means)] -= control_means
+    return McEstimate(mean=float(mean[0] - beta @ offset),
                       half_width=float(_Z95 * np.sqrt(var / n)), trials=n)
 
 
@@ -366,13 +479,31 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
 
 
 def _block_moments(keys, members, factor, block, count):
-    """The moments of each rate and its controls (see _CONTROLS) over one
-    block, per member and scenario in order: the gains of the block's
-    keys, then each member's rate chain on them."""
-    gains = dict(zip(keys, _walk_block(keys, factor, block, count)))
-    return [_moments(np.vstack((r, gains[key][list(_CONTROLS[scen])])))
-            for key, params, scenarios in members
-            for scen, r in _rates_at(scenarios, params, gains[key]).items()]
+    """The moments of each rate and its controls over one block, per
+    member and scenario in order: the gains of the block's keys, then
+    each member's rate chain on them.  A rate's controls are its gains
+    (see _CONTROLS), then the phase controls of its _phase_sides.  Those
+    are formed from the gains and column sums key by key, once for all
+    the members on a key, so one key's phase controls are held at a
+    time."""
+    gains, sums = _walk_block(keys, factor, block, count)
+    gains = dict(zip(keys, gains))
+    on_key = {}  # {draw key: indices of its members}
+    for i, (key, _, _) in enumerate(members):
+        on_key.setdefault(key, []).append(i)
+    out = [None] * len(members)
+    for key, indices in on_key.items():
+        sides = {side for i in indices for scen in members[i][2]
+                 for side in _phase_sides(key, scen)}
+        phase = {side: _phase_rows(key[3 + side], gains[key][side], sums[side, key[2]][key[1]])
+                 for side in sides}
+        for i in indices:
+            _, params, scenarios = members[i]
+            out[i] = [_moments(np.vstack((r, *gains[key][list(_CONTROLS[scen])],
+                                          *(q for side in _phase_sides(key, scen)
+                                            for q in phase[side]))))
+                      for scen, r in _rates_at(scenarios, params, gains[key]).items()]
+    return [moments for per_member in out for moments in per_member]
 
 
 def _group_factor(keys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor,
@@ -129,6 +130,32 @@ class TestPhaseErrorModels:
         assert Quantized(2).epsilon() == pytest.approx(0.9003163161571061, abs=1e-14)
         assert VonMises(2.0).epsilon() == pytest.approx(
             bessel_ratio_i1_i0(2.0), abs=1e-15)
+
+    def test_epsilon2_values(self):
+        # E cos 2 phi: sin 2h / 2h for residuals uniform on [-h, h]
+        assert Perfect().epsilon2() == 1.0
+        assert UniformFull().epsilon2() == 0.0
+        assert VonMises(0.0).epsilon2() == 0.0
+        assert phase_error_from_string("vonmises:inf").epsilon2() == 1.0
+        assert Quantized(1).epsilon2() == pytest.approx(0.0, abs=1e-15)
+        assert Quantized(2).epsilon2() == pytest.approx(2.0 / math.pi, abs=1e-15)
+        assert Quantized(3).epsilon2() == pytest.approx(Quantized(2).epsilon(), abs=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.1, 0.5, 1.0, 2.0, 14.9, 15.1, 50.0,
+                                       1e3, 1e5, 1e7])
+    def test_von_mises_epsilon2_is_the_bessel_ratio(self, kappa):
+        # I2(kappa) / I0(kappa); the exponentially scaled ive gives the same
+        # ratio where iv itself overflows (kappa above about 700)
+        ref = special.ive(2, kappa) / special.ive(0, kappa)
+        if kappa < 700:
+            assert ref == pytest.approx(special.iv(2, kappa) / special.iv(0, kappa), rel=1e-13)
+        assert VonMises(kappa).epsilon2() == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("model", [Quantized(1), Quantized(3), VonMises(0.5),
+                                       VonMises(2.0), UniformFull()])
+    def test_sampled_double_angle_cosine_matches_epsilon2(self, model, rng):
+        draws = np.cos(2.0 * model.sample(400_000, rng))
+        assert abs(draws.mean() - model.epsilon2()) < 3.0 * draws.std() / math.sqrt(len(draws))
 
     def test_perfect_samples_are_zero(self, rng):
         assert np.array_equal(Perfect().sample(64, rng), np.zeros(64))

@@ -330,6 +330,17 @@ class TestFailFast:
         assert run_cli("run", "--spec", str(path), "--out", str(out)).returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["1:abc", "10, abc"], ids=["range", "list"])
+    def test_non_numeric_axis_value(self, tmp_path, values):
+        path = tmp_path / "spec.ini"
+        path.write_text(f"[sweep]\naxis = transmit_snr_db\nvalues = {values}\n"
+                        "[scenario:a]\ntarget = noma_t\nestimators = jensen\n",
+                        encoding="utf-8")
+        res = run_cli("validate", "--spec", str(path))
+        assert res.returncode == 2
+        assert "values" in res.stderr and "abc" in res.stderr
+        assert "could not convert" not in res.stderr
+
     @pytest.mark.parametrize("text", [
         MINI_SPEC.format(values="2") + "[scenario:q1]\ntarget = noma_r\n",
         MINI_SPEC.format(values="2") + "target = noma_r\n",

@@ -1,24 +1,26 @@
 import functools
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
-                              standard_complex_gaussian)
+                              phase_error_from_string, standard_complex_gaussian)
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 from ios_noma import cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
-                         _group_factor, _member, _merge, _moments, _rates_at,
-                         _walk_block, _walk_group, mc_batch, mc_estimates,
-                         noma_trial_rates, oma_trial_rates)
+                         _block_moments, _column_sums, _conditional_moments, _group_factor,
+                         _member, _merge, _moments, _phase_sides, _rates_at, _walk_block,
+                         _walk_group, mc_batch, mc_estimates, noma_trial_rates,
+                         oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -45,7 +47,7 @@ def walked_gains(keys):
     the group's factor, both sides of every key, concatenated."""
     _, _, trials, _ = keys[0][0]
     both = dict.fromkeys(keys, (0, 1))
-    return np.concatenate([_walk_block(both, _group_factor(keys), block, count)
+    return np.concatenate([_walk_block(both, _group_factor(keys), block, count)[0]
                            for block, count in _blocks(trials)], axis=2)
 
 
@@ -102,7 +104,7 @@ class TestSchemeRelations:
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
         key = _member(geom, params, QUANT1, McConfig(trials=512, master_seed=77), (), True)[0]
-        (gains,) = _walk_block({key: (0, 1)}, factor, 0, 512)
+        (gains,), _ = _walk_block({key: (0, 1)}, factor, 0, 512)
         rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
@@ -199,7 +201,7 @@ class TestHardeningTrend:
             factor = correlation_factor(correlation_matrix(geom))
             key = _member(geom, params, QUANT1, McConfig(trials=8192, master_seed=21), (),
                           True)[0]
-            (gains,) = _walk_block({key: (0,)}, factor, 0, 8192)
+            (gains,), _ = _walk_block({key: (0,)}, factor, 0, 8192)
             rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -301,8 +303,9 @@ class TestDrawMemo:
                    for n, _, _ in moments.values())
         arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per scenario
-        # moments of (y, H_t, H_r), whatever the trial count
-        assert all(dim <= 3 for a in arrays for dim in a.shape)
+        # moments of (y, H_t, H_r) and two phase controls per side, whatever
+        # the trial count
+        assert all(dim <= 7 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
         # the first member walks the pool, the second finalizes from its
@@ -677,7 +680,8 @@ class TestSidePruning:
         # one block of one walk: the shared h and the transmit-side g
         assert [rng.bit_generator.seed_seq.spawn_key for _, rng in gauss] == [
             (mc._STREAM_H, 0), (mc._STREAM_G, 0)]
-        assert [stream for _, stream in phase_draws] == [mc._STREAM_PHI_T] * 4
+        # perfect phases draw nothing: their gain is A^2
+        assert [stream for _, stream in phase_draws] == [mc._STREAM_PHI_T] * 3
         # one chain per point, reading only H_t, never an undrawn row
         assert [len(calls) for calls in chains] == [100, 0]
         assert all(len(args) == 2 for args in chains[0])
@@ -694,17 +698,16 @@ class TestSidePruning:
         assert list(keys.values()) == [{0, 1}, {0}, {0, 1}, {0}, {0}]
         first = phase_draws[:len(phase_draws) // 2]
         assert phase_draws[len(phase_draws) // 2:] == first  # the second block
-        # each model once per side and block, on the reflect side only those
-        # of the two members that ask for R's rate
+        # each model but Perfect once per side and block, on the reflect
+        # side only those of the two members that ask for R's rate
         assert [model for model, s in first if s == mc._STREAM_PHI_T] == [
-            Quantized(2), Quantized(1), Perfect(), VonMises(2.0), UniformFull()]
-        assert [model for model, s in first if s == mc._STREAM_PHI_R] == [
-            Quantized(2), Perfect()]
+            Quantized(2), Quantized(1), VonMises(2.0), UniformFull()]
+        assert [model for model, s in first if s == mc._STREAM_PHI_R] == [Quantized(2)]
         # the rows a key does not read are never written, and the others
         # are those of a walk of both sides
         factor = _group_factor(keys)
-        pruned = _walk_block(keys, factor, 0, 500)
-        full = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)
+        pruned, _ = _walk_block(keys, factor, 0, 500)
+        full, _ = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)
         for i, sides in enumerate(keys.values()):
             for row in (0, 1):
                 if row in sides:
@@ -862,6 +865,20 @@ def two_user_setups(draw):
 
 
 @st.composite
+def edge_setups(draw):
+    """A two_user_setups draw whose layout is a single element half the
+    time, with phase models up to near-perfect: quantized:b up to b = 27
+    and von Mises kappa up to 1e7."""
+    params, geom, correlated, _ = draw(two_user_setups())
+    if draw(st.booleans()):
+        geom = replace(geom, n_h=1, n_v=1)
+    model = st.one_of(st.just(Perfect()), st.just(UniformFull()),
+                      st.builds(Quantized, st.integers(1, 27)),
+                      st.builds(VonMises, st.floats(-2.0, 7.0).map(lambda e: 10.0**e)))
+    return params, geom, correlated, (draw(model), draw(model))
+
+
+@st.composite
 def four_user_setups(draw):
     """A valid four-user SystemParams (distances ordered d_t < d_r < d_tp <
     d_rp at equal intercepts, so the pathlosses are ordered), a layout, a
@@ -894,6 +911,116 @@ class TestExactMeanGain:
             exact = _mean_gain(geom.n_elements, tr, model.epsilon())
             stderr = h.std(ddof=1) / math.sqrt(h.size)
             assert abs(h.mean() - exact) <= 4.5 * stderr, (geom, correlated, model)
+
+
+ALL_KINDS = [Perfect(), UniformFull(), Quantized(1), Quantized(2), Quantized(5),
+             VonMises(0.0), VonMises(0.5), VonMises(2.0), VonMises(50.0)]
+
+
+class SymmetricLaw:
+    """Phases +-theta_i with probability p_i / 2 each: a law whose
+    moments can be summed exactly over every combination of phases."""
+
+    def __init__(self, thetas, probs):
+        self.atoms = [(sign * t, p / 2) for t, p in zip(thetas, probs) for sign in (1, -1)]
+
+    def epsilon(self):
+        return sum(p * math.cos(t) for t, p in self.atoms)
+
+    def epsilon2(self):
+        return sum(p * math.cos(2 * t) for t, p in self.atoms)
+
+
+def pair_sums(amps):
+    """The _column_sums of one trial's element amplitudes, one element per
+    column."""
+    amps = np.asarray(amps, dtype=float)
+    return _column_sums(amps[:, None], 1, {amps.size})[amps.size]
+
+
+class TestPhaseControls:
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=repr)
+    def test_second_moment_matches_the_two_element_form(self, model):
+        # H = s + 2 p cos(phi_1 - phi_2), so E[H^2 | a] = s^2 + 4 c^2 s p
+        # + 2 p^2 (1 + c2^2) with s = a1^2 + a2^2 and p = a1 a2
+        c, c2 = model.epsilon(), model.epsilon2()
+        for a1, a2 in [(1.0, 1.0), (0.3, 2.0), (1e-3, 5.0), (7.0, 0.9)]:
+            s, p = a1 * a1 + a2 * a2, a1 * a2
+            mean, var = _conditional_moments(model, pair_sums([a1, a2]))
+            assert mean[0] == pytest.approx(s + 2 * c * c * p, rel=1e-12)
+            second = s * s + 4 * c * c * s * p + 2 * p * p * (1 + c2 * c2)
+            assert mean[0] ** 2 + var[0] == pytest.approx(second, rel=1e-12), (a1, a2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_moments_match_an_exact_sum_over_phases(self, n):
+        # every combination of the phases of a four-point law, summed
+        rng = np.random.default_rng(n)
+        law = SymmetricLaw(rng.uniform(0, math.pi, 2), rng.dirichlet(np.ones(2)))
+        amps = rng.uniform(0.1, 2.0, n)
+        first = second = 0.0
+        for combo in itertools.product(law.atoms, repeat=n):
+            h = abs(np.sum(amps * np.exp(1j * np.array([t for t, _ in combo])))) ** 2
+            weight = math.prod(p for _, p in combo)
+            first += weight * h
+            second += weight * h * h
+        mean, var = _conditional_moments(law, pair_sums(amps))
+        assert mean[0] == pytest.approx(first, rel=1e-12)
+        assert var[0] == pytest.approx(second - first * first, rel=1e-9, abs=1e-12 * second)
+
+    def test_sides_that_take_phase_controls(self):
+        geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
+        cfg, four = McConfig(trials=500), four_user_params()
+
+        def sides(geom, models, scen, params=SystemParams.from_db()):
+            return _phase_sides(_member(geom, params, models, cfg, (), True)[0], scen)
+
+        assert sides(geom, QUANT1, Scenario.NOMA_R) == (0, 1)
+        assert sides(geom, QUANT1, Scenario.OMA_R) == (1,)
+        assert sides(geom, (Perfect(), UniformFull()), Scenario.NOMA_R) == (1,)
+        # one element: H = a^2 whatever the phase
+        assert sides(replace(geom, n_h=1, n_v=1), QUANT1, Scenario.NOMA_R) == ()
+        assert sides(replace(geom, n_h=1, n_v=2), QUANT1, Scenario.NOMA_R) == (0, 1)
+        # near-perfect phases move H by less than the controls resolve
+        assert sides(geom, (Quantized(27), VonMises(1e7)), Scenario.NOMA_R) == ()
+        assert sides(geom, (Quantized(7), VonMises(1e3)), Scenario.NOMA_R) == (0, 1)
+        # the primed users keep their gain controls alone
+        assert sides(geom, QUANT1, Scenario.NOMA_TP, four) == ()
+        assert sides(geom, QUANT1, Scenario.NOMA_R, four) == (0, 1)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
+    def test_phase_controls_have_mean_zero(self, setup, seed):
+        # E[Q1] = E[Q2] = 0 on random layouts, both correlation flags and
+        # all four phase-model kinds: the rows after (y, H_t, H_r) of NOMA
+        # R's moments, merged over the blocks of a walk
+        params, geom, correlated, models = setup
+        assume(geom.n_elements >= 2)
+        cfg = McConfig(trials=2000, master_seed=seed)
+        member = _member(geom, params, models, cfg, (Scenario.NOMA_R,), correlated)
+        sides = _phase_sides(member[0], Scenario.NOMA_R)
+        assert sides == tuple(side for side in (0, 1) if not isinstance(models[side], Perfect))
+        keys = {member[0]: {0, 1}}
+        n, mean, com = functools.reduce(_merge, (
+            _block_moments(keys, [member], _group_factor(keys), block, count)[0]
+            for block, count in _blocks(cfg.trials)))
+        assert len(mean) == 3 + 2 * len(sides)
+        for i in range(3, len(mean)):
+            stderr = math.sqrt(com[i, i] / (n - 1) / n)
+            assert abs(mean[i]) <= 4.5 * stderr, (geom, correlated, models, i)
+
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_perfect_gain_is_the_zero_phase_boost(self, four_user, half_wave_geometry):
+        # Perfect draws nothing and reads A^2 from the column sums; an
+        # infinite von Mises kappa draws zeros and takes the cosine and
+        # sine pass: the gains are the same bits
+        params = four_user_params() if four_user else SystemParams.from_db()
+        cfg = McConfig(trials=700, master_seed=83)
+        keys = [_member(half_wave_geometry(n_h, 3), params, models, cfg, (), correlated)[0]
+                for n_h in (2, 5) for correlated in (True, False)
+                for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
+        gains, _ = _walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0, 700)
+        for perfect, boosted in zip(gains[::2], gains[1::2]):
+            assert np.array_equal(perfect, boosted)
 
 
 class TestControlVariate:
@@ -937,12 +1064,13 @@ class TestControlVariate:
         for est in out.values():
             assert (est.mean, est.half_width) == (0.0, 0.0)
 
-    def test_interval_covers_the_reference_mean(self):
+    @pytest.mark.parametrize("model", ["uniform", "quantized:1", "vonmises:1"])
+    def test_interval_covers_the_reference_mean(self, model):
         # guards the half-width: an understated residual variance would
         # show as too few of the 95 % intervals covering the mean
-        # the N = 8 uniform-phase reference setup at half-wavelength spacing
+        # the N = 8 reference setup at half-wavelength spacing
         geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
-        params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
+        params, models = SystemParams.from_db(), (phase_error_from_string(model),) * 2
         scenarios = NOMA + OMA
         ref = mc_estimates(geom, params, models,
                            McConfig(trials=1 << 18, master_seed=10**6), scenarios)
@@ -983,6 +1111,24 @@ class TestControlVariate:
         for scen, plain_mean, plain_hw, est in rows:
             # CV minus plain is -beta (H-bar - E[H]), whose 95 % half-width
             # is at most the plain one; two of them are about 4 standard errors
+            assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
+            assert est.half_width <= plain_hw, (scen, plain_hw, est)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=edge_setups(), seed=st.integers(0, 2**32 - 1))
+    @example(setup=(SystemParams.from_db(), ArrayGeometry(1, 1, 0.05, 0.05),
+                    True, (VonMises(1e7), VonMises(1e7))), seed=0)
+    def test_consistent_with_plain_estimate_at_the_edges(self, setup, seed):
+        # the assertions of test_consistent_with_plain_estimate on one
+        # element and on near-perfect phases, where a phase control made of
+        # rounding would move the estimate
+        params, geom, correlated, models = setup
+        cfg = McConfig(trials=2000, master_seed=seed)
+        out = mc_estimates(geom, params, models, cfg, NOMA + OMA, correlated=correlated)
+        (gains,) = walked_gains([_member(geom, params, models, cfg, (), correlated)[0]])
+        z = 1.959963984540054
+        for scen, r in _rates_at(NOMA + OMA, params, gains).items():
+            plain_mean, plain_hw, est = r.mean(), z * r.std(ddof=1) / math.sqrt(r.size), out[scen]
             assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
             assert est.half_width <= plain_hw, (scen, plain_hw, est)
 
