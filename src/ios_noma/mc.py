@@ -24,15 +24,18 @@ eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds, and the estimate
 is y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
 linear in H, so the residual variance is a small part of the variance of
 y.  The primed gains are not controls: E[H'] = N only for i.i.d. elements
-(see _walk_block).  The rates of T, R and OMA also regress on two phase
-controls per side they read (_phase_sides), functions of H and of the
-trial's element amplitudes a = |g||h| whose means are 0 exactly: the
-phases are i.i.d. and independent of a, so E[H | a] and Var(H | a) are
-known on every layout, correlation flag and phase model (see
-_phase_rows).  They take up the variance the phases add at fixed
-magnitudes, which H alone leaves in the uniform-phase rows.  Per block,
-the means and co-moments of y and its controls are merged in block
-order, so the estimates do not depend on how blocks were scheduled.
+(see _walk_block).  The rates of T, R and OMA also regress on three
+phase controls per side they read (_phase_sides), functions of H and of
+the trial's element amplitudes a = |g||h|: the phases are i.i.d. and
+independent of a, so D = E[H | a] and Var(H | a) are known on every
+layout, correlation flag and phase model (see _phase_rows).  D has the
+side's Jensen gain as its exact mean, as H does, and Q1 = H / D - 1 and
+Q2 have mean 0.  With D beside H the fit weighs the part of H that the
+magnitudes set (D) apart from the part the phases add (H - D), and Q1
+and Q2 take up the variance the phases add at fixed magnitudes, which H
+alone leaves in the uniform-phase rows.  Per block, the means and
+co-moments of y and its controls are merged in block order, so the
+estimates do not depend on how blocks were scheduled.
 
 The gains depend only on the draw key of a call, and the fading streams
 only on its Gaussian key (see _member); the link budget and the
@@ -111,12 +114,14 @@ class McEstimate:
 
     mean is y-bar - beta (x-bar - E[x]) over the controls x: the unprimed
     gains the rate reads (H_t, H_r or both), and for the rates of T, R
-    and OMA the two zero-mean phase controls of each such side (see
-    _phase_sides), with beta fitted by least squares on the same trials.
-    The fit biases it by O(1/trials), about 0.1 standard errors at 1000
-    trials on an N = 8 setup.  half_width is the 95 % normal half-width
-    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
-    over trials - 1 - k degrees of freedom, k the number of controls.
+    and OMA the conditional mean gain D = E[H | a] and the two zero-mean
+    phase controls of each such side (see _phase_sides), with beta
+    fitted by least squares on the same trials; E[D] = E[H], the Jensen
+    gain.  The fit biases it by O(1/trials), about 0.1 standard errors
+    at 1000 trials on an N = 8 setup.  half_width is the 95 % normal
+    half-width 1.96 sqrt(s^2 / trials), with s^2 the residual variance of
+    the fit over trials - 1 - k degrees of freedom, k the number of
+    controls.
     """
 
     mean: float
@@ -250,23 +255,24 @@ def _conditional_moments(model, sums):
 
 
 def _phase_rows(model, h, sums):
-    """The phase controls (Q1, Q2) of one side's gains h: Q1 = H / D - 1
-    and Q2 = Q1^2 - Var(H | a) / D^2, D = E[H | a] (see
-    _conditional_moments).  Both have mean 0 exactly, since E[Q1 | a] = 0
-    and E[Q1^2 | a] = Var(H | a) / D^2.  (Q1, Q2) spans the same controls
-    as (Q1, (H / D)^2 - E[H^2 | a] / D^2) = (Q1, 2 Q1 + Q2), without
-    cancelling the 1s of the two ratios."""
+    """The phase controls (D, Q1, Q2) of one side's gains h: D = E[H | a]
+    (see _conditional_moments), Q1 = H / D - 1 and Q2 = Q1^2 - Var(H | a)
+    / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and Q2 have mean
+    0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H | a) / D^2.
+    (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2 | a] /
+    D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two ratios."""
     mean, var = _conditional_moments(model, sums)
     q1 = h / mean - 1.0
-    return q1, q1 * q1 - var / (mean * mean)
+    return mean, q1, q1 * q1 - var / (mean * mean)
 
 
 def _walk_block(keys, factor, block, count):
     """Composite gains of one block for the draw keys of a group, and the
     column sums of their element amplitudes.
 
-    The gains have shape (len(keys), 2 or 4, count): rows (H_t, H_r), plus
-    (H_t', H_r') under four-user parameters.  The sums are {(side,
+    The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
+    four-user parameters: each a row of count trials, or None for a side
+    the key does not read, which no array holds.  The sums are {(side,
     correlation flag): {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the
     amplitudes a = |g||h| or |r||h|, at the column counts of the keys
     that read the side with that flag; _block_moments forms the phase
@@ -276,10 +282,9 @@ def _walk_block(keys, factor, block, count):
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
     H_r').  A side colours its fading streams only for the correlation
     flags, and draws only the phase models, of the keys that read it, so
-    a side that no key reads is not drawn at all; a key's rows of a side
-    it does not read are NaN.  Every (stream, block) pair has its own
-    generator, so skipping a side leaves every other stream's draws
-    unchanged.
+    a side that no key reads is not drawn at all and holds no row.  Every
+    (stream, block) pair has its own generator, so skipping a side leaves
+    every other stream's draws unchanged.
 
     Every stream is drawn once, at the group's widest layout and element
     by element, so a layout's n_v n_h elements read the leading rows of
@@ -308,7 +313,6 @@ def _walk_block(keys, factor, block, count):
     (family, master_seed, _, primed), *_ = next(iter(keys))
     n_v = family.n_v
     shape = (n_v * max(key[1] for key in keys), count)
-    index = {key: i for i, key in enumerate(keys)}
 
     def rng(stream):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
@@ -339,7 +343,15 @@ def _walk_block(keys, factor, block, count):
 
     mag_h = {flag: np.abs(vec)
              for flag, vec in colourings(_STREAM_H, {key[2] for key in keys})}
-    gains = np.full((len(keys), 4 if primed else 2, count), np.nan)
+    # one row per side a key reads (two under four-user parameters), in
+    # one array allocated before the sides are drawn; keeping each phase
+    # model's own gain rows instead, between the large temporaries of the
+    # later draws, raised the peak RSS of a 60-element walk by 9 MB
+    read = [(key, row) for key, sides in keys.items() for side in sides
+            for row in ((side, side + 2) if primed else (side,))]
+    gains = {key: [None] * (4 if primed else 2) for key in keys}
+    for (key, row), store in zip(read, np.empty((len(read), count))):
+        gains[key][row] = store
     sums = {}
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
@@ -374,9 +386,9 @@ def _walk_block(keys, factor, block, count):
                                         else arg_p[flag][:n] + phases[:n], n_v, widths)
                          if primed else None)
                 for key in group:
-                    gains[index[key], row] = out[key[1]]
+                    gains[key][row][...] = out[key[1]]
                     if primed:
-                        gains[index[key], row + 2] = out_p[key[1]]
+                        gains[key][row + 2][...] = out_p[key[1]]
             del phases  # before the next model's phases are drawn
         amp = amp_p = arg_p = None  # before the next side is drawn
     return gains, sums
@@ -429,13 +441,16 @@ def _merge(a, b):
 
 
 def _cv_estimate(moments, control_means) -> McEstimate:
-    """The control-variate estimate from the merged moments of (y, H, Q),
-    H the gains the rate reads (H_t, H_r or both; see _CONTROLS) with
-    exact means control_means, and Q its phase controls, of mean 0:
-    y-bar - beta (x-bar - E[x]) over the controls x = (H, Q), beta the
-    least-squares fit of y on them (C_xx beta = C_xy; H_t and H_r come
-    from separate streams, and each Q row varies with the phases at fixed
-    magnitudes, so C_xx is not singular), and a 95 % half-width from the
+    """The control-variate estimate from the merged moments of (y, H, D,
+    Q), H the gains the rate reads (H_t, H_r or both; see _CONTROLS) and
+    D the conditional mean gains of its phase sides, with exact means
+    control_means (the Jensen gains of those sides), and Q their phase
+    controls, of mean 0: y-bar - beta (x-bar - E[x]) over the controls
+    x = (H, D, Q), beta the least-squares fit of y on them (C_xx beta =
+    C_xy; H_t and H_r come from separate streams, each D row differs
+    from its H by the phases, and each Q row varies with the phases at
+    fixed magnitudes, so C_xx is not singular; a side whose phases barely
+    move H takes no D or Q rows), and a 95 % half-width from the
     residual variance with one degree of freedom per coefficient and one
     for the mean.  The residual sum of squares C_yy - C_yx beta is
     clipped at 0: it cancels to rounding when y is linear in H to double
@@ -481,13 +496,13 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
 def _block_moments(keys, members, factor, block, count):
     """The moments of each rate and its controls over one block, per
     member and scenario in order: the gains of the block's keys, then
-    each member's rate chain on them.  A rate's controls are its gains
-    (see _CONTROLS), then the phase controls of its _phase_sides.  Those
-    are formed from the gains and column sums key by key, once for all
-    the members on a key, so one key's phase controls are held at a
-    time."""
+    each member's rate chain on them.  A rate's controls are its gains H
+    (see _CONTROLS), then the D rows of its _phase_sides, then their Q1
+    and Q2 rows (see _phase_rows): the rows of known mean first, in the
+    order mc_estimates lists those means.  The phase controls are formed
+    from the gains and column sums key by key, once for all the members
+    on a key, so one key's phase controls are held at a time."""
     gains, sums = _walk_block(keys, factor, block, count)
-    gains = dict(zip(keys, gains))
     on_key = {}  # {draw key: indices of its members}
     for i, (key, _, _) in enumerate(members):
         on_key.setdefault(key, []).append(i)
@@ -499,10 +514,11 @@ def _block_moments(keys, members, factor, block, count):
                  for side in sides}
         for i in indices:
             _, params, scenarios = members[i]
-            out[i] = [_moments(np.vstack((r, *gains[key][list(_CONTROLS[scen])],
-                                          *(q for side in _phase_sides(key, scen)
-                                            for q in phase[side]))))
-                      for scen, r in _rates_at(scenarios, params, gains[key]).items()]
+            out[i] = [_moments(np.vstack((
+                r, *(gains[key][row] for row in _CONTROLS[scen]),
+                *(phase[side][0] for side in _phase_sides(key, scen)),
+                *(q for side in _phase_sides(key, scen) for q in phase[side][1:]))))
+                for scen, r in _rates_at(scenarios, params, gains[key]).items()]
     return [moments for per_member in out for moments in per_member]
 
 
@@ -543,12 +559,14 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
     Each rate is regressed on the trial's unprimed gains that it reads
-    (H_t, H_r or both; see _CONTROLS), whose exact means are the Jensen
-    gains N (1 - eps^2) + eps^2 tr(Rbar Rbar) of the layout, correlation
-    flag and phase models (see McEstimate).  A call of a running mc_batch
-    finalizes from the moments the walk of its Gaussian key kept; no
-    draw, rate chain or pool happens after the batch's first call on that
-    key.  Any other call walks alone and keeps nothing.
+    (H_t, H_r or both; see _CONTROLS) and the conditional mean gains D of
+    its _phase_sides, whose exact means are the Jensen gains N (1 - eps^2)
+    + eps^2 tr(Rbar Rbar) of the layout, correlation flag and phase
+    models, and on the zero-mean phase controls (see McEstimate).  A call
+    of a running mc_batch finalizes from the moments the walk of its
+    Gaussian key kept; no draw, rate chain or pool happens after the
+    batch's first call on that key.  Any other call walks alone and keeps
+    nothing.
     """
     member = _member(geom, params, err_models, cfg, scenarios, correlated)
     # a member of the batch walks every batch member of its Gaussian key
@@ -559,7 +577,8 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     tr = trace_rbar_sq(geom, correlated)
     mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                            for model in err_models])
-    return {scen: _cv_estimate(m, mean_gains[list(_CONTROLS[scen])])
+    return {scen: _cv_estimate(m, mean_gains[[*_CONTROLS[scen],
+                                              *_phase_sides(member[0], scen)]])
             for scen, m in walks[member].items()}
 
 

@@ -46,8 +46,8 @@ def walked_gains(keys):
     shape (len(keys), 2 or 4, trials): _walk_block over the blocks with
     the group's factor, both sides of every key, concatenated."""
     _, _, trials, _ = keys[0][0]
-    both = dict.fromkeys(keys, (0, 1))
-    return np.concatenate([_walk_block(both, _group_factor(keys), block, count)[0]
+    both, factor = dict.fromkeys(keys, (0, 1)), _group_factor(keys)
+    return np.concatenate([list(_walk_block(both, factor, block, count)[0].values())
                            for block, count in _blocks(trials)], axis=2)
 
 
@@ -104,7 +104,7 @@ class TestSchemeRelations:
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
         key = _member(geom, params, QUANT1, McConfig(trials=512, master_seed=77), (), True)[0]
-        (gains,), _ = _walk_block({key: (0, 1)}, factor, 0, 512)
+        (gains,) = _walk_block({key: (0, 1)}, factor, 0, 512)[0].values()
         rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
         noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
         gamma_t = 2.0**noma_t - 1.0
@@ -201,7 +201,7 @@ class TestHardeningTrend:
             factor = correlation_factor(correlation_matrix(geom))
             key = _member(geom, params, QUANT1, McConfig(trials=8192, master_seed=21), (),
                           True)[0]
-            (gains,), _ = _walk_block({key: (0,)}, factor, 0, 8192)
+            (gains,) = _walk_block({key: (0,)}, factor, 0, 8192)[0].values()
             rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -303,9 +303,9 @@ class TestDrawMemo:
                    for n, _, _ in moments.values())
         arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per scenario
-        # moments of (y, H_t, H_r) and two phase controls per side, whatever
-        # the trial count
-        assert all(dim <= 7 for a in arrays for dim in a.shape)
+        # moments of (y, H_t, H_r) and three phase controls (D, Q1, Q2) per
+        # side, at most 1 + 2 + 3 * 2 = 9 rows, whatever the trial count
+        assert all(dim <= 9 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
         # the first member walks the pool, the second finalizes from its
@@ -492,7 +492,9 @@ class TestGroupWalk:
     def test_stored_control_means_are_the_jensen_gains(self, monkeypatch):
         # the means mc_estimates hands to the control-variate fit, for every
         # member of a batch: those of the gains each rate reads, H_t for
-        # T's rates, H_r for OMA R's and both for NOMA R's
+        # T's rates, H_r for OMA R's and both for NOMA R's, then those of
+        # the conditional mean gains D of the same sides but a Perfect one,
+        # whose mean is the same Jensen gain
         reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
                  Scenario.NOMA_R: [0, 1]}
         passed = []
@@ -510,7 +512,10 @@ class TestGroupWalk:
         for correlated, models in MIXED_GROUP:
             tr = trace_rbar_sq(geom, correlated)
             exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
-            expected += [[exact[row] for row in reads[scen]] for scen in NOMA + OMA]
+            expected += [[exact[row] for row in reads[scen]]
+                         + [exact[row] for row in reads[scen]
+                            if not isinstance(models[row], Perfect)]
+                         for scen in NOMA + OMA]
         assert passed == expected
 
     def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
@@ -703,17 +708,21 @@ class TestSidePruning:
         assert [model for model, s in first if s == mc._STREAM_PHI_T] == [
             Quantized(2), Quantized(1), VonMises(2.0), UniformFull()]
         assert [model for model, s in first if s == mc._STREAM_PHI_R] == [Quantized(2)]
-        # the rows a key does not read are never written, and the others
+        # a key holds no row of a side it does not read, and its other rows
         # are those of a walk of both sides
         factor = _group_factor(keys)
         pruned, _ = _walk_block(keys, factor, 0, 500)
         full, _ = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)
-        for i, sides in enumerate(keys.values()):
+        for key, sides in keys.items():
             for row in (0, 1):
                 if row in sides:
-                    assert np.array_equal(pruned[i, row], full[i, row]), (i, row)
+                    assert np.array_equal(pruned[key][row], full[key][row]), (key, row)
                 else:
-                    assert np.isnan(pruned[i, row]).all(), (i, row)
+                    assert pruned[key][row] is None, (key, row)
+        # one array holds the rows read, and no other
+        (store,) = {id(r.base): r.base for rows in pruned.values() for r in rows
+                    if r is not None}.values()
+        assert store.shape == (sum(map(len, keys.values())), 500)
 
     def test_t_estimate_equals_its_lone_walk(self):
         cfg = McConfig(trials=3000, master_seed=67)
@@ -987,12 +996,41 @@ class TestPhaseControls:
         assert sides(geom, QUANT1, Scenario.NOMA_TP, four) == ()
         assert sides(geom, QUANT1, Scenario.NOMA_R, four) == (0, 1)
 
+    @pytest.mark.parametrize("n_v, n_h, models, sides", [
+        (4, 2, (Perfect(), Perfect()), ()),
+        (1, 1, QUANT1, ()),
+        (4, 2, (Quantized(27), VonMises(1e7)), ()),
+        (4, 2, (Perfect(), UniformFull()), (1,)),
+        (4, 2, QUANT1, (0, 1))], ids=["perfect", "one_element", "near_perfect",
+                                      "perfect_t", "both"])
+    def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, sides, monkeypatch):
+        # on a Perfect, one-element or near-perfect side D equals H, or
+        # nearly so, and would make C_xx singular: such a side adds no D
+        # row to the moments and no mean to the fit
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
+        cfg = McConfig(trials=500, master_seed=89)
+        member = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
+        keys = {member[0]: {0, 1}}
+        (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
+        assert len(mean) == 3 + 3 * len(sides)
+        passed = []
+        cv_estimate = mc._cv_estimate
+
+        def recording(moments, control_means):
+            passed.append(len(control_means))
+            return cv_estimate(moments, control_means)
+
+        monkeypatch.setattr(mc, "_cv_estimate", recording)
+        mc_estimates(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,))
+        assert passed == [2 + len(sides)]
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
     def test_phase_controls_have_mean_zero(self, setup, seed):
-        # E[Q1] = E[Q2] = 0 on random layouts, both correlation flags and
-        # all four phase-model kinds: the rows after (y, H_t, H_r) of NOMA
-        # R's moments, merged over the blocks of a walk
+        # E[D] = E[H] and E[Q1] = E[Q2] = 0 on random layouts, both
+        # correlation flags and all four phase-model kinds: the rows after
+        # (y, H_t, H_r) of NOMA R's moments, merged over the blocks of a
+        # walk, are a D row per side and then the (Q1, Q2) rows
         params, geom, correlated, models = setup
         assume(geom.n_elements >= 2)
         cfg = McConfig(trials=2000, master_seed=seed)
@@ -1003,10 +1041,13 @@ class TestPhaseControls:
         n, mean, com = functools.reduce(_merge, (
             _block_moments(keys, [member], _group_factor(keys), block, count)[0]
             for block, count in _blocks(cfg.trials)))
-        assert len(mean) == 3 + 2 * len(sides)
-        for i in range(3, len(mean)):
+        assert len(mean) == 3 + 3 * len(sides)
+        tr = trace_rbar_sq(geom, correlated)
+        exact = [_mean_gain(geom.n_elements, tr, models[side].epsilon()) for side in sides]
+        exact += [0.0] * (2 * len(sides))
+        for i, want in enumerate(exact, start=3):
             stderr = math.sqrt(com[i, i] / (n - 1) / n)
-            assert abs(mean[i]) <= 4.5 * stderr, (geom, correlated, models, i)
+            assert abs(mean[i] - want) <= 4.5 * stderr, (geom, correlated, models, i)
 
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
     def test_perfect_gain_is_the_zero_phase_boost(self, four_user, half_wave_geometry):
@@ -1019,6 +1060,7 @@ class TestPhaseControls:
                 for n_h in (2, 5) for correlated in (True, False)
                 for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
         gains, _ = _walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0, 700)
+        gains = list(gains.values())
         for perfect, boosted in zip(gains[::2], gains[1::2]):
             assert np.array_equal(perfect, boosted)
 
@@ -1113,6 +1155,32 @@ class TestControlVariate:
             # is at most the plain one; two of them are about 4 standard errors
             assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
             assert est.half_width <= plain_hw, (scen, plain_hw, est)
+
+    @pytest.mark.parametrize("name", bundled_spec_names())
+    def test_default_trials_keep_the_plain_precision(self, name, monkeypatch):
+        # a bundled spec's default trial count goes below 100000 only as far
+        # as keeps every row's control-variate half-width at or below its
+        # plain half-width at 100000 trials, and never below one block, where
+        # the interval near a rate's ceiling undercovers
+        spec = load_spec(name)
+        (trials,) = {point.mc.trials for _, _, point in spec.points()}
+        assert BLOCK_SIZE <= trials <= 100_000
+        if trials == 100_000:
+            return  # not lowered
+        rows = []
+        cv_estimate = mc._cv_estimate
+
+        def recording(moments, control_means):
+            est = cv_estimate(moments, control_means)
+            n, _, com = moments
+            rows.append((est.half_width, mc._Z95 * math.sqrt(com[0, 0] / (n - 1) / 100_000)))
+            return est
+
+        monkeypatch.setattr(mc, "_cv_estimate", recording)
+        run_sweep(spec)
+        assert rows
+        assert all(hw <= plain_hw for hw, plain_hw in rows), max(
+            rows, key=lambda row: row[0] / row[1])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=edge_setups(), seed=st.integers(0, 2**32 - 1))
