@@ -14,6 +14,7 @@ Gaussians.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .specfun import bessel_ratio_i1_i0
 
+_log = logging.getLogger(__name__)
 _LINKS = ("t", "r", "tp", "rp")
 _PERFECT_BITS = 28  # sin(pi / 2^b) rounds to pi / 2^b from here on: eps is 1.0
 
@@ -258,7 +260,8 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
     deficient), F = V sqrt(clip(Lambda)) from a symmetric
     eigendecomposition with negative eigenvalues clipped to zero, made
     triangular by the QR factorization F^T = Q U: U^T U = F F^T, so U^T
-    is the factor.  Every bundled layout takes the Cholesky branch.
+    is the factor.  The fallback logs a warning with max |L L^T - corr|.
+    Every bundled layout takes the Cholesky branch.
     """
     corr = np.asarray(corr, dtype=float)
     try:
@@ -269,7 +272,11 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
         eigval, eigvec = np.linalg.eigh(corr)
     except np.linalg.LinAlgError as exc:
         raise ConfigError("correlation matrix factorization failed") from exc
-    return np.linalg.qr((eigvec * np.sqrt(np.clip(eigval, 0.0, None))).T, mode="r").T
+    factor = np.linalg.qr((eigvec * np.sqrt(np.clip(eigval, 0.0, None))).T, mode="r").T
+    _log.warning("%d x %d correlation matrix is not numerically positive definite: "
+                 "clipped eigendecomposition factor, max |L L^T - R| = %.2g",
+                 *corr.shape, np.abs(factor @ factor.T - corr).max())
+    return factor
 
 
 def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:

@@ -20,25 +20,10 @@ from .channel import ConfigError
 from .experiments import (DEFAULTS, analytic_bound, build_point,
                           bundled_spec_names, load_spec, run_sweep,
                           spec_with_overrides, write_csv)
-from .geometry import trace_rbar_sq
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_BOUND_FLAGS = {
-    # flag -> spec key, the flag's dest
-    "n_h": "n_h", "n_v": "n_v",
-    "wavelength": "wavelength_m",
-    "element_len": "element_len_m", "element_width": "element_width_m",
-    "d_b": "d_b_m", "d_t": "d_t_m", "d_r": "d_r_m",
-    "d_tp": "d_tp_m", "d_rp": "d_rp_m",
-    "chi": "chi", "alpha": "alpha", "beta": "beta",
-    "qt": "q_t", "qr": "q_r", "qtp": "q_tp", "qrp": "q_rp",
-    "lambda_t_db": "lambda_t_db", "lambda_r_db": "lambda_r_db",
-    "lambda_tp_db": "lambda_tp_db", "lambda_rp_db": "lambda_rp_db",
-    "p_dbm": "p_dbm", "noise_dbm": "noise_dbm",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,16 +46,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="parse and check a sweep spec")
     p_val.add_argument("--spec", required=True)
 
-    p_bound = sub.add_parser("bound", help="closed-form bounds for one setup")
+    p_bound = sub.add_parser(
+        "bound", help="closed-form bounds for one setup",
+        description="Every spec key except correlated, trials and master_seed is a "
+                    "flag, named without its _m unit, with q_ as q and _ as -: --d-b, "
+                    "--qt, --phase-error-t (perfect | uniform | vonmises:K | quantized:B).")
     p_bound.add_argument("--scenario", required=True,
                          choices=[s.value for s in Scenario])
-    for flag, key in _BOUND_FLAGS.items():
-        arg_type = float if DEFAULTS[key] is None else type(DEFAULTS[key])
-        p_bound.add_argument(f"--{flag.replace('_', '-')}", dest=key,
-                             type=arg_type, default=None)
-    p_bound.add_argument("--phase-error-t", default=None,
-                         help="perfect | uniform | vonmises:K | quantized:B")
-    p_bound.add_argument("--phase-error-r", default=None)
+    for key, default in DEFAULTS.items():
+        if key not in ("correlated", "trials", "master_seed"):
+            flag = key.removesuffix("_m").replace("q_", "q").replace("_", "-")
+            p_bound.add_argument(f"--{flag}", dest=key, default=None,
+                                 type=float if default is None else type(default))
     p_bound.add_argument("--uncorrelated", dest="correlated", action="store_false",
                          help="use the identity correlation matrix")
     p_bound.add_argument("--inf-snr", action="store_true",
@@ -110,15 +97,15 @@ def _cmd_bound(args) -> int:
     scenario = Scenario(args.scenario)
     point = build_point({**DEFAULTS, **{key: value for key, value in vars(args).items()
                                         if key in DEFAULTS and value is not None}})
-    tr = trace_rbar_sq(point.geom, point.correlated)
     geom, params = point.geom, point.params
+    gamma0_db = 10.0 * np.log10(params.gamma0) if params.gamma0 > 0 else -np.inf
 
     estimators = ("limit",) if args.inf_snr else ESTIMATORS
     bounds = {}
     notes = {}
     for est in estimators:
         try:
-            bounds[est] = analytic_bound(scenario, est, point, tr)
+            bounds[est] = analytic_bound(scenario, est, point)
         except (ConfigError, ValueError) as exc:
             if args.inf_snr or est == "jensen":
                 raise  # limit explicitly requested, or the core bound failed
@@ -128,7 +115,7 @@ def _cmd_bound(args) -> int:
         payload = {
             "scenario": scenario.value,
             "n_elements": geom.n_elements,
-            "gamma0_db": 10.0 * np.log10(params.gamma0) if params.gamma0 > 0 else None,
+            "gamma0_db": None if gamma0_db == -np.inf else gamma0_db,
             "bounds": {est: {"value": b.value, "branch": b.branch}
                        for est, b in bounds.items()},
             "skipped": notes,
@@ -139,7 +126,7 @@ def _cmd_bound(args) -> int:
         print(f"{bounds['limit'].value:.4f} bits/s/Hz")
         return EXIT_OK
     print(f"scenario {scenario.value}  (N={geom.n_elements}, "
-          f"gamma0={10.0 * np.log10(params.gamma0):.1f} dB)")
+          f"gamma0={gamma0_db:.1f} dB)")
     for est in ESTIMATORS:
         if est in bounds:
             b = bounds[est]

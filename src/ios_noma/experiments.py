@@ -100,8 +100,8 @@ class SweepSpec:
     def points(self) -> list[tuple[float, ScenarioSpec, Point]]:
         """Build and check every (axis value, scenario) point, in sweep order:
         a primed target's four-user parameters whatever its estimators, and
-        analytic estimators at tr(Rbar Rbar) = N, since whether one is
-        defined never depends on the trace, so checking computes none."""
+        each analytic estimator by the analytic_bound call run_sweep makes,
+        so validating a spec runs the bound code its run does."""
         points = []
         for value in self.values:
             for scen in self.scenarios:
@@ -110,7 +110,7 @@ class SweepSpec:
                 _check_users(scen.target, point.params)
                 for est in scen.estimators:
                     if est != "mc":
-                        analytic_bound(scen.target, est, point, point.geom.n_elements)
+                        analytic_bound(scen.target, est, point)
                 points.append((value, scen, point))
         return points
 
@@ -304,29 +304,29 @@ def build_point(cfg: dict[str, object]) -> Point:
         mc=McConfig(trials=int(cfg["trials"]), master_seed=int(cfg["master_seed"])))
 
 
-def analytic_bound(target: Scenario, estimator: str, point: Point, tr: float) -> RateBound:
-    """Evaluate one analytic estimator at a point, given its tr(Rbar Rbar)."""
-    return rate_bound(target, estimator, point.params, point.geom.n_elements, tr,
+def analytic_bound(target: Scenario, estimator: str, point: Point) -> RateBound:
+    """Evaluate one analytic estimator at a point and its tr(Rbar Rbar)."""
+    return rate_bound(target, estimator, point.params, point.geom.n_elements,
+                      trace_rbar_sq(point.geom, point.correlated),
                       *(model.epsilon() for model in point.err_models))
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
-    Every point is built and checked before the first one is evaluated.
-    The bounds come first, then every mc call of the sweep goes to the
-    engine in one mc_batch, in sweep order: the first call on each
-    Gaussian key walks all of that key's calls, so an element-count
-    sweep is one walk per layout family.  The bounds and the engine read
-    tr(Rbar Rbar) from the cache of trace_rbar_sq.  Rows come back
-    sorted by (axis_value, scenario, estimator).
+    Every point and its bounds are built and checked before the first
+    one is evaluated (SweepSpec.points).  The bounds come first, then
+    every mc call of the sweep goes to the engine in one mc_batch, in
+    sweep order: the first call on each Gaussian key walks all of that
+    key's calls, so an element-count sweep is one walk per layout family.
+    analytic_bound and the engine read tr(Rbar Rbar) from the cache of
+    trace_rbar_sq.  Rows come back sorted by (axis_value, scenario, estimator).
     """
     points = spec.points()
     rows: list[ResultRow] = []
     for value, scen, point in points:
         for est in (e for e in scen.estimators if e != "mc"):
-            bound = analytic_bound(scen.target, est, point,
-                                   trace_rbar_sq(point.geom, point.correlated))
+            bound = analytic_bound(scen.target, est, point)
             rows.append(ResultRow(axis_value=value, scenario=scen.name, estimator=est,
                                   value=bound.value, branch=bound.branch))
     mc_points = [(value, scen, point) for value, scen, point in points

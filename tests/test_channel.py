@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -341,6 +342,21 @@ class TestCorrelationFactor:
         assert branch == "eigh"
         assert residual(factor, corr) <= 1e-8
         assert not np.triu(factor, 1).any()
+
+    def test_eigh_fallback_logs_its_residual(self, caplog):
+        # 6 x 6 elements of 0.00625 m at 0.1 m wavelength: rank deficient
+        corr = correlation_matrix(grid(6, 6, spacing=16))
+        with caplog.at_level(logging.DEBUG, logger="ios_noma.channel"):
+            factor = correlation_factor(corr)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert f"max |L L^T - R| = {residual(factor, corr):.2g}" in record.getMessage()
+
+    def test_cholesky_logs_nothing(self, caplog):
+        # the bundled 15 x 4 layout at half-wavelength spacing
+        with caplog.at_level(logging.DEBUG, logger="ios_noma.channel"):
+            correlation_factor(correlation_matrix(grid(15, 4, spacing=2)))
+        assert caplog.records == []
 
     def test_negative_eigenvalue_takes_eigh(self, monkeypatch):
         vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -30,11 +31,34 @@ class Captured(Exception):
     """Stops a command at the config it built."""
 
 
+# the bound command's parameter flags and the spec keys they set
+BOUND_FLAGS = {
+    "--n-h": "n_h", "--n-v": "n_v", "--wavelength": "wavelength_m",
+    "--element-len": "element_len_m", "--element-width": "element_width_m",
+    "--d-b": "d_b_m", "--d-t": "d_t_m", "--d-r": "d_r_m", "--d-tp": "d_tp_m",
+    "--d-rp": "d_rp_m", "--chi": "chi",
+    "--lambda-t-db": "lambda_t_db", "--lambda-r-db": "lambda_r_db",
+    "--lambda-tp-db": "lambda_tp_db", "--lambda-rp-db": "lambda_rp_db",
+    "--p-dbm": "p_dbm", "--noise-dbm": "noise_dbm", "--alpha": "alpha", "--beta": "beta",
+    "--qt": "q_t", "--qr": "q_r", "--qtp": "q_tp", "--qrp": "q_rp",
+    "--phase-error-t": "phase_error_t", "--phase-error-r": "phase_error_r",
+}
+
+
 class TestBound:
+    def test_flags_are_pinned(self):
+        (sub,) = [action for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        flags = {flag: action.dest for action in sub.choices["bound"]._actions
+                 for flag in action.option_strings if flag not in ("-h", "--help")}
+        assert flags == {"--scenario": "scenario", **BOUND_FLAGS,
+                         "--uncorrelated": "correlated", "--inf-snr": "inf_snr",
+                         "--json": "as_json"}
+
     @pytest.mark.parametrize("flag, key, value", [
         pytest.param(flag, key, value, id=flag) for flag, key, value in (
-            *((f"--{flag.replace('_', '-')}", key, 7 if type(DEFAULTS[key]) is int else 1.25)
-              for flag, key in cli._BOUND_FLAGS.items()),
+            *((flag, key, 7 if type(DEFAULTS[key]) is int else 1.25)
+              for flag, key in BOUND_FLAGS.items() if not key.startswith("phase_error")),
             ("--phase-error-t", "phase_error_t", "uniform"),
             ("--phase-error-r", "phase_error_r", "vonmises:2"),
             ("--uncorrelated", "correlated", False))])
@@ -52,6 +76,16 @@ class TestBound:
         cfg, = configs
         assert cfg == {**DEFAULTS, key: value}
         assert type(cfg[key]) is type(value)
+
+    def test_zero_transmit_power(self, capsys):
+        # 10^(-4000/10) W underflows to 0: gamma0 is -inf dB, with no
+        # divide-by-zero warning (pytest makes RuntimeWarning an error)
+        assert cli.main(["bound", "--scenario", "noma_t", "--p-dbm", "-4000"]) == 0
+        out = capsys.readouterr()
+        assert "gamma0=-inf dB" in out.out
+        assert out.err == ""
+        assert cli.main(["bound", "--scenario", "noma_t", "--p-dbm", "-4000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma0_db"] is None
 
     def test_infinite_snr_ceiling(self):
         res = run_cli("bound", "--scenario", "noma_r", "--qt", "0.6",

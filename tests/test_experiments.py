@@ -197,7 +197,7 @@ class TestBuilding:
         cfg = {**DEFAULTS, "q_t": 0.1**0.5, "q_r": 0.2**0.5, "q_tp": 0.3**0.5,
                "q_rp": 0.4**0.5, "d_tp_m": 12.0, "d_rp_m": 15.0}
         with pytest.raises(ConfigError, match="hardening"):
-            analytic_bound(Scenario.NOMA_TP, "hardening", build_point(cfg), 60.0)
+            analytic_bound(Scenario.NOMA_TP, "hardening", build_point(cfg))
 
 
 class TestRunSweep:

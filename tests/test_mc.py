@@ -436,6 +436,14 @@ class TestBoundsBuildNoMatrix:
         assert "bits/s/Hz" in capsys.readouterr().out
         assert builds == []
 
+    def test_validate_command(self, counting, capsys):
+        # validate evaluates the jensen rows of all 20 sizes x 2 flags
+        builds, traces = counting("correlation_matrix"), counting("trace_rbar_sq")
+        assert cli.main(["validate", "--spec", "fig7_correlation"]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+        assert len(traces) == 40
+        assert builds == []
+
 
 # (correlated, (model_t, model_r)) of the draw keys of one layout
 MIXED_GROUP = [(True, (Perfect(), Perfect())), (True, QUANT1),
