@@ -199,7 +199,7 @@ class Quantized:
 
     def __post_init__(self):
         if self.bits < 1:
-            raise ConfigError("bits must be a positive integer")
+            raise ConfigError(f"quantized:{self.bits}: bits must be a positive integer")
         if self.bits >= _PERFECT_BITS:
             raise ConfigError(f"quantized:{self.bits}: eps rounds to 1 from "
                               f"{_PERFECT_BITS} bits on; use perfect")
@@ -234,16 +234,15 @@ PhaseErrorModel = Perfect | VonMises | Quantized | UniformFull
 
 def phase_error_from_string(text: str) -> PhaseErrorModel:
     """Parse "perfect", "uniform", "vonmises:K", or "quantized:B"."""
-    head, _, arg = text.strip().lower().partition(":")
-    if head == "perfect":
-        return Perfect()
-    if head == "uniform":
-        return UniformFull()
-    if head == "vonmises":
-        return VonMises(kappa=float(arg))
-    if head == "quantized":
-        return Quantized(bits=int(arg))
-    raise ConfigError(f"unknown phase error model {text!r}")
+    head, colon, arg = text.strip().lower().partition(":")
+    if not colon and head in ("perfect", "uniform"):
+        return Perfect() if head == "perfect" else UniformFull()
+    try:
+        value = {"vonmises": float, "quantized": int}[head](arg)
+    except (KeyError, ValueError):
+        raise ConfigError(f"phase error model {text!r}: expected perfect, uniform, "
+                          "vonmises:K or quantized:B") from None
+    return VonMises(kappa=value) if head == "vonmises" else Quantized(bits=value)
 
 
 # ---------------------------------------------------------------------------

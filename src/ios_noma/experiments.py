@@ -3,8 +3,9 @@
 A sweep spec is an INI file with a [sweep] section naming the axis and
 its values, an optional [defaults] section overriding the baseline
 setup, and one [scenario:NAME] section per curve.  Keys suffixed _db or
-_dbm are converted to linear units while building.  Unset keys fall
-back to the baseline setup in DEFAULTS.
+_dbm are converted to linear units while building.  A key's value comes
+from the first of --trials/--seed (trials and master_seed only), the
+scenario's section, [defaults] and DEFAULTS that sets it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import configparser
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -70,13 +72,16 @@ _MAX_SNR = 1e300
 # real sweep: a larger count is a typo, not a sweep to allocate.
 _MAX_RANGE_VALUES = 100_000
 
+# The bundled spec files, which load_spec also finds by name.
+_SPECS_DIR = resources.files("ios_noma") / "specs"
 AXES = ("elements_per_row", "transmit_snr_db", "quantization_bits", "reflect_distance")
 ESTIMATORS = ("mc", *BOUND_ESTIMATORS)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One curve: a target rate, the estimators to emit, and overrides."""
+    """One curve: a target rate, the estimators to emit, and the keys it
+    sets over DEFAULTS (load_spec merges a spec's [defaults] in here)."""
 
     name: str
     target: Scenario
@@ -86,9 +91,11 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """An axis, its values and the curves swept along it.  The values
+    must stay distinct at the six significant digits a CSV row keys on."""
+
     axis: str
     values: tuple[float, ...]
-    defaults: dict[str, object] = field(default_factory=dict)
     scenarios: tuple[ScenarioSpec, ...] = ()
 
     def __post_init__(self):
@@ -96,22 +103,26 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}, expected one of {AXES}")
         if not self.values:
             raise ConfigError("sweep values must be non-empty")
+        # a CSV reader keys a row on its printed axis value, as a float
+        ((axis, count),) = Counter(float(_fmt(v)) for v in self.values).most_common(1)
+        if count > 1:
+            raise ConfigError(f"values: {count} axis values key their rows as {_fmt(axis)}")
 
-    def points(self) -> list[tuple[float, ScenarioSpec, Point]]:
-        """Build and check every (axis value, scenario) point, in sweep order:
-        a primed target's four-user parameters whatever its estimators, and
-        each analytic estimator by the analytic_bound call run_sweep makes,
-        so validating a spec runs the bound code its run does."""
+    def points(self) -> list[tuple[float, ScenarioSpec, Point, dict[str, RateBound]]]:
+        """Build and check every (axis value, scenario) point, in sweep
+        order, with {estimator: RateBound} for its analytic estimators.
+        A primed target's four-user parameters are checked whatever its
+        estimators, and run_sweep writes its analytic rows from these
+        bounds, so validating a spec runs the bound code its run does."""
         points = []
         for value in self.values:
             for scen in self.scenarios:
-                point = build_point(_apply_axis(
-                    {**DEFAULTS, **self.defaults, **scen.overrides}, self.axis, value))
+                point = build_point(_apply_axis({**DEFAULTS, **scen.overrides},
+                                                self.axis, value))
                 _check_users(scen.target, point.params)
-                for est in scen.estimators:
-                    if est != "mc":
-                        analytic_bound(scen.target, est, point)
-                points.append((value, scen, point))
+                points.append((value, scen, point,
+                               {est: analytic_bound(scen.target, est, point)
+                                for est in scen.estimators if est != "mc"}))
         return points
 
 
@@ -183,10 +194,11 @@ def _parse_keys(items, section: str) -> dict[str, object]:
 
 
 def load_spec(source: str | Path) -> SweepSpec:
-    """Parse a sweep spec from a file path or a bundled spec name."""
+    """Parse a sweep spec from a file path or a bundled spec name.  Each
+    scenario's overrides are its own keys over the [defaults] keys."""
     path = Path(source)
     if not path.exists() and path.suffix == "":
-        path = bundled_spec_path(str(source))
+        path = Path(str(_SPECS_DIR / f"{source}.ini"))
     if not path.exists():
         raise ConfigError(f"spec file not found: {source}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -220,25 +232,23 @@ def load_spec(source: str | Path) -> SweepSpec:
         except ValueError:
             raise ConfigError(f"section [{section}]: unknown target {raw_target!r}") from None
         estimators = tuple(e.strip() for e in items.pop("estimators", "mc").split(",") if e.strip())
-        for est in estimators:
+        for k, est in enumerate(estimators):
             if est not in ESTIMATORS:
                 raise ConfigError(f"section [{section}]: unknown estimator {est!r}")
-        scenarios.append(ScenarioSpec(name=name, target=target, estimators=estimators,
-                                      overrides=_parse_keys(items.items(), section)))
+            if est in estimators[:k]:
+                raise ConfigError(f"section [{section}]: estimator {est!r} is repeated")
+        scenarios.append(ScenarioSpec(
+            name=name, target=target, estimators=estimators,
+            overrides={**defaults, **_parse_keys(items.items(), section)}))
     if not scenarios:
         raise ConfigError("spec defines no scenario sections")
     return SweepSpec(axis=sweep["axis"], values=_parse_axis_values(sweep["values"]),
-                     defaults=defaults, scenarios=tuple(scenarios))
+                     scenarios=tuple(scenarios))
 
 
 def bundled_spec_names() -> list[str]:
-    root = resources.files("ios_noma") / "specs"
-    return sorted(p.name.removesuffix(".ini") for p in root.iterdir()
+    return sorted(p.name.removesuffix(".ini") for p in _SPECS_DIR.iterdir()
                   if p.name.endswith(".ini"))
-
-
-def bundled_spec_path(name: str) -> Path:
-    return Path(str(resources.files("ios_noma") / "specs" / f"{name}.ini"))
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +324,19 @@ def analytic_bound(target: Scenario, estimator: str, point: Point) -> RateBound:
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     """Evaluate every scenario's estimators at every axis value.
 
-    Every point and its bounds are built and checked before the first
-    one is evaluated (SweepSpec.points).  The bounds come first, then
-    every mc call of the sweep goes to the engine in one mc_batch, in
-    sweep order: the first call on each Gaussian key walks all of that
+    SweepSpec.points builds and checks every point and evaluates its
+    bounds before any sampling; the analytic rows are those bounds.
+    Then every mc call of the sweep goes to the engine in one mc_batch,
+    in sweep order: the first call on each Gaussian key walks all of that
     key's calls, so an element-count sweep is one walk per layout family.
     analytic_bound and the engine read tr(Rbar Rbar) from the cache of
     trace_rbar_sq.  Rows come back sorted by (axis_value, scenario, estimator).
     """
     points = spec.points()
-    rows: list[ResultRow] = []
-    for value, scen, point in points:
-        for est in (e for e in scen.estimators if e != "mc"):
-            bound = analytic_bound(scen.target, est, point)
-            rows.append(ResultRow(axis_value=value, scenario=scen.name, estimator=est,
-                                  value=bound.value, branch=bound.branch))
-    mc_points = [(value, scen, point) for value, scen, point in points
+    rows = [ResultRow(axis_value=value, scenario=scen.name, estimator=est,
+                      value=bound.value, branch=bound.branch)
+            for value, scen, _, bounds in points for est, bound in bounds.items()]
+    mc_points = [(value, scen, point) for value, scen, point, _ in points
                  if "mc" in scen.estimators]
     outs = mc_batch([(point.geom, point.params, point.err_models, point.mc, (scen.target,),
                       point.correlated) for _, scen, point in mc_points], workers=workers)
@@ -369,15 +376,9 @@ def write_csv(rows: list[ResultRow], path: str | Path) -> None:
 
 def spec_with_overrides(spec: SweepSpec, *, trials: int | None = None,
                         master_seed: int | None = None) -> SweepSpec:
-    """Copy of the spec with trial count or seed forced everywhere."""
-    forced = {}
-    if trials is not None:
-        forced["trials"] = trials
-    if master_seed is not None:
-        forced["master_seed"] = master_seed
-    if not forced:
-        return spec
-    scenarios = tuple(
-        replace(s, overrides={k: v for k, v in s.overrides.items() if k not in forced})
-        for s in spec.scenarios)
-    return replace(spec, defaults={**spec.defaults, **forced}, scenarios=scenarios)
+    """Copy of the spec with trial count or seed forced on every scenario."""
+    forced = {key: value for key, value in (("trials", trials),
+                                            ("master_seed", master_seed))
+              if value is not None}
+    return replace(spec, scenarios=tuple(replace(s, overrides={**s.overrides, **forced})
+                                         for s in spec.scenarios))

@@ -111,9 +111,11 @@ def test_criterion_3_reflect_user_ceiling():
     # array and von Mises (kappa = 2) errors on both sides
     spec = SweepSpec(
         axis="transmit_snr_db", values=(60.0, 75.0, 90.0),
-        defaults={"n_h": 10, "n_v": 4, "phase_error_t": "vonmises:2",
-                  "phase_error_r": "vonmises:2", "trials": 100_000, "master_seed": SEED},
-        scenarios=(ScenarioSpec(name="r", target=Scenario.NOMA_R, estimators=("mc",)),))
+        scenarios=(ScenarioSpec(
+            name="r", target=Scenario.NOMA_R, estimators=("mc",),
+            overrides={"n_h": 10, "n_v": 4, "phase_error_t": "vonmises:2",
+                       "phase_error_r": "vonmises:2", "trials": 100_000,
+                       "master_seed": SEED}),))
     means = [row.value for row in run_sweep(spec)]
     monotone = means[0] < means[1] < means[2]
     final_gap = ceiling - means[-1]

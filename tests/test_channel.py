@@ -187,6 +187,12 @@ class TestPhaseErrorModels:
         with pytest.raises(ConfigError):
             phase_error_from_string("gauss:1")
 
+    @pytest.mark.parametrize("text", ["vonmises:abc", "vonmises:", "quantized:1.5",
+                                      "quantized:", "perfect:3", "uniform:x", "gauss:1"])
+    def test_malformed_model_is_named(self, text):
+        with pytest.raises(ConfigError, match=f"phase error model '{text}'"):
+            phase_error_from_string(text)
+
     def test_model_validation(self):
         with pytest.raises(ConfigError):
             VonMises(-0.1)
@@ -328,7 +334,7 @@ class TestCorrelationFactor:
     @pytest.mark.parametrize("n_h", [18, 19, 20])
     def test_largest_fig7_layouts_take_cholesky(self, n_h, monkeypatch):
         # 5 rows at quarter-wavelength spacing, the densest bundled layouts
-        (geom,) = {point.geom for _, _, point in load_spec("fig7_correlation").points()
+        (geom,) = {point.geom for _, _, point, _ in load_spec("fig7_correlation").points()
                    if point.geom.n_h == n_h}
         corr = correlation_matrix(geom)
         factor, branch = factor_with_branch(monkeypatch, corr)

@@ -393,6 +393,39 @@ class TestFailFast:
         assert res.returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, estimators, named", [
+        ("20, 20", "mc,jensen", "values"),
+        ("20:20.000005:0.000001", "mc,jensen", "values"),
+        ("20", "jensen, jensen, mc, mc", "[scenario:a]"),
+    ], ids=["repeated_value", "values_equal_at_six_digits", "repeated_estimator"])
+    def test_repeated_row_key(self, tmp_path, counting, capsys, values, estimators, named):
+        # two rows keyed alike (axis, scenario, estimator) would both be written
+        calls = counting("mc_estimates")
+        path = tmp_path / "spec.ini"
+        path.write_text(f"[sweep]\naxis = transmit_snr_db\nvalues = {values}\n"
+                        f"[scenario:a]\ntarget = noma_t\nestimators = {estimators}\n",
+                        encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        for args in (["validate", "--spec", str(path)],
+                     ["run", "--spec", str(path), "--out", str(out), "--trials", "200"]):
+            assert cli.main(args) == 2, args[0]
+            assert named in capsys.readouterr().err, args[0]
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["vonmises:abc", "vonmises:", "quantized:1.5",
+                                       "quantized:", "perfect:3", "uniform:x"])
+    def test_malformed_phase_model_is_named(self, tmp_path, capsys, model):
+        path = tmp_path / "spec.ini"
+        path.write_text(MINI_SPEC.format(values="2") + f"phase_error_r = {model}\n",
+                        encoding="utf-8")
+        for args in (["validate", "--spec", str(path)],
+                     ["bound", "--scenario", "noma_r", "--phase-error-t", model]):
+            assert cli.main(args) == 2, args[0]
+            err = capsys.readouterr().err
+            assert f"phase error model {model!r}" in err, args[0]
+            assert "could not convert" not in err and "invalid literal" not in err
+
     def test_unknown_target_is_named(self, tmp_path):
         path = tmp_path / "spec.ini"
         path.write_text(MINI_SPEC.format(values="2").replace("noma_t", "broadcast"),

@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from ios_noma import experiments
 from ios_noma.analytic import Scenario
 from ios_noma.channel import ConfigError, Quantized, SystemParams
 from ios_noma.experiments import (DEFAULTS, ResultRow, ScenarioSpec, SweepSpec,
@@ -39,7 +40,7 @@ MINI_SPEC = textwrap.dedent("""\
 def points_at(axis, *values, **overrides):
     scen = ScenarioSpec(name="s", target=Scenario.NOMA_T, estimators=("mc",),
                         overrides=overrides)
-    return [point for _, _, point in
+    return [point for _, _, point, _ in
             SweepSpec(axis=axis, values=values, scenarios=(scen,)).points()]
 
 
@@ -119,6 +120,40 @@ class TestParsing:
     def test_missing_spec_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_spec("no_such_spec")
+
+    @pytest.mark.parametrize("values", ["20, 20", "20:20.000005:0.000001", "-0, 0"])
+    def test_axis_values_key_rows_uniquely(self, tmp_path, values):
+        # at six significant digits these all read back as 20 (or 0): the
+        # rows would share their (axis, scenario, estimator) key
+        path = tmp_path / "r.ini"
+        path.write_text(MINI_SPEC.replace("elements_per_row", "transmit_snr_db")
+                        .replace("values = 2,4", f"values = {values}"), encoding="utf-8")
+        with pytest.raises(ConfigError, match="values"):
+            load_spec(path)
+        with pytest.raises(ConfigError, match="values"):
+            SweepSpec(axis="transmit_snr_db", values=(20.0, 20.0000001))
+        assert SweepSpec(axis="transmit_snr_db", values=(20.0, 20.0001)).values
+
+    def test_repeated_estimator_is_named(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(MINI_SPEC.replace("mc,jensen", "jensen, mc, jensen"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[scenario:quant1\].*'jensen'"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("forced, expected", [
+        ({}, [(512, 777), (300, 5)]),
+        ({"trials": 200}, [(200, 777), (200, 5)]),
+        ({"master_seed": 9}, [(512, 9), (300, 9)]),
+    ])
+    def test_key_precedence(self, tmp_path, forced, expected):
+        # DEFAULTS < [defaults] < [scenario:NAME] < --trials / --seed
+        path = tmp_path / "p.ini"
+        path.write_text(MINI_SPEC + "trials = 300\nmaster_seed = 5\n", encoding="utf-8")
+        spec = spec_with_overrides(load_spec(path), **forced)
+        # two axis values of (quant1, uniform); uniform sets its own keys
+        assert [point.mc for _, _, point, _ in spec.points()] == \
+            [McConfig(trials=trials, master_seed=seed) for trials, seed in expected] * 2
 
     def test_fig3_row_budget(self):
         spec = load_spec("fig3_rate_vs_N")
@@ -220,9 +255,25 @@ class TestRunSweep:
         assert rows_to_csv_text(run_sweep(mini_spec)) == \
             rows_to_csv_text(run_sweep(mini_spec))
 
+    def test_one_bound_per_analytic_row(self, monkeypatch):
+        # validate's bounds are the ones run writes: points() evaluates
+        # each once and run_sweep reads them
+        calls = []
+        original = experiments.analytic_bound
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "analytic_bound", counted)
+        rows = run_sweep(spec_with_overrides(load_spec("fig3_rate_vs_N"), trials=200))
+        analytic = [row for row in rows if row.estimator != "mc"]
+        assert len(analytic) == 175
+        assert len(calls) == len(analytic)
+
     def test_trials_override(self, mini_spec):
         fast = spec_with_overrides(mini_spec, trials=256, master_seed=1)
-        assert fast.defaults["trials"] == 256
+        assert all(s.overrides["trials"] == 256 for s in fast.scenarios)
         rows = run_sweep(fast)
         assert len(rows) == 6
 

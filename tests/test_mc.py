@@ -384,7 +384,7 @@ class TestDrawMemo:
         assert mc._batch == {}  # dropped when the sweep returns
         # the counts a traced run reads: one batch, one engine call per MC
         # point, and one rate chain per point per block
-        points = sum("mc" in scen.estimators for _, scen, _ in spec.points())
+        points = sum("mc" in scen.estimators for _, scen, _, _ in spec.points())
         assert points == 90
         assert len(batches) == 1
         assert len(batches[0][0]) == len(calls) == points
@@ -410,7 +410,7 @@ class TestDrawMemo:
         assert len(keys) == layouts * (4 if name.startswith("fig3") else 2)
         assert len({key[0] for key in keys}) == 1
         assert {key[1] for key in keys} == set(range(1, layouts + 1))
-        assert factor.shape == (2 * (spec.defaults["n_v"] * layouts,))
+        assert factor.shape == (2 * (spec.scenarios[0].overrides["n_v"] * layouts,))
         assert all(sides == {0} for sides in keys.values())
         assert mc._batch == {}
 
@@ -1171,7 +1171,7 @@ class TestControlVariate:
         # plain half-width at 100000 trials, and never below one block, where
         # the interval near a rate's ceiling undercovers
         spec = load_spec(name)
-        (trials,) = {point.mc.trials for _, _, point in spec.points()}
+        (trials,) = {point.mc.trials for _, _, point, _ in spec.points()}
         assert BLOCK_SIZE <= trials <= 100_000
         if trials == 100_000:
             return  # not lowered
