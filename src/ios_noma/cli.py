@@ -148,12 +148,12 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_bound(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -328,7 +328,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[ResultRow]:
     bounds before any sampling; the analytic rows are those bounds.
     Then every mc call of the sweep goes to the engine in one mc_batch,
     in sweep order: the first call on each Gaussian key walks all of that
-    key's calls, so an element-count sweep is one walk per layout family.
+    key's calls: one walk per layout family and correlation flag.
     analytic_bound and the engine read tr(Rbar Rbar) from the cache of
     trace_rbar_sq.  Rows come back sorted by (axis_value, scenario, estimator).
     """

@@ -43,15 +43,18 @@ scenarios enter only through the rates.  Elements are ordered column by
 column and every stream is drawn element by element, so a layout of n_h
 columns reads the leading n_v n_h rows of its family's draws, and its
 triangular factor is the leading block of a wider layout's.  One walk
-thus samples every draw key of a family: each block draws each stream
-once, at the widest layout asked for, colours each fading stream once
-per correlation flag, draws each phase model but Perfect once per side,
-and reads the composite gain of every column count from prefix sums over
-the columns.  A side is drawn only for the keys whose members' rates read
-it, so a walk whose members ask only for T's rates draws no reflect-side
-stream at all.  A layout's draws do not depend on the other layouts of
-its walk: its i.i.d. gains are bit-identical to a lone walk's, and its
-correlated ones differ only by the rounding of the wider factor.  A
+thus samples every draw key of a family and correlation flag: each block
+draws each stream once, at the widest layout asked for, colours each
+fading stream if the walk is correlated, draws each phase model but
+Perfect once per side, and reads the composite gain of every column
+count from prefix sums over the columns.  A side is drawn only for the
+keys whose members' rates read it, so a walk whose members ask only for
+T's rates draws no reflect-side stream at all.  A layout's draws do not
+depend on the other layouts of its walk: its i.i.d. gains are
+bit-identical to a lone walk's, and its correlated ones differ only by
+the rounding of the wider factor.  The i.i.d. and the correlated walk of
+one family read the same raw Gaussians and phases, since every stream is
+seeded per block, so the two flags keep common random numbers.  A
 member is the (draw key, params, scenarios) of one engine call, as
 _member forms it.  mc_batch() takes the arguments of several calls, of
 any number of Gaussian keys; the first call on a Gaussian key walks the
@@ -224,7 +227,7 @@ def _phase_sides(key, scen) -> tuple:
     whose model has 1 - eps^2 >= _PHASE_VAR_MIN, which leaves out every
     Perfect side, and none for T' and R'.  At N = 1, H = a^2 whatever
     the phase."""
-    (family, *_), n_h, _, *models = key
+    (family, *_), n_h, *models = key
     if scen in _NOMA[2:] or family.n_v * n_h < 2:
         return ()
     return tuple(row for row in _CONTROLS[scen]
@@ -267,50 +270,47 @@ def _phase_rows(model, h, sums):
 
 
 def _walk_block(keys, factor, block, count):
-    """Composite gains of one block for the draw keys of a group, and the
+    """Composite gains of one block for the draw keys of a walk, and the
     column sums of their element amplitudes.
 
     The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
     four-user parameters: each a row of count trials, or None for a side
-    the key does not read, which no array holds.  The sums are {(side,
-    correlation flag): {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the
-    amplitudes a = |g||h| or |r||h|, at the column counts of the keys
-    that read the side with that flag; _block_moments forms the phase
-    controls from them.
+    the key does not read, which no array holds.  The sums are {side:
+    {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
+    |g||h| or |r||h|, at the column counts of the keys that read the side;
+    _block_moments forms the phase controls from them.
 
     keys maps each draw key to the sides its members read (see
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
-    H_r').  A side colours its fading streams only for the correlation
-    flags, and draws only the phase models, of the keys that read it, so
-    a side that no key reads is not drawn at all and holds no row.  Every
-    (stream, block) pair has its own generator, so skipping a side leaves
-    every other stream's draws unchanged.
+    H_r').  A side draws only the phase models of the keys that read it,
+    so a side that no key reads is not drawn at all and holds no row.
+    Every (stream, block) pair has its own generator, so skipping a side
+    leaves every other stream's draws unchanged.
 
-    Every stream is drawn once, at the group's widest layout and element
+    Every stream is drawn once, at the walk's widest layout and element
     by element, so a layout's n_v n_h elements read the leading rows of
-    each draw, whatever the widest layout is.  Each fading stream is
-    coloured once per correlation flag: by factor, the lower-triangular
-    factor of the widest correlated layout, whose leading block colours
-    every narrower one, or not at all.  A colouring keeps what every
-    phase model shares: |g||h|, and for four-user keys |g'||h| and
-    arg(g') - arg(g).  The primed composites reuse the boost set, so
-    their leftover phase at element n is arg(g'_n) - arg(g_n) + phi_n_t,
-    uniform per element but tied to the actual draws.  On a correlated
-    layout the leftovers are correlated too, so E[H'] exceeds N (about
-    37 against N = 24 on a 6 x 4 array at quarter-wavelength spacing
-    under 1-bit errors).  Then, before any phases are drawn, each
-    correlation flag of the side forms the column sums of its
-    amplitudes.  A Perfect model's gain is their A^2, so it draws no
-    phases and skips the cosine and sine pass: bit-identical, as cos 0 =
-    1 and sin 0 = 0.  Every other distinct phase model draws its stream
-    once, at the widest layout it is asked at, and each (correlation
-    flag, phase model) of the side forms the gains of all its column
-    counts from one set of element terms (see _boosted_gains).  The
-    transmit side comes first, then the reflect side with r, r' and
+    each draw, whatever the widest layout is.  All keys share the
+    correlation flag of their Gaussian key: a correlated walk colours
+    each fading stream by factor, the lower-triangular factor of its
+    widest layout, whose leading block colours every narrower one, and an
+    i.i.d. walk does not colour them.  A side keeps what every phase
+    model shares: |g||h|, and for four-user keys |g'||h| and arg(g') -
+    arg(g).  The primed composites reuse the boost set, so their leftover
+    phase at element n is arg(g'_n) - arg(g_n) + phi_n_t, uniform per
+    element but tied to the actual draws.  On a correlated layout the
+    leftovers are correlated too, so E[H'] exceeds N (about 37 against N =
+    24 on a 6 x 4 array at quarter-wavelength spacing under 1-bit errors).
+    Then, before any phases are drawn, the side forms the column sums of
+    its amplitudes.  A Perfect model's gain is their A^2, so it draws no
+    phases and skips the cosine and sine pass: bit-identical, as cos 0 = 1
+    and sin 0 = 0.  Every other distinct phase model draws its stream
+    once, at the widest layout it is asked at, and forms the gains of all
+    its column counts from one set of element terms (see _boosted_gains).
+    The transmit side comes first, then the reflect side with r, r' and
     phi_r.  Each array is freed as soon as it is used up, so the live set
     does not grow with the number of phase models.
     """
-    (family, master_seed, _, primed), *_ = next(iter(keys))
+    (family, master_seed, _, primed, correlated), *_ = next(iter(keys))
     n_v = family.n_v
     shape = (n_v * max(key[1] for key in keys), count)
 
@@ -318,31 +318,20 @@ def _walk_block(keys, factor, block, count):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def colourings(stream, flags):
-        # i.i.d. first, so that z is freed once the correlated colouring
-        # is formed
+    def colour(stream):
         z = standard_complex_gaussian(shape, rng(stream))
-        if False in flags:
-            yield False, z
-        if True in flags:
-            # one real product over the interleaved parts: bit-identical
-            # to the complex one against the factor cast to complex
-            vec = (factor @ z[:len(factor)].view(float)).view(complex)
-            del z
-            yield True, vec
+        # one real product over the interleaved parts: bit-identical to the
+        # complex one against the factor cast to complex
+        return (factor @ z.view(float)).view(complex) if correlated else z
 
-    def products(stream, flags):
-        """{flag: |a||h|} of one stream a, and {flag: arg(a)} for four-user keys."""
-        amp, arg = {}, {}
-        for flag, vec in colourings(stream, flags):
-            amp[flag] = np.abs(vec)
-            amp[flag] *= mag_h[flag]
-            if primed:
-                arg[flag] = np.angle(vec)
-        return amp, arg
+    def products(stream):
+        """|a||h| of one stream a, and arg(a) for four-user keys."""
+        vec = colour(stream)
+        amp = np.abs(vec)
+        amp *= mag_h
+        return amp, np.angle(vec) if primed else None
 
-    mag_h = {flag: np.abs(vec)
-             for flag, vec in colourings(_STREAM_H, {key[2] for key in keys})}
+    mag_h = np.abs(colour(_STREAM_H))
     # one row per side a key reads (two under four-user parameters), in
     # one array allocated before the sides are drawn; keeping each phase
     # model's own gain rows instead, between the large temporaries of the
@@ -356,39 +345,32 @@ def _walk_block(keys, factor, block, count):
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
             (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
-        asked = {}  # {phase model of this side: {flag: [keys that read it]}}
+        asked = {}  # {phase model of this side: [keys that read it]}
         for key, sides in keys.items():
             if row in sides:
-                asked.setdefault(key[3 + row], {}).setdefault(key[2], []).append(key)
+                asked.setdefault(key[2 + row], []).append(key)
         if not asked:
             continue
-        flags = {flag for by_flag in asked.values() for flag in by_flag}
-        amp, arg = products(stream, flags)
+        amp, arg = products(stream)
         if primed:
-            amp_p, arg_p = products(stream_p, flags)
-            for flag, base in arg.items():
-                arg_p[flag] -= base  # arg(a') - arg(a)
+            amp_p, arg_p = products(stream_p)
+            arg_p -= arg  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
-        for flag in flags:
-            sums[row, flag] = _column_sums(amp[flag], n_v, {
-                key[1] for by_flag in asked.values() for key in by_flag.get(flag, ())})
-        for model, by_flag in asked.items():
+        sums[row] = _column_sums(amp, n_v, {key[1] for group in asked.values()
+                                            for key in group})
+        for model, group in asked.items():
+            widths = {key[1] for key in group}
+            n = n_v * max(widths)
             perfect = isinstance(model, Perfect)
-            phases = None if perfect else model.sample(
-                (n_v * max(key[1] for group in by_flag.values() for key in group), count),
-                rng(stream_phi))
-            for flag, group in by_flag.items():
-                widths = {key[1] for key in group}
-                n = n_v * max(widths)
-                out = ({n_h: sums[row, flag][n_h][0] for n_h in widths} if perfect
-                       else _boosted_gains(amp[flag][:n], phases[:n], n_v, widths))
-                out_p = (_boosted_gains(amp_p[flag][:n], arg_p[flag][:n] if perfect
-                                        else arg_p[flag][:n] + phases[:n], n_v, widths)
-                         if primed else None)
-                for key in group:
-                    gains[key][row][...] = out[key[1]]
-                    if primed:
-                        gains[key][row + 2][...] = out_p[key[1]]
+            phases = None if perfect else model.sample((n, count), rng(stream_phi))
+            out = ({n_h: sums[row][n_h][0] for n_h in widths} if perfect
+                   else _boosted_gains(amp[:n], phases, n_v, widths))
+            out_p = (_boosted_gains(amp_p[:n], arg_p[:n] if perfect else arg_p[:n] + phases,
+                                    n_v, widths) if primed else None)
+            for key in group:
+                gains[key][row][...] = out[key[1]]
+                if primed:
+                    gains[key][row + 2][...] = out_p[key[1]]
             del phases  # before the next model's phases are drawn
         amp = amp_p = arg_p = None  # before the next side is drawn
     return gains, sums
@@ -480,8 +462,8 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
     Calls with equal draw keys evaluate their rates on the same draws,
     whatever scenarios they ask for; params enters the key only through
     params.four_user, which adds the primed gains.  The key is (Gaussian
-    key, n_h, correlated, model_t, model_r).  The Gaussian key (family,
-    master seed, trials, params.four_user) fixes the fading streams: the
+    key, n_h, model_t, model_r).  The Gaussian key (family, master seed,
+    trials, params.four_user, correlated) fixes the fading streams: the
     family is the layout's one-column geometry (n_v, element sizes and
     wavelength), whose layouts of n_h columns read the leading rows of
     every stream, so one walk samples all the keys of a Gaussian key.
@@ -489,8 +471,8 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
     scenarios = tuple(dict.fromkeys(scenarios))
     for scen in scenarios:
         _check_users(scen, params)
-    return (((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user),
-             geom.n_h, correlated, *err_models), params, scenarios)
+    return (((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user, correlated),
+             geom.n_h, *err_models), params, scenarios)
 
 
 def _block_moments(keys, members, factor, block, count):
@@ -510,7 +492,7 @@ def _block_moments(keys, members, factor, block, count):
     for key, indices in on_key.items():
         sides = {side for i in indices for scen in members[i][2]
                  for side in _phase_sides(key, scen)}
-        phase = {side: _phase_rows(key[3 + side], gains[key][side], sums[side, key[2]][key[1]])
+        phase = {side: _phase_rows(key[2 + side], gains[key][side], sums[side][key[1]])
                  for side in sides}
         for i in indices:
             _, params, scenarios = members[i]
@@ -523,11 +505,11 @@ def _block_moments(keys, members, factor, block, count):
 
 
 def _group_factor(keys):
-    """The colouring factor of a group's draw keys: that of the widest
-    correlated layout, or None if no key is correlated."""
-    n_h = max((key[1] for key in keys if key[2]), default=0)
-    return (correlation_factor(correlation_matrix(replace(next(iter(keys))[0][0], n_h=n_h)))
-            if n_h else None)
+    """The colouring factor of a walk's draw keys: that of the widest
+    layout if the walk is correlated, else None."""
+    (family, *_, correlated), *_ = next(iter(keys))
+    widest = replace(family, n_h=max(key[1] for key in keys))
+    return correlation_factor(correlation_matrix(widest)) if correlated else None
 
 
 def _walk_group(members, workers):

@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ios_noma import cli
 from ios_noma.analytic import Scenario, rate_bound
-from ios_noma.channel import Quantized, SystemParams
+from ios_noma.channel import ConfigError, Quantized, SystemParams
 from ios_noma.experiments import DEFAULTS, build_point
 from ios_noma.geometry import trace_rbar_sq
 
@@ -206,6 +207,24 @@ MINI_SPEC = ("[sweep]\naxis = elements_per_row\nvalues = {values}\n"
              "[defaults]\nn_v = 2\ntrials = 256\n"
              "[scenario:q1]\ntarget = noma_t\n"
              "phase_error_t = quantized:1\nestimators = mc,jensen\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (np.linalg.LinAlgError("Singular matrix"), 3, "numeric failure"),
+        (FloatingPointError("overflow encountered"), 3, "numeric failure"),
+        (ConfigError("bad key"), 2, "error")], ids=["linalg", "arithmetic", "config"])
+    def test_failure_kind_sets_the_exit_code(self, exc, code, prefix, tmp_path, monkeypatch,
+                                             capsys):
+        # numpy's LinAlgError is a ValueError, yet a numeric failure
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_sweep", failing)
+        path = tmp_path / "spec.ini"
+        path.write_text(MINI_SPEC.format(values="2"), encoding="utf-8")
+        assert cli.main(["run", "--spec", str(path), "--out", str(tmp_path / "rows.csv")]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 class TestFailFast:

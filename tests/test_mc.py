@@ -42,13 +42,19 @@ def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
 
 
 def walked_gains(keys):
-    """The composite gains of draw keys that share their Gaussian key,
-    shape (len(keys), 2 or 4, trials): _walk_block over the blocks with
-    the group's factor, both sides of every key, concatenated."""
-    _, _, trials, _ = keys[0][0]
-    both, factor = dict.fromkeys(keys, (0, 1)), _group_factor(keys)
-    return np.concatenate([list(_walk_block(both, factor, block, count)[0].values())
-                           for block, count in _blocks(trials)], axis=2)
+    """The composite gains of draw keys, shape (len(keys), 2 or 4,
+    trials): one _walk_block per Gaussian key over the blocks, with that
+    walk's factor, both sides of every key, concatenated."""
+    walks = {}  # {Gaussian key: its draw keys}
+    for key in keys:
+        walks.setdefault(key[0], []).append(key)
+    gains = {}
+    for (_, _, trials, *_), group in walks.items():
+        both, factor = dict.fromkeys(group, (0, 1)), _group_factor(group)
+        blocks = [_walk_block(both, factor, block, count)[0] for block, count in _blocks(trials)]
+        gains.update({key: np.concatenate([walked[key] for walked in blocks], axis=1)
+                      for key in group})
+    return np.array([gains[key] for key in keys])
 
 
 class TestTrialRates:
@@ -378,7 +384,7 @@ class TestDrawMemo:
         run_sweep(spec)
         assert len(sampled_blocks) == 1  # one walk for both phase models
         keys = sampled_blocks[0][0]
-        assert {key[3:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
+        assert {key[2:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
                                              (VonMises(2.0), VonMises(2.0))}
         assert len(keys) == 2
         assert mc._batch == {}  # dropped when the sweep returns
@@ -395,23 +401,29 @@ class TestDrawMemo:
     def test_sweep_walks_and_factors_each_layout_once(self, name, layouts,
                                                       sampled_blocks, counting):
         # every layout of the sweep is one family (n_v, element sizes and
-        # wavelength), walked once per block, and the widest layout's
-        # factor colours them all.  fig3: four phase models per layout;
-        # fig7: both correlation flags.  Both ask only for T's rate, so
-        # every key is walked on the transmit side alone
+        # wavelength), walked once per block and correlation flag, and the
+        # widest layout's factor colours the correlated walk.  fig3: four
+        # phase models per layout, all correlated; fig7: both correlation
+        # flags, so an i.i.d. walk beside the correlated one.  Both ask only
+        # for T's rate, so every key is walked on the transmit side alone
         factors = counting("correlation_factor")
         builds = counting("correlation_matrix")
         spec = spec_with_overrides(load_spec(name), trials=200)
         run_sweep(spec)
         assert len(list(_blocks(200))) == 1
-        assert len(sampled_blocks) == len(factors) == 1
+        flags = [next(iter(keys))[0][4] for keys, *_ in sampled_blocks]
+        assert flags == ([True] if name.startswith("fig3") else [True, False])
+        assert len(factors) == 1
         assert len(builds) == 1  # one per factor, none for the bounds
-        ((keys, factor, _, _),) = sampled_blocks
-        assert len(keys) == layouts * (4 if name.startswith("fig3") else 2)
-        assert len({key[0] for key in keys}) == 1
-        assert {key[1] for key in keys} == set(range(1, layouts + 1))
-        assert factor.shape == (2 * (spec.scenarios[0].overrides["n_v"] * layouts,))
-        assert all(sides == {0} for sides in keys.values())
+        for (keys, factor, _, _), correlated in zip(sampled_blocks, flags):
+            assert len(keys) == layouts * (4 if name.startswith("fig3") else 1)
+            assert len({key[0] for key in keys}) == 1
+            assert {key[1] for key in keys} == set(range(1, layouts + 1))
+            if correlated:
+                assert factor.shape == (2 * (spec.scenarios[0].overrides["n_v"] * layouts,))
+            else:
+                assert factor is None
+            assert all(sides == {0} for sides in keys.values())
         assert mc._batch == {}
 
 
@@ -474,7 +486,7 @@ class TestGroupWalk:
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=41)
         walks = counting("_walk_group")
         group = group_estimates(geom, params, members, cfg, scenarios, workers=2)
-        assert len(walks) == 1
+        assert len(walks) == 2  # one per correlation flag
         for (correlated, models), est in zip(members, group):
             assert est == estimates(geom, params, models, cfg, scenarios,
                                     correlated=correlated), (correlated, models)
@@ -529,7 +541,8 @@ class TestGroupWalk:
     def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
                                                           counting, monkeypatch):
         # two families (n_v = 4 and 5) at both correlation flags, and a
-        # four-user member, interleaved: each Gaussian key is walked once,
+        # four-user member, interleaved: five Gaussian keys, since the flag
+        # is part of the key, and each is walked once,
         # at its first call, and its estimates are those of a batch of its
         # own calls alone
         cfg = McConfig(trials=2000, master_seed=57)
@@ -542,7 +555,7 @@ class TestGroupWalk:
             return _member(*call)[0][0]
 
         keys = [gaussian(call) for call in calls]
-        assert len(set(keys)) == 3
+        assert len(set(keys)) == 5
         entries = counting("mc_estimates")
         walks = []  # (index of the engine call that walked, its members)
         walk_group = mc._walk_group
@@ -599,7 +612,7 @@ class TestFamilyWalk:
                                (VonMises(2.0), Quantized(2)))]
         for key, gains in zip(keys, walked_gains(keys)):
             lone = walked_gains([key])[0]
-            if key[2]:
+            if key[0][4]:
                 assert np.max(np.abs(gains - lone)) <= 1e-12 * np.max(lone), key[1:]
             else:
                 assert np.array_equal(gains, lone), key[1:]
@@ -625,10 +638,37 @@ class TestFamilyWalk:
                 assert abs(est.mean - lone[scen].mean) < 1e-3 * est.half_width
                 assert abs(est.half_width - lone[scen].half_width) < 1e-3 * est.half_width
 
+    def test_fig7_flags_keep_common_random_numbers(self, monkeypatch):
+        # the correlated and the i.i.d. walk of fig7's one family draw the
+        # same raw Gaussians for each stream and block, so the gap between
+        # the two curves is estimated with common random numbers
+        draws = {}  # {correlated: {(stream, block): raw draw}}
+        walk_block, gaussian = mc._walk_block, mc.standard_complex_gaussian
+        flag = []
+
+        def walking(keys, *args):
+            flag[:] = [next(iter(keys))[0][4]]
+            return walk_block(keys, *args)
+
+        def drawing(size, rng):
+            z = gaussian(size, rng)
+            draws.setdefault(flag[0], {})[rng.bit_generator.seed_seq.spawn_key] = z.copy()
+            return z
+
+        monkeypatch.setattr(mc, "_walk_block", walking)
+        monkeypatch.setattr(mc, "standard_complex_gaussian", drawing)
+        run_sweep(spec_with_overrides(load_spec("fig7_correlation"), trials=200))
+        assert set(draws) == {True, False}
+        assert draws[True].keys() == draws[False].keys() == {(mc._STREAM_H, 0),
+                                                             (mc._STREAM_G, 0)}
+        for stream_block, z in draws[True].items():
+            assert np.array_equal(z, draws[False][stream_block]), stream_block
+
     def test_rank_deficient_family_walks_once(self, counting):
         # a 16 x 16 grid at lambda/8 is numerically rank deficient, so its
         # factor comes from the clipped eigh, made triangular: its leading
         # block colours the narrower layout, and the family takes one walk
+        # per correlation flag
         def layout(n_h):
             return ArrayGeometry(n_h=n_h, n_v=16, elem_len_l=0.0125, elem_len_w=0.0125)
 
@@ -638,8 +678,9 @@ class TestFamilyWalk:
         setups = [(n_h, correlated) for n_h in (4, 16) for correlated in flags]
         group = dict(zip(setups, batch([(layout(n_h), params, QUANT1, cfg, NOMA, correlated)
                                         for n_h, correlated in setups])))
-        assert [{key[1] for key in keys} for keys, *_ in walks] == \
-            [{4, 16}] * len(list(_blocks(cfg.trials)))
+        blocks = len(list(_blocks(cfg.trials)))
+        assert [(next(iter(keys))[0][4], {key[1] for key in keys}) for keys, *_ in walks] == \
+            [(True, {4, 16})] * blocks + [(False, {4, 16})] * blocks
         for (n_h, correlated), est in group.items():
             lone = estimates(layout(n_h), params, QUANT1, cfg, NOMA, correlated=correlated)
             if not correlated:
@@ -1064,13 +1105,14 @@ class TestPhaseControls:
         # sine pass: the gains are the same bits
         params = four_user_params() if four_user else SystemParams.from_db()
         cfg = McConfig(trials=700, master_seed=83)
-        keys = [_member(half_wave_geometry(n_h, 3), params, models, cfg, (), correlated)[0]
-                for n_h in (2, 5) for correlated in (True, False)
-                for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
-        gains, _ = _walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0, 700)
-        gains = list(gains.values())
-        for perfect, boosted in zip(gains[::2], gains[1::2]):
-            assert np.array_equal(perfect, boosted)
+        for correlated in (True, False):
+            keys = [_member(half_wave_geometry(n_h, 3), params, models, cfg, (), correlated)[0]
+                    for n_h in (2, 5)
+                    for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
+            gains, _ = _walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0, 700)
+            gains = list(gains.values())
+            for perfect, boosted in zip(gains[::2], gains[1::2]):
+                assert np.array_equal(perfect, boosted), correlated
 
 
 class TestControlVariate:
