@@ -14,7 +14,6 @@ Gaussians.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .specfun import bessel_ratio_i1_i0
 
-_log = logging.getLogger(__name__)
 _LINKS = ("t", "r", "tp", "rp")
 _PERFECT_BITS = 28  # sin(pi / 2^b) rounds to pi / 2^b from here on: eps is 1.0
 
@@ -272,9 +270,11 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConfigError("correlation matrix factorization failed") from exc
     factor = np.linalg.qr((eigvec * np.sqrt(np.clip(eigval, 0.0, None))).T, mode="r").T
-    _log.warning("%d x %d correlation matrix is not numerically positive definite: "
-                 "clipped eigendecomposition factor, max |L L^T - R| = %.2g",
-                 *corr.shape, np.abs(factor @ factor.T - corr).max())
+    import logging  # ~3 ms of start-up, so only in the branch that logs
+    logging.getLogger(__name__).warning(
+        "%d x %d correlation matrix is not numerically positive definite: "
+        "clipped eigendecomposition factor, max |L L^T - R| = %.2g",
+        *corr.shape, np.abs(factor @ factor.T - corr).max())
     return factor
 
 

@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -112,6 +111,7 @@ def _cmd_bound(args) -> int:
             notes[est] = str(exc)
 
     if args.as_json:
+        import json  # ~2 ms of start-up, so only when --json asks for it
         payload = {
             "scenario": scenario.value,
             "n_elements": geom.n_elements,

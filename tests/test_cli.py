@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -453,6 +454,18 @@ class TestFailFast:
         assert res.returncode == 2
         assert "unknown target 'broadcast'" in res.stderr
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_spec_is_named(self, tmp_path, capsys, kind):
+        # a path the parser cannot open or decode names itself, not a
+        # missing section or a bare codec message
+        path = tmp_path / "d.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff" + MINI_SPEC.format(values="2").encode())
+        assert cli.main(["validate", "--spec", str(path)]) == 2
+        assert f"cannot read spec file {path}: " in capsys.readouterr().err
+
 
 # validates a spec, then runs it, in one process, and prints both exit
 # codes and the number of walks over the trial blocks
@@ -520,3 +533,42 @@ class TestContract:
         else:
             assert (validated, ran, report["walks"]) == (2, 2, 0), res.stderr
             assert not out.exists()
+
+
+# imports numpy, then the command line, and runs three commands, printing
+# the modules each one has loaded beyond numpy by the time it returns
+STARTUP_CHILD = """
+import contextlib, io, sys
+sys.path[:0] = sys.argv[2:]
+import numpy
+before = set(sys.modules)
+from ios_noma import cli
+loaded = {}
+for argv in (["validate", "--spec", "fig7_correlation"],
+             ["bound", "--scenario", "noma_r"],
+             ["run", "--spec", "fig5_rate_vs_snr", "--trials", "200", "--workers", "1",
+              "--out", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = sorted(set(sys.modules) - before)
+print(loaded)
+"""
+# what only a pool, the eigh fallback's warning or `bound --json` needs
+DEFERRED = ("concurrent.futures.process", "multiprocessing", "logging", "statistics",
+            "json", "importlib.resources")
+
+
+class TestStartup:
+    def test_commands_load_no_deferred_module(self, tmp_path):
+        # -S keeps site from loading modules (importlib.resources, through
+        # some .pth files) that the check would then never see loaded
+        res = subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP_CHILD, str(tmp_path / "rows.csv"),
+             str(Path(cli.__file__).parents[1]), *sys.path],
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        loaded = ast.literal_eval(res.stdout.splitlines()[-1])
+        for command, modules in loaded.items():
+            assert not set(DEFERRED) & set(modules), (command, modules)
+            if command != "run":
+                assert "numpy.random" not in modules, (command, modules)

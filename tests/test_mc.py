@@ -1,6 +1,8 @@
+import concurrent.futures
 import functools
 import itertools
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -371,7 +373,7 @@ class TestDrawMemo:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one block")
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         mc_estimates(half_wave_geometry(4, 4), noma_params(), QUANT1,
                      McConfig(trials=BLOCK_SIZE, master_seed=3), NOMA, workers=4)
 
@@ -843,6 +845,10 @@ class TestConfigAndEstimate:
             McConfig(master_seed=-1)
         with pytest.raises(ValueError):
             McEstimate(mean=1.0, half_width=-0.1, trials=100)
+
+    def test_z95_is_the_normal_quantile(self):
+        # a literal, so that the package need not import statistics
+        assert mc._Z95 == statistics.NormalDist().inv_cdf(0.975)
 
     def test_half_width_scales_with_trials(self, half_wave_geometry, noma_params):
         geom = half_wave_geometry(n_h=4, n_v=4)
