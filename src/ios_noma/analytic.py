@@ -101,9 +101,27 @@ def oma_slot_rates(params: SystemParams, h_t, h_r):
     full transmit power, at the cost of the 1/2 pre-log factor.  The
     slots do not interact: a user whose gain is None gets None.
     """
-    return tuple(None if h is None else
-                 0.5 * np.log1p(params.gamma0 * pathloss(params, link) * h) / _LN2
-                 for link, h in (("t", h_t), ("r", h_r)))
+    rates = []
+    for scen, h in ((Scenario.OMA_T, h_t), (Scenario.OMA_R, h_r)):
+        kappa, share = _single_log(params, scen)
+        rates.append(None if h is None else share * np.log1p(kappa * h) / _LN2)
+    return tuple(rates)
+
+
+# The rates that are one log of the gain of the one link they read (_READS)
+_SINGLE_LOG = (Scenario.NOMA_T, Scenario.OMA_T, Scenario.OMA_R)
+
+
+def _single_log(params: SystemParams, scen: Scenario):
+    """(kappa, share) of a rate that is one log of one link's composite
+    gain H, share log1p(kappa H) / ln 2: the rates of _SINGLE_LOG.  T's
+    NOMA message is decoded last, with no interference, so kappa is its
+    power share times its link gain per unit H (sic_rates); an OMA slot
+    has the full amplitude and power at the 1/2 pre-log (oma_slot_rates)."""
+    if scen is Scenario.NOMA_T:
+        ((q_sq, _),) = _shares(params, 1)
+        return link_gain(params, "t", q_sq), 1.0
+    return params.gamma0 * pathloss(params, *_READS[scen]), 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,16 @@ side's Jensen gain as its exact mean, as H does, and Q1 = H / D - 1 and
 Q2 have mean 0.  With D beside H the fit weighs the part of H that the
 magnitudes set (D) apart from the part the phases add (H - D), and Q1
 and Q2 take up the variance the phases add at fixed magnitudes, which H
-alone leaves in the uniform-phase rows.  Per block, the means and
-co-moments of y and its controls are merged in block order, so the
-estimates do not depend on how blocks were scheduled.
+alone leaves in the uniform-phase rows.  Where a side's phases are
+uniform, the rates that are one log of its gain (NOMA T, OMA T and OMA
+R; analytic._SINGLE_LOG) on n_h >= 2 columns are conditional Monte
+Carlo estimates instead (see _rotated): turning the phases of the last
+n_h - n_h // 2 columns by one more uniform angle leaves their law
+unchanged, so y and its controls are replaced by their closed-form means
+over that angle, from the magnitudes of the two halves' sums.  Per
+block, the means and co-moments of y and its controls are merged in
+block order, so the estimates do not depend on how blocks were
+scheduled.
 
 The gains depend only on the draw key of a call, and the fading streams
 only on its Gaussian key (see _member); the link budget and the
@@ -76,9 +83,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import _LINKS, _READS, Scenario, _check_users, _mean_gain, link_gain
+from .analytic import (_LINKS, _LN2, _READS, _SINGLE_LOG, Scenario, _check_users, _mean_gain,
+                       _single_log, link_gain)
 from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
-from .channel import Perfect, SystemParams, correlation_factor, standard_complex_gaussian
+from .channel import (Perfect, SystemParams, UniformFull, correlation_factor,
+                      standard_complex_gaussian)
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
 # Fixed trial block; part of the reproducibility contract, do not derive
@@ -120,8 +129,12 @@ class McEstimate:
     and OMA the conditional mean gain D = E[H | a] and the two zero-mean
     phase controls of each such side (see _phase_sides), with beta
     fitted by least squares on the same trials; E[D] = E[H], the Jensen
-    gain.  The fit biases it by O(1/trials), about 0.1 standard errors
-    at 1000 trials on an N = 8 setup.  half_width is the 95 % normal
+    gain.  For NOMA T, OMA T and OMA R on a side of uniform phases and
+    n_h >= 2 columns, y and the controls are the rotated rows: their
+    means over a uniform turn of the phases of the side's last
+    n_h - n_h // 2 columns (see _rotated), with the same means and less
+    variance.  The fit biases it by O(1/trials), about 0.1 standard
+    errors at 1000 trials on an N = 8 setup.  half_width is the 95 % normal
     half-width 1.96 sqrt(s^2 / trials), with s^2 the residual variance of
     the fit over trials - 1 - k degrees of freedom, k the number of
     controls.
@@ -136,7 +149,8 @@ class McEstimate:
             raise ValueError("half_width must be non-negative")
 
 
-def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dict:
+def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths,
+                   halves=None) -> dict:
     """{n_h: |sum_{n < n_v n_h} amp_n exp(j phases_n)|^2 per trial} for the
     column counts n_h in widths, amp = |a| |h| formed by the caller, both
     (n_v max(widths), count) with elements column by column.  The terms
@@ -144,13 +158,20 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths) -> dic
     column count reads its own prefix sum.  The real and imaginary parts
     amp cos(phases) and amp sin(phases) are summed in real arithmetic
     into one complex prefix, and the magnitude is its complex abs:
-    bit-identical to the complex expression, without a complex exp."""
+    bit-identical to the complex expression, without a complex exp.
+
+    halves maps some column counts n_h >= 2 to a (2, count) array, which
+    is filled with |S_head| and |S_tail|, the magnitudes of the sums over
+    the first n_h // 2 columns and over the rest (see _rotated)."""
     count = phases.shape[1]
     prefix = np.empty((len(phases) // n_v, count), complex)
     for part, trig in ((prefix.real, np.cos), (prefix.imag, np.sin)):
         terms = trig(phases)
         terms *= amp
         part[...] = _running_sum(terms.reshape(-1, n_v, count).sum(axis=1))
+    for n_h, (head, tail) in (halves or {}).items():
+        np.abs(prefix[n_h // 2 - 1], out=head)
+        np.abs(prefix[n_h - 1] - prefix[n_h // 2 - 1], out=tail)
     return {n_h: np.abs(prefix[n_h - 1]) ** 2 for n_h in widths}
 
 
@@ -221,14 +242,47 @@ _CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
 _PHASE_VAR_MIN = 1e-4
 
 
+def _rotated(key, scen) -> bool:
+    """Whether scen's rate on draw key is averaged over a half-surface
+    rotation: a rate of analytic._SINGLE_LOG whose side has UniformFull
+    phases and n_h >= 2 columns.  Turning the phases of the side's last
+    n_h - n_h // 2 columns by one uniform angle psi, independent of the
+    draws, leaves the law of its i.i.d. uniform phases unchanged.  So the
+    rate's mean over psi (_mean_log1p_over_rotation), a function of
+    |S_head| and |S_tail| (see _boosted_gains), has the rate's mean and
+    less variance (conditional Monte Carlo), and so do its controls
+    averaged over psi (_phase_rows).  The min over two links of NOMA R, T'
+    and R' has no mean over psi in closed form."""
+    _, n_h, *models = key
+    return (scen in _SINGLE_LOG and n_h >= 2
+            and isinstance(models[_CONTROLS[scen][0]], UniformFull))
+
+
+def _mean_log1p_over_rotation(kappa, head, tail):
+    """The mean over a uniform psi of log1p(kappa |S_head + S_tail exp(j
+    psi)|^2), per trial, from head = |S_head| and tail = |S_tail|.  With A
+    = head^2 + tail^2 and w = sqrt((1 + kappa (head - tail)^2) (1 + kappa
+    (head + tail)^2)) it is log((1 + kappa A + w) / 2), written as
+
+        log1p(kappa A / 2 + (2 kappa A + kappa^2 (head^2 - tail^2)^2) / (2 (w + 1)))
+
+    so that no nearly equal terms are subtracted, however small kappa."""
+    diff, total = head - tail, head + tail
+    k_a = kappa * (head * head + tail * tail)
+    w = np.sqrt((1.0 + kappa * diff * diff) * (1.0 + kappa * total * total))
+    cross = kappa * diff * total
+    return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
+
+
 def _phase_sides(key, scen) -> tuple:
     """The sides of scen's gain controls on draw key that also take the
     phase controls Q1 and Q2 (see _phase_rows): those of N >= 2 elements
     whose model has 1 - eps^2 >= _PHASE_VAR_MIN, which leaves out every
     Perfect side, and none for T' and R'.  At N = 1, H = a^2 whatever
-    the phase."""
+    the phase.  A _rotated rate needs N >= 3: at N = 2 each half is one
+    element, so A = D and the phase controls averaged over psi vanish."""
     (family, *_), n_h, *models = key
-    if scen in _NOMA[2:] or family.n_v * n_h < 2:
+    if scen in _NOMA[2:] or family.n_v * n_h < 2 + _rotated(key, scen):
         return ()
     return tuple(row for row in _CONTROLS[scen]
                  if 1.0 - models[row].epsilon() ** 2 >= _PHASE_VAR_MIN)
@@ -257,28 +311,43 @@ def _conditional_moments(model, sums):
     return c_sq * a_sq + sigma_sq * p2, w * b1 + u * b2
 
 
-def _phase_rows(model, h, sums):
-    """The phase controls (D, Q1, Q2) of one side's gains h: D = E[H | a]
-    (see _conditional_moments), Q1 = H / D - 1 and Q2 = Q1^2 - Var(H | a)
-    / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and Q2 have mean
-    0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H | a) / D^2.
-    (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2 | a] /
-    D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two ratios."""
+def _phase_rows(model, h, sums, halves=None):
+    """The gain and phase controls (H, D, Q1, Q2) of one side's gains h:
+    D = E[H | a] (see _conditional_moments), Q1 = H / D - 1 and Q2 = Q1^2
+    - Var(H | a) / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and
+    Q2 have mean 0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H |
+    a) / D^2.  (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2
+    | a] / D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two
+    ratios.
+
+    Given halves = (|S_head|, |S_tail|) of a UniformFull side, the rows
+    are their means over the rotation of its tail (see _rotated): H = A =
+    |S_head|^2 + |S_tail|^2, and Q2 = Q1^2 + (2 |S_head|^2 |S_tail|^2 -
+    Var(H | a)) / D^2, as the mean over psi of (H - D)^2 is (A - D)^2 + 2
+    |S_head|^2 |S_tail|^2.  Their means stay those of H, Q1 and Q2."""
     mean, var = _conditional_moments(model, sums)
+    if halves is not None:
+        head_sq, tail_sq = halves * halves
+        h = head_sq + tail_sq
+        var = var - 2.0 * head_sq * tail_sq
     q1 = h / mean - 1.0
-    return mean, q1, q1 * q1 - var / (mean * mean)
+    return h, mean, q1, q1 * q1 - var / (mean * mean)
 
 
-def _walk_block(keys, factor, block, count):
+def _walk_block(keys, factor, block, count, halves=()):
     """Composite gains of one block for the draw keys of a walk, and the
     column sums of their element amplitudes.
 
     The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
     four-user parameters: each a row of count trials, or None for a side
     the key does not read, which no array holds.  The sums are {side:
-    {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
-    |g||h| or |r||h|, at the column counts of the keys that read the side;
-    _block_moments forms the phase controls from them.
+    {n_h: ((A^2, P2, B1, B2), halves)}}, the first (see _column_sums) of
+    the amplitudes a = |g||h| or |r||h|, at the column counts of the keys
+    that read the side; _block_moments forms the phase controls from
+    them.  halves is (|S_head|, |S_tail|) of the side's UniformFull gain
+    at n_h columns (see _boosted_gains) for the distinct (side, n_h) pairs
+    of the argument halves, each n_h >= 2 and read by a key of UniformFull
+    phases on that side, and None for every other pair.
 
     keys maps each draw key to the sides its members read (see
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
@@ -332,15 +401,18 @@ def _walk_block(keys, factor, block, count):
         return amp, np.angle(vec) if primed else None
 
     mag_h = np.abs(colour(_STREAM_H))
-    # one row per side a key reads (two under four-user parameters), in
-    # one array allocated before the sides are drawn; keeping each phase
-    # model's own gain rows instead, between the large temporaries of the
-    # later draws, raised the peak RSS of a 60-element walk by 9 MB
+    # one row per side a key reads (two under four-user parameters), then
+    # the two rows of each half split asked, in one array allocated before
+    # the sides are drawn; keeping each phase model's own gain rows
+    # instead, between the large temporaries of the later draws, raised
+    # the peak RSS of a 60-element walk by 9 MB
     read = [(key, row) for key, sides in keys.items() for side in sides
             for row in ((side, side + 2) if primed else (side,))]
+    store = np.empty((len(read) + 2 * len(halves), count))
     gains = {key: [None] * (4 if primed else 2) for key in keys}
-    for (key, row), store in zip(read, np.empty((len(read), count))):
-        gains[key][row] = store
+    for (key, row), gain in zip(read, store):
+        gains[key][row] = gain
+    halves = dict(zip(halves, store[len(read):].reshape(-1, 2, count)))
     sums = {}
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
@@ -356,15 +428,17 @@ def _walk_block(keys, factor, block, count):
             amp_p, arg_p = products(stream_p)
             arg_p -= arg  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
-        sums[row] = _column_sums(amp, n_v, {key[1] for group in asked.values()
-                                            for key in group})
+        cols = _column_sums(amp, n_v, {key[1] for group in asked.values() for key in group})
+        sums[row] = {n_h: (col, halves.get((row, n_h))) for n_h, col in cols.items()}
         for model, group in asked.items():
             widths = {key[1] for key in group}
             n = n_v * max(widths)
             perfect = isinstance(model, Perfect)
             phases = None if perfect else model.sample((n, count), rng(stream_phi))
-            out = ({n_h: sums[row][n_h][0] for n_h in widths} if perfect
-                   else _boosted_gains(amp[:n], phases, n_v, widths))
+            split = ({n_h: halves[row, n_h] for n_h in widths if (row, n_h) in halves}
+                     if isinstance(model, UniformFull) else None)
+            out = ({n_h: cols[n_h][0] for n_h in widths} if perfect
+                   else _boosted_gains(amp[:n], phases, n_v, widths, split))
             out_p = (_boosted_gains(amp_p[:n], arg_p[:n] if perfect else arg_p[:n] + phases,
                                     n_v, widths) if primed else None)
             for key in group:
@@ -432,7 +506,8 @@ def _cv_estimate(moments, control_means) -> McEstimate:
     C_xy; H_t and H_r come from separate streams, each D row differs
     from its H by the phases, and each Q row varies with the phases at
     fixed magnitudes, so C_xx is not singular; a side whose phases barely
-    move H takes no D or Q rows), and a 95 % half-width from the
+    move H takes no D or Q rows, nor does a _rotated rate at N = 2, whose
+    A equals D), and a 95 % half-width from the
     residual variance with one degree of freedom per coefficient and one
     for the mean.  The residual sum of squares C_yy - C_yx beta is
     clipped at 0: it cancels to rounding when y is linear in H to double
@@ -481,27 +556,55 @@ def _block_moments(keys, members, factor, block, count):
     each member's rate chain on them.  A rate's controls are its gains H
     (see _CONTROLS), then the D rows of its _phase_sides, then their Q1
     and Q2 rows (see _phase_rows): the rows of known mean first, in the
-    order mc_estimates lists those means.  The phase controls are formed
-    from the gains and column sums key by key, once for all the members
-    on a key, so one key's phase controls are held at a time."""
-    gains, sums = _walk_block(keys, factor, block, count)
+    order mc_estimates lists those means.  A _rotated rate and its
+    controls are their means over the rotation instead: the rate from
+    the halves of its side's gain, and A in place of H.  The controls are
+    formed from the gains and column sums key by key, once for all the
+    members on a key, so one key's controls are held at a time."""
+    halves = dict.fromkeys((_CONTROLS[scen][0], key[1]) for key, _, scenarios in members
+                           for scen in scenarios if _rotated(key, scen))
+    gains, sums = _walk_block(keys, factor, block, count, halves=halves)
     on_key = {}  # {draw key: indices of its members}
     for i, (key, _, _) in enumerate(members):
         on_key.setdefault(key, []).append(i)
     out = [None] * len(members)
     for key, indices in on_key.items():
-        sides = {side for i in indices for scen in members[i][2]
-                 for side in _phase_sides(key, scen)}
-        phase = {side: _phase_rows(key[2 + side], gains[key][side], sums[side][key[1]])
-                 for side in sides}
+        controls = {}  # {(side, rotated): (H or A, D, Q1, Q2)}
+        for scen in {scen for i in indices for scen in members[i][2]}:
+            rotated = _rotated(key, scen)
+            for side in _CONTROLS[scen] if rotated else _phase_sides(key, scen):
+                if (side, rotated) not in controls:
+                    col, split = sums[side][key[1]]
+                    controls[side, rotated] = _phase_rows(key[2 + side], gains[key][side], col,
+                                                          split if rotated else None)
         for i in indices:
             _, params, scenarios = members[i]
-            out[i] = [_moments(np.vstack((
-                r, *(gains[key][row] for row in _CONTROLS[scen]),
-                *(phase[side][0] for side in _phase_sides(key, scen)),
-                *(q for side in _phase_sides(key, scen) for q in phase[side][1:]))))
-                for scen, r in _rates_at(scenarios, params, gains[key]).items()]
+            out[i] = _member_moments(key, params, scenarios, gains[key], sums, controls)
     return [moments for per_member in out for moments in per_member]
+
+
+def _member_moments(key, params, scenarios, gains, sums, controls):
+    """The moments of one member's rates on draw key, in the order of its
+    scenarios, each stacked over its controls (see _block_moments) from
+    the key's gains, the walk's sums and the key's controls {(side,
+    rotated): (H or A, D, Q1, Q2)}.  The rate chain runs once, on all the
+    member's scenarios: a _rotated rate's plain row costs one log per
+    trial, and the benchmark counts blocks as rate chain calls."""
+    rates = _rates_at(scenarios, params, gains)
+    out = []
+    for scen in scenarios:
+        rotated = _rotated(key, scen)
+        if rotated:
+            (side,) = _CONTROLS[scen]
+            kappa, share = _single_log(params, scen)
+            rate = share * _mean_log1p_over_rotation(kappa, *sums[side][key[1]][1]) / _LN2
+            gain_rows = [controls[side, True][0]]
+        else:
+            rate, gain_rows = rates[scen], [gains[row] for row in _CONTROLS[scen]]
+        phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
+        out.append(_moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase),
+                                       *(q for rows in phase for q in rows[2:])))))
+    return out
 
 
 def _group_factor(keys):

@@ -12,6 +12,8 @@ required.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _SERIES_CUTOFF = 15.0  # I0/I1 switch from power series to asymptotic expansion
@@ -99,8 +101,11 @@ def _i_asymptotic_scaled(x: float, order: int) -> float:
     return total
 
 
+@functools.cache
 def bessel_ratio_i1_i0(x: float) -> float:
-    """I1(x)/I0(x), overflow-safe for large x (ratio of scaled expansions)."""
+    """I1(x)/I0(x), overflow-safe for large x (ratio of scaled expansions).
+    Cached per x: it is the von Mises mean cosine, which a sweep asks for
+    at every point of a few concentrations."""
     if not x >= 0:  # NaN too: the asymptotic loop never ends on it
         raise ValueError(f"bessel_ratio_i1_i0 requires x >= 0, got {x}")
     if x <= _SERIES_CUTOFF:

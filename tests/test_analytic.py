@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
-                               _hardening_gain, _mean_gain, large_snr_limit,
-                               link_gain, quantization_gain,
+                               _hardening_gain, _mean_gain, _single_log, large_snr_limit,
+                               link_gain, oma_slot_rates, quantization_gain,
                                quantization_gain_limit, rate_bound,
                                sic_rates, sum_rate_verdict)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
@@ -162,6 +162,28 @@ class TestOma:
         with pytest.raises(ConfigError):
             rate_bound(Scenario.OMA_T, "limit", noma_params(), 10, uncorrelated_trace(10),
                        0.5, 0.5)
+
+
+class TestSingleLog:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(p_dbm=st.floats(-20.0, 60.0), d_t=st.floats(1.0, 30.0), d_r=st.floats(1.0, 30.0),
+           theta=st.floats(0.05, 1.5), q_sq=st.one_of(st.floats(0.0, 0.49), st.just(1.0)),
+           gains=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8))
+    def test_kappa_and_share_reproduce_the_rate_chain(self, p_dbm, d_t, d_r, theta, q_sq,
+                                                      gains):
+        # share log1p(kappa H) / ln 2 is NOMA T's, OMA T's and OMA R's rate,
+        # T's share of the power from none to all of it; a subnormal share
+        # gives subnormal rates, good only to their absolute rounding
+        params = SystemParams.from_db(p_dbm=p_dbm, d_t=d_t, d_r=d_r, alpha=math.cos(theta),
+                                      beta=math.sin(theta), q_t=math.sqrt(q_sq),
+                                      q_r=math.sqrt(1.0 - q_sq))
+        h = np.array(gains)
+        chain = {Scenario.NOMA_T: sic_rates(params, link_gain(params, "t", h))[0],
+                 **dict(zip(OMA, oma_slot_rates(params, h, h)))}
+        for scen, rate in chain.items():
+            kappa, share = _single_log(params, scen)
+            np.testing.assert_allclose(share * np.log1p(kappa * h) / math.log(2.0), rate,
+                                       rtol=1e-14, atol=1e-300, err_msg=scen.value)
 
 
 class TestLimitsAndVerdict:

@@ -648,9 +648,9 @@ class TestFamilyWalk:
         walk_block, gaussian = mc._walk_block, mc.standard_complex_gaussian
         flag = []
 
-        def walking(keys, *args):
+        def walking(keys, *args, **kwargs):
             flag[:] = [next(iter(keys))[0][4]]
-            return walk_block(keys, *args)
+            return walk_block(keys, *args, **kwargs)
 
         def drawing(size, rng):
             z = gaussian(size, rng)
@@ -800,6 +800,38 @@ class TestSidePruning:
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
         assert batch([r_call]) == [shared]
         assert batch([oma_call]) == [oma]
+
+
+class TestRotationMean:
+    """The mean of log1p(kappa |S_head + S_tail exp(j psi)|^2) over a
+    uniform psi (mc._mean_log1p_over_rotation)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kappa=st.floats(-20.0, 12.0).map(lambda e: 10.0**e),
+           head=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           tail=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           near=st.booleans())
+    def test_closed_form_matches_the_trapezoid(self, kappa, head, tail, near):
+        if near:  # halves of nearly equal magnitude: the integrand nearly reaches 0
+            tail = head * (1.0 + tail * 1e-6)
+        closed = float(mc._mean_log1p_over_rotation(kappa, np.array(head), np.array(tail)))
+        assert math.isfinite(closed) and closed >= 0.0
+        a = head * head + tail * tail
+        if head * tail == 0.0:
+            assert closed == pytest.approx(math.log1p(kappa * a), rel=1e-14, abs=0.0)
+        # the periodic trapezoid on the midpoints of m steps: exact to
+        # rounding once the log's branch points, d = arccosh((1 + kappa A)
+        # / (2 kappa |S_head| |S_tail|)) off the real axis, are far from it;
+        # at d = 0 it errs by 2 log(2) / m, from the log's zero at psi = pi
+        m = 4096
+        psi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+        trap = float(np.log1p(kappa * (a + 2.0 * head * tail * np.cos(psi))).mean())
+        b = 2.0 * kappa * head * tail
+        d = math.acosh(max((1.0 + kappa * a) / b, 1.0)) if b else math.inf
+        if m * d > 60.0:
+            assert closed == pytest.approx(trap, rel=1e-13, abs=0.0)
+        else:
+            assert closed == pytest.approx(trap, rel=0.0, abs=1e-3)
 
 
 class TestBoostedGain:
@@ -1170,6 +1202,24 @@ class TestControlVariate:
         geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
         params, models = SystemParams.from_db(), (phase_error_from_string(model),) * 2
         scenarios = NOMA + OMA
+        ref = mc_estimates(geom, params, models,
+                           McConfig(trials=1 << 18, master_seed=10**6), scenarios)
+        seeds = range(400)
+        covered = dict.fromkeys(scenarios, 0)
+        for seed in seeds:
+            out = mc_estimates(geom, params, models,
+                               McConfig(trials=1000, master_seed=seed), scenarios)
+            for scen, est in out.items():
+                covered[scen] += abs(est.mean - ref[scen].mean) <= est.half_width
+        assert min(covered.values()) >= 0.9 * len(seeds), covered
+
+    def test_rotated_interval_covers_the_reference_mean(self):
+        # test_interval_covers_the_reference_mean on a layout whose halves
+        # are 5 columns of 4 elements each, where the single-log rates on
+        # uniform phases are their means over the rotation of one half
+        geom = ArrayGeometry(n_h=10, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
+        params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
+        scenarios = (Scenario.NOMA_T, *OMA)
         ref = mc_estimates(geom, params, models,
                            McConfig(trials=1 << 18, master_seed=10**6), scenarios)
         seeds = range(400)
