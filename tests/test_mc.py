@@ -3,7 +3,9 @@ import functools
 import itertools
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -834,8 +836,43 @@ class TestRotationMean:
             assert closed == pytest.approx(trap, rel=0.0, abs=1e-3)
 
 
+# The tangent kernel's cosines and sines are within 3.5e-16 of the exact
+# values, so a gain moves by a few ulp of A^2, A = sum_n amp_n: by at most
+# 1.24e-15 A^2 over 4000 trials of each phase model
+GAIN_ERROR = 1e-14
+
+
+def plain_gains(amp, phases, n_v):
+    """|sum_n amp_n exp(j phases_n)|^2 per trial over the leading n_v n_h
+    elements, one row per n_h, with A = sum_n amp_n over the same
+    elements: per-column sums of the complex terms, accumulated."""
+    count = phases.shape[1]
+    terms = (amp * np.exp(1j * phases)).reshape(-1, n_v, count)
+    return (np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2,
+            np.cumsum(amp.reshape(-1, n_v, count).sum(axis=1), axis=0))
+
+
+def assert_gains_near_plain(gains, amp, phases, n_v, label=None):
+    plain, total = plain_gains(amp, phases, n_v)
+    for n_h, row in gains.items():
+        assert np.all(np.isfinite(row)), (label, n_h)
+        assert np.all(np.abs(row - plain[n_h - 1]) <= GAIN_ERROR * total[n_h - 1] ** 2), \
+            (label, n_h)
+
+
+# phases where the half-angle tangent is 0, 1 or near its pole
+EDGE_PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]),
+    st.builds(lambda side, d: side * math.pi + d, st.sampled_from([-1.0, 1.0]),
+              st.floats(-1e-12, 1e-12)),
+    # the primed sums arg(g') - arg(g) + phi, up to 3 pi in magnitude
+    st.builds(lambda arg, phi: arg + phi, st.floats(-2 * math.pi, 2 * math.pi),
+              st.floats(-math.pi, math.pi)))
+
+
 class TestBoostedGain:
     def test_in_place_kernel_equals_the_plain_expression(self):
+        # the tangent kernel against the complex expression, to GAIN_ERROR A^2
         rng = np.random.default_rng(3)
         count = 300
         for model in (VonMises(2.0), Quantized(1), Quantized(3), UniformFull(), Perfect()):
@@ -847,26 +884,65 @@ class TestBoostedGain:
                 mag_a[::3] = 0.0
                 mag_h[:, ::7] = 0.0
                 phases = model.sample((n, count), rng)
-                # columns of n_v elements: per-column sums, accumulated
-                terms = (mag_a * mag_h * np.exp(1j * phases)).reshape(-1, n_v, count)
-                plain = np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2
                 # the engine forms mag_a * mag_h once and shares it across
                 # phase models
-                gains = _boosted_gains(mag_a * mag_h, phases, n_v, widths)
+                amp = mag_a * mag_h
+                gains = _boosted_gains(amp, phases, n_v, widths)
                 assert sorted(gains) == sorted(widths)
-                for n_h, row in gains.items():
-                    assert np.array_equal(row, plain[n_h - 1]), (model, n_v, n_h)
+                assert_gains_near_plain(gains, amp, phases, n_v, (model, n_v))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n_v=st.integers(1, 3), n_h=st.integers(1, 4), count=st.integers(1, 5),
+           data=st.data())
+    def test_edge_phases_give_finite_gains(self, n_v, n_h, count, data):
+        # RuntimeWarnings are errors under this suite's filterwarnings
+        size = n_v * n_h * count
+        phases = np.reshape(data.draw(st.lists(EDGE_PHASES, min_size=size, max_size=size)),
+                            (n_v * n_h, count))
+        amp = np.reshape(data.draw(st.lists(st.floats(0.0, 10.0), min_size=size,
+                                            max_size=size)), (n_v * n_h, count))
+        gains = _boosted_gains(amp, phases, n_v, range(1, n_h + 1))
+        assert_gains_near_plain(gains, amp, phases, n_v)
 
     @pytest.mark.parametrize("n_h, n_v, spacing", [(25, 4, 2), (20, 5, 4), (15, 4, 2)],
                              ids=["fig3", "fig7", "precision_point"])
     def test_real_colouring_equals_the_complex_product(self, n_h, n_v, spacing):
-        # the engine colours the interleaved real and imaginary parts with
-        # one real product
+        # the engine colours a draw in place, over its interleaved real and
+        # imaginary parts in tiles: the bits of one real product, whether
+        # the last tile is full or takes a remainder
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
                              elem_len_w=0.1 / spacing, wavelength=0.1)
         factor = correlation_factor(correlation_matrix(geom))
-        z = standard_complex_gaussian((geom.n_elements, 1000), np.random.default_rng(4))
-        assert np.array_equal((factor @ z.view(float)).view(complex), factor @ z)
+        for count in (1, 1000, 1024, 1025, 2049, 5003, 16383, BLOCK_SIZE):
+            z = standard_complex_gaussian((geom.n_elements, count), np.random.default_rng(4))
+            product = factor @ z.view(float)
+            coloured = mc._colour_in_place(factor, z)
+            assert coloured is z
+            assert np.array_equal(z.view(float), product), count
+
+
+PRECISION_POINT = Path(__file__).parents[1] / "perfbench" / "specs" / "precision_point.ini"
+
+
+class TestWalkMemory:
+    def test_one_block_sweep_keeps_its_traced_peak(self):
+        # tracemalloc counts numpy's arrays at their size, wherever the
+        # allocator places them, unlike the process's peak RSS.  At its
+        # peak a 60-element block holds the complex draw being coloured
+        # (15.7 MB), |h| and the new |g||h| (7.9 MB each), about 35 MB in
+        # all; one more (60, 16384) temporary would exceed the bound
+        spec = spec_with_overrides(load_spec(PRECISION_POINT), trials=BLOCK_SIZE)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 38e6
 
 
 class TestConfigAndEstimate:
