@@ -7,9 +7,24 @@ Von Mises residuals from imperfect channel estimation, uniform
 quantization residuals of a b-bit phase shifter, or fully uniform
 phases.  Each model gives epsilon() = E[cos phi], the mean cosine of the
 bounds, and epsilon2() = E[cos 2 phi], which with it fixes the first two
-moments of the composite gain given the fading magnitudes.  Channel magnitude vectors are drawn by factoring the
-correlation matrix once and coloring i.i.d. circularly-symmetric
-Gaussians.
+moments of the composite gain given the fading magnitudes.  Channel
+magnitude vectors are drawn by factoring the correlation matrix once and
+coloring i.i.d. circularly-symmetric Gaussians.
+
+The samplers behind the fading and Von Mises streams are exact and read
+the generator's uniform doubles in cache-sized pieces, transformed in
+place.  standard_complex_gaussian returns its Gaussians in polar form
+(Box & Muller 1958): per row, c radii sqrt(-log1p(-U)), whose squares
+are Exp(1), from the row's first c doubles, then from the next c the
+tangents t = tan(pi (U' - 1/2)) of half their uniform angles on [-pi,
+pi).  _amplitudes reads |z| and arg z = 2 arctan t from it directly, or
+turns it into real and imaginary rows by the half-angle formulas and
+colours those in place.  VonMises.sample runs Best and Fisher's (1979)
+rejection from a wrapped Cauchy envelope over chunks of candidates of
+two doubles each, and keeps numpy's branch points: a uniform below kappa
+= 1e-8 and a wrapped normal above 1e6.  Both samplers read their stream
+in order, so the leading rows of a draw equal a smaller draw, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -186,7 +201,90 @@ class VonMises:
         return 1.0 - 2.0 * self.epsilon() / self.kappa if self.kappa > 0 else 0.0
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        return rng.vonmises(0.0, self.kappa, size)
+        """Phases of the given size (an int or a shape), in numpy's three
+        branches.  Below kappa = 1e-8 they are pi (2 U - 1), uniform on
+        [-pi, pi).  Above kappa = 1e6 they are the wrapped normal sqrt(1 /
+        kappa) n: numpy's ziggurat normal n stays below 14 in magnitude,
+        so |phi| < 0.014 and the wrap onto [-pi, pi) never happens, and
+        kappa = inf gives zeros.  Both are the bits of
+        Generator.vonmises(0, kappa, size), up to the sign of a zero.
+
+        In between, Best and Fisher's (1979) rejection, vectorized over
+        chunks of _CHUNK candidates (see _best_fisher).  It returns the
+        first accepted candidates in stream order, so the phases do not
+        depend on the chunk size, and the first k rows of a draw of shape
+        (n, c) equal a draw of shape (k, c) from the same generator."""
+        kappa = self.kappa
+        if 1e-8 <= kappa <= 1e6:
+            return _best_fisher(kappa, size, rng)
+        if kappa < 1e-8:
+            phases = rng.random(size)
+            phases *= 2.0
+            phases -= 1.0
+            phases *= math.pi
+        else:
+            phases = rng.standard_normal(size)
+            phases *= math.sqrt(1.0 / kappa)
+        return phases
+
+
+# Candidates per chunk of _best_fisher: their 2 doubles each and three
+# work rows, 0.4 MB in all, stay in L2 cache.  The whole-array version of
+# the same passes streams its temporaries through memory and is no faster
+# than Generator.vonmises.
+_CHUNK = 8192
+
+
+def _best_fisher(kappa: float, size, rng: np.random.Generator) -> np.ndarray:
+    """Von Mises phases of concentration kappa in [1e-8, 1e6] by Best and
+    Fisher's (1979) rejection from the wrapped Cauchy envelope of
+    parameter rho = (r - sqrt(2 r)) / (2 kappa), r = 1 + sqrt(1 + 4
+    kappa^2), here 2 kappa / (r + sqrt(2 r)), which does not cancel.
+
+    Candidate i reads the doubles 2 i and 2 i + 1 of the stream.  The
+    first, U, gives t = tan(theta / 2) of the uniform angle theta = 2 pi
+    (U - 1/2), the same tangent as the fading sampler's, whose sign is
+    the sign of the candidate and whose cosine is z = cos theta.  Best
+    and Fisher's candidate is phi with cos phi = W = (1 + s z) / (s + z),
+    s = (1 + rho^2) / (2 rho); from the half-angle formulas, tan(phi / 2)
+    = u = c t with c = (1 - rho) / (1 + rho), so phi = 2 arctan u and 1 +
+    W = 2 / (1 + u^2) come without a cosine or an arccosine, and W stays
+    in [-1, 1].  The second double, V, accepts the candidate if V <= Y
+    exp(1 - Y), Y = kappa (s - W): Best and Fisher's test log(Y / V) + 1 -
+    Y >= 0 without a division, whose squeeze Y (2 - Y) >= V only saves a
+    logarithm in a scalar loop.  The first accepted candidates in stream
+    order are the phases, filled in C order."""
+    r = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
+    rho = 2.0 * kappa / (r + math.sqrt(2.0 * r))
+    c = (1.0 - rho) / (1.0 + rho)
+    top = kappa * ((1.0 + rho * rho) / (2.0 * rho) + 1.0)  # kappa (s + 1)
+    phases = np.empty(size)
+    flat = phases.reshape(-1)
+    pairs = np.empty((_CHUNK, 2))
+    first, second = pairs.T
+    u, y, bound = np.empty((3, _CHUNK))
+    accept = np.empty(_CHUNK, bool)
+    filled = 0
+    while filled < len(flat):
+        rng.random(out=pairs)
+        np.subtract(first, 0.5, out=u)
+        u *= math.pi
+        np.tan(u, out=u)
+        u *= c
+        np.multiply(u, u, out=y)
+        y += 1.0
+        np.divide(2.0 * kappa, y, out=y)  # kappa (1 + W)
+        np.subtract(top, y, out=y)  # Y
+        np.subtract(1.0, y, out=bound)
+        np.exp(bound, out=bound)
+        bound *= y
+        np.less_equal(second, bound, out=accept)
+        taken = u[accept][:len(flat) - filled]
+        out = flat[filled:filled + len(taken)]
+        np.arctan(taken, out=out)
+        out *= 2.0
+        filled += len(taken)
+    return phases
 
 
 @dataclass(frozen=True)
@@ -278,12 +376,110 @@ def correlation_factor(corr: np.ndarray) -> np.ndarray:
     return factor
 
 
-def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex normals with unit total variance.
+# Entries per tile of standard_complex_gaussian's in-place passes, or one
+# row if a row is longer: a tile's radii and tangents, 256 KB, stay in L2
+# cache.
+_TILE = 16384
 
-    Each entry takes its real and imaginary parts together, in C order,
-    so the first k rows of a draw of shape (n, c) equal a draw of shape
-    (k, c) from the same generator, bit for bit."""
-    pairs = rng.standard_normal((*np.atleast_1d(size), 2))
-    pairs /= np.sqrt(2.0)
-    return pairs.view(complex)[..., 0]
+
+def standard_complex_gaussian(size, rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric complex normals z with unit total variance, in
+    polar form: size (..., c) gives an array of shape (..., 2, c) whose
+    row i holds the radii |z| of its c entries, then the tangents t =
+    tan(arg(z) / 2) of their half angles, so z = |z| (1 + j t)^2 / (1 +
+    t^2).  The radius is sqrt(-log1p(-U)), as |z|^2 is Exp(1), and the
+    tangent tan(pi (U' - 1/2)) of a uniform angle 2 pi (U' - 1/2) on [-pi,
+    pi), independent of the radius.
+
+    Row i reads the doubles 2 c i to 2 c (i + 1) of the stream, the radii
+    first, so the first k rows of a draw equal a k-row draw from the same
+    generator, bit for bit.  The rows are drawn and transformed in place,
+    in tiles of max(_TILE // c, 1) rows, each while it is in cache."""
+    *lead, count = np.atleast_1d(size)
+    polar = np.empty((*lead, 2, count))
+    rows = polar.reshape(-1, 2, count)
+    step = max(_TILE // count, 1)
+    for start in range(0, len(rows), step):
+        tile = rows[start:start + step]
+        rng.random(out=tile)
+        radius, tangent = tile[:, 0], tile[:, 1]
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        np.negative(radius, out=radius)
+        np.sqrt(radius, out=radius)
+        tangent -= 0.5
+        tangent *= math.pi
+        np.tan(tangent, out=tangent)
+    return polar
+
+
+def _half_angle(tangent: np.ndarray, cosine: np.ndarray) -> None:
+    """tangent = tan(phi / 2) replaced in place by sin phi = 2 t / (1 +
+    t^2), and cosine filled with cos phi = 2 / (1 + t^2) - 1."""
+    np.multiply(tangent, tangent, out=cosine)
+    cosine += 1.0
+    np.divide(2.0, cosine, out=cosine)  # 1 + cos phi
+    tangent *= cosine
+    cosine -= 1.0
+
+
+# Columns per product of _colour_in_place: 2048 columns of a 60-element
+# draw are a 1 MB temporary.
+_COLOUR_TILE = 2048
+
+
+def _colour_in_place(factor: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """real, (n, m), replaced in place by factor @ real, in tiles of
+    _COLOUR_TILE columns, so it holds one tile's temporary instead of a
+    second (n, m) array.  Each column of a product reads only its own
+    column of real.  The last tile takes the remainder, so no product is
+    narrower than a tile: on OpenBLAS a product a few columns wide takes
+    another kernel, and its last bits differed from those of one product
+    over the whole array, which the tiles match bit for bit."""
+    tiles = max(real.shape[1] // _COLOUR_TILE, 1)
+    for i in range(tiles):
+        tile = real[:, i * _COLOUR_TILE:(i + 1) * _COLOUR_TILE if i + 1 < tiles else None]
+        tile[...] = factor @ tile
+    return real
+
+
+def _amplitudes(polar: np.ndarray, factor, scale=None, angles=False) -> tuple:
+    """(|a| times scale, or |a| alone, and arg a if angles, else None), as
+    new arrays, of the fading vectors a of one (n, 2, c) polar draw z
+    (see standard_complex_gaussian): a = factor @ z for a lower-triangular
+    factor, and a = z for factor None.
+
+    For a = z, |a| is the radius and arg a = 2 arctan t.  Otherwise each
+    tile of rows turns into Re z and Im z in place, by the half-angle
+    formulas, the (n, 2 c) real view is coloured in place (see
+    _colour_in_place), and |a| = sqrt(Re^2 + Im^2) and arg a = arctan2(Im,
+    Re).  The row passes take max(_TILE // c, 1) rows at a time, each
+    with a temporary of its own: one scratch tile kept across the passes
+    changed where glibc placed the draws and raised the peak RSS of a
+    two-worker precision_point run by 6 MB."""
+    radius, tangent = polar[:, 0], polar[:, 1]
+    if factor is None:
+        amp, arg = radius.copy() if scale is None else radius * scale, None
+        if angles:
+            arg = np.arctan(tangent)
+            arg *= 2.0
+        return amp, arg
+    step = max(_TILE // polar.shape[2], 1)
+    tiles = [slice(start, start + step) for start in range(0, len(polar), step)]
+    for rows in tiles:
+        cosine = np.empty_like(radius[rows])
+        _half_angle(tangent[rows], cosine)
+        tangent[rows] *= radius[rows]  # Im z
+        radius[rows] *= cosine  # Re z
+    _colour_in_place(factor, polar.reshape(len(polar), -1))
+    real, imag = radius, tangent
+    amp = np.empty(real.shape)
+    for rows in tiles:
+        out, square = amp[rows], np.empty_like(amp[rows])
+        np.multiply(real[rows], real[rows], out=out)
+        np.multiply(imag[rows], imag[rows], out=square)
+        out += square
+        np.sqrt(out, out=out)
+    if scale is not None:
+        amp *= scale
+    return amp, np.arctan2(imag, real) if angles else None

@@ -17,8 +17,11 @@ sic_rates, oma_slot_rates) at those gains, the same expressions the
 closed-form bounds evaluate at a fixed gain.  The cosines and sines of
 the phases come from one tangent of the half angle per element (see
 _boosted_gains), within about 1e-15 A^2 of the complex expression, A =
-sum_n |g_n| |h_n|, and a correlated walk colours each fading draw in
-place, in tiles of _COLOUR_TILE trial columns (see _colour_in_place).
+sum_n |g_n| |h_n|.  The fading draws are polar (see
+channel.standard_complex_gaussian): an i.i.d. walk reads |g_n| as the
+radius, and a correlated walk turns each draw into its real and
+imaginary rows in place, by the same half-angle formulas, and colours
+those rows in place (see channel._amplitudes).
 
 Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
 is regressed on the unprimed gains it reads, H_t for the rates of T
@@ -90,8 +93,8 @@ import numpy as np
 from .analytic import (_LINKS, _LN2, _READS, _SINGLE_LOG, Scenario, _check_users, _mean_gain,
                        _single_log, link_gain)
 from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
-from .channel import (Perfect, SystemParams, UniformFull, correlation_factor,
-                      standard_complex_gaussian)
+from .channel import (Perfect, SystemParams, UniformFull, _amplitudes, _half_angle,
+                      correlation_factor, standard_complex_gaussian)
 from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
 
 # Fixed trial block; part of the reproducibility contract, do not derive
@@ -181,11 +184,7 @@ def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths,
         rows = slice(col * n_v, (col + 1) * n_v)
         np.multiply(phases[rows], 0.5, out=sine)
         np.tan(sine, out=sine)
-        np.multiply(sine, sine, out=cosine)
-        cosine += 1.0
-        np.divide(2.0, cosine, out=cosine)  # 1 + cos phi
-        sine *= cosine
-        cosine -= 1.0
+        _half_angle(sine, cosine)
         sine *= amp[rows]
         cosine *= amp[rows]
         np.sum(cosine, axis=0, out=real)
@@ -357,29 +356,6 @@ def _phase_rows(model, h, sums, halves=None):
     return h, mean, q1, q1 * q1 - var / (mean * mean)
 
 
-# Interleaved columns per product of _colour_in_place: 2048 columns of a
-# 60-element draw are a 1 MB temporary.
-_COLOUR_TILE = 2048
-
-
-def _colour_in_place(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z, complex (n, count), replaced in place by factor @ z for a real
-    factor.  The product runs over the interleaved real and imaginary
-    parts, z.view(float), in tiles of _COLOUR_TILE columns, so it holds
-    one tile's temporary instead of a second (n, 2 count) array.  Each
-    column of a product reads only its own column of z.  The last tile
-    takes the remainder, so no product is narrower than a tile: on
-    OpenBLAS a product a few columns wide takes another kernel, and its
-    last bits differed from those of one product over the whole view,
-    which the tiles match bit for bit."""
-    real = z.view(float)
-    tiles = max(real.shape[1] // _COLOUR_TILE, 1)
-    for i in range(tiles):
-        tile = real[:, i * _COLOUR_TILE:(i + 1) * _COLOUR_TILE if i + 1 < tiles else None]
-        tile[...] = factor @ tile
-    return z
-
-
 def _walk_block(keys, factor, block, count, halves=()):
     """Composite gains of one block for the draw keys of a walk, and the
     column sums of their element amplitudes.
@@ -402,31 +378,33 @@ def _walk_block(keys, factor, block, count, halves=()):
     Every (stream, block) pair has its own generator, so skipping a side
     leaves every other stream's draws unchanged.
 
-    Every stream is drawn once, at the walk's widest layout and element
-    by element, so a layout's n_v n_h elements read the leading rows of
-    each draw, whatever the widest layout is.  All keys share the
-    correlation flag of their Gaussian key: a correlated walk colours
-    each fading stream by factor, the lower-triangular factor of its
-    widest layout, whose leading block colours every narrower one, and an
-    i.i.d. walk does not colour them.  A side keeps what every phase
-    model shares: |g||h|, and for four-user keys |g'||h| and arg(g') -
-    arg(g).  The primed composites reuse the boost set, so their leftover
-    phase at element n is arg(g'_n) - arg(g_n) + phi_n_t, uniform per
-    element but tied to the actual draws.  On a correlated layout the
-    leftovers are correlated too, so E[H'] exceeds N (about 37 against N =
-    24 on a 6 x 4 array at quarter-wavelength spacing under 1-bit errors).
-    Then, before any phases are drawn, the side forms the column sums of
-    its amplitudes.  A Perfect model's gain is their A^2, so it draws no
-    phases and skips the tangent pass: bit-identical, as the pass turns a
-    zero phase into cos 1 and sin 0 exactly.  Every other distinct phase
-    model draws its stream once, at the widest layout it is asked at, and
-    forms the gains of all its column counts from one set of element
-    terms (see _boosted_gains).
+    Every stream is drawn once, at the walk's widest layout and element by
+    element, so a layout's n_v n_h elements read the leading rows of each
+    draw, whatever the widest layout is.  All keys share the correlation
+    flag of their Gaussian key: a correlated walk colours each fading
+    stream by factor, the lower-triangular factor of its widest layout,
+    whose leading block colours every narrower one, and an i.i.d. walk,
+    whose factor is None, reads the radii and angles of its polar draws as
+    they are (see _amplitudes).  Each draw is freed before any phases are
+    drawn.  A side keeps what every phase model shares: |g||h|, and for
+    four-user keys |g'||h| and arg(g') - arg(g).  The primed composites
+    reuse the boost set, so their leftover phase at element n is
+    arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but tied to the
+    actual draws.  On a correlated layout the leftovers are correlated
+    too, so E[H'] exceeds N (about 37 against N = 24 on a 6 x 4 array at
+    quarter-wavelength spacing under 1-bit errors).  Then, before any
+    phases are drawn, the side forms the column sums of its amplitudes.
+    A Perfect model's gain is their A^2, so it draws no phases and skips
+    the tangent pass: bit-identical, as the pass turns a zero phase into
+    cos 1 and sin 0 exactly.  Every other distinct phase model draws its
+    stream once, at the widest layout it is asked at, and forms the gains
+    of all its column counts from one set of element terms (see
+    _boosted_gains).
     The transmit side comes first, then the reflect side with r, r' and
     phi_r.  Each array is freed as soon as it is used up, so the live set
     does not grow with the number of phase models.
     """
-    (family, master_seed, _, primed, correlated), *_ = next(iter(keys))
+    (family, master_seed, _, primed, _), *_ = next(iter(keys))
     n_v = family.n_v
     shape = (n_v * max(key[1] for key in keys), count)
 
@@ -434,18 +412,13 @@ def _walk_block(keys, factor, block, count, halves=()):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def colour(stream):
-        z = standard_complex_gaussian(shape, rng(stream))
-        return _colour_in_place(factor, z) if correlated else z
+    def products(stream, scale=None):
+        """|a| times scale, or |a| alone, of one fading stream a, and
+        arg(a) for four-user keys (see _amplitudes); the draw is freed on
+        return, before any phases are drawn."""
+        return _amplitudes(standard_complex_gaussian(shape, rng(stream)), factor, scale, primed)
 
-    def products(stream):
-        """|a||h| of one stream a, and arg(a) for four-user keys."""
-        vec = colour(stream)
-        amp = np.abs(vec)
-        amp *= mag_h
-        return amp, np.angle(vec) if primed else None
-
-    mag_h = np.abs(colour(_STREAM_H))
+    mag_h = products(_STREAM_H)[0]
     # one row per side a key reads (two under four-user parameters), then
     # the two rows of each half split asked, in one array allocated before
     # the sides are drawn; keeping each phase model's own gain rows
@@ -468,9 +441,9 @@ def _walk_block(keys, factor, block, count, halves=()):
                 asked.setdefault(key[2 + row], []).append(key)
         if not asked:
             continue
-        amp, arg = products(stream)
+        amp, arg = products(stream, mag_h)
         if primed:
-            amp_p, arg_p = products(stream_p)
+            amp_p, arg_p = products(stream_p, mag_h)
             arg_p -= arg  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
         cols = _column_sums(amp, n_v, {key[1] for group in asked.values() for key in group})

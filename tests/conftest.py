@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from ios_noma import ArrayGeometry, SystemParams, mc
+from ios_noma.channel import standard_complex_gaussian
 from ios_noma.geometry import cross_moment
+
+
+def complex_normals(size, rng):
+    """The circularly-symmetric complex normals of one
+    standard_complex_gaussian draw of the given size, r e^{j theta} from
+    its radii r and half-angle tangents t, theta = 2 arctan t."""
+    radius, tangent = np.moveaxis(standard_complex_gaussian(size, rng), -2, 0)
+    return radius * np.exp(2j * np.arctan(tangent))
 
 
 def dense_correlation(geom):

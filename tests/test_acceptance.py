@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import complex_normals
 
 from ios_noma.analytic import (Scenario, quantization_gain_limit, rate_bound,
                                sum_rate_verdict)
 from ios_noma.channel import (Perfect, Quantized, SystemParams, UniformFull,
-                              VonMises, correlation_factor,
-                              standard_complex_gaussian)
+                              VonMises, correlation_factor)
 from ios_noma.experiments import (ScenarioSpec, SweepSpec, load_spec,
                                   rows_to_csv_text, run_sweep, spec_with_overrides)
 from ios_noma.geometry import (ArrayGeometry, correlation_matrix, cross_moment,
@@ -210,8 +210,8 @@ def test_criterion_7a_pair_moment_oracle():
         rho = math.sqrt(rho_sq)
         total, total_sq, n = 0.0, 0.0, 0
         for _ in range(4):  # 4 x 2.5e6 samples
-            z1 = standard_complex_gaussian(2_500_000, rng)
-            z2 = standard_complex_gaussian(2_500_000, rng)
+            z1 = complex_normals(2_500_000, rng)
+            z2 = complex_normals(2_500_000, rng)
             w2 = rho * z1 + math.sqrt(1.0 - rho_sq) * z2
             prod = np.abs(z1) * np.abs(w2)
             total += prod.sum()
@@ -236,8 +236,8 @@ def test_criterion_7b_channel_hardening():
         geom = half_wave_geom(n_h)
         n = geom.n_elements
         factor = correlation_factor(correlation_matrix(geom))
-        mag_h = np.abs(factor @ standard_complex_gaussian((n, trials), rng))
-        mag_g = np.abs(factor @ standard_complex_gaussian((n, trials), rng))
+        mag_h = np.abs(factor @ complex_normals((n, trials), rng))
+        mag_g = np.abs(factor @ complex_normals((n, trials), rng))
         phi = model.sample((n, trials), rng)
         h_norm = np.abs(np.sum(mag_g * mag_h * np.exp(1j * phi), axis=0)) ** 2 / n**2
         variances.append(h_norm.var())

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import complex_normals
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
+from ios_noma import channel
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor,
                               db_to_linear, dbm_to_watts, pathloss,
@@ -220,6 +222,56 @@ class TestPhaseErrorModels:
         assert 2**28 * math.sin(math.pi / 2**28) / math.pi == 1.0
 
 
+class TestVonMisesSampler:
+    # Best and Fisher's rejection over chunks of candidates, with numpy's
+    # uniform branch below kappa = 1e-8 and wrapped normal above 1e6
+
+    @pytest.mark.parametrize("kappa", [1e-6, 0.5, 1.0, 2.0, 8.0, 50.0, 1e5, 2e6])
+    def test_cosine_moments_match_the_bessel_ratios(self, kappa):
+        model = VonMises(kappa)
+        phases = model.sample((4, 500_000), np.random.default_rng(31)).ravel()
+        assert np.all(np.abs(phases) <= math.pi)
+        for sample, expected in ((np.cos(phases), model.epsilon()),
+                                 (np.cos(2.0 * phases), model.epsilon2())):
+            assert abs(sample.mean() - expected) < 4.5 * sample.std() / math.sqrt(sample.size)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_law_matches_numpy(self, kappa):
+        ours = VonMises(kappa).sample(400_000, np.random.default_rng(32))
+        numpy_draws = np.random.default_rng(33).vonmises(0.0, kappa, 400_000)
+        assert stats.ks_2samp(ours, numpy_draws).pvalue > 1e-3
+
+    @pytest.mark.parametrize("kappa", [0.0, 5e-9, 2e6])
+    def test_branches_are_numpy_bits(self, kappa):
+        # below 1e-8 pi (2 U - 1), above 1e6 the wrapped normal
+        ours = VonMises(kappa).sample((3, 1000), np.random.default_rng(34))
+        assert np.array_equal(ours, np.random.default_rng(34).vonmises(0.0, kappa, (3, 1000)))
+
+    def test_zero_kappa_is_uniform(self):
+        phases = VonMises(0.0).sample(200_000, np.random.default_rng(35))
+        assert -math.pi <= phases.min() and phases.max() < math.pi
+        assert stats.kstest(phases, "uniform", args=(-math.pi, 2.0 * math.pi)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("size", [(3, 5), (40, 1)])
+    def test_infinite_kappa_gives_zeros(self, size):
+        phases = VonMises(math.inf).sample(size, np.random.default_rng(36))
+        assert phases.shape == size and not phases.any()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 65536])
+    def test_phases_do_not_depend_on_the_chunk(self, chunk, monkeypatch):
+        reference = VonMises(2.0).sample((9, 1001), np.random.default_rng(37))
+        monkeypatch.setattr(channel, "_CHUNK", chunk)
+        assert np.array_equal(VonMises(2.0).sample((9, 1001), np.random.default_rng(37)),
+                              reference)
+
+    @pytest.mark.parametrize("kappa", [1e-9, 1.0, 1e7])
+    def test_int_and_tuple_sizes(self, kappa):
+        flat = VonMises(kappa).sample(600, np.random.default_rng(39))
+        grid = VonMises(kappa).sample((20, 30), np.random.default_rng(39))
+        assert flat.shape == (600,) and grid.shape == (20, 30)
+        assert np.array_equal(flat, grid.ravel())
+
+
 class TestCorrelatedSampling:
     def test_factor_reproduces_matrix(self):
         corr = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.6], [0.2, 0.6, 1.0]])
@@ -240,7 +292,7 @@ class TestCorrelatedSampling:
 
     def test_unit_power_rayleigh_marginals(self, rng):
         corr = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.5], [0.1, 0.5, 1.0]])
-        draws = np.abs(correlation_factor(corr) @ standard_complex_gaussian((3, 20_000), rng))
+        draws = np.abs(correlation_factor(corr) @ complex_normals((3, 20_000), rng))
         power = draws**2
         assert abs(power.mean() - 1.0) < 3.0 * power.std() / math.sqrt(power.size)
         assert abs(draws.mean() - math.sqrt(math.pi) / 2) < \
@@ -250,7 +302,7 @@ class TestCorrelatedSampling:
         rho = 0.6366
         corr = np.array([[1.0, rho], [rho, 1.0]])
         factor = correlation_factor(corr)
-        z = standard_complex_gaussian((2, 400_000), rng)
+        z = complex_normals((2, 400_000), rng)
         mags = np.abs(factor @ z)
         prod = mags[0] * mags[1]
         assert abs(prod.mean() - cross_moment(rho**2)) < \
@@ -262,20 +314,73 @@ class TestCorrelatedSampling:
                          [0.1, 0.5, 1.0, 0.5],
                          [0.0, 0.1, 0.5, 1.0]])
         factor = correlation_factor(base)
-        z = standard_complex_gaussian((4, 1_000_000), rng)
+        z = complex_normals((4, 1_000_000), rng)
         h = factor @ z
         emp = (h @ h.conj().T).real / h.shape[1]
         # entry variance is O(1/sqrt(samples)); 3 sigma with margin
         assert np.max(np.abs(emp - base)) < 3.5 / math.sqrt(h.shape[1])
 
-    @pytest.mark.parametrize("rows, wide, cols", [(20, 100, 1024), (1, 7, 3), (5, 5, 2)])
+    @pytest.mark.parametrize("rows, wide, cols", [(20, 100, 1024), (1, 7, 3), (5, 5, 2),
+                                                   (3, 40, 1), (2, 5, 16385), (7, 9, 8191)])
     def test_narrow_draw_is_the_leading_rows(self, rows, wide, cols):
         # element-major order: a layout's draws do not depend on how many
         # elements the widest layout of its walk has
         narrow = standard_complex_gaussian((rows, cols), np.random.default_rng(9))
         full = standard_complex_gaussian((wide, cols), np.random.default_rng(9))
-        assert narrow.shape == (rows, cols)
+        assert narrow.shape == (rows, 2, cols)
         assert np.array_equal(narrow, full[:rows])
+
+
+class TestPolarGaussian:
+    # standard_complex_gaussian returns z in polar form: per row, the radii
+    # |z|, then the tangents t = tan(arg(z) / 2)
+
+    def test_complex_moments(self):
+        # E|z|^2 = 1, E z^2 = 0 and E|z|^4 = 2 for a unit circular normal
+        z = complex_normals((4, 1_000_000), np.random.default_rng(21)).ravel()
+        power = np.abs(z) ** 2
+        square = z * z
+        for sample, expected in ((power, 1.0), (square.real, 0.0), (square.imag, 0.0),
+                                 (power * power, 2.0)):
+            assert abs(sample.mean() - expected) < 4.5 * sample.std() / math.sqrt(sample.size)
+
+    def test_radius_and_angle_laws(self):
+        # |z|^2 is Exp(1), and the angle 2 arctan t is uniform on [-pi, pi)
+        radius, tangent = standard_complex_gaussian(800_000, np.random.default_rng(22))
+        assert stats.kstest(radius * radius, "expon").pvalue > 1e-3
+        angle = 2.0 * np.arctan(tangent)
+        assert stats.kstest(angle, "uniform", args=(-math.pi, 2.0 * math.pi)).pvalue > 1e-3
+        assert np.all(radius >= 0.0)
+
+    @pytest.mark.parametrize("tile", [1, 1000, 4096, 65536])
+    def test_draw_does_not_depend_on_the_tile(self, tile, monkeypatch):
+        reference = standard_complex_gaussian((37, 1500), np.random.default_rng(23))
+        monkeypatch.setattr(channel, "_TILE", tile)
+        assert np.array_equal(standard_complex_gaussian((37, 1500), np.random.default_rng(23)),
+                              reference)
+
+    @pytest.mark.parametrize("count", [1, 1000, 2049, 16384])
+    def test_amplitudes_are_those_of_the_complex_draw(self, count):
+        # the walk's |a| scale and arg a: the radius and 2 arctan t
+        # uncoloured, and from Re and Im coloured in place
+        geom = ArrayGeometry(n_h=5, n_v=4, elem_len_l=0.025, elem_len_w=0.025)
+        factor = correlation_factor(correlation_matrix(geom))
+        polar = standard_complex_gaussian((20, count), np.random.default_rng(25))
+        radius, tangent = polar[:, 0], polar[:, 1]
+        scale = np.random.default_rng(26).random((20, count))
+        amp, arg = channel._amplitudes(polar.copy(), None, scale, angles=True)
+        assert np.array_equal(amp, radius * scale)
+        assert np.array_equal(arg, 2.0 * np.arctan(tangent))
+        coloured = factor @ (radius * np.exp(2j * np.arctan(tangent))) * scale
+        amp, arg = channel._amplitudes(polar, factor, scale, angles=True)
+        assert np.allclose(amp * np.exp(1j * arg), coloured, rtol=0.0, atol=1e-13)
+        assert channel._amplitudes(polar, None)[1] is None
+
+    def test_int_size_is_one_row(self):
+        draw = standard_complex_gaussian(1000, np.random.default_rng(24))
+        assert draw.shape == (2, 1000)
+        assert np.array_equal(draw, standard_complex_gaussian((1, 1000),
+                                                              np.random.default_rng(24))[0])
 
 
 def residual(factor, corr):
@@ -408,8 +513,8 @@ class TestCompositeGain:
 class TestMeanCompositeGain:
     def test_uncorrelated_perfect_phase(self, rng):
         n, trials = 8, 200_000
-        mh = np.abs(standard_complex_gaussian((n, trials), rng))
-        mg = np.abs(standard_complex_gaussian((n, trials), rng))
+        mh = np.abs(complex_normals((n, trials), rng))
+        mg = np.abs(complex_normals((n, trials), rng))
         gains = np.sum(mg * mh, axis=0) ** 2
         expected = n + n * (n - 1) * math.pi**2 / 16.0
         assert abs(gains.mean() - expected) < 3.0 * gains.std() / math.sqrt(trials)
@@ -417,8 +522,8 @@ class TestMeanCompositeGain:
     def test_corollary_bounds_with_quantization(self, rng):
         n, trials = 6, 200_000
         eps = Quantized(1).epsilon()
-        mh = np.abs(standard_complex_gaussian((n, trials), rng))
-        mg = np.abs(standard_complex_gaussian((n, trials), rng))
+        mh = np.abs(complex_normals((n, trials), rng))
+        mg = np.abs(complex_normals((n, trials), rng))
         phi = Quantized(1).sample((n, trials), rng)
         gains = np.abs(np.sum(mg * mh * np.exp(1j * phi), axis=0)) ** 2
         se = gains.std() / math.sqrt(trials)

@@ -17,7 +17,7 @@ from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
                               phase_error_from_string, standard_complex_gaussian)
 from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
-from ios_noma import cli, mc
+from ios_noma import channel, cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
@@ -644,9 +644,10 @@ class TestFamilyWalk:
 
     def test_fig7_flags_keep_common_random_numbers(self, monkeypatch):
         # the correlated and the i.i.d. walk of fig7's one family draw the
-        # same raw Gaussians for each stream and block, so the gap between
-        # the two curves is estimated with common random numbers
-        draws = {}  # {correlated: {(stream, block): raw draw}}
+        # same raw polar Gaussians for each stream and block, so the gap
+        # between the two curves is estimated with common random numbers;
+        # the correlated walk turns its draws into Re and Im in place
+        draws = {}  # {correlated: {(stream, block): raw polar draw}}
         walk_block, gaussian = mc._walk_block, mc.standard_complex_gaussian
         flag = []
 
@@ -655,9 +656,9 @@ class TestFamilyWalk:
             return walk_block(keys, *args, **kwargs)
 
         def drawing(size, rng):
-            z = gaussian(size, rng)
-            draws.setdefault(flag[0], {})[rng.bit_generator.seed_seq.spawn_key] = z.copy()
-            return z
+            polar = gaussian(size, rng)
+            draws.setdefault(flag[0], {})[rng.bit_generator.seed_seq.spawn_key] = polar.copy()
+            return polar
 
         monkeypatch.setattr(mc, "_walk_block", walking)
         monkeypatch.setattr(mc, "standard_complex_gaussian", drawing)
@@ -665,8 +666,8 @@ class TestFamilyWalk:
         assert set(draws) == {True, False}
         assert draws[True].keys() == draws[False].keys() == {(mc._STREAM_H, 0),
                                                              (mc._STREAM_G, 0)}
-        for stream_block, z in draws[True].items():
-            assert np.array_equal(z, draws[False][stream_block]), stream_block
+        for stream_block, polar in draws[True].items():
+            assert np.array_equal(polar, draws[False][stream_block]), stream_block
 
     def test_rank_deficient_family_walks_once(self, counting):
         # a 16 x 16 grid at lambda/8 is numerically rank deficient, so its
@@ -907,31 +908,39 @@ class TestBoostedGain:
     @pytest.mark.parametrize("n_h, n_v, spacing", [(25, 4, 2), (20, 5, 4), (15, 4, 2)],
                              ids=["fig3", "fig7", "precision_point"])
     def test_real_colouring_equals_the_complex_product(self, n_h, n_v, spacing):
-        # the engine colours a draw in place, over its interleaved real and
-        # imaginary parts in tiles: the bits of one real product, whether
-        # the last tile is full or takes a remainder
+        # the engine colours a draw in place, over each row's real parts
+        # and then its imaginary parts, (n, 2 count), in tiles: the bits of
+        # one real product, whether the last tile is full or takes a
+        # remainder
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.1 / spacing,
                              elem_len_w=0.1 / spacing, wavelength=0.1)
         factor = correlation_factor(correlation_matrix(geom))
         for count in (1, 1000, 1024, 1025, 2049, 5003, 16383, BLOCK_SIZE):
-            z = standard_complex_gaussian((geom.n_elements, count), np.random.default_rng(4))
-            product = factor @ z.view(float)
-            coloured = mc._colour_in_place(factor, z)
-            assert coloured is z
-            assert np.array_equal(z.view(float), product), count
+            draw = standard_complex_gaussian((geom.n_elements, count), np.random.default_rng(4))
+            real = draw.reshape(geom.n_elements, 2 * count)
+            product = factor @ real
+            coloured = channel._colour_in_place(factor, real)
+            assert coloured is real
+            assert np.array_equal(real, product), count
 
 
-PRECISION_POINT = Path(__file__).parents[1] / "perfbench" / "specs" / "precision_point.ini"
+PERFBENCH_SPECS = Path(__file__).parents[1] / "perfbench" / "specs"
+PRECISION_POINT = PERFBENCH_SPECS / "precision_point.ini"
 
 
 class TestWalkMemory:
-    def test_one_block_sweep_keeps_its_traced_peak(self):
-        # tracemalloc counts numpy's arrays at their size, wherever the
-        # allocator places them, unlike the process's peak RSS.  At its
-        # peak a 60-element block holds the complex draw being coloured
-        # (15.7 MB), |h| and the new |g||h| (7.9 MB each), about 35 MB in
-        # all; one more (60, 16384) temporary would exceed the bound
-        spec = spec_with_overrides(load_spec(PRECISION_POINT), trials=BLOCK_SIZE)
+    # tracemalloc counts numpy's arrays at their size, wherever the
+    # allocator places them, unlike the process's peak RSS.  At its peak a
+    # 60-element block of precision_point holds the polar draw being
+    # coloured (15.7 MB), |h| and the new |g||h| (7.9 MB each), about 35 MB
+    # in all; one more (60, 16384) temporary would exceed the bound.  fig5
+    # draws von Mises phases on both sides of N = 40: its bound keeps the
+    # sampler's chunks from growing with the draw
+    @pytest.mark.parametrize("spec_path, bound", [(PRECISION_POINT, 38e6),
+                                                  (PERFBENCH_SPECS / "fig5_rate_vs_snr.ini", 24e6)],
+                             ids=["precision_point", "fig5"])
+    def test_one_block_sweep_keeps_its_traced_peak(self, spec_path, bound):
+        spec = spec_with_overrides(load_spec(spec_path), trials=BLOCK_SIZE)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -942,7 +951,7 @@ class TestWalkMemory:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 38e6
+        assert peak <= bound
 
 
 class TestConfigAndEstimate:
