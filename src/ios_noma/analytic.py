@@ -213,13 +213,19 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
 
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
     """Transmit-SNR-independent ceiling of the interference-limited rates:
-    sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2)."""
+    sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2), and 0
+    for a user of no power share.  Where the users decoded after the
+    target share no power (R at q_t = 0, T' at q_t = q_r = 0), its rate
+    grows with the SNR, and there is no limit, as for T and OMA."""
     _check_users(scenario, params)
     if scenario not in _NOMA_USERS[1:]:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}")
     k = _NOMA_USERS.index(scenario)
     q_k, interference = _shares(params, k + 1)[k]
-    return RateBound(math.log1p(q_k / interference) / _LN2)
+    if q_k and not interference:
+        raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}: "
+                          "the users decoded after it have no power share")
+    return RateBound(math.log1p(q_k / interference) / _LN2 if q_k else 0.0)
 
 
 def sum_rate_verdict(params: SystemParams, eps_t: float, eps_r: float) -> Verdict:

@@ -69,15 +69,16 @@ bit-identical to a lone walk's, and its correlated ones differ only by
 the rounding of the wider factor.  The i.i.d. and the correlated walk of
 one family read the same raw Gaussians and phases, since every stream is
 seeded per block, so the two flags keep common random numbers.  A
-member is the (draw key, params, scenarios) of one engine call, as
-_member forms it.  mc_batch() takes the arguments of several calls, of
-any number of Gaussian keys; the first call on a Gaussian key walks the
-blocks once, runs the rate chain of every member of the batch that
-shares the key on each block's gains, and keeps only the merged moments
-per member and scenario, from which the batch's later calls on that key
-finalize.  Nothing is kept after mc_batch returns, and a lone
-mc_estimates call walks alone.  A walk holds one block of gains at a
-time, whatever the trial count.
+member is (draw key, params, scenario), one rate of one engine call, as
+_member forms it: a call of k scenarios is k members on one draw key,
+so all the rates that share draws are members of one walk.
+mc_batch() takes the arguments of several calls, of any number of
+Gaussian keys; the first call on a Gaussian key walks the blocks once,
+runs the rate chain of every member of the batch that shares the key on
+each block's gains, and keeps only the merged moments per member, from
+which the batch's later calls on that key finalize.  Nothing is kept
+after mc_batch returns, and a lone mc_estimates call walks alone.  A
+walk holds one block of gains at a time, whatever the trial count.
 SystemParams rejects four-user parameters that break the pathloss
 ordering behind the (R', T', R, T) decoding order, so the engine checks
 none.
@@ -357,19 +358,20 @@ def _phase_rows(model, h, sums, halves=None):
 
 
 def _walk_block(keys, factor, block, count, halves=()):
-    """Composite gains of one block for the draw keys of a walk, and the
-    column sums of their element amplitudes.
+    """(gains, sums, halves) of one block for the draw keys of a walk:
+    their composite gains, the column sums of their element amplitudes
+    and the half sums of their rotated sides.
 
     The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
     four-user parameters: each a row of count trials, or None for a side
     the key does not read, which no array holds.  The sums are {side:
-    {n_h: ((A^2, P2, B1, B2), halves)}}, the first (see _column_sums) of
-    the amplitudes a = |g||h| or |r||h|, at the column counts of the keys
-    that read the side; _block_moments forms the phase controls from
-    them.  halves is (|S_head|, |S_tail|) of the side's UniformFull gain
-    at n_h columns (see _boosted_gains) for the distinct (side, n_h) pairs
-    of the argument halves, each n_h >= 2 and read by a key of UniformFull
-    phases on that side, and None for every other pair.
+    {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
+    |g||h| or |r||h|, at the column counts of the keys that read the
+    side; _block_moments forms the phase controls from them.  The halves
+    returned are {(side, n_h): (|S_head|, |S_tail|)} of the side's
+    UniformFull gain at n_h columns (see _boosted_gains) for the distinct
+    (side, n_h) pairs of the argument halves, each n_h >= 2 and read by a
+    key of UniformFull phases on that side.
 
     keys maps each draw key to the sides its members read (see
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
@@ -446,8 +448,8 @@ def _walk_block(keys, factor, block, count, halves=()):
             amp_p, arg_p = products(stream_p, mag_h)
             arg_p -= arg  # arg(a') - arg(a)
         arg = None  # only arg(a') - arg(a) is read from here on
-        cols = _column_sums(amp, n_v, {key[1] for group in asked.values() for key in group})
-        sums[row] = {n_h: (col, halves.get((row, n_h))) for n_h, col in cols.items()}
+        sums[row] = cols = _column_sums(amp, n_v,
+                                        {key[1] for group in asked.values() for key in group})
         for model, group in asked.items():
             widths = {key[1] for key in group}
             n = n_v * max(widths)
@@ -465,23 +467,18 @@ def _walk_block(keys, factor, block, count, halves=()):
                     gains[key][row + 2][...] = out_p[key[1]]
             del phases  # before the next model's phases are drawn
         amp = amp_p = arg_p = None  # before the next side is drawn
-    return gains, sums
+    return gains, sums, halves
 
 
-def _rates_at(scenarios, params, gains):
-    """Per-trial rates at one block's gains, {scenario: rates} in the order
-    asked.  Only the chains asked for run, and each reads only the gains
-    of the users asked for: the NOMA chain those of the users T, R, T',
-    R' up to the last one asked for, and the OMA chain those of the OMA
-    users asked for."""
-    rates = {}
-    users = max((_NOMA.index(scen) + 1 for scen in scenarios if scen in _NOMA), default=0)
-    if users:
-        rates.update(zip(_NOMA, noma_trial_rates(params, *gains[:users])))
-    if not set(scenarios).isdisjoint(_OMA):
-        rates.update(zip(_OMA, oma_trial_rates(params, *(
-            gains[row] if scen in scenarios else None for row, scen in enumerate(_OMA)))))
-    return {scen: rates[scen] for scen in scenarios}
+def _rate(scen, params, gains):
+    """The per-trial rate of scen at one block's gains, from one call of
+    its rate chain: the NOMA chain on the gains of the users T, R, T', R'
+    up to scen's own, or the OMA chain on the gain of scen's slot alone."""
+    if scen in _NOMA:
+        k = _NOMA.index(scen)
+        return noma_trial_rates(params, *gains[:k + 1])[k]
+    k = _OMA.index(scen)
+    return oma_trial_rates(params, *(gains[row] if row == k else None for row in (0, 1)))[k]
 
 
 def _blocks(trials: int):
@@ -543,85 +540,75 @@ def _cv_estimate(moments, control_means) -> McEstimate:
 # ---------------------------------------------------------------------------
 # the group walk
 
-# The members of the running mc_batch: {member: {scenario: moments}, or
-# None until walked}; empty whenever no mc_batch runs
-_batch: dict[tuple, dict | None] = {}
+# The members of the running mc_batch: {member: moments, or None until
+# walked}; empty whenever no mc_batch runs
+_batch: dict[tuple, tuple | None] = {}
 
 
-def _member(geom, params, err_models, cfg, scenarios, correlated) -> tuple:
-    """The member (draw key, params, scenarios) of an mc_estimates call,
-    its scenarios without repeats in the order asked.
+def _member(geom, params, err_models, cfg, scenarios, correlated) -> list:
+    """The members (draw key, params, scenario) of an mc_estimates call,
+    one per scenario without repeats, in the order asked, all on one
+    draw key.
 
-    Calls with equal draw keys evaluate their rates on the same draws,
-    whatever scenarios they ask for; params enters the key only through
-    params.four_user, which adds the primed gains.  The key is (Gaussian
-    key, n_h, model_t, model_r).  The Gaussian key (family, master seed,
-    trials, params.four_user, correlated) fixes the fading streams: the
-    family is the layout's one-column geometry (n_v, element sizes and
-    wavelength), whose layouts of n_h columns read the leading rows of
-    every stream, so one walk samples all the keys of a Gaussian key.
+    Members with equal draw keys evaluate their rates on the same draws;
+    params enters the key only through params.four_user, which adds the
+    primed gains.  The key is (Gaussian key, n_h, model_t, model_r).  The
+    Gaussian key (family, master seed, trials, params.four_user,
+    correlated) fixes the fading streams: the family is the layout's
+    one-column geometry (n_v, element sizes and wavelength), whose
+    layouts of n_h columns read the leading rows of every stream, so one
+    walk samples all the keys of a Gaussian key.
     """
-    scenarios = tuple(dict.fromkeys(scenarios))
     for scen in scenarios:
         _check_users(scen, params)
-    return (((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user, correlated),
-             geom.n_h, *err_models), params, scenarios)
+    key = ((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user, correlated),
+           geom.n_h, *err_models)
+    return [(key, params, scen) for scen in dict.fromkeys(scenarios)]
 
 
 def _block_moments(keys, members, factor, block, count):
-    """The moments of each rate and its controls over one block, per
-    member and scenario in order: the gains of the block's keys, then
+    """The moments of each member's rate and its controls over one
+    block, one per member in order: the gains of the block's keys, then
     each member's rate chain on them.  A rate's controls are its gains H
     (see _CONTROLS), then the D rows of its _phase_sides, then their Q1
     and Q2 rows (see _phase_rows): the rows of known mean first, in the
     order mc_estimates lists those means.  A _rotated rate and its
     controls are their means over the rotation instead: the rate from
-    the halves of its side's gain, and A in place of H.  The controls are
-    formed from the gains and column sums key by key, once for all the
-    members on a key, so one key's controls are held at a time."""
-    halves = dict.fromkeys((_CONTROLS[scen][0], key[1]) for key, _, scenarios in members
-                           for scen in scenarios if _rotated(key, scen))
-    gains, sums = _walk_block(keys, factor, block, count, halves=halves)
-    on_key = {}  # {draw key: indices of its members}
-    for i, (key, _, _) in enumerate(members):
-        on_key.setdefault(key, []).append(i)
+    the halves of its side's gain, and A in place of H.  Its chain still
+    runs, once per block like every member's, since the benchmark counts
+    blocks as rate chain calls, and its rate is not read.  The controls
+    are formed from the gains, column sums and halves key by key, once
+    for all the members on a key, so one key's controls are held at a
+    time."""
+    halves = dict.fromkeys((_CONTROLS[scen][0], key[1]) for key, _, scen in members
+                           if _rotated(key, scen))
+    gains, sums, halves = _walk_block(keys, factor, block, count, halves=halves)
+    on_key = {}  # {draw key: [(index, params, scenario) of its members]}
+    for i, (key, params, scen) in enumerate(members):
+        on_key.setdefault(key, []).append((i, params, scen))
     out = [None] * len(members)
-    for key, indices in on_key.items():
+    for key, group in on_key.items():
         controls = {}  # {(side, rotated): (H or A, D, Q1, Q2)}
-        for scen in {scen for i in indices for scen in members[i][2]}:
+        for _, _, scen in group:
             rotated = _rotated(key, scen)
             for side in _CONTROLS[scen] if rotated else _phase_sides(key, scen):
                 if (side, rotated) not in controls:
-                    col, split = sums[side][key[1]]
-                    controls[side, rotated] = _phase_rows(key[2 + side], gains[key][side], col,
-                                                          split if rotated else None)
-        for i in indices:
-            _, params, scenarios = members[i]
-            out[i] = _member_moments(key, params, scenarios, gains[key], sums, controls)
-    return [moments for per_member in out for moments in per_member]
-
-
-def _member_moments(key, params, scenarios, gains, sums, controls):
-    """The moments of one member's rates on draw key, in the order of its
-    scenarios, each stacked over its controls (see _block_moments) from
-    the key's gains, the walk's sums and the key's controls {(side,
-    rotated): (H or A, D, Q1, Q2)}.  The rate chain runs once, on all the
-    member's scenarios: a _rotated rate's plain row costs one log per
-    trial, and the benchmark counts blocks as rate chain calls."""
-    rates = _rates_at(scenarios, params, gains)
-    out = []
-    for scen in scenarios:
-        rotated = _rotated(key, scen)
-        if rotated:
-            (side,) = _CONTROLS[scen]
-            kappa, share = _single_log(params, scen)
-            rate = share * _mean_log1p_over_rotation(kappa, *sums[side][key[1]][1]) / _LN2
-            gain_rows = [controls[side, True][0]]
-        else:
-            rate, gain_rows = rates[scen], [gains[row] for row in _CONTROLS[scen]]
-        phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
-        out.append(_moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase),
-                                       *(q for rows in phase for q in rows[2:])))))
+                    controls[side, rotated] = _phase_rows(
+                        key[2 + side], gains[key][side], sums[side][key[1]],
+                        halves[side, key[1]] if rotated else None)
+        for i, params, scen in group:
+            rate = _rate(scen, params, gains[key])
+            rotated = _rotated(key, scen)
+            if rotated:
+                (side,) = _CONTROLS[scen]
+                kappa, share = _single_log(params, scen)
+                rate = share * _mean_log1p_over_rotation(kappa, *halves[side, key[1]]) / _LN2
+                gain_rows = [controls[side, True][0]]
+            else:
+                gain_rows = [gains[key][row] for row in _CONTROLS[scen]]
+            phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
+            out[i] = _moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase),
+                                         *(q for rows in phase for q in rows[2:]))))
     return out
 
 
@@ -634,13 +621,13 @@ def _group_factor(keys):
 
 
 def _walk_group(members, workers):
-    """{member: {scenario: moments}} for members that share their
-    Gaussian key, one walk over the blocks, merged in block order so the
-    result does not depend on scheduling.  Each draw key is walked on the
-    sides its members' rates read."""
+    """{member: moments} for members that share their Gaussian key, one
+    walk over the blocks, merged in block order so the result does not
+    depend on scheduling.  Each draw key is walked on the sides its
+    members' rates read."""
     keys = {}  # {draw key: sides read}
-    for key, _, scenarios in members:
-        keys.setdefault(key, set()).update(*(_CONTROLS[scen] for scen in scenarios))
+    for key, _, scen in members:
+        keys.setdefault(key, set()).update(_CONTROLS[scen])
     factor = _group_factor(keys)
     jobs = [(keys, members, factor, block, count)
             for block, count in _blocks(members[0][0][0][2])]
@@ -651,8 +638,7 @@ def _walk_group(members, workers):
             parts = list(pool.map(_block_moments, *zip(*jobs)))
     else:
         parts = (_block_moments(*job) for job in jobs)
-    merged = iter(functools.reduce(lambda a, b: list(map(_merge, a, b)), parts))
-    return {member: {scen: next(merged) for scen in member[2]} for member in members}
+    return dict(zip(members, functools.reduce(lambda a, b: list(map(_merge, a, b)), parts)))
 
 
 def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
@@ -670,20 +656,21 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     of a running mc_batch finalizes from the moments the walk of its
     Gaussian key kept; no draw, rate chain or pool happens after the
     batch's first call on that key.  Any other call walks alone and keeps
+    nothing.  An empty list of scenarios makes no member and draws
     nothing.
     """
-    member = _member(geom, params, err_models, cfg, scenarios, correlated)
-    # a member of the batch walks every batch member of its Gaussian key
-    walks = _batch if member in _batch else {member: None}
-    if walks[member] is None:
-        gaussian = member[0][0]
+    members = _member(geom, params, err_models, cfg, scenarios, correlated)
+    # the batch's members walk every batch member of their Gaussian key
+    walks = _batch if _batch.keys() >= set(members) else dict.fromkeys(members)
+    if any(walks[member] is None for member in members):
+        gaussian = members[0][0][0]
         walks.update(_walk_group([m for m in walks if m[0][0] == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
     mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                            for model in err_models])
-    return {scen: _cv_estimate(m, mean_gains[[*_CONTROLS[scen],
-                                              *_phase_sides(member[0], scen)]])
-            for scen, m in walks[member].items()}
+    return {scen: _cv_estimate(walks[key, params, scen],
+                               mean_gains[[*_CONTROLS[scen], *_phase_sides(key, scen)]])
+            for key, params, scen in members}
 
 
 def mc_batch(calls, *, workers: int = 1) -> list[dict[Scenario, McEstimate]]:
@@ -695,7 +682,7 @@ def mc_batch(calls, *, workers: int = 1) -> list[dict[Scenario, McEstimate]]:
     the kept moments.  The moments are dropped when the batch returns."""
     calls = list(calls)
     try:
-        _batch.update(dict.fromkeys(_member(*call) for call in calls))
+        _batch.update(dict.fromkeys(member for call in calls for member in _member(*call)))
         return [mc_estimates(*call[:5], correlated=call[5], workers=workers)
                 for call in calls]
     finally:

@@ -203,6 +203,31 @@ class TestLimitsAndVerdict:
         with pytest.raises(ConfigError):
             large_snr_limit(Scenario.NOMA_T, noma_params())
 
+    @pytest.mark.parametrize("target, shares", [
+        (Scenario.NOMA_R, (0.0, 1.0)),
+        (Scenario.NOMA_TP, (0.0, 0.0, 0.36, 0.64)),
+        (Scenario.NOMA_RP, (0.0, 0.0, 0.0, 1.0))], ids=["r", "tp", "rp"])
+    def test_no_limit_without_interference(self, target, shares):
+        # no power is decoded after the target, so its rate grows with the
+        # SNR: the SIC rate gains about a bit per 3 dB at 100 dBm
+        q = dict(zip(("q_t", "q_r", "q_tp", "q_rp"), map(math.sqrt, shares)))
+        if len(shares) == 4:
+            q.update(d_tp=12.0, d_rp=15.0)
+        params = SystemParams.from_db(**q)
+        with pytest.raises(ConfigError, match=f"no finite large-SNR limit for scenario "
+                                              f"{target.value}"):
+            large_snr_limit(target, params)
+        k = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP).index(target)
+        rates = [noma_trial_rates(dataclasses.replace(params, p_tx=p), *[1.0] * (k + 1))[k]
+                 for p in (1e7, 2e7)]
+        assert rates[1] - rates[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_silent_user_limit_is_zero(self):
+        # T' gets no power and no interference: its rate is 0 at every SNR
+        params = SystemParams.from_db(q_t=0.0, q_r=0.0, q_tp=0.0, q_rp=1.0,
+                                      d_tp=12.0, d_rp=15.0)
+        assert large_snr_limit(Scenario.NOMA_TP, params).value == 0.0
+
     def test_verdict_far_reflect_user_prefers_noma(self):
         eps = Quantized(2).epsilon()
         assert sum_rate_verdict(SystemParams.from_db(d_r=15.0), eps, eps) == Verdict.NOMA

@@ -141,6 +141,26 @@ class TestBound:
         res = run_cli("bound", "--scenario", "broadcast")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("scenario, flags", [
+        ("noma_r", ["--qt", "0", "--qr", "1"]),
+        ("noma_tp", ["--qt", "0", "--qr", "0", "--qtp", "0.6", "--qrp", "0.8",
+                     "--d-tp", "12", "--d-rp", "15"])], ids=["two_user", "four_user"])
+    def test_limit_without_interference_is_skipped(self, scenario, flags, capsys):
+        # no power is decoded after the target, so its rate has no ceiling:
+        # the limit row is skipped, and asked for alone it is a config error
+        args = ["bound", "--scenario", scenario, *flags]
+        message = f"no finite large-SNR limit for scenario {scenario}"
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("jensen ") and "n/a" not in lines[1]
+        assert lines[-1].startswith(f"limit      n/a ({message}")
+        assert cli.main([*args, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "jensen" in payload["bounds"] and "limit" not in payload["bounds"]
+        assert payload["skipped"]["limit"].startswith(message)
+        assert cli.main([*args, "--inf-snr"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_missing_four_user_params_exits_2(self):
         res = run_cli("bound", "--scenario", "noma_tp", "--inf-snr")
         assert res.returncode == 2
@@ -288,6 +308,25 @@ class TestFailFast:
         res = run_cli("run", "--spec", path, "--out", str(out), *args)
         assert res.returncode == 2
         assert "master_seed" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, keys", [
+        ("noma_r", "q_t = 0\nq_r = 1\n"),
+        ("noma_tp", "q_t = 0\nq_r = 0\nq_tp = 0.6\nq_rp = 0.8\nd_tp_m = 12\nd_rp_m = 15\n")],
+        ids=["two_user", "four_user"])
+    def test_limit_without_interference(self, tmp_path, target, keys, counting, capsys):
+        # no power is decoded after the target: its rate has no ceiling
+        path = tmp_path / "spec.ini"
+        path.write_text(MINI_SPEC.format(values="2") + f"[scenario:zero]\ntarget = {target}\n"
+                        f"{keys}estimators = mc,jensen,limit\n", encoding="utf-8")
+        calls = counting("mc_estimates")
+        out = tmp_path / "rows.csv"
+        for args in (["validate", "--spec", str(path)],
+                     ["run", "--spec", str(path), "--out", str(out)]):
+            assert cli.main(args) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: no finite large-SNR limit for scenario {target}")
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", [

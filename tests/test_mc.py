@@ -22,7 +22,7 @@ from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _block_moments, _column_sums, _conditional_moments, _group_factor,
-                         _member, _merge, _moments, _phase_sides, _rates_at, _walk_block,
+                         _member, _merge, _moments, _phase_sides, _rate, _walk_block,
                          _walk_group, mc_batch, mc_estimates, noma_trial_rates,
                          oma_trial_rates)
 
@@ -113,10 +113,10 @@ class TestSchemeRelations:
         geom = half_wave_geometry(n_h=5, n_v=4)
         params = noma_params()
         factor = correlation_factor(correlation_matrix(geom))
-        key = _member(geom, params, QUANT1, McConfig(trials=512, master_seed=77), (), True)[0]
+        key = _member(geom, params, QUANT1, McConfig(trials=512, master_seed=77),
+                      [Scenario.NOMA_T], True)[0][0]
         (gains,) = _walk_block({key: (0, 1)}, factor, 0, 512)[0].values()
-        rates = _rates_at((Scenario.NOMA_T, Scenario.OMA_T), params, gains)
-        noma_t, oma_t = rates[Scenario.NOMA_T], rates[Scenario.OMA_T]
+        noma_t, oma_t = (_rate(scen, params, gains) for scen in (Scenario.NOMA_T, Scenario.OMA_T))
         gamma_t = 2.0**noma_t - 1.0
         recon = 0.5 * np.log2(1.0 + gamma_t / (params.q_t**2 * params.alpha**2))
         assert np.allclose(oma_t, recon, rtol=1e-10)
@@ -209,10 +209,10 @@ class TestHardeningTrend:
         for n_h in (4, 16, 64):
             geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
             factor = correlation_factor(correlation_matrix(geom))
-            key = _member(geom, params, QUANT1, McConfig(trials=8192, master_seed=21), (),
-                          True)[0]
+            key = _member(geom, params, QUANT1, McConfig(trials=8192, master_seed=21),
+                          [Scenario.NOMA_T], True)[0][0]
             (gains,) = _walk_block({key: (0,)}, factor, 0, 8192)[0].values()
-            rate_t = _rates_at((Scenario.NOMA_T,), params, gains)[Scenario.NOMA_T]
+            rate_t = _rate(Scenario.NOMA_T, params, gains)
             ratios.append(rate_t.var() / rate_t.mean() ** 2)
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -307,12 +307,12 @@ class TestDrawMemo:
         geom = half_wave_geometry(4, 4)
         cfg = McConfig(trials=3 * BLOCK_SIZE + 5, master_seed=2)
         params = four_user_params()
-        walked = _walk_group([_member(geom, params, models, cfg, FOUR + OMA, True)
-                              for models in (QUANT1, (Perfect(), Perfect()))], 1)
-        assert all(n == cfg.trials for moments in walked.values()
-                   for n, _, _ in moments.values())
+        walked = _walk_group([member for models in (QUANT1, (Perfect(), Perfect()))
+                              for member in _member(geom, params, models, cfg, FOUR + OMA,
+                                                    True)], 1)
+        assert all(n == cfg.trials for n, _, _ in walked.values())
         arrays = list(arrays_in(walked))
-        assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per scenario
+        assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per member
         # moments of (y, H_t, H_r) and three phase controls (D, Q1, Q2) per
         # side, at most 1 + 2 + 3 * 2 = 9 rows, whatever the trial count
         assert all(dim <= 9 for a in arrays for dim in a.shape)
@@ -359,7 +359,7 @@ class TestDrawMemo:
         with pytest.raises(RuntimeError, match="walk failed"):
             mc_batch(calls)
         assert mc._batch == {}
-        members = [_member(*call) for call in calls]
+        members = [member for call in calls for member in _member(*call)]
         assert seen == [(members, members)]
 
     def test_lone_repeat_walks_again(self, half_wave_geometry, noma_params, counting):
@@ -428,6 +428,47 @@ class TestDrawMemo:
             else:
                 assert factor is None
             assert all(sides == {0} for sides in keys.values())
+        assert mc._batch == {}
+
+
+class TestMembers:
+    # a member is one rate of one engine call: a call of k scenarios is k
+    # members on one draw key
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
+    def test_call_of_k_scenarios_is_k_members_of_one_batch(self, four_user, workers,
+                                                           half_wave_geometry, counting):
+        # uniform transmit phases on 6 columns: T's rates are rotated, and
+        # share their draw key with the plain rates of the other users
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        params, models, scenarios = (
+            (four_user_params(), (UniformFull(), VonMises(2.0)), FOUR + OMA[:1]) if four_user
+            else (SystemParams.from_db(), (UniformFull(), Quantized(1)), NOMA + OMA))
+        cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=37)
+        members = _member(geom, params, models, cfg, scenarios, True)
+        assert {mc._rotated(key, scen) for key, _, scen in members} == {True, False}
+        walks = counting("_walk_group")
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
+        together = mc_estimates(geom, params, models, cfg, scenarios, workers=workers)
+        apart = mc_batch([(geom, params, models, cfg, (scen,), True) for scen in scenarios],
+                         workers=workers)
+        assert list(together) == list(scenarios)
+        assert list(together.values()) == [out[scen] for scen, out in zip(scenarios, apart)]
+        # one walk per Gaussian key, of the same members either way
+        assert [walked for walked, _ in walks] == [members, members]
+        if workers == 1:  # a pool's chains run in its worker processes
+            blocks = len(list(_blocks(cfg.trials)))
+            assert sum(map(len, chains)) == 2 * len(members) * blocks
+
+    def test_empty_scenario_list_draws_nothing(self, half_wave_geometry, noma_params,
+                                               counting):
+        geom, cfg = half_wave_geometry(n_h=10, n_v=4), McConfig(trials=40_000, master_seed=1)
+        spies = [counting(name) for name in
+                 ("correlation_factor", "standard_complex_gaussian", "_walk_group")]
+        assert mc_estimates(geom, noma_params(), QUANT1, cfg, []) == {}
+        assert mc_batch([(geom, noma_params(), QUANT1, cfg, [], True)]) == [{}]
+        assert spies == [[], [], []]
         assert mc._batch == {}
 
 
@@ -500,7 +541,7 @@ class TestGroupWalk:
         geom = quarter_wave_geometry()
         params = SystemParams.from_db()
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=43)
-        keys = [_member(geom, params, models, cfg, (), correlated)[0]
+        keys = [_member(geom, params, models, cfg, [Scenario.NOMA_T], correlated)[0][0]
                 for correlated, models in MIXED_GROUP]
         means = set()
         for (correlated, models), gains in zip(MIXED_GROUP, walked_gains(keys)):
@@ -556,7 +597,7 @@ class TestGroupWalk:
         calls.insert(3, (half_wave_geometry(3, 4), four, QUANT1, cfg, FOUR, True))
 
         def gaussian(call):
-            return _member(*call)[0][0]
+            return _member(*call)[0][0][0]
 
         keys = [gaussian(call) for call in calls]
         assert len(set(keys)) == 5
@@ -565,7 +606,7 @@ class TestGroupWalk:
         walk_group = mc._walk_group
 
         def walking(members, workers):
-            walks.append((len(entries) - 1, [key for key, _, _ in members]))
+            walks.append((len(entries) - 1, list(dict.fromkeys(key for key, _, _ in members))))
             return walk_group(members, workers)
 
         monkeypatch.setattr(mc, "_walk_group", walking)
@@ -610,7 +651,8 @@ class TestFamilyWalk:
         # the widest factor's leading block against the narrow factor
         params = four_user_params() if four_user else SystemParams.from_db()
         cfg = McConfig(trials=3000, master_seed=51)
-        keys = [_member(half_wave_geometry(n_h, 4), params, models, cfg, (), correlated)[0]
+        keys = [_member(half_wave_geometry(n_h, 4), params, models, cfg, [Scenario.NOMA_T],
+                        correlated)[0][0]
                 for n_h in (1, 3, 8) for correlated in (False, True)
                 for models in (QUANT1, (UniformFull(), Perfect()),
                                (VonMises(2.0), Quantized(2)))]
@@ -765,8 +807,8 @@ class TestSidePruning:
         # a key holds no row of a side it does not read, and its other rows
         # are those of a walk of both sides
         factor = _group_factor(keys)
-        pruned, _ = _walk_block(keys, factor, 0, 500)
-        full, _ = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)
+        pruned = _walk_block(keys, factor, 0, 500)[0]
+        full = _walk_block(dict.fromkeys(keys, (0, 1)), factor, 0, 500)[0]
         for key, sides in keys.items():
             for row in (0, 1):
                 if row in sides:
@@ -998,7 +1040,8 @@ class TestPrimedGainMean:
         """(sample mean of H' - N) / stderr, for H_t' and H_r'."""
         geom = quarter_wave_geometry()
         params, cfg = four_user_params(), McConfig(trials=4000, master_seed=3)
-        (gains,) = walked_gains([_member(geom, params, QUANT1, cfg, (), correlated)[0]])
+        (gains,) = walked_gains([_member(geom, params, QUANT1, cfg, [Scenario.NOMA_T],
+                                         correlated)[0][0]])
         return [(h.mean() - geom.n_elements) / (h.std(ddof=1) / math.sqrt(h.size))
                 for h in gains[2:]]
 
@@ -1086,7 +1129,8 @@ class TestExactMeanGain:
         # correlation flags and all four phase-model kinds
         _, geom, correlated, models = setup
         params, cfg = SystemParams.from_db(), McConfig(trials=2000, master_seed=seed)
-        (gains,) = walked_gains([_member(geom, params, models, cfg, (), correlated)[0]])
+        (gains,) = walked_gains([_member(geom, params, models, cfg, [Scenario.NOMA_T],
+                                         correlated)[0][0]])
         tr = trace_rbar_sq(geom, correlated)
         for h, model in zip(gains, models):
             exact = _mean_gain(geom.n_elements, tr, model.epsilon())
@@ -1153,7 +1197,7 @@ class TestPhaseControls:
         cfg, four = McConfig(trials=500), four_user_params()
 
         def sides(geom, models, scen, params=SystemParams.from_db()):
-            return _phase_sides(_member(geom, params, models, cfg, (), True)[0], scen)
+            return _phase_sides(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
 
         assert sides(geom, QUANT1, Scenario.NOMA_R) == (0, 1)
         assert sides(geom, QUANT1, Scenario.OMA_R) == (1,)
@@ -1181,7 +1225,7 @@ class TestPhaseControls:
         # row to the moments and no mean to the fit
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
         cfg = McConfig(trials=500, master_seed=89)
-        member = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
+        (member,) = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
         keys = {member[0]: {0, 1}}
         (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
         assert len(mean) == 3 + 3 * len(sides)
@@ -1206,7 +1250,7 @@ class TestPhaseControls:
         params, geom, correlated, models = setup
         assume(geom.n_elements >= 2)
         cfg = McConfig(trials=2000, master_seed=seed)
-        member = _member(geom, params, models, cfg, (Scenario.NOMA_R,), correlated)
+        (member,) = _member(geom, params, models, cfg, (Scenario.NOMA_R,), correlated)
         sides = _phase_sides(member[0], Scenario.NOMA_R)
         assert sides == tuple(side for side in (0, 1) if not isinstance(models[side], Perfect))
         keys = {member[0]: {0, 1}}
@@ -1229,11 +1273,12 @@ class TestPhaseControls:
         params = four_user_params() if four_user else SystemParams.from_db()
         cfg = McConfig(trials=700, master_seed=83)
         for correlated in (True, False):
-            keys = [_member(half_wave_geometry(n_h, 3), params, models, cfg, (), correlated)[0]
+            keys = [_member(half_wave_geometry(n_h, 3), params, models, cfg, [Scenario.NOMA_T],
+                            correlated)[0][0]
                     for n_h in (2, 5)
                     for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
-            gains, _ = _walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0, 700)
-            gains = list(gains.values())
+            gains = list(_walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0,
+                                     700)[0].values())
             for perfect, boosted in zip(gains[::2], gains[1::2]):
                 assert np.array_equal(perfect, boosted), correlated
 
@@ -1325,7 +1370,7 @@ class TestControlVariate:
         def recording(geom, params, models, cfg, scenarios, *, correlated, workers):
             out = mc_estimates(geom, params, models, cfg, scenarios,
                                correlated=correlated, workers=workers)
-            key = _member(geom, params, models, cfg, (), correlated)[0]
+            key = _member(geom, params, models, cfg, scenarios, correlated)[0][0]
             calls.setdefault(key[0], []).append((key, params, scenarios, out))
             return out
 
@@ -1338,7 +1383,8 @@ class TestControlVariate:
             keys = list(dict.fromkeys(key for key, *_ in group))
             gains = dict(zip(keys, walked_gains(keys)))
             for key, params, scenarios, out in group:
-                for scen, r in _rates_at(scenarios, params, gains[key]).items():
+                for scen in scenarios:
+                    r = _rate(scen, params, gains[key])
                     plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
                     rows.append((scen, r.mean(), plain_hw, out[scen]))
         for scen, plain_mean, plain_hw, est in rows:
@@ -1384,9 +1430,11 @@ class TestControlVariate:
         params, geom, correlated, models = setup
         cfg = McConfig(trials=2000, master_seed=seed)
         out = mc_estimates(geom, params, models, cfg, NOMA + OMA, correlated=correlated)
-        (gains,) = walked_gains([_member(geom, params, models, cfg, (), correlated)[0]])
+        (gains,) = walked_gains([_member(geom, params, models, cfg, NOMA + OMA,
+                                         correlated)[0][0]])
         z = 1.959963984540054
-        for scen, r in _rates_at(NOMA + OMA, params, gains).items():
+        for scen in NOMA + OMA:
+            r = _rate(scen, params, gains)
             plain_mean, plain_hw, est = r.mean(), z * r.std(ddof=1) / math.sqrt(r.size), out[scen]
             assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
             assert est.half_width <= plain_hw, (scen, plain_hw, est)
