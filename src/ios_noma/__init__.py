@@ -2,9 +2,7 @@
 omni-surface serving users on both of its sides over correlated
 Rayleigh channels with imperfect phase adjustment."""
 
-from .analytic import (RateBound, Scenario, Verdict, large_snr_limit,
-                       quantization_gain, quantization_gain_limit, rate_bound,
-                       sum_rate_verdict)
+from .analytic import RateBound, Scenario, large_snr_limit, rate_bound
 from .channel import (ConfigError, Perfect, PhaseErrorModel, Quantized,
                       SystemParams, UniformFull, VonMises, pathloss,
                       phase_error_from_string)

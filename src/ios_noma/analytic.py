@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import _LINKS, ConfigError, Quantized, SystemParams, pathloss
+from .channel import _LINKS, ConfigError, SystemParams, pathloss
 
 _QUARTER_PI_SQ = math.pi**2 / 16.0
 # rates are log1p(x) / ln 2: log2(1 + x) would round 1 + x and lose
@@ -39,12 +39,6 @@ class Scenario(str, Enum):
     OMA_R = "oma_r"
     NOMA_TP = "noma_tp"
     NOMA_RP = "noma_rp"
-
-
-class Verdict(str, Enum):
-    NOMA = "noma"
-    OMA = "oma"
-    TIE = "tie"
 
 
 @dataclass(frozen=True)
@@ -226,31 +220,3 @@ def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}: "
                           "the users decoded after it have no power share")
     return RateBound(math.log1p(q_k / interference) / _LN2 if q_k else 0.0)
-
-
-def sum_rate_verdict(params: SystemParams, eps_t: float, eps_r: float) -> Verdict:
-    """Which scheme wins the sum rate in the large transmit-SNR regime.
-
-    NOMA wins iff alpha^4 eps_t^2 eta_t > eps_r^2 eta_r, OMA iff the
-    inequality is reversed; exact equality is reported as a tie.
-    """
-    lhs = params.alpha**4 * eps_t**2 * pathloss(params, "t")
-    rhs = eps_r**2 * pathloss(params, "r")
-    if lhs > rhs:
-        return Verdict.NOMA
-    if lhs < rhs:
-        return Verdict.OMA
-    return Verdict.TIE
-
-
-def quantization_gain(b: int, params: SystemParams, n: int) -> float:
-    """T-rate improvement from adding one phase-quantization bit at b bits."""
-    def rate(bits):
-        eps = Quantized(bits).epsilon()
-        return rate_bound(Scenario.NOMA_T, "hardening", params, n, n, eps, eps).value
-    return rate(b + 1) - rate(b)
-
-
-def quantization_gain_limit(b: int) -> float:
-    """Large-array limit of the per-bit gain, positive and decreasing in b."""
-    return 2.0 * math.log2(Quantized(b + 1).epsilon() / Quantized(b).epsilon())

@@ -154,7 +154,8 @@ def _parse_value(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from exc
 
 
 def _parse_axis_values(raw: str) -> tuple[float, ...]:
@@ -227,6 +228,8 @@ def load_spec(source: str | Path) -> SweepSpec:
             raise ConfigError(f"unexpected section [{section}], scenario sections "
                               "are named [scenario:NAME]")
         name = section.split(":", 1)[1]
+        if not name.strip():
+            raise ConfigError(f"section [{section}] has no scenario name")
         raw_target = items.pop("target", None)
         if raw_target is None:
             raise ConfigError(f"section [{section}] is missing 'target'")
@@ -235,6 +238,8 @@ def load_spec(source: str | Path) -> SweepSpec:
         except ValueError:
             raise ConfigError(f"section [{section}]: unknown target {raw_target!r}") from None
         estimators = tuple(e.strip() for e in items.pop("estimators", "mc").split(",") if e.strip())
+        if not estimators:
+            raise ConfigError(f"section [{section}] lists no estimators")
         for k, est in enumerate(estimators):
             if est not in ESTIMATORS:
                 raise ConfigError(f"section [{section}]: unknown estimator {est!r}")

@@ -1,9 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from ios_noma import ArrayGeometry, SystemParams, mc
+from ios_noma import ArrayGeometry, Quantized, SystemParams, mc
 from ios_noma.channel import standard_complex_gaussian
 from ios_noma.geometry import cross_moment
 
@@ -14,6 +15,13 @@ def complex_normals(size, rng):
     its radii r and half-angle tangents t, theta = 2 arctan t."""
     radius, tangent = np.moveaxis(standard_complex_gaussian(size, rng), -2, 0)
     return radius * np.exp(2j * np.arctan(tangent))
+
+
+def per_bit_gain_limit(b):
+    """Large-array limit of the T rate gained by a (b+1)-th phase
+    quantization bit: the hardening rate grows as 2 log2(eps_b N), so
+    the gain tends to 2 log2(eps_{b+1} / eps_b)."""
+    return 2.0 * math.log2(Quantized(b + 1).epsilon() / Quantized(b).epsilon())
 
 
 def dense_correlation(geom):

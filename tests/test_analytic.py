@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import per_bit_gain_limit
 
-from ios_noma.analytic import (Scenario, Verdict, _chain_bound,
-                               _hardening_gain, _mean_gain, _single_log, large_snr_limit,
-                               link_gain, oma_slot_rates, quantization_gain,
-                               quantization_gain_limit, rate_bound,
-                               sic_rates, sum_rate_verdict)
+from ios_noma.analytic import (Scenario, _chain_bound, _hardening_gain, _mean_gain,
+                               _single_log, large_snr_limit, link_gain, oma_slot_rates,
+                               rate_bound, sic_rates)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 from ios_noma.geometry import ArrayGeometry, trace_rbar_sq
 from ios_noma.mc import noma_trial_rates, oma_trial_rates
@@ -228,49 +227,28 @@ class TestLimitsAndVerdict:
                                       d_tp=12.0, d_rp=15.0)
         assert large_snr_limit(Scenario.NOMA_TP, params).value == 0.0
 
-    def test_verdict_far_reflect_user_prefers_noma(self):
-        eps = Quantized(2).epsilon()
-        assert sum_rate_verdict(SystemParams.from_db(d_r=15.0), eps, eps) == Verdict.NOMA
 
-    def test_verdict_near_reflect_user_prefers_oma(self):
-        eps = Quantized(2).epsilon()
-        assert sum_rate_verdict(SystemParams.from_db(d_r=6.0), eps, eps) == Verdict.OMA
-
-    def test_verdict_tie(self):
-        # alpha = 1 and symmetric links make both sides bitwise identical
-        params = SystemParams(d_t=5.0, d_r=5.0, alpha=1.0, beta=0.0,
-                              q_t=0.6, q_r=0.8)
-        assert sum_rate_verdict(params, 0.7, 0.7) == Verdict.TIE
+def per_bit_gain(params, n, b):
+    """The T rate a (b+1)-th phase quantization bit adds to the hardening
+    approximation at N elements."""
+    def rate(bits):
+        eps = Quantized(bits).epsilon()
+        return rate_bound(Scenario.NOMA_T, "hardening", params, n, n, eps, eps).value
+    return rate(b + 1) - rate(b)
 
 
 class TestQuantizationGain:
-    def test_limit_values(self):
-        assert quantization_gain_limit(1) == pytest.approx(1.0, abs=1e-12)
-        assert quantization_gain_limit(2) == pytest.approx(0.22844669683638832,
-                                                           rel=1e-12)
-
-    def test_limit_strictly_decreasing(self):
-        vals = [quantization_gain_limit(b) for b in range(1, 9)]
-        assert all(v > 0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
     def test_gain_positive(self, noma_params):
         params = noma_params()
         for n in (10, 100):
             for b in range(1, 9):
-                assert quantization_gain(b, params, n) > 0
+                assert per_bit_gain(params, n, b) > 0
 
     def test_large_array_convergence(self, noma_params):
         params = noma_params()
         for b in (1, 2, 3):
-            assert quantization_gain(b, params, 10**6) == pytest.approx(
-                quantization_gain_limit(b), abs=1e-3)
-
-    def test_validation(self, noma_params):
-        with pytest.raises(ValueError):
-            quantization_gain(0, noma_params(), 10)
-        with pytest.raises(ValueError):
-            quantization_gain_limit(0)
+            assert per_bit_gain(params, 10**6, b) == pytest.approx(
+                per_bit_gain_limit(b), abs=1e-3)
 
 
 class TestAsymptoticEquivalence:

@@ -391,6 +391,31 @@ class TestFailFast:
             assert named in res.stderr, args[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, named", [
+        ("[scenario:a]\ntarget = noma_t\nestimators =\n", "[scenario:a] lists no estimators"),
+        ("[scenario:a]\ntarget = noma_t\nestimators = ,\n", "[scenario:a] lists no estimators"),
+        ("[scenario:]\ntarget = noma_t\nestimators = jensen\n",
+         "[scenario:] has no scenario name"),
+        ("[scenario: ]\ntarget = noma_t\nestimators = jensen\n",
+         "[scenario: ] has no scenario name"),
+        ("[scenario:a]\ntarget = noma_t\ntrials = 1000.0\n",
+         "key 'trials': expected an integer, got '1000.0'"),
+    ], ids=["no_estimators", "blank_estimators", "no_name", "blank_name", "float_trials"])
+    def test_malformed_scenario_section(self, tmp_path, section, named, counting, capsys):
+        # sections that would write no rows or rows with no scenario name,
+        # and an integer key, which names its type
+        path = tmp_path / "spec.ini"
+        path.write_text("[sweep]\naxis = elements_per_row\nvalues = 2\n" + section,
+                        encoding="utf-8")
+        calls = counting("mc_estimates")
+        out = tmp_path / "rows.csv"
+        for args in (["validate", "--spec", str(path)],
+                     ["run", "--spec", str(path), "--out", str(out)]):
+            assert cli.main(args) == 2
+            assert named in capsys.readouterr().err, args[0]
+        assert calls == []
+        assert not out.exists()
+
     def test_non_finite_spec_key(self, spec, tmp_path):
         path = spec("2")
         with open(path, "a", encoding="utf-8") as fh:

@@ -103,6 +103,20 @@ class TestParsing:
             with pytest.raises(ConfigError, match=key):
                 load_spec(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("trials = 1000.0", "key 'trials': expected an integer, got '1000.0'"),
+        ("master_seed = 7.5", "key 'master_seed': expected an integer, got '7.5'"),
+        ("n_h = 4.0", "key 'n_h': expected an integer, got '4.0'"),
+        ("n_v = 4.0", "key 'n_v': expected an integer, got '4.0'"),
+        ("p_dbm = loud", "key 'p_dbm': expected a number, got 'loud'"),
+    ])
+    def test_number_key_names_its_type(self, tmp_path, line, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"{MINI_SPEC}{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_spec(path)
+        assert str(info.value) == message
+
     def test_unknown_axis_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(MINI_SPEC.replace("elements_per_row", "frequency"),

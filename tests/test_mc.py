@@ -232,7 +232,7 @@ def batch(calls, workers=1):
             for call, out in zip(calls, mc_batch(calls, workers=workers))]
 
 
-def announce(geom, cfg, scenarios, setups, workers=1):
+def batch_setups(geom, cfg, scenarios, setups, workers=1):
     """batch of one call per (params, correlated, models) setup."""
     return batch([(geom, params, models, cfg, tuple(scenarios), correlated)
                   for params, correlated, models in setups], workers)
@@ -265,7 +265,7 @@ class TestDrawMemo:
         models = (VonMises(2.0), VonMises(1.0))
         cfg = McConfig(trials=3000, master_seed=31)
         low, high = noma_params(p_dbm=20.0), noma_params(p_dbm=45.0)
-        _, hit = announce(geom, cfg, NOMA + OMA, [(low, True, models), (high, True, models)])
+        _, hit = batch_setups(geom, cfg, NOMA + OMA, [(low, True, models), (high, True, models)])
         assert len(sampled_blocks) == 1
         assert len(sampled_blocks[0][0]) == 1  # one draw key for both members
         miss = estimates(geom, high, models, cfg, NOMA + OMA)
@@ -323,12 +323,13 @@ class TestDrawMemo:
         geom = half_wave_geometry(n_h=6, n_v=4)
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=17)
         low, high = four_user_params(p_dbm=20.0), four_user_params(p_dbm=35.0)
-        pooled_miss, pooled_hit = announce(geom, cfg, FOUR, [(low, True, QUANT1),
-                                                             (high, True, QUANT1)], workers=2)
+        pooled_miss, pooled_hit = batch_setups(geom, cfg, FOUR, [(low, True, QUANT1),
+                                                                 (high, True, QUANT1)],
+                                               workers=2)
         assert pooled_hit == estimates(geom, high, QUANT1, cfg, FOUR)
         assert pooled_miss == estimates(geom, low, QUANT1, cfg, FOUR)
 
-    def test_announced_link_budgets_share_one_walk(self, half_wave_geometry, counting):
+    def test_batched_link_budgets_share_one_walk(self, half_wave_geometry, counting):
         # a direct caller that varies only the transmit power on one layout
         # batches its calls, and the draws are walked once for all three
         geom, cfg = half_wave_geometry(n_h=10, n_v=4), McConfig(trials=3000, master_seed=59)
@@ -517,8 +518,8 @@ def quarter_wave_geometry():
 def group_estimates(geom, params, members, cfg, scenarios, workers=1):
     """The estimates of members in order, from one batch: the first call
     walks the whole group on the given workers."""
-    return announce(geom, cfg, scenarios, [(params, *member) for member in members],
-                    workers)
+    return batch_setups(geom, cfg, scenarios, [(params, *member) for member in members],
+                        workers)
 
 
 class TestGroupWalk:
@@ -583,8 +584,8 @@ class TestGroupWalk:
                          for scen in NOMA + OMA]
         assert passed == expected
 
-    def test_one_announcement_spans_several_gaussian_keys(self, half_wave_geometry,
-                                                          counting, monkeypatch):
+    def test_one_batch_spans_several_gaussian_keys(self, half_wave_geometry,
+                                                   counting, monkeypatch):
         # two families (n_v = 4 and 5) at both correlation flags, and a
         # four-user member, interleaved: five Gaussian keys, since the flag
         # is part of the key, and each is walked once,
