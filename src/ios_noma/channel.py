@@ -11,20 +11,20 @@ moments of the composite gain given the fading magnitudes.  Channel
 magnitude vectors are drawn by factoring the correlation matrix once and
 coloring i.i.d. circularly-symmetric Gaussians.
 
-The samplers behind the fading and Von Mises streams are exact and read
-the generator's uniform doubles in cache-sized pieces, transformed in
-place.  standard_complex_gaussian returns its Gaussians in polar form
-(Box & Muller 1958): per row, c radii sqrt(-log1p(-U)), whose squares
-are Exp(1), from the row's first c doubles, then from the next c the
-tangents t = tan(pi (U' - 1/2)) of half their uniform angles on [-pi,
-pi).  _amplitudes reads |z| and arg z = 2 arctan t from it directly, or
-turns it into real and imaginary rows by the half-angle formulas and
+A phase phi is held as the tangent t = tan(phi / 2) of its half angle,
+whose cosine and sine are rational in t (see _half_angle), and every
+model's sample returns such tangents.  The samplers behind the fading
+and Von Mises streams are exact and read the generator's uniform doubles
+in cache-sized pieces, transformed in place.  standard_complex_gaussian
+returns its Gaussians in polar form (Box & Muller 1958): per row, c
+radii sqrt(-log1p(-U)), whose squares are Exp(1), from the row's first c
+doubles, then from the next c the tangents tan(pi (U' - 1/2)) of half
+their uniform angles on [-pi, pi).  _amplitudes reads |z| and the unit
+phasor of z from it, or turns it into real and imaginary rows and
 colours those in place.  VonMises.sample runs Best and Fisher's (1979)
 rejection from a wrapped Cauchy envelope over chunks of candidates of
-two doubles each, and keeps numpy's branch points: a uniform below kappa
-= 1e-8 and a wrapped normal above 1e6.  Both samplers read their stream
-in order, so the leading rows of a draw equal a smaller draw, bit for
-bit.
+two doubles each.  Both samplers read their stream in order, so the
+leading rows of a draw equal a smaller draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -201,31 +201,19 @@ class VonMises:
         return 1.0 - 2.0 * self.epsilon() / self.kappa if self.kappa > 0 else 0.0
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        """Phases of the given size (an int or a shape), in numpy's three
-        branches.  Below kappa = 1e-8 they are pi (2 U - 1), uniform on
-        [-pi, pi).  Above kappa = 1e6 they are the wrapped normal sqrt(1 /
-        kappa) n: numpy's ziggurat normal n stays below 14 in magnitude,
-        so |phi| < 0.014 and the wrap onto [-pi, pi) never happens, and
-        kappa = inf gives zeros.  Both are the bits of
-        Generator.vonmises(0, kappa, size), up to the sign of a zero.
-
-        In between, Best and Fisher's (1979) rejection, vectorized over
-        chunks of _CHUNK candidates (see _best_fisher).  It returns the
-        first accepted candidates in stream order, so the phases do not
-        depend on the chunk size, and the first k rows of a draw of shape
-        (n, c) equal a draw of shape (k, c) from the same generator."""
+        """Tangents tan(phi / 2) of phases phi of the given size (an int
+        or a shape), by Best and Fisher's (1979) rejection (see
+        _best_fisher).  Below kappa = 1e-8 the phases are uniform, as
+        UniformFull draws them, and above 1e6 they are the normal sqrt(1 /
+        kappa) n, whose tangents are 0 at kappa = inf."""
         kappa = self.kappa
-        if 1e-8 <= kappa <= 1e6:
-            return _best_fisher(kappa, size, rng)
         if kappa < 1e-8:
-            phases = rng.random(size)
-            phases *= 2.0
-            phases -= 1.0
-            phases *= math.pi
-        else:
-            phases = rng.standard_normal(size)
-            phases *= math.sqrt(1.0 / kappa)
-        return phases
+            return UniformFull().sample(size, rng)
+        if kappa <= 1e6:
+            return _best_fisher(kappa, size, rng)
+        tangents = rng.standard_normal(size)
+        tangents *= math.sqrt(0.25 / kappa)
+        return np.tan(tangents, out=tangents)
 
 
 # Candidates per chunk of _best_fisher: their 2 doubles each and three
@@ -236,10 +224,11 @@ _CHUNK = 8192
 
 
 def _best_fisher(kappa: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Von Mises phases of concentration kappa in [1e-8, 1e6] by Best and
-    Fisher's (1979) rejection from the wrapped Cauchy envelope of
-    parameter rho = (r - sqrt(2 r)) / (2 kappa), r = 1 + sqrt(1 + 4
-    kappa^2), here 2 kappa / (r + sqrt(2 r)), which does not cancel.
+    """Tangents tan(phi / 2) of Von Mises phases phi of concentration
+    kappa in [1e-8, 1e6] by Best and Fisher's (1979) rejection from the
+    wrapped Cauchy envelope of parameter rho = (r - sqrt(2 r)) / (2
+    kappa), r = 1 + sqrt(1 + 4 kappa^2), here 2 kappa / (r + sqrt(2 r)),
+    which does not cancel.
 
     Candidate i reads the doubles 2 i and 2 i + 1 of the stream.  The
     first, U, gives t = tan(theta / 2) of the uniform angle theta = 2 pi
@@ -247,19 +236,19 @@ def _best_fisher(kappa: float, size, rng: np.random.Generator) -> np.ndarray:
     the sign of the candidate and whose cosine is z = cos theta.  Best
     and Fisher's candidate is phi with cos phi = W = (1 + s z) / (s + z),
     s = (1 + rho^2) / (2 rho); from the half-angle formulas, tan(phi / 2)
-    = u = c t with c = (1 - rho) / (1 + rho), so phi = 2 arctan u and 1 +
-    W = 2 / (1 + u^2) come without a cosine or an arccosine, and W stays
-    in [-1, 1].  The second double, V, accepts the candidate if V <= Y
-    exp(1 - Y), Y = kappa (s - W): Best and Fisher's test log(Y / V) + 1 -
-    Y >= 0 without a division, whose squeeze Y (2 - Y) >= V only saves a
-    logarithm in a scalar loop.  The first accepted candidates in stream
-    order are the phases, filled in C order."""
+    = u = c t with c = (1 - rho) / (1 + rho), so u and 1 + W = 2 / (1 +
+    u^2) come without a cosine or an arccosine, and W stays in [-1, 1].
+    The second double, V, accepts the candidate if V <= Y exp(1 - Y), Y =
+    kappa (s - W): Best and Fisher's test log(Y / V) + 1 - Y >= 0 without
+    a division, whose squeeze Y (2 - Y) >= V only saves a logarithm in a
+    scalar loop.  The u of the first accepted candidates in stream order
+    are the tangents, filled in C order."""
     r = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
     rho = 2.0 * kappa / (r + math.sqrt(2.0 * r))
     c = (1.0 - rho) / (1.0 + rho)
     top = kappa * ((1.0 + rho * rho) / (2.0 * rho) + 1.0)  # kappa (s + 1)
-    phases = np.empty(size)
-    flat = phases.reshape(-1)
+    tangents = np.empty(size)
+    flat = tangents.reshape(-1)
     pairs = np.empty((_CHUNK, 2))
     first, second = pairs.T
     u, y, bound = np.empty((3, _CHUNK))
@@ -280,11 +269,9 @@ def _best_fisher(kappa: float, size, rng: np.random.Generator) -> np.ndarray:
         bound *= y
         np.less_equal(second, bound, out=accept)
         taken = u[accept][:len(flat) - filled]
-        out = flat[filled:filled + len(taken)]
-        np.arctan(taken, out=out)
-        out *= 2.0
+        flat[filled:filled + len(taken)] = taken
         filled += len(taken)
-    return phases
+    return tangents
 
 
 @dataclass(frozen=True)
@@ -307,8 +294,10 @@ class Quantized:
         return 2**self.bits * math.sin(2.0 * math.pi / 2**self.bits) / (2.0 * math.pi)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        half = math.pi / 2**self.bits
-        return rng.uniform(-half, half, size)
+        # the bits of a draw on [-pi/2^b, pi/2^b], halved
+        quarter = math.pi / 2**(self.bits + 1)
+        tangents = rng.uniform(-quarter, quarter, size)
+        return np.tan(tangents, out=tangents)
 
 
 @dataclass(frozen=True)
@@ -322,7 +311,8 @@ class UniformFull:
         return 0.0
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-np.pi, np.pi, size)
+        tangents = rng.uniform(-math.pi / 2, math.pi / 2, size)
+        return np.tan(tangents, out=tangents)
 
 
 PhaseErrorModel = Perfect | VonMises | Quantized | UniformFull
@@ -443,27 +433,28 @@ def _colour_in_place(factor: np.ndarray, real: np.ndarray) -> np.ndarray:
     return real
 
 
-def _amplitudes(polar: np.ndarray, factor, scale=None, angles=False) -> tuple:
-    """(|a| times scale, or |a| alone, and arg a if angles, else None), as
-    new arrays, of the fading vectors a of one (n, 2, c) polar draw z
-    (see standard_complex_gaussian): a = factor @ z for a lower-triangular
+def _amplitudes(polar: np.ndarray, factor, scale=None, phasor=False) -> tuple:
+    """(|a| times scale, or |a| alone, as a new array, and if phasor the
+    unit phasor e^{j arg a} as the real and imaginary rows of polar, else
+    None) of the fading vectors a of one (n, 2, c) polar draw z (see
+    standard_complex_gaussian): a = factor @ z for a lower-triangular
     factor, and a = z for factor None.
 
-    For a = z, |a| is the radius and arg a = 2 arctan t.  Otherwise each
-    tile of rows turns into Re z and Im z in place, by the half-angle
-    formulas, the (n, 2 c) real view is coloured in place (see
-    _colour_in_place), and |a| = sqrt(Re^2 + Im^2) and arg a = arctan2(Im,
-    Re).  The row passes take max(_TILE // c, 1) rows at a time, each
-    with a temporary of its own: one scratch tile kept across the passes
-    changed where glibc placed the draws and raised the peak RSS of a
-    two-worker precision_point run by 6 MB."""
+    For a = z, |a| is the radius and the phasor comes from t by the
+    half-angle formulas.  Otherwise each tile of rows turns into Re z and
+    Im z in place, by the same formulas, the (n, 2 c) real view is
+    coloured in place (see _colour_in_place), |a| = sqrt(Re^2 + Im^2), and
+    the phasor is (Re, Im) / |a|, taken before scale is applied.  The row
+    passes take max(_TILE // c, 1) rows at a time, each with a temporary
+    of its own: one scratch tile kept across the passes changed where
+    glibc placed the draws and raised the peak RSS of a two-worker
+    precision_point run by 6 MB."""
     radius, tangent = polar[:, 0], polar[:, 1]
     if factor is None:
-        amp, arg = radius.copy() if scale is None else radius * scale, None
-        if angles:
-            arg = np.arctan(tangent)
-            arg *= 2.0
-        return amp, arg
+        amp = radius.copy() if scale is None else radius * scale
+        if phasor:
+            _half_angle(tangent, radius)
+        return amp, polar if phasor else None
     step = max(_TILE // polar.shape[2], 1)
     tiles = [slice(start, start + step) for start in range(0, len(polar), step)]
     for rows in tiles:
@@ -480,6 +471,8 @@ def _amplitudes(polar: np.ndarray, factor, scale=None, angles=False) -> tuple:
         np.multiply(imag[rows], imag[rows], out=square)
         out += square
         np.sqrt(out, out=out)
+    if phasor:
+        polar /= amp[:, None]
     if scale is not None:
         amp *= scale
-    return amp, np.arctan2(imag, real) if angles else None
+    return amp, polar if phasor else None

@@ -227,9 +227,11 @@ def load_spec(source: str | Path) -> SweepSpec:
         if not section.startswith("scenario:"):
             raise ConfigError(f"unexpected section [{section}], scenario sections "
                               "are named [scenario:NAME]")
-        name = section.split(":", 1)[1]
-        if not name.strip():
+        name = section.split(":", 1)[1].strip()
+        if not name:
             raise ConfigError(f"section [{section}] has no scenario name")
+        if any(scen.name == name for scen in scenarios):
+            raise ConfigError(f"section [{section}]: scenario name {name!r} is repeated")
         raw_target = items.pop("target", None)
         if raw_target is None:
             raise ConfigError(f"section [{section}] is missing 'target'")

@@ -14,14 +14,10 @@ Per trial the composite gains are
 
 and the rates are the rate chain of the analytic module (link_gain,
 sic_rates, oma_slot_rates) at those gains, the same expressions the
-closed-form bounds evaluate at a fixed gain.  The cosines and sines of
-the phases come from one tangent of the half angle per element (see
-_boosted_gains), within about 1e-15 A^2 of the complex expression, A =
-sum_n |g_n| |h_n|.  The fading draws are polar (see
-channel.standard_complex_gaussian): an i.i.d. walk reads |g_n| as the
-radius, and a correlated walk turns each draw into its real and
-imaginary rows in place, by the same half-angle formulas, and colours
-those rows in place (see channel._amplitudes).
+closed-form bounds evaluate at a fixed gain.  A phase is held as the
+tangent t = tan(phi / 2) of its half angle, from the fading draws and
+the phase models' samplers to the cosines and sines of the gains (see
+_boosted_gains), and no angle is formed (see channel._amplitudes).
 
 Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
 is regressed on the unprimed gains it reads, H_t for the rates of T
@@ -157,39 +153,43 @@ class McEstimate:
             raise ValueError("half_width must be non-negative")
 
 
-def _boosted_gains(amp: np.ndarray, phases: np.ndarray, n_v: int, widths,
+def _boosted_gains(amp: np.ndarray, tangents: np.ndarray, n_v: int, widths,
                    halves=None) -> dict:
-    """{n_h: |sum_{n < n_v n_h} amp_n exp(j phases_n)|^2 per trial} for the
-    column counts n_h in widths, amp = |a| |h| formed by the caller, both
-    (n_v max(widths), count) with elements column by column.  The terms
-    are summed per column and accumulated over the columns, so each
-    column count reads its own prefix sum.  Each column's n_v x count
-    tile of cosines and sines comes from t = tan(phi / 2), in two scratch
-    tiles written in place: cos phi = 2 / (1 + t^2) - 1 and sin phi =
-    2 t / (1 + t^2), within 3.5e-16 of the exact values on [-3 pi, 3 pi],
-    which the primed sums reach.  One tangent costs a fraction of a
-    cosine and a sine.  A zero phase gives cos 1 and sin 0 exactly, and
-    at the pole, phi = +-pi, t^2 stays far below overflow.
-    The parts amp cos(phases) and amp sin(phases) are summed in real
-    arithmetic into one complex prefix, and the magnitude is its complex
-    abs: the gains differ from |sum_n amp_n exp(j phases_n)|^2 by at most
-    about 1e-15 A^2, A = sum_n amp_n.
+    """{n_h: |sum_{n < n_v n_h} amp_n exp(j phi_n)|^2 per trial} for the
+    column counts n_h in widths, from the tangents t = tan(phi / 2), both
+    (n_v max(widths), count) with elements column by column; amp is |a|
+    |h|, or the primed terms of _walk_block, complex, as (n, 2, count)
+    real and imaginary rows.  The terms are summed per column and
+    accumulated over the columns, so each column count reads its own
+    prefix sum.  Each column's n_v x count tile of cosines and sines
+    comes from t in two scratch tiles written in place: cos phi = 2 / (1
+    + t^2) - 1 and sin phi = 2 t / (1 + t^2), within 3.5e-16 of the exact
+    values.  A zero phase gives cos 1 and sin 0 exactly, and at the pole,
+    phi = +-pi, t^2 stays far below overflow.  The real and imaginary
+    parts of the terms are summed in real arithmetic into one complex
+    prefix, and the magnitude is its complex abs: the gains differ from
+    |sum_n amp_n exp(j phi_n)|^2 by at most about 1e-15 A^2, A = sum_n
+    |amp_n|.
 
     halves maps some column counts n_h >= 2 to a (2, count) array, which
     is filled with |S_head| and |S_tail|, the magnitudes of the sums over
     the first n_h // 2 columns and over the rest (see _rotated)."""
-    count = phases.shape[1]
-    prefix = np.empty((len(phases) // n_v, count), complex)
+    count = tangents.shape[1]
+    prefix = np.empty((len(tangents) // n_v, count), complex)
     sine, cosine = np.empty((2, n_v, count))
     for col, (real, imag) in enumerate(zip(prefix.real, prefix.imag)):
         rows = slice(col * n_v, (col + 1) * n_v)
-        np.multiply(phases[rows], 0.5, out=sine)
-        np.tan(sine, out=sine)
+        np.copyto(sine, tangents[rows])
         _half_angle(sine, cosine)
-        sine *= amp[rows]
-        cosine *= amp[rows]
-        np.sum(cosine, axis=0, out=real)
-        np.sum(sine, axis=0, out=imag)
+        if amp.ndim == 3:  # (re + j im) (cos phi + j sin phi)
+            re, im = amp[rows, 0], amp[rows, 1]
+            terms = re * cosine - im * sine, re * sine + im * cosine
+        else:
+            sine *= amp[rows]
+            cosine *= amp[rows]
+            terms = cosine, sine
+        np.sum(terms[0], axis=0, out=real)
+        np.sum(terms[1], axis=0, out=imag)
     _running_sum(prefix.real)
     _running_sum(prefix.imag)
     for n_h, (head, tail) in (halves or {}).items():
@@ -386,22 +386,23 @@ def _walk_block(keys, factor, block, count, halves=()):
     flag of their Gaussian key: a correlated walk colours each fading
     stream by factor, the lower-triangular factor of its widest layout,
     whose leading block colours every narrower one, and an i.i.d. walk,
-    whose factor is None, reads the radii and angles of its polar draws as
-    they are (see _amplitudes).  Each draw is freed before any phases are
-    drawn.  A side keeps what every phase model shares: |g||h|, and for
-    four-user keys |g'||h| and arg(g') - arg(g).  The primed composites
-    reuse the boost set, so their leftover phase at element n is
-    arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but tied to the
-    actual draws.  On a correlated layout the leftovers are correlated
+    whose factor is None, reads the radii and tangents of its polar draws
+    as they are (see _amplitudes).  Each draw is freed before any phases
+    are drawn.  A side keeps what every phase model shares: |g||h|, and
+    for four-user keys |g'||h| e^{j (arg g' - arg g)}, one complex product
+    of the unit phasors of g' and g in place of the first.  The primed
+    composites reuse the boost set, so their leftover phase at element n
+    is arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but tied to
+    the actual draws.  On a correlated layout the leftovers are correlated
     too, so E[H'] exceeds N (about 37 against N = 24 on a 6 x 4 array at
     quarter-wavelength spacing under 1-bit errors).  Then, before any
     phases are drawn, the side forms the column sums of its amplitudes.
-    A Perfect model's gain is their A^2, so it draws no phases and skips
-    the tangent pass: bit-identical, as the pass turns a zero phase into
-    cos 1 and sin 0 exactly.  Every other distinct phase model draws its
-    stream once, at the widest layout it is asked at, and forms the gains
-    of all its column counts from one set of element terms (see
-    _boosted_gains).
+    A Perfect model's gain is their A^2, so it draws its zero tangents
+    only for the primed gains and skips the tangent pass: bit-identical,
+    as the pass turns a zero phase into cos 1 and sin 0 exactly.  Every
+    other distinct phase model draws its stream once, at the widest
+    layout it is asked at, and forms the gains of all its column counts
+    from one set of element terms (see _boosted_gains).
     The transmit side comes first, then the reflect side with r, r' and
     phi_r.  Each array is freed as soon as it is used up, so the live set
     does not grow with the number of phase models.
@@ -414,13 +415,10 @@ def _walk_block(keys, factor, block, count, halves=()):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def products(stream, scale=None):
-        """|a| times scale, or |a| alone, of one fading stream a, and
-        arg(a) for four-user keys (see _amplitudes); the draw is freed on
-        return, before any phases are drawn."""
-        return _amplitudes(standard_complex_gaussian(shape, rng(stream)), factor, scale, primed)
+    def draw(stream):
+        return standard_complex_gaussian(shape, rng(stream))
 
-    mag_h = products(_STREAM_H)[0]
+    mag_h = _amplitudes(draw(_STREAM_H), factor)[0]
     # one row per side a key reads (two under four-user parameters), then
     # the two rows of each half split asked, in one array allocated before
     # the sides are drawn; keeping each phase model's own gain rows
@@ -443,30 +441,37 @@ def _walk_block(keys, factor, block, count, halves=()):
                 asked.setdefault(key[2 + row], []).append(key)
         if not asked:
             continue
-        amp, arg = products(stream, mag_h)
+        amp, phasor = _amplitudes(draw(stream), factor, mag_h, primed)
         if primed:
-            amp_p, arg_p = products(stream_p, mag_h)
-            arg_p -= arg  # arg(a') - arg(a)
-        arg = None  # only arg(a') - arg(a) is read from here on
+            amp_p, terms_p = _amplitudes(draw(stream_p), factor, mag_h, True)
+            phasor *= amp_p[:, None]  # |a'| |h| e^{j arg a}
+            (cos, sin), (re, im) = phasor.swapaxes(0, 1), terms_p.swapaxes(0, 1)
+            np.multiply(re, sin, out=amp_p)  # amp_p is read: it holds re sin
+            re *= cos
+            sin *= im
+            re += sin
+            im *= cos
+            im -= amp_p
+        phasor = amp_p = cos = sin = re = im = None  # and their views, before any phases are drawn
         sums[row] = cols = _column_sums(amp, n_v,
                                         {key[1] for group in asked.values() for key in group})
         for model, group in asked.items():
             widths = {key[1] for key in group}
             n = n_v * max(widths)
             perfect = isinstance(model, Perfect)
-            phases = None if perfect else model.sample((n, count), rng(stream_phi))
+            tangents = (None if perfect and not primed
+                        else model.sample((n, count), rng(stream_phi)))
             split = ({n_h: halves[row, n_h] for n_h in widths if (row, n_h) in halves}
                      if isinstance(model, UniformFull) else None)
             out = ({n_h: cols[n_h][0] for n_h in widths} if perfect
-                   else _boosted_gains(amp[:n], phases, n_v, widths, split))
-            out_p = (_boosted_gains(amp_p[:n], arg_p[:n] if perfect else arg_p[:n] + phases,
-                                    n_v, widths) if primed else None)
+                   else _boosted_gains(amp[:n], tangents, n_v, widths, split))
+            out_p = _boosted_gains(terms_p[:n], tangents, n_v, widths) if primed else None
             for key in group:
                 gains[key][row][...] = out[key[1]]
                 if primed:
                     gains[key][row + 2][...] = out_p[key[1]]
-            del phases  # before the next model's phases are drawn
-        amp = amp_p = arg_p = None  # before the next side is drawn
+            del tangents  # before the next model's phases are drawn
+        amp = terms_p = None  # before the next side is drawn
     return gains, sums, halves
 
 

@@ -244,7 +244,7 @@ def test_criterion_7b_channel_hardening():
         factor = correlation_factor(correlation_matrix(geom))
         mag_h = np.abs(factor @ complex_normals((n, trials), rng))
         mag_g = np.abs(factor @ complex_normals((n, trials), rng))
-        phi = model.sample((n, trials), rng)
+        phi = 2.0 * np.arctan(model.sample((n, trials), rng))
         h_norm = np.abs(np.sum(mag_g * mag_h * np.exp(1j * phi), axis=0)) ** 2 / n**2
         variances.append(h_norm.var())
         means.append(h_norm.mean())

@@ -157,7 +157,10 @@ class TestPhaseErrorModels:
     @pytest.mark.parametrize("model", [Quantized(1), Quantized(3), VonMises(0.5),
                                        VonMises(2.0), UniformFull()])
     def test_sampled_double_angle_cosine_matches_epsilon2(self, model, rng):
-        draws = np.cos(2.0 * model.sample(400_000, rng))
+        # sample returns t = tan(phi / 2): cos phi = (1 - t^2) / (1 + t^2)
+        tangents = model.sample(400_000, rng)
+        cosine = (1.0 - tangents * tangents) / (1.0 + tangents * tangents)
+        draws = 2.0 * cosine * cosine - 1.0
         assert abs(draws.mean() - model.epsilon2()) < 3.0 * draws.std() / math.sqrt(len(draws))
 
     def test_perfect_samples_are_zero(self, rng):
@@ -166,9 +169,9 @@ class TestPhaseErrorModels:
     @pytest.mark.parametrize("model", [Quantized(1), Quantized(3), VonMises(0.5),
                                        VonMises(2.0), UniformFull()])
     def test_sampled_cosine_matches_epsilon(self, model, rng):
-        draws = model.sample(400_000, rng)
-        mc = np.cos(draws)
-        assert abs(mc.mean() - model.epsilon()) < 3.0 * mc.std() / math.sqrt(len(draws))
+        tangents = model.sample(400_000, rng)
+        mc = (1.0 - tangents * tangents) / (1.0 + tangents * tangents)
+        assert abs(mc.mean() - model.epsilon()) < 3.0 * mc.std() / math.sqrt(len(mc))
 
     @pytest.mark.parametrize("model", [Perfect(), Quantized(1), VonMises(0.5),
                                        VonMises(2.0), UniformFull()])
@@ -178,8 +181,8 @@ class TestPhaseErrorModels:
         assert np.array_equal(model.sample((20, 1024), np.random.default_rng(8)), wide[:20])
 
     def test_quantized_support(self, rng):
-        draws = Quantized(2).sample(10_000, rng)
-        assert np.all(np.abs(draws) <= math.pi / 4)
+        tangents = Quantized(2).sample(10_000, rng)
+        assert np.all(np.abs(tangents) <= math.tan(math.pi / 8))
 
     def test_parsing(self):
         assert phase_error_from_string("perfect") == Perfect()
@@ -222,14 +225,19 @@ class TestPhaseErrorModels:
         assert 2**28 * math.sin(math.pi / 2**28) / math.pi == 1.0
 
 
+def von_mises_phases(kappa, size, rng):
+    """The phases phi = 2 arctan t of one VonMises draw of tangents t."""
+    return 2.0 * np.arctan(VonMises(kappa).sample(size, rng))
+
+
 class TestVonMisesSampler:
-    # Best and Fisher's rejection over chunks of candidates, with numpy's
-    # uniform branch below kappa = 1e-8 and wrapped normal above 1e6
+    # Best and Fisher's rejection over chunks of candidates, with uniform
+    # phases below kappa = 1e-8 and normal ones above 1e6, numpy's limits
 
     @pytest.mark.parametrize("kappa", [1e-6, 0.5, 1.0, 2.0, 8.0, 50.0, 1e5, 2e6])
     def test_cosine_moments_match_the_bessel_ratios(self, kappa):
         model = VonMises(kappa)
-        phases = model.sample((4, 500_000), np.random.default_rng(31)).ravel()
+        phases = von_mises_phases(kappa, (4, 500_000), np.random.default_rng(31)).ravel()
         assert np.all(np.abs(phases) <= math.pi)
         for sample, expected in ((np.cos(phases), model.epsilon()),
                                  (np.cos(2.0 * phases), model.epsilon2())):
@@ -237,18 +245,19 @@ class TestVonMisesSampler:
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
     def test_law_matches_numpy(self, kappa):
-        ours = VonMises(kappa).sample(400_000, np.random.default_rng(32))
+        ours = von_mises_phases(kappa, 400_000, np.random.default_rng(32))
         numpy_draws = np.random.default_rng(33).vonmises(0.0, kappa, 400_000)
         assert stats.ks_2samp(ours, numpy_draws).pvalue > 1e-3
 
     @pytest.mark.parametrize("kappa", [0.0, 5e-9, 2e6])
     def test_branches_are_numpy_bits(self, kappa):
-        # below 1e-8 pi (2 U - 1), above 1e6 the wrapped normal
-        ours = VonMises(kappa).sample((3, 1000), np.random.default_rng(34))
-        assert np.array_equal(ours, np.random.default_rng(34).vonmises(0.0, kappa, (3, 1000)))
+        # below 1e-8 pi (2 U - 1), above 1e6 the wrapped normal, to rounding
+        ours = von_mises_phases(kappa, (3, 1000), np.random.default_rng(34))
+        numpy_draws = np.random.default_rng(34).vonmises(0.0, kappa, (3, 1000))
+        assert np.allclose(ours, numpy_draws, rtol=0.0, atol=1e-15)
 
     def test_zero_kappa_is_uniform(self):
-        phases = VonMises(0.0).sample(200_000, np.random.default_rng(35))
+        phases = von_mises_phases(0.0, 200_000, np.random.default_rng(35))
         assert -math.pi <= phases.min() and phases.max() < math.pi
         assert stats.kstest(phases, "uniform", args=(-math.pi, 2.0 * math.pi)).pvalue > 1e-3
 
@@ -361,19 +370,22 @@ class TestPolarGaussian:
 
     @pytest.mark.parametrize("count", [1, 1000, 2049, 16384])
     def test_amplitudes_are_those_of_the_complex_draw(self, count):
-        # the walk's |a| scale and arg a: the radius and 2 arctan t
-        # uncoloured, and from Re and Im coloured in place
+        # the walk's |a| scale and unit phasor of a: the radius and the
+        # half-angle formulas on t uncoloured, and from Re and Im coloured
+        # in place
         geom = ArrayGeometry(n_h=5, n_v=4, elem_len_l=0.025, elem_len_w=0.025)
         factor = correlation_factor(correlation_matrix(geom))
         polar = standard_complex_gaussian((20, count), np.random.default_rng(25))
         radius, tangent = polar[:, 0], polar[:, 1]
         scale = np.random.default_rng(26).random((20, count))
-        amp, arg = channel._amplitudes(polar.copy(), None, scale, angles=True)
+        amp, phasor = channel._amplitudes(polar.copy(), None, scale, phasor=True)
         assert np.array_equal(amp, radius * scale)
-        assert np.array_equal(arg, 2.0 * np.arctan(tangent))
+        assert np.allclose(phasor[:, 0] + 1j * phasor[:, 1], np.exp(2j * np.arctan(tangent)),
+                           rtol=0.0, atol=1e-15)
         coloured = factor @ (radius * np.exp(2j * np.arctan(tangent))) * scale
-        amp, arg = channel._amplitudes(polar, factor, scale, angles=True)
-        assert np.allclose(amp * np.exp(1j * arg), coloured, rtol=0.0, atol=1e-13)
+        amp, phasor = channel._amplitudes(polar, factor, scale, phasor=True)
+        assert np.allclose(amp * (phasor[:, 0] + 1j * phasor[:, 1]), coloured,
+                           rtol=0.0, atol=1e-13)
         assert channel._amplitudes(polar, None)[1] is None
 
     def test_int_size_is_one_row(self):
@@ -485,9 +497,10 @@ class TestCompositeGain:
 
     @staticmethod
     def gain(mags, phases):
-        """The gain of one trial, the elements as one column."""
+        """The gain of one trial, the elements as one column, from the
+        tangents tan(phi / 2) of the phases."""
         mags, phases = (np.asarray(x, dtype=float)[:, None] for x in (mags, phases))
-        return float(_boosted_gains(mags, phases, len(mags), [1])[1][0])
+        return float(_boosted_gains(mags, np.tan(0.5 * phases), len(mags), [1])[1][0])
 
     def test_coherent_sum(self):
         assert self.gain([1.0, 1.0], [0.0, 0.0]) == pytest.approx(4.0, abs=1e-12)
@@ -501,7 +514,7 @@ class TestCompositeGain:
         n, trials = 16, 3
         mag_g, mag_h = rng.rayleigh(size=(n, trials)), rng.rayleigh(size=(n, trials))
         phases = rng.uniform(-math.pi, math.pi, (n, trials))
-        gains = _boosted_gains(mag_g * mag_h, phases, 4, [1, 2, 3, 4])
+        gains = _boosted_gains(mag_g * mag_h, np.tan(0.5 * phases), 4, [1, 2, 3, 4])
         for cols, row in gains.items():
             for t in range(trials):
                 acc = 0.0 + 0.0j
@@ -524,7 +537,7 @@ class TestMeanCompositeGain:
         eps = Quantized(1).epsilon()
         mh = np.abs(complex_normals((n, trials), rng))
         mg = np.abs(complex_normals((n, trials), rng))
-        phi = Quantized(1).sample((n, trials), rng)
+        phi = 2.0 * np.arctan(Quantized(1).sample((n, trials), rng))
         gains = np.abs(np.sum(mg * mh * np.exp(1j * phi), axis=0)) ** 2
         se = gains.std() / math.sqrt(trials)
         lower = n + math.pi**2 * n * (n - 1) * eps**2 / 16.0

@@ -400,10 +400,15 @@ class TestFailFast:
          "[scenario: ] has no scenario name"),
         ("[scenario:a]\ntarget = noma_t\ntrials = 1000.0\n",
          "key 'trials': expected an integer, got '1000.0'"),
-    ], ids=["no_estimators", "blank_estimators", "no_name", "blank_name", "float_trials"])
+        ("[scenario:a]\ntarget = noma_t\nestimators = jensen\n"
+         "[scenario:a ]\ntarget = noma_t\nestimators = jensen\n",
+         "[scenario:a ]: scenario name 'a' is repeated"),
+    ], ids=["no_estimators", "blank_estimators", "no_name", "blank_name", "float_trials",
+            "repeated_name"])
     def test_malformed_scenario_section(self, tmp_path, section, named, counting, capsys):
-        # sections that would write no rows or rows with no scenario name,
-        # and an integer key, which names its type
+        # sections that would write no rows, rows with no scenario name or
+        # two scenarios' rows under one name, and an integer key, which
+        # names its type
         path = tmp_path / "spec.ini"
         path.write_text("[sweep]\naxis = elements_per_row\nvalues = 2\n" + section,
                         encoding="utf-8")

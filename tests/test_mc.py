@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import complex_normals
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -881,42 +882,42 @@ class TestRotationMean:
 
 
 # The tangent kernel's cosines and sines are within 3.5e-16 of the exact
-# values, so a gain moves by a few ulp of A^2, A = sum_n amp_n: by at most
-# 1.24e-15 A^2 over 4000 trials of each phase model
+# values, so a gain moves by a few ulp of A^2, A = sum_n |amp_n|: by at
+# most 1.37e-15 A^2 over 4000 trials of each phase model, on real or
+# complex amplitudes
 GAIN_ERROR = 1e-14
 
 
-def plain_gains(amp, phases, n_v):
-    """|sum_n amp_n exp(j phases_n)|^2 per trial over the leading n_v n_h
-    elements, one row per n_h, with A = sum_n amp_n over the same
-    elements: per-column sums of the complex terms, accumulated."""
-    count = phases.shape[1]
-    terms = (amp * np.exp(1j * phases)).reshape(-1, n_v, count)
+def plain_gains(amp, tangents, n_v):
+    """|sum_n amp_n exp(j phi_n)|^2 per trial over the leading n_v n_h
+    elements, phi_n = 2 arctan t_n, one row per n_h, with A = sum_n
+    |amp_n| over the same elements: per-column sums of the complex terms,
+    accumulated."""
+    count = tangents.shape[1]
+    terms = (amp * np.exp(2j * np.arctan(tangents))).reshape(-1, n_v, count)
     return (np.abs(np.cumsum(np.sum(terms, axis=1), axis=0)) ** 2,
-            np.cumsum(amp.reshape(-1, n_v, count).sum(axis=1), axis=0))
+            np.cumsum(np.abs(amp).reshape(-1, n_v, count).sum(axis=1), axis=0))
 
 
-def assert_gains_near_plain(gains, amp, phases, n_v, label=None):
-    plain, total = plain_gains(amp, phases, n_v)
+def assert_gains_near_plain(gains, amp, tangents, n_v, label=None):
+    plain, total = plain_gains(amp, tangents, n_v)
     for n_h, row in gains.items():
         assert np.all(np.isfinite(row)), (label, n_h)
         assert np.all(np.abs(row - plain[n_h - 1]) <= GAIN_ERROR * total[n_h - 1] ** 2), \
             (label, n_h)
 
 
-# phases where the half-angle tangent is 0, 1 or near its pole
-EDGE_PHASES = st.one_of(
-    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]),
-    st.builds(lambda side, d: side * math.pi + d, st.sampled_from([-1.0, 1.0]),
-              st.floats(-1e-12, 1e-12)),
-    # the primed sums arg(g') - arg(g) + phi, up to 3 pi in magnitude
-    st.builds(lambda arg, phi: arg + phi, st.floats(-2 * math.pi, 2 * math.pi),
-              st.floats(-math.pi, math.pi)))
+# half-angle tangents of the phases 0, +-pi / 2 and +-pi, and near that pole
+EDGE_TANGENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.tan(math.pi / 2), -math.tan(math.pi / 2)]),
+    st.builds(lambda side, t: side * t, st.sampled_from([-1.0, 1.0]),
+              st.floats(1e12, 1.7e16)))
 
 
 class TestBoostedGain:
     def test_in_place_kernel_equals_the_plain_expression(self):
-        # the tangent kernel against the complex expression, to GAIN_ERROR A^2
+        # the tangent kernel against the complex expression, to GAIN_ERROR
+        # A^2, on real amplitudes and on complex ones, as the primed terms
         rng = np.random.default_rng(3)
         count = 300
         for model in (VonMises(2.0), Quantized(1), Quantized(3), UniformFull(), Perfect()):
@@ -927,13 +928,17 @@ class TestBoostedGain:
                 mag_h = np.abs(rng.standard_normal((n, count)))
                 mag_a[::3] = 0.0
                 mag_h[:, ::7] = 0.0
-                phases = model.sample((n, count), rng)
+                tangents = model.sample((n, count), rng)
                 # the engine forms mag_a * mag_h once and shares it across
                 # phase models
                 amp = mag_a * mag_h
-                gains = _boosted_gains(amp, phases, n_v, widths)
+                gains = _boosted_gains(amp, tangents, n_v, widths)
                 assert sorted(gains) == sorted(widths)
-                assert_gains_near_plain(gains, amp, phases, n_v, (model, n_v))
+                assert_gains_near_plain(gains, amp, tangents, n_v, (model, n_v))
+                turned = amp * np.exp(1j * rng.uniform(-math.pi, math.pi, amp.shape))
+                gains = _boosted_gains(np.stack([turned.real, turned.imag], axis=1),
+                                       tangents, n_v, widths)
+                assert_gains_near_plain(gains, turned, tangents, n_v, (model, n_v, "complex"))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n_v=st.integers(1, 3), n_h=st.integers(1, 4), count=st.integers(1, 5),
@@ -941,12 +946,12 @@ class TestBoostedGain:
     def test_edge_phases_give_finite_gains(self, n_v, n_h, count, data):
         # RuntimeWarnings are errors under this suite's filterwarnings
         size = n_v * n_h * count
-        phases = np.reshape(data.draw(st.lists(EDGE_PHASES, min_size=size, max_size=size)),
-                            (n_v * n_h, count))
+        tangents = np.reshape(data.draw(st.lists(EDGE_TANGENTS, min_size=size,
+                                                 max_size=size)), (n_v * n_h, count))
         amp = np.reshape(data.draw(st.lists(st.floats(0.0, 10.0), min_size=size,
                                             max_size=size)), (n_v * n_h, count))
-        gains = _boosted_gains(amp, phases, n_v, range(1, n_h + 1))
-        assert_gains_near_plain(gains, amp, phases, n_v)
+        gains = _boosted_gains(amp, tangents, n_v, range(1, n_h + 1))
+        assert_gains_near_plain(gains, amp, tangents, n_v)
 
     @pytest.mark.parametrize("n_h, n_v, spacing", [(25, 4, 2), (20, 5, 4), (15, 4, 2)],
                              ids=["fig3", "fig7", "precision_point"])
@@ -978,10 +983,13 @@ class TestWalkMemory:
     # coloured (15.7 MB), |h| and the new |g||h| (7.9 MB each), about 35 MB
     # in all; one more (60, 16384) temporary would exceed the bound.  fig5
     # draws von Mises phases on both sides of N = 40: its bound keeps the
-    # sampler's chunks from growing with the draw
+    # sampler's chunks from growing with the draw.  fig8 walks the primed
+    # terms of N = 40 (39.3 MB): a view that kept the unit phasors of a
+    # side alive through its phase draws read 60.3 MB
     @pytest.mark.parametrize("spec_path, bound", [(PRECISION_POINT, 38e6),
-                                                  (PERFBENCH_SPECS / "fig5_rate_vs_snr.ini", 24e6)],
-                             ids=["precision_point", "fig5"])
+                                                  (PERFBENCH_SPECS / "fig5_rate_vs_snr.ini", 24e6),
+                                                  (PERFBENCH_SPECS / "fig8_multiuser.ini", 42e6)],
+                             ids=["precision_point", "fig5", "fig8"])
     def test_one_block_sweep_keeps_its_traced_peak(self, spec_path, bound):
         spec = spec_with_overrides(load_spec(spec_path), trials=BLOCK_SIZE)
         tracing = tracemalloc.is_tracing()
@@ -1052,6 +1060,48 @@ class TestPrimedGainMean:
     def test_correlated_elements_exceed_n(self):
         # about 19 standard errors at this layout (H' near 37 against N = 24)
         assert all(z > 10.0 for z in self.primed_z_scores(True))
+
+
+class TestWalkedGainsPerTrial:
+    # The walk's H_t, H_r, H_t' and H_r' against plain complex numpy on the
+    # raw streams of the block, trial by trial.  The law-based tests above
+    # cannot tell arg g' - arg g from arg g - arg g': both have one law.
+
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_gains_are_the_complex_sums(self, correlated):
+        geom = quarter_wave_geometry()
+        params, cfg = four_user_params(), McConfig(trials=700, master_seed=17)
+        models = (Quantized(1), VonMises(2.0))
+        keys = [_member(replace(geom, n_h=n_h), params, models, cfg, [Scenario.NOMA_T],
+                        correlated)[0][0] for n_h in (6, 3)]
+        walked = walked_gains(keys)
+        factor = _group_factor(keys)
+
+        def rng(stream):
+            seq = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(stream, 0))
+            return np.random.Generator(np.random.PCG64(seq))
+
+        def fading(stream):
+            z = complex_normals((geom.n_elements, cfg.trials), rng(stream))
+            return z if factor is None else factor @ z
+
+        h = np.abs(fading(mc._STREAM_H))
+        for side, (stream, stream_p, stream_phi) in enumerate((
+                (mc._STREAM_G, mc._STREAM_GP, mc._STREAM_PHI_T),
+                (mc._STREAM_R, mc._STREAM_RP, mc._STREAM_PHI_R))):
+            g, g_p = fading(stream), fading(stream_p)
+            phi = 2.0 * np.arctan(models[side].sample(g.shape, rng(stream_phi)))
+            terms = (np.abs(g) * h * np.exp(1j * phi),
+                     np.abs(g_p) * h * np.exp(1j * np.angle(g_p))
+                     * np.exp(-1j * np.angle(g)) * np.exp(1j * phi))
+            # arg g_n moves by the rounding of the colouring over |g_n|, so
+            # a primed term's error bound is weighted by 1 + 1 / |g_n|
+            weights = (np.ones(g.shape), 1.0 + 1.0 / np.abs(g))
+            for (n_h, gains), row in itertools.product(zip((6, 3), walked), (side, side + 2)):
+                n, primed = geom.n_v * n_h, row // 2
+                plain = np.abs(terms[primed][:n].sum(axis=0)) ** 2
+                total = (np.abs(terms[primed][:n]) * weights[primed][:n]).sum(axis=0)
+                assert np.all(np.abs(gains[row] - plain) <= GAIN_ERROR * total ** 2), (n_h, row)
 
 
 def plain_moments(stack):
