@@ -39,10 +39,10 @@ and Q2 take up the variance the phases add at fixed magnitudes, which H
 alone leaves in the uniform-phase rows.  Where a side's phases are
 uniform, the rates that are one log of its gain (NOMA T, OMA T and OMA
 R; analytic._SINGLE_LOG) on n_h >= 2 columns are conditional Monte
-Carlo estimates instead (see _rotated): turning the phases of the last
-n_h - n_h // 2 columns by one more uniform angle leaves their law
-unchanged, so y and its controls are replaced by their closed-form means
-over that angle, from the magnitudes of the two halves' sums.  Per
+Carlo estimates instead (see _rotated): turning the phases of a group
+of columns by a constant angle leaves their law unchanged, so y and its
+controls are replaced by their means over turns of up to four column
+groups, up to nine closed forms per trial from the groups' sums.  Per
 block, the means and co-moments of y and its controls are merged in
 block order, so the estimates do not depend on how blocks were
 scheduled.
@@ -135,13 +135,12 @@ class McEstimate:
     fitted by least squares on the same trials; E[D] = E[H], the Jensen
     gain.  For NOMA T, OMA T and OMA R on a side of uniform phases and
     n_h >= 2 columns, y and the controls are the rotated rows: their
-    means over a uniform turn of the phases of the side's last
-    n_h - n_h // 2 columns (see _rotated), with the same means and less
-    variance.  The fit biases it by O(1/trials), about 0.1 standard
-    errors at 1000 trials on an N = 8 setup.  half_width is the 95 % normal
-    half-width 1.96 sqrt(s^2 / trials), with s^2 the residual variance of
-    the fit over trials - 1 - k degrees of freedom, k the number of
-    controls.
+    means over turns of the phases of the side's column groups (see
+    _rotated), with the same means and less variance.  The fit biases it
+    by O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
+    setup.  half_width is the 95 % normal half-width 1.96 sqrt(s^2 /
+    trials), with s^2 the residual variance of the fit over trials - 1 -
+    k degrees of freedom, k the number of controls.
     """
 
     mean: float
@@ -154,7 +153,7 @@ class McEstimate:
 
 
 def _boosted_gains(amp: np.ndarray, tangents: np.ndarray, n_v: int, widths,
-                   halves=None) -> dict:
+                   prefix=None) -> dict:
     """{n_h: |sum_{n < n_v n_h} amp_n exp(j phi_n)|^2 per trial} for the
     column counts n_h in widths, from the tangents t = tan(phi / 2), both
     (n_v max(widths), count) with elements column by column; amp is |a|
@@ -171,11 +170,11 @@ def _boosted_gains(amp: np.ndarray, tangents: np.ndarray, n_v: int, widths,
     |sum_n amp_n exp(j phi_n)|^2 by at most about 1e-15 A^2, A = sum_n
     |amp_n|.
 
-    halves maps some column counts n_h >= 2 to a (2, count) array, which
-    is filled with |S_head| and |S_tail|, the magnitudes of the sums over
-    the first n_h // 2 columns and over the rest (see _rotated)."""
+    prefix, if given, is the complex (max(widths), count) array the sums
+    are accumulated in, and holds them on return (see _turns)."""
     count = tangents.shape[1]
-    prefix = np.empty((len(tangents) // n_v, count), complex)
+    if prefix is None:
+        prefix = np.empty((len(tangents) // n_v, count), complex)
     sine, cosine = np.empty((2, n_v, count))
     for col, (real, imag) in enumerate(zip(prefix.real, prefix.imag)):
         rows = slice(col * n_v, (col + 1) * n_v)
@@ -192,9 +191,6 @@ def _boosted_gains(amp: np.ndarray, tangents: np.ndarray, n_v: int, widths,
         np.sum(terms[1], axis=0, out=imag)
     _running_sum(prefix.real)
     _running_sum(prefix.imag)
-    for n_h, (head, tail) in (halves or {}).items():
-        np.abs(prefix[n_h // 2 - 1], out=head)
-        np.abs(prefix[n_h - 1] - prefix[n_h // 2 - 1], out=tail)
     return {n_h: np.abs(prefix[n_h - 1]) ** 2 for n_h in widths}
 
 
@@ -263,19 +259,29 @@ _CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
 # terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
 # floor the phases move H by too little for the controls to matter.
 _PHASE_VAR_MIN = 1e-4
+# The most column groups a _rotated rate is averaged over, and the turns
+# exp(2 pi j k / 3), k = 0, 1, 2, of a group against the one before it
+_GROUPS = 4
+_LATTICE = np.exp(2j * np.pi / 3 * np.arange(3))[:, None]
 
 
 def _rotated(key, scen) -> bool:
-    """Whether scen's rate on draw key is averaged over a half-surface
-    rotation: a rate of analytic._SINGLE_LOG whose side has UniformFull
-    phases and n_h >= 2 columns.  Turning the phases of the side's last
-    n_h - n_h // 2 columns by one uniform angle psi, independent of the
-    draws, leaves the law of its i.i.d. uniform phases unchanged.  So the
-    rate's mean over psi (_mean_log1p_over_rotation), a function of
-    |S_head| and |S_tail| (see _boosted_gains), has the rate's mean and
-    less variance (conditional Monte Carlo), and so do its controls
-    averaged over psi (_phase_rows).  The min over two links of NOMA R, T'
-    and R' has no mean over psi in closed form."""
+    """Whether scen's rate on draw key is averaged over turns of column
+    groups: a rate of analytic._SINGLE_LOG whose side has UniformFull
+    phases and n_h >= 2 columns.  The side's columns split into K =
+    min(_GROUPS, n_h) groups with sums G_1..G_K (see _turns), and turning
+    a group's i.i.d. uniform phases by a constant angle, independent of
+    the draws, leaves their law unchanged.  So with omega = exp(2 pi j /
+    3), each of the rates of |G_1 + G_2 omega^k + (G_3 + G_4 omega^l)
+    exp(j psi)|^2, for k, l in {0, 1, 2} and psi uniform, has the rate's
+    law, and their mean, nine closed forms over psi
+    (_mean_log1p_over_rotation), has the rate's mean and less variance
+    (conditional Monte Carlo); at K = 3 the tail is G_3 alone, at K = 2
+    the sums are G_1 and G_2 exp(j psi).  The controls averaged alike
+    keep their means (_phase_rows).  Three turns are the fewest for which
+    the mean of omega^(2k) vanishes as that of omega^k does, which the
+    mean of Q2 needs.  The min over two links of NOMA R, T' and R' has no
+    mean over psi in closed form."""
     _, n_h, *models = key
     return (scen in _SINGLE_LOG and n_h >= 2
             and isinstance(models[_CONTROLS[scen][0]], UniformFull))
@@ -297,15 +303,41 @@ def _mean_log1p_over_rotation(kappa, head, tail):
     return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
 
 
+def _turns(prefix, n_h):
+    """(heads, tails, A, pair) of a UniformFull side's gain at n_h
+    columns, from its column prefix sums (see _boosted_gains).  The
+    columns split into K = min(_GROUPS, n_h) groups at the columns
+    floor(i n_h / K), with sums G_i, and the first K - K // 2 groups are
+    the head.  heads holds |G_1 + G_2 omega^k| for k = 0, 1, 2, or |G_1|
+    if the head is one group, as (rows, 1, count); tails likewise for the
+    rest, as (rows, count), so the pairs are the turns of _rotated.  A =
+    sum_i |G_i|^2 and pair = sum_{i < j} |G_i|^2 |G_j|^2 (see
+    _phase_rows)."""
+    k = min(_GROUPS, n_h)
+    groups = np.diff(prefix[[(i + 1) * n_h // k - 1 for i in range(k)]], axis=0, prepend=0)
+
+    def turned(part):
+        return np.abs(part[0] + part[1] * _LATTICE) if len(part) == 2 else np.abs(part)
+
+    sq = np.abs(groups) ** 2
+    a, pair = sq[0], 0.0
+    for s in sq[1:]:
+        pair = pair + s * a
+        a = a + s
+    return turned(groups[:k - k // 2])[:, None], turned(groups[k - k // 2:]), a, pair
+
+
 def _phase_sides(key, scen) -> tuple:
     """The sides of scen's gain controls on draw key that also take the
     phase controls Q1 and Q2 (see _phase_rows): those of N >= 2 elements
     whose model has 1 - eps^2 >= _PHASE_VAR_MIN, which leaves out every
     Perfect side, and none for T' and R'.  At N = 1, H = a^2 whatever
-    the phase.  A _rotated rate needs N >= 3: at N = 2 each half is one
-    element, so A = D and the phase controls averaged over psi vanish."""
+    the phase.  A _rotated rate needs N > K, its group count (see
+    _turns): at N = K each group is one element, so A = D and the phase
+    controls averaged over the turns vanish."""
     (family, *_), n_h, *models = key
-    if scen in _NOMA[2:] or family.n_v * n_h < 2 + _rotated(key, scen):
+    groups = min(_GROUPS, n_h) if _rotated(key, scen) else 1
+    if scen in _NOMA[2:] or family.n_v * n_h <= groups:
         return ()
     return tuple(row for row in _CONTROLS[scen]
                  if 1.0 - models[row].epsilon() ** 2 >= _PHASE_VAR_MIN)
@@ -334,7 +366,7 @@ def _conditional_moments(model, sums):
     return c_sq * a_sq + sigma_sq * p2, w * b1 + u * b2
 
 
-def _phase_rows(model, h, sums, halves=None):
+def _phase_rows(model, h, sums, turned=None):
     """The gain and phase controls (H, D, Q1, Q2) of one side's gains h:
     D = E[H | a] (see _conditional_moments), Q1 = H / D - 1 and Q2 = Q1^2
     - Var(H | a) / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and
@@ -343,35 +375,34 @@ def _phase_rows(model, h, sums, halves=None):
     | a] / D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two
     ratios.
 
-    Given halves = (|S_head|, |S_tail|) of a UniformFull side, the rows
-    are their means over the rotation of its tail (see _rotated): H = A =
-    |S_head|^2 + |S_tail|^2, and Q2 = Q1^2 + (2 |S_head|^2 |S_tail|^2 -
-    Var(H | a)) / D^2, as the mean over psi of (H - D)^2 is (A - D)^2 + 2
-    |S_head|^2 |S_tail|^2.  Their means stay those of H, Q1 and Q2."""
+    Given turned = (A, pair) of a UniformFull side (see _turns), the rows
+    are their means over the turns of _rotated: H = A = sum_i |G_i|^2,
+    and Q2 = Q1^2 + (2 pair - Var(H | a)) / D^2, as the mean of (H - D)^2
+    is (A - D)^2 + 2 sum_{i < j} |G_i|^2 |G_j|^2.  Their means stay those
+    of H, Q1 and Q2."""
     mean, var = _conditional_moments(model, sums)
-    if halves is not None:
-        head_sq, tail_sq = halves * halves
-        h = head_sq + tail_sq
-        var = var - 2.0 * head_sq * tail_sq
+    if turned is not None:
+        h, pair = turned
+        var = var - 2.0 * pair
     q1 = h / mean - 1.0
     return h, mean, q1, q1 * q1 - var / (mean * mean)
 
 
-def _walk_block(keys, factor, block, count, halves=()):
-    """(gains, sums, halves) of one block for the draw keys of a walk:
+def _walk_block(keys, factor, block, count, turned=()):
+    """(gains, sums, prefixes) of one block for the draw keys of a walk:
     their composite gains, the column sums of their element amplitudes
-    and the half sums of their rotated sides.
+    and the column prefix sums of their rotated sides' gains.
 
     The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
     four-user parameters: each a row of count trials, or None for a side
     the key does not read, which no array holds.  The sums are {side:
     {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
     |g||h| or |r||h|, at the column counts of the keys that read the
-    side; _block_moments forms the phase controls from them.  The halves
-    returned are {(side, n_h): (|S_head|, |S_tail|)} of the side's
-    UniformFull gain at n_h columns (see _boosted_gains) for the distinct
-    (side, n_h) pairs of the argument halves, each n_h >= 2 and read by a
-    key of UniformFull phases on that side.
+    side; _block_moments forms the phase controls from them.  The
+    prefixes are {side: complex (n_h, count) column prefix sums} of the
+    UniformFull gain of each side in turned (see _boosted_gains), n_h the
+    widest layout of UniformFull phases on that side, from which _turns
+    reads the group sums of every narrower one.
 
     keys maps each draw key to the sides its members read (see
     _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
@@ -419,19 +450,17 @@ def _walk_block(keys, factor, block, count, halves=()):
         return standard_complex_gaussian(shape, rng(stream))
 
     mag_h = _amplitudes(draw(_STREAM_H), factor)[0]
-    # one row per side a key reads (two under four-user parameters), then
-    # the two rows of each half split asked, in one array allocated before
-    # the sides are drawn; keeping each phase model's own gain rows
-    # instead, between the large temporaries of the later draws, raised
-    # the peak RSS of a 60-element walk by 9 MB
+    # one row per side a key reads (two under four-user parameters), in
+    # one array allocated before the sides are drawn; keeping each phase
+    # model's own gain rows instead, between the large temporaries of the
+    # later draws, raised the peak RSS of a 60-element walk by 9 MB
     read = [(key, row) for key, sides in keys.items() for side in sides
             for row in ((side, side + 2) if primed else (side,))]
-    store = np.empty((len(read) + 2 * len(halves), count))
+    store = np.empty((len(read), count))
     gains = {key: [None] * (4 if primed else 2) for key in keys}
     for (key, row), gain in zip(read, store):
         gains[key][row] = gain
-    halves = dict(zip(halves, store[len(read):].reshape(-1, 2, count)))
-    sums = {}
+    sums, prefixes = {}, {}
     for row, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
             (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
@@ -461,10 +490,11 @@ def _walk_block(keys, factor, block, count, halves=()):
             perfect = isinstance(model, Perfect)
             tangents = (None if perfect and not primed
                         else model.sample((n, count), rng(stream_phi)))
-            split = ({n_h: halves[row, n_h] for n_h in widths if (row, n_h) in halves}
-                     if isinstance(model, UniformFull) else None)
+            prefix = None
+            if row in turned and isinstance(model, UniformFull):
+                prefix = prefixes[row] = np.empty((n // n_v, count), complex)
             out = ({n_h: cols[n_h][0] for n_h in widths} if perfect
-                   else _boosted_gains(amp[:n], tangents, n_v, widths, split))
+                   else _boosted_gains(amp[:n], tangents, n_v, widths, prefix))
             out_p = _boosted_gains(terms_p[:n], tangents, n_v, widths) if primed else None
             for key in group:
                 gains[key][row][...] = out[key[1]]
@@ -472,7 +502,7 @@ def _walk_block(keys, factor, block, count, halves=()):
                     gains[key][row + 2][...] = out_p[key[1]]
             del tangents  # before the next model's phases are drawn
         amp = terms_p = None  # before the next side is drawn
-    return gains, sums, halves
+    return gains, sums, prefixes
 
 
 def _rate(scen, params, gains):
@@ -526,8 +556,8 @@ def _cv_estimate(moments, control_means) -> McEstimate:
     C_xy; H_t and H_r come from separate streams, each D row differs
     from its H by the phases, and each Q row varies with the phases at
     fixed magnitudes, so C_xx is not singular; a side whose phases barely
-    move H takes no D or Q rows, nor does a _rotated rate at N = 2, whose
-    A equals D), and a 95 % half-width from the
+    move H takes no D or Q rows, nor does a _rotated rate with one element
+    per group, whose A equals D), and a 95 % half-width from the
     residual variance with one degree of freedom per coefficient and one
     for the mean.  The residual sum of squares C_yy - C_yx beta is
     clipped at 0: it cancels to rounding when y is linear in H to double
@@ -578,21 +608,22 @@ def _block_moments(keys, members, factor, block, count):
     (see _CONTROLS), then the D rows of its _phase_sides, then their Q1
     and Q2 rows (see _phase_rows): the rows of known mean first, in the
     order mc_estimates lists those means.  A _rotated rate and its
-    controls are their means over the rotation instead: the rate from
-    the halves of its side's gain, and A in place of H.  Its chain still
-    runs, once per block like every member's, since the benchmark counts
-    blocks as rate chain calls, and its rate is not read.  The controls
-    are formed from the gains, column sums and halves key by key, once
-    for all the members on a key, so one key's controls are held at a
-    time."""
-    halves = dict.fromkeys((_CONTROLS[scen][0], key[1]) for key, _, scen in members
-                           if _rotated(key, scen))
-    gains, sums, halves = _walk_block(keys, factor, block, count, halves=halves)
+    controls are their means over the turns instead: the rate from the
+    turned pairs of its side's group sums (see _turns), and A in place
+    of H.  Its chain still runs, once per block like every
+    member's, since the benchmark counts blocks as rate chain calls, and
+    its rate is not read.  The controls are formed from the gains,
+    column sums and prefix sums key by key, once for all the members on
+    a key, so one key's controls are held at a time."""
+    turned = {_CONTROLS[scen][0] for key, _, scen in members if _rotated(key, scen)}
+    gains, sums, prefixes = _walk_block(keys, factor, block, count, turned=turned)
     on_key = {}  # {draw key: [(index, params, scenario) of its members]}
     for i, (key, params, scen) in enumerate(members):
         on_key.setdefault(key, []).append((i, params, scen))
     out = [None] * len(members)
     for key, group in on_key.items():
+        turns = {side: _turns(prefixes[side], key[1]) for side in
+                 {_CONTROLS[scen][0] for _, _, scen in group if _rotated(key, scen)}}
         controls = {}  # {(side, rotated): (H or A, D, Q1, Q2)}
         for _, _, scen in group:
             rotated = _rotated(key, scen)
@@ -600,14 +631,15 @@ def _block_moments(keys, members, factor, block, count):
                 if (side, rotated) not in controls:
                     controls[side, rotated] = _phase_rows(
                         key[2 + side], gains[key][side], sums[side][key[1]],
-                        halves[side, key[1]] if rotated else None)
+                        turns[side][2:] if rotated else None)
         for i, params, scen in group:
             rate = _rate(scen, params, gains[key])
             rotated = _rotated(key, scen)
             if rotated:
                 (side,) = _CONTROLS[scen]
                 kappa, share = _single_log(params, scen)
-                rate = share * _mean_log1p_over_rotation(kappa, *halves[side, key[1]]) / _LN2
+                logs = _mean_log1p_over_rotation(kappa, *turns[side][:2])
+                rate = share * logs.mean(axis=(0, 1)) / _LN2
                 gain_rows = [controls[side, True][0]]
             else:
                 gain_rows = [gains[key][row] for row in _CONTROLS[scen]]

@@ -13,7 +13,7 @@ from conftest import complex_normals
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ios_noma.analytic import Scenario, _mean_gain, large_snr_limit, rate_bound
+from ios_noma.analytic import _LN2, Scenario, _mean_gain, _single_log, large_snr_limit, rate_bound
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
                               phase_error_from_string, standard_complex_gaussian)
@@ -849,9 +849,30 @@ class TestSidePruning:
         assert batch([oma_call]) == [oma]
 
 
+# the midpoints of a uniform grid of 4096 turns psi
+PSI = 2.0 * math.pi * (np.arange(4096) + 0.5) / 4096
+
+
+def turned_sums(groups, turns=np.exp(2j * math.pi / 3 * np.arange(3))):
+    """The head and tail sums of group sums G (K, count) at every turn:
+    G_1 + G_2 w and G_3 + G_4 w over the turns w, or G_1 alone for a
+    head of one group, the first K - K // 2 groups the head."""
+    def turned(part):
+        return part[0] + part[1] * turns[:, None] if len(part) == 2 else part[:1]
+    k = len(groups)
+    return turned(groups[:k - k // 2]), turned(groups[k - k // 2:])
+
+
+def turned_gains(head, tail):
+    """|S_head + S_tail exp(j psi)|^2 at every pair of head and tail
+    turns and every psi of PSI, shape (heads, tails, count, len(PSI))."""
+    return np.abs(head[:, None, :, None] + tail[None, :, :, None] * np.exp(1j * PSI)) ** 2
+
+
 class TestRotationMean:
     """The mean of log1p(kappa |S_head + S_tail exp(j psi)|^2) over a
-    uniform psi (mc._mean_log1p_over_rotation)."""
+    uniform psi (mc._mean_log1p_over_rotation), and over the turns of
+    the column groups (mc._turns)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kappa=st.floats(-20.0, 12.0).map(lambda e: 10.0**e),
@@ -879,6 +900,75 @@ class TestRotationMean:
             assert closed == pytest.approx(trap, rel=1e-13, abs=0.0)
         else:
             assert closed == pytest.approx(trap, rel=0.0, abs=1e-3)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(polar=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
+                          min_size=3, max_size=4))
+    def test_three_turns_keep_the_control_means(self, polar):
+        # over the turns of _rotated and a uniform psi, the mean of H is A
+        # = sum_i |G_i|^2 and that of (H - A)^2 is 2 sum_{i<j} |G_i|^2 |G_j|^2,
+        # the means the rotated A and Q2 rows rest on; the psi grid is exact
+        # for these trigonometric polynomials of degree 2
+        groups = np.array([r * np.exp(1j * t) for r, t in polar])[:, None]
+        sq = np.abs(groups[:, 0]) ** 2
+        a = sq.sum()
+        pair = sum(x * y for x, y in itertools.combinations(sq, 2))
+        h = turned_gains(*turned_sums(groups))
+        assert h.mean() == pytest.approx(a, rel=1e-12)
+        assert ((h - a) ** 2).mean() == pytest.approx(2.0 * pair, rel=1e-12)
+
+    def test_two_turns_miss_the_second_moment(self):
+        # under turns of +-1 the mean of (2 Re(x w))^2, x = G_1 conj(G_2),
+        # is 2 |x|^2 + 2 Re(x^2): the mean of H stays A, but that of (H -
+        # A)^2 is 16, not 12, at G = (1, 1, 1, 1); three turns are the
+        # fewest whose squares also average to 0
+        h = turned_gains(*turned_sums(np.ones((4, 1)), turns=np.array([1.0, -1.0])))
+        assert h.mean() == pytest.approx(4.0, rel=1e-12)
+        assert ((h - 4.0) ** 2).mean() == pytest.approx(16.0, rel=1e-12)
+        h = turned_gains(*turned_sums(np.ones((4, 1))))
+        assert ((h - 4.0) ** 2).mean() == pytest.approx(12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n_v", [1, 3])
+    def test_group_rate_is_the_mean_over_the_turns(self, n_v, monkeypatch):
+        # per trial, the rotated rate of _block_moments and its A row
+        # against a brute-force mean over the turns and the psi grid, from
+        # the column sums of the walk's prefix summed over the groups
+        # between the columns floor(i n_h / K), K = min(4, n_h)
+        params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
+        cfg, count = McConfig(trials=500, master_seed=5), 32
+        members = [member for n_h in (2, 3, 4, 7) for member in _member(
+            ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05), params, models,
+            cfg, (Scenario.NOMA_T, *OMA), True)]
+        keys = dict.fromkeys((key for key, _, _ in members), (0, 1))
+        walked, stacks = [], []
+        walk_block, moments = mc._walk_block, mc._moments
+        monkeypatch.setattr(mc, "_walk_block",
+                            lambda *args, **kw: walked.append(walk_block(*args, **kw))
+                            or walked[-1])
+        monkeypatch.setattr(mc, "_moments", lambda stack: stacks.append(stack) or moments(stack))
+        _block_moments(keys, members, _group_factor(keys), 0, count)
+        ((gains, _, prefixes),) = walked
+        for (key, _, scen), stack in zip(members, stacks):
+            n_h, side = key[1], int(scen is Scenario.OMA_R)
+            assert np.array_equal(np.abs(prefixes[side][n_h - 1]) ** 2, gains[key][side])
+            k = min(4, n_h)
+            cols = np.diff(prefixes[side][:n_h], axis=0, prepend=0)
+            groups = np.array([cols[i * n_h // k:(i + 1) * n_h // k].sum(axis=0)
+                               for i in range(k)])
+            head, tail = turned_sums(groups)
+            h = turned_gains(head, tail)
+            np.testing.assert_allclose(stack[1], h.mean(axis=(0, 1, 3)), rtol=1e-13, atol=0)
+            kappa, share = _single_log(params, scen)
+            closed, trap = stack[0] * _LN2 / share, np.log1p(kappa * h).mean(axis=(0, 1, 3))
+            # test_closed_form_matches_the_trapezoid's tolerances, at the
+            # turn of each trial nearest the log's branch points
+            a = np.abs(head[:, None]) ** 2 + np.abs(tail[None]) ** 2
+            b = 2.0 * kappa * np.abs(head[:, None]) * np.abs(tail[None])
+            d = np.arccosh(np.maximum((1.0 + kappa * a) / b, 1.0)).min(axis=(0, 1))
+            far = len(PSI) * d > 60.0
+            np.testing.assert_allclose(closed[far], trap[far], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(closed[~far], trap[~far], rtol=0, atol=1e-3)
 
 
 # The tangent kernel's cosines and sines are within 3.5e-16 of the exact
@@ -1394,11 +1484,12 @@ class TestControlVariate:
                 covered[scen] += abs(est.mean - ref[scen].mean) <= est.half_width
         assert min(covered.values()) >= 0.9 * len(seeds), covered
 
-    def test_rotated_interval_covers_the_reference_mean(self):
-        # test_interval_covers_the_reference_mean on a layout whose halves
-        # are 5 columns of 4 elements each, where the single-log rates on
-        # uniform phases are their means over the rotation of one half
-        geom = ArrayGeometry(n_h=10, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
+    @pytest.mark.parametrize("n_h", [3, 4, 10])
+    def test_rotated_interval_covers_the_reference_mean(self, n_h):
+        # test_interval_covers_the_reference_mean on layouts of 4-element
+        # columns in K = 3, 4 and 4 groups, where the single-log rates on
+        # uniform phases are their means over the turns of the groups
+        geom = ArrayGeometry(n_h=n_h, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
         params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
         scenarios = (Scenario.NOMA_T, *OMA)
         ref = mc_estimates(geom, params, models,
@@ -1488,6 +1579,28 @@ class TestControlVariate:
             r = _rate(scen, params, gains)
             plain_mean, plain_hw, est = r.mean(), z * r.std(ddof=1) / math.sqrt(r.size), out[scen]
             assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
+            assert est.half_width <= plain_hw, (scen, plain_hw, est)
+
+    @pytest.mark.parametrize("n_v, n_h", [(1, n_h) for n_h in range(2, 7)]
+                             + [(2, n_h) for n_h in range(2, 5)])
+    def test_rotated_rates_with_one_element_per_group(self, n_v, n_h):
+        # at N = K, one element per group, A equals D and the rotated rates
+        # take no phase controls, which would make C_xx singular; from N =
+        # K + 1 on they take them again.  Either way the estimate is finite
+        # and within the plain half-width
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
+        params, models = SystemParams.from_db(), (UniformFull(), UniformFull())
+        scenarios, cfg = (Scenario.NOMA_T, *OMA), McConfig(trials=2000, master_seed=n_h)
+        out = mc_estimates(geom, params, models, cfg, scenarios)
+        key = _member(geom, params, models, cfg, scenarios, True)[0][0]
+        (gains,) = walked_gains([key])
+        z = 1.959963984540054
+        for scen in scenarios:
+            assert len(_phase_sides(key, scen)) == (n_v * n_h > min(4, n_h))
+            r, est = _rate(scen, params, gains), out[scen]
+            plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
+            assert math.isfinite(est.mean), (scen, est)
+            assert abs(est.mean - r.mean()) <= 2.0 * plain_hw, (scen, r.mean(), est)
             assert est.half_width <= plain_hw, (scen, plain_hw, est)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
