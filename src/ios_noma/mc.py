@@ -295,12 +295,33 @@ def _mean_log1p_over_rotation(kappa, head, tail):
 
         log1p(kappa A / 2 + (2 kappa A + kappa^2 (head^2 - tail^2)^2) / (2 (w + 1)))
 
-    so that no nearly equal terms are subtracted, however small kappa."""
-    diff, total = head - tail, head + tail
-    k_a = kappa * (head * head + tail * tail)
-    w = np.sqrt((1.0 + kappa * diff * diff) * (1.0 + kappa * total * total))
-    cross = kappa * diff * total
-    return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
+    so that no nearly equal terms are subtracted, however small kappa.
+    The operations are those of the formula in its order, written in place
+    in five arrays of the broadcast shape, so the result has the same bits."""
+    shape = np.broadcast_shapes(np.shape(head), np.shape(tail))
+    diff, total, k_a, cross, w = (np.empty(shape) for _ in range(5))
+    np.subtract(head, tail, out=diff)
+    np.add(head, tail, out=total)
+    np.add(head * head, tail * tail, out=k_a)
+    k_a *= kappa
+    np.multiply(diff, kappa, out=cross)
+    diff *= cross  # kappa diff^2
+    diff += 1.0
+    cross *= total  # kappa diff total
+    np.multiply(total, kappa, out=w)
+    w *= total
+    w += 1.0
+    w *= diff
+    np.sqrt(w, out=w)
+    w += 1.0
+    w *= 2.0  # 2 (w + 1)
+    np.multiply(k_a, 2.0, out=total)
+    cross *= cross
+    total += cross
+    total /= w
+    k_a *= 0.5
+    k_a += total
+    return np.log1p(k_a, out=k_a)
 
 
 def _turns(prefix, n_h):

@@ -901,6 +901,33 @@ class TestRotationMean:
         else:
             assert closed == pytest.approx(trap, rel=0.0, abs=1e-3)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kappa=st.floats(-12.0, 6.0).map(lambda e: 10.0**e),
+           heads=st.sampled_from([1, 3]), count=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_in_place_form_is_the_formula_bit_for_bit(self, kappa, heads, count, seed):
+        # the closed form as one expression, with a temporary per operation,
+        # against the engine's in-place version on the shapes of _turns:
+        # heads (1 or 3, 1, count) against tails (3, count), magnitudes
+        # from 1e-3 to 1e3, with zeros and equal head and tail among them
+        def formula(kappa, head, tail):
+            diff, total = head - tail, head + tail
+            k_a = kappa * (head * head + tail * tail)
+            w = np.sqrt((1.0 + kappa * diff * diff) * (1.0 + kappa * total * total))
+            cross = kappa * diff * total
+            return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
+
+        rng = np.random.default_rng(seed)
+        head = 10.0 ** rng.uniform(-3.0, 3.0, (heads, 1, count))
+        tail = 10.0 ** rng.uniform(-3.0, 3.0, (3, count))
+        head[..., ::5] = 0.0
+        tail[:, 1::4] = head[0, 0, 1::4]
+        closed = mc._mean_log1p_over_rotation(kappa, head, tail)
+        assert closed.shape == (heads, 3, count)
+        assert np.array_equal(closed, formula(kappa, head, tail))
+        one = mc._mean_log1p_over_rotation(kappa, np.array(head[0, 0, 0]), np.array(tail[0, 0]))
+        assert one == formula(kappa, head[0, 0, 0], tail[0, 0])
+
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(polar=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
