@@ -1,4 +1,4 @@
-"""Surface layout, spatial correlation, and the trace tr(Rbar Rbar).
+"""Surface layout, spatial correlation, tr(Rbar Rbar) and E[P2^2].
 
 The surface is a planar rectangular array in the yz plane with n_h
 elements per row and n_v per column.  Elements are indexed 1..N column
@@ -13,8 +13,9 @@ per-layout quantity derives from it: the correlation matrix R gathers its entrie
 magnitude-moment matrix Rbar = E[|w||w|^T] has one entry per offset, the
 cross moment of the table entry.  The analytic bounds read Rbar only
 through tr(Rbar Rbar), which is summed over the offsets in O(N) and
-cached per layout.  The dense N x N matrix R is built only to colour
-the Monte Carlo draws.
+cached per layout, as is the mean sum_{n, m} (1 + R_nm^2)^2 of the
+Monte Carlo engine's energy control (mean_p2_sq).  The dense N x N
+matrix R is built only to colour the Monte Carlo draws.
 """
 
 from __future__ import annotations
@@ -136,17 +137,37 @@ def _offset_counts(n: int) -> np.ndarray:
     return counts
 
 
+def _offset_sum(geom: ArrayGeometry, table: np.ndarray) -> float:
+    """sum over the ordered element pairs of an (n_h, n_v) table of
+    offsets: sum over (a, b) of c_a d_b table[a, b], where c and d count
+    the ordered pairs at each column and row offset."""
+    return float(_offset_counts(geom.n_h) @ table @ _offset_counts(geom.n_v))
+
+
 @functools.cache
 def trace_rbar_sq(geom: ArrayGeometry, correlated: bool) -> float:
     """tr(Rbar Rbar) of the layout, or of i.i.d. elements if not correlated.
 
-    Rbar is symmetric, so the trace is the sum of its squared entries:
-    sum over offsets (a, b) of c_a d_b m[a, b]^2, where c and d count the
-    ordered element pairs at each column and row offset.  For i.i.d.
-    elements E[|w_i||w_j|] = pi/4 off the diagonal, which gives
+    Rbar is symmetric, so the trace is the sum of its squared entries,
+    the _offset_sum of m[a, b]^2.  For i.i.d. elements E[|w_i||w_j|] =
+    pi/4 off the diagonal, which gives
     N + N (N - 1) pi^2 / 16, not N.  The result lies in [that value, N^2].
     Cached per (geom, correlated): the sweep's bounds and the engine's
     control means read the same value.
     """
     table = _moment_table(geom, correlated)
-    return float(_offset_counts(geom.n_h) @ (table * table) @ _offset_counts(geom.n_v))
+    return _offset_sum(geom, table * table)
+
+
+@functools.cache
+def mean_p2_sq(geom: ArrayGeometry, correlated: bool) -> float:
+    """E[P2^2] of P2 = sum_n |g_n|^2 |h_n|^2 for independent g and h, each
+    CN(0, R) over the layout, or with i.i.d. elements if not correlated.
+
+    For CN(0, R), E[|g_n|^2 |g_m|^2] = 1 + |R_nm|^2, so E[P2^2] = sum_{n, m}
+    (1 + R_nm^2)^2, the _offset_sum of (1 + rho[a, b]^2)^2: 4 at the origin,
+    and 1 off it for i.i.d. elements, which gives N^2 + 3 N.  Cached per
+    (geom, correlated), as trace_rbar_sq is."""
+    rho_sq = np.square(_kernel_table(geom)) if correlated else np.zeros((geom.n_h, geom.n_v))
+    rho_sq[0, 0] = 1.0
+    return _offset_sum(geom, np.square(1.0 + rho_sq))

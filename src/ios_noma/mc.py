@@ -36,7 +36,13 @@ side's Jensen gain as its exact mean, as H does, and Q1 = H / D - 1 and
 Q2 have mean 0.  With D beside H the fit weighs the part of H that the
 magnitudes set (D) apart from the part the phases add (H - D), and Q1
 and Q2 take up the variance the phases add at fixed magnitudes, which H
-alone leaves in the uniform-phase rows.  Where a side's phases are
+alone leaves in the uniform-phase rows.  Every rate but those of T' and
+R' also regresses on the energy P2^2 of each side of 6 or more elements
+it reads, P2 = sum_n a_n^2 (see _energy_sides): below the element counts
+where the channel hardens, the rate bends with the fading energy, which
+no linear function of H follows, and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2
+is exact, since E[|g_n|^2 |g_m|^2] = 1 + R_nm^2 for CN(0, R)
+(geometry.mean_p2_sq).  Where a side's phases are
 uniform, the rates that are one log of its gain (NOMA T, OMA T and OMA
 R; analytic._SINGLE_LOG) on n_h >= 2 columns are conditional Monte
 Carlo estimates instead (see _rotated): turning the phases of a group
@@ -92,7 +98,7 @@ from .analytic import (_LINKS, _LN2, _READS, _SINGLE_LOG, Scenario, _check_users
 from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
 from .channel import (Perfect, SystemParams, UniformFull, _amplitudes, _half_angle,
                       correlation_factor, standard_complex_gaussian)
-from .geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
+from .geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, trace_rbar_sq
 
 # Fixed trial block; part of the reproducibility contract, do not derive
 # from worker count or available memory.
@@ -131,16 +137,17 @@ class McEstimate:
     mean is y-bar - beta (x-bar - E[x]) over the controls x: the unprimed
     gains the rate reads (H_t, H_r or both), and for the rates of T, R
     and OMA the conditional mean gain D = E[H | a] and the two zero-mean
-    phase controls of each such side (see _phase_sides), with beta
-    fitted by least squares on the same trials; E[D] = E[H], the Jensen
-    gain.  For NOMA T, OMA T and OMA R on a side of uniform phases and
-    n_h >= 2 columns, y and the controls are the rotated rows: their
-    means over turns of the phases of the side's column groups (see
-    _rotated), with the same means and less variance.  The fit biases it
-    by O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
-    setup.  half_width is the 95 % normal half-width 1.96 sqrt(s^2 /
-    trials), with s^2 the residual variance of the fit over trials - 1 -
-    k degrees of freedom, k the number of controls.
+    phase controls of each such side (see _phase_sides), and the energy
+    P2^2 of each side read (see _energy_sides), with beta fitted by least
+    squares on the same trials; E[D] = E[H], the Jensen gain, and E[P2^2]
+    = sum_{n, m} (1 + R_nm^2)^2.  For NOMA T, OMA T and OMA R on a side
+    of uniform phases and n_h >= 2 columns, y and the controls are the
+    rotated rows: their means over turns of the phases of the side's
+    column groups (see _rotated), with the same means and less variance.
+    The fit biases it by O(1/trials), about 0.1 standard errors at 1000
+    trials on an N = 8 setup.  half_width is the 95 % normal half-width
+    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
+    over trials - 1 - k degrees of freedom, k the number of controls.
     """
 
     mean: float
@@ -259,6 +266,9 @@ _CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
 # terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
 # floor the phases move H by too little for the controls to matter.
 _PHASE_VAR_MIN = 1e-4
+# The fewest elements of a side whose energy P2^2 is a control (see
+# _energy_sides)
+_ENERGY_MIN_N = 6
 # The most column groups a _rotated rate is averaged over, and the turns
 # exp(2 pi j k / 3), k = 0, 1, 2, of a group against the one before it
 _GROUPS = 4
@@ -362,6 +372,24 @@ def _phase_sides(key, scen) -> tuple:
         return ()
     return tuple(row for row in _CONTROLS[scen]
                  if 1.0 - models[row].epsilon() ** 2 >= _PHASE_VAR_MIN)
+
+
+def _energy_sides(key, scen) -> tuple:
+    """The sides whose energy P2^2 scen's rate on draw key regresses on,
+    P2 = sum_n a_n^2 the second power sum of _column_sums: every side it
+    reads (_CONTROLS), rotated and Perfect sides too, since P2 depends on
+    the amplitudes alone, which no phase or turn moves.  Its mean sum_{n,
+    m} (1 + R_nm^2)^2 (geometry.mean_p2_sq) is exact on every layout and
+    correlation flag.  None on fewer than _ENERGY_MIN_N elements, where
+    the tails of P2^2 are too heavy for the normal interval at 1000
+    trials: it covered the mean in as few as 275 of 400 seeds at N = 1
+    and 347 for a rotated rate at N = 3, against 360 or more from N = 6
+    on (README).  None for T' and R', which keep their gain controls
+    alone (see _walk_block)."""
+    (family, *_), n_h, *_ = key
+    if scen in _NOMA[2:] or family.n_v * n_h < _ENERGY_MIN_N:
+        return ()
+    return _CONTROLS[scen]
 
 
 def _conditional_moments(model, sums):
@@ -569,18 +597,20 @@ def _merge(a, b):
 
 def _cv_estimate(moments, control_means) -> McEstimate:
     """The control-variate estimate from the merged moments of (y, H, D,
-    Q), H the gains the rate reads (H_t, H_r or both; see _CONTROLS) and
-    D the conditional mean gains of its phase sides, with exact means
-    control_means (the Jensen gains of those sides), and Q their phase
+    E, Q), H the gains the rate reads (H_t, H_r or both; see _CONTROLS),
+    D the conditional mean gains of its phase sides and E the energies
+    P2^2 of its _energy_sides, with exact means control_means (the
+    Jensen gains of those sides, then mean_p2_sq), and Q their phase
     controls, of mean 0: y-bar - beta (x-bar - E[x]) over the controls
-    x = (H, D, Q), beta the least-squares fit of y on them (C_xx beta =
+    x = (H, D, E, Q), beta the least-squares fit of y on them (C_xx beta =
     C_xy; H_t and H_r come from separate streams, each D row differs
-    from its H by the phases, and each Q row varies with the phases at
-    fixed magnitudes, so C_xx is not singular; a side whose phases barely
-    move H takes no D or Q rows, nor does a _rotated rate with one element
-    per group, whose A equals D), and a 95 % half-width from the
-    residual variance with one degree of freedom per coefficient and one
-    for the mean.  The residual sum of squares C_yy - C_yx beta is
+    from its H by the phases, each E row is of fourth order in the
+    amplitudes, where H and D are of second order, and each Q row varies
+    with the phases at fixed magnitudes, so C_xx is not singular; a side
+    whose phases barely move H takes no D or Q rows, nor does a _rotated
+    rate with one element per group, whose A equals D), and a 95 %
+    half-width from the residual variance with one degree of freedom per
+    coefficient and one for the mean.  The residual sum of squares C_yy - C_yx beta is
     clipped at 0: it cancels to rounding when y is linear in H to double
     precision, as for rates below about 1e-8 bits."""
     n, mean, com = moments
@@ -626,12 +656,13 @@ def _block_moments(keys, members, factor, block, count):
     """The moments of each member's rate and its controls over one
     block, one per member in order: the gains of the block's keys, then
     each member's rate chain on them.  A rate's controls are its gains H
-    (see _CONTROLS), then the D rows of its _phase_sides, then their Q1
-    and Q2 rows (see _phase_rows): the rows of known mean first, in the
-    order mc_estimates lists those means.  A _rotated rate and its
-    controls are their means over the turns instead: the rate from the
-    turned pairs of its side's group sums (see _turns), and A in place
-    of H.  Its chain still runs, once per block like every
+    (see _CONTROLS), then the D rows of its _phase_sides, then the P2^2
+    rows of its _energy_sides, from the column sums, then the Q1 and Q2
+    rows of its phase sides (see _phase_rows): the rows of known mean
+    first, in the order mc_estimates lists those means.  A _rotated rate
+    and its controls are their means over the turns instead: the rate
+    from the turned pairs of its side's group sums (see _turns), and A
+    in place of H.  Its chain still runs, once per block like every
     member's, since the benchmark counts blocks as rate chain calls, and
     its rate is not read.  The controls are formed from the gains,
     column sums and prefix sums key by key, once for all the members on
@@ -665,8 +696,9 @@ def _block_moments(keys, members, factor, block, count):
             else:
                 gain_rows = [gains[key][row] for row in _CONTROLS[scen]]
             phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
+            energy = [sums[side][key[1]][1] ** 2 for side in _energy_sides(key, scen)]
             out[i] = _moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase),
-                                         *(q for rows in phase for q in rows[2:]))))
+                                         *energy, *(q for rows in phase for q in rows[2:]))))
     return out
 
 
@@ -710,8 +742,9 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     (H_t, H_r or both; see _CONTROLS) and the conditional mean gains D of
     its _phase_sides, whose exact means are the Jensen gains N (1 - eps^2)
     + eps^2 tr(Rbar Rbar) of the layout, correlation flag and phase
-    models, and on the zero-mean phase controls (see McEstimate).  A call
-    of a running mc_batch finalizes from the moments the walk of its
+    models, on the energies P2^2 of its _energy_sides, of exact mean
+    mean_p2_sq, and on the zero-mean phase controls (see McEstimate).  A
+    call of a running mc_batch finalizes from the moments the walk of its
     Gaussian key kept; no draw, rate chain or pool happens after the
     batch's first call on that key.  Any other call walks alone and keeps
     nothing.  An empty list of scenarios makes no member and draws
@@ -726,8 +759,10 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     tr = trace_rbar_sq(geom, correlated)
     mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                            for model in err_models])
-    return {scen: _cv_estimate(walks[key, params, scen],
-                               mean_gains[[*_CONTROLS[scen], *_phase_sides(key, scen)]])
+    p2_sq = mean_p2_sq(geom, correlated)
+    return {scen: _cv_estimate(walks[key, params, scen], np.append(
+                mean_gains[[*_CONTROLS[scen], *_phase_sides(key, scen)]],
+                [p2_sq] * len(_energy_sides(key, scen))))
             for key, params, scen in members}
 
 

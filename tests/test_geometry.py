@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ios_noma.geometry import (ArrayGeometry, _moment_table, correlation_matrix,
-                               cross_moment, trace_rbar_sq)
+                               cross_moment, mean_p2_sq, trace_rbar_sq)
 
 QUARTER_PI = math.pi / 4
 
@@ -207,3 +207,41 @@ class TestTrace:
         corr = dense_correlation(geom) if correlated else np.eye(geom.n_elements)
         assert trace_rbar_sq(geom, correlated) == pytest.approx(dense_trace(corr),
                                                                 rel=1e-12)
+
+
+class TestMeanP2Sq:
+    # E[P2^2] = sum_{n, m} (1 + R_nm^2)^2 for P2 = sum_n |g_n|^2 |h_n|^2,
+    # summed over the offsets of the kernel table
+
+    @pytest.mark.parametrize("n_h, n_v, length, wavelength", [
+        (1, 1, 0.05, 0.1), (2, 4, 0.05, 0.1), (4, 1, 0.05, 0.1), (6, 4, 0.05, 0.2),
+        (10, 4, 0.05, 0.1), (7, 5, 0.0125, 0.1)])
+    def test_matches_the_dense_sum(self, n_h, n_v, length, wavelength):
+        # the offset sum against the N x N sum over correlation_matrix: the
+        # two add the same terms in different orders, so they agree to a
+        # few units in the last place
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=length, elem_len_w=length,
+                             wavelength=wavelength)
+        dense = float(np.sum(np.square(1.0 + np.square(correlation_matrix(geom)))))
+        assert mean_p2_sq(geom, True) == pytest.approx(dense, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_h, n_v", [(1, 1), (1, 4), (4, 1), (2, 4), (10, 4), (40, 40)])
+    def test_iid_elements_give_n_squared_plus_3n(self, n_h, n_v):
+        # E|w|^4 = 2 on the diagonal, so 4 there and 1 elsewhere
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
+        n = geom.n_elements
+        assert mean_p2_sq(geom, False) == n * n + 3 * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_h=st.integers(1, 14), n_v=st.integers(1, 14),
+           spacing=st.sampled_from([2, 4, 8]), aspect=st.floats(0.3, 3.0))
+    def test_table_matches_the_coordinate_sum(self, n_h, n_v, spacing, aspect):
+        # against conftest's R from the element coordinates; it lies
+        # between the i.i.d. value and 4 N^2, all elements fully correlated
+        wavelength = 0.1
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=wavelength / spacing,
+                             elem_len_w=aspect * wavelength / spacing, wavelength=wavelength)
+        dense = float(np.sum(np.square(1.0 + np.square(dense_correlation(geom)))))
+        value, n = mean_p2_sq(geom, True), geom.n_elements
+        assert value == pytest.approx(dense, rel=1e-12)
+        assert n * n + 3 * n - 1e-9 * n * n <= value <= 4 * n * n

@@ -17,13 +17,13 @@ from ios_noma.analytic import _LN2, Scenario, _mean_gain, _single_log, large_snr
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
                               phase_error_from_string, standard_complex_gaussian)
-from ios_noma.geometry import ArrayGeometry, correlation_matrix, trace_rbar_sq
+from ios_noma.geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, trace_rbar_sq
 from ios_noma import channel, cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
-                         _block_moments, _column_sums, _conditional_moments, _group_factor,
-                         _member, _merge, _moments, _phase_sides, _rate, _walk_block,
+                         _block_moments, _column_sums, _conditional_moments, _energy_sides,
+                         _group_factor, _member, _merge, _moments, _phase_sides, _rate, _walk_block,
                          _walk_group, mc_batch, mc_estimates, noma_trial_rates,
                          oma_trial_rates)
 
@@ -314,9 +314,10 @@ class TestDrawMemo:
         assert all(n == cfg.trials for n, _, _ in walked.values())
         arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per member
-        # moments of (y, H_t, H_r) and three phase controls (D, Q1, Q2) per
-        # side, at most 1 + 2 + 3 * 2 = 9 rows, whatever the trial count
-        assert all(dim <= 9 for a in arrays for dim in a.shape)
+        # moments of (y, H_t, H_r), three phase controls (D, Q1, Q2) and the
+        # energy P2^2 per side, at most 1 + 2 + 4 * 2 = 11 rows, whatever the
+        # trial count
+        assert all(dim <= 11 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
         # the first member walks the pool, the second finalizes from its
@@ -561,7 +562,8 @@ class TestGroupWalk:
         # member of a batch: those of the gains each rate reads, H_t for
         # T's rates, H_r for OMA R's and both for NOMA R's, then those of
         # the conditional mean gains D of the same sides but a Perfect one,
-        # whose mean is the same Jensen gain
+        # whose mean is the same Jensen gain, then those of the energy P2^2
+        # of every side read, Perfect ones too
         reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
                  Scenario.NOMA_R: [0, 1]}
         passed = []
@@ -582,6 +584,7 @@ class TestGroupWalk:
             expected += [[exact[row] for row in reads[scen]]
                          + [exact[row] for row in reads[scen]
                             if not isinstance(models[row], Perfect)]
+                         + [mean_p2_sq(geom, correlated)] * len(reads[scen])
                          for scen in NOMA + OMA]
         assert passed == expected
 
@@ -1289,6 +1292,35 @@ def four_user_setups(draw):
     return params, geom, correlated, models
 
 
+def energy_stderr(geom, correlated, trials, sample_stderr):
+    """The standard error to check a mean of P2^2 over trials with, P2 =
+    sum_n |g_n|^2 |h_n|^2 for independent g, h ~ CN(0, R): the larger of
+    the sample's own and the exact one.  E[P2^4] sums, over every 4-tuple
+    of elements, E[|g_a|^2 |g_b|^2 |g_c|^2 |g_d|^2]^2, the squared
+    permanent of R on the tuple (560 = 24^2 - 4^2 at N = 1).  P2^2 is
+    heavy-tailed.  A sample that misses its tail reads a low mean and
+    understates its own standard error (at N = 2, a 1 x 2 layout at
+    lambda / 4, one 2000-trial sample read 0.57 against the exact 1.26),
+    and one that holds a rare large trial reads a high mean and a standard
+    error raised with it.  Over 20000 samples of 2000 trials at N = 1 and
+    at that N = 2, the largest |z| was 3.1 against the larger standard
+    error, and 4.5 was exceeded in 0.14 % and 0.08 % of them against the
+    exact one alone."""
+    corr = correlation_matrix(geom) if correlated else np.eye(geom.n_elements)
+    n = len(corr)
+    perm = np.zeros((n,) * 4)
+    for sigma in itertools.permutations(range(4)):
+        term = 1.0
+        for k, j in enumerate(sigma):
+            if k != j:  # R_nn = 1
+                shape = [1] * 4
+                shape[k] = shape[j] = n
+                term = term * corr.reshape(shape)
+        perm += term
+    exact = math.sqrt((np.sum(perm * perm) - mean_p2_sq(geom, correlated) ** 2) / trials)
+    return max(exact, sample_stderr)
+
+
 class TestExactMeanGain:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
@@ -1304,6 +1336,27 @@ class TestExactMeanGain:
             exact = _mean_gain(geom.n_elements, tr, model.epsilon())
             stderr = h.std(ddof=1) / math.sqrt(h.size)
             assert abs(h.mean() - exact) <= 4.5 * stderr, (geom, correlated, model)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
+    def test_walked_energy_means_match_the_exact_mean(self, setup, seed):
+        # E[P2^2] = sum_{n, m} (1 + R_nm^2)^2 for P2 = sum_n |g_n|^2 |h_n|^2
+        # on random layouts and both correlation flags, from the column sums
+        # of the walk that the energy controls read, both sides, within 4.5
+        # standard errors (see energy_stderr)
+        _, geom, correlated, models = setup
+        cfg = McConfig(trials=2000, master_seed=seed)
+        ((key, _, _),) = _member(geom, SystemParams.from_db(), models, cfg, [Scenario.NOMA_T],
+                                 correlated)
+        both = {key: (0, 1)}
+        blocks = [_walk_block(both, _group_factor(both), block, count)[1]
+                  for block, count in _blocks(cfg.trials)]
+        exact = mean_p2_sq(geom, correlated)
+        for side in (0, 1):
+            energy = np.concatenate([sums[side][geom.n_h][1] for sums in blocks]) ** 2
+            stderr = energy_stderr(geom, correlated, energy.size,
+                                   energy.std(ddof=1) / math.sqrt(energy.size))
+            assert abs(energy.mean() - exact) <= 4.5 * stderr, (geom, correlated, side)
 
 
 ALL_KINDS = [Perfect(), UniformFull(), Quantized(1), Quantized(2), Quantized(5),
@@ -1380,6 +1433,27 @@ class TestPhaseControls:
         assert sides(geom, QUANT1, Scenario.NOMA_TP, four) == ()
         assert sides(geom, QUANT1, Scenario.NOMA_R, four) == (0, 1)
 
+    def test_sides_that_take_the_energy_control(self):
+        cfg, four = McConfig(trials=500), four_user_params()
+
+        def sides(n_h, n_v, models, scen, params=SystemParams.from_db()):
+            geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
+            return _energy_sides(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
+
+        # every side a rate reads, whatever its phases, from N = 6 on
+        for models in (QUANT1, (Perfect(), UniformFull()), (Quantized(27), VonMises(1e7))):
+            assert sides(2, 3, models, Scenario.NOMA_R) == (0, 1)
+            assert sides(5, 1, models, Scenario.NOMA_R) == ()
+        assert sides(6, 1, QUANT1, Scenario.OMA_R) == (1,)
+        # rotated rates too, even with one element per group
+        uniform = (UniformFull(), UniformFull())
+        assert sides(6, 1, uniform, Scenario.NOMA_T) == sides(2, 4, uniform, Scenario.OMA_T) == (0,)
+        assert sides(4, 1, uniform, Scenario.OMA_R) == ()
+        # the primed users keep their gain controls alone
+        assert sides(2, 4, QUANT1, Scenario.NOMA_TP, four) == ()
+        assert sides(2, 4, QUANT1, Scenario.NOMA_RP, four) == ()
+        assert sides(2, 4, QUANT1, Scenario.NOMA_R, four) == (0, 1)
+
     @pytest.mark.parametrize("n_v, n_h, models, sides", [
         (4, 2, (Perfect(), Perfect()), ()),
         (1, 1, QUANT1, ()),
@@ -1390,13 +1464,15 @@ class TestPhaseControls:
     def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, sides, monkeypatch):
         # on a Perfect, one-element or near-perfect side D equals H, or
         # nearly so, and would make C_xx singular: such a side adds no D
-        # row to the moments and no mean to the fit
+        # row to the moments and no mean to the fit; every side of N >= 6
+        # elements adds its energy P2^2 row and mean
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
         cfg = McConfig(trials=500, master_seed=89)
         (member,) = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
         keys = {member[0]: {0, 1}}
         (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
-        assert len(mean) == 3 + 3 * len(sides)
+        energy = 2 if n_v * n_h >= 6 else 0
+        assert len(mean) == 3 + energy + 3 * len(sides)
         passed = []
         cv_estimate = mc._cv_estimate
 
@@ -1406,15 +1482,17 @@ class TestPhaseControls:
 
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         mc_estimates(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,))
-        assert passed == [2 + len(sides)]
+        assert passed == [2 + energy + len(sides)]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
     def test_phase_controls_have_mean_zero(self, setup, seed):
-        # E[D] = E[H] and E[Q1] = E[Q2] = 0 on random layouts, both
-        # correlation flags and all four phase-model kinds: the rows after
-        # (y, H_t, H_r) of NOMA R's moments, merged over the blocks of a
-        # walk, are a D row per side and then the (Q1, Q2) rows
+        # E[D] = E[H], E[P2^2] = mean_p2_sq and E[Q1] = E[Q2] = 0 on random
+        # layouts, both correlation flags and all four phase-model kinds:
+        # the rows after (y, H_t, H_r) of NOMA R's moments, merged over the
+        # blocks of a walk, are a D row per phase side, the P2^2 rows of
+        # both sides on N >= 6 elements and then the (Q1, Q2) rows; the P2^2
+        # rows with the standard error of energy_stderr
         params, geom, correlated, models = setup
         assume(geom.n_elements >= 2)
         cfg = McConfig(trials=2000, master_seed=seed)
@@ -1425,12 +1503,15 @@ class TestPhaseControls:
         n, mean, com = functools.reduce(_merge, (
             _block_moments(keys, [member], _group_factor(keys), block, count)[0]
             for block, count in _blocks(cfg.trials)))
-        assert len(mean) == 3 + 3 * len(sides)
+        energy = range(3 + len(sides), 3 + len(sides) + 2 * (geom.n_elements >= 6))
+        assert len(mean) == 3 + len(energy) + 3 * len(sides)
         tr = trace_rbar_sq(geom, correlated)
         exact = [_mean_gain(geom.n_elements, tr, models[side].epsilon()) for side in sides]
-        exact += [0.0] * (2 * len(sides))
+        exact += [mean_p2_sq(geom, correlated)] * len(energy) + [0.0] * (2 * len(sides))
         for i, want in enumerate(exact, start=3):
             stderr = math.sqrt(com[i, i] / (n - 1) / n)
+            if i in energy:
+                stderr = energy_stderr(geom, correlated, n, stderr)
             assert abs(mean[i] - want) <= 4.5 * stderr, (geom, correlated, models, i)
 
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
@@ -1492,12 +1573,20 @@ class TestControlVariate:
         for est in out.values():
             assert (est.mean, est.half_width) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("model", ["uniform", "quantized:1", "vonmises:1"])
-    def test_interval_covers_the_reference_mean(self, model):
+    @pytest.mark.parametrize("n_h, n_v, model", [
+        (2, 4, "uniform"), (2, 4, "quantized:1"), (2, 4, "vonmises:1"),
+        (4, 1, "uniform"), (4, 1, "perfect"), (4, 1, "quantized:1"), (6, 1, "uniform")],
+        ids=["uniform", "quantized:1", "vonmises:1",
+             "4x1-uniform", "4x1-perfect", "4x1-quantized:1", "6x1-uniform"])
+    def test_interval_covers_the_reference_mean(self, n_h, n_v, model):
         # guards the half-width: an understated residual variance would
         # show as too few of the 95 % intervals covering the mean
-        # the N = 8 reference setup at half-wavelength spacing
-        geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
+        # the N = 8 reference setup at half-wavelength spacing, N = 4 in a
+        # row, where the energy P2^2 of the rotated rates would undercover
+        # (352 of 400 for OMA R under uniform phases) and is no control,
+        # and N = 6 in a row, the fewest elements that take it
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05,
+                             wavelength=0.1)
         params, models = SystemParams.from_db(), (phase_error_from_string(model),) * 2
         scenarios = NOMA + OMA
         ref = mc_estimates(geom, params, models,
