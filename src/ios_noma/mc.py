@@ -42,16 +42,17 @@ it reads, P2 = sum_n a_n^2 (see _energy_sides): below the element counts
 where the channel hardens, the rate bends with the fading energy, which
 no linear function of H follows, and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2
 is exact, since E[|g_n|^2 |g_m|^2] = 1 + R_nm^2 for CN(0, R)
-(geometry.mean_p2_sq).  Where a side's phases are
-uniform, the rates that are one log of its gain (NOMA T, OMA T and OMA
-R; analytic._SINGLE_LOG) on n_h >= 2 columns are conditional Monte
-Carlo estimates instead (see _rotated): turning the phases of a group
-of columns by a constant angle leaves their law unchanged, so y and its
-controls are replaced by their means over turns of up to four column
-groups, up to nine closed forms per trial from the groups' sums.  Per
-block, the means and co-moments of y and its controls are merged in
-block order, so the estimates do not depend on how blocks were
-scheduled.
+(geometry.mean_p2_sq).  A side of eps^2 >= 1e-4 adds P2 itself, of mean
+N (see _p2_sides), which D = eps^2 A^2 + (1 - eps^2) P2 ties to A^2 by
+fixed weights.  Where a side's phases are uniform, the rates that are
+one log of its gain (NOMA T, OMA T and OMA R; analytic._SINGLE_LOG) on
+n_h >= 2 columns are conditional Monte Carlo estimates instead (see
+_rotated): turning the phases of a group of columns by a constant
+angle leaves their law unchanged, so y and its controls are replaced by
+their means over turns of up to four column groups, up to nine closed
+forms per trial from the groups' sums.  Per block, the means and
+co-moments of y and its controls are merged in block order, so the
+estimates do not depend on how blocks were scheduled.
 
 The gains depend only on the draw key of a call, and the fading streams
 only on its Gaussian key (see _member); the link budget and the
@@ -137,17 +138,18 @@ class McEstimate:
     mean is y-bar - beta (x-bar - E[x]) over the controls x: the unprimed
     gains the rate reads (H_t, H_r or both), and for the rates of T, R
     and OMA the conditional mean gain D = E[H | a] and the two zero-mean
-    phase controls of each such side (see _phase_sides), and the energy
-    P2^2 of each side read (see _energy_sides), with beta fitted by least
-    squares on the same trials; E[D] = E[H], the Jensen gain, and E[P2^2]
-    = sum_{n, m} (1 + R_nm^2)^2.  For NOMA T, OMA T and OMA R on a side
-    of uniform phases and n_h >= 2 columns, y and the controls are the
-    rotated rows: their means over turns of the phases of the side's
-    column groups (see _rotated), with the same means and less variance.
-    The fit biases it by O(1/trials), about 0.1 standard errors at 1000
-    trials on an N = 8 setup.  half_width is the 95 % normal half-width
-    1.96 sqrt(s^2 / trials), with s^2 the residual variance of the fit
-    over trials - 1 - k degrees of freedom, k the number of controls.
+    phase controls of each such side (see _phase_sides), and the energies
+    P2^2 and P2 of each side read (see _energy_sides and _p2_sides), with
+    beta fitted by least squares on the same trials; E[D] = E[H], the
+    Jensen gain, E[P2] = N and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2.  For
+    NOMA T, OMA T and OMA R on a side of uniform phases and n_h >= 2
+    columns, y and the controls are the rotated rows: their means over
+    turns of the phases of the side's column groups (see _rotated), with
+    the same means and less variance.  The fit biases it by O(1/trials),
+    about 0.1 standard errors at 1000 trials on an N = 8 setup.
+    half_width is the 95 % normal half-width 1.96 sqrt(s^2 / trials),
+    with s^2 the residual variance of the fit over trials - 1 - k
+    degrees of freedom, k the number of controls.
     """
 
     mean: float
@@ -380,16 +382,26 @@ def _energy_sides(key, scen) -> tuple:
     reads (_CONTROLS), rotated and Perfect sides too, since P2 depends on
     the amplitudes alone, which no phase or turn moves.  Its mean sum_{n,
     m} (1 + R_nm^2)^2 (geometry.mean_p2_sq) is exact on every layout and
-    correlation flag.  None on fewer than _ENERGY_MIN_N elements, where
-    the tails of P2^2 are too heavy for the normal interval at 1000
-    trials: it covered the mean in as few as 275 of 400 seeds at N = 1
-    and 347 for a rotated rate at N = 3, against 360 or more from N = 6
-    on (README).  None for T' and R', which keep their gain controls
-    alone (see _walk_block)."""
+    correlation flag.  Most take P2 too (see _p2_sides).  None on fewer
+    than _ENERGY_MIN_N elements, where the tails of P2^2 are too heavy
+    for the normal interval at 1000 trials: it covered the mean in as few
+    as 275 of 400 seeds at N = 1 and 347 for a rotated rate at N = 3,
+    against 360 or more from N = 6 on (README).  None for T' and R',
+    which keep their gain controls alone (see _walk_block)."""
     (family, *_), n_h, *_ = key
     if scen in _NOMA[2:] or family.n_v * n_h < _ENERGY_MIN_N:
         return ()
     return _CONTROLS[scen]
+
+
+def _p2_sides(key, scen) -> tuple:
+    """The _energy_sides of eps^2 >= _PHASE_VAR_MIN, whose P2 is a control
+    too, of mean N as E|g_n|^2 = E|h_n|^2 = 1 and g, h are independent.
+    Below the floor D = eps^2 A^2 + (1 - eps^2) P2 is P2, or nearly so
+    (eps^2 is 0 at kappa = 4e-205), and C_xx would be singular."""
+    _, _, *models = key
+    return tuple(side for side in _energy_sides(key, scen)
+                 if models[side].epsilon() ** 2 >= _PHASE_VAR_MIN)
 
 
 def _conditional_moments(model, sums):
@@ -597,22 +609,24 @@ def _merge(a, b):
 
 def _cv_estimate(moments, control_means) -> McEstimate:
     """The control-variate estimate from the merged moments of (y, H, D,
-    E, Q), H the gains the rate reads (H_t, H_r or both; see _CONTROLS),
-    D the conditional mean gains of its phase sides and E the energies
-    P2^2 of its _energy_sides, with exact means control_means (the
-    Jensen gains of those sides, then mean_p2_sq), and Q their phase
-    controls, of mean 0: y-bar - beta (x-bar - E[x]) over the controls
-    x = (H, D, E, Q), beta the least-squares fit of y on them (C_xx beta =
-    C_xy; H_t and H_r come from separate streams, each D row differs
-    from its H by the phases, each E row is of fourth order in the
-    amplitudes, where H and D are of second order, and each Q row varies
-    with the phases at fixed magnitudes, so C_xx is not singular; a side
-    whose phases barely move H takes no D or Q rows, nor does a _rotated
-    rate with one element per group, whose A equals D), and a 95 %
-    half-width from the residual variance with one degree of freedom per
-    coefficient and one for the mean.  The residual sum of squares C_yy - C_yx beta is
-    clipped at 0: it cancels to rounding when y is linear in H to double
-    precision, as for rates below about 1e-8 bits."""
+    P, E, Q), H the gains the rate reads (H_t, H_r or both; see
+    _CONTROLS), D the conditional mean gains of its phase sides, P and E
+    the energies P2 and P2^2 of its _p2_sides and _energy_sides, with
+    exact means control_means (the Jensen gains of those sides, N and
+    mean_p2_sq), and Q their phase controls, of mean 0: y-bar - beta
+    (x-bar - E[x]) over the controls x, beta the least-squares fit of y
+    on them (C_xx beta = C_xy; H_t and H_r come from separate streams,
+    each D row differs from its H by the phases and from its P row by
+    eps^2 (A^2 - P2), each E row is of fourth order in the amplitudes,
+    and each Q row varies with the phases at fixed magnitudes, so C_xx is
+    not singular; a side whose phases barely move H takes no D or Q rows,
+    nor does a _rotated rate with one element per group, whose A equals
+    D, and a side whose D is P2, or nearly so, takes no P row), and a
+    95 % half-width from the residual variance with one degree of
+    freedom per coefficient and one for the mean.  The residual sum of
+    squares C_yy - C_yx beta is clipped at 0: it cancels to rounding
+    when y is linear in H to double precision, as for rates below about
+    1e-8 bits."""
     n, mean, com = moments
     c_xy = com[1:, 0]
     beta = np.linalg.solve(com[1:, 1:], c_xy)
@@ -656,10 +670,11 @@ def _block_moments(keys, members, factor, block, count):
     """The moments of each member's rate and its controls over one
     block, one per member in order: the gains of the block's keys, then
     each member's rate chain on them.  A rate's controls are its gains H
-    (see _CONTROLS), then the D rows of its _phase_sides, then the P2^2
-    rows of its _energy_sides, from the column sums, then the Q1 and Q2
-    rows of its phase sides (see _phase_rows): the rows of known mean
-    first, in the order mc_estimates lists those means.  A _rotated rate
+    (see _CONTROLS), then the D rows of its _phase_sides, then the P2 rows
+    of its _p2_sides and the P2^2 rows of its _energy_sides, from the
+    column sums, then the Q1 and Q2 rows of its phase sides (see
+    _phase_rows): the rows of known mean first, in the order
+    mc_estimates lists those means.  A _rotated rate
     and its controls are their means over the turns instead: the rate
     from the turned pairs of its side's group sums (see _turns), and A
     in place of H.  Its chain still runs, once per block like every
@@ -696,8 +711,9 @@ def _block_moments(keys, members, factor, block, count):
             else:
                 gain_rows = [gains[key][row] for row in _CONTROLS[scen]]
             phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
+            level = [sums[side][key[1]][1] for side in _p2_sides(key, scen)]
             energy = [sums[side][key[1]][1] ** 2 for side in _energy_sides(key, scen)]
-            out[i] = _moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase),
+            out[i] = _moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase), *level,
                                          *energy, *(q for rows in phase for q in rows[2:]))))
     return out
 
@@ -742,13 +758,13 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     (H_t, H_r or both; see _CONTROLS) and the conditional mean gains D of
     its _phase_sides, whose exact means are the Jensen gains N (1 - eps^2)
     + eps^2 tr(Rbar Rbar) of the layout, correlation flag and phase
-    models, on the energies P2^2 of its _energy_sides, of exact mean
-    mean_p2_sq, and on the zero-mean phase controls (see McEstimate).  A
-    call of a running mc_batch finalizes from the moments the walk of its
-    Gaussian key kept; no draw, rate chain or pool happens after the
-    batch's first call on that key.  Any other call walks alone and keeps
-    nothing.  An empty list of scenarios makes no member and draws
-    nothing.
+    models, on the energies P2 of its _p2_sides, of exact mean N, and
+    P2^2 of its _energy_sides, of exact mean mean_p2_sq, and on the
+    zero-mean phase controls (see McEstimate).  A call of a running
+    mc_batch finalizes from the moments the walk of its Gaussian key
+    kept; no draw, rate chain or pool happens after the batch's first
+    call on that key.  Any other call walks alone and keeps nothing.  An
+    empty list of scenarios makes no member and draws nothing.
     """
     members = _member(geom, params, err_models, cfg, scenarios, correlated)
     # the batch's members walk every batch member of their Gaussian key
@@ -760,9 +776,10 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
                            for model in err_models])
     p2_sq = mean_p2_sq(geom, correlated)
-    return {scen: _cv_estimate(walks[key, params, scen], np.append(
+    return {scen: _cv_estimate(walks[key, params, scen], np.concatenate((
                 mean_gains[[*_CONTROLS[scen], *_phase_sides(key, scen)]],
-                [p2_sq] * len(_energy_sides(key, scen))))
+                [geom.n_elements] * len(_p2_sides(key, scen)),
+                [p2_sq] * len(_energy_sides(key, scen)))))
             for key, params, scen in members}
 
 

@@ -21,10 +21,10 @@ from ios_noma.geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, tra
 from ios_noma import channel, cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
-from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
+from ios_noma.mc import (_CONTROLS, BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _block_moments, _column_sums, _conditional_moments, _energy_sides,
-                         _group_factor, _member, _merge, _moments, _phase_sides, _rate, _walk_block,
-                         _walk_group, mc_batch, mc_estimates, noma_trial_rates,
+                         _group_factor, _member, _merge, _moments, _p2_sides, _phase_sides, _rate,
+                         _walk_block, _walk_group, mc_batch, mc_estimates, noma_trial_rates,
                          oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
@@ -315,9 +315,9 @@ class TestDrawMemo:
         arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per member
         # moments of (y, H_t, H_r), three phase controls (D, Q1, Q2) and the
-        # energy P2^2 per side, at most 1 + 2 + 4 * 2 = 11 rows, whatever the
-        # trial count
-        assert all(dim <= 11 for a in arrays for dim in a.shape)
+        # energies P2 and P2^2 per side, at most 1 + 2 + 5 * 2 = 13 rows,
+        # whatever the trial count
+        assert all(dim <= 13 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
         # the first member walks the pool, the second finalizes from its
@@ -562,8 +562,9 @@ class TestGroupWalk:
         # member of a batch: those of the gains each rate reads, H_t for
         # T's rates, H_r for OMA R's and both for NOMA R's, then those of
         # the conditional mean gains D of the same sides but a Perfect one,
-        # whose mean is the same Jensen gain, then those of the energy P2^2
-        # of every side read, Perfect ones too
+        # whose mean is the same Jensen gain, then N for the energy P2 of
+        # every side read but a uniform one, whose D is P2, then those of
+        # the energy P2^2 of every side read, Perfect ones too
         reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
                  Scenario.NOMA_R: [0, 1]}
         passed = []
@@ -584,6 +585,8 @@ class TestGroupWalk:
             expected += [[exact[row] for row in reads[scen]]
                          + [exact[row] for row in reads[scen]
                             if not isinstance(models[row], Perfect)]
+                         + [geom.n_elements for row in reads[scen]
+                            if not isinstance(models[row], UniformFull)]
                          + [mean_p2_sq(geom, correlated)] * len(reads[scen])
                          for scen in NOMA + OMA]
         assert passed == expected
@@ -1321,6 +1324,14 @@ def energy_stderr(geom, correlated, trials, sample_stderr):
     return max(exact, sample_stderr)
 
 
+def level_stderr(geom, correlated, trials, sample_stderr):
+    """The standard error to check a mean of P2 over trials with: the
+    larger of the sample's own and the exact one, from Var(P2) = E[P2^2]
+    - N^2, as E[P2] = N."""
+    exact = math.sqrt((mean_p2_sq(geom, correlated) - geom.n_elements ** 2) / trials)
+    return max(exact, sample_stderr)
+
+
 class TestExactMeanGain:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
@@ -1340,10 +1351,11 @@ class TestExactMeanGain:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
     def test_walked_energy_means_match_the_exact_mean(self, setup, seed):
-        # E[P2^2] = sum_{n, m} (1 + R_nm^2)^2 for P2 = sum_n |g_n|^2 |h_n|^2
-        # on random layouts and both correlation flags, from the column sums
-        # of the walk that the energy controls read, both sides, within 4.5
-        # standard errors (see energy_stderr)
+        # E[P2] = N and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2 for P2 = sum_n
+        # |g_n|^2 |h_n|^2 on random layouts and both correlation flags, from
+        # the column sums of the walk that the energy controls read, both
+        # sides, within 4.5 standard errors (see level_stderr and
+        # energy_stderr)
         _, geom, correlated, models = setup
         cfg = McConfig(trials=2000, master_seed=seed)
         ((key, _, _),) = _member(geom, SystemParams.from_db(), models, cfg, [Scenario.NOMA_T],
@@ -1353,7 +1365,11 @@ class TestExactMeanGain:
                   for block, count in _blocks(cfg.trials)]
         exact = mean_p2_sq(geom, correlated)
         for side in (0, 1):
-            energy = np.concatenate([sums[side][geom.n_h][1] for sums in blocks]) ** 2
+            level = np.concatenate([sums[side][geom.n_h][1] for sums in blocks])
+            stderr = level_stderr(geom, correlated, level.size,
+                                  level.std(ddof=1) / math.sqrt(level.size))
+            assert abs(level.mean() - geom.n_elements) <= 4.5 * stderr, (geom, correlated, side)
+            energy = level ** 2
             stderr = energy_stderr(geom, correlated, energy.size,
                                    energy.std(ddof=1) / math.sqrt(energy.size))
             assert abs(energy.mean() - exact) <= 4.5 * stderr, (geom, correlated, side)
@@ -1454,25 +1470,27 @@ class TestPhaseControls:
         assert sides(2, 4, QUANT1, Scenario.NOMA_RP, four) == ()
         assert sides(2, 4, QUANT1, Scenario.NOMA_R, four) == (0, 1)
 
-    @pytest.mark.parametrize("n_v, n_h, models, sides", [
-        (4, 2, (Perfect(), Perfect()), ()),
-        (1, 1, QUANT1, ()),
-        (4, 2, (Quantized(27), VonMises(1e7)), ()),
-        (4, 2, (Perfect(), UniformFull()), (1,)),
-        (4, 2, QUANT1, (0, 1))], ids=["perfect", "one_element", "near_perfect",
-                                      "perfect_t", "both"])
-    def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, sides, monkeypatch):
+    @pytest.mark.parametrize("n_v, n_h, models, sides, level", [
+        (4, 2, (Perfect(), Perfect()), (), 2),
+        (1, 1, QUANT1, (), 0),
+        (4, 2, (Quantized(27), VonMises(1e7)), (), 2),
+        (4, 2, (Perfect(), UniformFull()), (1,), 1),
+        (4, 2, QUANT1, (0, 1), 2)], ids=["perfect", "one_element", "near_perfect",
+                                         "perfect_t", "both"])
+    def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, sides, level,
+                                           monkeypatch):
         # on a Perfect, one-element or near-perfect side D equals H, or
         # nearly so, and would make C_xx singular: such a side adds no D
         # row to the moments and no mean to the fit; every side of N >= 6
-        # elements adds its energy P2^2 row and mean
+        # elements adds its energy P2^2 row and mean, and its energy P2
+        # row and mean unless its phases are uniform, where D is P2
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
         cfg = McConfig(trials=500, master_seed=89)
         (member,) = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
         keys = {member[0]: {0, 1}}
         (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
         energy = 2 if n_v * n_h >= 6 else 0
-        assert len(mean) == 3 + energy + 3 * len(sides)
+        assert len(mean) == 3 + level + energy + 3 * len(sides)
         passed = []
         cv_estimate = mc._cv_estimate
 
@@ -1482,16 +1500,17 @@ class TestPhaseControls:
 
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         mc_estimates(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,))
-        assert passed == [2 + energy + len(sides)]
+        assert passed == [2 + len(sides) + level + energy]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
     def test_phase_controls_have_mean_zero(self, setup, seed):
-        # E[D] = E[H], E[P2^2] = mean_p2_sq and E[Q1] = E[Q2] = 0 on random
-        # layouts, both correlation flags and all four phase-model kinds:
-        # the rows after (y, H_t, H_r) of NOMA R's moments, merged over the
-        # blocks of a walk, are a D row per phase side, the P2^2 rows of
-        # both sides on N >= 6 elements and then the (Q1, Q2) rows; the P2^2
+        # E[D] = E[H], E[P2] = N, E[P2^2] = mean_p2_sq and E[Q1] = E[Q2] = 0
+        # on random layouts, both correlation flags and all four phase-model
+        # kinds: the rows after (y, H_t, H_r) of NOMA R's moments, merged
+        # over the blocks of a walk, are a D row per phase side, on N >= 6
+        # elements the P2 rows of the sides whose phases are not uniform and
+        # the P2^2 rows of both sides, and then the (Q1, Q2) rows; the P2^2
         # rows with the standard error of energy_stderr
         params, geom, correlated, models = setup
         assume(geom.n_elements >= 2)
@@ -1503,15 +1522,20 @@ class TestPhaseControls:
         n, mean, com = functools.reduce(_merge, (
             _block_moments(keys, [member], _group_factor(keys), block, count)[0]
             for block, count in _blocks(cfg.trials)))
-        energy = range(3 + len(sides), 3 + len(sides) + 2 * (geom.n_elements >= 6))
-        assert len(mean) == 3 + len(energy) + 3 * len(sides)
+        wide = geom.n_elements >= 6
+        level = wide * sum(not isinstance(model, UniformFull) for model in models)
+        energy = range(3 + len(sides) + level, 3 + len(sides) + level + 2 * wide)
+        assert len(mean) == 3 + level + len(energy) + 3 * len(sides)
         tr = trace_rbar_sq(geom, correlated)
         exact = [_mean_gain(geom.n_elements, tr, models[side].epsilon()) for side in sides]
-        exact += [mean_p2_sq(geom, correlated)] * len(energy) + [0.0] * (2 * len(sides))
+        exact += ([geom.n_elements] * level + [mean_p2_sq(geom, correlated)] * len(energy)
+                  + [0.0] * (2 * len(sides)))
         for i, want in enumerate(exact, start=3):
             stderr = math.sqrt(com[i, i] / (n - 1) / n)
             if i in energy:
                 stderr = energy_stderr(geom, correlated, n, stderr)
+            elif energy.start - level <= i < energy.start:
+                stderr = level_stderr(geom, correlated, n, stderr)
             assert abs(mean[i] - want) <= 4.5 * stderr, (geom, correlated, models, i)
 
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
@@ -1573,32 +1597,37 @@ class TestControlVariate:
         for est in out.values():
             assert (est.mean, est.half_width) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("n_h, n_v, model", [
-        (2, 4, "uniform"), (2, 4, "quantized:1"), (2, 4, "vonmises:1"),
-        (4, 1, "uniform"), (4, 1, "perfect"), (4, 1, "quantized:1"), (6, 1, "uniform")],
+    @pytest.mark.parametrize("n_h, n_v, model, trials, seeds", [
+        (2, 4, "uniform", 1000, 400), (2, 4, "quantized:1", 1000, 400),
+        (2, 4, "vonmises:1", 1000, 400), (4, 1, "uniform", 1000, 400),
+        (4, 1, "perfect", 1000, 400), (4, 1, "quantized:1", 1000, 400),
+        (6, 1, "uniform", 1000, 400), (2, 4, "quantized:1", BLOCK_SIZE, 200)],
         ids=["uniform", "quantized:1", "vonmises:1",
-             "4x1-uniform", "4x1-perfect", "4x1-quantized:1", "6x1-uniform"])
-    def test_interval_covers_the_reference_mean(self, n_h, n_v, model):
+             "4x1-uniform", "4x1-perfect", "4x1-quantized:1", "6x1-uniform",
+             "one-block-quantized:1"])
+    def test_interval_covers_the_reference_mean(self, n_h, n_v, model, trials, seeds):
         # guards the half-width: an understated residual variance would
         # show as too few of the 95 % intervals covering the mean
         # the N = 8 reference setup at half-wavelength spacing, N = 4 in a
         # row, where the energy P2^2 of the rotated rates would undercover
         # (352 of 400 for OMA R under uniform phases) and is no control,
-        # and N = 6 in a row, the fewest elements that take it
+        # and N = 6 in a row, the fewest elements that take it; and the N =
+        # 8 setup at one full block, the fewest trials of the bundled
+        # specs, where the fit has P2 beside D, P2^2 and the phase controls
+        # and an estimated beta costs coverage in small samples
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05,
                              wavelength=0.1)
         params, models = SystemParams.from_db(), (phase_error_from_string(model),) * 2
         scenarios = NOMA + OMA
         ref = mc_estimates(geom, params, models,
                            McConfig(trials=1 << 18, master_seed=10**6), scenarios)
-        seeds = range(400)
         covered = dict.fromkeys(scenarios, 0)
-        for seed in seeds:
+        for seed in range(seeds):
             out = mc_estimates(geom, params, models,
-                               McConfig(trials=1000, master_seed=seed), scenarios)
+                               McConfig(trials=trials, master_seed=seed), scenarios)
             for scen, est in out.items():
                 covered[scen] += abs(est.mean - ref[scen].mean) <= est.half_width
-        assert min(covered.values()) >= 0.9 * len(seeds), covered
+        assert min(covered.values()) >= 0.9 * seeds, covered
 
     @pytest.mark.parametrize("n_h", [3, 4, 10])
     def test_rotated_interval_covers_the_reference_mean(self, n_h):
@@ -1695,6 +1724,32 @@ class TestControlVariate:
             r = _rate(scen, params, gains)
             plain_mean, plain_hw, est = r.mean(), z * r.std(ddof=1) / math.sqrt(r.size), out[scen]
             assert abs(est.mean - plain_mean) <= 2.0 * plain_hw, (scen, plain_mean, est)
+            assert est.half_width <= plain_hw, (scen, plain_hw, est)
+
+    @pytest.mark.parametrize("correlated", [True, False], ids=["correlated", "iid"])
+    @pytest.mark.parametrize("kappa, level", [(4e-205, False), (0.02, False), (0.02001, True)],
+                             ids=["underflow", "below", "above"])
+    def test_energy_row_at_the_edge_of_the_phase_floor(self, kappa, level, correlated):
+        # the assertions of test_consistent_with_plain_estimate on N = 8
+        # with eps^2 at 0 (it underflows at kappa = 4e-205, while eps does
+        # not), just below 1e-4 and just above it: below the floor D is P2,
+        # or nearly so, and the side takes no P2 row, which would make C_xx
+        # singular; above it the fit solves with both
+        model = VonMises(kappa)
+        assert (model.epsilon() ** 2 >= mc._PHASE_VAR_MIN) == level
+        geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.1)
+        params, models = SystemParams.from_db(), (model, model)
+        cfg = McConfig(trials=2000, master_seed=101)
+        out = mc_estimates(geom, params, models, cfg, NOMA + OMA, correlated=correlated)
+        key = _member(geom, params, models, cfg, NOMA + OMA, correlated)[0][0]
+        (gains,) = walked_gains([key])
+        z = 1.959963984540054
+        for scen in NOMA + OMA:
+            assert _p2_sides(key, scen) == (_CONTROLS[scen] if level else ())
+            r, est = _rate(scen, params, gains), out[scen]
+            plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
+            assert math.isfinite(est.mean), (scen, est)
+            assert abs(est.mean - r.mean()) <= 2.0 * plain_hw, (scen, r.mean(), est)
             assert est.half_width <= plain_hw, (scen, plain_hw, est)
 
     @pytest.mark.parametrize("n_v, n_h", [(1, n_h) for n_h in range(2, 7)]
