@@ -2,8 +2,8 @@
 
 Subcommands: run a sweep spec to CSV, list or validate bundled specs,
 and query the closed-form bounds for a single configuration.  Exit
-codes: 0 on success, 2 on configuration or usage errors, 3 on numeric
-failure.
+codes: 0 on success, 2 on configuration or usage errors and on a layout
+too large to allocate, 3 on numeric failure.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,31 +20,23 @@ the phase models' samplers to the cosines and sines of the gains (see
 _boosted_gains), and no angle is formed (see channel._amplitudes).
 
 Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
-is regressed on the unprimed gains it reads, H_t for the rates of T
-(NOMA and OMA), H_r for OMA R, and both for NOMA R, T' and R' (the t and
-r links of analytic._READS).  Their exact means E[H] = N (1 - eps^2) +
-eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds, and the estimate
-is y-bar - beta (H-bar - E[H]).  Channel hardening makes the rate nearly
-linear in H, so the residual variance is a small part of the variance of
-y.  The primed gains are not controls: E[H'] = N only for i.i.d. elements
-(see _walk_block).  The rates of T, R and OMA also regress on three
-phase controls per side they read (_phase_sides), functions of H and of
-the trial's element amplitudes a = |g||h|: the phases are i.i.d. and
-independent of a, so D = E[H | a] and Var(H | a) are known on every
-layout, correlation flag and phase model (see _phase_rows).  D has the
-side's Jensen gain as its exact mean, as H does, and Q1 = H / D - 1 and
-Q2 have mean 0.  With D beside H the fit weighs the part of H that the
-magnitudes set (D) apart from the part the phases add (H - D), and Q1
-and Q2 take up the variance the phases add at fixed magnitudes, which H
-alone leaves in the uniform-phase rows.  Every rate but those of T' and
-R' also regresses on the energy P2^2 of each side of 6 or more elements
-it reads, P2 = sum_n a_n^2 (see _energy_sides): below the element counts
-where the channel hardens, the rate bends with the fading energy, which
-no linear function of H follows, and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2
-is exact, since E[|g_n|^2 |g_m|^2] = 1 + R_nm^2 for CN(0, R)
-(geometry.mean_p2_sq).  A side of eps^2 >= 1e-4 adds P2 itself, of mean
-N (see _p2_sides), which D = eps^2 A^2 + (1 - eps^2) P2 ties to A^2 by
-fixed weights.  Where a side's phases are uniform, the rates that are
+is regressed on controls x of exact mean, y-bar - beta (x-bar - E[x]).
+_controls lists the controls of each rate, their order and their means.
+They are the unprimed gains H the rate reads, whose exact means E[H] = N
+(1 - eps^2) + eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds;
+the phase controls D = E[H | a], Q1 and Q2 of _phase_rows, functions of
+H and of the trial's element amplitudes a = |g||h|, known on every
+layout, correlation flag and phase model since the phases are i.i.d.
+and independent of a; and the energies P2 = sum_n a_n^2 and P2^2.
+Channel hardening makes the rate nearly linear in H, so the residual
+variance is a small part of the variance of y.  With D beside H the fit
+weighs the part of H that the magnitudes set (D) apart from the part
+the phases add (H - D), and Q1 and Q2 take up the variance the phases
+add at fixed magnitudes, which H alone leaves in the uniform-phase rows.
+Below the element counts where the channel hardens, the rate bends with
+the fading energy, which no linear function of H follows.  The primed
+gains are not controls: E[H'] = N only for i.i.d. elements (see
+_walk_block).  Where a side's phases are uniform, the rates that are
 one log of its gain (NOMA T, OMA T and OMA R; analytic._SINGLE_LOG) on
 n_h >= 2 columns are conditional Monte Carlo estimates instead (see
 _rotated): turning the phases of a group of columns by a constant
@@ -135,18 +127,14 @@ class McConfig:
 class McEstimate:
     """Control-variate mean with a normal-approximation half-width.
 
-    mean is y-bar - beta (x-bar - E[x]) over the controls x: the unprimed
-    gains the rate reads (H_t, H_r or both), and for the rates of T, R
-    and OMA the conditional mean gain D = E[H | a] and the two zero-mean
-    phase controls of each such side (see _phase_sides), and the energies
-    P2^2 and P2 of each side read (see _energy_sides and _p2_sides), with
-    beta fitted by least squares on the same trials; E[D] = E[H], the
-    Jensen gain, E[P2] = N and E[P2^2] = sum_{n, m} (1 + R_nm^2)^2.  For
-    NOMA T, OMA T and OMA R on a side of uniform phases and n_h >= 2
-    columns, y and the controls are the rotated rows: their means over
-    turns of the phases of the side's column groups (see _rotated), with
-    the same means and less variance.  The fit biases it by O(1/trials),
-    about 0.1 standard errors at 1000 trials on an N = 8 setup.
+    mean is y-bar - beta (x-bar - E[x]) over the controls x of the rate
+    (see _controls), with beta fitted by least squares on the same
+    trials.  For NOMA T, OMA T and OMA R on a side of uniform phases and
+    n_h >= 2 columns, y and the controls are the rotated rows: their
+    means over turns of the phases of the side's column groups (see
+    _rotated), with the same means and less variance.  The fit biases it
+    by O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
+    setup.
     half_width is the 95 % normal half-width 1.96 sqrt(s^2 / trials),
     with s^2 the residual variance of the fit over trials - 1 - k
     degrees of freedom, k the number of controls.
@@ -258,18 +246,19 @@ def oma_trial_rates(params: SystemParams, h_t, h_r):
 
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
 # The unprimed gains each rate reads (its t and r links in _READS), as
-# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the rate's gain
-# controls and the sides a walk draws for it.  The primed gains of T'
-# and R', drawn on the same sides, are not controls: see _walk_block.
+# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the sides a walk
+# draws for the rate and those of its controls (see _controls).  The
+# primed gains of T' and R', drawn on the same sides, are not controls:
+# see _walk_block.
 _CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
              for scen, links in _READS.items()}
-# The floor of 1 - eps^2 for a side's phase controls (see _phase_sides):
+# The floor of 1 - eps^2 for a side's phase controls (see _controls):
 # their variance coefficients are O((1 - eps^2)^2) differences of O(1)
 # terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
 # floor the phases move H by too little for the controls to matter.
 _PHASE_VAR_MIN = 1e-4
 # The fewest elements of a side whose energy P2^2 is a control (see
-# _energy_sides)
+# _controls)
 _ENERGY_MIN_N = 6
 # The most column groups a _rotated rate is averaged over, and the turns
 # exp(2 pi j k / 3), k = 0, 1, 2, of a group against the one before it
@@ -360,48 +349,49 @@ def _turns(prefix, n_h):
     return turned(groups[:k - k // 2])[:, None], turned(groups[k - k // 2:]), a, pair
 
 
-def _phase_sides(key, scen) -> tuple:
-    """The sides of scen's gain controls on draw key that also take the
-    phase controls Q1 and Q2 (see _phase_rows): those of N >= 2 elements
-    whose model has 1 - eps^2 >= _PHASE_VAR_MIN, which leaves out every
-    Perfect side, and none for T' and R'.  At N = 1, H = a^2 whatever
-    the phase.  A _rotated rate needs N > K, its group count (see
-    _turns): at N = K each group is one element, so A = D and the phase
-    controls averaged over the turns vanish."""
+def _controls(key, scen) -> tuple:
+    """The controls of scen's rate on draw key, as (kind, side) pairs in
+    the order of its rows after y: the gains ("H", side) of the sides
+    the rate reads (_CONTROLS), or their turned means ("A", side) for a
+    _rotated rate, then ("D", side), ("P2", side) and ("E", side), then
+    ("Q1", side) and ("Q2", side) of each side in turn.  D, Q1 and Q2
+    are the phase rows of _phase_rows, and P2 and E = P2^2 the energies
+    of the side's amplitudes, P2 = sum_n a_n^2 the second power sum of
+    _column_sums.  mc_estimates hands the fit their exact means: the
+    side's Jensen gain N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and
+    D, N for P2 (E|g_n|^2 = E|h_n|^2 = 1, g and h independent),
+    geometry.mean_p2_sq for E, and 0 for Q1 and Q2.
+
+    T' and R' take their gain rows alone (see _walk_block).  A side takes
+    D, Q1 and Q2 if it has N >= 2 elements and 1 - eps^2 >=
+    _PHASE_VAR_MIN, which leaves out every Perfect side: at N = 1, H = a^2
+    whatever the phase, and near the floor D equals H, or nearly so.  A
+    _rotated rate needs N > K, its group count (see _turns): at N = K
+    each group is one element, so A = D and the phase rows averaged over
+    the turns vanish.  Every side read takes E from N >= _ENERGY_MIN_N
+    on, rotated and Perfect sides too, since P2 depends on the amplitudes
+    alone, which no phase or turn moves; on fewer elements the tails of
+    P2^2 are too heavy for the normal interval at 1000 trials: it covered
+    the mean in as few as 275 of 400 seeds at N = 1 and 347 for a rotated
+    rate at N = 3, against 360 or more from N = 6 on (README).  A side
+    with E takes P2 too if eps^2 >= _PHASE_VAR_MIN: below it D = eps^2
+    A^2 + (1 - eps^2) P2 is P2, or nearly so (eps^2 is 0 at kappa =
+    4e-205), and C_xx would be singular."""
     (family, *_), n_h, *models = key
-    groups = min(_GROUPS, n_h) if _rotated(key, scen) else 1
-    if scen in _NOMA[2:] or family.n_v * n_h <= groups:
-        return ()
-    return tuple(row for row in _CONTROLS[scen]
-                 if 1.0 - models[row].epsilon() ** 2 >= _PHASE_VAR_MIN)
-
-
-def _energy_sides(key, scen) -> tuple:
-    """The sides whose energy P2^2 scen's rate on draw key regresses on,
-    P2 = sum_n a_n^2 the second power sum of _column_sums: every side it
-    reads (_CONTROLS), rotated and Perfect sides too, since P2 depends on
-    the amplitudes alone, which no phase or turn moves.  Its mean sum_{n,
-    m} (1 + R_nm^2)^2 (geometry.mean_p2_sq) is exact on every layout and
-    correlation flag.  Most take P2 too (see _p2_sides).  None on fewer
-    than _ENERGY_MIN_N elements, where the tails of P2^2 are too heavy
-    for the normal interval at 1000 trials: it covered the mean in as few
-    as 275 of 400 seeds at N = 1 and 347 for a rotated rate at N = 3,
-    against 360 or more from N = 6 on (README).  None for T' and R',
-    which keep their gain controls alone (see _walk_block)."""
-    (family, *_), n_h, *_ = key
-    if scen in _NOMA[2:] or family.n_v * n_h < _ENERGY_MIN_N:
-        return ()
-    return _CONTROLS[scen]
-
-
-def _p2_sides(key, scen) -> tuple:
-    """The _energy_sides of eps^2 >= _PHASE_VAR_MIN, whose P2 is a control
-    too, of mean N as E|g_n|^2 = E|h_n|^2 = 1 and g, h are independent.
-    Below the floor D = eps^2 A^2 + (1 - eps^2) P2 is P2, or nearly so
-    (eps^2 is 0 at kappa = 4e-205), and C_xx would be singular."""
-    _, _, *models = key
-    return tuple(side for side in _energy_sides(key, scen)
-                 if models[side].epsilon() ** 2 >= _PHASE_VAR_MIN)
+    sides, n = _CONTROLS[scen], family.n_v * n_h
+    rotated = _rotated(key, scen)
+    plan = [("A" if rotated else "H", side) for side in sides]
+    if scen in _NOMA[2:]:
+        return tuple(plan)
+    groups = min(_GROUPS, n_h) if rotated else 1
+    phase = [side for side in sides
+             if n > groups and 1.0 - models[side].epsilon() ** 2 >= _PHASE_VAR_MIN]
+    energy = sides if n >= _ENERGY_MIN_N else ()
+    plan += [("D", side) for side in phase]
+    plan += [("P2", side) for side in energy if models[side].epsilon() ** 2 >= _PHASE_VAR_MIN]
+    plan += [("E", side) for side in energy]
+    plan += [(kind, side) for side in phase for kind in ("Q1", "Q2")]
+    return tuple(plan)
 
 
 def _conditional_moments(model, sums):
@@ -607,22 +597,16 @@ def _merge(a, b):
             com_a + com_b + np.outer(delta, delta) * (n_a * n_b / n))
 
 
-def _cv_estimate(moments, control_means) -> McEstimate:
-    """The control-variate estimate from the merged moments of (y, H, D,
-    P, E, Q), H the gains the rate reads (H_t, H_r or both; see
-    _CONTROLS), D the conditional mean gains of its phase sides, P and E
-    the energies P2 and P2^2 of its _p2_sides and _energy_sides, with
-    exact means control_means (the Jensen gains of those sides, N and
-    mean_p2_sq), and Q their phase controls, of mean 0: y-bar - beta
-    (x-bar - E[x]) over the controls x, beta the least-squares fit of y
-    on them (C_xx beta = C_xy; H_t and H_r come from separate streams,
-    each D row differs from its H by the phases and from its P row by
-    eps^2 (A^2 - P2), each E row is of fourth order in the amplitudes,
-    and each Q row varies with the phases at fixed magnitudes, so C_xx is
-    not singular; a side whose phases barely move H takes no D or Q rows,
-    nor does a _rotated rate with one element per group, whose A equals
-    D, and a side whose D is P2, or nearly so, takes no P row), and a
-    95 % half-width from the residual variance with one degree of
+def _cv_estimate(moments, means) -> McEstimate:
+    """The control-variate estimate from the merged moments of y and its
+    controls x, the rows of _controls, whose exact means are means, in
+    the same order: y-bar - beta (x-bar - E[x]), beta the least-squares
+    fit of y on x (C_xx beta = C_xy; H_t and H_r come from separate
+    streams, each D row differs from its H by the phases and from its P2
+    row by eps^2 (A^2 - P2), each E row is of fourth order in the
+    amplitudes, and each Q row varies with the phases at fixed
+    magnitudes, so C_xx is not singular where _controls takes the rows),
+    and a 95 % half-width from the residual variance with one degree of
     freedom per coefficient and one for the mean.  The residual sum of
     squares C_yy - C_yx beta is clipped at 0: it cancels to rounding
     when y is linear in H to double precision, as for rates below about
@@ -631,9 +615,7 @@ def _cv_estimate(moments, control_means) -> McEstimate:
     c_xy = com[1:, 0]
     beta = np.linalg.solve(com[1:, 1:], c_xy)
     var = max(com[0, 0] - c_xy @ beta, 0.0) / (n - 1 - len(beta))
-    offset = mean[1:].copy()
-    offset[:len(control_means)] -= control_means
-    return McEstimate(mean=float(mean[0] - beta @ offset),
+    return McEstimate(mean=float(mean[0] - beta @ (mean[1:] - means)),
                       half_width=float(_Z95 * np.sqrt(var / n)), trials=n)
 
 
@@ -669,20 +651,16 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> list:
 def _block_moments(keys, members, factor, block, count):
     """The moments of each member's rate and its controls over one
     block, one per member in order: the gains of the block's keys, then
-    each member's rate chain on them.  A rate's controls are its gains H
-    (see _CONTROLS), then the D rows of its _phase_sides, then the P2 rows
-    of its _p2_sides and the P2^2 rows of its _energy_sides, from the
-    column sums, then the Q1 and Q2 rows of its phase sides (see
-    _phase_rows): the rows of known mean first, in the order
-    mc_estimates lists those means.  A _rotated rate
-    and its controls are their means over the turns instead: the rate
-    from the turned pairs of its side's group sums (see _turns), and A
-    in place of H.  Its chain still runs, once per block like every
-    member's, since the benchmark counts blocks as rate chain calls, and
-    its rate is not read.  The controls are formed from the gains,
-    column sums and prefix sums key by key, once for all the members on
-    a key, so one key's controls are held at a time."""
-    turned = {_CONTROLS[scen][0] for key, _, scen in members if _rotated(key, scen)}
+    each member's rate chain on them, stacked over one row per entry of
+    its _controls.  A _rotated rate and its controls are their means over
+    the turns: the rate from the turned pairs of its side's group sums
+    (see _turns), and A in place of H.  Its chain still runs, once per
+    block like every member's, since the benchmark counts blocks as rate
+    chain calls, and its rate is not read.  The phase rows are formed
+    from the gains, column sums and prefix sums key by key, once for all
+    the members on a key, so one key's controls are held at a time."""
+    plans = {(key, scen): _controls(key, scen) for key, _, scen in members}
+    turned = {side for plan in plans.values() for kind, side in plan if kind == "A"}
     gains, sums, prefixes = _walk_block(keys, factor, block, count, turned=turned)
     on_key = {}  # {draw key: [(index, params, scenario) of its members]}
     for i, (key, params, scen) in enumerate(members):
@@ -690,31 +668,38 @@ def _block_moments(keys, members, factor, block, count):
     out = [None] * len(members)
     for key, group in on_key.items():
         turns = {side: _turns(prefixes[side], key[1]) for side in
-                 {_CONTROLS[scen][0] for _, _, scen in group if _rotated(key, scen)}}
-        controls = {}  # {(side, rotated): (H or A, D, Q1, Q2)}
+                 {side for _, _, scen in group for kind, side in plans[key, scen] if kind == "A"}}
+        # {(side, rotated): {"A" (H if not rotated), "D", "Q1", "Q2": row}};
+        # a plan reads the turned phase rows of the sides it takes an A row of.
+        # They are all formed before any member's stack: forming each at its
+        # first use raised precision_point's peak RSS from 68.2 to 74.6 MB
+        phase = {}
         for _, _, scen in group:
-            rotated = _rotated(key, scen)
-            for side in _CONTROLS[scen] if rotated else _phase_sides(key, scen):
-                if (side, rotated) not in controls:
-                    controls[side, rotated] = _phase_rows(
+            plan = plans[key, scen]
+            for kind, side in plan:
+                rotated = ("A", side) in plan
+                if kind in ("A", "D") and (side, rotated) not in phase:
+                    phase[side, rotated] = dict(zip(("A", "D", "Q1", "Q2"), _phase_rows(
                         key[2 + side], gains[key][side], sums[side][key[1]],
-                        turns[side][2:] if rotated else None)
+                        turns[side][2:] if rotated else None)))
         for i, params, scen in group:
             rate = _rate(scen, params, gains[key])
-            rotated = _rotated(key, scen)
-            if rotated:
+            if _rotated(key, scen):
                 (side,) = _CONTROLS[scen]
                 kappa, share = _single_log(params, scen)
                 logs = _mean_log1p_over_rotation(kappa, *turns[side][:2])
                 rate = share * logs.mean(axis=(0, 1)) / _LN2
-                gain_rows = [controls[side, True][0]]
-            else:
-                gain_rows = [gains[key][row] for row in _CONTROLS[scen]]
-            phase = [controls[side, rotated] for side in _phase_sides(key, scen)]
-            level = [sums[side][key[1]][1] for side in _p2_sides(key, scen)]
-            energy = [sums[side][key[1]][1] ** 2 for side in _energy_sides(key, scen)]
-            out[i] = _moments(np.vstack((rate, *gain_rows, *(rows[1] for rows in phase), *level,
-                                         *energy, *(q for rows in phase for q in rows[2:]))))
+            plan = plans[key, scen]
+            rows = [rate]
+            for kind, side in plan:
+                if kind == "H":
+                    rows.append(gains[key][side])
+                elif kind in ("P2", "E"):
+                    p2 = sums[side][key[1]][1]
+                    rows.append(p2 if kind == "P2" else p2 ** 2)
+                else:
+                    rows.append(phase[side, ("A", side) in plan][kind])
+            out[i] = _moments(np.vstack(rows))
     return out
 
 
@@ -754,17 +739,13 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
 
     err_models is (model_t, model_r).  Every scenario is evaluated on the
     same draws, so NOMA and OMA estimates share the channel realizations.
-    Each rate is regressed on the trial's unprimed gains that it reads
-    (H_t, H_r or both; see _CONTROLS) and the conditional mean gains D of
-    its _phase_sides, whose exact means are the Jensen gains N (1 - eps^2)
-    + eps^2 tr(Rbar Rbar) of the layout, correlation flag and phase
-    models, on the energies P2 of its _p2_sides, of exact mean N, and
-    P2^2 of its _energy_sides, of exact mean mean_p2_sq, and on the
-    zero-mean phase controls (see McEstimate).  A call of a running
-    mc_batch finalizes from the moments the walk of its Gaussian key
-    kept; no draw, rate chain or pool happens after the batch's first
-    call on that key.  Any other call walks alone and keeps nothing.  An
-    empty list of scenarios makes no member and draws nothing.
+    Each rate is regressed on the controls of _controls, whose exact
+    means are mapped here from the layout, correlation flag and phase
+    models (see McEstimate).  A call of a running mc_batch finalizes from
+    the moments the walk of its Gaussian key kept; no draw, rate chain or
+    pool happens after the batch's first call on that key.  Any other
+    call walks alone and keeps nothing.  An empty list of scenarios makes
+    no member and draws nothing.
     """
     members = _member(geom, params, err_models, cfg, scenarios, correlated)
     # the batch's members walk every batch member of their Gaussian key
@@ -773,13 +754,11 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
         gaussian = members[0][0][0]
         walks.update(_walk_group([m for m in walks if m[0][0] == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
-    mean_gains = np.array([_mean_gain(geom.n_elements, tr, model.epsilon())
-                           for model in err_models])
-    p2_sq = mean_p2_sq(geom, correlated)
-    return {scen: _cv_estimate(walks[key, params, scen], np.concatenate((
-                mean_gains[[*_CONTROLS[scen], *_phase_sides(key, scen)]],
-                [geom.n_elements] * len(_p2_sides(key, scen)),
-                [p2_sq] * len(_energy_sides(key, scen)))))
+    gain = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in err_models]
+    exact = {"H": gain, "A": gain, "D": gain, "P2": [geom.n_elements] * 2,
+             "E": [mean_p2_sq(geom, correlated)] * 2, "Q1": [0.0] * 2, "Q2": [0.0] * 2}
+    return {scen: _cv_estimate(walks[key, params, scen], np.array(
+                [exact[kind][side] for kind, side in _controls(key, scen)]))
             for key, params, scen in members}
 
 

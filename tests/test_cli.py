@@ -234,7 +234,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc, code, prefix", [
         (np.linalg.LinAlgError("Singular matrix"), 3, "numeric failure"),
         (FloatingPointError("overflow encountered"), 3, "numeric failure"),
-        (ConfigError("bad key"), 2, "error")], ids=["linalg", "arithmetic", "config"])
+        (ConfigError("bad key"), 2, "error"),
+        (MemoryError("Unable to allocate 72.8 TiB"), 2, "error")],
+        ids=["linalg", "arithmetic", "config", "memory"])
     def test_failure_kind_sets_the_exit_code(self, exc, code, prefix, tmp_path, monkeypatch,
                                              capsys):
         # numpy's LinAlgError is a ValueError, yet a numeric failure
@@ -353,6 +355,13 @@ class TestFailFast:
         res = run_cli("bound", "--scenario", "noma_t", *flag, "--json")
         assert res.returncode == 2
         assert "must be finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_layout_too_large_to_allocate(self):
+        # 10^13 elements: numpy's MemoryError exits 2, not with a traceback
+        res = run_cli("bound", "--scenario", "noma_r", "--n-h", "1000000", "--n-v", "10000000")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: Unable to allocate")
         assert res.stdout == ""
 
     @pytest.mark.parametrize("flag, named", [

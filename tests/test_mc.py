@@ -22,10 +22,9 @@ from ios_noma import channel, cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (_CONTROLS, BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
-                         _block_moments, _column_sums, _conditional_moments, _energy_sides,
-                         _group_factor, _member, _merge, _moments, _p2_sides, _phase_sides, _rate,
-                         _walk_block, _walk_group, mc_batch, mc_estimates, noma_trial_rates,
-                         oma_trial_rates)
+                         _block_moments, _column_sums, _conditional_moments, _controls,
+                         _group_factor, _member, _merge, _moments, _rate, _walk_block,
+                         _walk_group, mc_batch, mc_estimates, noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -564,7 +563,8 @@ class TestGroupWalk:
         # the conditional mean gains D of the same sides but a Perfect one,
         # whose mean is the same Jensen gain, then N for the energy P2 of
         # every side read but a uniform one, whose D is P2, then those of
-        # the energy P2^2 of every side read, Perfect ones too
+        # the energy P2^2 of every side read, Perfect ones too, then 0 for
+        # the two phase controls Q1 and Q2 of each side that has a D row
         reads = {Scenario.NOMA_T: [0], Scenario.OMA_T: [0], Scenario.OMA_R: [1],
                  Scenario.NOMA_R: [0, 1]}
         passed = []
@@ -588,6 +588,8 @@ class TestGroupWalk:
                          + [geom.n_elements for row in reads[scen]
                             if not isinstance(models[row], UniformFull)]
                          + [mean_p2_sq(geom, correlated)] * len(reads[scen])
+                         + [0.0, 0.0] * sum(not isinstance(models[row], Perfect)
+                                            for row in reads[scen])
                          for scen in NOMA + OMA]
         assert passed == expected
 
@@ -1400,6 +1402,12 @@ def pair_sums(amps):
     return _column_sums(amps[:, None], 1, {amps.size})[amps.size]
 
 
+# The controls of NOMA R on sides of N >= 6 elements whose phases take
+# every control, such as 2 x 4 under 1-bit errors
+NOMA_R_PLAN = (("H", 0), ("H", 1), ("D", 0), ("D", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1),
+               ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))
+
+
 class TestPhaseControls:
     @pytest.mark.parametrize("model", ALL_KINDS, ids=repr)
     def test_second_moment_matches_the_two_element_form(self, model):
@@ -1430,55 +1438,75 @@ class TestPhaseControls:
         assert var[0] == pytest.approx(second - first * first, rel=1e-9, abs=1e-12 * second)
 
     def test_sides_that_take_phase_controls(self):
+        # the D, Q1 and Q2 rows of a side of N >= 2 elements whose phases
+        # move H, beside its gain, P2 and E rows
         geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
         cfg, four = McConfig(trials=500), four_user_params()
 
-        def sides(geom, models, scen, params=SystemParams.from_db()):
-            return _phase_sides(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
+        def plan(geom, models, scen, params=SystemParams.from_db()):
+            return _controls(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
 
-        assert sides(geom, QUANT1, Scenario.NOMA_R) == (0, 1)
-        assert sides(geom, QUANT1, Scenario.OMA_R) == (1,)
-        assert sides(geom, (Perfect(), UniformFull()), Scenario.NOMA_R) == (1,)
+        assert plan(geom, QUANT1, Scenario.NOMA_R) == NOMA_R_PLAN
+        assert plan(geom, QUANT1, Scenario.OMA_R) == (
+            ("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
+        assert plan(geom, (Perfect(), UniformFull()), Scenario.NOMA_R) == (
+            ("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))
         # one element: H = a^2 whatever the phase
-        assert sides(replace(geom, n_h=1, n_v=1), QUANT1, Scenario.NOMA_R) == ()
-        assert sides(replace(geom, n_h=1, n_v=2), QUANT1, Scenario.NOMA_R) == (0, 1)
+        assert plan(replace(geom, n_h=1, n_v=1), QUANT1, Scenario.NOMA_R) == (("H", 0), ("H", 1))
+        assert plan(replace(geom, n_h=1, n_v=2), QUANT1, Scenario.NOMA_R) == (
+            ("H", 0), ("H", 1), ("D", 0), ("D", 1), ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))
         # near-perfect phases move H by less than the controls resolve
-        assert sides(geom, (Quantized(27), VonMises(1e7)), Scenario.NOMA_R) == ()
-        assert sides(geom, (Quantized(7), VonMises(1e3)), Scenario.NOMA_R) == (0, 1)
+        assert plan(geom, (Quantized(27), VonMises(1e7)), Scenario.NOMA_R) == (
+            ("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))
+        assert plan(geom, (Quantized(7), VonMises(1e3)), Scenario.NOMA_R) == NOMA_R_PLAN
         # the primed users keep their gain controls alone
-        assert sides(geom, QUANT1, Scenario.NOMA_TP, four) == ()
-        assert sides(geom, QUANT1, Scenario.NOMA_R, four) == (0, 1)
+        assert plan(geom, QUANT1, Scenario.NOMA_TP, four) == (("H", 0), ("H", 1))
+        assert plan(geom, QUANT1, Scenario.NOMA_R, four) == NOMA_R_PLAN
 
     def test_sides_that_take_the_energy_control(self):
         cfg, four = McConfig(trials=500), four_user_params()
 
-        def sides(n_h, n_v, models, scen, params=SystemParams.from_db()):
+        def plan(n_h, n_v, models, scen, params=SystemParams.from_db()):
             geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
-            return _energy_sides(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
+            return _controls(_member(geom, params, models, cfg, [scen], True)[0][0], scen)
 
         # every side a rate reads, whatever its phases, from N = 6 on
-        for models in (QUANT1, (Perfect(), UniformFull()), (Quantized(27), VonMises(1e7))):
-            assert sides(2, 3, models, Scenario.NOMA_R) == (0, 1)
-            assert sides(5, 1, models, Scenario.NOMA_R) == ()
-        assert sides(6, 1, QUANT1, Scenario.OMA_R) == (1,)
+        for models, wide, narrow in [
+                (QUANT1, NOMA_R_PLAN, (("H", 0), ("H", 1), ("D", 0), ("D", 1),
+                                       ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))),
+                ((Perfect(), UniformFull()),
+                 (("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1),
+                  ("Q1", 1), ("Q2", 1)),
+                 (("H", 0), ("H", 1), ("D", 1), ("Q1", 1), ("Q2", 1))),
+                ((Quantized(27), VonMises(1e7)),
+                 (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1)),
+                 (("H", 0), ("H", 1)))]:
+            assert plan(2, 3, models, Scenario.NOMA_R) == wide
+            assert plan(5, 1, models, Scenario.NOMA_R) == narrow
+        assert plan(6, 1, QUANT1, Scenario.OMA_R) == (
+            ("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
         # rotated rates too, even with one element per group
         uniform = (UniformFull(), UniformFull())
-        assert sides(6, 1, uniform, Scenario.NOMA_T) == sides(2, 4, uniform, Scenario.OMA_T) == (0,)
-        assert sides(4, 1, uniform, Scenario.OMA_R) == ()
+        rotated = (("A", 0), ("D", 0), ("E", 0), ("Q1", 0), ("Q2", 0))
+        assert plan(6, 1, uniform, Scenario.NOMA_T) == rotated
+        assert plan(2, 4, uniform, Scenario.OMA_T) == rotated
+        assert plan(4, 1, uniform, Scenario.OMA_R) == (("A", 1),)
         # the primed users keep their gain controls alone
-        assert sides(2, 4, QUANT1, Scenario.NOMA_TP, four) == ()
-        assert sides(2, 4, QUANT1, Scenario.NOMA_RP, four) == ()
-        assert sides(2, 4, QUANT1, Scenario.NOMA_R, four) == (0, 1)
+        assert plan(2, 4, QUANT1, Scenario.NOMA_TP, four) == (("H", 0), ("H", 1))
+        assert plan(2, 4, QUANT1, Scenario.NOMA_RP, four) == (("H", 0), ("H", 1))
+        assert plan(2, 4, QUANT1, Scenario.NOMA_R, four) == NOMA_R_PLAN
 
-    @pytest.mark.parametrize("n_v, n_h, models, sides, level", [
-        (4, 2, (Perfect(), Perfect()), (), 2),
-        (1, 1, QUANT1, (), 0),
-        (4, 2, (Quantized(27), VonMises(1e7)), (), 2),
-        (4, 2, (Perfect(), UniformFull()), (1,), 1),
-        (4, 2, QUANT1, (0, 1), 2)], ids=["perfect", "one_element", "near_perfect",
-                                         "perfect_t", "both"])
-    def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, sides, level,
-                                           monkeypatch):
+    @pytest.mark.parametrize("n_v, n_h, models, plan", [
+        (4, 2, (Perfect(), Perfect()),
+         (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
+        (1, 1, QUANT1, (("H", 0), ("H", 1))),
+        (4, 2, (Quantized(27), VonMises(1e7)),
+         (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
+        (4, 2, (Perfect(), UniformFull()),
+         (("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))),
+        (4, 2, QUANT1, NOMA_R_PLAN)], ids=["perfect", "one_element", "near_perfect",
+                                           "perfect_t", "both"])
+    def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, plan, monkeypatch):
         # on a Perfect, one-element or near-perfect side D equals H, or
         # nearly so, and would make C_xx singular: such a side adds no D
         # row to the moments and no mean to the fit; every side of N >= 6
@@ -1487,56 +1515,64 @@ class TestPhaseControls:
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
         cfg = McConfig(trials=500, master_seed=89)
         (member,) = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
+        assert _controls(member[0], Scenario.NOMA_R) == plan
         keys = {member[0]: {0, 1}}
         (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
-        energy = 2 if n_v * n_h >= 6 else 0
-        assert len(mean) == 3 + level + energy + 3 * len(sides)
+        assert len(mean) == 1 + len(plan)
         passed = []
         cv_estimate = mc._cv_estimate
 
-        def recording(moments, control_means):
-            passed.append(len(control_means))
-            return cv_estimate(moments, control_means)
+        def recording(moments, means):
+            passed.append(len(means))
+            return cv_estimate(moments, means)
 
         monkeypatch.setattr(mc, "_cv_estimate", recording)
         mc_estimates(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,))
-        assert passed == [2 + len(sides) + level + energy]
+        assert passed == [len(plan)]
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(setup=two_user_setups(), seed=st.integers(0, 2**32 - 1))
-    def test_phase_controls_have_mean_zero(self, setup, seed):
-        # E[D] = E[H], E[P2] = N, E[P2^2] = mean_p2_sq and E[Q1] = E[Q2] = 0
-        # on random layouts, both correlation flags and all four phase-model
-        # kinds: the rows after (y, H_t, H_r) of NOMA R's moments, merged
-        # over the blocks of a walk, are a D row per phase side, on N >= 6
-        # elements the P2 rows of the sides whose phases are not uniform and
-        # the P2^2 rows of both sides, and then the (Q1, Q2) rows; the P2^2
-        # rows with the standard error of energy_stderr
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(setup=st.one_of(two_user_setups(), four_user_setups(), two_user_setups().map(
+               lambda setup: (*setup[:3], (UniformFull(), UniformFull())))),
+           seed=st.integers(0, 2**32 - 1))
+    @example(setup=(four_user_params(), ArrayGeometry(3, 4, 0.025, 0.025, 0.1), True, QUANT1),
+             seed=0)
+    @example(setup=(SystemParams.from_db(), ArrayGeometry(5, 2, 0.05, 0.05, 0.1), False,
+                    (UniformFull(), UniformFull())), seed=1)
+    def test_control_rows_have_their_exact_means(self, setup, seed):
+        # for every member of NOMA T and R, OMA T and R and, under
+        # four-user parameters, T' and R', the mean of each row of its
+        # walked moments against the exact mean mc_estimates hands the
+        # fit for that entry of _controls, on random layouts, both
+        # correlation flags and all four phase-model kinds: E[H] = E[A] =
+        # E[D] = the Jensen gain, E[P2] = N, E[P2^2] = mean_p2_sq and E[Q1]
+        # = E[Q2] = 0, the P2 and P2^2 rows with the standard errors of
+        # level_stderr and energy_stderr
         params, geom, correlated, models = setup
-        assume(geom.n_elements >= 2)
+        scenarios = (FOUR if params.four_user else NOMA) + OMA
         cfg = McConfig(trials=2000, master_seed=seed)
-        (member,) = _member(geom, params, models, cfg, (Scenario.NOMA_R,), correlated)
-        sides = _phase_sides(member[0], Scenario.NOMA_R)
-        assert sides == tuple(side for side in (0, 1) if not isinstance(models[side], Perfect))
-        keys = {member[0]: {0, 1}}
-        n, mean, com = functools.reduce(_merge, (
-            _block_moments(keys, [member], _group_factor(keys), block, count)[0]
-            for block, count in _blocks(cfg.trials)))
-        wide = geom.n_elements >= 6
-        level = wide * sum(not isinstance(model, UniformFull) for model in models)
-        energy = range(3 + len(sides) + level, 3 + len(sides) + level + 2 * wide)
-        assert len(mean) == 3 + level + len(energy) + 3 * len(sides)
-        tr = trace_rbar_sq(geom, correlated)
-        exact = [_mean_gain(geom.n_elements, tr, models[side].epsilon()) for side in sides]
-        exact += ([geom.n_elements] * level + [mean_p2_sq(geom, correlated)] * len(energy)
-                  + [0.0] * (2 * len(sides)))
-        for i, want in enumerate(exact, start=3):
-            stderr = math.sqrt(com[i, i] / (n - 1) / n)
-            if i in energy:
-                stderr = energy_stderr(geom, correlated, n, stderr)
-            elif energy.start - level <= i < energy.start:
-                stderr = level_stderr(geom, correlated, n, stderr)
-            assert abs(mean[i] - want) <= 4.5 * stderr, (geom, correlated, models, i)
+        fits = []
+        cv_estimate = mc._cv_estimate
+
+        def recording(moments, means):
+            fits.append((moments, means))
+            return cv_estimate(moments, means)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_cv_estimate", recording)
+            mc_estimates(geom, params, models, cfg, scenarios, correlated=correlated)
+        members = _member(geom, params, models, cfg, scenarios, correlated)
+        assert len(fits) == len(members)
+        for (key, _, scen), ((n, mean, com), means) in zip(members, fits):
+            plan = _controls(key, scen)
+            assert len(mean) == 1 + len(plan) == 1 + len(means)
+            for i, ((kind, side), want) in enumerate(zip(plan, means), start=1):
+                stderr = math.sqrt(com[i, i] / (n - 1) / n)
+                if kind == "E":
+                    stderr = energy_stderr(geom, correlated, n, stderr)
+                elif kind == "P2":
+                    stderr = level_stderr(geom, correlated, n, stderr)
+                assert abs(mean[i] - want) <= 4.5 * stderr, (geom, correlated, models, scen,
+                                                             kind, side)
 
     @pytest.mark.parametrize("four_user", [False, True], ids=["two_user", "four_user"])
     def test_perfect_gain_is_the_zero_phase_boost(self, four_user, half_wave_geometry):
@@ -1744,8 +1780,13 @@ class TestControlVariate:
         key = _member(geom, params, models, cfg, NOMA + OMA, correlated)[0][0]
         (gains,) = walked_gains([key])
         z = 1.959963984540054
+        above = {Scenario.NOMA_T: (("H", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0), ("Q2", 0)),
+                 Scenario.NOMA_R: NOMA_R_PLAN,
+                 Scenario.OMA_T: (("H", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0), ("Q2", 0)),
+                 Scenario.OMA_R: (("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))}
         for scen in NOMA + OMA:
-            assert _p2_sides(key, scen) == (_CONTROLS[scen] if level else ())
+            assert _controls(key, scen) == tuple(entry for entry in above[scen]
+                                                 if level or entry[0] != "P2")
             r, est = _rate(scen, params, gains), out[scen]
             plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
             assert math.isfinite(est.mean), (scen, est)
@@ -1766,8 +1807,12 @@ class TestControlVariate:
         key = _member(geom, params, models, cfg, scenarios, True)[0][0]
         (gains,) = walked_gains([key])
         z = 1.959963984540054
+        phase, energy = n_v * n_h > min(4, n_h), n_v * n_h >= 6
         for scen in scenarios:
-            assert len(_phase_sides(key, scen)) == (n_v * n_h > min(4, n_h))
+            side = _CONTROLS[scen][0]
+            assert _controls(key, scen) == (("A", side), *[("D", side)] * phase,
+                                            *[("E", side)] * energy,
+                                            *[("Q1", side), ("Q2", side)] * phase)
             r, est = _rate(scen, params, gains), out[scen]
             plain_hw = z * r.std(ddof=1) / math.sqrt(r.size)
             assert math.isfinite(est.mean), (scen, est)
