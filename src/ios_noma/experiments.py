@@ -14,6 +14,7 @@ import configparser
 import csv
 import io
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from .analytic import _LINKS, RateBound, Scenario, _check_users, rate_bound
 from .channel import (ConfigError, PhaseErrorModel, SystemParams, pathloss,
                       phase_error_from_string)
 from .geometry import ArrayGeometry, trace_rbar_sq
-from .mc import McConfig, mc_batch
+from .mc import BLOCK_SIZE, McConfig, mc_batch
 
 # the link budget and splits: the keys of SystemParams.from_db, distances
 # with an "_m"; a None key is left out of the call
@@ -113,13 +114,22 @@ class SweepSpec:
         order, with {estimator: RateBound} for its analytic estimators.
         A primed target's four-user parameters are checked whatever its
         estimators, and run_sweep writes its analytic rows from these
-        bounds, so validating a spec runs the bound code its run does."""
+        bounds, so validating a spec runs the bound code its run does.  An
+        mc point is rejected if its walk exceeds physical memory: a block's
+        polar draw of 16 N min(trials, BLOCK_SIZE) bytes, and if correlated
+        the 8 N^2 bytes of each of correlation_matrix's 3 N x N arrays."""
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         points = []
         for value in self.values:
             for scen in self.scenarios:
                 point = build_point(_apply_axis({**DEFAULTS, **scen.overrides},
                                                 self.axis, value))
                 _check_users(scen.target, point.params)
+                n = point.geom.n_elements
+                walk = 8 * n * (2 * min(point.mc.trials, BLOCK_SIZE) + 3 * n * point.correlated)
+                if "mc" in scen.estimators and walk > memory:
+                    raise ConfigError(f"N = {n} elements: a Monte Carlo walk needs at least "
+                                      f"{walk} bytes, more than the {memory} of physical memory")
                 points.append((value, scen, point,
                                {est: analytic_bound(scen.target, est, point)
                                 for est in scen.estimators if est != "mc"}))

@@ -39,7 +39,7 @@ gains are not controls: E[H'] = N only for i.i.d. elements (see
 _walk_block).  Where a side's phases are uniform, the rates that are
 one log of its gain (NOMA T, OMA T and OMA R; analytic._SINGLE_LOG) on
 n_h >= 2 columns are conditional Monte Carlo estimates instead (see
-_rotated): turning the phases of a group of columns by a constant
+_controls): turning the phases of a group of columns by a constant
 angle leaves their law unchanged, so y and its controls are replaced by
 their means over turns of up to four column groups, up to nine closed
 forms per trial from the groups' sums.  Per block, the means and
@@ -132,7 +132,7 @@ class McEstimate:
     trials.  For NOMA T, OMA T and OMA R on a side of uniform phases and
     n_h >= 2 columns, y and the controls are the rotated rows: their
     means over turns of the phases of the side's column groups (see
-    _rotated), with the same means and less variance.  The fit biases it
+    _controls), with the same means and less variance.  The fit biases it
     by O(1/trials), about 0.1 standard errors at 1000 trials on an N = 8
     setup.
     half_width is the 95 % normal half-width 1.96 sqrt(s^2 / trials),
@@ -245,13 +245,6 @@ def oma_trial_rates(params: SystemParams, h_t, h_r):
 # block evaluation
 
 _OMA = (Scenario.OMA_T, Scenario.OMA_R)
-# The unprimed gains each rate reads (its t and r links in _READS), as
-# rows of _walk_block: 0 for H_t, 1 for H_r.  They are the sides a walk
-# draws for the rate and those of its controls (see _controls).  The
-# primed gains of T' and R', drawn on the same sides, are not controls:
-# see _walk_block.
-_CONTROLS = {scen: tuple(row for row, link in enumerate("tr") if link in links)
-             for scen, links in _READS.items()}
 # The floor of 1 - eps^2 for a side's phase controls (see _controls):
 # their variance coefficients are O((1 - eps^2)^2) differences of O(1)
 # terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
@@ -260,32 +253,10 @@ _PHASE_VAR_MIN = 1e-4
 # The fewest elements of a side whose energy P2^2 is a control (see
 # _controls)
 _ENERGY_MIN_N = 6
-# The most column groups a _rotated rate is averaged over, and the turns
-# exp(2 pi j k / 3), k = 0, 1, 2, of a group against the one before it
+# The most column groups a rotated rate is averaged over (_controls), and
+# the turns exp(2 pi j k / 3), k = 0, 1, 2, of a group against the one before it
 _GROUPS = 4
 _LATTICE = np.exp(2j * np.pi / 3 * np.arange(3))[:, None]
-
-
-def _rotated(key, scen) -> bool:
-    """Whether scen's rate on draw key is averaged over turns of column
-    groups: a rate of analytic._SINGLE_LOG whose side has UniformFull
-    phases and n_h >= 2 columns.  The side's columns split into K =
-    min(_GROUPS, n_h) groups with sums G_1..G_K (see _turns), and turning
-    a group's i.i.d. uniform phases by a constant angle, independent of
-    the draws, leaves their law unchanged.  So with omega = exp(2 pi j /
-    3), each of the rates of |G_1 + G_2 omega^k + (G_3 + G_4 omega^l)
-    exp(j psi)|^2, for k, l in {0, 1, 2} and psi uniform, has the rate's
-    law, and their mean, nine closed forms over psi
-    (_mean_log1p_over_rotation), has the rate's mean and less variance
-    (conditional Monte Carlo); at K = 3 the tail is G_3 alone, at K = 2
-    the sums are G_1 and G_2 exp(j psi).  The controls averaged alike
-    keep their means (_phase_rows).  Three turns are the fewest for which
-    the mean of omega^(2k) vanishes as that of omega^k does, which the
-    mean of Q2 needs.  The min over two links of NOMA R, T' and R' has no
-    mean over psi in closed form."""
-    _, n_h, *models = key
-    return (scen in _SINGLE_LOG and n_h >= 2
-            and isinstance(models[_CONTROLS[scen][0]], UniformFull))
 
 
 def _mean_log1p_over_rotation(kappa, head, tail):
@@ -332,7 +303,7 @@ def _turns(prefix, n_h):
     floor(i n_h / K), with sums G_i, and the first K - K // 2 groups are
     the head.  heads holds |G_1 + G_2 omega^k| for k = 0, 1, 2, or |G_1|
     if the head is one group, as (rows, 1, count); tails likewise for the
-    rest, as (rows, count), so the pairs are the turns of _rotated.  A =
+    rest, as (rows, count), so the pairs are the turns of _controls.  A =
     sum_i |G_i|^2 and pair = sum_{i < j} |G_i|^2 |G_j|^2 (see
     _phase_rows)."""
     k = min(_GROUPS, n_h)
@@ -352,21 +323,39 @@ def _turns(prefix, n_h):
 def _controls(key, scen) -> tuple:
     """The controls of scen's rate on draw key, as (kind, side) pairs in
     the order of its rows after y: the gains ("H", side) of the sides
-    the rate reads (_CONTROLS), or their turned means ("A", side) for a
-    _rotated rate, then ("D", side), ("P2", side) and ("E", side), then
-    ("Q1", side) and ("Q2", side) of each side in turn.  D, Q1 and Q2
-    are the phase rows of _phase_rows, and P2 and E = P2^2 the energies
-    of the side's amplitudes, P2 = sum_n a_n^2 the second power sum of
-    _column_sums.  mc_estimates hands the fit their exact means: the
-    side's Jensen gain N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and
-    D, N for P2 (E|g_n|^2 = E|h_n|^2 = 1, g and h independent),
+    the rate reads (its t and r links in _READS, 0 for H_t and 1 for
+    H_r, the sides a walk draws for it), or their turned means ("A",
+    side) for a rotated rate, then ("D", side), ("P2", side) and ("E",
+    side), then ("Q1", side) and ("Q2", side) of each side in turn.  D,
+    Q1 and Q2 are the phase rows of _phase_rows, and P2 and E = P2^2 the
+    energies of the side's amplitudes, P2 = sum_n a_n^2 the second power
+    sum of _column_sums.  mc_estimates hands the fit their exact means:
+    the side's Jensen gain N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A
+    and D, N for P2 (E|g_n|^2 = E|h_n|^2 = 1, g and h independent),
     geometry.mean_p2_sq for E, and 0 for Q1 and Q2.
 
-    T' and R' take their gain rows alone (see _walk_block).  A side takes
+    A rate is rotated, averaged over turns of column groups, if it is of
+    analytic._SINGLE_LOG and its side has UniformFull phases and n_h >=
+    2 columns.  The side's columns split into K = min(_GROUPS, n_h)
+    groups with sums G_1..G_K (see _turns), and turning a group's i.i.d.
+    uniform phases by a constant angle, independent of the draws, leaves
+    their law unchanged.  So with omega = exp(2 pi j / 3), each of the
+    rates of |G_1 + G_2 omega^k + (G_3 + G_4 omega^l) exp(j psi)|^2, for
+    k, l in {0, 1, 2} and psi uniform, has the rate's law, and their
+    mean, nine closed forms over psi (_mean_log1p_over_rotation), has the
+    rate's mean and less variance (conditional Monte Carlo); at K = 3 the
+    tail is G_3 alone, at K = 2 the sums are G_1 and G_2 exp(j psi).
+    The controls averaged alike keep their means (_phase_rows).  Three
+    turns are the fewest for which the mean of omega^(2k) vanishes as
+    that of omega^k does, which the mean of Q2 needs.  The min over two
+    links of NOMA R, T' and R' has no mean over psi in closed form.
+
+    T' and R' take their gain rows alone: their primed gains, drawn on
+    the same sides, are not controls (see _walk_block).  A side takes
     D, Q1 and Q2 if it has N >= 2 elements and 1 - eps^2 >=
     _PHASE_VAR_MIN, which leaves out every Perfect side: at N = 1, H = a^2
     whatever the phase, and near the floor D equals H, or nearly so.  A
-    _rotated rate needs N > K, its group count (see _turns): at N = K
+    rotated rate needs N > K, its group count (see _turns): at N = K
     each group is one element, so A = D and the phase rows averaged over
     the turns vanish.  Every side read takes E from N >= _ENERGY_MIN_N
     on, rotated and Perfect sides too, since P2 depends on the amplitudes
@@ -378,8 +367,9 @@ def _controls(key, scen) -> tuple:
     A^2 + (1 - eps^2) P2 is P2, or nearly so (eps^2 is 0 at kappa =
     4e-205), and C_xx would be singular."""
     (family, *_), n_h, *models = key
-    sides, n = _CONTROLS[scen], family.n_v * n_h
-    rotated = _rotated(key, scen)
+    sides = [side for side, link in enumerate("tr") if link in _READS[scen]]
+    n = family.n_v * n_h
+    rotated = scen in _SINGLE_LOG and n_h >= 2 and isinstance(models[sides[0]], UniformFull)
     plan = [("A" if rotated else "H", side) for side in sides]
     if scen in _NOMA[2:]:
         return tuple(plan)
@@ -427,7 +417,7 @@ def _phase_rows(model, h, sums, turned=None):
     ratios.
 
     Given turned = (A, pair) of a UniformFull side (see _turns), the rows
-    are their means over the turns of _rotated: H = A = sum_i |G_i|^2,
+    are their means over the turns of _controls: H = A = sum_i |G_i|^2,
     and Q2 = Q1^2 + (2 pair - Var(H | a)) / D^2, as the mean of (H - D)^2
     is (A - D)^2 + 2 sum_{i < j} |G_i|^2 |G_j|^2.  Their means stay those
     of H, Q1 and Q2."""
@@ -442,7 +432,7 @@ def _phase_rows(model, h, sums, turned=None):
 def _walk_block(keys, factor, block, count, turned=()):
     """(gains, sums, prefixes) of one block for the draw keys of a walk:
     their composite gains, the column sums of their element amplitudes
-    and the column prefix sums of their rotated sides' gains.
+    and the column prefix sums of the gains their turned rates read.
 
     The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
     four-user parameters: each a row of count trials, or None for a side
@@ -450,13 +440,13 @@ def _walk_block(keys, factor, block, count, turned=()):
     {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
     |g||h| or |r||h|, at the column counts of the keys that read the
     side; _block_moments forms the phase controls from them.  The
-    prefixes are {side: complex (n_h, count) column prefix sums} of the
-    UniformFull gain of each side in turned (see _boosted_gains), n_h the
-    widest layout of UniformFull phases on that side, from which _turns
-    reads the group sums of every narrower one.
+    prefixes are {(side, phase model): complex (n_h, count) column prefix
+    sums} of the gain of each pair in turned (see _boosted_gains), n_h
+    the widest layout of that model on that side, from which _turns reads
+    the group sums of every narrower one.
 
     keys maps each draw key to the sides its members read (see
-    _CONTROLS): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
+    _controls): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
     H_r').  A side draws only the phase models of the keys that read it,
     so a side that no key reads is not drawn at all and holds no row.
     Every (stream, block) pair has its own generator, so skipping a side
@@ -542,8 +532,8 @@ def _walk_block(keys, factor, block, count, turned=()):
             tangents = (None if perfect and not primed
                         else model.sample((n, count), rng(stream_phi)))
             prefix = None
-            if row in turned and isinstance(model, UniformFull):
-                prefix = prefixes[row] = np.empty((n // n_v, count), complex)
+            if (row, model) in turned:
+                prefix = prefixes[row, model] = np.empty((n // n_v, count), complex)
             out = ({n_h: cols[n_h][0] for n_h in widths} if perfect
                    else _boosted_gains(amp[:n], tangents, n_v, widths, prefix))
             out_p = _boosted_gains(terms_p[:n], tangents, n_v, widths) if primed else None
@@ -648,48 +638,46 @@ def _member(geom, params, err_models, cfg, scenarios, correlated) -> list:
     return [(key, params, scen) for scen in dict.fromkeys(scenarios)]
 
 
-def _block_moments(keys, members, factor, block, count):
-    """The moments of each member's rate and its controls over one
-    block, one per member in order: the gains of the block's keys, then
-    each member's rate chain on them, stacked over one row per entry of
-    its _controls.  A _rotated rate and its controls are their means over
-    the turns: the rate from the turned pairs of its side's group sums
-    (see _turns), and A in place of H.  Its chain still runs, once per
-    block like every member's, since the benchmark counts blocks as rate
-    chain calls, and its rate is not read.  The phase rows are formed
-    from the gains, column sums and prefix sums key by key, once for all
-    the members on a key, so one key's controls are held at a time."""
-    plans = {(key, scen): _controls(key, scen) for key, _, scen in members}
-    turned = {side for plan in plans.values() for kind, side in plan if kind == "A"}
+def _block_moments(walk, factor, block, count):
+    """{member: moments} of each member's rate and its controls over one
+    block.  walk is {draw key: {member: its _controls}}: each key draws
+    the sides its plans name, and keeps the column prefix sums of each
+    (side, phase model) an "A" entry turns.  Each member's rate chain
+    runs on the gains, stacked over one row per entry of its plan; a
+    member whose plan opens with ("A", side) is rotated, its rate the
+    mean over the turns of its side's group sums (see _turns).  Its chain
+    still runs, once per block like every member's, since the benchmark
+    counts blocks as rate chain calls, and its rate is not read.  The
+    phase rows are formed key by key, once for all the members on a key,
+    so one key's controls are held at a time."""
+    keys = {key: {side for plan in plans.values() for _, side in plan}
+            for key, plans in walk.items()}
+    turned = {(side, key[2 + side]) for key, plans in walk.items()
+              for plan in plans.values() for kind, side in plan if kind == "A"}
     gains, sums, prefixes = _walk_block(keys, factor, block, count, turned=turned)
-    on_key = {}  # {draw key: [(index, params, scenario) of its members]}
-    for i, (key, params, scen) in enumerate(members):
-        on_key.setdefault(key, []).append((i, params, scen))
-    out = [None] * len(members)
-    for key, group in on_key.items():
-        turns = {side: _turns(prefixes[side], key[1]) for side in
-                 {side for _, _, scen in group for kind, side in plans[key, scen] if kind == "A"}}
+    out = {}
+    for key, plans in walk.items():
+        turns = {side: _turns(prefixes[side, key[2 + side]], key[1]) for side in
+                 {side for plan in plans.values() for kind, side in plan if kind == "A"}}
         # {(side, rotated): {"A" (H if not rotated), "D", "Q1", "Q2": row}};
         # a plan reads the turned phase rows of the sides it takes an A row of.
         # They are all formed before any member's stack: forming each at its
         # first use raised precision_point's peak RSS from 68.2 to 74.6 MB
         phase = {}
-        for _, _, scen in group:
-            plan = plans[key, scen]
+        for plan in plans.values():
             for kind, side in plan:
                 rotated = ("A", side) in plan
                 if kind in ("A", "D") and (side, rotated) not in phase:
                     phase[side, rotated] = dict(zip(("A", "D", "Q1", "Q2"), _phase_rows(
                         key[2 + side], gains[key][side], sums[side][key[1]],
                         turns[side][2:] if rotated else None)))
-        for i, params, scen in group:
+        for (_, params, scen), plan in plans.items():
             rate = _rate(scen, params, gains[key])
-            if _rotated(key, scen):
-                (side,) = _CONTROLS[scen]
+            kind, side = plan[0]
+            if kind == "A":
                 kappa, share = _single_log(params, scen)
                 logs = _mean_log1p_over_rotation(kappa, *turns[side][:2])
                 rate = share * logs.mean(axis=(0, 1)) / _LN2
-            plan = plans[key, scen]
             rows = [rate]
             for kind, side in plan:
                 if kind == "H":
@@ -699,7 +687,7 @@ def _block_moments(keys, members, factor, block, count):
                     rows.append(p2 if kind == "P2" else p2 ** 2)
                 else:
                     rows.append(phase[side, ("A", side) in plan][kind])
-            out[i] = _moments(np.vstack(rows))
+            out[key, params, scen] = _moments(np.vstack(rows))
     return out
 
 
@@ -714,14 +702,14 @@ def _group_factor(keys):
 def _walk_group(members, workers):
     """{member: moments} for members that share their Gaussian key, one
     walk over the blocks, merged in block order so the result does not
-    depend on scheduling.  Each draw key is walked on the sides its
-    members' rates read."""
-    keys = {}  # {draw key: sides read}
-    for key, _, scen in members:
-        keys.setdefault(key, set()).update(_CONTROLS[scen])
-    factor = _group_factor(keys)
-    jobs = [(keys, members, factor, block, count)
-            for block, count in _blocks(members[0][0][0][2])]
+    depend on scheduling.  The walk's table {draw key: {member: its
+    _controls}} is formed once, and every block reads it (see
+    _block_moments)."""
+    walk = {}
+    for key, params, scen in members:
+        walk.setdefault(key, {})[key, params, scen] = _controls(key, scen)
+    factor = _group_factor(walk)
+    jobs = [(walk, factor, block, count) for block, count in _blocks(members[0][0][0][2])]
     workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~19 ms of start-up, so only here
@@ -729,7 +717,7 @@ def _walk_group(members, workers):
             parts = list(pool.map(_block_moments, *zip(*jobs)))
     else:
         parts = (_block_moments(*job) for job in jobs)
-    return dict(zip(members, functools.reduce(lambda a, b: list(map(_merge, a, b)), parts)))
+    return functools.reduce(lambda a, b: {m: _merge(a[m], b[m]) for m in a}, parts)
 
 
 def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,

@@ -357,12 +357,28 @@ class TestFailFast:
         assert "must be finite" in res.stderr
         assert res.stdout == ""
 
-    def test_layout_too_large_to_allocate(self):
+    def test_layout_too_large_to_allocate(self, tmp_path, counting, capsys):
         # 10^13 elements: numpy's MemoryError exits 2, not with a traceback
         res = run_cli("bound", "--scenario", "noma_r", "--n-h", "1000000", "--n-v", "10000000")
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: Unable to allocate")
         assert res.stdout == ""
+        # 10^7 elements of a Monte Carlo walk: its correlation matrix alone
+        # is 800 TB, so validate rejects the spec and run draws nothing
+        path = tmp_path / "spec.ini"
+        path.write_text("[sweep]\naxis = elements_per_row\nvalues = 100000\n"
+                        "[defaults]\nn_v = 100\ntrials = 256\n"
+                        "[scenario:a]\ntarget = noma_t\nestimators = mc\n", encoding="utf-8")
+        draws = counting("standard_complex_gaussian")
+        out = tmp_path / "rows.csv"
+        for argv in (["validate", "--spec", str(path)],
+                     ["run", "--spec", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert "ok" not in captured.out
+            assert captured.err.startswith("error: N = 10000000 elements"), captured.err
+        assert draws == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, named", [
         (("--phase-error-t", "vonmises:nan"), "vonmises"),

@@ -21,7 +21,7 @@ from ios_noma.geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, tra
 from ios_noma import channel, cli, mc
 from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
-from ios_noma.mc import (_CONTROLS, BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
+from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _block_moments, _column_sums, _conditional_moments, _controls,
                          _group_factor, _member, _merge, _moments, _rate, _walk_block,
                          _walk_group, mc_batch, mc_estimates, noma_trial_rates, oma_trial_rates)
@@ -59,6 +59,15 @@ def walked_gains(keys):
         gains.update({key: np.concatenate([walked[key] for walked in blocks], axis=1)
                       for key in group})
     return np.array([gains[key] for key in keys])
+
+
+def walk_table(members):
+    """{draw key: {member: its _controls}}, the table _walk_group forms
+    for one walk and _block_moments reads."""
+    walk = {}
+    for key, params, scen in members:
+        walk.setdefault(key, {})[key, params, scen] = _controls(key, scen)
+    return walk
 
 
 class TestTrialRates:
@@ -449,7 +458,7 @@ class TestMembers:
             else (SystemParams.from_db(), (UniformFull(), Quantized(1)), NOMA + OMA))
         cfg = McConfig(trials=BLOCK_SIZE + 3000, master_seed=37)
         members = _member(geom, params, models, cfg, scenarios, True)
-        assert {mc._rotated(key, scen) for key, _, scen in members} == {True, False}
+        assert {_controls(key, scen)[0][0] for key, _, scen in members} == {"A", "H"}
         walks = counting("_walk_group")
         chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
         together = mc_estimates(geom, params, models, cfg, scenarios, workers=workers)
@@ -462,6 +471,15 @@ class TestMembers:
         if workers == 1:  # a pool's chains run in its worker processes
             blocks = len(list(_blocks(cfg.trials)))
             assert sum(map(len, chains)) == 2 * len(members) * blocks
+
+    def test_plans_are_formed_once_per_walk(self, half_wave_geometry, counting):
+        # one plan per member for the walk, read by all three blocks, and
+        # one per member for the fit; a rotated NOMA T beside a plain NOMA R
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        cfg = McConfig(trials=2 * BLOCK_SIZE + 1000, master_seed=11)
+        plans = counting("_controls")
+        mc_estimates(geom, SystemParams.from_db(), (UniformFull(), Quantized(1)), cfg, NOMA)
+        assert [scen for _, scen in plans] == [*NOMA, *NOMA]
 
     def test_empty_scenario_list_draws_nothing(self, half_wave_geometry, noma_params,
                                                counting):
@@ -941,7 +959,7 @@ class TestRotationMean:
     @given(polar=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
                           min_size=3, max_size=4))
     def test_three_turns_keep_the_control_means(self, polar):
-        # over the turns of _rotated and a uniform psi, the mean of H is A
+        # over the turns of _controls and a uniform psi, the mean of H is A
         # = sum_i |G_i|^2 and that of (H - A)^2 is 2 sum_{i<j} |G_i|^2 |G_j|^2,
         # the means the rotated A and Q2 rows rest on; the psi grid is exact
         # for these trigonometric polynomials of degree 2
@@ -975,20 +993,21 @@ class TestRotationMean:
         members = [member for n_h in (2, 3, 4, 7) for member in _member(
             ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05), params, models,
             cfg, (Scenario.NOMA_T, *OMA), True)]
-        keys = dict.fromkeys((key for key, _, _ in members), (0, 1))
+        walk = walk_table(members)
         walked, stacks = [], []
         walk_block, moments = mc._walk_block, mc._moments
         monkeypatch.setattr(mc, "_walk_block",
                             lambda *args, **kw: walked.append(walk_block(*args, **kw))
                             or walked[-1])
         monkeypatch.setattr(mc, "_moments", lambda stack: stacks.append(stack) or moments(stack))
-        _block_moments(keys, members, _group_factor(keys), 0, count)
+        _block_moments(walk, _group_factor(walk), 0, count)
         ((gains, _, prefixes),) = walked
         for (key, _, scen), stack in zip(members, stacks):
             n_h, side = key[1], int(scen is Scenario.OMA_R)
-            assert np.array_equal(np.abs(prefixes[side][n_h - 1]) ** 2, gains[key][side])
+            prefix = prefixes[side, UniformFull()]
+            assert np.array_equal(np.abs(prefix[n_h - 1]) ** 2, gains[key][side])
             k = min(4, n_h)
-            cols = np.diff(prefixes[side][:n_h], axis=0, prepend=0)
+            cols = np.diff(prefix[:n_h], axis=0, prepend=0)
             groups = np.array([cols[i * n_h // k:(i + 1) * n_h // k].sum(axis=0)
                                for i in range(k)])
             head, tail = turned_sums(groups)
@@ -1516,8 +1535,8 @@ class TestPhaseControls:
         cfg = McConfig(trials=500, master_seed=89)
         (member,) = _member(geom, SystemParams.from_db(), models, cfg, (Scenario.NOMA_R,), True)
         assert _controls(member[0], Scenario.NOMA_R) == plan
-        keys = {member[0]: {0, 1}}
-        (_, mean, _), = _block_moments(keys, [member], _group_factor(keys), 0, 500)
+        walk = walk_table([member])
+        ((_, mean, _),) = _block_moments(walk, _group_factor(walk), 0, 500).values()
         assert len(mean) == 1 + len(plan)
         passed = []
         cv_estimate = mc._cv_estimate
@@ -1809,7 +1828,7 @@ class TestControlVariate:
         z = 1.959963984540054
         phase, energy = n_v * n_h > min(4, n_h), n_v * n_h >= 6
         for scen in scenarios:
-            side = _CONTROLS[scen][0]
+            side = int(scen is Scenario.OMA_R)
             assert _controls(key, scen) == (("A", side), *[("D", side)] * phase,
                                             *[("E", side)] * energy,
                                             *[("Q1", side), ("Q2", side)] * phase)
