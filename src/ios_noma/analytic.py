@@ -1,18 +1,18 @@
 """The rate chain, and the closed-form bounds, approximations and limits.
 
-link_gain, sic_rates and oma_slot_rates write each achievable rate once.
-The Monte Carlo engine evaluates them at the sampled composite gains H.
-rate_bound(target, estimator, ...) is the one entry to the closed forms,
-which evaluate the same chain at a fixed gain per link: "jensen" upper
-bounds at E[H] = N (1 - eps^2) + eps^2 tr(Rbar Rbar), with eps the mean
-cosine of the phase error and Rbar the magnitude moment matrix,
-"hardening" approximations at pi^2 N^2 eps^2 / 16, and the primed users
-at N under both.  N is the mean primed gain E[H'] only for i.i.d.
-elements: on a correlated layout E[H'] exceeds N, so the primed "jensen"
-values are not guaranteed upper bounds there.  "limit" is the large-SNR
-ceiling of the interference-limited users.  Branchy bounds carry a flag
-naming the link gain that fired, which the sweep CSV surfaces for
-diagnostics.
+rate(scen, params, *gains) writes each achievable rate once, at the
+composite gains H of the links the scenario reads.  The Monte Carlo
+engine evaluates it at the sampled gains.  rate_bound(target, estimator,
+...) is the one entry to the closed forms, which evaluate the same rate
+at a fixed gain per link: "jensen" upper bounds at E[H] = N (1 - eps^2)
++ eps^2 tr(Rbar Rbar), with eps the mean cosine of the phase error and
+Rbar the magnitude moment matrix, "hardening" approximations at pi^2
+N^2 eps^2 / 16, and the primed users at N under both.  N is the mean
+primed gain E[H'] only for i.i.d. elements: on a correlated layout E[H']
+exceeds N, so the primed "jensen" values are not guaranteed upper bounds
+there.  "limit" is the large-SNR ceiling of the interference-limited
+users.  Branchy bounds carry a flag naming the link gain that fired,
+which the sweep CSV surfaces for diagnostics.
 """
 
 from __future__ import annotations
@@ -63,43 +63,37 @@ def link_gain(params: SystemParams, link: str, h):
     return params.gamma0 * pathloss(params, link) * amp**2 * h
 
 
-def _shares(params: SystemParams, users: int):
-    """(q_k^2, sum_{j<k} q_j^2) of the first users of T, R, T', R': each
-    user's power share and that of the messages not yet decoded when
-    its own is."""
-    names = ("q_t", "q_r", "q_tp", "q_rp")[:users]
-    q_sq = [getattr(params, name) ** 2 for name in names]
-    return [(q_k, sum(reversed(q_sq[:k]))) for k, q_k in enumerate(q_sq)]
+def _share(params: SystemParams, k: int):
+    """(q_k^2, sum_{j<k} q_j^2) of user k of T, R, T', R': its power share
+    and that of the messages not yet decoded when its own is."""
+    q_sq = [getattr(params, name) ** 2 for name in ("q_t", "q_r", "q_tp", "q_rp")[:k + 1]]
+    return q_sq[k], sum(reversed(q_sq[:k]))
 
 
-def sic_rates(params: SystemParams, *gains):
-    """Rates of the users T, R, T', R' under the decoding order (R', T', R, T).
-
-    gains are the link gains of a prefix of that user list: T alone, the
-    pair (T, R) or all four.  A message's rate is the minimum over its
+def _sic_rate(params: SystemParams, gains):
+    """The rate of the last of the users T, R, T', R' whose link gains are
+    given, under the decoding order (R', T', R, T): the minimum over its
     own user and every user decoded after it, with the power of the
-    messages not yet decoded as interference, so a user's rate depends
-    only on the gains up to its own.
-    """
-    rates = []
-    for k, (q_k, interference) in enumerate(_shares(params, len(gains))):
-        rates.append(functools.reduce(np.minimum, [
-            np.log1p(f * q_k / (f * interference + 1.0)) / _LN2 for f in gains[:k + 1]]))
-    return tuple(rates)
+    messages not yet decoded as interference."""
+    q_k, interference = _share(params, len(gains) - 1)
+    return functools.reduce(np.minimum, [
+        np.log1p(f * q_k / (f * interference + 1.0)) / _LN2 for f in gains])
 
 
-def oma_slot_rates(params: SystemParams, h_t, h_r):
-    """OMA rates (T, R) at composite gains h_t, h_r.
+def rate(scen: Scenario, params: SystemParams, *gains):
+    """The rate of scen at the composite gains of the links it reads
+    (_READS[scen], in order), the one expression of each scenario.
 
-    Each user gets a dedicated slot with the full surface amplitude and
-    full transmit power, at the cost of the 1/2 pre-log factor.  The
-    slots do not interact: a user whose gain is None gets None.
-    """
-    rates = []
-    for scen, h in ((Scenario.OMA_T, h_t), (Scenario.OMA_R, h_r)):
+    A NOMA message's rate is the SIC chain of _sic_rate.  An OMA user gets
+    a dedicated slot with the full surface amplitude and full transmit
+    power, at the cost of the 1/2 pre-log factor: one log of its slot's
+    gain (_single_log)."""
+    if scen in _OMA:
         kappa, share = _single_log(params, scen)
-        rates.append(None if h is None else share * np.log1p(kappa * h) / _LN2)
-    return tuple(rates)
+        (h,) = gains
+        return share * np.log1p(kappa * h) / _LN2
+    return _sic_rate(params, [link_gain(params, link, h)
+                              for link, h in zip(_READS[scen], gains, strict=True)])
 
 
 # The rates that are one log of the gain of the one link they read (_READS)
@@ -110,11 +104,10 @@ def _single_log(params: SystemParams, scen: Scenario):
     """(kappa, share) of a rate that is one log of one link's composite
     gain H, share log1p(kappa H) / ln 2: the rates of _SINGLE_LOG.  T's
     NOMA message is decoded last, with no interference, so kappa is its
-    power share times its link gain per unit H (sic_rates); an OMA slot
-    has the full amplitude and power at the 1/2 pre-log (oma_slot_rates)."""
+    power share times its link gain per unit H; an OMA slot has the full
+    amplitude and power at the 1/2 pre-log."""
     if scen is Scenario.NOMA_T:
-        ((q_sq, _),) = _shares(params, 1)
-        return link_gain(params, "t", q_sq), 1.0
+        return link_gain(params, "t", _share(params, 0)[0]), 1.0
     return params.gamma0 * pathloss(params, *_READS[scen]), 0.5
 
 
@@ -124,6 +117,7 @@ def _single_log(params: SystemParams, scen: Scenario):
 ESTIMATORS = ("jensen", "hardening", "limit")
 
 _NOMA_USERS = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP)
+_OMA = (Scenario.OMA_T, Scenario.OMA_R)
 # The links each rate reads: a NOMA message reads its own user's link and
 # those of every user decoded after it, an OMA user only its own slot's.
 # A primed user's rate, and only that, reads "tp".
@@ -161,18 +155,14 @@ def _hardening_gain(n: int, eps: float) -> float:
     return _QUARTER_PI_SQ * n * n * eps**2
 
 
-def _chain_bound(target: Scenario, params: SystemParams, gains) -> RateBound:
-    """The NOMA rate of target at link gains of the users (T, R, T', R'),
-    given up to at least the target's own.  R, T' and R' are labelled with
-    the weaker of the two links that can bind: (f_t, f_r), (f_tp, f_r)
-    and (f_tp, f_rp).  Under the ordering SystemParams enforces and
+def _branch(target: Scenario, gains) -> str:
+    """The link that labels a bound of target, a key of _BRANCHES, at link
+    gains of the users (T, R, T', R') up to its own: the weaker of the two
+    links that can bind, (f_t, f_r) for R, (f_tp, f_r) for T' and
+    (f_tp, f_rp) for R'.  Under the ordering SystemParams enforces and
     E[H] >= N, f_t >= f_tp and f_r >= f_rp, so the other links never do."""
-    k = _NOMA_USERS.index(target)
-    value = float(sic_rates(params, *gains)[k])
-    if target not in _BRANCHES:
-        return RateBound(value)
     a, b = _BRANCHES[target]
-    return RateBound(value, f"f_{_LINKS[a] if gains[a] < gains[b] else _LINKS[b]}")
+    return f"f_{_LINKS[a] if gains[a] < gains[b] else _LINKS[b]}"
 
 
 def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
@@ -198,24 +188,24 @@ def rate_bound(target: Scenario, estimator: str, params: SystemParams, n: int,
     else:
         gain = functools.partial(_hardening_gain, n)
     eps = {"t": eps_t, "r": eps_r}
-    h = {link: gain(eps[link]) if link in eps else n for link in _READS[target]}
-    if target in (Scenario.OMA_T, Scenario.OMA_R):
-        rates = oma_slot_rates(params, h.get("t"), h.get("r"))
-        return RateBound(float(rates[target is Scenario.OMA_R]))
-    return _chain_bound(target, params, [link_gain(params, link, g) for link, g in h.items()])
+    h = [gain(eps[link]) if link in eps else n for link in _READS[target]]
+    value = float(rate(target, params, *h))
+    if target not in _BRANCHES:
+        return RateBound(value)
+    return RateBound(value, _branch(target, [link_gain(params, link, g)
+                                             for link, g in zip(_READS[target], h)]))
 
 
 def large_snr_limit(scenario: Scenario, params: SystemParams) -> RateBound:
     """Transmit-SNR-independent ceiling of the interference-limited rates:
-    sic_rates at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2), and 0
+    the SIC chain at infinite gain, log2(1 + q_k^2 / sum_{j<k} q_j^2), and 0
     for a user of no power share.  Where the users decoded after the
     target share no power (R at q_t = 0, T' at q_t = q_r = 0), its rate
     grows with the SNR, and there is no limit, as for T and OMA."""
     _check_users(scenario, params)
     if scenario not in _NOMA_USERS[1:]:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}")
-    k = _NOMA_USERS.index(scenario)
-    q_k, interference = _shares(params, k + 1)[k]
+    q_k, interference = _share(params, _NOMA_USERS.index(scenario))
     if q_k and not interference:
         raise ConfigError(f"no finite large-SNR limit for scenario {scenario.value}: "
                           "the users decoded after it have no power share")

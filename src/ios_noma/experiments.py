@@ -117,8 +117,13 @@ class SweepSpec:
         bounds, so validating a spec runs the bound code its run does.  An
         mc point is rejected if its walk exceeds physical memory: a block's
         polar draw of 16 N min(trials, BLOCK_SIZE) bytes, and if correlated
-        the 8 N^2 bytes of each of correlation_matrix's 3 N x N arrays."""
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        the 8 N^2 bytes of each of correlation_matrix's 3 N x N arrays.  A
+        platform that does not report its physical memory (no os.sysconf,
+        as on Windows) skips the check."""
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, OSError, ValueError):
+            memory = math.inf
         points = []
         for value in self.values:
             for scen in self.scenarios:

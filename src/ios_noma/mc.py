@@ -12,9 +12,8 @@ Per trial the composite gains are
 
     H_t = |sum_n |g_n| |h_n| exp(j phi_n_t)|^2   (reflect side with r)
 
-and the rates are the rate chain of the analytic module (link_gain,
-sic_rates, oma_slot_rates) at those gains, the same expressions the
-closed-form bounds evaluate at a fixed gain.  A phase is held as the
+and the rates are analytic.rate at those gains, the same expressions
+the closed-form bounds evaluate at a fixed gain.  A phase is held as the
 tangent t = tan(phi / 2) of its half angle, from the fading draws and
 the phase models' samplers to the cosines and sines of the gains (see
 _boosted_gains), and no angle is formed (see channel._amplitudes).
@@ -87,8 +86,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (_LINKS, _LN2, _READS, _SINGLE_LOG, Scenario, _check_users, _mean_gain,
-                       _single_log, link_gain)
-from .analytic import _NOMA_USERS as _NOMA, oma_slot_rates, sic_rates
+                       _single_log, rate)
+from .analytic import _NOMA_USERS as _NOMA
 from .channel import (Perfect, SystemParams, UniformFull, _amplitudes, _half_angle,
                       correlation_factor, standard_complex_gaussian)
 from .geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, trace_rbar_sq
@@ -227,24 +226,23 @@ def _column_sums(amp: np.ndarray, n_v: int, widths) -> dict:
 # per-trial rates: the analytic rate chain at the sampled composite gains
 
 
-def noma_trial_rates(params: SystemParams, *gains):
-    """The rates of the users T, R, T', R' under superposition coding and
-    the (R', T', R, T) order, from the composite gains of a prefix of that
-    user list: a user's rate reads only the gains up to its own, so
-    (rate_T,) needs h_t alone and (rate_T, rate_R) the pair."""
-    return sic_rates(params, *(link_gain(params, link, h) for link, h in zip(_LINKS, gains)))
+def noma_trial_rates(scen: Scenario, params: SystemParams, *gains):
+    """rate(scen, params, *gains) of a NOMA scen.  It keeps a name of its
+    own only because perfbench/traced_cli.py counts mc.blocks from its
+    spans and perfbench/selftest.py pins that count; it goes once the
+    benchmark traces the rate chain layer elsewhere (ROADMAP.md)."""
+    return rate(scen, params, *gains)
 
 
-def oma_trial_rates(params: SystemParams, h_t, h_r):
-    """(rate_T, rate_R) under per-user time slots with full amplitudes; a
-    user whose gain is None gets None."""
-    return oma_slot_rates(params, h_t, h_r)
+def oma_trial_rates(scen: Scenario, params: SystemParams, h):
+    """rate(scen, params, h) of an OMA scen, a name of its own for the same
+    reason as noma_trial_rates."""
+    return rate(scen, params, h)
 
 
 # ---------------------------------------------------------------------------
 # block evaluation
 
-_OMA = (Scenario.OMA_T, Scenario.OMA_R)
 # The floor of 1 - eps^2 for a side's phase controls (see _controls):
 # their variance coefficients are O((1 - eps^2)^2) differences of O(1)
 # terms, good to about 1e-16 / (1 - eps^2)^2 relative, and below the
@@ -547,14 +545,10 @@ def _walk_block(keys, factor, block, count, turned=()):
 
 
 def _rate(scen, params, gains):
-    """The per-trial rate of scen at one block's gains, from one call of
-    its rate chain: the NOMA chain on the gains of the users T, R, T', R'
-    up to scen's own, or the OMA chain on the gain of scen's slot alone."""
-    if scen in _NOMA:
-        k = _NOMA.index(scen)
-        return noma_trial_rates(params, *gains[:k + 1])[k]
-    k = _OMA.index(scen)
-    return oma_trial_rates(params, *(gains[row] if row == k else None for row in (0, 1)))[k]
+    """The per-trial rate of scen at one block's gains (rows t, r, t', r'),
+    from one call of its rate chain on the rows of the links it reads."""
+    chain = noma_trial_rates if scen in _NOMA else oma_trial_rates
+    return chain(scen, params, *(gains[_LINKS.index(link)] for link in _READS[scen]))
 
 
 def _blocks(trials: int):
@@ -672,13 +666,13 @@ def _block_moments(walk, factor, block, count):
                         key[2 + side], gains[key][side], sums[side][key[1]],
                         turns[side][2:] if rotated else None)))
         for (_, params, scen), plan in plans.items():
-            rate = _rate(scen, params, gains[key])
+            y = _rate(scen, params, gains[key])
             kind, side = plan[0]
             if kind == "A":
                 kappa, share = _single_log(params, scen)
                 logs = _mean_log1p_over_rotation(kappa, *turns[side][:2])
-                rate = share * logs.mean(axis=(0, 1)) / _LN2
-            rows = [rate]
+                y = share * logs.mean(axis=(0, 1)) / _LN2
+            rows = [y]
             for kind, side in plan:
                 if kind == "H":
                     rows.append(gains[key][side])

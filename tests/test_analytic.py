@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import per_bit_gain_limit
 
-from ios_noma.analytic import (Scenario, _chain_bound, _hardening_gain, _mean_gain,
-                               _single_log, large_snr_limit, link_gain, oma_slot_rates,
-                               rate_bound, sic_rates)
+from ios_noma.analytic import (_READS, Scenario, _branch, _hardening_gain, _mean_gain, _sic_rate,
+                               _single_log, large_snr_limit, link_gain, rate, rate_bound)
 from ios_noma.channel import ConfigError, Quantized, SystemParams, pathloss
 from ios_noma.geometry import ArrayGeometry, trace_rbar_sq
-from ios_noma.mc import noma_trial_rates, oma_trial_rates
 
 PI_SQ_16 = math.pi**2 / 16.0
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -71,24 +69,22 @@ class TestJensenT:
 class TestJensenR:
     def test_reference_arithmetic(self):
         params = SystemParams.from_db(q_t=0.6, q_r=0.8)
-        bound = _chain_bound(Scenario.NOMA_R, params, (10.0, 20.0))
-        assert bound.value == pytest.approx(1.2577977574676467, rel=1e-12)
-        assert bound.branch == "f_t"
+        assert _sic_rate(params, (10.0, 20.0)) == pytest.approx(1.2577977574676467, rel=1e-12)
+        assert _branch(Scenario.NOMA_R, (10.0, 20.0)) == "f_t"
 
     def test_branch_selection_and_tie(self):
-        params = SystemParams.from_db()
-        assert _chain_bound(Scenario.NOMA_R, params, (30.0, 20.0)).branch == "f_r"
-        assert _chain_bound(Scenario.NOMA_R, params, (20.0, 20.0)).branch == "f_r"
+        assert _branch(Scenario.NOMA_R, (30.0, 20.0)) == "f_r"
+        assert _branch(Scenario.NOMA_R, (20.0, 20.0)) == "f_r"
 
     def test_vanishing_link(self):
         params = SystemParams.from_db()
-        assert _chain_bound(Scenario.NOMA_R, params, (0.0, 5.0)).value == 0.0
+        assert _sic_rate(params, (0.0, 5.0)) == 0.0
 
     def test_capped_by_power_ratio(self):
         params = SystemParams.from_db()
         cap = math.log2(1 + params.q_r**2 / params.q_t**2)
         for f in (1.0, 100.0, 1e9, 1e15):
-            assert _chain_bound(Scenario.NOMA_R, params, (f, f)).value < cap
+            assert _sic_rate(params, (f, f)) < cap
 
 
 class TestHardening:
@@ -177,11 +173,10 @@ class TestSingleLog:
                                       beta=math.sin(theta), q_t=math.sqrt(q_sq),
                                       q_r=math.sqrt(1.0 - q_sq))
         h = np.array(gains)
-        chain = {Scenario.NOMA_T: sic_rates(params, link_gain(params, "t", h))[0],
-                 **dict(zip(OMA, oma_slot_rates(params, h, h)))}
-        for scen, rate in chain.items():
+        for scen in (Scenario.NOMA_T, *OMA):
             kappa, share = _single_log(params, scen)
-            np.testing.assert_allclose(share * np.log1p(kappa * h) / math.log(2.0), rate,
+            np.testing.assert_allclose(share * np.log1p(kappa * h) / math.log(2.0),
+                                       rate(scen, params, h),
                                        rtol=1e-14, atol=1e-300, err_msg=scen.value)
 
 
@@ -217,7 +212,7 @@ class TestLimitsAndVerdict:
                                               f"{target.value}"):
             large_snr_limit(target, params)
         k = (Scenario.NOMA_T, Scenario.NOMA_R, Scenario.NOMA_TP, Scenario.NOMA_RP).index(target)
-        rates = [noma_trial_rates(dataclasses.replace(params, p_tx=p), *[1.0] * (k + 1))[k]
+        rates = [rate(target, dataclasses.replace(params, p_tx=p), *[1.0] * (k + 1))
                  for p in (1e7, 2e7)]
         assert rates[1] - rates[0] == pytest.approx(1.0, abs=1e-3)
 
@@ -293,11 +288,10 @@ class TestMultiuserBounds:
 
     def test_branch_continuity_at_tie(self):
         params = four_user_params()
-        rp_tie = _chain_bound(Scenario.NOMA_RP, params, (500.0, 400.0, 90.0, 90.0))
-        assert rp_tie.branch == "f_rp"
-        rp_below = _chain_bound(Scenario.NOMA_RP, params, (500.0, 400.0, 90.0 - 1e-9, 90.0))
-        assert rp_below.branch == "f_tp"
-        assert rp_below.value == pytest.approx(rp_tie.value, rel=1e-9)
+        tie, below = (500.0, 400.0, 90.0, 90.0), (500.0, 400.0, 90.0 - 1e-9, 90.0)
+        assert _branch(Scenario.NOMA_RP, tie) == "f_rp"
+        assert _branch(Scenario.NOMA_RP, below) == "f_tp"
+        assert _sic_rate(params, below) == pytest.approx(_sic_rate(params, tie), rel=1e-9)
 
     def test_pathloss_ordering_enforced(self):
         # the ordering is checked when the parameters are built
@@ -322,7 +316,7 @@ class TestLinkFactors:
         expected_tp = params.gamma0 * pathloss(params, "tp") * params.alpha**2 * n
         bound = rate_bound(Scenario.NOMA_TP, "jensen", params, n, tr, 0.6, 0.6)
         assert bound.value == pytest.approx(
-            _chain_bound(Scenario.NOMA_TP, params, (f_t, f_r, expected_tp)).value, rel=1e-12)
+            _sic_rate(params, (f_t, f_r, expected_tp)), rel=1e-12)
 
     def test_two_user_has_no_primed_factors(self, noma_params):
         for target in (Scenario.NOMA_TP, Scenario.NOMA_RP):
@@ -358,8 +352,9 @@ def valid_params(draw):
 
 
 class TestOneRateChain:
-    """Every closed form is the Monte Carlo rate chain evaluated at a fixed
-    gain, so the two agree exactly, not just to rounding."""
+    """Every closed form is rate, which the Monte Carlo engine evaluates at
+    the sampled gains, at a fixed gain per link, so the two agree exactly,
+    not just to rounding."""
 
     @settings(max_examples=300, deadline=None)
     @given(params=valid_params(), n=st.integers(1, 4000),
@@ -372,22 +367,26 @@ class TestOneRateChain:
             return tuple(rate_bound(target, estimator, params, n, tr, eps_t, eps_r).value
                          for target in targets)
 
+        def chain(targets, h_t, h_r, *primed):
+            h = dict(zip(("t", "r", "tp", "rp"), (h_t, h_r, *primed)))
+            return tuple(rate(target, params, *(h[link] for link in _READS[target]))
+                         for target in targets)
+
         mean_t, mean_r = _mean_gain(n, tr, eps_t), _mean_gain(n, tr, eps_r)
-        assert values("jensen", NOMA) == noma_trial_rates(params, mean_t, mean_r)
-        assert values("jensen", OMA) == oma_trial_rates(params, mean_t, mean_r)
+        assert values("jensen", NOMA) == chain(NOMA, mean_t, mean_r)
+        assert values("jensen", OMA) == chain(OMA, mean_t, mean_r)
 
         hard_t, hard_r = _hardening_gain(n, eps_t), _hardening_gain(n, eps_r)
-        assert values("hardening", NOMA) == noma_trial_rates(params, hard_t, hard_r)
-        assert values("hardening", OMA) == oma_trial_rates(params, hard_t, hard_r)
+        assert values("hardening", NOMA) == chain(NOMA, hard_t, hard_r)
+        assert values("hardening", OMA) == chain(OMA, hard_t, hard_r)
 
         if params.four_user:
-            assert values("jensen", PRIMED) == \
-                noma_trial_rates(params, mean_t, mean_r, n, n)[2:]
+            assert values("jensen", PRIMED) == chain(PRIMED, mean_t, mean_r, n, n)
 
     def test_tiny_gain_keeps_its_rate(self):
         # log2(1 + x) rounds 1 + x to 1 below x = 1.1e-16 and returns 0
         params = SystemParams.from_db()
-        (rate_t,) = sic_rates(params, 1e-20)
+        rate_t = _sic_rate(params, [1e-20])
         assert rate_t == pytest.approx(params.q_t**2 * 1e-20 / math.log(2.0), rel=1e-15)
 
 

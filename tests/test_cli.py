@@ -380,6 +380,21 @@ class TestFailFast:
         assert draws == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [None, OSError, ValueError],
+                             ids=["no_sysconf", "os_error", "value_error"])
+    def test_unreported_physical_memory_skips_the_walk_check(self, error, monkeypatch,
+                                                             capsys):
+        # os.sysconf is POSIX only (Windows has none) and may not know a name
+        if error is None:
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            def unknown(name):
+                raise error(name)
+
+            monkeypatch.setattr(os, "sysconf", unknown)
+        assert cli.main(["validate", "--spec", "fig3_rate_vs_N"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag, named", [
         (("--phase-error-t", "vonmises:nan"), "vonmises"),
         (("--phase-error-r", "quantized:2000"), "quantized:2000"),

@@ -13,7 +13,8 @@ from conftest import complex_normals
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ios_noma.analytic import _LN2, Scenario, _mean_gain, _single_log, large_snr_limit, rate_bound
+from ios_noma.analytic import (_LN2, _READS, Scenario, _mean_gain, _single_log,
+                               large_snr_limit, rate_bound)
 from ios_noma.channel import (ConfigError, Perfect, Quantized, SystemParams,
                               UniformFull, VonMises, correlation_factor, pathloss,
                               phase_error_from_string, standard_complex_gaussian)
@@ -38,8 +39,8 @@ def estimates(geom, params, models, cfg, scenarios, **kwargs):
     return tuple(out[s] for s in scenarios)
 
 
-def four_user_params(p_dbm=20.0, q_shares=(0.1, 0.2, 0.3, 0.4)):
-    qt, qr, qtp, qrp = (math.sqrt(s) for s in q_shares)
+def four_user_params(p_dbm=20.0, shares=(0.1, 0.2, 0.3, 0.4)):
+    qt, qr, qtp, qrp = (math.sqrt(s) for s in shares)
     return SystemParams.from_db(p_dbm=p_dbm, q_t=qt, q_r=qr, q_tp=qtp, q_rp=qrp,
                                 d_tp=12.0, d_rp=15.0,
                                 lambda_tp_db=-30.0, lambda_rp_db=-30.0)
@@ -73,7 +74,7 @@ def walk_table(members):
 class TestTrialRates:
     def test_single_element_coherent_case(self, noma_params):
         params = noma_params()
-        rate_t, _ = noma_trial_rates(params, 1.0, 1.0)
+        rate_t = noma_trial_rates(Scenario.NOMA_T, params, 1.0)
         expected = math.log2(1 + params.gamma0 * params.q_t**2
                              * pathloss(params, "t") * params.alpha**2)
         assert float(rate_t) == pytest.approx(expected, rel=1e-12)
@@ -81,13 +82,15 @@ class TestTrialRates:
     def test_zero_transmit_power(self):
         params = SystemParams.from_db(p_dbm=-math.inf)
         assert params.p_tx == 0.0
-        rt, rr = noma_trial_rates(params, 5.0, 5.0)
-        ot, orr = oma_trial_rates(params, 5.0, 5.0)
+        rt = noma_trial_rates(Scenario.NOMA_T, params, 5.0)
+        rr = noma_trial_rates(Scenario.NOMA_R, params, 5.0, 5.0)
+        ot, orr = (oma_trial_rates(scen, params, 5.0) for scen in OMA)
         assert (float(rt), float(rr), float(ot), float(orr)) == (0, 0, 0, 0)
 
     def test_zero_power_share_silences_user(self):
-        params = four_user_params(q_shares=(0.2, 0.8, 0.0, 0.0))
-        _, _, rate_tp, rate_rp = noma_trial_rates(params, 4.0, 3.0, 2.0, 1.0)
+        params = four_user_params(shares=(0.2, 0.8, 0.0, 0.0))
+        rate_tp = noma_trial_rates(Scenario.NOMA_TP, params, 4.0, 3.0, 2.0)
+        rate_rp = noma_trial_rates(Scenario.NOMA_RP, params, 4.0, 3.0, 2.0, 1.0)
         assert float(rate_tp) == 0.0
         assert float(rate_rp) == 0.0
 
@@ -178,7 +181,7 @@ class TestFourUser:
     def test_degenerate_power_split_matches_two_user(self, half_wave_geometry):
         geom = half_wave_geometry(n_h=10, n_v=4)
         two = SystemParams.from_db(q_t=0.6, q_r=0.8)
-        four = four_user_params(q_shares=(0.36, 0.64, 0.0, 0.0))
+        four = four_user_params(shares=(0.36, 0.64, 0.0, 0.0))
         cfg = McConfig(trials=5000, master_seed=13)
         pair = estimates(geom, two, QUANT1, cfg, NOMA)
         quad = estimates(geom, four, QUANT1, cfg, FOUR)
@@ -792,9 +795,8 @@ def precision_like_calls(cfg):
 
 def chain_gains(chains):
     """The gains handed to the rate chains: every array argument of the
-    recorded calls."""
-    return [gains for calls in chains for args in calls for gains in args[1:]
-            if gains is not None]
+    recorded calls (scen, params, *gains)."""
+    return [gains for calls in chains for args in calls for gains in args[2:]]
 
 
 class TestSidePruning:
@@ -813,7 +815,7 @@ class TestSidePruning:
         assert [stream for _, stream in phase_draws] == [mc._STREAM_PHI_T] * 3
         # one chain per point, reading only H_t, never an undrawn row
         assert [len(calls) for calls in chains] == [100, 0]
-        assert all(len(args) == 2 for args in chains[0])
+        assert all(len(args) == 3 for args in chains[0])
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
 
     def test_reflect_side_draws_only_the_models_that_read_it(self, counting, phase_draws):
@@ -873,6 +875,18 @@ class TestSidePruning:
         assert not any(np.isnan(gains).any() for gains in chain_gains(chains))
         assert batch([r_call]) == [shared]
         assert batch([oma_call]) == [oma]
+
+    def test_each_chain_gets_the_gains_its_scenario_reads(self, half_wave_geometry, counting):
+        # one array per link of _READS[scen], in order, and never a None
+        # for a slot the scenario does not read
+        chains = [counting(name) for name in ("noma_trial_rates", "oma_trial_rates")]
+        mc_estimates(half_wave_geometry(n_h=4, n_v=4), SystemParams.from_db(), QUANT1,
+                     McConfig(trials=500, master_seed=73), NOMA + OMA)
+        calls = [args for calls in chains for args in calls]
+        assert len(calls) == 4 and {args[0] for args in calls} == set(NOMA + OMA)
+        for scen, _, *gains in calls:
+            assert len(gains) == len(_READS[scen]), scen
+            assert all(isinstance(h, np.ndarray) and h.shape == (500,) for h in gains), scen
 
 
 # the midpoints of a uniform grid of 4096 turns psi
