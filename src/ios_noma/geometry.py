@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,11 @@ class ArrayGeometry:
     wavelength: float = 0.1
 
     def __post_init__(self):
-        if self.n_h < 1 or self.n_v < 1:
+        try:  # operator.index takes ints and numpy integers, not 2.0
+            positive = operator.index(self.n_h) >= 1 and operator.index(self.n_v) >= 1
+        except TypeError:
+            positive = False
+        if not positive:
             raise ValueError("n_h and n_v must be positive integers")
         if self.elem_len_l <= 0 or self.elem_len_w <= 0:
             raise ValueError("element sizes must be positive")

@@ -5,8 +5,9 @@ index) pair gets its own generator seeded from the master seed, so the
 draws do not depend on how blocks are distributed over workers and the
 estimates are bit-identical for any worker count.  The five base
 streams separate the shared fading vector h, the per-side vectors g and
-r, and the two phase-error vectors; four-user parameters add streams
-for the primed users' fading vectors g' and r'.
+r, and the two phase-error vectors; two more hold the primed users'
+fading vectors g' and r', drawn for the walks whose members read a
+primed link.
 
 Per trial the composite gains are
 
@@ -46,7 +47,7 @@ co-moments of y and its controls are merged in block order, so the
 estimates do not depend on how blocks were scheduled.
 
 The gains depend only on the draw key of a call, and the fading streams
-only on its Gaussian key (see _member); the link budget and the
+only on its Gaussian key (see _DrawKey); the link budget and the
 scenarios enter only through the rates.  Elements are ordered column by
 column and every stream is drawn element by element, so a layout of n_h
 columns reads the leading n_v n_h rows of its family's draws, and its
@@ -55,9 +56,11 @@ thus samples every draw key of a family and correlation flag: each block
 draws each stream once, at the widest layout asked for, colours each
 fading stream if the walk is correlated, draws each phase model but
 Perfect once per side, and reads the composite gain of every column
-count from prefix sums over the columns.  A side is drawn only for the
-keys whose members' rates read it, so a walk whose members ask only for
-T's rates draws no reflect-side stream at all.  A layout's draws do not
+count from prefix sums over the columns.  A walk draws the links its
+members' rates read (analytic._READS) and no other: a side only for the
+keys that read it, and its primed stream only if some key reads its
+primed link, so a walk whose members ask only for T's rates draws no
+reflect-side or primed stream at all.  A layout's draws do not
 depend on the other layouts of its walk: its i.i.d. gains are
 bit-identical to a lone walk's, and its correlated ones differ only by
 the rounding of the wider factor.  The i.i.d. and the correlated walk of
@@ -81,7 +84,9 @@ none.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +121,11 @@ class McConfig:
     master_seed: int = 20157
 
     def __post_init__(self):
+        for name, value in (("trials", self.trials), ("master_seed", self.master_seed)):
+            try:  # ints and numpy integers, not 1e4
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
         if self.master_seed < 0:
@@ -322,15 +332,15 @@ def _controls(key, scen) -> tuple:
     """The controls of scen's rate on draw key, as (kind, side) pairs in
     the order of its rows after y: the gains ("H", side) of the sides
     the rate reads (its t and r links in _READS, 0 for H_t and 1 for
-    H_r, the sides a walk draws for it), or their turned means ("A",
-    side) for a rotated rate, then ("D", side), ("P2", side) and ("E",
-    side), then ("Q1", side) and ("Q2", side) of each side in turn.  D,
-    Q1 and Q2 are the phase rows of _phase_rows, and P2 and E = P2^2 the
-    energies of the side's amplitudes, P2 = sum_n a_n^2 the second power
-    sum of _column_sums.  mc_estimates hands the fit their exact means:
-    the side's Jensen gain N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A
-    and D, N for P2 (E|g_n|^2 = E|h_n|^2 = 1, g and h independent),
-    geometry.mean_p2_sq for E, and 0 for Q1 and Q2.
+    H_r), or their turned means ("A", side) for a rotated rate, then
+    ("D", side), ("P2", side) and ("E", side), then ("Q1", side) and
+    ("Q2", side) of each side in turn.  D, Q1 and Q2 are the phase rows
+    of _phase_rows, and P2 and E = P2^2 the energies of the side's
+    amplitudes, P2 = sum_n a_n^2 the second power sum of _column_sums.
+    mc_estimates hands the fit their exact means: the side's Jensen gain
+    N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and D, N for P2 (E|g_n|^2
+    = E|h_n|^2 = 1, g and h independent), geometry.mean_p2_sq for E, and
+    0 for Q1 and Q2.
 
     A rate is rotated, averaged over turns of column groups, if it is of
     analytic._SINGLE_LOG and its side has UniformFull phases and n_h >=
@@ -364,7 +374,7 @@ def _controls(key, scen) -> tuple:
     with E takes P2 too if eps^2 >= _PHASE_VAR_MIN: below it D = eps^2
     A^2 + (1 - eps^2) P2 is P2, or nearly so (eps^2 is 0 at kappa =
     4e-205), and C_xx would be singular."""
-    (family, *_), n_h, *models = key
+    family, n_h, models = key.gaussian.family, key.n_h, key.models
     sides = [side for side, link in enumerate("tr") if link in _READS[scen]]
     n = family.n_v * n_h
     rotated = scen in _SINGLE_LOG and n_h >= 2 and isinstance(models[sides[0]], UniformFull)
@@ -432,23 +442,26 @@ def _walk_block(keys, factor, block, count, turned=()):
     their composite gains, the column sums of their element amplitudes
     and the column prefix sums of the gains their turned rates read.
 
-    The gains are {draw key: [H_t, H_r]}, plus [H_t', H_r'] under
-    four-user parameters: each a row of count trials, or None for a side
-    the key does not read, which no array holds.  The sums are {side:
-    {n_h: (A^2, P2, B1, B2)}} (see _column_sums) of the amplitudes a =
-    |g||h| or |r||h|, at the column counts of the keys that read the
-    side; _block_moments forms the phase controls from them.  The
-    prefixes are {(side, phase model): complex (n_h, count) column prefix
-    sums} of the gain of each pair in turned (see _boosted_gains), n_h
-    the widest layout of that model on that side, from which _turns reads
-    the group sums of every narrower one.
+    keys maps each draw key to the links its members read (see
+    analytic._READS), as positions in _LINKS: 0 t, 1 r, 2 t' and 3 r'.
+    The gains are {draw key: [H_t, H_r, H_t', H_r']}, in that order: each
+    a row of count trials, or None for a link the key does not read,
+    which no array holds.  The sums are {side: {n_h: (A^2, P2, B1, B2)}}
+    (see _column_sums) of the amplitudes a = |g||h| (side 0, the transmit
+    side) or |r||h| (side 1, the reflect side), at the column counts of
+    the keys that read the side; _block_moments forms the phase controls
+    from them.  The prefixes are {(side, phase model): complex (n_h,
+    count) column prefix sums} of the gain of each pair in turned (see
+    _boosted_gains), n_h the widest layout of that model on that side,
+    from which _turns reads the group sums of every narrower one.
 
-    keys maps each draw key to the sides its members read (see
-    _controls): 0 the transmit side (H_t, H_t'), 1 the reflect side (H_r,
-    H_r').  A side draws only the phase models of the keys that read it,
-    so a side that no key reads is not drawn at all and holds no row.
-    Every (stream, block) pair has its own generator, so skipping a side
-    leaves every other stream's draws unchanged.
+    A side is drawn only if a key reads its link or its primed link, and
+    its primed stream only if a key reads the primed link; the side draws
+    only the phase models of the keys that read it, and forms a model's
+    primed gains only if one of its keys reads them.  So a link that no
+    key reads is not drawn at all and holds no row.  Every (stream,
+    block) pair has its own generator, so skipping a stream leaves every
+    other stream's draws unchanged.
 
     Every stream is drawn once, at the walk's widest layout and element by
     element, so a layout's n_v n_h elements read the leading rows of each
@@ -459,56 +472,56 @@ def _walk_block(keys, factor, block, count, turned=()):
     whose factor is None, reads the radii and tangents of its polar draws
     as they are (see _amplitudes).  Each draw is freed before any phases
     are drawn.  A side keeps what every phase model shares: |g||h|, and
-    for four-user keys |g'||h| e^{j (arg g' - arg g)}, one complex product
-    of the unit phasors of g' and g in place of the first.  The primed
-    composites reuse the boost set, so their leftover phase at element n
-    is arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but tied to
-    the actual draws.  On a correlated layout the leftovers are correlated
-    too, so E[H'] exceeds N (about 37 against N = 24 on a 6 x 4 array at
-    quarter-wavelength spacing under 1-bit errors).  Then, before any
-    phases are drawn, the side forms the column sums of its amplitudes.
-    A Perfect model's gain is their A^2, so it draws its zero tangents
-    only for the primed gains and skips the tangent pass: bit-identical,
-    as the pass turns a zero phase into cos 1 and sin 0 exactly.  Every
-    other distinct phase model draws its stream once, at the widest
-    layout it is asked at, and forms the gains of all its column counts
-    from one set of element terms (see _boosted_gains).
+    if its primed link is read |g'||h| e^{j (arg g' - arg g)}, one complex
+    product of the unit phasors of g' and g in place of the first.  The
+    primed composites reuse the boost set, so their leftover phase at
+    element n is arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but
+    tied to the actual draws.  On a correlated layout the leftovers are
+    correlated too, so E[H'] exceeds N (about 37 against N = 24 on a 6 x
+    4 array at quarter-wavelength spacing under 1-bit errors).  Then,
+    before any phases are drawn, the side forms the column sums of its
+    amplitudes.  A Perfect model's gain is their A^2, so it draws its
+    zero tangents only for the primed gains and skips the tangent pass:
+    bit-identical, as the pass turns a zero phase into cos 1 and sin 0
+    exactly.  Every other distinct phase model draws its stream once, at
+    the widest layout it is asked at, and forms the gains of all its
+    column counts from one set of element terms (see _boosted_gains).
     The transmit side comes first, then the reflect side with r, r' and
     phi_r.  Each array is freed as soon as it is used up, so the live set
     does not grow with the number of phase models.
     """
-    (family, master_seed, _, primed, _), *_ = next(iter(keys))
-    n_v = family.n_v
-    shape = (n_v * max(key[1] for key in keys), count)
+    gaussian = next(iter(keys)).gaussian
+    n_v = gaussian.family.n_v
+    shape = (n_v * max(key.n_h for key in keys), count)
 
     def rng(stream):
-        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, block))
+        seq = np.random.SeedSequence(entropy=gaussian.seed, spawn_key=(stream, block))
         return np.random.Generator(np.random.PCG64(seq))
 
     def draw(stream):
         return standard_complex_gaussian(shape, rng(stream))
 
     mag_h = _amplitudes(draw(_STREAM_H), factor)[0]
-    # one row per side a key reads (two under four-user parameters), in
-    # one array allocated before the sides are drawn; keeping each phase
-    # model's own gain rows instead, between the large temporaries of the
-    # later draws, raised the peak RSS of a 60-element walk by 9 MB
-    read = [(key, row) for key, sides in keys.items() for side in sides
-            for row in ((side, side + 2) if primed else (side,))]
+    # one row per link a key reads, in one array allocated before the
+    # sides are drawn; keeping each phase model's own gain rows instead,
+    # between the large temporaries of the later draws, raised the peak
+    # RSS of a 60-element walk by 9 MB
+    read = [(key, link) for key, links in keys.items() for link in links]
     store = np.empty((len(read), count))
-    gains = {key: [None] * (4 if primed else 2) for key in keys}
-    for (key, row), gain in zip(read, store):
-        gains[key][row] = gain
+    gains = {key: [None] * len(_LINKS) for key in keys}
+    for (key, link), gain in zip(read, store):
+        gains[key][link] = gain
     sums, prefixes = {}, {}
-    for row, (stream, stream_p, stream_phi) in enumerate((
+    for side, (stream, stream_p, stream_phi) in enumerate((
             (_STREAM_G, _STREAM_GP, _STREAM_PHI_T),
             (_STREAM_R, _STREAM_RP, _STREAM_PHI_R))):
         asked = {}  # {phase model of this side: [keys that read it]}
-        for key, sides in keys.items():
-            if row in sides:
-                asked.setdefault(key[2 + row], []).append(key)
+        for key, links in keys.items():
+            if side in links or side + 2 in links:
+                asked.setdefault(key.models[side], []).append(key)
         if not asked:
             continue
+        primed = any(side + 2 in links for links in keys.values())
         amp, phasor = _amplitudes(draw(stream), factor, mag_h, primed)
         if primed:
             amp_p, terms_p = _amplitudes(draw(stream_p), factor, mag_h, True)
@@ -521,24 +534,25 @@ def _walk_block(keys, factor, block, count, turned=()):
             im *= cos
             im -= amp_p
         phasor = amp_p = cos = sin = re = im = None  # and their views, before any phases are drawn
-        sums[row] = cols = _column_sums(amp, n_v,
-                                        {key[1] for group in asked.values() for key in group})
+        sums[side] = cols = _column_sums(amp, n_v,
+                                         {key.n_h for group in asked.values() for key in group})
         for model, group in asked.items():
-            widths = {key[1] for key in group}
+            widths = {key.n_h for key in group}
+            widths_p = {key.n_h for key in group if side + 2 in keys[key]}
             n = n_v * max(widths)
             perfect = isinstance(model, Perfect)
-            tangents = (None if perfect and not primed
+            tangents = (None if perfect and not widths_p
                         else model.sample((n, count), rng(stream_phi)))
             prefix = None
-            if (row, model) in turned:
-                prefix = prefixes[row, model] = np.empty((n // n_v, count), complex)
+            if (side, model) in turned:
+                prefix = prefixes[side, model] = np.empty((n // n_v, count), complex)
             out = ({n_h: cols[n_h][0] for n_h in widths} if perfect
                    else _boosted_gains(amp[:n], tangents, n_v, widths, prefix))
-            out_p = _boosted_gains(terms_p[:n], tangents, n_v, widths) if primed else None
+            out_p = _boosted_gains(terms_p[:n], tangents, n_v, widths_p) if widths_p else {}
             for key in group:
-                gains[key][row][...] = out[key[1]]
-                if primed:
-                    gains[key][row + 2][...] = out_p[key[1]]
+                for link, out_link in ((side, out), (side + 2, out_p)):
+                    if link in keys[key]:
+                        gains[key][link][...] = out_link[key.n_h]
             del tangents  # before the next model's phases are drawn
         amp = terms_p = None  # before the next side is drawn
     return gains, sums, prefixes
@@ -606,6 +620,31 @@ def _cv_estimate(moments, means) -> McEstimate:
 # ---------------------------------------------------------------------------
 # the group walk
 
+class _Gaussian(NamedTuple):
+    """The Gaussian key: what fixes the fading streams of a walk.  family
+    is the layout's one-column geometry (n_v, element sizes and
+    wavelength), whose layouts of n_h columns read the leading rows of
+    every stream, so one walk samples all the draw keys of a Gaussian key."""
+
+    family: ArrayGeometry
+    seed: int
+    trials: int
+    correlated: bool
+
+
+class _DrawKey(NamedTuple):
+    """The draw key: what fixes the gains of a member, its Gaussian key,
+    its column count and its phase models (model_t, model_r).  Members with
+    equal draw keys evaluate their rates on the same draws; the link
+    budget is not part of the key, and the links a walk draws are those
+    its members read (see _walk_block), so a two-user and a four-user
+    call on one layout share their draw key."""
+
+    gaussian: _Gaussian
+    n_h: int
+    models: tuple
+
+
 # The members of the running mc_batch: {member: moments, or None until
 # walked}; empty whenever no mc_batch runs
 _batch: dict[tuple, tuple | None] = {}
@@ -614,44 +653,34 @@ _batch: dict[tuple, tuple | None] = {}
 def _member(geom, params, err_models, cfg, scenarios, correlated) -> list:
     """The members (draw key, params, scenario) of an mc_estimates call,
     one per scenario without repeats, in the order asked, all on one
-    draw key.
-
-    Members with equal draw keys evaluate their rates on the same draws;
-    params enters the key only through params.four_user, which adds the
-    primed gains.  The key is (Gaussian key, n_h, model_t, model_r).  The
-    Gaussian key (family, master seed, trials, params.four_user,
-    correlated) fixes the fading streams: the family is the layout's
-    one-column geometry (n_v, element sizes and wavelength), whose
-    layouts of n_h columns read the leading rows of every stream, so one
-    walk samples all the keys of a Gaussian key.
-    """
+    _DrawKey."""
     for scen in scenarios:
         _check_users(scen, params)
-    key = ((replace(geom, n_h=1), cfg.master_seed, cfg.trials, params.four_user, correlated),
-           geom.n_h, *err_models)
+    key = _DrawKey(_Gaussian(replace(geom, n_h=1), cfg.master_seed, cfg.trials, correlated),
+                   geom.n_h, tuple(err_models))
     return [(key, params, scen) for scen in dict.fromkeys(scenarios)]
 
 
 def _block_moments(walk, factor, block, count):
     """{member: moments} of each member's rate and its controls over one
     block.  walk is {draw key: {member: its _controls}}: each key draws
-    the sides its plans name, and keeps the column prefix sums of each
-    (side, phase model) an "A" entry turns.  Each member's rate chain
-    runs on the gains, stacked over one row per entry of its plan; a
-    member whose plan opens with ("A", side) is rotated, its rate the
-    mean over the turns of its side's group sums (see _turns).  Its chain
-    still runs, once per block like every member's, since the benchmark
-    counts blocks as rate chain calls, and its rate is not read.  The
-    phase rows are formed key by key, once for all the members on a key,
-    so one key's controls are held at a time."""
-    keys = {key: {side for plan in plans.values() for _, side in plan}
+    the links its members' scenarios read (_READS), and keeps the column
+    prefix sums of each (side, phase model) an "A" entry turns.  Each
+    member's rate chain runs on the gains, stacked over one row per entry
+    of its plan; a member whose plan opens with ("A", side) is rotated,
+    its rate the mean over the turns of its side's group sums (see
+    _turns).  Its chain still runs, once per block like every member's,
+    since the benchmark counts blocks as rate chain calls, and its rate is
+    not read.  The phase rows are formed key by key, once for all the
+    members on a key, so one key's controls are held at a time."""
+    keys = {key: {_LINKS.index(link) for _, _, scen in plans for link in _READS[scen]}
             for key, plans in walk.items()}
-    turned = {(side, key[2 + side]) for key, plans in walk.items()
+    turned = {(side, key.models[side]) for key, plans in walk.items()
               for plan in plans.values() for kind, side in plan if kind == "A"}
     gains, sums, prefixes = _walk_block(keys, factor, block, count, turned=turned)
     out = {}
     for key, plans in walk.items():
-        turns = {side: _turns(prefixes[side, key[2 + side]], key[1]) for side in
+        turns = {side: _turns(prefixes[side, key.models[side]], key.n_h) for side in
                  {side for plan in plans.values() for kind, side in plan if kind == "A"}}
         # {(side, rotated): {"A" (H if not rotated), "D", "Q1", "Q2": row}};
         # a plan reads the turned phase rows of the sides it takes an A row of.
@@ -663,7 +692,7 @@ def _block_moments(walk, factor, block, count):
                 rotated = ("A", side) in plan
                 if kind in ("A", "D") and (side, rotated) not in phase:
                     phase[side, rotated] = dict(zip(("A", "D", "Q1", "Q2"), _phase_rows(
-                        key[2 + side], gains[key][side], sums[side][key[1]],
+                        key.models[side], gains[key][side], sums[side][key.n_h],
                         turns[side][2:] if rotated else None)))
         for (_, params, scen), plan in plans.items():
             y = _rate(scen, params, gains[key])
@@ -677,7 +706,7 @@ def _block_moments(walk, factor, block, count):
                 if kind == "H":
                     rows.append(gains[key][side])
                 elif kind in ("P2", "E"):
-                    p2 = sums[side][key[1]][1]
+                    p2 = sums[side][key.n_h][1]
                     rows.append(p2 if kind == "P2" else p2 ** 2)
                 else:
                     rows.append(phase[side, ("A", side) in plan][kind])
@@ -688,9 +717,9 @@ def _block_moments(walk, factor, block, count):
 def _group_factor(keys):
     """The colouring factor of a walk's draw keys: that of the widest
     layout if the walk is correlated, else None."""
-    (family, *_, correlated), *_ = next(iter(keys))
-    widest = replace(family, n_h=max(key[1] for key in keys))
-    return correlation_factor(correlation_matrix(widest)) if correlated else None
+    gaussian = next(iter(keys)).gaussian
+    widest = replace(gaussian.family, n_h=max(key.n_h for key in keys))
+    return correlation_factor(correlation_matrix(widest)) if gaussian.correlated else None
 
 
 def _walk_group(members, workers):
@@ -703,7 +732,7 @@ def _walk_group(members, workers):
     for key, params, scen in members:
         walk.setdefault(key, {})[key, params, scen] = _controls(key, scen)
     factor = _group_factor(walk)
-    jobs = [(walk, factor, block, count) for block, count in _blocks(members[0][0][0][2])]
+    jobs = [(walk, factor, block, count) for block, count in _blocks(members[0][0].gaussian.trials)]
     workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~19 ms of start-up, so only here
@@ -733,8 +762,8 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     # the batch's members walk every batch member of their Gaussian key
     walks = _batch if _batch.keys() >= set(members) else dict.fromkeys(members)
     if any(walks[member] is None for member in members):
-        gaussian = members[0][0][0]
-        walks.update(_walk_group([m for m in walks if m[0][0] == gaussian], workers))
+        gaussian = members[0][0].gaussian
+        walks.update(_walk_group([m for m in walks if m[0].gaussian == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
     gain = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in err_models]
     exact = {"H": gain, "A": gain, "D": gain, "P2": [geom.n_elements] * 2,

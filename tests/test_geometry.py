@@ -79,6 +79,18 @@ class TestCoordinates:
             ArrayGeometry(n_h=4, n_v=3, elem_len_l=0.05, elem_len_w=0.05,
                           wavelength=0.0)
 
+    @pytest.mark.parametrize("n_h, n_v", [(2.5, 2), (2.0, 2), (4, 3.0), ("4", 3)])
+    def test_counts_must_be_integers(self, n_h, n_v):
+        # 2.5 x 2 used to construct, as a 5.0-element layout whose
+        # tr(Rbar Rbar) read 18.05, and to fail only in the walk
+        with pytest.raises(ValueError, match="positive integers"):
+            ArrayGeometry(n_h=n_h, n_v=n_v, elem_len_l=0.05, elem_len_w=0.05)
+
+    def test_numpy_integer_counts_are_the_ints(self):
+        geom = ArrayGeometry(n_h=np.int64(4), n_v=np.int32(3), elem_len_l=0.05, elem_len_w=0.05)
+        assert geom == ArrayGeometry(4, 3, 0.05, 0.05)
+        assert trace_rbar_sq(geom, True) == trace_rbar_sq(ArrayGeometry(4, 3, 0.05, 0.05), True)
+
 
 class TestCorrelationMatrix:
     def test_unit_diagonal_and_symmetry(self):

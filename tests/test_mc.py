@@ -24,8 +24,9 @@ from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
                                   spec_with_overrides)
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _block_moments, _column_sums, _conditional_moments, _controls,
-                         _group_factor, _member, _merge, _moments, _rate, _walk_block,
-                         _walk_group, mc_batch, mc_estimates, noma_trial_rates, oma_trial_rates)
+                         _DrawKey, _Gaussian, _group_factor, _member, _merge, _moments, _rate,
+                         _walk_block, _walk_group, mc_batch, mc_estimates, noma_trial_rates,
+                         oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -46,18 +47,21 @@ def four_user_params(p_dbm=20.0, shares=(0.1, 0.2, 0.3, 0.4)):
                                 lambda_tp_db=-30.0, lambda_rp_db=-30.0)
 
 
-def walked_gains(keys):
-    """The composite gains of draw keys, shape (len(keys), 2 or 4,
+def walked_gains(keys, links=(0, 1)):
+    """The composite gains of draw keys, shape (len(keys), len(links),
     trials): one _walk_block per Gaussian key over the blocks, with that
-    walk's factor, both sides of every key, concatenated."""
+    walk's factor, the given links of every key (positions in _LINKS, so
+    both sides by default), concatenated."""
     walks = {}  # {Gaussian key: its draw keys}
     for key in keys:
-        walks.setdefault(key[0], []).append(key)
+        walks.setdefault(key.gaussian, []).append(key)
     gains = {}
-    for (_, _, trials, *_), group in walks.items():
-        both, factor = dict.fromkeys(group, (0, 1)), _group_factor(group)
-        blocks = [_walk_block(both, factor, block, count)[0] for block, count in _blocks(trials)]
-        gains.update({key: np.concatenate([walked[key] for walked in blocks], axis=1)
+    for gaussian, group in walks.items():
+        read, factor = dict.fromkeys(group, links), _group_factor(group)
+        blocks = [_walk_block(read, factor, block, count)[0]
+                  for block, count in _blocks(gaussian.trials)]
+        gains.update({key: np.concatenate([[walked[key][link] for link in links]
+                                           for walked in blocks], axis=1)
                       for key in group})
     return np.array([gains[key] for key in keys])
 
@@ -284,6 +288,14 @@ class TestDrawMemo:
         assert len(sampled_blocks) == 2
         assert hit == miss
 
+    def test_draw_key_holds_no_user_count(self, half_wave_geometry, noma_params):
+        # the draw key is (Gaussian key, n_h, models), and the Gaussian key
+        # (family, seed, trials, correlated), for two and four users alike
+        geom, cfg = half_wave_geometry(n_h=6, n_v=4), McConfig(trials=500, master_seed=5)
+        key = _DrawKey(_Gaussian(replace(geom, n_h=1), 5, 500, False), 6, QUANT1)
+        for params in (noma_params(), four_user_params()):
+            assert _member(geom, params, QUANT1, cfg, [Scenario.NOMA_T], False)[0][0] == key
+
     def test_each_key_component_redraws(self, half_wave_geometry, noma_params,
                                         sampled_blocks):
         base = dict(geom=half_wave_geometry(6, 4), params=noma_params(),
@@ -402,7 +414,7 @@ class TestDrawMemo:
         run_sweep(spec)
         assert len(sampled_blocks) == 1  # one walk for both phase models
         keys = sampled_blocks[0][0]
-        assert {key[2:] for key in keys} == {(VonMises(1.0), VonMises(1.0)),
+        assert {key.models for key in keys} == {(VonMises(1.0), VonMises(1.0)),
                                              (VonMises(2.0), VonMises(2.0))}
         assert len(keys) == 2
         assert mc._batch == {}  # dropped when the sweep returns
@@ -429,14 +441,14 @@ class TestDrawMemo:
         spec = spec_with_overrides(load_spec(name), trials=200)
         run_sweep(spec)
         assert len(list(_blocks(200))) == 1
-        flags = [next(iter(keys))[0][4] for keys, *_ in sampled_blocks]
+        flags = [next(iter(keys)).gaussian.correlated for keys, *_ in sampled_blocks]
         assert flags == ([True] if name.startswith("fig3") else [True, False])
         assert len(factors) == 1
         assert len(builds) == 1  # one per factor, none for the bounds
         for (keys, factor, _, _), correlated in zip(sampled_blocks, flags):
             assert len(keys) == layouts * (4 if name.startswith("fig3") else 1)
-            assert len({key[0] for key in keys}) == 1
-            assert {key[1] for key in keys} == set(range(1, layouts + 1))
+            assert len({key.gaussian for key in keys}) == 1
+            assert {key.n_h for key in keys} == set(range(1, layouts + 1))
             if correlated:
                 assert factor.shape == (2 * (spec.scenarios[0].overrides["n_v"] * layouts,))
             else:
@@ -617,9 +629,10 @@ class TestGroupWalk:
     def test_one_batch_spans_several_gaussian_keys(self, half_wave_geometry,
                                                    counting, monkeypatch):
         # two families (n_v = 4 and 5) at both correlation flags, and a
-        # four-user member, interleaved: five Gaussian keys, since the flag
-        # is part of the key, and each is walked once,
-        # at its first call, and its estimates are those of a batch of its
+        # four-user member, interleaved: four Gaussian keys, since the flag
+        # is part of the key and the user count is not, so the four-user
+        # call joins the correlated n_v = 4 walk; each is walked once, at
+        # its first call, and its estimates are those of a batch of its
         # own calls alone
         cfg = McConfig(trials=2000, master_seed=57)
         two, four = SystemParams.from_db(), four_user_params()
@@ -628,10 +641,11 @@ class TestGroupWalk:
         calls.insert(3, (half_wave_geometry(3, 4), four, QUANT1, cfg, FOUR, True))
 
         def gaussian(call):
-            return _member(*call)[0][0][0]
+            return _member(*call)[0][0].gaussian
 
         keys = [gaussian(call) for call in calls]
-        assert len(set(keys)) == 5
+        assert len(set(keys)) == 4
+        assert calls[3][1] is four and keys[3] == keys[0]
         entries = counting("mc_estimates")
         walks = []  # (index of the engine call that walked, its members)
         walk_group = mc._walk_group
@@ -646,7 +660,7 @@ class TestGroupWalk:
         assert [i for i, _ in walks] == [i for i, key in enumerate(keys)
                                          if key not in keys[:i]]
         for key, (_, walk) in zip(dict.fromkeys(keys), walks):
-            assert {k[0] for k in walk} == {key}
+            assert {k.gaussian for k in walk} == {key}
             assert len(walk) == keys.count(key)
         for key in dict.fromkeys(keys):
             family = [call for call in calls if gaussian(call) == key]
@@ -687,12 +701,13 @@ class TestFamilyWalk:
                 for n_h in (1, 3, 8) for correlated in (False, True)
                 for models in (QUANT1, (UniformFull(), Perfect()),
                                (VonMises(2.0), Quantized(2)))]
-        for key, gains in zip(keys, walked_gains(keys)):
-            lone = walked_gains([key])[0]
-            if key[0][4]:
-                assert np.max(np.abs(gains - lone)) <= 1e-12 * np.max(lone), key[1:]
+        links = (0, 1, 2, 3) if four_user else (0, 1)
+        for key, gains in zip(keys, walked_gains(keys, links)):
+            lone = walked_gains([key], links)[0]
+            if key.gaussian.correlated:
+                assert np.max(np.abs(gains - lone)) <= 1e-12 * np.max(lone), key
             else:
-                assert np.array_equal(gains, lone), key[1:]
+                assert np.array_equal(gains, lone), key
 
     def test_fig3_estimates_equal_lone_walks(self, monkeypatch):
         # half-wavelength spacing, correlated, 100 members in one walk
@@ -725,7 +740,7 @@ class TestFamilyWalk:
         flag = []
 
         def walking(keys, *args, **kwargs):
-            flag[:] = [next(iter(keys))[0][4]]
+            flag[:] = [next(iter(keys)).gaussian.correlated]
             return walk_block(keys, *args, **kwargs)
 
         def drawing(size, rng):
@@ -757,7 +772,8 @@ class TestFamilyWalk:
         group = dict(zip(setups, batch([(layout(n_h), params, QUANT1, cfg, NOMA, correlated)
                                         for n_h, correlated in setups])))
         blocks = len(list(_blocks(cfg.trials)))
-        assert [(next(iter(keys))[0][4], {key[1] for key in keys}) for keys, *_ in walks] == \
+        assert [(next(iter(keys)).gaussian.correlated, {key.n_h for key in keys})
+                for keys, *_ in walks] == \
             [(True, {4, 16})] * blocks + [(False, {4, 16})] * blocks
         for (n_h, correlated), est in group.items():
             lone = estimates(layout(n_h), params, QUANT1, cfg, NOMA, correlated=correlated)
@@ -888,6 +904,34 @@ class TestSidePruning:
             assert len(gains) == len(_READS[scen]), scen
             assert all(isinstance(h, np.ndarray) and h.shape == (500,) for h in gains), scen
 
+    @pytest.mark.parametrize("scen", [Scenario.OMA_T, Scenario.NOMA_T])
+    def test_four_user_t_call_draws_no_primed_stream(self, scen, half_wave_geometry,
+                                                     counting):
+        # T's rates read the t link alone, so under four-user parameters too
+        # each block draws the shared h and the transmit-side g, and no g'
+        cfg = McConfig(trials=BLOCK_SIZE + 500, master_seed=29)
+        gauss = counting("standard_complex_gaussian")
+        mc_estimates(half_wave_geometry(n_h=6, n_v=4), four_user_params(), QUANT1, cfg, [scen])
+        assert [rng.bit_generator.seed_seq.spawn_key for _, rng in gauss] == [
+            (stream, block) for block in range(2) for stream in (mc._STREAM_H, mc._STREAM_G)]
+
+    def test_two_and_four_user_calls_on_one_layout_walk_once(self, half_wave_geometry,
+                                                             counting):
+        # the user count is not part of the Gaussian key: a two-user NOMA R
+        # call and a four-user R' call on one layout are one walk, whose
+        # blocks draw h, g, g', r and r' once, and each estimate is its
+        # lone call's
+        geom = half_wave_geometry(n_h=6, n_v=4)
+        cfg = McConfig(trials=BLOCK_SIZE + 500, master_seed=31)
+        calls = [(geom, SystemParams.from_db(), QUANT1, cfg, (Scenario.NOMA_R,), True),
+                 (geom, four_user_params(), QUANT1, cfg, (Scenario.NOMA_RP,), True)]
+        walks, gauss = counting("_walk_group"), counting("standard_complex_gaussian")
+        together = batch(calls)
+        assert len(walks) == 1
+        assert len(gauss) == 2 * 5
+        for call, est in zip(calls, together):
+            assert est == call_estimates(call), call[4]
+
 
 # the midpoints of a uniform grid of 4096 turns psi
 PSI = 2.0 * math.pi * (np.arange(4096) + 0.5) / 4096
@@ -1017,7 +1061,7 @@ class TestRotationMean:
         _block_moments(walk, _group_factor(walk), 0, count)
         ((gains, _, prefixes),) = walked
         for (key, _, scen), stack in zip(members, stacks):
-            n_h, side = key[1], int(scen is Scenario.OMA_R)
+            n_h, side = key.n_h, int(scen is Scenario.OMA_R)
             prefix = prefixes[side, UniformFull()]
             assert np.array_equal(np.abs(prefix[n_h - 1]) ** 2, gains[key][side])
             k = min(4, n_h)
@@ -1172,6 +1216,20 @@ class TestConfigAndEstimate:
         with pytest.raises(ValueError):
             McEstimate(mean=1.0, half_width=-0.1, trials=100)
 
+    @pytest.mark.parametrize("bad", [dict(trials=1e4), dict(trials=5000.0),
+                                     dict(master_seed=1.5)])
+    def test_config_counts_must_be_integers(self, bad):
+        # a float count used to construct and fail inside the walk
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(**bad)
+
+    def test_numpy_integer_config_gives_the_int_estimates(self, half_wave_geometry,
+                                                          noma_params):
+        geom = half_wave_geometry(n_h=4, n_v=4)
+        numpy_cfg = McConfig(trials=np.int64(5000), master_seed=np.int64(3))
+        assert estimates(geom, noma_params(), QUANT1, numpy_cfg, NOMA) == \
+            estimates(geom, noma_params(), QUANT1, McConfig(trials=5000, master_seed=3), NOMA)
+
     def test_z95_is_the_normal_quantile(self):
         # a literal, so that the package need not import statistics
         assert mc._Z95 == statistics.NormalDist().inv_cdf(0.975)
@@ -1208,9 +1266,9 @@ class TestPrimedGainMean:
         geom = quarter_wave_geometry()
         params, cfg = four_user_params(), McConfig(trials=4000, master_seed=3)
         (gains,) = walked_gains([_member(geom, params, QUANT1, cfg, [Scenario.NOMA_T],
-                                         correlated)[0][0]])
+                                         correlated)[0][0]], links=(2, 3))
         return [(h.mean() - geom.n_elements) / (h.std(ddof=1) / math.sqrt(h.size))
-                for h in gains[2:]]
+                for h in gains]
 
     def test_iid_elements_have_mean_n(self):
         assert all(abs(z) <= 4.0 for z in self.primed_z_scores(False))
@@ -1232,7 +1290,7 @@ class TestWalkedGainsPerTrial:
         models = (Quantized(1), VonMises(2.0))
         keys = [_member(replace(geom, n_h=n_h), params, models, cfg, [Scenario.NOMA_T],
                         correlated)[0][0] for n_h in (6, 3)]
-        walked = walked_gains(keys)
+        walked = walked_gains(keys, links=(0, 1, 2, 3))
         factor = _group_factor(keys)
 
         def rng(stream):
@@ -1619,8 +1677,9 @@ class TestPhaseControls:
                             correlated)[0][0]
                     for n_h in (2, 5)
                     for models in ((Perfect(), Perfect()), (VonMises(math.inf),) * 2)]
-            gains = list(_walk_block(dict.fromkeys(keys, (0, 1)), _group_factor(keys), 0,
-                                     700)[0].values())
+            links = (0, 1, 2, 3) if four_user else (0, 1)
+            gains = [[walked[link] for link in links] for walked in _walk_block(
+                dict.fromkeys(keys, links), _group_factor(keys), 0, 700)[0].values()]
             for perfect, boosted in zip(gains[::2], gains[1::2]):
                 assert np.array_equal(perfect, boosted), correlated
 
@@ -1727,7 +1786,7 @@ class TestControlVariate:
             out = mc_estimates(geom, params, models, cfg, scenarios,
                                correlated=correlated, workers=workers)
             key = _member(geom, params, models, cfg, scenarios, correlated)[0][0]
-            calls.setdefault(key[0], []).append((key, params, scenarios, out))
+            calls.setdefault(key.gaussian, []).append((key, params, scenarios, out))
             return out
 
         monkeypatch.setattr(mc, "mc_estimates", recording)
@@ -1737,7 +1796,7 @@ class TestControlVariate:
         rows = []
         for group in calls.values():
             keys = list(dict.fromkeys(key for key, *_ in group))
-            gains = dict(zip(keys, walked_gains(keys)))
+            gains = dict(zip(keys, walked_gains(keys, links=(0, 1, 2, 3))))
             for key, params, scenarios, out in group:
                 for scen in scenarios:
                     r = _rate(scen, params, gains[key])
