@@ -1,84 +1,28 @@
 """Monte Carlo engine for the average achievable rates.
 
-Trials are processed in fixed-size blocks.  Every (random stream, block
-index) pair gets its own generator seeded from the master seed, so the
-draws do not depend on how blocks are distributed over workers and the
-estimates are bit-identical for any worker count.  The five base
-streams separate the shared fading vector h, the per-side vectors g and
-r, and the two phase-error vectors; two more hold the primed users'
-fading vectors g' and r', drawn for the walks whose members read a
-primed link.
+mc_estimates estimates the average rates of the scenarios of one setup:
+analytic.rate at the sampled composite gains H = |sum_n a_n exp(j
+phi_n)|^2 of each surface side, a_n = |g_n||h_n| on the transmit side
+and |r_n||h_n| on the reflect side, each with a 95 % half-width.  Each
+estimate is a control variate (Lavenberg & Welch 1981): the rate y is
+regressed on controls x of exact mean, y-bar - beta (x-bar - E[x]).
+_controls lists the controls of each rate, their order and their means,
+and _side_rows forms their rows, once per side of a draw key.  Where a
+side's phases are uniform, the rates that are one log of its gain are
+conditional Monte Carlo means over turns of its column groups instead
+(see _controls).
 
-Per trial the composite gains are
+Trials are processed in blocks of BLOCK_SIZE.  Every (random stream,
+block index) pair gets its own generator seeded from the master seed,
+and the means and co-moments of the blocks are merged in block order,
+so the draws and the estimates do not depend on how blocks are
+distributed over workers: they are bit-identical for any worker count.
 
-    H_t = |sum_n |g_n| |h_n| exp(j phi_n_t)|^2   (reflect side with r)
-
-and the rates are analytic.rate at those gains, the same expressions
-the closed-form bounds evaluate at a fixed gain.  A phase is held as the
-tangent t = tan(phi / 2) of its half angle, from the fading draws and
-the phase models' samplers to the cosines and sines of the gains (see
-_boosted_gains), and no angle is formed (see channel._amplitudes).
-
-Each estimate is a control variate (Lavenberg & Welch 1981): the rate y
-is regressed on controls x of exact mean, y-bar - beta (x-bar - E[x]).
-_controls lists the controls of each rate, their order and their means.
-They are the unprimed gains H the rate reads, whose exact means E[H] = N
-(1 - eps^2) + eps^2 tr(Rbar Rbar) are the gains of the Jensen bounds;
-the phase controls D = E[H | a], Q1 and Q2 of _phase_rows, functions of
-H and of the trial's element amplitudes a = |g||h|, known on every
-layout, correlation flag and phase model since the phases are i.i.d.
-and independent of a; and the energies P2 = sum_n a_n^2 and P2^2.
-Channel hardening makes the rate nearly linear in H, so the residual
-variance is a small part of the variance of y.  With D beside H the fit
-weighs the part of H that the magnitudes set (D) apart from the part
-the phases add (H - D), and Q1 and Q2 take up the variance the phases
-add at fixed magnitudes, which H alone leaves in the uniform-phase rows.
-Below the element counts where the channel hardens, the rate bends with
-the fading energy, which no linear function of H follows.  The primed
-gains are not controls: E[H'] = N only for i.i.d. elements (see
-_walk_block).  Where a side's phases are uniform, the rates that are
-one log of its gain (NOMA T, OMA T and OMA R; analytic._SINGLE_LOG) on
-n_h >= 2 columns are conditional Monte Carlo estimates instead (see
-_controls): turning the phases of a group of columns by a constant
-angle leaves their law unchanged, so y and its controls are replaced by
-their means over turns of up to four column groups, up to nine closed
-forms per trial from the groups' sums.  Per block, the means and
-co-moments of y and its controls are merged in block order, so the
-estimates do not depend on how blocks were scheduled.
-
-The gains depend only on the draw key of a call, and the fading streams
-only on its Gaussian key (see _DrawKey); the link budget and the
-scenarios enter only through the rates.  Elements are ordered column by
-column and every stream is drawn element by element, so a layout of n_h
-columns reads the leading n_v n_h rows of its family's draws, and its
-triangular factor is the leading block of a wider layout's.  One walk
-thus samples every draw key of a family and correlation flag: each block
-draws each stream once, at the widest layout asked for, colours each
-fading stream if the walk is correlated, draws each phase model but
-Perfect once per side, and reads the composite gain of every column
-count from prefix sums over the columns.  A walk draws the links its
-members' rates read (analytic._READS) and no other: a side only for the
-keys that read it, and its primed stream only if some key reads its
-primed link, so a walk whose members ask only for T's rates draws no
-reflect-side or primed stream at all.  A layout's draws do not
-depend on the other layouts of its walk: its i.i.d. gains are
-bit-identical to a lone walk's, and its correlated ones differ only by
-the rounding of the wider factor.  The i.i.d. and the correlated walk of
-one family read the same raw Gaussians and phases, since every stream is
-seeded per block, so the two flags keep common random numbers.  A
-member is (draw key, params, scenario), one rate of one engine call, as
-_member forms it: a call of k scenarios is k members on one draw key,
-so all the rates that share draws are members of one walk.
-mc_batch() takes the arguments of several calls, of any number of
-Gaussian keys; the first call on a Gaussian key walks the blocks once,
-runs the rate chain of every member of the batch that shares the key on
-each block's gains, and keeps only the merged moments per member, from
-which the batch's later calls on that key finalize.  Nothing is kept
-after mc_batch returns, and a lone mc_estimates call walks alone.  A
-walk holds one block of gains at a time, whatever the trial count.
-SystemParams rejects four-user parameters that break the pathloss
-ordering behind the (R', T', R, T) decoding order, so the engine checks
-none.
+The gains depend only on the draw key of a call (see _DrawKey), and one
+walk over the blocks draws the gains of every draw key of a Gaussian
+key, the links its members read and no other (see _walk_block).
+mc_batch takes the arguments of several calls and walks once per
+Gaussian key for all the calls that share it.
 """
 
 from __future__ import annotations
@@ -101,6 +45,8 @@ from .geometry import ArrayGeometry, correlation_matrix, mean_p2_sq, trace_rbar_
 # from worker count or available memory.
 BLOCK_SIZE = 16384
 
+# the fading streams h, g and r, the phase errors of each side, and the
+# primed users' g' and r'
 _STREAM_H = 0
 _STREAM_G = 1
 _STREAM_R = 2
@@ -275,33 +221,12 @@ def _mean_log1p_over_rotation(kappa, head, tail):
 
         log1p(kappa A / 2 + (2 kappa A + kappa^2 (head^2 - tail^2)^2) / (2 (w + 1)))
 
-    so that no nearly equal terms are subtracted, however small kappa.
-    The operations are those of the formula in its order, written in place
-    in five arrays of the broadcast shape, so the result has the same bits."""
-    shape = np.broadcast_shapes(np.shape(head), np.shape(tail))
-    diff, total, k_a, cross, w = (np.empty(shape) for _ in range(5))
-    np.subtract(head, tail, out=diff)
-    np.add(head, tail, out=total)
-    np.add(head * head, tail * tail, out=k_a)
-    k_a *= kappa
-    np.multiply(diff, kappa, out=cross)
-    diff *= cross  # kappa diff^2
-    diff += 1.0
-    cross *= total  # kappa diff total
-    np.multiply(total, kappa, out=w)
-    w *= total
-    w += 1.0
-    w *= diff
-    np.sqrt(w, out=w)
-    w += 1.0
-    w *= 2.0  # 2 (w + 1)
-    np.multiply(k_a, 2.0, out=total)
-    cross *= cross
-    total += cross
-    total /= w
-    k_a *= 0.5
-    k_a += total
-    return np.log1p(k_a, out=k_a)
+    so that no nearly equal terms are subtracted, however small kappa."""
+    diff, total = head - tail, head + tail
+    k_a = kappa * (head * head + tail * tail)
+    w = np.sqrt((1.0 + kappa * diff * diff) * (1.0 + kappa * total * total))
+    cross = kappa * diff * total  # kappa (head^2 - tail^2)
+    return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
 
 
 def _turns(prefix, n_h):
@@ -313,7 +238,7 @@ def _turns(prefix, n_h):
     if the head is one group, as (rows, 1, count); tails likewise for the
     rest, as (rows, count), so the pairs are the turns of _controls.  A =
     sum_i |G_i|^2 and pair = sum_{i < j} |G_i|^2 |G_j|^2 (see
-    _phase_rows)."""
+    _side_rows)."""
     k = min(_GROUPS, n_h)
     groups = np.diff(prefix[[(i + 1) * n_h // k - 1 for i in range(k)]], axis=0, prepend=0)
 
@@ -334,13 +259,20 @@ def _controls(key, scen) -> tuple:
     the rate reads (its t and r links in _READS, 0 for H_t and 1 for
     H_r), or their turned means ("A", side) for a rotated rate, then
     ("D", side), ("P2", side) and ("E", side), then ("Q1", side) and
-    ("Q2", side) of each side in turn.  D, Q1 and Q2 are the phase rows
-    of _phase_rows, and P2 and E = P2^2 the energies of the side's
-    amplitudes, P2 = sum_n a_n^2 the second power sum of _column_sums.
+    ("Q2", side) of each side in turn, the kinds of _side_rows: D, Q1
+    and Q2 are the phase rows, and P2 and E = P2^2 the energies of the
+    side's amplitudes, P2 = sum_n a_n^2 the second power sum of _column_sums.
     mc_estimates hands the fit their exact means: the side's Jensen gain
     N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and D, N for P2 (E|g_n|^2
     = E|h_n|^2 = 1, g and h independent), geometry.mean_p2_sq for E, and
-    0 for Q1 and Q2.
+    0 for Q1 and Q2.  Channel hardening makes the rate nearly linear in
+    H, so the residual variance is a small part of the variance of y.
+    With D beside H the fit weighs the part of H that the magnitudes set
+    (D) apart from the part the phases add (H - D), and Q1 and Q2 take up
+    the variance the phases add at fixed magnitudes, which H alone leaves
+    in the uniform-phase rows.  Below the element counts where the
+    channel hardens, the rate bends with the fading energy, which no
+    linear function of H follows: P2 and E take it up.
 
     A rate is rotated, averaged over turns of column groups, if it is of
     analytic._SINGLE_LOG and its side has UniformFull phases and n_h >=
@@ -353,7 +285,7 @@ def _controls(key, scen) -> tuple:
     mean, nine closed forms over psi (_mean_log1p_over_rotation), has the
     rate's mean and less variance (conditional Monte Carlo); at K = 3 the
     tail is G_3 alone, at K = 2 the sums are G_1 and G_2 exp(j psi).
-    The controls averaged alike keep their means (_phase_rows).  Three
+    The controls averaged alike keep their means (_side_rows).  Three
     turns are the fewest for which the mean of omega^(2k) vanishes as
     that of omega^k does, which the mean of Q2 needs.  The min over two
     links of NOMA R, T' and R' has no mean over psi in closed form.
@@ -415,26 +347,34 @@ def _conditional_moments(model, sums):
     return c_sq * a_sq + sigma_sq * p2, w * b1 + u * b2
 
 
-def _phase_rows(model, h, sums, turned=None):
-    """The gain and phase controls (H, D, Q1, Q2) of one side's gains h:
-    D = E[H | a] (see _conditional_moments), Q1 = H / D - 1 and Q2 = Q1^2
-    - Var(H | a) / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and
-    Q2 have mean 0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H |
-    a) / D^2.  (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2
-    | a] / D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two
-    ratios.
+def _side_rows(model, h, sums, turned=None) -> dict:
+    """{kind: row} of every control of one side, keyed by the kinds of
+    _controls, from the side's gains h and the sums (A^2, P2, B1, B2) of
+    _column_sums: the gain "H", D = E[H | a] (see _conditional_moments),
+    the energies P2 and E = P2^2, Q1 = H / D - 1 and Q2 = Q1^2 - Var(H |
+    a) / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and Q2 have
+    mean 0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H | a) /
+    D^2.  (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2 | a]
+    / D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two ratios.
+    On a Perfect side D is H and Q1 and Q2 are 0, and on one element
+    every row is finite, so the rows of any side read can be formed.
 
     Given turned = (A, pair) of a UniformFull side (see _turns), the rows
-    are their means over the turns of _controls: H = A = sum_i |G_i|^2,
-    and Q2 = Q1^2 + (2 pair - Var(H | a)) / D^2, as the mean of (H - D)^2
-    is (A - D)^2 + 2 sum_{i < j} |G_i|^2 |G_j|^2.  Their means stay those
-    of H, Q1 and Q2."""
+    are their means over the turns of _controls: the gain is "A" = sum_i
+    |G_i|^2, and Q2 = Q1^2 + (2 pair - Var(H | a)) / D^2, as the mean of
+    (H - D)^2 is (A - D)^2 + 2 sum_{i < j} |G_i|^2 |G_j|^2.  Their means
+    stay those of H, Q1 and Q2; D, P2 and E depend on the amplitudes
+    alone, which no turn moves."""
     mean, var = _conditional_moments(model, sums)
+    gain = "H"
     if turned is not None:
         h, pair = turned
         var = var - 2.0 * pair
+        gain = "A"
     q1 = h / mean - 1.0
-    return h, mean, q1, q1 * q1 - var / (mean * mean)
+    p2 = sums[1]
+    return {gain: h, "D": mean, "P2": p2, "E": p2 * p2, "Q1": q1,
+            "Q2": q1 * q1 - var / (mean * mean)}
 
 
 def _walk_block(keys, factor, block, count, turned=()):
@@ -470,10 +410,15 @@ def _walk_block(keys, factor, block, count, turned=()):
     stream by factor, the lower-triangular factor of its widest layout,
     whose leading block colours every narrower one, and an i.i.d. walk,
     whose factor is None, reads the radii and tangents of its polar draws
-    as they are (see _amplitudes).  Each draw is freed before any phases
-    are drawn.  A side keeps what every phase model shares: |g||h|, and
-    if its primed link is read |g'||h| e^{j (arg g' - arg g)}, one complex
-    product of the unit phasors of g' and g in place of the first.  The
+    as they are (see _amplitudes).  So a layout's i.i.d. gains are
+    bit-identical to a lone walk's, and its correlated ones differ only
+    by the rounding of the wider factor; and the i.i.d. and the
+    correlated walk of one family read the same raw Gaussians and
+    phases, so the two flags keep common random numbers.  Each draw is
+    freed before any phases are drawn.  A side keeps what every phase
+    model shares: |g||h|, and if its primed link is read |g'||h| e^{j
+    (arg g' - arg g)}, one complex product of the unit phasors of g' and
+    g in place of the first.  The
     primed composites reuse the boost set, so their leftover phase at
     element n is arg(g'_n) - arg(g_n) + phi_n_t, uniform per element but
     tied to the actual draws.  On a correlated layout the leftovers are
@@ -653,12 +598,16 @@ _batch: dict[tuple, tuple | None] = {}
 def _member(geom, params, err_models, cfg, scenarios, correlated) -> list:
     """The members (draw key, params, scenario) of an mc_estimates call,
     one per scenario without repeats, in the order asked, all on one
-    _DrawKey."""
+    _DrawKey.  scenarios and err_models are read once, so either may be
+    an iterator.  Of the users, only that a primed scenario has four-user
+    parameters is checked: SystemParams rejects those that break the
+    pathloss ordering behind the (R', T', R, T) decoding order."""
+    scenarios = dict.fromkeys(scenarios)
     for scen in scenarios:
         _check_users(scen, params)
     key = _DrawKey(_Gaussian(replace(geom, n_h=1), cfg.master_seed, cfg.trials, correlated),
                    geom.n_h, tuple(err_models))
-    return [(key, params, scen) for scen in dict.fromkeys(scenarios)]
+    return [(key, params, scen) for scen in scenarios]
 
 
 def _block_moments(walk, factor, block, count):
@@ -671,8 +620,10 @@ def _block_moments(walk, factor, block, count):
     its rate the mean over the turns of its side's group sums (see
     _turns).  Its chain still runs, once per block like every member's,
     since the benchmark counts blocks as rate chain calls, and its rate is
-    not read.  The phase rows are formed key by key, once for all the
-    members on a key, so one key's controls are held at a time."""
+    not read.  The control rows are formed key by key, by _side_rows once
+    per side and rotation for all the members on a key, so one key's
+    controls are held at a time, and each member's stack looks its plan's
+    rows up."""
     keys = {key: {_LINKS.index(link) for _, _, scen in plans for link in _READS[scen]}
             for key, plans in walk.items()}
     turned = {(side, key.models[side]) for key, plans in walk.items()
@@ -680,20 +631,18 @@ def _block_moments(walk, factor, block, count):
     gains, sums, prefixes = _walk_block(keys, factor, block, count, turned=turned)
     out = {}
     for key, plans in walk.items():
-        turns = {side: _turns(prefixes[side, key.models[side]], key.n_h) for side in
-                 {side for plan in plans.values() for kind, side in plan if kind == "A"}}
-        # {(side, rotated): {"A" (H if not rotated), "D", "Q1", "Q2": row}};
-        # a plan reads the turned phase rows of the sides it takes an A row of.
-        # They are all formed before any member's stack: forming each at its
-        # first use raised precision_point's peak RSS from 68.2 to 74.6 MB
-        phase = {}
-        for plan in plans.values():
-            for kind, side in plan:
-                rotated = ("A", side) in plan
-                if kind in ("A", "D") and (side, rotated) not in phase:
-                    phase[side, rotated] = dict(zip(("A", "D", "Q1", "Q2"), _phase_rows(
-                        key.models[side], gains[key][side], sums[side][key.n_h],
-                        turns[side][2:] if rotated else None)))
+        # {(side, rotated): _side_rows}, the turned rows for the sides a plan
+        # takes an A row of, all formed before any member's stack: forming
+        # each at its first use raised precision_point's peak RSS from 68.2
+        # to 74.6 MB
+        sides = dict.fromkeys((side, ("A", side) in plan)
+                              for plan in plans.values() for _, side in plan)
+        turns = {side: _turns(prefixes[side, key.models[side]], key.n_h)
+                 for side, rotated in sides if rotated}
+        rows = {(side, rotated): _side_rows(key.models[side], gains[key][side],
+                                            sums[side][key.n_h],
+                                            turns[side][2:] if rotated else None)
+                for side, rotated in sides}
         for (_, params, scen), plan in plans.items():
             y = _rate(scen, params, gains[key])
             kind, side = plan[0]
@@ -701,16 +650,8 @@ def _block_moments(walk, factor, block, count):
                 kappa, share = _single_log(params, scen)
                 logs = _mean_log1p_over_rotation(kappa, *turns[side][:2])
                 y = share * logs.mean(axis=(0, 1)) / _LN2
-            rows = [y]
-            for kind, side in plan:
-                if kind == "H":
-                    rows.append(gains[key][side])
-                elif kind in ("P2", "E"):
-                    p2 = sums[side][key.n_h][1]
-                    rows.append(p2 if kind == "P2" else p2 ** 2)
-                else:
-                    rows.append(phase[side, ("A", side) in plan][kind])
-            out[key, params, scen] = _moments(np.vstack(rows))
+            stack = [y] + [rows[side, ("A", side) in plan][kind] for kind, side in plan]
+            out[key, params, scen] = _moments(np.vstack(stack))
     return out
 
 
@@ -727,7 +668,8 @@ def _walk_group(members, workers):
     walk over the blocks, merged in block order so the result does not
     depend on scheduling.  The walk's table {draw key: {member: its
     _controls}} is formed once, and every block reads it (see
-    _block_moments)."""
+    _block_moments).  A walk holds one block of gains at a time, whatever
+    the trial count."""
     walk = {}
     for key, params, scen in members:
         walk.setdefault(key, {})[key, params, scen] = _controls(key, scen)
@@ -758,6 +700,7 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
     call walks alone and keeps nothing.  An empty list of scenarios makes
     no member and draws nothing.
     """
+    err_models = tuple(err_models)
     members = _member(geom, params, err_models, cfg, scenarios, correlated)
     # the batch's members walk every batch member of their Gaussian key
     walks = _batch if _batch.keys() >= set(members) else dict.fromkeys(members)
@@ -780,7 +723,8 @@ def mc_batch(calls, *, workers: int = 1) -> list[dict[Scenario, McEstimate]]:
     _member); the first call on a Gaussian key walks every call that
     shares it at once, on the given workers, and the others finalize from
     the kept moments.  The moments are dropped when the batch returns."""
-    calls = list(calls)
+    calls = [(geom, params, tuple(models), cfg, tuple(scenarios), correlated)
+             for geom, params, models, cfg, scenarios, correlated in calls]
     try:
         _batch.update(dict.fromkeys(member for call in calls for member in _member(*call)))
         return [mc_estimates(*call[:5], correlated=call[5], workers=workers)

@@ -25,8 +25,8 @@ from ios_noma.experiments import (bundled_spec_names, load_spec, run_sweep,
 from ios_noma.mc import (BLOCK_SIZE, McConfig, McEstimate, _blocks, _boosted_gains,
                          _block_moments, _column_sums, _conditional_moments, _controls,
                          _DrawKey, _Gaussian, _group_factor, _member, _merge, _moments, _rate,
-                         _walk_block, _walk_group, mc_batch, mc_estimates, noma_trial_rates,
-                         oma_trial_rates)
+                         _side_rows, _walk_block, _walk_group, mc_batch, mc_estimates,
+                         noma_trial_rates, oma_trial_rates)
 
 QUANT1 = (Quantized(1), Quantized(1))
 NOMA = (Scenario.NOMA_T, Scenario.NOMA_R)
@@ -504,6 +504,23 @@ class TestMembers:
         assert mc_estimates(geom, noma_params(), QUANT1, cfg, []) == {}
         assert mc_batch([(geom, noma_params(), QUANT1, cfg, [], True)]) == [{}]
         assert spies == [[], [], []]
+        assert mc._batch == {}
+
+    @pytest.mark.parametrize("call", [
+        lambda geom, params, models, cfg, scens:
+            mc_estimates(geom, params, models, cfg, (scen for scen in scens)),
+        lambda geom, params, models, cfg, scens:
+            mc_batch([(geom, params, models, cfg, (scen for scen in scens), True)])[0],
+        lambda geom, params, models, cfg, scens:
+            mc_estimates(geom, params, iter(models), cfg, scens)],
+        ids=["scenario_generator", "batch_scenario_generator", "model_iterator"])
+    def test_iterator_arguments_give_the_list_estimates(self, call, half_wave_geometry):
+        # the engine reads scenarios and err_models once: an iterator is
+        # not left empty for a later read
+        geom, params = half_wave_geometry(n_h=3, n_v=2), SystemParams.from_db()
+        cfg, scens = McConfig(trials=500, master_seed=5), [Scenario.NOMA_T, Scenario.OMA_R]
+        want = mc_estimates(geom, params, QUANT1, cfg, scens)
+        assert call(geom, params, QUANT1, cfg, scens) == want
         assert mc._batch == {}
 
 
@@ -986,34 +1003,6 @@ class TestRotationMean:
             assert closed == pytest.approx(trap, rel=0.0, abs=1e-3)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(kappa=st.floats(-12.0, 6.0).map(lambda e: 10.0**e),
-           heads=st.sampled_from([1, 3]), count=st.integers(1, 40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_in_place_form_is_the_formula_bit_for_bit(self, kappa, heads, count, seed):
-        # the closed form as one expression, with a temporary per operation,
-        # against the engine's in-place version on the shapes of _turns:
-        # heads (1 or 3, 1, count) against tails (3, count), magnitudes
-        # from 1e-3 to 1e3, with zeros and equal head and tail among them
-        def formula(kappa, head, tail):
-            diff, total = head - tail, head + tail
-            k_a = kappa * (head * head + tail * tail)
-            w = np.sqrt((1.0 + kappa * diff * diff) * (1.0 + kappa * total * total))
-            cross = kappa * diff * total
-            return np.log1p(0.5 * k_a + (2.0 * k_a + cross * cross) / (2.0 * (w + 1.0)))
-
-        rng = np.random.default_rng(seed)
-        head = 10.0 ** rng.uniform(-3.0, 3.0, (heads, 1, count))
-        tail = 10.0 ** rng.uniform(-3.0, 3.0, (3, count))
-        head[..., ::5] = 0.0
-        tail[:, 1::4] = head[0, 0, 1::4]
-        closed = mc._mean_log1p_over_rotation(kappa, head, tail)
-        assert closed.shape == (heads, 3, count)
-        assert np.array_equal(closed, formula(kappa, head, tail))
-        one = mc._mean_log1p_over_rotation(kappa, np.array(head[0, 0, 0]), np.array(tail[0, 0]))
-        assert one == formula(kappa, head[0, 0, 0], tail[0, 0])
-
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(polar=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
                           min_size=3, max_size=4))
     def test_three_turns_keep_the_control_means(self, polar):
@@ -1081,6 +1070,12 @@ class TestRotationMean:
             far = len(PSI) * d > 60.0
             np.testing.assert_allclose(closed[far], trap[far], rtol=1e-13, atol=0)
             np.testing.assert_allclose(closed[~far], trap[~far], rtol=0, atol=1e-3)
+        # one closed form per pair of turns: heads (1 or 3, 1, count)
+        # against tails (3, count) give (heads, 3, count)
+        for heads in (1, 3):
+            closed = mc._mean_log1p_over_rotation(0.5, np.ones((heads, 1, count)),
+                                                  np.ones((3, count)))
+            assert closed.shape == (heads, 3, count)
 
 
 # The tangent kernel's cosines and sines are within 3.5e-16 of the exact
@@ -1586,6 +1581,33 @@ class TestPhaseControls:
         assert plan(2, 4, QUANT1, Scenario.NOMA_TP, four) == (("H", 0), ("H", 1))
         assert plan(2, 4, QUANT1, Scenario.NOMA_RP, four) == (("H", 0), ("H", 1))
         assert plan(2, 4, QUANT1, Scenario.NOMA_R, four) == NOMA_R_PLAN
+
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_perfect_side_rows_are_its_gain_and_zeros(self, correlated, half_wave_geometry):
+        # a Perfect side's plan takes no D, Q1 or Q2 (see _controls), but
+        # its side table forms them: D is H bit for bit, and Q1 and Q2 are 0
+        (member,) = _member(half_wave_geometry(n_h=6, n_v=4), SystemParams.from_db(),
+                            (Perfect(), Perfect()), McConfig(trials=500, master_seed=3),
+                            [Scenario.NOMA_R], correlated)
+        key = member[0]
+        gains, sums, _ = _walk_block({key: {0, 1}}, _group_factor([key]), 0, 500)
+        for side in (0, 1):
+            rows = _side_rows(Perfect(), gains[key][side], sums[side][key.n_h])
+            assert np.array_equal(rows["D"], rows["H"])
+            assert not rows["Q1"].any() and not rows["Q2"].any()
+
+    def test_one_element_side_rows_are_finite(self):
+        # N = 1 takes no phase or energy rows, but its side table forms
+        # them all, finite
+        geom = ArrayGeometry(n_h=1, n_v=1, elem_len_l=0.05, elem_len_w=0.05)
+        (member,) = _member(geom, SystemParams.from_db(), QUANT1,
+                            McConfig(trials=500, master_seed=3), [Scenario.NOMA_R], True)
+        key = member[0]
+        gains, sums, _ = _walk_block({key: {0, 1}}, _group_factor([key]), 0, 500)
+        for side in (0, 1):
+            rows = _side_rows(Quantized(1), gains[key][side], sums[side][1])
+            assert set(rows) == {"H", "D", "P2", "E", "Q1", "Q2"}
+            assert all(np.isfinite(row).all() for row in rows.values())
 
     @pytest.mark.parametrize("n_v, n_h, models, plan", [
         (4, 2, (Perfect(), Perfect()),
