@@ -163,8 +163,9 @@ def _column_sums(amp: np.ndarray, n_v: int, widths) -> dict:
     amp_n^2 (A - amp_n)^2 and B2 = P2^2 - P4 = sum_{n != m} amp_n^2
     amp_m^2 (see _conditional_moments).  Each power is summed per column
     and accumulated over the columns, A as in _boosted_gains, so A^2 is
-    bit-identical to a zero-phase boosted gain.  Only the asked column
-    counts are kept, and no power of the whole of amp is formed."""
+    bit-identical to a zero-phase boosted gain, and A is sqrt(A^2) bit
+    for bit (see _side_rows).  Only the asked column counts are kept, and
+    no power of the whole of amp is formed."""
     count = amp.shape[1]
     cols = amp[:n_v * max(widths)].reshape(-1, n_v, count)
     # amp^k summed over each column's rows, k = 1 to 4
@@ -257,22 +258,29 @@ def _controls(key, scen) -> tuple:
     """The controls of scen's rate on draw key, as (kind, side) pairs in
     the order of its rows after y: the gains ("H", side) of the sides
     the rate reads (its t and r links in _READS, 0 for H_t and 1 for
-    H_r), or their turned means ("A", side) for a rotated rate, then
-    ("D", side), ("P2", side) and ("E", side), then ("Q1", side) and
-    ("Q2", side) of each side in turn, the kinds of _side_rows: D, Q1
-    and Q2 are the phase rows, and P2 and E = P2^2 the energies of the
-    side's amplitudes, P2 = sum_n a_n^2 the second power sum of _column_sums.
+    H_r), or their turned means ("A", side) for a rotated rate, each
+    followed by the side's amplitude sum ("S", side), then ("D", side),
+    ("P2", side) and ("E", side), then ("Q1", side) and ("Q2", side) of
+    each side in turn, the kinds of _side_rows: D, Q1 and Q2 are the
+    phase rows, and S = sum_n a_n, P2 = sum_n a_n^2 and E = P2^2 the
+    sums of the side's amplitudes a_n = |g_n||h_n| (see _column_sums).
     mc_estimates hands the fit their exact means: the side's Jensen gain
-    N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and D, N for P2 (E|g_n|^2
-    = E|h_n|^2 = 1, g and h independent), geometry.mean_p2_sq for E, and
-    0 for Q1 and Q2.  Channel hardening makes the rate nearly linear in
-    H, so the residual variance is a small part of the variance of y.
-    With D beside H the fit weighs the part of H that the magnitudes set
-    (D) apart from the part the phases add (H - D), and Q1 and Q2 take up
-    the variance the phases add at fixed magnitudes, which H alone leaves
-    in the uniform-phase rows.  Below the element counts where the
-    channel hardens, the rate bends with the fading energy, which no
-    linear function of H follows: P2 and E take it up.
+    N (1 - eps^2) + eps^2 tr(Rbar Rbar) for H, A and D, N pi / 4 for S, N
+    for P2, geometry.mean_p2_sq for E, and 0 for Q1 and Q2.  R has a unit
+    diagonal (geometry.correlation_matrix), so on every layout and both
+    correlation flags each g_n and h_n is CN(0, 1), and g and h are
+    independent: E a_n = E|g_n| E|h_n| = (sqrt(pi) / 2)^2 = pi / 4, and
+    E a_n^2 = E|g_n|^2 E|h_n|^2 = 1.  Channel hardening makes the rate
+    nearly linear in H, so the residual variance is a small part of the
+    variance of y.  With D beside H the fit weighs the part of H that the
+    magnitudes set (D) apart from the part the phases add (H - D), and Q1
+    and Q2 take up the variance the phases add at fixed magnitudes, which
+    H alone leaves in the uniform-phase rows.  Below the element counts
+    where the channel hardens, and under perfect or quantized phases, the
+    rate bends in H, which no linear function of H follows: H follows
+    S^2 closely (H = S^2 on a Perfect side), so S beside H fits a
+    quadratic in S, and P2 and E take up the fading energy.  No other
+    row spans S: D = eps^2 S^2 + (1 - eps^2) P2.
 
     A rate is rotated, averaged over turns of column groups, if it is of
     analytic._SINGLE_LOG and its side has UniformFull phases and n_h >=
@@ -291,7 +299,10 @@ def _controls(key, scen) -> tuple:
     links of NOMA R, T' and R' has no mean over psi in closed form.
 
     T' and R' take their gain rows alone: their primed gains, drawn on
-    the same sides, are not controls (see _walk_block).  A side takes
+    the same sides, are not controls (see _walk_block).  Every other
+    rate takes S on every side it reads, and (H, S) stays regular even
+    where H = S^2, on one element or a Perfect side: S is not constant,
+    and H is not linear in it.  A side takes
     D, Q1 and Q2 if it has N >= 2 elements and 1 - eps^2 >=
     _PHASE_VAR_MIN, which leaves out every Perfect side: at N = 1, H = a^2
     whatever the phase, and near the floor D equals H, or nearly so.  A
@@ -313,6 +324,7 @@ def _controls(key, scen) -> tuple:
     plan = [("A" if rotated else "H", side) for side in sides]
     if scen in _NOMA[2:]:
         return tuple(plan)
+    plan = [entry for kind, side in plan for entry in ((kind, side), ("S", side))]
     groups = min(_GROUPS, n_h) if rotated else 1
     phase = [side for side in sides
              if n > groups and 1.0 - models[side].epsilon() ** 2 >= _PHASE_VAR_MIN]
@@ -350,12 +362,13 @@ def _conditional_moments(model, sums):
 def _side_rows(model, h, sums, turned=None) -> dict:
     """{kind: row} of every control of one side, keyed by the kinds of
     _controls, from the side's gains h and the sums (A^2, P2, B1, B2) of
-    _column_sums: the gain "H", D = E[H | a] (see _conditional_moments),
-    the energies P2 and E = P2^2, Q1 = H / D - 1 and Q2 = Q1^2 - Var(H |
-    a) / D^2.  E[D] = E[H], the side's Jensen gain, and Q1 and Q2 have
-    mean 0 exactly, since E[Q1 | a] = 0 and E[Q1^2 | a] = Var(H | a) /
-    D^2.  (Q1, Q2) spans the same controls as (Q1, (H / D)^2 - E[H^2 | a]
-    / D^2) = (Q1, 2 Q1 + Q2), without cancelling the 1s of the two ratios.
+    _column_sums: the gain "H", the amplitude sum "S" = A = sqrt(A^2), D
+    = E[H | a] (see _conditional_moments), the energies P2 and E = P2^2,
+    Q1 = H / D - 1 and Q2 = Q1^2 - Var(H | a) / D^2.  E[D] = E[H], the
+    side's Jensen gain, and Q1 and Q2 have mean 0 exactly, since E[Q1 |
+    a] = 0 and E[Q1^2 | a] = Var(H | a) / D^2.  (Q1, Q2) spans the same
+    controls as (Q1, (H / D)^2 - E[H^2 | a] / D^2) = (Q1, 2 Q1 + Q2),
+    without cancelling the 1s of the two ratios.
     On a Perfect side D is H and Q1 and Q2 are 0, and on one element
     every row is finite, so the rows of any side read can be formed.
 
@@ -363,8 +376,15 @@ def _side_rows(model, h, sums, turned=None) -> dict:
     are their means over the turns of _controls: the gain is "A" = sum_i
     |G_i|^2, and Q2 = Q1^2 + (2 pair - Var(H | a)) / D^2, as the mean of
     (H - D)^2 is (A - D)^2 + 2 sum_{i < j} |G_i|^2 |G_j|^2.  Their means
-    stay those of H, Q1 and Q2; D, P2 and E depend on the amplitudes
-    alone, which no turn moves."""
+    stay those of H, Q1 and Q2; S, D, P2 and E depend on the amplitudes
+    alone, which no turn moves.
+
+    In binary floating point the rounded square root of the rounded
+    square of a double is the double itself, barring underflow and
+    overflow (Boldo 2015), so S is A bit for bit.  Keeping A from
+    _column_sums instead, as a fifth row or a copy of its prefix row,
+    gives the same values, but raised precision_point's peak RSS from
+    about 74 to 80 MB at some checkout path lengths."""
     mean, var = _conditional_moments(model, sums)
     gain = "H"
     if turned is not None:
@@ -373,7 +393,7 @@ def _side_rows(model, h, sums, turned=None) -> dict:
         gain = "A"
     q1 = h / mean - 1.0
     p2 = sums[1]
-    return {gain: h, "D": mean, "P2": p2, "E": p2 * p2, "Q1": q1,
+    return {gain: h, "S": np.sqrt(sums[0]), "D": mean, "P2": p2, "E": p2 * p2, "Q1": q1,
             "Q2": q1 * q1 - var / (mean * mean)}
 
 
@@ -545,15 +565,15 @@ def _cv_estimate(moments, means) -> McEstimate:
     controls x, the rows of _controls, whose exact means are means, in
     the same order: y-bar - beta (x-bar - E[x]), beta the least-squares
     fit of y on x (C_xx beta = C_xy; H_t and H_r come from separate
-    streams, each D row differs from its H by the phases and from its P2
-    row by eps^2 (A^2 - P2), each E row is of fourth order in the
-    amplitudes, and each Q row varies with the phases at fixed
-    magnitudes, so C_xx is not singular where _controls takes the rows),
-    and a 95 % half-width from the residual variance with one degree of
-    freedom per coefficient and one for the mean.  The residual sum of
-    squares C_yy - C_yx beta is clipped at 0: it cancels to rounding
-    when y is linear in H to double precision, as for rates below about
-    1e-8 bits."""
+    streams, each S row is of first order in the amplitudes, each D row
+    differs from its H by the phases and from its P2 row by eps^2 (A^2 -
+    P2), each E row is of fourth order in the amplitudes, and each Q row
+    varies with the phases at fixed magnitudes, so C_xx is not singular
+    where _controls takes the rows), and a 95 % half-width from the
+    residual variance with one degree of freedom per coefficient and one
+    for the mean.  The residual sum of squares C_yy - C_yx beta is
+    clipped at 0: it cancels to rounding when y is linear in H to double
+    precision, as for rates below about 1e-8 bits."""
     n, mean, com = moments
     c_xy = com[1:, 0]
     beta = np.linalg.solve(com[1:, 1:], c_xy)
@@ -709,8 +729,9 @@ def mc_estimates(geom: ArrayGeometry, params: SystemParams, err_models,
         walks.update(_walk_group([m for m in walks if m[0].gaussian == gaussian], workers))
     tr = trace_rbar_sq(geom, correlated)
     gain = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in err_models]
-    exact = {"H": gain, "A": gain, "D": gain, "P2": [geom.n_elements] * 2,
-             "E": [mean_p2_sq(geom, correlated)] * 2, "Q1": [0.0] * 2, "Q2": [0.0] * 2}
+    exact = {"H": gain, "A": gain, "S": [geom.n_elements * np.pi / 4] * 2, "D": gain,
+             "P2": [geom.n_elements] * 2, "E": [mean_p2_sq(geom, correlated)] * 2,
+             "Q1": [0.0] * 2, "Q2": [0.0] * 2}
     return {scen: _cv_estimate(walks[key, params, scen], np.array(
                 [exact[kind][side] for kind, side in _controls(key, scen)]))
             for key, params, scen in members}

@@ -337,10 +337,10 @@ class TestDrawMemo:
         assert all(n == cfg.trials for n, _, _ in walked.values())
         arrays = list(arrays_in(walked))
         assert len(arrays) == 2 * 6 * 2  # a mean and a co-moment per member
-        # moments of (y, H_t, H_r), three phase controls (D, Q1, Q2) and the
-        # energies P2 and P2^2 per side, at most 1 + 2 + 5 * 2 = 13 rows,
-        # whatever the trial count
-        assert all(dim <= 13 for a in arrays for dim in a.shape)
+        # moments of (y, H_t, H_r), the amplitude sum S, three phase
+        # controls (D, Q1, Q2) and the energies P2 and P2^2 per side, at
+        # most 1 + 2 + 6 * 2 = 15 rows, whatever the trial count
+        assert all(dim <= 15 for a in arrays for dim in a.shape)
 
     def test_pooled_miss_then_serial_hit_equal_serial_runs(self, half_wave_geometry):
         # the first member walks the pool, the second finalizes from its
@@ -609,7 +609,8 @@ class TestGroupWalk:
     def test_stored_control_means_are_the_jensen_gains(self, monkeypatch):
         # the means mc_estimates hands to the control-variate fit, for every
         # member of a batch: those of the gains each rate reads, H_t for
-        # T's rates, H_r for OMA R's and both for NOMA R's, then those of
+        # T's rates, H_r for OMA R's and both for NOMA R's, each followed
+        # by N pi / 4 for the amplitude sum S of its side, then those of
         # the conditional mean gains D of the same sides but a Perfect one,
         # whose mean is the same Jensen gain, then N for the energy P2 of
         # every side read but a uniform one, whose D is P2, then those of
@@ -632,7 +633,8 @@ class TestGroupWalk:
         for correlated, models in MIXED_GROUP:
             tr = trace_rbar_sq(geom, correlated)
             exact = [_mean_gain(geom.n_elements, tr, model.epsilon()) for model in models]
-            expected += [[exact[row] for row in reads[scen]]
+            expected += [[mean for row in reads[scen]
+                          for mean in (exact[row], geom.n_elements * math.pi / 4)]
                          + [exact[row] for row in reads[scen]
                             if not isinstance(models[row], Perfect)]
                          + [geom.n_elements for row in reads[scen]
@@ -727,13 +729,27 @@ class TestFamilyWalk:
                 assert np.array_equal(gains, lone), key
 
     def test_fig3_estimates_equal_lone_walks(self, monkeypatch):
-        # half-wavelength spacing, correlated, 100 members in one walk
+        # half-wavelength spacing, correlated, 100 members in one walk.  The
+        # gains differ from a lone walk's by the rounding of the widest
+        # factor, and the residual variance C_yy - C_yx beta is a difference
+        # of C_yy-sized terms, so the half-widths are compared on the scale
+        # of the plain squared half-width z^2 C_yy / ((n - 1) n)
+        plain = {}  # {estimate: its plain squared half-width}
+        cv_estimate = mc._cv_estimate
+
+        def recording(moments, control_means):
+            est = cv_estimate(moments, control_means)
+            n, _, com = moments
+            plain[est] = mc._Z95 ** 2 * com[0, 0] / ((n - 1) * n)
+            return est
+
+        monkeypatch.setattr(mc, "_cv_estimate", recording)
         for _, group, lone in sweep_and_lone_estimates("fig3_rate_vs_N", 2000,
                                                        monkeypatch):
             for scen, est in group.items():
                 assert est.mean == pytest.approx(lone[scen].mean, rel=1e-12, abs=0)
-                assert est.half_width == pytest.approx(lone[scen].half_width,
-                                                       rel=1e-12, abs=0)
+                assert (abs(est.half_width ** 2 - lone[scen].half_width ** 2)
+                        <= 1e-14 * plain[est]), (scen, est, lone[scen])
 
     def test_fig7_estimates_match_lone_walks(self, monkeypatch):
         # quarter-wavelength spacing: R is ill-conditioned, so the
@@ -1462,6 +1478,44 @@ class TestExactMeanGain:
                                    energy.std(ddof=1) / math.sqrt(energy.size))
             assert abs(energy.mean() - exact) <= 4.5 * stderr, (geom, correlated, side)
 
+    @pytest.mark.parametrize("correlated", [True, False], ids=["correlated", "iid"])
+    @pytest.mark.parametrize("geom", [
+        ArrayGeometry(n_h=1, n_v=1, elem_len_l=0.05, elem_len_w=0.05),
+        ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05),
+        ArrayGeometry(n_h=4, n_v=5, elem_len_l=0.05, elem_len_w=0.05, wavelength=0.2)],
+        ids=["1x1", "2x4", "fig7_4x5"])
+    def test_amplitude_sum_has_mean_n_pi_over_4(self, geom, correlated, monkeypatch):
+        # E[S] = sum_n E|g_n| E|h_n| = N pi / 4 for S = sum_n |g_n||h_n|:
+        # R has a unit diagonal, so every |g_n| and |h_n| is Rayleigh with
+        # mean sqrt(pi) / 2, and g and h are independent.  The S rows that
+        # _side_rows hands the fit, both sides, against the means that
+        # mc_estimates hands it, within 4.5 standard errors; fig7's
+        # quarter-wavelength 5-row layout is colored by its Cholesky factor
+        params, models = SystemParams.from_db(), (Quantized(1), Perfect())
+        cfg = McConfig(trials=20000, master_seed=61)
+        ((key, _, scen),) = _member(geom, params, models, cfg, [Scenario.NOMA_R], correlated)
+        handed = []
+        cv_estimate = mc._cv_estimate
+
+        def recording(moments, means):
+            handed.append(means)
+            return cv_estimate(moments, means)
+
+        monkeypatch.setattr(mc, "_cv_estimate", recording)
+        mc_estimates(geom, params, models, cfg, [scen], correlated=correlated)
+        both = {key: (0, 1)}
+        factor = _group_factor(both)
+        if correlated:
+            assert np.array_equal(factor, np.linalg.cholesky(correlation_matrix(geom)))
+        blocks = [_walk_block(both, factor, block, count) for block, count in _blocks(cfg.trials)]
+        plan = _controls(key, scen)
+        for side, model in enumerate(models):
+            s = np.concatenate([_side_rows(model, gains[key][side], sums[side][geom.n_h])["S"]
+                                for gains, sums, _ in blocks])
+            stderr = s.std(ddof=1) / math.sqrt(s.size)
+            mean = handed[0][plan.index(("S", side))]
+            assert abs(s.mean() - mean) <= 4.5 * stderr, (geom, correlated, side, s.mean(), mean)
+
 
 ALL_KINDS = [Perfect(), UniformFull(), Quantized(1), Quantized(2), Quantized(5),
              VonMises(0.0), VonMises(0.5), VonMises(2.0), VonMises(50.0)]
@@ -1488,9 +1542,11 @@ def pair_sums(amps):
     return _column_sums(amps[:, None], 1, {amps.size})[amps.size]
 
 
+# The gain and amplitude-sum entries that open every plan of NOMA R
+NOMA_R_GAINS = (("H", 0), ("S", 0), ("H", 1), ("S", 1))
 # The controls of NOMA R on sides of N >= 6 elements whose phases take
 # every control, such as 2 x 4 under 1-bit errors
-NOMA_R_PLAN = (("H", 0), ("H", 1), ("D", 0), ("D", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1),
+NOMA_R_PLAN = (*NOMA_R_GAINS, ("D", 0), ("D", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1),
                ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))
 
 
@@ -1525,7 +1581,7 @@ class TestPhaseControls:
 
     def test_sides_that_take_phase_controls(self):
         # the D, Q1 and Q2 rows of a side of N >= 2 elements whose phases
-        # move H, beside its gain, P2 and E rows
+        # move H, beside its gain, S, P2 and E rows
         geom = ArrayGeometry(n_h=2, n_v=4, elem_len_l=0.05, elem_len_w=0.05)
         cfg, four = McConfig(trials=500), four_user_params()
 
@@ -1534,16 +1590,16 @@ class TestPhaseControls:
 
         assert plan(geom, QUANT1, Scenario.NOMA_R) == NOMA_R_PLAN
         assert plan(geom, QUANT1, Scenario.OMA_R) == (
-            ("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
+            ("H", 1), ("S", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
         assert plan(geom, (Perfect(), UniformFull()), Scenario.NOMA_R) == (
-            ("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))
+            *NOMA_R_GAINS, ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))
         # one element: H = a^2 whatever the phase
-        assert plan(replace(geom, n_h=1, n_v=1), QUANT1, Scenario.NOMA_R) == (("H", 0), ("H", 1))
+        assert plan(replace(geom, n_h=1, n_v=1), QUANT1, Scenario.NOMA_R) == NOMA_R_GAINS
         assert plan(replace(geom, n_h=1, n_v=2), QUANT1, Scenario.NOMA_R) == (
-            ("H", 0), ("H", 1), ("D", 0), ("D", 1), ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))
+            *NOMA_R_GAINS, ("D", 0), ("D", 1), ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))
         # near-perfect phases move H by less than the controls resolve
         assert plan(geom, (Quantized(27), VonMises(1e7)), Scenario.NOMA_R) == (
-            ("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))
+            *NOMA_R_GAINS, ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))
         assert plan(geom, (Quantized(7), VonMises(1e3)), Scenario.NOMA_R) == NOMA_R_PLAN
         # the primed users keep their gain controls alone
         assert plan(geom, QUANT1, Scenario.NOMA_TP, four) == (("H", 0), ("H", 1))
@@ -1558,25 +1614,24 @@ class TestPhaseControls:
 
         # every side a rate reads, whatever its phases, from N = 6 on
         for models, wide, narrow in [
-                (QUANT1, NOMA_R_PLAN, (("H", 0), ("H", 1), ("D", 0), ("D", 1),
+                (QUANT1, NOMA_R_PLAN, (*NOMA_R_GAINS, ("D", 0), ("D", 1),
                                        ("Q1", 0), ("Q2", 0), ("Q1", 1), ("Q2", 1))),
                 ((Perfect(), UniformFull()),
-                 (("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1),
-                  ("Q1", 1), ("Q2", 1)),
-                 (("H", 0), ("H", 1), ("D", 1), ("Q1", 1), ("Q2", 1))),
+                 (*NOMA_R_GAINS, ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1)),
+                 (*NOMA_R_GAINS, ("D", 1), ("Q1", 1), ("Q2", 1))),
                 ((Quantized(27), VonMises(1e7)),
-                 (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1)),
-                 (("H", 0), ("H", 1)))]:
+                 (*NOMA_R_GAINS, ("P2", 0), ("P2", 1), ("E", 0), ("E", 1)),
+                 NOMA_R_GAINS)]:
             assert plan(2, 3, models, Scenario.NOMA_R) == wide
             assert plan(5, 1, models, Scenario.NOMA_R) == narrow
         assert plan(6, 1, QUANT1, Scenario.OMA_R) == (
-            ("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
+            ("H", 1), ("S", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))
         # rotated rates too, even with one element per group
         uniform = (UniformFull(), UniformFull())
-        rotated = (("A", 0), ("D", 0), ("E", 0), ("Q1", 0), ("Q2", 0))
+        rotated = (("A", 0), ("S", 0), ("D", 0), ("E", 0), ("Q1", 0), ("Q2", 0))
         assert plan(6, 1, uniform, Scenario.NOMA_T) == rotated
         assert plan(2, 4, uniform, Scenario.OMA_T) == rotated
-        assert plan(4, 1, uniform, Scenario.OMA_R) == (("A", 1),)
+        assert plan(4, 1, uniform, Scenario.OMA_R) == (("A", 1), ("S", 1))
         # the primed users keep their gain controls alone
         assert plan(2, 4, QUANT1, Scenario.NOMA_TP, four) == (("H", 0), ("H", 1))
         assert plan(2, 4, QUANT1, Scenario.NOMA_RP, four) == (("H", 0), ("H", 1))
@@ -1606,17 +1661,17 @@ class TestPhaseControls:
         gains, sums, _ = _walk_block({key: {0, 1}}, _group_factor([key]), 0, 500)
         for side in (0, 1):
             rows = _side_rows(Quantized(1), gains[key][side], sums[side][1])
-            assert set(rows) == {"H", "D", "P2", "E", "Q1", "Q2"}
+            assert set(rows) == {"H", "S", "D", "P2", "E", "Q1", "Q2"}
             assert all(np.isfinite(row).all() for row in rows.values())
 
     @pytest.mark.parametrize("n_v, n_h, models, plan", [
         (4, 2, (Perfect(), Perfect()),
-         (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
-        (1, 1, QUANT1, (("H", 0), ("H", 1))),
+         (*NOMA_R_GAINS, ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
+        (1, 1, QUANT1, NOMA_R_GAINS),
         (4, 2, (Quantized(27), VonMises(1e7)),
-         (("H", 0), ("H", 1), ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
+         (*NOMA_R_GAINS, ("P2", 0), ("P2", 1), ("E", 0), ("E", 1))),
         (4, 2, (Perfect(), UniformFull()),
-         (("H", 0), ("H", 1), ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))),
+         (*NOMA_R_GAINS, ("D", 1), ("P2", 0), ("E", 0), ("E", 1), ("Q1", 1), ("Q2", 1))),
         (4, 2, QUANT1, NOMA_R_PLAN)], ids=["perfect", "one_element", "near_perfect",
                                            "perfect_t", "both"])
     def test_only_phase_sides_take_a_d_row(self, n_v, n_h, models, plan, monkeypatch):
@@ -1894,10 +1949,13 @@ class TestControlVariate:
         key = _member(geom, params, models, cfg, NOMA + OMA, correlated)[0][0]
         (gains,) = walked_gains([key])
         z = 1.959963984540054
-        above = {Scenario.NOMA_T: (("H", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0), ("Q2", 0)),
+        above = {Scenario.NOMA_T: (("H", 0), ("S", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0),
+                                   ("Q2", 0)),
                  Scenario.NOMA_R: NOMA_R_PLAN,
-                 Scenario.OMA_T: (("H", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0), ("Q2", 0)),
-                 Scenario.OMA_R: (("H", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1), ("Q2", 1))}
+                 Scenario.OMA_T: (("H", 0), ("S", 0), ("D", 0), ("P2", 0), ("E", 0), ("Q1", 0),
+                                  ("Q2", 0)),
+                 Scenario.OMA_R: (("H", 1), ("S", 1), ("D", 1), ("P2", 1), ("E", 1), ("Q1", 1),
+                                  ("Q2", 1))}
         for scen in NOMA + OMA:
             assert _controls(key, scen) == tuple(entry for entry in above[scen]
                                                  if level or entry[0] != "P2")
@@ -1924,7 +1982,7 @@ class TestControlVariate:
         phase, energy = n_v * n_h > min(4, n_h), n_v * n_h >= 6
         for scen in scenarios:
             side = int(scen is Scenario.OMA_R)
-            assert _controls(key, scen) == (("A", side), *[("D", side)] * phase,
+            assert _controls(key, scen) == (("A", side), ("S", side), *[("D", side)] * phase,
                                             *[("E", side)] * energy,
                                             *[("Q1", side), ("Q2", side)] * phase)
             r, est = _rate(scen, params, gains), out[scen]
